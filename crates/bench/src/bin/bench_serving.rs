@@ -13,7 +13,8 @@
 //!   `serving_upsert_seconds`), the same cells `/metrics` exposes,
 //! * **http_qps** — paced closed-loop clients against a live
 //!   [`topk_simjoin::ServingServer`] at a ladder of offered QPS levels;
-//!   p50/p99 measured client-side (connect + request + full response),
+//!   p50/p99 measured client-side (request + full response, on one
+//!   persistent connection per client),
 //! * **durability** — single-ranking upserts with the write-ahead log on
 //!   (`ServingIndex::open`) vs off (`ServingIndex::ephemeral`), isolating
 //!   the WAL append + snapshot cost per write.
@@ -24,7 +25,7 @@
 //! Latency keys use the `_us` suffix, so the committed capture is guarded
 //! by `cargo run -p xtask -- bench-diff` like the kernel numbers.
 
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -212,28 +213,47 @@ fn bench_mix(upsert_pct: u64, corpus: &Arc<Vec<Ranking>>, opts: &Opts) -> Json {
         .with("upsert_p99_us", Json::num(upsert_p99))
 }
 
-/// One paced request over its own connection; returns the latency in ns.
-fn timed_query(addr: SocketAddr, items_csv: &str) -> u64 {
+/// One client's persistent connection to the server under test.
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    BufReader::new(stream)
+}
+
+/// One paced request on the client's connection; returns the latency in ns
+/// (request written to whole response read).
+fn timed_query(connection: &mut BufReader<TcpStream>, items_csv: &str) -> u64 {
     let start = Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(
         "GET /query?theta={QUERY_THETA}&items={items_csv}&id={FOREIGN_QUERY_ID} HTTP/1.1\r\n\
-         Host: bench\r\nConnection: close\r\n\r\n"
+         Host: bench\r\n\r\n"
     );
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    assert!(
-        raw.starts_with(b"HTTP/1.1 200"),
-        "query failed: {}",
-        String::from_utf8_lossy(&raw)
-    );
+    connection
+        .get_mut()
+        .write_all(request.as_bytes())
+        .expect("write request");
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        let n = connection.read_line(&mut head).expect("read response head");
+        assert!(n > 0, "connection closed mid-response: {head}");
+    }
+    assert!(head.starts_with("HTTP/1.1 200"), "query failed: {head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .expect("response declares its length");
+    let mut body = vec![0u8; length];
+    connection
+        .read_exact(&mut body)
+        .expect("read response body");
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One offered-QPS level: `CLIENTS` closed-loop clients pace requests so
-/// their aggregate send rate is `offered_qps`, each over a fresh
-/// connection. Latency is measured client-side, end to end.
+/// their aggregate send rate is `offered_qps`, each on one persistent
+/// connection — the rows measure the server, not TCP set-up. Latency is
+/// measured client-side, end to end.
 fn bench_http_level(
     addr: SocketAddr,
     probes: &Arc<Vec<String>>,
@@ -252,6 +272,7 @@ fn bench_http_level(
         handles.push(std::thread::spawn(move || {
             // cast(per_client is a small request budget — fits usize)
             let mut samples = Vec::with_capacity(per_client as usize);
+            let mut connection = connect(addr);
             let epoch = Instant::now();
             for i in 0..per_client {
                 // cast(paced request indexes are small — exact in f64)
@@ -262,7 +283,7 @@ fn bench_http_level(
                 }
                 // cast(request index is reduced mod probes.len() — fits usize exactly)
                 let csv = &probes[((c * per_client + i) % probes.len() as u64) as usize];
-                samples.push(timed_query(addr, csv));
+                samples.push(timed_query(&mut connection, csv));
             }
             samples
         }));

@@ -25,6 +25,7 @@
 //! read lock; mutations take the WAL mutex for their whole span so that
 //! log append → index apply is atomic with respect to other mutations.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -257,26 +258,16 @@ impl ServingIndex {
             // alloc(the WAL record owns a copy of the batch — one clone per upsert request, the durability boundary)
             store.append(&WalRecord::Upsert(batch.to_vec()))?;
         }
-        let mut outcome = UpsertOutcome {
-            inserted: 0,
-            replaced: 0,
-        };
-        {
+        let outcome = {
             // locks(nested by design: WAL mutex → index write lock is the global lock order)
             let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
-            for r in batch {
-                if index.contains_id(r.id()) {
-                    outcome.replaced += 1;
-                } else {
-                    outcome.inserted += 1;
-                }
-                // Cannot fail: lengths were validated above against the
-                // same state, and no other writer ran in between (the WAL
-                // mutex is still held).
-                index.insert_ranking(r)?;
-            }
+            // Cannot fail: lengths were validated above against the same
+            // state, and no other writer ran in between (the WAL mutex is
+            // still held).
+            let outcome = apply_upsert(&mut index, batch)?;
             self.maintain(&mut wal, &mut index)?;
-        }
+            outcome
+        };
         self.upserts.inc();
         self.upsert_seconds.record_duration(start.elapsed());
         Ok(outcome)
@@ -431,14 +422,68 @@ impl ServingIndex {
     }
 }
 
+/// Applies one upsert batch to the index — the one code path for live
+/// upserts and replayed ones, so both reach the identical state.
+///
+/// An index without slots is *built* from its first batch: the canonical
+/// item order is frozen when the index is created, and an index created
+/// empty ranks every item as equally rare, probing far longer posting lists
+/// than it needs to until the next compaction or restart rebuilds it. That
+/// still holds for an index seeded by a trickle of single-ranking upserts —
+/// only the first of them can set the order; such a deployment relies on
+/// compaction (or a restart) to learn the real frequencies.
+fn apply_upsert(index: &mut RankingIndex, batch: &[Ranking]) -> Result<UpsertOutcome, JoinError> {
+    if index.slot_count() == 0 {
+        *index = match RankingIndex::build(batch, index.theta_max()) {
+            // `build` takes each id once; an upsert keeps the last version.
+            Err(JoinError::DuplicateRankingId(_)) => {
+                RankingIndex::build(&last_versions(batch), index.theta_max())?
+            }
+            built => built?,
+        };
+        return Ok(UpsertOutcome {
+            inserted: index.len(),
+            replaced: batch.len() - index.len(),
+        });
+    }
+    let mut outcome = UpsertOutcome {
+        inserted: 0,
+        replaced: 0,
+    };
+    for r in batch {
+        if index.contains_id(r.id()) {
+            outcome.replaced += 1;
+        } else {
+            outcome.inserted += 1;
+        }
+        index.insert_ranking(r)?;
+    }
+    Ok(outcome)
+}
+
+/// The batch without the versions a later entry of the same id replaces.
+fn last_versions(batch: &[Ranking]) -> Vec<Ranking> {
+    let last_at: HashMap<RankingId, usize> = batch
+        .iter()
+        .enumerate()
+        .map(|(at, r)| (r.id(), at))
+        // alloc(only for a first batch that repeats an id — once per index, not per record)
+        .collect();
+    batch
+        .iter()
+        .enumerate()
+        .filter(|&(at, r)| last_at.get(&r.id()) == Some(&at))
+        .map(|(_, r)| r.clone())
+        // alloc(as above: once per index)
+        .collect()
+}
+
 /// Applies one replayed WAL record to the index (replay-time mirror of the
 /// live mutation paths).
 fn apply_record(index: &mut RankingIndex, record: &WalRecord) -> Result<(), ServingError> {
     match record {
         WalRecord::Upsert(rankings) => {
-            for r in rankings {
-                index.insert_ranking(r)?;
-            }
+            apply_upsert(index, rankings)?;
         }
         WalRecord::Delete(id) => {
             index.remove_ranking(*id);
@@ -856,6 +901,88 @@ mod tests {
         assert_eq!(service.get(2), None);
         assert_eq!(service.get(3), Some(ranking(3, [9, 8, 7, 6, 5])));
         fs::remove_dir_all(&dir)?;
+        Ok(())
+    }
+
+    /// Candidates the index probes, and the answers it gives, over a fixed
+    /// set of stored rankings used as queries.
+    fn probe_cost(service: &ServingIndex, probes: &[Ranking]) -> (u64, Vec<Vec<(u64, u64)>>) {
+        let index = service.index.read().expect("index lock");
+        let stats = crate::stats::JoinStats::default();
+        let answers = probes
+            .iter()
+            .map(|q| {
+                index
+                    .range_query_with_stats(q, 0.2, &stats)
+                    .expect("query within theta_max")
+            })
+            .collect();
+        (stats.snapshot().candidates, answers)
+    }
+
+    #[test]
+    fn first_batch_seeds_the_frequency_order() -> TestResult {
+        // Regression: an index created empty froze an empty frequency table,
+        // so a corpus seeded through `upsert_batch` probed posting lists as
+        // if every item were equally rare (80x the query time on 50k
+        // rankings) until its first restart or compaction.
+        let corpus = topk_datagen::CorpusProfile::orku_like(5_000, 10).generate();
+        let probes: Vec<Ranking> = corpus.iter().step_by(50).cloned().collect();
+        let dir = temp_dir("seeded-order");
+        let config = ServingConfig::new(0.3).with_snapshot_every(0);
+
+        let ephemeral = ServingIndex::ephemeral(config.clone())?;
+        let outcome = ephemeral.upsert_batch(&corpus)?;
+        assert_eq!((outcome.inserted, outcome.replaced), (corpus.len(), 0));
+        let (durable, _) = ServingIndex::open(&dir, config.clone())?;
+        durable.upsert_batch(&corpus)?;
+        let seeded = probe_cost(&ephemeral, &probes);
+        assert_eq!(probe_cost(&durable, &probes), seeded);
+        drop(durable);
+
+        // Replayed from the WAL, then rebuilt from a snapshot: the same
+        // order, so the same candidates — and the same answers.
+        let (replayed, replay) = ServingIndex::open(&dir, config.clone())?;
+        assert_eq!((replay.snapshot_rankings, replay.wal_records), (0, 1));
+        assert_eq!(probe_cost(&replayed, &probes), seeded);
+        replayed.snapshot_now()?;
+        drop(replayed);
+        let (rebuilt, replay) = ServingIndex::open(&dir, config.clone())?;
+        assert_eq!(
+            (replay.snapshot_rankings, replay.wal_records),
+            (corpus.len(), 0)
+        );
+        assert_eq!(probe_cost(&rebuilt, &probes), seeded);
+
+        // What the bug cost: the same corpus over a frozen empty order.
+        let mut frozen = RankingIndex::build(&[], config.theta_max)?;
+        for r in &corpus {
+            frozen.insert_ranking(r)?;
+        }
+        let stats = crate::stats::JoinStats::default();
+        for (q, want) in probes.iter().zip(&seeded.1) {
+            assert_eq!(&frozen.range_query_with_stats(q, 0.2, &stats)?, want);
+        }
+        assert!(
+            stats.snapshot().candidates > 4 * seeded.0,
+            "frozen-empty order probes {} candidates, seeded order {}",
+            stats.snapshot().candidates,
+            seeded.0
+        );
+        fs::remove_dir_all(&dir)?;
+        Ok(())
+    }
+
+    #[test]
+    fn ids_repeated_in_the_first_batch_count_as_replaced() -> TestResult {
+        let service = ServingIndex::ephemeral(ServingConfig::new(0.4))?;
+        let outcome = service.upsert_batch(&[
+            ranking(1, [1, 2, 3, 4, 5]),
+            ranking(2, [2, 1, 3, 4, 5]),
+            ranking(1, [9, 8, 7, 6, 5]),
+        ])?;
+        assert_eq!((outcome.inserted, outcome.replaced), (2, 1));
+        assert_eq!(service.get(1), Some(ranking(1, [9, 8, 7, 6, 5])));
         Ok(())
     }
 

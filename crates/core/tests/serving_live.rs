@@ -12,12 +12,17 @@
 //! 3. **Kill-and-restart equivalence** — a server restarted from its WAL
 //!    (even with a torn tail appended) answers every query bit-identically
 //!    to a server that never went down.
+//! 4. **Persistent connections** — a client keeps one socket for a whole
+//!    session (writes, `Expect: 100-continue`, pipelined requests), more
+//!    such clients than workers all make progress, and a request the server
+//!    cannot frame ends the connection without touching the index.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use minispark::Json;
 use topk_rankings::{Ranking, RankingId};
@@ -301,5 +306,226 @@ fn http_server_restart_preserves_every_response() -> TestResult {
         assert_eq!(&body, expected, "response to {q} changed across restart");
     }
     std::fs::remove_dir_all(&dir)?;
+    Ok(())
+}
+
+/// A client that keeps its connection open and reads one response at a time
+/// off it.
+struct Session {
+    reader: BufReader<TcpStream>,
+}
+
+impl Session {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        Self {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, raw: &str) {
+        self.reader
+            .get_mut()
+            .write_all(raw.as_bytes())
+            .expect("write request");
+    }
+
+    /// One whole response: `(status, head, body)`.
+    fn recv(&mut self) -> (u16, String, String) {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let n = self.reader.read_line(&mut head).expect("read head line");
+            assert!(n > 0, "connection closed mid-head: {head:?}");
+        }
+        let status = head
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .expect("status line");
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .map_or(0, |v| v.parse::<usize>().expect("numeric length"));
+        let mut body = vec![0u8; length];
+        self.reader.read_exact(&mut body).expect("read body");
+        (status, head, String::from_utf8(body).expect("UTF-8 body"))
+    }
+
+    /// `head` is the request line without the version, as for [`http`].
+    fn request(&mut self, head: &str, body: Option<&str>) -> (u16, String, String) {
+        self.send(&render(head, body.unwrap_or("")));
+        self.recv()
+    }
+
+    fn closed(&mut self) -> bool {
+        match self.reader.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            // Closed with bytes of ours unread.
+            Err(e) => e.kind() == ErrorKind::ConnectionReset,
+        }
+    }
+}
+
+/// A request with no `Connection` header: HTTP/1.1 keeps the socket.
+fn render(head: &str, payload: &str) -> String {
+    format!(
+        "{head} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{payload}",
+        payload.len()
+    )
+}
+
+#[test]
+fn one_connection_carries_a_whole_session() -> TestResult {
+    let service = Arc::new(ServingIndex::ephemeral(ServingConfig::new(0.5))?);
+    let server = ServingServer::start(0, Arc::clone(&service), 2)?;
+    let mut session = Session::connect(server.addr());
+
+    // A batch large enough that curl would announce it with
+    // `Expect: 100-continue` and wait for the go-ahead.
+    let batch: Vec<Ranking> = (0..60).map(|id| permuted(id, id)).collect();
+    let payload = upsert_body(&batch);
+    assert!(payload.len() > 1024);
+    session.send(&format!(
+        "POST /rankings HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nExpect: 100-continue\r\n\r\n",
+        payload.len()
+    ));
+    let (status, _, _) = session.recv();
+    assert_eq!(status, 100);
+    session.send(&payload);
+    let (status, head, body) = session.recv();
+    assert_eq!(status, 200, "{body}");
+    assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+    assert!(body.contains("\"inserted\":60"), "{body}");
+
+    // The rest of the session rides the same socket, and every answer
+    // equals the in-process one.
+    for probe in 0..20u64 {
+        let query = permuted(FOREIGN_QUERY_ID, probe);
+        let items: Vec<String> = query.items().iter().map(u32::to_string).collect();
+        let (status, head, body) = session.request(
+            &format!("GET /query?theta=0.3&items={}", items.join(",")),
+            None,
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+        let want: Vec<u64> = service
+            .query(&query, 0.3)?
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(match_ids(&body), want, "probe {probe}");
+        let (status, _, _) = session.request(&format!("DELETE /rankings/{probe}"), None);
+        assert_eq!(status, 200);
+        let (status, _, _) = session.request(&format!("GET /rankings/{probe}"), None);
+        assert_eq!(status, 404, "a status other than 200 keeps the socket too");
+    }
+    assert_eq!(service.len(), 40);
+
+    // Two requests in one write: the query is answered after the upsert
+    // it follows, and sees it.
+    let revived = permuted(3, 3);
+    let items: Vec<String> = revived.items().iter().map(u32::to_string).collect();
+    session.send(&format!(
+        "{}{}",
+        render("POST /rankings", &upsert_body(&[revived])),
+        render(&format!("GET /query?theta=0&items={}", items.join(",")), "")
+    ));
+    assert_eq!(session.recv().0, 200);
+    let (status, _, body) = session.recv();
+    assert_eq!(status, 200, "{body}");
+    assert!(match_ids(&body).contains(&3), "{body}");
+
+    // The client ends the session.
+    session.send("GET /stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (status, head, _) = session.recv();
+    assert_eq!(status, 200);
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert!(session.closed());
+    Ok(())
+}
+
+#[test]
+fn more_sessions_than_workers_all_make_progress() -> TestResult {
+    const WORKERS: usize = 2;
+    const SESSIONS: u64 = 4;
+    const ROUNDS: u64 = 100;
+    let service = Arc::new(ServingIndex::ephemeral(
+        ServingConfig::new(0.5).with_compact_ratio(0.2),
+    )?);
+    let server = ServingServer::start(0, Arc::clone(&service), WORKERS)?;
+    let addr = server.addr();
+
+    // Two sessions that stay attached and silent throughout.
+    let mut idle: Vec<Session> = (0..2).map(|_| Session::connect(addr)).collect();
+    for session in &mut idle {
+        assert_eq!(session.request("GET /stats", None).0, 200);
+    }
+    // Each session upserts then queries, `ROUNDS` times, on its own socket
+    // and its own ids; nobody passes a barrier until everybody has reached
+    // it, so a server that served only `WORKERS` sockets at a time would
+    // strand the others there until their reads time out.
+    let barrier = Barrier::new(SESSIONS as usize);
+    std::thread::scope(|scope| {
+        for s in 0..SESSIONS {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let mut session = Session::connect(addr);
+                for round in 0..ROUNDS {
+                    if round % 10 == 0 {
+                        barrier.wait();
+                    }
+                    let r = permuted(s * 8 + round % 8, round + s * 100);
+                    let (status, _, body) =
+                        session.request("POST /rankings", Some(&upsert_body(&[r])));
+                    assert_eq!(status, 200, "{body}");
+                    let (status, _, body) = session.request(
+                        &format!("GET /query?theta=0.5&items=0,1,2,3,4,5&id={FOREIGN_QUERY_ID}"),
+                        None,
+                    );
+                    assert_eq!(status, 200, "{body}");
+                    let ids = match_ids(&body);
+                    let unique: HashSet<u64> = ids.iter().copied().collect();
+                    assert_eq!(unique.len(), ids.len(), "duplicate ids: {ids:?}");
+                }
+            });
+        }
+    });
+    for session in &mut idle {
+        assert_eq!(session.request("GET /stats", None).0, 200);
+    }
+    // Every session's last write to each of its ids is what is stored.
+    assert_eq!(service.len(), (SESSIONS * 8) as usize);
+    for s in 0..SESSIONS {
+        for round in ROUNDS - 8..ROUNDS {
+            let id = s * 8 + round % 8;
+            assert_eq!(service.get(id), Some(permuted(id, round + s * 100)));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn an_unframeable_write_ends_the_connection_and_changes_nothing() -> TestResult {
+    let service = Arc::new(ServingIndex::ephemeral(ServingConfig::new(0.5))?);
+    let server = ServingServer::start(0, Arc::clone(&service), 1)?;
+    let mut session = Session::connect(server.addr());
+    let first = upsert_body(&[permuted(1, 1)]);
+    assert_eq!(session.request("POST /rankings", Some(&first)).0, 200);
+
+    // A chunked body whose chunk spells a second, smuggled request.
+    let smuggled = render("POST /rankings", &upsert_body(&[permuted(2, 2)]));
+    session.send(&format!(
+        "POST /rankings HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    ));
+    let (status, head, _) = session.recv();
+    assert_eq!(status, 501);
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert!(session.closed(), "the chunk was read as a request");
+    assert_eq!(service.len(), 1);
+    assert!(service.get(2).is_none());
     Ok(())
 }

@@ -143,7 +143,8 @@ impl OrderedRanking {
             // alloc(once per ranking at canonicalization, not per-candidate)
             .map(|(item, rank)| (item, rank as u16))
             .collect();
-        pairs.sort_by_key(|&(item, _)| freq.order_key(item));
+        // One table lookup per item, not one per comparison.
+        pairs.sort_by_cached_key(|&(item, _)| freq.order_key(item));
         Self::build(ranking.id(), pairs)
     }
 
