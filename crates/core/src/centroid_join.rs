@@ -20,12 +20,10 @@ use std::sync::Arc;
 
 use minispark::Dataset;
 use topk_rankings::distance::raw_threshold;
-use topk_rankings::{OrderedRanking, Relation};
+use topk_rankings::OrderedRanking;
 
-use crate::kernels::{GroupThresholds, JoinMode};
-use crate::pipeline::{
-    emit_prefixes, token_grouped_join, with_disjoint_sentinels, GroupJoinStyle, PairHit,
-};
+use crate::kernels::{Footrule, GroupJoinStyle, GroupThresholds};
+use crate::pipeline::{prefix_join, PairHit, PrefixSource};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -80,55 +78,23 @@ pub fn centroid_join(
         config.prefix.prefix_len(k, theta_ms)
     };
 
-    let emitted_m = emit_prefixes(
-        centroids_m,
-        p_m,
-        false,
-        Relation::Left,
-        "cl/join/emit-cm-prefixes",
-    );
-    // A pair involving a non-singleton centroid is retrieved up to θ + 2θc
-    // (mm) at most; a singleton's most permissive pair threshold is θ + θc
-    // (ms). Where those admit disjoint pairs, the sentinel routing kicks in
-    // (see pipeline::DISJOINT_SENTINEL).
-    let emitted_m = with_disjoint_sentinels(
-        emitted_m,
-        centroids_m,
+    // Where a type's most permissive threshold — θ + 2θc for a
+    // non-singleton, θ + θc for a singleton — admits disjoint pairs, the
+    // sentinel routing kicks in (see pipeline::DISJOINT_SENTINEL).
+    let space = Footrule {
         k,
-        theta_o,
-        false,
-        Relation::Left,
-        "cl/join/emit-cm-sentinels",
-    );
-    let emitted_s = emit_prefixes(
-        singletons,
-        p_s,
-        true,
-        Relation::Left,
-        "cl/join/emit-cs-prefixes",
-    );
-    let emitted_s = with_disjoint_sentinels(
-        emitted_s,
-        singletons,
-        k,
-        theta_ms,
-        true,
-        Relation::Left,
-        "cl/join/emit-cs-sentinels",
-    );
-    let emitted = emitted_m.union(&emitted_s);
-
-    token_grouped_join(
-        &emitted,
-        GroupJoinStyle::NestedLoop,
-        move |singleton| if singleton { p_s } else { p_m },
-        GroupThresholds::Mixed {
+        prefix_lens: (p_m, p_s),
+        thresholds: GroupThresholds::Mixed {
             mm: theta_o,
             ms: theta_ms,
             ss: theta_ss,
         },
-        config.use_position_filter,
-        JoinMode::SelfJoin,
+        use_position_filter: config.use_position_filter,
+        style: GroupJoinStyle::NestedLoop,
+    };
+    prefix_join(
+        &PrefixSource::centroids(centroids_m, singletons),
+        &space,
         partitions,
         delta,
         config.skew,

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use minispark::{Cluster, Dataset};
 use topk_rankings::OrderedRanking;
 
-use crate::pipeline::{prefix_self_join, GroupJoinStyle};
+use crate::kernels::{Footrule, GroupJoinStyle};
+use crate::pipeline::{prefix_join, PrefixSource};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -52,13 +53,16 @@ pub fn clustering_phase(
     // The θc self-join. The paper uses VJ here ("our experiments revealed
     // that VJ is the most efficient one to be used here") with the
     // iterator-style per-group processing of §4.1.
-    let rc = prefix_self_join(
-        ordered,
+    let space = Footrule::uniform(
         k,
         theta_c_raw,
         config.prefix,
         GroupJoinStyle::NestedLoop,
         config.use_position_filter,
+    );
+    let rc = prefix_join(
+        &[PrefixSource::plain(ordered)],
+        &space,
         partitions,
         None,
         config.skew,

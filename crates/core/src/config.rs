@@ -3,6 +3,8 @@
 use minispark::SkewBudget;
 use topk_rankings::PrefixKind;
 
+use crate::JoinError;
+
 /// Parameters of a similarity-join run (all thresholds normalized to
 /// `[0, 1]`, as in the paper's evaluation).
 #[derive(Debug, Clone, PartialEq)]
@@ -123,26 +125,52 @@ impl JoinConfig {
     }
 
     /// Validates the configuration against a dataset's ranking length.
-    pub fn validate(&self) -> Result<(), crate::JoinError> {
-        if !(0.0..=1.0).contains(&self.theta) || !self.theta.is_finite() {
-            return Err(crate::JoinError::InvalidThreshold(self.theta));
-        }
-        if !(0.0..=1.0).contains(&self.cluster_threshold) || !self.cluster_threshold.is_finite() {
-            return Err(crate::JoinError::InvalidThreshold(self.cluster_threshold));
-        }
-        if self.partition_threshold == 0 || self.skew == SkewBudget::Fixed(0) {
-            return Err(crate::JoinError::InvalidPartitionThreshold);
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), JoinError> {
+        validate_parameters(
+            [self.theta, self.cluster_threshold],
+            self.partition_threshold,
+            self.skew,
+        )
     }
 
     /// The reduce-side partition count, falling back to the cluster default.
     pub fn effective_partitions(&self, cluster_default: usize) -> usize {
-        if self.partitions == 0 {
-            cluster_default.max(1)
-        } else {
-            self.partitions
+        effective_partitions(self.partitions, cluster_default)
+    }
+}
+
+/// The checks every join configuration shares: normalized thresholds in
+/// `[0, 1]`, a partitioning threshold δ ≥ 1, a non-zero skew budget.
+pub(crate) fn validate_parameters(
+    thresholds: [f64; 2],
+    partition_threshold: usize,
+    skew: SkewBudget,
+) -> Result<(), JoinError> {
+    for t in thresholds {
+        if !(0.0..=1.0).contains(&t) || !t.is_finite() {
+            return Err(JoinError::InvalidThreshold(t));
         }
+    }
+    if partition_threshold == 0 {
+        return Err(JoinError::InvalidPartitionThreshold);
+    }
+    validate_skew(skew)
+}
+
+/// A fixed skew budget of zero is an invalid δ, not a request to clamp.
+pub(crate) fn validate_skew(skew: SkewBudget) -> Result<(), JoinError> {
+    if skew == SkewBudget::Fixed(0) {
+        return Err(JoinError::InvalidPartitionThreshold);
+    }
+    Ok(())
+}
+
+/// `requested` reduce-side partitions, `0` meaning the cluster default.
+pub(crate) fn effective_partitions(requested: usize, cluster_default: usize) -> usize {
+    if requested == 0 {
+        cluster_default.max(1)
+    } else {
+        requested
     }
 }
 

@@ -1,9 +1,10 @@
 //! Similarity joins under **Jaccard distance** — the paper's announced
-//! future work (§8), implemented with the same architecture: frequency
-//! ordering, prefix filtering, and the clustering/joining/expansion pipeline
-//! justified by Jaccard distance being a metric.
+//! future work (§8). The dataflow is the Footrule one ([`crate::pipeline`]):
+//! this module only supplies the Jaccard `JoinSpace` — prefix bound and
+//! per-pair decision — plus the clustering/expansion steps over `f64`
+//! distances, justified by Jaccard distance being a metric.
 //!
-//! Differences from the Footrule pipeline:
+//! Differences from the Footrule space:
 //!
 //! * records are treated as **sets** (rank positions are ignored),
 //! * verification counts the overlap (`d_J = (2k − 2o)/(2k − o)` for two
@@ -20,11 +21,15 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use minispark::{Cluster, Dataset, SkewBudget};
+use minispark::{Cluster, SkewBudget};
 use topk_rankings::jaccard::{jaccard_prefix_len, jaccard_within};
-use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, Ranking, Relation};
+use topk_rankings::{OrderedRanking, PrefixKind, Ranking};
 
+use crate::config::{effective_partitions, validate_parameters};
+use crate::kernels::{JoinSpace, TokenEntry};
+use crate::pipeline::{order_rankings, prefix_join, uniform_k_of, PairHit, PrefixSource};
 use crate::stats::JoinStats;
+use crate::vj::run_prefix_join;
 use crate::{JoinError, JoinOutcome};
 
 /// Safety margin for floating-point triangle bounds (distances are
@@ -82,30 +87,18 @@ impl JaccardConfig {
     }
 
     fn validate(&self) -> Result<(), JoinError> {
-        for t in [self.theta, self.cluster_threshold] {
-            if !(0.0..=1.0).contains(&t) || !t.is_finite() {
-                return Err(JoinError::InvalidThreshold(t));
-            }
-        }
-        if self.partition_threshold == 0 || self.skew == SkewBudget::Fixed(0) {
-            return Err(JoinError::InvalidPartitionThreshold);
-        }
-        Ok(())
-    }
-
-    fn effective_partitions(&self, default: usize) -> usize {
-        if self.partitions == 0 {
-            default.max(1)
-        } else {
-            self.partitions
-        }
+        validate_parameters(
+            [self.theta, self.cluster_threshold],
+            self.partition_threshold,
+            self.skew,
+        )
     }
 }
 
 type SetRecord = Arc<OrderedRanking>;
 
 #[inline]
-fn within(a: &SetRecord, b: &SetRecord, theta: f64, stats: &JoinStats) -> Option<f64> {
+fn within(a: &OrderedRanking, b: &OrderedRanking, theta: f64, stats: &JoinStats) -> Option<f64> {
     JoinStats::bump(&stats.candidates);
     JoinStats::bump(&stats.verified);
     // Overlap over the pair representation (item order is canonical-
@@ -127,164 +120,74 @@ fn within(a: &SetRecord, b: &SetRecord, theta: f64, stats: &JoinStats) -> Option
     }
 }
 
-fn order_sets(cluster: &Cluster, data: &[Ranking], partitions: usize) -> Dataset<SetRecord> {
-    let ds = cluster.parallelize(data.to_vec(), partitions);
-    let counts = ds
-        .flat_map("jaccard/freq-emit", |r: &Ranking| {
-            r.items()
-                .iter()
-                .map(|&item| (item, 1u64))
-                .collect::<Vec<_>>()
-        })
-        .reduce_by_key("jaccard/freq-count", partitions, |a, b| a + b)
-        .collect();
-    let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-    ds.map("jaccard/order", move |r| {
-        Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-    })
+/// The Jaccard space over `k`-sets: thresholds and prefix lengths by centroid
+/// type (all equal outside the CL centroid join), no position filter.
+#[derive(Debug, Clone, Copy)]
+struct Jaccard {
+    /// Thresholds for non-singleton pairs, mixed pairs, singleton pairs.
+    thresholds: (f64, f64, f64),
+    /// Prefix lengths of non-singleton and of singleton records.
+    prefix_lens: (usize, usize),
 }
 
-/// A `(smaller_id, larger_id, distance)` hit with both records attached.
-#[derive(Clone)]
-struct JaccardHit {
-    a: SetRecord,
-    b: SetRecord,
-    distance: f64,
-    a_singleton: bool,
-    b_singleton: bool,
-}
-
-/// Joins the members of every token group with `pair_fn`, optionally
-/// splitting groups longer than δ into sub-partitions that are spread with a
-/// composite partitioner and joined pairwise — Algorithm 3 transplanted to
-/// the Jaccard pipeline.
-///
-/// The chunk-split/spread/pair mechanics are
-/// [`minispark::skew::split_grouped_join`], shared with
-/// `crate::pipeline::token_grouped_join`; this wrapper only adapts the
-/// caller-supplied pair function (rational thresholds, `JaccardHit`s) into
-/// the splitter's self-/cross-join kernels and books the split counters.
-fn split_group_join<M>(
-    grouped: &Dataset<(ItemId, Vec<M>)>,
-    delta: Option<usize>,
-    partitions: usize,
-    stats: &Arc<JoinStats>,
-    label: &str,
-    pair_fn: impl Fn(&M, &M) -> Option<JaccardHit> + Send + Sync + Clone + 'static,
-) -> Dataset<JaccardHit>
-where
-    M: Clone + Send + Sync + 'static,
-{
-    let all_pairs = |members: &[M], pair_fn: &dyn Fn(&M, &M) -> Option<JaccardHit>| {
-        let mut out = Vec::new();
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                if let Some(hit) = pair_fn(&members[i], &members[j]) {
-                    out.push(hit);
-                }
-            }
-        }
-        out
-    };
-    match delta {
-        None => {
-            let pair_fn = pair_fn.clone();
-            grouped.flat_map(&format!("{label}/join-groups"), move |(_, members)| {
-                all_pairs(members, &pair_fn)
-            })
-        }
-        Some(delta) => {
-            let delta = delta.max(1);
-            let (hits, split) = minispark::skew::split_grouped_join(
-                grouped,
-                delta,
-                partitions,
-                label,
-                |_token, members: &[M]| all_pairs(members, &pair_fn),
-                |_token, left: &[M], right: &[M]| {
-                    let mut out = Vec::new();
-                    for a in left {
-                        for b in right {
-                            if let Some(hit) = pair_fn(a, b) {
-                                out.push(hit);
-                            }
-                        }
-                    }
-                    out
-                },
-            );
-            JoinStats::add(&stats.posting_lists_split, split.groups_split);
-            JoinStats::add(&stats.rs_joins, split.rs_joins);
-            JoinStats::add(&stats.skew_chunks, split.chunks);
-            JoinStats::add(&stats.skew_steals, split.stolen_tasks);
-            hits
+impl Jaccard {
+    /// The plain join at one threshold.
+    fn uniform(k: usize, theta: f64) -> Self {
+        let p = jaccard_prefix_len(k, theta);
+        Self {
+            thresholds: (theta, theta, theta),
+            prefix_lens: (p, p),
         }
     }
 }
 
-/// Prefix self-join of `ordered` at `theta` (nested-loop groups, global
-/// dedup), the building block for both the flat join and CL's phases.
-#[allow(clippy::too_many_arguments)]
-fn jaccard_prefix_join(
-    ordered: &Dataset<SetRecord>,
-    k: usize,
-    theta: f64,
-    partitions: usize,
-    delta: Option<usize>,
-    skew: SkewBudget,
-    stats: &Arc<JoinStats>,
-    label: &str,
-) -> Dataset<JaccardHit> {
-    let p = jaccard_prefix_len(k, theta);
-    let emitted = ordered.flat_map(&format!("{label}/emit-prefixes"), move |r: &SetRecord| {
-        r.prefix(p)
-            .iter()
-            .map(|&(item, _)| (item, Arc::clone(r)))
-            .collect::<Vec<_>>()
-    });
-    // θ = 1 admits disjoint pairs; route everyone into one sentinel group
-    // (prefix filtering alone cannot produce token-disjoint candidates).
-    let emitted = if theta >= 1.0 - EPS {
-        emitted.union(
-            &ordered.map(&format!("{label}/emit-sentinels"), |r: &SetRecord| {
-                (ItemId::MAX, Arc::clone(r))
-            }),
-        )
-    } else {
-        emitted
-    };
-    // An explicit δ wins; otherwise the opt-in skew policy decides from the
-    // pre-shuffle token stream (see pipeline::token_grouped_join).
-    let delta = match delta {
-        Some(d) => Some(d.max(1)),
-        None => skew.resolve(&emitted, label),
-    };
-    let grouped = emitted.group_by_key(&format!("{label}/group-by-token"), partitions);
-    let hits = {
-        let stats_for_pairs = Arc::clone(stats);
-        let pair_fn = move |a: &SetRecord, b: &SetRecord| -> Option<JaccardHit> {
-            let (x, y) = if a.id() < b.id() { (a, b) } else { (b, a) };
-            if x.id() == y.id() {
-                return None;
-            }
-            within(x, y, theta, &stats_for_pairs).map(|d| JaccardHit {
-                a: Arc::clone(x),
-                b: Arc::clone(y),
-                distance: d,
-                a_singleton: false,
-                b_singleton: false,
-            })
+impl JoinSpace for Jaccard {
+    type Dist = f64;
+
+    fn prefix_len(&self, _ranking: &OrderedRanking, singleton: bool) -> usize {
+        if singleton {
+            self.prefix_lens.1
+        } else {
+            self.prefix_lens.0
+        }
+    }
+
+    /// θ = 1 admits disjoint pairs, which share no token. Keyed on the
+    /// loosest threshold for either type: one sentinel group for everyone.
+    fn admits_disjoint(&self, _singleton: bool) -> bool {
+        self.thresholds.0 >= 1.0 - EPS
+    }
+
+    #[inline]
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<f64> {
+        let threshold = match (a.singleton, b.singleton) {
+            (false, false) => self.thresholds.0,
+            (true, true) => self.thresholds.2,
+            _ => self.thresholds.1,
         };
-        split_group_join(&grouped, delta, partitions, stats, label, pair_fn)
-    };
-    // Keep-first dedup is value-deterministic: duplicates of one id pair all
-    // carry the same exact distance (and `false` singleton tags), so the
-    // survivor is content-equal regardless of hash-map iteration order.
-    hits.map(&format!("{label}/key-pairs"), |h: &JaccardHit| {
-        ((h.a.id(), h.b.id()), h.clone())
-    })
-    .reduce_by_key(&format!("{label}/dedup"), partitions, |a, _| a)
-    .values(&format!("{label}/values"))
+        within(&a.ranking, &b.ranking, threshold, stats)
+    }
+}
+
+/// The flat join over one relation or two: [`run_prefix_join`] in the
+/// Jaccard space (nested-loop groups — the VJ-NL analogue for sets).
+fn jaccard_vj(
+    cluster: &Cluster,
+    relations: &[&[Ranking]],
+    config: &JaccardConfig,
+    label: &str,
+) -> Result<JoinOutcome, JoinError> {
+    config.validate()?;
+    run_prefix_join(
+        cluster,
+        relations,
+        PrefixKind::Overlap,
+        config.partitions,
+        None,
+        config.skew,
+        label,
+        || Ok(uniform_k_of(relations)?.map(|k| Jaccard::uniform(k, config.theta))),
+    )
 }
 
 /// The flat prefix-filtered Jaccard join (the VJ-NL analogue for sets).
@@ -293,84 +196,11 @@ pub fn jaccard_vj_join(
     data: &[Ranking],
     config: &JaccardConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    config.validate()?;
-    let start = Instant::now();
-    let Some(k) = crate::pipeline::uniform_k(data)? else {
-        return Ok(JoinOutcome::empty(start.elapsed()));
-    };
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
-    let stats = Arc::new(JoinStats::default());
-    let run_span = cluster.trace().span("jaccard-vj/run");
-    let ordered = {
-        let _phase = cluster.trace().span("jaccard-vj/phase/ordering");
-        order_sets(cluster, data, partitions)
-    };
-    let hits = {
-        let _phase = cluster.trace().span("jaccard-vj/phase/joining");
-        jaccard_prefix_join(
-            &ordered,
-            k,
-            config.theta,
-            partitions,
-            None,
-            config.skew,
-            &stats,
-            "jaccard-vj",
-        )
-    };
-    let mut pairs = {
-        let _phase = cluster.trace().span("jaccard-vj/phase/projection");
-        hits.map("jaccard-vj/ids", |h| (h.a.id(), h.b.id()))
-            .distinct("jaccard-vj/distinct", partitions)
-            .collect()
-    };
-    pairs.sort_unstable();
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+    jaccard_vj(cluster, &[data], config, "jaccard-vj")
 }
 
-/// Canonicalizes both relations of an R-S join under **one** frequency
-/// order counted over R ∪ S, so a shared token means the same canonical
-/// position in either relation (prefix-filter completeness needs one order).
-fn order_sets_rs(
-    cluster: &Cluster,
-    left: &[Ranking],
-    right: &[Ranking],
-    partitions: usize,
-) -> (Dataset<SetRecord>, Dataset<SetRecord>) {
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    let right_ds = cluster.parallelize(right.to_vec(), partitions);
-    let counts = left_ds
-        .union(&right_ds)
-        .flat_map("jaccard-rs/freq-emit", |r: &Ranking| {
-            r.items()
-                .iter()
-                .map(|&item| (item, 1u64))
-                .collect::<Vec<_>>()
-        })
-        .reduce_by_key("jaccard-rs/freq-count", partitions, |a, b| a + b)
-        .collect();
-    let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-    let freq_r = freq.clone();
-    (
-        left_ds.map("jaccard-rs/order-left", move |r| {
-            Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-        }),
-        right_ds.map("jaccard-rs/order-right", move |r| {
-            Arc::new(OrderedRanking::by_frequency(r, freq_r.value()))
-        }),
-    )
-}
-
-/// The flat prefix-filtered Jaccard join over **two relations** (R-S join).
-///
-/// Records are tagged with their source [`Relation`] at prefix emission;
-/// the per-token pair function joins **cross-relation** pairs only and
-/// always leads with the left record, so the output pairs are
+/// The flat prefix-filtered Jaccard join over **two relations** (R-S join):
+/// only cross-relation pairs are candidates and the output pairs are
 /// `(left id, right id)`, sorted — the id spaces of R and S may overlap.
 pub fn jaccard_vj_join_rs(
     cluster: &Cluster,
@@ -378,103 +208,7 @@ pub fn jaccard_vj_join_rs(
     right: &[Ranking],
     config: &JaccardConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    config.validate()?;
-    let start = Instant::now();
-    let Some(k) = crate::pipeline::rs_uniform_k(left, right)? else {
-        return Ok(JoinOutcome::empty(start.elapsed()));
-    };
-    let theta = config.theta;
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
-    let stats = Arc::new(JoinStats::default());
-    let run_span = cluster.trace().span("jaccard-vj-rs/run");
-    let (ordered_left, ordered_right) = {
-        let _phase = cluster.trace().span("jaccard-vj-rs/phase/ordering");
-        order_sets_rs(cluster, left, right, partitions)
-    };
-    let p = jaccard_prefix_len(k, theta);
-    let tag = |ds: &Dataset<SetRecord>, relation: Relation, label: &str| {
-        ds.flat_map(label, move |r: &SetRecord| {
-            r.prefix(p)
-                .iter()
-                .map(|&(item, _)| (item, (Arc::clone(r), relation)))
-                .collect::<Vec<_>>()
-        })
-    };
-    let hits =
-        {
-            let _phase = cluster.trace().span("jaccard-vj-rs/phase/joining");
-            let emitted = tag(&ordered_left, Relation::Left, "jaccard-vj-rs/emit-left").union(
-                &tag(&ordered_right, Relation::Right, "jaccard-vj-rs/emit-right"),
-            );
-            // θ = 1 admits disjoint pairs; route both relations into one
-            // sentinel group, as the self-join pipeline does.
-            let emitted = if theta >= 1.0 - EPS {
-                let sentinel = |ds: &Dataset<SetRecord>, relation: Relation, label: &str| {
-                    ds.map(label, move |r: &SetRecord| {
-                        (ItemId::MAX, (Arc::clone(r), relation))
-                    })
-                };
-                emitted
-                    .union(&sentinel(
-                        &ordered_left,
-                        Relation::Left,
-                        "jaccard-vj-rs/left-sentinels",
-                    ))
-                    .union(&sentinel(
-                        &ordered_right,
-                        Relation::Right,
-                        "jaccard-vj-rs/right-sentinels",
-                    ))
-            } else {
-                emitted
-            };
-            let delta = config.skew.resolve(&emitted, "jaccard-vj-rs");
-            let grouped = emitted.group_by_key("jaccard-vj-rs/group-by-token", partitions);
-            let stats_for_pairs = Arc::clone(&stats);
-            let pair_fn = move |x: &(SetRecord, Relation), y: &(SetRecord, Relation)| {
-                // Same-relation pairs are not part of an R-S join; skipping them
-                // here (before `within` counts a candidate) keeps kernel stats
-                // identical whether or not a hot group was skew-split.
-                if x.1 == y.1 {
-                    return None;
-                }
-                let (l, r) = if x.1 == Relation::Left {
-                    (&x.0, &y.0)
-                } else {
-                    (&y.0, &x.0)
-                };
-                within(l, r, theta, &stats_for_pairs).map(|d| JaccardHit {
-                    a: Arc::clone(l),
-                    b: Arc::clone(r),
-                    distance: d,
-                    a_singleton: false,
-                    b_singleton: false,
-                })
-            };
-            split_group_join(
-                &grouped,
-                delta,
-                partitions,
-                &stats,
-                "jaccard-vj-rs",
-                pair_fn,
-            )
-        };
-    let mut pairs = {
-        let _phase = cluster.trace().span("jaccard-vj-rs/phase/projection");
-        // `a` is always the left record, so the (left id, right id) key is
-        // unambiguous even when the two id spaces overlap.
-        hits.map("jaccard-vj-rs/ids", |h| (h.a.id(), h.b.id()))
-            .distinct("jaccard-vj-rs/distinct", partitions)
-            .collect()
-    };
-    pairs.sort_unstable();
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+    jaccard_vj(cluster, &[left, right], config, "jaccard-vj-rs")
 }
 
 /// Exact quadratic Jaccard R-S baseline: every cross-relation pair, output
@@ -549,7 +283,7 @@ fn jaccard_cl_flavour(
     };
     let theta = config.theta;
     let theta_c = config.cluster_threshold;
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
+    let partitions = effective_partitions(config.partitions, cluster.config().default_partitions);
     let stats = Arc::new(JoinStats::default());
 
     // Phase spans mirror the Footrule CL driver: Ordering → Clustering →
@@ -557,15 +291,14 @@ fn jaccard_cl_flavour(
     // cluster records a trace). The guard is rebound at each section break.
     let run_span = cluster.trace().span("jaccard-cl/run");
     let phase = cluster.trace().span("jaccard-cl/phase/ordering");
-    let ordered = order_sets(cluster, data, partitions);
+    let ordered = order_rankings(cluster, data, PrefixKind::Overlap, partitions, "jaccard-cl");
     drop(phase);
 
     // ---- Clustering at θc. ------------------------------------------------
     let phase = cluster.trace().span("jaccard-cl/phase/clustering");
-    let rc = jaccard_prefix_join(
-        &ordered,
-        k,
-        theta_c,
+    let rc = prefix_join(
+        &[PrefixSource::plain(&ordered)],
+        &Jaccard::uniform(k, theta_c),
         partitions,
         None,
         config.skew,
@@ -638,101 +371,39 @@ fn jaccard_cl_flavour(
     let phase = cluster.trace().span("jaccard-cl/phase/joining");
     let theta_o = (theta + 2.0 * theta_c).min(1.0);
     let theta_ms = (theta + theta_c).min(1.0);
-    let p_m = jaccard_prefix_len(k, theta_o);
-    let p_s = jaccard_prefix_len(k, theta_ms);
-    let tag = |ds: &Dataset<SetRecord>, singleton: bool, p: usize, label: &str| {
-        ds.flat_map(label, move |r: &SetRecord| {
-            r.prefix(p)
-                .iter()
-                .map(|&(item, _)| (item, (Arc::clone(r), singleton)))
-                .collect::<Vec<_>>()
-        })
-    };
-    let emitted = tag(&centroids_m, false, p_m, "jaccard-cl/emit-cm").union(&tag(
-        &singletons,
-        true,
-        p_s,
-        "jaccard-cl/emit-cs",
-    ));
-    // θ = 1 admits disjoint pairs, which share no token: route everyone into
-    // one sentinel group, as the Footrule pipeline does.
-    let emitted = if theta_o >= 1.0 - EPS {
-        let cm = centroids_m.map("jaccard-cl/cm-sentinels", |r: &SetRecord| {
-            (ItemId::MAX, (Arc::clone(r), false))
-        });
-        let cs = singletons.map("jaccard-cl/cs-sentinels", |r: &SetRecord| {
-            (ItemId::MAX, (Arc::clone(r), true))
-        });
-        emitted.union(&cm).union(&cs)
-    } else {
-        emitted
+    let space = Jaccard {
+        thresholds: (theta_o, theta_ms, theta),
+        prefix_lens: (
+            jaccard_prefix_len(k, theta_o),
+            jaccard_prefix_len(k, theta_ms),
+        ),
     };
     // Explicit δ (CL-P) wins; otherwise the skew policy may opt the centroid
     // join into splitting.
-    let delta = match delta {
-        Some(d) => Some(d.max(1)),
-        None => config.skew.resolve(&emitted, "jaccard-cl/join"),
-    };
-    let grouped = emitted.group_by_key("jaccard-cl/group-centroids", partitions);
-    let cjoin = {
-        let stats_for_pairs = Arc::clone(&stats);
-        let pair_fn = move |x: &(SetRecord, bool), y: &(SetRecord, bool)| -> Option<JaccardHit> {
-            let ((ri, si), (rj, sj)) = (x, y);
-            if ri.id() == rj.id() {
-                return None;
-            }
-            let threshold = match (si, sj) {
-                (false, false) => theta_o,
-                (true, true) => theta,
-                _ => theta_ms,
-            };
-            within(ri, rj, threshold, &stats_for_pairs).map(|d| {
-                let (a, b, a_s, b_s) = if ri.id() < rj.id() {
-                    (ri, rj, *si, *sj)
-                } else {
-                    (rj, ri, *sj, *si)
-                };
-                JaccardHit {
-                    a: Arc::clone(a),
-                    b: Arc::clone(b),
-                    distance: d,
-                    a_singleton: a_s,
-                    b_singleton: b_s,
-                }
-            })
-        };
-        split_group_join(
-            &grouped,
-            delta,
-            partitions,
-            &stats,
-            "jaccard-cl/join",
-            pair_fn,
-        )
-    };
-    // Keep-first is value-deterministic: duplicates of one centroid pair
-    // share the exact distance and the centroids' fixed singleton tags.
-    let cjoin = cjoin
-        .map("jaccard-cl/key-cpairs", |h: &JaccardHit| {
-            ((h.a.id(), h.b.id()), h.clone())
-        })
-        .reduce_by_key("jaccard-cl/dedup-cpairs", partitions, |a, _| a)
-        .values("jaccard-cl/cpairs");
+    let cjoin = prefix_join(
+        &PrefixSource::centroids(&centroids_m, &singletons),
+        &space,
+        partitions,
+        delta,
+        config.skew,
+        &stats,
+        "jaccard-cl/join",
+    );
 
     drop(phase);
 
     // ---- Expansion. --------------------------------------------------------
     let phase = cluster.trace().span("jaccard-cl/phase/expansion");
     let direct = cjoin
-        .filter("jaccard-cl/direct", move |h: &JaccardHit| {
+        .filter("jaccard-cl/direct", move |h: &PairHit<f64>| {
             h.distance <= theta
         })
         .map("jaccard-cl/direct-ids", |h| (h.a.id(), h.b.id()));
-    let rm = cjoin.filter("jaccard-cl/rm", |h: &JaccardHit| {
+    let rm = cjoin.filter("jaccard-cl/rm", |h: &PairHit<f64>| {
         !(h.a_singleton && h.b_singleton)
     });
     let member_vs_centroid = {
-        let by_centroid = rm.flat_map("jaccard-cl/key-by-centroid", |h: &JaccardHit| {
+        let by_centroid = rm.flat_map("jaccard-cl/key-by-centroid", |h: &PairHit<f64>| {
             let mut out = Vec::with_capacity(2);
             if !h.a_singleton {
                 out.push((h.a.id(), (Arc::clone(&h.b), h.distance)));
@@ -767,10 +438,10 @@ fn jaccard_cl_flavour(
     };
     let member_vs_member = {
         let both_m = rm
-            .filter("jaccard-cl/both-m", |h: &JaccardHit| {
+            .filter("jaccard-cl/both-m", |h: &PairHit<f64>| {
                 !h.a_singleton && !h.b_singleton
             })
-            .map("jaccard-cl/key-mm", |h: &JaccardHit| {
+            .map("jaccard-cl/key-mm", |h: &PairHit<f64>| {
                 (h.a.id(), (h.b.id(), h.distance))
             });
         let with_a = both_m

@@ -20,13 +20,17 @@
 //! `entries[i].id < entries[j].id`; callers map them to their output type.
 //! Cross-group duplicates are removed later by a global `distinct`, as in
 //! the paper's final phase.
+//!
+//! The all-pairs and cross-chunk loops are generic over the per-pair
+//! decision, which is one of the three things a `JoinSpace` supplies; the
+//! public `join_group_*` functions are their Footrule instantiations.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use topk_rankings::verify::{verify_candidate, Verification};
-use topk_rankings::{ItemId, OrderedRanking, Relation};
+use topk_rankings::{max_raw_distance, ItemId, OrderedRanking, PrefixKind, Relation};
 
 use crate::stats::JoinStats;
 
@@ -55,16 +59,6 @@ impl TokenEntry {
             rank,
             singleton: false,
             relation: Relation::Left,
-            ranking,
-        }
-    }
-
-    /// A relation-tagged entry for bipartite (R-S) joins.
-    pub fn tagged(rank: u16, relation: Relation, ranking: Arc<OrderedRanking>) -> Self {
-        Self {
-            rank,
-            singleton: false,
-            relation,
             ranking,
         }
     }
@@ -102,6 +96,48 @@ impl JoinMode {
             JoinMode::SelfJoin => a.ranking.id() == b.ranking.id(),
             JoinMode::Bipartite => a.relation == b.relation,
         }
+    }
+}
+
+/// Which per-group kernel a Footrule pipeline uses (§4 vs. §4.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupJoinStyle {
+    /// VJ: group-local inverted index over member prefixes.
+    Indexed,
+    /// VJ-NL: streaming nested loop over the group.
+    NestedLoop,
+}
+
+/// What varies between the similarity spaces that ride the one prefix-join
+/// dataflow of [`crate::pipeline`]: how long a record's prefix is, whether
+/// its threshold admits token-disjoint partners (the sentinel group), and
+/// the per-pair decision. Exactly three spaces implement it — [`Footrule`],
+/// the variable-length Footrule and Jaccard.
+pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
+    /// The distance a qualifying pair carries.
+    type Dist: Clone + Send + Sync + 'static;
+
+    /// Number of leading canonical tokens `ranking` emits.
+    fn prefix_len(&self, ranking: &OrderedRanking, singleton: bool) -> usize;
+
+    /// Whether a record with this tag can qualify with a partner it shares
+    /// no token with (then it is also routed into the sentinel group).
+    fn admits_disjoint(&self, singleton: bool) -> bool;
+
+    /// Decides one candidate pair of a token group — each entry's `rank` is
+    /// the group token's rank in it — recording the filter counters.
+    /// Returns the distance if the pair qualifies.
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<Self::Dist>;
+
+    /// Joins one token group. The nested loop, unless the space has (and was
+    /// configured with) a better group kernel.
+    fn join_group(
+        &self,
+        entries: &[TokenEntry],
+        mode: JoinMode,
+        stats: &JoinStats,
+    ) -> Vec<(usize, usize, Self::Dist)> {
+        nested_loop_by(entries, mode, stats, |a, b, stats| self.decide(a, b, stats))
     }
 }
 
@@ -250,6 +286,119 @@ fn verify_pair(
         Verification::DistanceExceeded => {
             JoinStats::bump(&stats.verified);
             None
+        }
+    }
+}
+
+/// The Footrule per-pair decision of the nested-loop and R-S kernels: the
+/// shared token is the group's, so its ranks are the entries' own.
+#[inline]
+fn on_group_token(
+    thresholds: &GroupThresholds,
+    use_position_filter: bool,
+) -> impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<u64> + '_ {
+    move |a, b, stats| {
+        verify_pair(
+            a,
+            b,
+            (a.rank, b.rank),
+            thresholds,
+            use_position_filter,
+            stats,
+        )
+    }
+}
+
+/// The paper's space: fixed-length rankings under Spearman's Footrule, with
+/// per-centroid-type thresholds and prefixes (Lemma 5.3; both types coincide
+/// in plain self-joins), the position filter, and the choice of group kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Footrule {
+    /// The uniform ranking length.
+    pub k: usize,
+    /// Prefix lengths of non-singleton and of singleton entries.
+    pub prefix_lens: (usize, usize),
+    /// Raw thresholds by the pair's centroid types.
+    pub thresholds: GroupThresholds,
+    /// Whether the position filter runs before verification.
+    pub use_position_filter: bool,
+    /// The kernel for ordinary (non-sentinel) token groups.
+    pub style: GroupJoinStyle,
+}
+
+impl Footrule {
+    /// The plain join at one raw threshold: every record has the same prefix.
+    pub(crate) fn uniform(
+        k: usize,
+        theta_raw: u64,
+        prefix_kind: PrefixKind,
+        style: GroupJoinStyle,
+        use_position_filter: bool,
+    ) -> Self {
+        let p = prefix_kind.prefix_len(k, theta_raw);
+        Self {
+            k,
+            prefix_lens: (p, p),
+            thresholds: GroupThresholds::Uniform(theta_raw),
+            use_position_filter,
+            style,
+        }
+    }
+
+    #[inline]
+    fn prefix_len_of(&self, singleton: bool) -> usize {
+        if singleton {
+            self.prefix_lens.1
+        } else {
+            self.prefix_lens.0
+        }
+    }
+}
+
+impl JoinSpace for Footrule {
+    type Dist = u64;
+
+    #[inline]
+    fn prefix_len(&self, _ranking: &OrderedRanking, singleton: bool) -> usize {
+        self.prefix_len_of(singleton)
+    }
+
+    /// A record's most permissive pair threshold is the one against a
+    /// non-singleton partner (θ + 2θc for `C_m`, θ + θc for `C_s`).
+    fn admits_disjoint(&self, singleton: bool) -> bool {
+        self.thresholds.for_pair(singleton, false) >= max_raw_distance(self.k)
+    }
+
+    #[inline]
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<u64> {
+        on_group_token(&self.thresholds, self.use_position_filter)(a, b, stats)
+    }
+
+    fn join_group(
+        &self,
+        entries: &[TokenEntry],
+        mode: JoinMode,
+        stats: &JoinStats,
+    ) -> Vec<(usize, usize, u64)> {
+        match self.style {
+            GroupJoinStyle::Indexed => with_group_scratch(|scratch| {
+                join_group_indexed(
+                    entries,
+                    |singleton| self.prefix_len_of(singleton),
+                    &self.thresholds,
+                    self.use_position_filter,
+                    mode,
+                    stats,
+                    scratch,
+                )
+            }),
+            GroupJoinStyle::NestedLoop => join_group_nested_loop(
+                entries,
+                &self.thresholds,
+                self.use_position_filter,
+                mode,
+                stats,
+            ),
         }
     }
 }
@@ -464,27 +613,34 @@ pub fn join_group_nested_loop(
     mode: JoinMode,
     stats: &JoinStats,
 ) -> Vec<(usize, usize, u64)> {
+    nested_loop_by(
+        entries,
+        mode,
+        stats,
+        on_group_token(thresholds, use_position_filter),
+    )
+}
+
+/// The all-pairs loop of every space: each unordered pair of the group that
+/// `mode` does not skip goes through `decide` once.
+pub(crate) fn nested_loop_by<D>(
+    entries: &[TokenEntry],
+    mode: JoinMode,
+    stats: &JoinStats,
+    decide: impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<D>,
+) -> Vec<(usize, usize, D)> {
     // Group boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/nested-loop-group");
     // alloc(the output buffer — the kernel's only allocation)
     let mut results = Vec::new();
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            // panics(loop bounds: i < j < entries.len())
-            if mode.skips(&entries[i], &entries[j]) {
+    for (i, a) in entries.iter().enumerate() {
+        for (j, b) in entries.iter().enumerate().skip(i + 1) {
+            if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = verify_pair(
-                // panics(loop bounds: i < j < entries.len())
-                &entries[i],
-                &entries[j],
-                (entries[i].rank, entries[j].rank),
-                thresholds,
-                use_position_filter,
-                stats,
-            ) {
-                let (a, b) = ordered_indices(entries, i, j);
-                results.push((a, b, d));
+            if let Some(d) = decide(a, b, stats) {
+                let (x, y) = ordered_indices(entries, i, j);
+                results.push((x, y, d));
             }
         }
     }
@@ -505,6 +661,24 @@ pub fn join_group_rs(
     mode: JoinMode,
     stats: &JoinStats,
 ) -> Vec<(usize, usize, u64)> {
+    cross_loop_by(
+        left,
+        right,
+        mode,
+        stats,
+        on_group_token(thresholds, use_position_filter),
+    )
+}
+
+/// The cross-chunk loop of every space: each `left` × `right` pair that
+/// `mode` does not skip goes through `decide` once.
+pub(crate) fn cross_loop_by<D>(
+    left: &[TokenEntry],
+    right: &[TokenEntry],
+    mode: JoinMode,
+    stats: &JoinStats,
+    decide: impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<D>,
+) -> Vec<(usize, usize, D)> {
     // Sub-partition boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/rs-group");
     // alloc(the output buffer — the kernel's only allocation)
@@ -514,14 +688,7 @@ pub fn join_group_rs(
             if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = verify_pair(
-                a,
-                b,
-                (a.rank, b.rank),
-                thresholds,
-                use_position_filter,
-                stats,
-            ) {
+            if let Some(d) = decide(a, b, stats) {
                 results.push((i, j, d));
             }
         }

@@ -17,13 +17,25 @@
 //! All of them return the identical pair set — an invariant enforced by this
 //! repository's test suite against the brute-force baseline.
 //!
+//! # One pipeline, three per-pair decisions
+//!
+//! The paper's dataflow — order by frequency → emit prefix tokens → group by
+//! token → per-group kernel → deduplicate — exists once, in [`pipeline`]. It
+//! does not depend on the distance: a similarity space supplies a record's
+//! prefix length, whether its threshold admits token-disjoint pairs, and the
+//! per-pair decision ([`kernels`]). Three spaces do — Footrule (above),
+//! variable-length Footrule ([`mod@varlen_join`], footnote 1 of the paper) and
+//! Jaccard ([`jaccard_join`], §8) — and all their flat joins share one
+//! driver body.
+//!
 //! # Two-relation (R-S) joins and arrivals
 //!
-//! Every driver also has an R-S entry point joining two relations whose id
-//! spaces may overlap: [`vj_join_rs`], [`vj_nl_join_rs`], [`cl_join_rs`],
-//! [`jaccard_vj_join_rs`], [`varlen_join_rs`], with
-//! [`brute_force_join_rs`] as ground truth. For arrival streams against a
-//! standing corpus, see [`ArrivalJoin`].
+//! The pipeline takes a list of relations; a self-join is its one-relation
+//! case. Every driver therefore has an R-S entry point joining two
+//! relations whose id spaces may overlap: [`vj_join_rs`],
+//! [`vj_nl_join_rs`], [`cl_join_rs`], [`jaccard_vj_join_rs`],
+//! [`varlen_join_rs`], with [`brute_force_join_rs`] as ground truth. For
+//! arrival streams against a standing corpus, see [`ArrivalJoin`].
 //!
 //! # Example
 //!

@@ -1,6 +1,7 @@
-//! Shared pipeline stages: the *Ordering* phase, prefix emission, and the
-//! token-grouped join that underlies VJ, VJ-NL, the clustering phase, the
-//! centroid join and CL-P's repartitioned variants.
+//! The one prefix-join dataflow: the *Ordering* phase, prefix emission, and
+//! the token-grouped join that underlies VJ, VJ-NL, the clustering phase, the
+//! centroid join, CL-P's repartitioned variants and the Jaccard and
+//! variable-length joins.
 //!
 //! The dataflow mirrors §4 of the paper:
 //!
@@ -10,7 +11,13 @@
 //!          ─ per-group join kernel ─ deduplicate
 //! ```
 //!
-//! With a partitioning threshold δ ([`token_grouped_join`]'s `delta`), groups
+//! Nothing in it depends on the distance. A `JoinSpace` supplies the three
+//! things that do — a record's prefix length, whether its threshold admits
+//! token-disjoint pairs, and the per-pair decision — and the number of input
+//! relations decides between a self-join and a bipartite R-S join: the
+//! self-join is the one-relation case of the same path.
+//!
+//! With a partitioning threshold δ (`token_grouped_join`'s `delta`), groups
 //! larger than δ are split into sub-partitions that are re-distributed with a
 //! composite `(token, sub-key)` partitioner and joined pairwise with an R-S
 //! kernel — Algorithm 3 / §6.
@@ -18,41 +25,27 @@
 use std::sync::Arc;
 
 use minispark::{Cluster, Counter, Dataset, SkewBudget};
-use topk_rankings::{
-    FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation, ResultPair,
-};
+use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation};
 
-use crate::kernels::{
-    join_group_indexed, join_group_nested_loop, join_group_rs, with_group_scratch, GroupThresholds,
-    JoinMode, TokenEntry,
-};
+use crate::kernels::{cross_loop_by, nested_loop_by, JoinMode, JoinSpace, TokenEntry};
 use crate::stats::JoinStats;
 
-/// Which per-group kernel a pipeline uses (§4 vs. §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupJoinStyle {
-    /// VJ: group-local inverted index over member prefixes.
-    Indexed,
-    /// VJ-NL: streaming nested loop over the group.
-    NestedLoop,
-}
-
 /// A qualifying pair with everything downstream phases need: both rankings
-/// (shared `Arc`s), the exact distance, the centroid-type tags and the
-/// source relations.
+/// (shared `Arc`s), the exact distance (`u64` raw Footrule unless the space
+/// says otherwise), the centroid-type tags and the source relations.
 ///
 /// The pair is normalized by `(relation, id)`: in a self-join (both records
 /// [`Relation::Left`]) `a.id() < b.id()` holds as before, and in a bipartite
 /// R-S join `a` is always the left-relation record — id ordering alone
 /// cannot identify the relation there because the two id spaces may overlap.
 #[derive(Debug, Clone)]
-pub struct PairHit {
+pub struct PairHit<D = u64> {
     /// The record with the smaller `(relation, id)` key.
     pub a: Arc<OrderedRanking>,
     /// The record with the larger `(relation, id)` key.
     pub b: Arc<OrderedRanking>,
-    /// Raw Footrule distance.
-    pub distance: u64,
+    /// The pair's distance in its space (raw Footrule by default).
+    pub distance: D,
     /// Singleton tag of `a` (centroid joins only; `false` in self-joins).
     pub a_singleton: bool,
     /// Singleton tag of `b`.
@@ -63,7 +56,7 @@ pub struct PairHit {
     pub b_relation: Relation,
 }
 
-impl PairHit {
+impl<D> PairHit<D> {
     /// The id pair `(a, b)`; `a < b` in self-joins, while in an R-S join
     /// this is `(left id, right id)` with no ordering guarantee.
     pub fn ids(&self) -> (u64, u64) {
@@ -78,11 +71,6 @@ impl PairHit {
             (self.b_relation.as_u8(), self.b.id()),
         )
     }
-
-    /// Conversion to the id-level result representation.
-    pub fn to_result_pair(&self) -> ResultPair {
-        ResultPair::new(self.a.id(), self.b.id(), self.distance)
-    }
 }
 
 /// Sentinel "token" under which rankings meet when the applicable threshold
@@ -93,48 +81,87 @@ impl PairHit {
 /// for the paper's thresholds (θ ≤ 0.4) but required for a total API.
 pub const DISJOINT_SENTINEL: ItemId = ItemId::MAX;
 
-/// Emits the sentinel entry for every ranking of `ds`.
-fn emit_sentinels(
-    ds: &Dataset<Arc<OrderedRanking>>,
-    singleton: bool,
-    relation: Relation,
-    label: &str,
-) -> Dataset<(ItemId, TokenEntry)> {
-    ds.map(label, move |r: &Arc<OrderedRanking>| {
-        (
-            DISJOINT_SENTINEL,
-            TokenEntry {
-                rank: 0,
-                singleton,
-                relation,
-                ranking: Arc::clone(r),
-            },
-        )
-    })
-}
-
-/// Unions sentinel emissions onto `emitted` when `threshold_raw` admits
-/// disjoint pairs for rankings of length `k`.
-pub fn with_disjoint_sentinels(
-    emitted: Dataset<(ItemId, TokenEntry)>,
-    source: &Dataset<Arc<OrderedRanking>>,
-    k: usize,
-    threshold_raw: u64,
-    singleton: bool,
-    relation: Relation,
-    label: &str,
-) -> Dataset<(ItemId, TokenEntry)> {
-    if threshold_raw >= topk_rankings::max_raw_distance(k) {
-        emitted.union(&emit_sentinels(source, singleton, relation, label))
-    } else {
-        emitted
+/// Relation tag and stage-label infix of relation `i` of `n`: a lone
+/// relation is the untagged self-join case.
+fn relation_tag(i: usize, n: usize) -> (Relation, &'static str) {
+    match (n, i) {
+        (1, _) => (Relation::Left, ""),
+        (_, 0) => (Relation::Left, "left-"),
+        _ => (Relation::Right, "right-"),
     }
 }
 
-/// The *Ordering* phase: counts item frequencies with a distributed
-/// `reduce_by_key`, broadcasts the resulting order, and canonicalizes every
-/// ranking (§4 / §5 "Ordering"). With [`PrefixKind::Ordered`] the frequency
-/// pass is skipped and rankings keep their rank order (Lemma 4.1's prefix).
+/// The *Ordering* phase over one relation (a self-join) or two (an R-S
+/// join): counts item frequencies over the **union** of the relations with a
+/// distributed `reduce_by_key` — one shared canonical order is what makes
+/// cross-relation prefix filtering complete — broadcasts the resulting order
+/// once, and canonicalizes each relation separately (§4 / §5 "Ordering").
+/// With [`PrefixKind::Ordered`] the frequency pass is skipped and rankings
+/// keep their rank order (Lemma 4.1's prefix).
+///
+/// The result is ready to join: a lone relation is the untagged self-join
+/// source, two are the `Left` and `Right` sources of an R-S join.
+pub(crate) fn order_relations(
+    cluster: &Cluster,
+    relations: &[&[Ranking]],
+    prefix_kind: PrefixKind,
+    partitions: usize,
+    label: &str,
+) -> Vec<PrefixSource> {
+    let datasets: Vec<Dataset<Ranking>> = relations
+        .iter()
+        // alloc(driver-side stage construction — one dataset copy per relation, not per record)
+        .map(|data| cluster.parallelize(data.to_vec(), partitions))
+        // alloc(one dataset handle per relation)
+        .collect();
+    let freq = match (prefix_kind, datasets.split_first()) {
+        (PrefixKind::Overlap, Some((first, rest))) => {
+            let counts = rest
+                .iter()
+                .fold(first.clone(), |all, ds| all.union(ds))
+                // alloc(stage label String, once per stage)
+                .flat_map(&format!("{label}/freq-emit"), |r: &Ranking| {
+                    r.items()
+                        .iter()
+                        .map(|&item| (item, 1u64))
+                        // alloc(one count-pair Vec per ranking; the shuffle takes ownership)
+                        .collect::<Vec<_>>()
+                })
+                // alloc(stage label + driver-side count collection, once per ordering phase)
+                .reduce_by_key(&format!("{label}/freq-count"), partitions, |a, b| a + b)
+                .collect();
+            Some(cluster.broadcast(FrequencyTable::from_counts(counts)))
+        }
+        _ => None,
+    };
+    datasets
+        .iter()
+        .enumerate()
+        .map(|(i, ds)| {
+            let (relation, name) = relation_tag(i, datasets.len());
+            let ordered = match freq.clone() {
+                // alloc(stage label String, once per stage)
+                Some(freq) => ds.map(&format!("{label}/order-{name}by-frequency"), move |r| {
+                    Arc::new(OrderedRanking::by_frequency(r, freq.value()))
+                }),
+                // alloc(stage label String, once per stage)
+                None => ds.map(&format!("{label}/order-{name}by-rank"), |r| {
+                    Arc::new(OrderedRanking::by_rank(r))
+                }),
+            };
+            PrefixSource {
+                ordered,
+                singleton: false,
+                relation,
+                name,
+            }
+        })
+        // alloc(one source handle per relation)
+        .collect()
+}
+
+/// The *Ordering* phase of a self-join: `order_relations` over the one
+/// relation (§4 / §5 "Ordering").
 pub fn order_rankings(
     cluster: &Cluster,
     data: &[Ranking],
@@ -142,90 +169,10 @@ pub fn order_rankings(
     partitions: usize,
     label: &str,
 ) -> Dataset<Arc<OrderedRanking>> {
-    // alloc(driver-side stage construction — one dataset copy, not per record)
-    let ds = cluster.parallelize(data.to_vec(), partitions);
-    match prefix_kind {
-        PrefixKind::Overlap => {
-            let counts = ds
-                // alloc(stage label String, once per stage)
-                .flat_map(&format!("{label}/freq-emit"), |r: &Ranking| {
-                    r.items()
-                        .iter()
-                        .map(|&item| (item, 1u64))
-                        // alloc(one count-pair Vec per ranking; the shuffle takes ownership)
-                        .collect::<Vec<_>>()
-                })
-                // alloc(stage label + driver-side count collection, once per ordering phase)
-                .reduce_by_key(&format!("{label}/freq-count"), partitions, |a, b| a + b)
-                .collect();
-            let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-            // alloc(stage label String, once per stage)
-            ds.map(&format!("{label}/order-by-frequency"), move |r| {
-                Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-            })
-        }
-        // alloc(stage label String, once per stage)
-        PrefixKind::Ordered => ds.map(&format!("{label}/order-by-rank"), |r| {
-            Arc::new(OrderedRanking::by_rank(r))
-        }),
-    }
-}
-
-/// The *Ordering* phase for a bipartite join: counts item frequencies over
-/// the **union** of both relations (one shared canonical order is what makes
-/// cross-relation prefix filtering complete), broadcasts it once, and
-/// canonicalizes each relation separately.
-pub fn order_rankings_rs(
-    cluster: &Cluster,
-    left: &[Ranking],
-    right: &[Ranking],
-    prefix_kind: PrefixKind,
-    partitions: usize,
-    label: &str,
-) -> (Dataset<Arc<OrderedRanking>>, Dataset<Arc<OrderedRanking>>) {
-    // alloc(driver-side stage construction — one dataset copy per relation, not per record)
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    // alloc(driver-side stage construction — one dataset copy per relation, not per record)
-    let right_ds = cluster.parallelize(right.to_vec(), partitions);
-    match prefix_kind {
-        PrefixKind::Overlap => {
-            let counts = left_ds
-                .union(&right_ds)
-                // alloc(stage label String, once per stage)
-                .flat_map(&format!("{label}/freq-emit"), |r: &Ranking| {
-                    r.items()
-                        .iter()
-                        .map(|&item| (item, 1u64))
-                        // alloc(one count-pair Vec per ranking; the shuffle takes ownership)
-                        .collect::<Vec<_>>()
-                })
-                // alloc(stage label + driver-side count collection, once per ordering phase)
-                .reduce_by_key(&format!("{label}/freq-count"), partitions, |a, b| a + b)
-                .collect();
-            let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-            let freq_right = freq.clone();
-            (
-                // alloc(stage label String, once per stage)
-                left_ds.map(&format!("{label}/order-left-by-frequency"), move |r| {
-                    Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-                }),
-                // alloc(stage label String, once per stage)
-                right_ds.map(&format!("{label}/order-right-by-frequency"), move |r| {
-                    Arc::new(OrderedRanking::by_frequency(r, freq_right.value()))
-                }),
-            )
-        }
-        PrefixKind::Ordered => (
-            // alloc(stage label String, once per stage)
-            left_ds.map(&format!("{label}/order-left-by-rank"), |r| {
-                Arc::new(OrderedRanking::by_rank(r))
-            }),
-            // alloc(stage label String, once per stage)
-            right_ds.map(&format!("{label}/order-right-by-rank"), |r| {
-                Arc::new(OrderedRanking::by_rank(r))
-            }),
-        ),
-    }
+    order_relations(cluster, &[data], prefix_kind, partitions, label)
+        .pop()
+        .expect("one relation in, one ordered dataset out")
+        .ordered
 }
 
 /// Emits `(token, entry)` pairs for the first `prefix_len` tokens of every
@@ -238,23 +185,169 @@ pub fn emit_prefixes(
     relation: Relation,
     label: &str,
 ) -> Dataset<(ItemId, TokenEntry)> {
+    emit_prefixes_by(ds, move |_| prefix_len, false, singleton, relation, label)
+}
+
+/// [`emit_prefixes`] with a per-record prefix length, and with `sentinel`
+/// one more entry per ranking under [`DISJOINT_SENTINEL`].
+fn emit_prefixes_by(
+    ds: &Dataset<Arc<OrderedRanking>>,
+    prefix_len_of: impl Fn(&OrderedRanking) -> usize + Sync,
+    sentinel: bool,
+    singleton: bool,
+    relation: Relation,
+    label: &str,
+) -> Dataset<(ItemId, TokenEntry)> {
     ds.flat_map(label, move |r: &Arc<OrderedRanking>| {
-        r.prefix(prefix_len)
+        let entry = |rank| TokenEntry {
+            rank,
+            singleton,
+            relation,
+            ranking: Arc::clone(r),
+        };
+        r.prefix(prefix_len_of(r))
             .iter()
-            .map(|&(item, rank)| {
-                (
-                    item,
-                    TokenEntry {
-                        rank,
-                        singleton,
-                        relation,
-                        ranking: Arc::clone(r),
-                    },
-                )
-            })
+            .map(|&(item, rank)| (item, entry(rank)))
+            .chain(sentinel.then(|| (DISJOINT_SENTINEL, entry(0))))
             // alloc(one prefix-token Vec per ranking; the shuffle takes ownership)
             .collect::<Vec<_>>()
     })
+}
+
+/// One input of a prefix join: a canonicalized dataset and the tags its
+/// records carry through the shuffle.
+pub(crate) struct PrefixSource {
+    /// The canonicalized records. All sources of one join must share one
+    /// canonical order ([`order_relations`]) or prefix filtering would lose
+    /// completeness.
+    pub ordered: Dataset<Arc<OrderedRanking>>,
+    /// Centroid-type tag of every record (Algorithm 1); `false` otherwise.
+    pub singleton: bool,
+    /// Source relation of every record.
+    pub relation: Relation,
+    /// Stage-label infix naming the source (`""`, `"left-"`, `"cm-"`, …).
+    pub name: &'static str,
+}
+
+impl PrefixSource {
+    /// The lone, untagged source of a plain self-join.
+    pub(crate) fn plain(ordered: &Dataset<Arc<OrderedRanking>>) -> Self {
+        Self {
+            ordered: ordered.clone(),
+            singleton: false,
+            relation: Relation::Left,
+            name: "",
+        }
+    }
+
+    /// The two sources of a centroid join (Algorithm 1): non-singleton
+    /// centroids `C_m` and singleton-tagged centroids `C_s`.
+    pub(crate) fn centroids(
+        centroids_m: &Dataset<Arc<OrderedRanking>>,
+        singletons: &Dataset<Arc<OrderedRanking>>,
+    ) -> [Self; 2] {
+        let tagged = |ordered, singleton, name| Self {
+            singleton,
+            name,
+            ..Self::plain(ordered)
+        };
+        [
+            tagged(centroids_m, false, "cm-"),
+            tagged(singletons, true, "cs-"),
+        ]
+    }
+}
+
+/// A complete prefix-filtered join in `space` — the building block used
+/// directly by the VJ-family drivers and twice by CL/CL-P (clustering with
+/// θc, centroid join with Algorithm 1's thresholds).
+///
+/// Every source emits its tagged prefixes into one shuffle — plus, where the
+/// space admits token-disjoint pairs, an entry into the sentinel group. With
+/// a [`Relation::Right`] source present the join is bipartite — only
+/// cross-relation pairs are candidates and hits lead with the left record —
+/// otherwise it is a self-join; hot groups use the skew subsystem's
+/// chunk-pair plans either way.
+///
+/// Returns what `hit` keeps of every qualifying pair — called with the
+/// pair's entries in `(relation, id)` order and its distance — **before**
+/// deduplication: a pair that collides on several tokens (or in several
+/// chunk joins) appears once per collision. The flat drivers keep the id
+/// pair, which is their output and its own dedup key; CL's phases keep
+/// whole [`PairHit`]s ([`prefix_join`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
+    sources: &[PrefixSource],
+    space: &S,
+    partitions: usize,
+    delta: Option<usize>,
+    skew: SkewBudget,
+    stats: &Arc<JoinStats>,
+    label: &str,
+    hit: impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H + Sync,
+) -> Dataset<H> {
+    let emitted = sources
+        .iter()
+        .map(|src| {
+            emit_prefixes_by(
+                &src.ordered,
+                |r| space.prefix_len(r, src.singleton),
+                space.admits_disjoint(src.singleton),
+                src.singleton,
+                src.relation,
+                // alloc(stage label String, once per join stage)
+                &format!("{label}/emit-{}prefixes", src.name),
+            )
+        })
+        .reduce(|all, part| all.union(&part))
+        .expect("a prefix join has at least one source");
+    let mode = if sources.iter().any(|src| src.relation == Relation::Right) {
+        JoinMode::Bipartite
+    } else {
+        JoinMode::SelfJoin
+    };
+    token_grouped_join(
+        &emitted, space, mode, partitions, delta, skew, stats, label, hit,
+    )
+}
+
+/// [`prefix_hits`] keeping every hit whole, deduplicated — what the
+/// clustering and centroid joins of CL/CL-P need.
+pub(crate) fn prefix_join<S: JoinSpace>(
+    sources: &[PrefixSource],
+    space: &S,
+    partitions: usize,
+    delta: Option<usize>,
+    skew: SkewBudget,
+    stats: &Arc<JoinStats>,
+    label: &str,
+) -> Dataset<PairHit<S::Dist>> {
+    let whole = |x: &TokenEntry, y: &TokenEntry, distance| PairHit {
+        a: Arc::clone(&x.ranking),
+        b: Arc::clone(&y.ranking),
+        distance,
+        a_singleton: x.singleton,
+        b_singleton: y.singleton,
+        a_relation: x.relation,
+        b_relation: y.relation,
+    };
+    // Keep one PairHit per `(relation, id)` record-key pair; the relations
+    // are part of the key because an R-S join's id spaces may overlap. The
+    // keep-first combiner is value-deterministic even though the kept
+    // *instance* depends on hash-map iteration order: every duplicate under
+    // one key pair carries the same exact distance and the same per-record
+    // tags, so any survivor is content-equal (pinned by the determinism
+    // suite).
+    prefix_hits(sources, space, partitions, delta, skew, stats, label, whole)
+        // alloc(stage label String, once per join stage)
+        .map(&format!("{label}/key-pairs"), |hit| {
+            let keys = hit.record_keys();
+            crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
+            (keys, hit.clone())
+        })
+        // alloc(stage label Strings, once per join stage)
+        .reduce_by_key(&format!("{label}/dedup-pairs"), partitions, |a, _b| a)
+        .values(&format!("{label}/drop-keys"))
 }
 
 /// Live per-driver kernel counters on the cluster's telemetry registry —
@@ -266,114 +359,62 @@ struct LiveKernelCounters {
     pairs: Counter,
 }
 
-/// Applies the chosen kernel to one token group.
-// The kernel's full context — entries, style, thresholds, mode and both
-// counter sinks — is exactly this wide; bundling it into a one-use struct
-// would only move the argument list.
-#[allow(clippy::too_many_arguments)]
-fn run_kernel(
-    entries: &[TokenEntry],
-    style: GroupJoinStyle,
-    prefix_len_of: &(impl Fn(bool) -> usize + Sync),
-    thresholds: &GroupThresholds,
-    use_position_filter: bool,
-    mode: JoinMode,
-    stats: &JoinStats,
-    live: &LiveKernelCounters,
-) -> Vec<PairHit> {
-    live.groups.inc();
-    let triples = match style {
-        GroupJoinStyle::Indexed => with_group_scratch(|scratch| {
-            join_group_indexed(
-                entries,
-                prefix_len_of,
-                thresholds,
-                use_position_filter,
-                mode,
-                stats,
-                scratch,
-            )
-        }),
-        GroupJoinStyle::NestedLoop => {
-            join_group_nested_loop(entries, thresholds, use_position_filter, mode, stats)
-        }
-    };
-    live.pairs.add_usize(triples.len());
-    triples
-        .into_iter()
-        .map(|(i, j, d)| {
-            // panics(kernel triples index into `entries` — both i and j are < entries.len())
-            let (ea, eb) = (&entries[i], &entries[j]);
-            debug_assert!(ea.record_key() < eb.record_key());
-            PairHit {
-                a: Arc::clone(&ea.ranking),
-                b: Arc::clone(&eb.ranking),
-                distance: d,
-                a_singleton: ea.singleton,
-                b_singleton: eb.singleton,
-                a_relation: ea.relation,
-                b_relation: eb.relation,
-            }
-        })
-        // alloc(one hit buffer per token group, not per candidate pair)
-        .collect()
-}
-
-/// Sentinel groups contain rankings that need not share any token, so the
-/// index-probing kernel (which only pairs prefix collisions) would miss
-/// pairs there — force the nested loop.
-#[inline]
-fn style_for(token: ItemId, requested: GroupJoinStyle) -> GroupJoinStyle {
-    if token == DISJOINT_SENTINEL {
-        GroupJoinStyle::NestedLoop
-    } else {
-        requested
-    }
-}
-
-fn rs_hits(
+/// Books one kernel invocation and turns its index triples (`i` into `left`,
+/// `j` into `right`; one slice twice for an in-group join) into hits.
+fn hits_of<D, H>(
+    triples: Vec<(usize, usize, D)>,
     left: &[TokenEntry],
     right: &[TokenEntry],
-    thresholds: &GroupThresholds,
-    use_position_filter: bool,
-    mode: JoinMode,
-    stats: &JoinStats,
+    hit: &impl Fn(&TokenEntry, &TokenEntry, D) -> H,
     live: &LiveKernelCounters,
-) -> Vec<PairHit> {
+) -> Vec<H> {
     live.groups.inc();
-    let triples = join_group_rs(left, right, thresholds, use_position_filter, mode, stats);
     live.pairs.add_usize(triples.len());
     triples
         .into_iter()
-        .map(|(i, j, d)| {
-            // panics(join_group_rs triples satisfy i < left.len() and j < right.len())
-            let (li, rj) = (&left[i], &right[j]);
-            // Normalize by (relation, id), not id alone: in a bipartite join
-            // the chunks hold mixed relations with possibly overlapping id
-            // spaces, and id ordering could flip which relation lands in
-            // slot `a`.
-            let (x, y) = if li.record_key() < rj.record_key() {
-                (li, rj)
+        .map(|(i, j, distance)| {
+            // panics(kernel triples index their inputs — i < left.len() and j < right.len())
+            let (x, y) = (&left[i], &right[j]);
+            // Normalize by (relation, id), not id alone: chunks of a
+            // bipartite group hold mixed relations with possibly overlapping
+            // id spaces, and id ordering could flip which relation leads.
+            // (In-group triples arrive ordered already.)
+            if x.record_key() < y.record_key() {
+                hit(x, y, distance)
             } else {
-                (rj, li)
-            };
-            PairHit {
-                a: Arc::clone(&x.ranking),
-                b: Arc::clone(&y.ranking),
-                distance: d,
-                a_singleton: x.singleton,
-                b_singleton: y.singleton,
-                a_relation: x.relation,
-                b_relation: y.relation,
+                hit(y, x, distance)
             }
         })
-        // alloc(one hit buffer per sub-partition pair, not per candidate)
+        // alloc(one hit buffer per token group or sub-partition pair, not per candidate)
         .collect()
+}
+
+/// Joins one token group (or one chunk of a split group). Sentinel groups
+/// contain rankings that need not share any token, so an index-probing
+/// kernel (which only pairs prefix collisions) would miss pairs there —
+/// they always take the nested loop.
+fn group_hits<S: JoinSpace, H>(
+    token: ItemId,
+    entries: &[TokenEntry],
+    space: &S,
+    mode: JoinMode,
+    stats: &JoinStats,
+    hit: &impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H,
+    live: &LiveKernelCounters,
+) -> Vec<H> {
+    let triples = if token == DISJOINT_SENTINEL {
+        nested_loop_by(entries, mode, stats, |a, b, stats| {
+            space.decide(a, b, stats)
+        })
+    } else {
+        space.join_group(entries, mode, stats)
+    };
+    hits_of(triples, entries, entries, hit, live)
 }
 
 /// The reduce side of every prefix join: group emitted `(token, entry)`
-/// pairs by token, join inside each group, and deduplicate pairs that
-/// collided on several tokens.
+/// pairs by token and join inside each group, keeping `hit(a, b, distance)`
+/// of every qualifying pair (see [`prefix_hits`]).
 ///
 /// With `delta = Some(δ)` (CL-P, Algorithm 3) groups longer than δ are split
 /// into sub-partitions of at most δ entries: each sub-partition is
@@ -384,19 +425,17 @@ fn rs_hits(
 /// policy may still opt the join into splitting (sampling the emitted token
 /// stream first under `SkewBudget::Auto`).
 #[allow(clippy::too_many_arguments)]
-pub fn token_grouped_join(
+pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     emitted: &Dataset<(ItemId, TokenEntry)>,
-    style: GroupJoinStyle,
-    prefix_len_of: impl Fn(bool) -> usize + Sync + Send + Clone + 'static,
-    thresholds: GroupThresholds,
-    use_position_filter: bool,
+    space: &S,
     mode: JoinMode,
     partitions: usize,
     delta: Option<usize>,
     skew: SkewBudget,
     stats: &Arc<JoinStats>,
     label: &str,
-) -> Dataset<PairHit> {
+    hit: impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H + Sync,
+) -> Dataset<H> {
     // An explicit δ (CL-P's always-on partitioning threshold) wins;
     // otherwise the opt-in skew policy decides from the pre-shuffle token
     // stream.
@@ -406,14 +445,14 @@ pub fn token_grouped_join(
     };
 
     // Live per-driver kernel series: the driver name is the label prefix
-    // before the first '/' ("cl-p/centroid-join" → driver="cl-p"). All
+    // before the first '/' ("cl/join" → driver="cl"). All
     // handles are no-ops when the cluster's telemetry is off.
     let telemetry = emitted.cluster().telemetry();
     let driver = label.split('/').next().unwrap_or(label);
-    let live = Arc::new(LiveKernelCounters {
+    let live = LiveKernelCounters {
         groups: telemetry.counter_with("simjoin_kernel_groups_total", &[("driver", driver)]),
         pairs: telemetry.counter_with("simjoin_result_pairs_total", &[("driver", driver)]),
-    });
+    };
     let live_candidates =
         telemetry.counter_with("simjoin_kernel_candidates_total", &[("driver", driver)]);
     let live_verified =
@@ -433,24 +472,10 @@ pub fn token_grouped_join(
     };
 
     let hits = match delta {
-        None => {
-            let stats = Arc::clone(stats);
-            let prefix_len_of = prefix_len_of.clone();
-            let live = Arc::clone(&live);
-            // alloc(stage label String, once per join stage)
-            grouped.flat_map(&format!("{label}/join-groups"), move |(token, entries)| {
-                run_kernel(
-                    entries,
-                    style_for(*token, style),
-                    &prefix_len_of,
-                    &thresholds,
-                    use_position_filter,
-                    mode,
-                    &stats,
-                    &live,
-                )
-            })
-        }
+        // alloc(stage label String, once per join stage)
+        None => grouped.flat_map(&format!("{label}/join-groups"), |(token, entries)| {
+            group_hits(*token, entries, space, mode, stats, &hit, &live)
+        }),
         Some(delta) => {
             let (hits, split) = minispark::skew::split_grouped_join(
                 &grouped,
@@ -459,27 +484,13 @@ pub fn token_grouped_join(
                 label,
                 |token, chunk: &[TokenEntry]| {
                     crate::invariants::check_subpartition(chunk.len(), delta);
-                    run_kernel(
-                        chunk,
-                        style_for(token, style),
-                        &prefix_len_of,
-                        &thresholds,
-                        use_position_filter,
-                        mode,
-                        stats,
-                        &live,
-                    )
+                    group_hits(token, chunk, space, mode, stats, &hit, &live)
                 },
                 |_token, left: &[TokenEntry], right: &[TokenEntry]| {
-                    rs_hits(
-                        left,
-                        right,
-                        &thresholds,
-                        use_position_filter,
-                        mode,
-                        stats,
-                        &live,
-                    )
+                    let triples = cross_loop_by(left, right, mode, stats, |a, b, stats| {
+                        space.decide(a, b, stats)
+                    });
+                    hits_of(triples, left, right, &hit, &live)
                 },
             );
             JoinStats::add(&stats.posting_lists_split, split.groups_split);
@@ -497,152 +508,7 @@ pub fn token_grouped_join(
     live_verified.add(after.verified.saturating_sub(before.verified));
     live_pruned.add(after.position_pruned.saturating_sub(before.position_pruned));
 
-    // Deduplicate pairs found via several shared tokens (or several chunk
-    // joins) — keep one PairHit per `(relation, id)` record-key pair; the
-    // relations are part of the key because an R-S join's id spaces may
-    // overlap. The keep-first combiner is value-deterministic even though
-    // the kept *instance* depends on hash-map iteration order: every
-    // duplicate under one key pair carries the same exact distance and the
-    // same per-record tags, so any survivor is content-equal (pinned by the
-    // determinism suite).
-    // alloc(stage label Strings, once per join stage)
-    hits.map(&format!("{label}/key-pairs"), |hit: &PairHit| {
-        let keys = hit.record_keys();
-        crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
-        (keys, hit.clone())
-    })
-    // alloc(stage label Strings, once per join stage)
-    .reduce_by_key(&format!("{label}/dedup-pairs"), partitions, |a, _b| a)
-    .values(&format!("{label}/drop-keys"))
-}
-
-/// A complete prefix-filtered self-join at `theta_raw` over a canonicalized
-/// dataset — the building block used directly by VJ/VJ-NL and twice by
-/// CL/CL-P (clustering with θc, centroid join with Algorithm 1's
-/// thresholds).
-#[allow(clippy::too_many_arguments)]
-pub fn prefix_self_join(
-    ordered: &Dataset<Arc<OrderedRanking>>,
-    k: usize,
-    theta_raw: u64,
-    prefix_kind: PrefixKind,
-    style: GroupJoinStyle,
-    use_position_filter: bool,
-    partitions: usize,
-    delta: Option<usize>,
-    skew: SkewBudget,
-    stats: &Arc<JoinStats>,
-    label: &str,
-) -> Dataset<PairHit> {
-    let p = prefix_kind.prefix_len(k, theta_raw);
-    let emitted = emit_prefixes(
-        ordered,
-        p,
-        false,
-        Relation::Left,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-prefixes"),
-    );
-    let emitted = with_disjoint_sentinels(
-        emitted,
-        ordered,
-        k,
-        theta_raw,
-        false,
-        Relation::Left,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-sentinels"),
-    );
-    token_grouped_join(
-        &emitted,
-        style,
-        move |_| p,
-        GroupThresholds::Uniform(theta_raw),
-        use_position_filter,
-        JoinMode::SelfJoin,
-        partitions,
-        delta,
-        skew,
-        stats,
-        label,
-    )
-}
-
-/// A complete prefix-filtered **bipartite** join at `theta_raw` over two
-/// canonicalized relations: both sides emit relation-tagged prefixes into one
-/// shuffle, every token group is joined in [`JoinMode::Bipartite`] (only
-/// cross-relation pairs are candidates), and hot groups reuse the skew
-/// subsystem's chunk-pair plans unchanged. Emitted hits always lead with the
-/// left-relation record.
-///
-/// Both relations must be canonicalized under **one** item-frequency order —
-/// use [`order_rankings_rs`] — or prefix filtering would lose completeness.
-#[allow(clippy::too_many_arguments)]
-pub fn prefix_rs_join(
-    left: &Dataset<Arc<OrderedRanking>>,
-    right: &Dataset<Arc<OrderedRanking>>,
-    k: usize,
-    theta_raw: u64,
-    prefix_kind: PrefixKind,
-    style: GroupJoinStyle,
-    use_position_filter: bool,
-    partitions: usize,
-    delta: Option<usize>,
-    skew: SkewBudget,
-    stats: &Arc<JoinStats>,
-    label: &str,
-) -> Dataset<PairHit> {
-    let p = prefix_kind.prefix_len(k, theta_raw);
-    let emitted_left = emit_prefixes(
-        left,
-        p,
-        false,
-        Relation::Left,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-left-prefixes"),
-    );
-    let emitted_right = emit_prefixes(
-        right,
-        p,
-        false,
-        Relation::Right,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-right-prefixes"),
-    );
-    let emitted = emitted_left.union(&emitted_right);
-    let emitted = with_disjoint_sentinels(
-        emitted,
-        left,
-        k,
-        theta_raw,
-        false,
-        Relation::Left,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-left-sentinels"),
-    );
-    let emitted = with_disjoint_sentinels(
-        emitted,
-        right,
-        k,
-        theta_raw,
-        false,
-        Relation::Right,
-        // alloc(stage label String, once per join stage)
-        &format!("{label}/emit-right-sentinels"),
-    );
-    token_grouped_join(
-        &emitted,
-        style,
-        move |_| p,
-        GroupThresholds::Uniform(theta_raw),
-        use_position_filter,
-        JoinMode::Bipartite,
-        partitions,
-        delta,
-        skew,
-        stats,
-        label,
-    )
+    hits
 }
 
 /// Validates that all rankings share one length `k` and have unique ids;
@@ -669,23 +535,31 @@ pub fn uniform_k(data: &[Ranking]) -> Result<Option<usize>, crate::JoinError> {
     Ok(k)
 }
 
-/// Validates both relations of an R-S join: uniform length and unique ids
+/// Validates every relation of a join: uniform length and unique ids
 /// **within** each relation (the id spaces may overlap across relations),
-/// and one shared length `k` across the two. Returns that length, or `None`
-/// when either relation is empty — a bipartite join with an empty side has
-/// no results, so callers short-circuit to an empty outcome.
+/// and one shared length `k` across them. Returns that length, or `None`
+/// when any relation is empty — a join with an empty side has no results,
+/// so callers short-circuit to an empty outcome.
+pub(crate) fn uniform_k_of(relations: &[&[Ranking]]) -> Result<Option<usize>, crate::JoinError> {
+    let mut shared = None;
+    let mut any_empty = false;
+    for data in relations {
+        match (shared, uniform_k(data)?) {
+            (_, None) => any_empty = true,
+            (Some(expected), Some(found)) if expected != found => {
+                return Err(crate::JoinError::MixedRankingLengths { expected, found })
+            }
+            (_, k) => shared = k,
+        }
+    }
+    Ok(if any_empty { None } else { shared })
+}
+
+/// `uniform_k_of` for the two relations of an R-S join: their shared length
+/// `k`, or `None` when either side is empty.
 pub fn rs_uniform_k(
     left: &[Ranking],
     right: &[Ranking],
 ) -> Result<Option<usize>, crate::JoinError> {
-    let left_k = uniform_k(left)?;
-    let right_k = uniform_k(right)?;
-    match (left_k, right_k) {
-        (Some(lk), Some(rk)) if lk != rk => Err(crate::JoinError::MixedRankingLengths {
-            expected: lk,
-            found: rk,
-        }),
-        (Some(lk), Some(_)) => Ok(Some(lk)),
-        _ => Ok(None),
-    }
+    uniform_k_of(&[left, right])
 }

@@ -5,11 +5,13 @@
 //!
 //! The thresholds here are **raw** Footrule distances: with mixed lengths
 //! there is no single `k(k+1)` normalizer, so the caller states the absolute
-//! distance budget directly. The join uses:
+//! distance budget directly. The dataflow is [`crate::pipeline`]'s; this
+//! module supplies the variable-length `JoinSpace`:
 //!
 //! * per-length **prefixes** ([`topk_rankings::varlen::prefix_len_var`]):
 //!   each ranking indexes a prefix long enough for its loosest possible
-//!   partner length in the dataset,
+//!   partner length in the dataset (over R ∪ S in an R-S join — a left
+//!   ranking's loosest partner length may only exist on the right),
 //! * the **length filter**: a pair whose length gap alone implies a
 //!   distance above the threshold is pruned before any content comparison,
 //! * the **position filter** for same-length pairs only (its rank-sum
@@ -22,36 +24,122 @@
 //! ranking and its length-(k+1) extension are at distance 0), so the
 //! cluster-based pipeline's metric reasoning would need separate treatment.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use minispark::{Cluster, SkewBudget};
 use topk_rankings::bounds::position_filter_prunes;
 use topk_rankings::varlen::{min_distance_given_lengths, min_overlap_var, prefix_len_var};
-use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, Ranking, Relation};
+use topk_rankings::{OrderedRanking, PrefixKind, Ranking};
 
+use crate::kernels::{JoinSpace, TokenEntry};
 use crate::stats::JoinStats;
+use crate::vj::run_prefix_join;
 use crate::{JoinError, JoinOutcome};
 
-type Record = Arc<OrderedRanking>;
-type Entry = (u16, Record);
+/// The variable-length Footrule space at one raw threshold over the ranking
+/// lengths present in the input.
+#[derive(Debug, Clone)]
+struct Varlen {
+    theta_raw: u64,
+    /// Ranking length → prefix length (small driver-side metadata).
+    prefix_of: Arc<HashMap<usize, usize>>,
+    /// Whether some length combination admits token-disjoint pairs.
+    disjoint_possible: bool,
+}
 
-/// Self-join within one group (or one chunk of a split group): every
-/// unordered member pair through the per-pair kernel.
-fn all_pairs<F>(members: &[Entry], pair_of: &F) -> Vec<(u64, u64)>
-where
-    F: Fn(&Entry, &Entry) -> Option<(u64, u64)>,
-{
-    let mut out = Vec::new();
-    for i in 0..members.len() {
-        for j in (i + 1)..members.len() {
-            if let Some(pair) = pair_of(&members[i], &members[j]) {
-                out.push(pair);
-            }
+impl Varlen {
+    fn new(relations: &[&[Ranking]], theta_raw: u64) -> Self {
+        let lengths: Vec<usize> = relations
+            .iter()
+            .flat_map(|data| data.iter().map(Ranking::k))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let disjoint_possible = lengths.iter().any(|&ka| {
+            lengths
+                .iter()
+                .any(|&kb| min_overlap_var(ka, kb, theta_raw) == Some(0))
+        });
+        let prefix_of = lengths
+            .iter()
+            .map(|&k| (k, prefix_len_var(k, &lengths, theta_raw)))
+            .collect();
+        Self {
+            theta_raw,
+            prefix_of: Arc::new(prefix_of),
+            disjoint_possible,
         }
     }
-    out
+}
+
+impl JoinSpace for Varlen {
+    type Dist = u64;
+
+    fn prefix_len(&self, ranking: &OrderedRanking, _singleton: bool) -> usize {
+        self.prefix_of[&ranking.k()]
+    }
+
+    fn admits_disjoint(&self, _singleton: bool) -> bool {
+        self.disjoint_possible
+    }
+
+    /// Length filter, equal-length position filter, early-exit verification.
+    #[inline]
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<u64> {
+        let (ka, kb) = (a.ranking.k(), b.ranking.k());
+        JoinStats::bump(&stats.candidates);
+        if min_distance_given_lengths(ka, kb) > self.theta_raw {
+            JoinStats::bump(&stats.triangle_pruned);
+            return None;
+        }
+        if ka == kb
+            && position_filter_prunes(usize::from(a.rank), usize::from(b.rank), self.theta_raw)
+        {
+            JoinStats::bump(&stats.position_pruned);
+            return None;
+        }
+        JoinStats::bump(&stats.verified);
+        let distance = a.ranking.footrule_within(&b.ranking, self.theta_raw)?;
+        JoinStats::bump(&stats.result_pairs);
+        Some(distance)
+    }
+}
+
+/// The one varlen driver: [`run_prefix_join`] in the [`Varlen`] space over
+/// one relation or two. Lengths may mix freely; ids must be unique within
+/// each relation (across relations they may collide).
+fn varlen(
+    cluster: &Cluster,
+    relations: &[&[Ranking]],
+    theta_raw: u64,
+    partitions: usize,
+    skew: SkewBudget,
+    label: &str,
+) -> Result<JoinOutcome, JoinError> {
+    let space_for = || {
+        if relations.iter().any(|data| data.is_empty()) {
+            return Ok(None);
+        }
+        for data in relations {
+            let mut ids = HashSet::with_capacity(data.len());
+            if let Some(dup) = data.iter().find(|r| !ids.insert(r.id())) {
+                return Err(JoinError::DuplicateRankingId(dup.id()));
+            }
+        }
+        Ok(Some(Varlen::new(relations, theta_raw)))
+    };
+    run_prefix_join(
+        cluster,
+        relations,
+        PrefixKind::Overlap,
+        partitions,
+        None,
+        skew,
+        label,
+        space_for,
+    )
 }
 
 /// Prefix-filtered similarity join over rankings of arbitrary (mixed)
@@ -75,183 +163,12 @@ pub fn varlen_join_with_skew(
     partitions: usize,
     skew: SkewBudget,
 ) -> Result<JoinOutcome, JoinError> {
-    let start = Instant::now();
-    if data.is_empty() {
-        return Ok(JoinOutcome::empty(start.elapsed()));
-    }
-    let mut ids = std::collections::HashSet::with_capacity(data.len());
-    for r in data {
-        if !ids.insert(r.id()) {
-            return Err(JoinError::DuplicateRankingId(r.id()));
-        }
-    }
-    let partitions = if partitions == 0 {
-        cluster.config().default_partitions.max(1)
-    } else {
-        partitions
-    };
-    let stats = Arc::new(JoinStats::default());
-
-    // Phase spans label Ordering → Joining → Dedup on the trace timeline
-    // (no-ops unless the cluster records a trace).
-    let run_span = cluster.trace().span("varlen/run");
-    let phase = cluster.trace().span("varlen/phase/ordering");
-
-    // Distinct lengths present (small driver-side metadata).
-    let lengths: Vec<usize> = data
-        .iter()
-        .map(Ranking::k)
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    // Are disjoint pairs admissible for any length combination?
-    let disjoint_possible = lengths.iter().any(|&ka| {
-        lengths
-            .iter()
-            .any(|&kb| min_overlap_var(ka, kb, theta_raw) == Some(0))
-    });
-    let prefix_of: std::collections::HashMap<usize, usize> = lengths
-        .iter()
-        .map(|&k| (k, prefix_len_var(k, &lengths, theta_raw)))
-        .collect();
-    let prefix_of = cluster.broadcast(prefix_of);
-
-    // Ordering (mixed lengths are fine — each ranking is canonicalized on
-    // its own items).
-    let ds = cluster.parallelize(data.to_vec(), partitions);
-    let counts = ds
-        .flat_map("varlen/freq-emit", |r: &Ranking| {
-            r.items()
-                .iter()
-                .map(|&item| (item, 1u64))
-                .collect::<Vec<_>>()
-        })
-        .reduce_by_key("varlen/freq-count", partitions, |a, b| a + b)
-        .collect();
-    let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-    let ordered = ds.map("varlen/order", move |r| {
-        Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-    });
-
-    drop(phase);
-
-    // Prefix emission with per-length prefixes (+ sentinel routing when
-    // disjoint pairs qualify).
-    let phase = cluster.trace().span("varlen/phase/joining");
-    let emitted = {
-        let prefix_of = prefix_of.clone();
-        ordered.flat_map("varlen/emit-prefixes", move |r: &Record| {
-            let p = prefix_of.value()[&r.k()];
-            let mut out: Vec<(ItemId, (u16, Record))> = r
-                .prefix(p)
-                .iter()
-                .map(|&(item, rank)| (item, (rank, Arc::clone(r))))
-                .collect();
-            if disjoint_possible {
-                out.push((ItemId::MAX, (0, Arc::clone(r))));
-            }
-            out
-        })
-    };
-
-    // The per-pair kernel: length filter, equal-length position filter,
-    // early-exit verification.
-    let pair_of = {
-        let stats = Arc::clone(&stats);
-        move |x: &(u16, Record), y: &(u16, Record)| -> Option<(u64, u64)> {
-            let (ra, a) = x;
-            let (rb, b) = y;
-            if a.id() == b.id() {
-                return None;
-            }
-            JoinStats::bump(&stats.candidates);
-            // Length filter.
-            if min_distance_given_lengths(a.k(), b.k()) > theta_raw {
-                JoinStats::bump(&stats.triangle_pruned);
-                return None;
-            }
-            // Position filter — valid for equal lengths only.
-            if a.k() == b.k()
-                && position_filter_prunes(usize::from(*ra), usize::from(*rb), theta_raw)
-            {
-                JoinStats::bump(&stats.position_pruned);
-                return None;
-            }
-            JoinStats::bump(&stats.verified);
-            a.footrule_within(b, theta_raw).map(|_| {
-                JoinStats::bump(&stats.result_pairs);
-                if a.id() < b.id() {
-                    (a.id(), b.id())
-                } else {
-                    (b.id(), a.id())
-                }
-            })
-        }
-    };
-    let delta = skew.resolve(&emitted, "varlen");
-    let grouped = emitted.group_by_key("varlen/group-by-token", partitions);
-    let pairs_ds = match delta {
-        None => {
-            let pair_of = pair_of.clone();
-            grouped.flat_map("varlen/join-groups", move |(_, members)| {
-                all_pairs(members, &pair_of)
-            })
-        }
-        Some(budget) => {
-            let (hits, split) = minispark::skew::split_grouped_join(
-                &grouped,
-                budget,
-                partitions,
-                "varlen",
-                |_token, members: &[(u16, Record)]| all_pairs(members, &pair_of),
-                |_token, left: &[(u16, Record)], right: &[(u16, Record)]| {
-                    let mut out = Vec::new();
-                    for a in left {
-                        for b in right {
-                            if let Some(pair) = pair_of(a, b) {
-                                out.push(pair);
-                            }
-                        }
-                    }
-                    out
-                },
-            );
-            JoinStats::add(&stats.posting_lists_split, split.groups_split);
-            JoinStats::add(&stats.rs_joins, split.rs_joins);
-            JoinStats::add(&stats.skew_chunks, split.chunks);
-            JoinStats::add(&stats.skew_steals, split.stolen_tasks);
-            hits
-        }
-    };
-
-    drop(phase);
-
-    let phase = cluster.trace().span("varlen/phase/dedup");
-    let mut pairs = pairs_ds.distinct("varlen/distinct", partitions).collect();
-    pairs.sort_unstable();
-    drop(phase);
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+    varlen(cluster, &[data], theta_raw, partitions, skew, "varlen")
 }
 
-/// A prefix-emitted member of the bipartite varlen join: the token's rank in
-/// the owning ranking, the ranking itself, and its source relation.
-type RsEntry = (u16, Record, Relation);
-/// A candidate filter over two R-S entries, yielding the oriented pair.
-type RsPairOf<'a> = &'a dyn Fn(&RsEntry, &RsEntry) -> Option<(u64, u64)>;
-
-/// [`varlen_join`] over **two relations** (R-S join) at a raw threshold.
-///
-/// Records keep their source [`Relation`] through prefix emission; the
-/// per-token kernel joins cross-relation pairs only (length filter,
-/// equal-length position filter, early-exit verification) and always leads
-/// with the left record, so pairs are `(left id, right id)`, sorted — id
-/// spaces may overlap. Lengths, per-length prefixes and the frequency order
-/// are computed over R ∪ S so both relations share one canonical order.
+/// [`varlen_join`] over **two relations** (R-S join) at a raw threshold:
+/// only cross-relation pairs are candidates and pairs are
+/// `(left id, right id)`, sorted — id spaces may overlap.
 pub fn varlen_join_rs(
     cluster: &Cluster,
     left: &[Ranking],
@@ -271,192 +188,14 @@ pub fn varlen_join_rs_with_skew(
     partitions: usize,
     skew: SkewBudget,
 ) -> Result<JoinOutcome, JoinError> {
-    let start = Instant::now();
-    if left.is_empty() || right.is_empty() {
-        return Ok(JoinOutcome::empty(start.elapsed()));
-    }
-    // Ids must be unique within each relation; across relations they may
-    // collide (that is the point of carrying the relation tag).
-    for relation in [left, right] {
-        let mut ids = std::collections::HashSet::with_capacity(relation.len());
-        for r in relation {
-            if !ids.insert(r.id()) {
-                return Err(JoinError::DuplicateRankingId(r.id()));
-            }
-        }
-    }
-    let partitions = if partitions == 0 {
-        cluster.config().default_partitions.max(1)
-    } else {
-        partitions
-    };
-    let stats = Arc::new(JoinStats::default());
-
-    let run_span = cluster.trace().span("varlen-rs/run");
-    let phase = cluster.trace().span("varlen-rs/phase/ordering");
-
-    // Union-wide length metadata: a left ranking's loosest partner length
-    // may only exist in the right relation, so prefixes must be computed
-    // against the lengths of both.
-    let lengths: Vec<usize> = left
-        .iter()
-        .chain(right.iter())
-        .map(Ranking::k)
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let disjoint_possible = lengths.iter().any(|&ka| {
-        lengths
-            .iter()
-            .any(|&kb| min_overlap_var(ka, kb, theta_raw) == Some(0))
-    });
-    let prefix_of: std::collections::HashMap<usize, usize> = lengths
-        .iter()
-        .map(|&k| (k, prefix_len_var(k, &lengths, theta_raw)))
-        .collect();
-    let prefix_of = cluster.broadcast(prefix_of);
-
-    // One frequency order counted over R ∪ S (shared canonical order is a
-    // prerequisite of prefix-filter completeness across relations).
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    let right_ds = cluster.parallelize(right.to_vec(), partitions);
-    let counts = left_ds
-        .union(&right_ds)
-        .flat_map("varlen-rs/freq-emit", |r: &Ranking| {
-            r.items()
-                .iter()
-                .map(|&item| (item, 1u64))
-                .collect::<Vec<_>>()
-        })
-        .reduce_by_key("varlen-rs/freq-count", partitions, |a, b| a + b)
-        .collect();
-    let freq = cluster.broadcast(FrequencyTable::from_counts(counts));
-    let freq_r = freq.clone();
-    let ordered_left = left_ds.map("varlen-rs/order-left", move |r| {
-        Arc::new(OrderedRanking::by_frequency(r, freq.value()))
-    });
-    let ordered_right = right_ds.map("varlen-rs/order-right", move |r| {
-        Arc::new(OrderedRanking::by_frequency(r, freq_r.value()))
-    });
-
-    drop(phase);
-
-    let phase = cluster.trace().span("varlen-rs/phase/joining");
-    let emit = |ds: &minispark::Dataset<Record>, relation: Relation, label: &str| {
-        let prefix_of = prefix_of.clone();
-        ds.flat_map(label, move |r: &Record| {
-            let p = prefix_of.value()[&r.k()];
-            let mut out: Vec<(ItemId, RsEntry)> = r
-                .prefix(p)
-                .iter()
-                .map(|&(item, rank)| (item, (rank, Arc::clone(r), relation)))
-                .collect();
-            if disjoint_possible {
-                out.push((ItemId::MAX, (0, Arc::clone(r), relation)));
-            }
-            out
-        })
-    };
-    let emitted = emit(&ordered_left, Relation::Left, "varlen-rs/emit-left").union(&emit(
-        &ordered_right,
-        Relation::Right,
-        "varlen-rs/emit-right",
-    ));
-
-    let pair_of = {
-        let stats = Arc::clone(&stats);
-        move |x: &RsEntry, y: &RsEntry| -> Option<(u64, u64)> {
-            // Same-relation pairs are skipped before the candidates counter
-            // so kernel stats agree between split and unsplit runs.
-            if x.2 == y.2 {
-                return None;
-            }
-            let ((ra, a, _), (rb, b, _)) = if x.2 == Relation::Left {
-                (x, y)
-            } else {
-                (y, x)
-            };
-            JoinStats::bump(&stats.candidates);
-            if min_distance_given_lengths(a.k(), b.k()) > theta_raw {
-                JoinStats::bump(&stats.triangle_pruned);
-                return None;
-            }
-            if a.k() == b.k()
-                && position_filter_prunes(usize::from(*ra), usize::from(*rb), theta_raw)
-            {
-                JoinStats::bump(&stats.position_pruned);
-                return None;
-            }
-            JoinStats::bump(&stats.verified);
-            a.footrule_within(b, theta_raw).map(|_| {
-                JoinStats::bump(&stats.result_pairs);
-                (a.id(), b.id())
-            })
-        }
-    };
-    let rs_all_pairs = |members: &[RsEntry], pair_of: RsPairOf| {
-        let mut out = Vec::new();
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                if let Some(pair) = pair_of(&members[i], &members[j]) {
-                    out.push(pair);
-                }
-            }
-        }
-        out
-    };
-    let delta = skew.resolve(&emitted, "varlen-rs");
-    let grouped = emitted.group_by_key("varlen-rs/group-by-token", partitions);
-    let pairs_ds = match delta {
-        None => {
-            let pair_of = pair_of.clone();
-            grouped.flat_map("varlen-rs/join-groups", move |(_, members)| {
-                rs_all_pairs(members, &pair_of)
-            })
-        }
-        Some(budget) => {
-            let (hits, split) = minispark::skew::split_grouped_join(
-                &grouped,
-                budget,
-                partitions,
-                "varlen-rs",
-                |_token, members: &[RsEntry]| rs_all_pairs(members, &pair_of),
-                |_token, chunk_a: &[RsEntry], chunk_b: &[RsEntry]| {
-                    // Chunks of a split group mix both relations; the
-                    // relation-aware kernel keeps only cross pairs.
-                    let mut out = Vec::new();
-                    for a in chunk_a {
-                        for b in chunk_b {
-                            if let Some(pair) = pair_of(a, b) {
-                                out.push(pair);
-                            }
-                        }
-                    }
-                    out
-                },
-            );
-            JoinStats::add(&stats.posting_lists_split, split.groups_split);
-            JoinStats::add(&stats.rs_joins, split.rs_joins);
-            JoinStats::add(&stats.skew_chunks, split.chunks);
-            JoinStats::add(&stats.skew_steals, split.stolen_tasks);
-            hits
-        }
-    };
-
-    drop(phase);
-
-    let phase = cluster.trace().span("varlen-rs/phase/dedup");
-    let mut pairs = pairs_ds
-        .distinct("varlen-rs/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    drop(phase);
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+    varlen(
+        cluster,
+        &[left, right],
+        theta_raw,
+        partitions,
+        skew,
+        "varlen-rs",
+    )
 }
 
 /// Exact quadratic R-S baseline at a raw threshold, for mixed-length
@@ -715,6 +454,26 @@ mod tests {
             .expect("an empty side is valid")
             .pairs
             .is_empty());
+    }
+
+    #[test]
+    fn zero_skew_budget_is_rejected_like_in_every_other_driver() {
+        // `SkewBudget::Fixed(0)` used to be clamped to 1 here while
+        // `JoinConfig` / `JaccardConfig` rejected it; the shared driver
+        // validates it once, before looking at the input.
+        let c = cluster();
+        let data = mixed_corpus();
+        let zero = SkewBudget::Fixed(0);
+        for input in [data.as_slice(), &[]] {
+            assert!(matches!(
+                varlen_join_with_skew(&c, input, 30, 8, zero),
+                Err(JoinError::InvalidPartitionThreshold)
+            ));
+            assert!(matches!(
+                varlen_join_rs_with_skew(&c, input, input, 30, 8, zero),
+                Err(JoinError::InvalidPartitionThreshold)
+            ));
+        }
     }
 
     #[test]

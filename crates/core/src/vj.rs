@@ -5,68 +5,72 @@
 //! * [`vj_repartitioned_join`] — VJ-NL plus Algorithm 3's splitting of
 //!   oversized posting lists (the joining machinery CL-P adds on top of CL;
 //!   exposed standalone for ablation benchmarks).
+//!
+//! All of them — and their R-S twins, and the Jaccard and variable-length
+//! flat joins — are `run_prefix_join` with a different `JoinSpace` and a
+//! different number of relations.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use minispark::Cluster;
+use minispark::{Cluster, SkewBudget};
 use topk_rankings::distance::raw_threshold;
-use topk_rankings::Ranking;
+use topk_rankings::{PrefixKind, Ranking};
 
-use crate::pipeline::{
-    order_rankings, order_rankings_rs, prefix_rs_join, prefix_self_join, rs_uniform_k, uniform_k,
-    GroupJoinStyle,
-};
+use crate::config::{effective_partitions, validate_skew};
+use crate::kernels::{Footrule, GroupJoinStyle, JoinSpace, TokenEntry};
+use crate::pipeline::{order_relations, prefix_hits, uniform_k_of};
 use crate::stats::JoinStats;
 use crate::{JoinConfig, JoinError, JoinOutcome};
 
-fn vj_flavour(
+/// The one flat prefix-join driver: Ordering → Joining → Dedup over one
+/// relation (a self-join, pairs `(a, b)` with `a < b`) or two (an R-S join,
+/// pairs `(left id, right id)` — the id spaces may overlap, so no ordering is
+/// implied), sorted.
+///
+/// `space_for` validates the input and builds the join's space; `Ok(None)`
+/// is an input with no possible result (an empty relation). `partitions = 0`
+/// takes the cluster default.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_prefix_join<S: JoinSpace>(
     cluster: &Cluster,
-    data: &[Ranking],
-    config: &JoinConfig,
-    style: GroupJoinStyle,
+    relations: &[&[Ranking]],
+    prefix_kind: PrefixKind,
+    partitions: usize,
     delta: Option<usize>,
+    skew: SkewBudget,
     label: &str,
+    space_for: impl FnOnce() -> Result<Option<S>, JoinError>,
 ) -> Result<JoinOutcome, JoinError> {
-    config.validate()?;
+    validate_skew(skew)?;
     let start = Instant::now();
-    let Some(k) = uniform_k(data)? else {
+    let Some(space) = space_for()? else {
         return Ok(JoinOutcome::empty(start.elapsed()));
     };
-    let theta_raw = raw_threshold(k, config.theta);
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
+    let partitions = effective_partitions(partitions, cluster.config().default_partitions);
     let stats = Arc::new(JoinStats::default());
 
-    // Phase spans label the Ordering → Joining → Projection pipeline on the
+    // Phase spans label the Ordering → Joining → Dedup pipeline on the
     // trace timeline (no-ops unless the cluster records a trace).
     let run_span = cluster.trace().span(format!("{label}/run"));
-    let ordered = {
+    let sources = {
         let _phase = cluster.trace().span(format!("{label}/phase/ordering"));
-        order_rankings(cluster, data, config.prefix, partitions, label)
+        order_relations(cluster, relations, prefix_kind, partitions, label)
     };
     let hits = {
         let _phase = cluster.trace().span(format!("{label}/phase/joining"));
-        prefix_self_join(
-            &ordered,
-            k,
-            theta_raw,
-            config.prefix,
-            style,
-            config.use_position_filter,
-            partitions,
-            delta,
-            config.skew,
-            &stats,
-            label,
+        // The id pair is the output and its own dedup key (hits lead with
+        // the left record, so it is unambiguous even when the id spaces of
+        // two relations overlap): nothing else needs to cross the shuffle.
+        let ids = |a: &TokenEntry, b: &TokenEntry, _| (a.ranking.id(), b.ranking.id());
+        prefix_hits(
+            &sources, &space, partitions, delta, skew, &stats, label, ids,
         )
     };
     let mut pairs = {
-        let _phase = cluster.trace().span(format!("{label}/phase/projection"));
-        hits.map(
-            &format!("{label}/project-ids"),
-            super::pipeline::PairHit::ids,
-        )
-        .collect()
+        let _phase = cluster.trace().span(format!("{label}/phase/dedup"));
+        hits.distinct(&format!("{label}/dedup-pairs"), partitions)
+            .collect()
     };
     pairs.sort_unstable();
     drop(run_span);
@@ -77,64 +81,37 @@ fn vj_flavour(
     })
 }
 
-fn vj_rs_flavour(
+fn vj_flavour(
     cluster: &Cluster,
-    left: &[Ranking],
-    right: &[Ranking],
+    relations: &[&[Ranking]],
     config: &JoinConfig,
     style: GroupJoinStyle,
+    delta: Option<usize>,
     label: &str,
 ) -> Result<JoinOutcome, JoinError> {
     config.validate()?;
-    let start = Instant::now();
-    let Some(k) = rs_uniform_k(left, right)? else {
-        return Ok(JoinOutcome::empty(start.elapsed()));
+    let space_for = || {
+        Ok(uniform_k_of(relations)?.map(|k| {
+            let theta_raw = raw_threshold(k, config.theta);
+            Footrule::uniform(
+                k,
+                theta_raw,
+                config.prefix,
+                style,
+                config.use_position_filter,
+            )
+        }))
     };
-    let theta_raw = raw_threshold(k, config.theta);
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
-    let stats = Arc::new(JoinStats::default());
-
-    let run_span = cluster.trace().span(format!("{label}/run"));
-    // One frequency order over R ∪ S canonicalizes both relations — the
-    // shared order is what makes cross-relation prefix filtering complete.
-    let (ordered_left, ordered_right) = {
-        let _phase = cluster.trace().span(format!("{label}/phase/ordering"));
-        order_rankings_rs(cluster, left, right, config.prefix, partitions, label)
-    };
-    let hits = {
-        let _phase = cluster.trace().span(format!("{label}/phase/joining"));
-        prefix_rs_join(
-            &ordered_left,
-            &ordered_right,
-            k,
-            theta_raw,
-            config.prefix,
-            style,
-            config.use_position_filter,
-            partitions,
-            None,
-            config.skew,
-            &stats,
-            label,
-        )
-    };
-    // Hits lead with the left-relation record, so projecting ids yields
-    // `(left id, right id)` pairs directly.
-    let mut pairs = {
-        let _phase = cluster.trace().span(format!("{label}/phase/projection"));
-        hits.map(
-            &format!("{label}/project-ids"),
-            super::pipeline::PairHit::ids,
-        )
-        .collect()
-    };
-    pairs.sort_unstable();
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+    run_prefix_join(
+        cluster,
+        relations,
+        config.prefix,
+        config.partitions,
+        delta,
+        config.skew,
+        label,
+        space_for,
+    )
 }
 
 /// VJ: prefix filtering with per-group inverted indexes (§4).
@@ -143,7 +120,14 @@ pub fn vj_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(cluster, data, config, GroupJoinStyle::Indexed, None, "vj")
+    vj_flavour(
+        cluster,
+        &[data],
+        config,
+        GroupJoinStyle::Indexed,
+        None,
+        "vj",
+    )
 }
 
 /// VJ-NL: prefix filtering with nested-loop (iterator) verification (§4.1).
@@ -154,7 +138,7 @@ pub fn vj_nl_join(
 ) -> Result<JoinOutcome, JoinError> {
     vj_flavour(
         cluster,
-        data,
+        &[data],
         config,
         GroupJoinStyle::NestedLoop,
         None,
@@ -172,12 +156,12 @@ pub fn vj_join_rs(
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_rs_flavour(
+    vj_flavour(
         cluster,
-        left,
-        right,
+        &[left, right],
         config,
         GroupJoinStyle::Indexed,
+        None,
         "vj-rs",
     )
 }
@@ -190,12 +174,12 @@ pub fn vj_nl_join_rs(
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_rs_flavour(
+    vj_flavour(
         cluster,
-        left,
-        right,
+        &[left, right],
         config,
         GroupJoinStyle::NestedLoop,
+        None,
         "vj-nl-rs",
     )
 }
@@ -210,7 +194,7 @@ pub fn vj_repartitioned_join(
 ) -> Result<JoinOutcome, JoinError> {
     vj_flavour(
         cluster,
-        data,
+        &[data],
         config,
         GroupJoinStyle::NestedLoop,
         Some(config.partition_threshold),

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use topk_rankings::{FrequencyTable, OrderedRanking, Ranking};
 use topk_simjoin::kernels::{
     join_group_indexed, join_group_nested_loop, join_group_rs, GroupScratch, GroupThresholds,
-    TokenEntry,
+    JoinMode, TokenEntry,
 };
 use topk_simjoin::JoinStats;
 
@@ -68,7 +68,13 @@ proptest! {
     ) {
         let s1 = JoinStats::default();
         let nl = normalize(
-            join_group_nested_loop(&entries, &GroupThresholds::Uniform(theta_raw), pos_filter, &s1),
+            join_group_nested_loop(
+                &entries,
+                &GroupThresholds::Uniform(theta_raw),
+                pos_filter,
+                JoinMode::SelfJoin,
+                &s1,
+            ),
             &entries,
         );
         let s2 = JoinStats::default();
@@ -78,6 +84,7 @@ proptest! {
                 |_| prefix_len,
                 &GroupThresholds::Uniform(theta_raw),
                 pos_filter,
+                JoinMode::SelfJoin,
                 &s2,
                 &mut GroupScratch::new(),
             ),
@@ -109,8 +116,15 @@ proptest! {
         let s = JoinStats::default();
         let rs: Vec<(u64, u64, u64)> = {
             let mut out: Vec<(u64, u64, u64)> =
-                join_group_rs(left, right, &GroupThresholds::Uniform(theta_raw), false, &s)
-                    .into_iter()
+                join_group_rs(
+                    left,
+                    right,
+                    &GroupThresholds::Uniform(theta_raw),
+                    false,
+                    JoinMode::SelfJoin,
+                    &s,
+                )
+                .into_iter()
                     .map(|(i, j, d)| {
                         let (a, b) = (left[i].ranking.id(), right[j].ranking.id());
                         (a.min(b), a.max(b), d)
@@ -121,7 +135,13 @@ proptest! {
         };
         let s2 = JoinStats::default();
         let all = normalize(
-            join_group_nested_loop(&entries, &GroupThresholds::Uniform(theta_raw), false, &s2),
+            join_group_nested_loop(
+                &entries,
+                &GroupThresholds::Uniform(theta_raw),
+                false,
+                JoinMode::SelfJoin,
+                &s2,
+            ),
             &entries,
         );
         let left_ids: std::collections::HashSet<u64> =
@@ -146,8 +166,13 @@ proptest! {
         theta_raw in 0u64..=30,
     ) {
         let stats = JoinStats::default();
-        let results =
-            join_group_nested_loop(&entries, &GroupThresholds::Uniform(theta_raw), true, &stats);
+        let results = join_group_nested_loop(
+            &entries,
+            &GroupThresholds::Uniform(theta_raw),
+            true,
+            JoinMode::SelfJoin,
+            &stats,
+        );
         let snap = stats.snapshot();
         prop_assert_eq!(snap.result_pairs as usize, results.len());
         prop_assert!(snap.verified <= snap.candidates);

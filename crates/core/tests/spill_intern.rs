@@ -12,7 +12,10 @@ use std::sync::Arc;
 use minispark::{Cluster, ClusterConfig};
 use topk_rankings::{FrequencyTable, OrderedRanking, Ranking};
 use topk_simjoin::kernels::TokenEntry;
-use topk_simjoin::{clp_join, vj_join, vj_nl_join, JoinConfig, JoinError, JoinOutcome};
+use topk_simjoin::{
+    clp_join, jaccard_clp_join, jaccard_vj_join, varlen_join, vj_join, vj_join_rs, vj_nl_join,
+    JaccardConfig, JoinConfig, JoinError, JoinOutcome,
+};
 
 const K: usize = 5;
 
@@ -53,24 +56,52 @@ fn dedup_pad(items: Vec<u32>) -> Vec<u32> {
 #[test]
 fn spilled_joins_match_in_memory_joins() {
     let data = dataset(120);
+    let right = dataset(70);
     let config = JoinConfig::new(0.35);
+    let jaccard = JaccardConfig::new(0.35);
     let plain = Cluster::new(ClusterConfig::local(2));
-    let spilly = Cluster::new(ClusterConfig::local(2).with_spill_budget(8));
 
-    type Join = fn(&Cluster, &[Ranking], &JoinConfig) -> Result<JoinOutcome, JoinError>;
-    let runs: [(&str, Join); 3] = [("vj", vj_join), ("vj-nl", vj_nl_join), ("cl-p", clp_join)];
+    // Every driver groups its prefix tokens through the one token-grouped
+    // join, so every driver must honour the spill budget — each on a fresh
+    // spilling cluster, so a join that silently stays in memory cannot hide
+    // behind another one's spills.
+    type Join<'a> = &'a dyn Fn(&Cluster) -> Result<JoinOutcome, JoinError>;
+    let runs: [(&str, Join); 7] = [
+        ("vj", &|c| vj_join(c, &data, &config)),
+        ("vj-nl", &|c| vj_nl_join(c, &data, &config)),
+        ("cl-p", &|c| clp_join(c, &data, &config)),
+        ("vj-rs", &|c| vj_join_rs(c, &data, &right, &config)),
+        ("jaccard-vj", &|c| jaccard_vj_join(c, &data, &jaccard)),
+        ("jaccard-clp", &|c| jaccard_clp_join(c, &data, &jaccard)),
+        ("varlen", &|c| varlen_join(c, &data, 10, 0)),
+    ];
     for (name, join) in runs {
-        let baseline = join(&plain, &data, &config).expect("in-memory join");
-        let spilled = join(&spilly, &data, &config).expect("spilled join");
+        let spilly = Cluster::new(ClusterConfig::local(2).with_spill_budget(8));
+        let baseline = join(&plain).expect("in-memory join");
+        let spilled = join(&spilly).expect("spilled join");
+        assert!(!baseline.pairs.is_empty(), "{name}: vacuous comparison");
         assert_eq!(
             baseline.pairs, spilled.pairs,
             "{name}: spilling changed the pair set"
         );
+        let metrics = spilly.metrics();
+        assert!(
+            metrics.total_spilled_runs() > 0,
+            "{name}: the budget must actually force spills"
+        );
+        if name == "jaccard-vj" {
+            // The flat Jaccard join used to deduplicate twice (a keyed
+            // reduce, then a `distinct` on the ids): one whole extra shuffle.
+            let dedups: Vec<&str> = metrics
+                .stages
+                .iter()
+                .filter(|s| s.shuffle_records > 0)
+                .map(|s| s.name.as_str())
+                .filter(|n| n.contains("dedup") || n.contains("distinct"))
+                .collect();
+            assert_eq!(dedups, ["jaccard-vj/dedup-pairs"]);
+        }
     }
-    assert!(
-        spilly.metrics().total_spilled_runs() > 0,
-        "the budget must actually force spills"
-    );
     assert_eq!(plain.metrics().total_spilled_runs(), 0);
 }
 
