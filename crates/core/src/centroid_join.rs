@@ -53,20 +53,11 @@ fn composed_thresholds(k: usize, config: &JoinConfig) -> (u64, u64, u64) {
     (theta_o, theta_ms, theta_ss)
 }
 
-/// Joins the centroid set `C = C_m ∪ C_s` per Algorithm 1, returning every
-/// centroid pair within its type-specific threshold (with exact distances
-/// and type tags for the expansion phase). The per-type thresholds are
+/// The Footrule space of the centroid join: Lemma 5.3's per-type thresholds,
 /// composed from `config.theta` / `config.cluster_threshold` in the
-/// normalized domain (see [`composed_thresholds`]).
-pub fn centroid_join(
-    centroids_m: &Dataset<Arc<OrderedRanking>>,
-    singletons: &Dataset<Arc<OrderedRanking>>,
-    k: usize,
-    config: &JoinConfig,
-    partitions: usize,
-    delta: Option<usize>,
-    stats: &Arc<JoinStats>,
-) -> Dataset<PairHit> {
+/// normalized domain (see [`composed_thresholds`]), and the prefix each
+/// centroid type emits for them.
+pub(crate) fn centroid_space(k: usize, config: &JoinConfig) -> Footrule {
     let (theta_o, theta_ms, theta_ss) = composed_thresholds(k, config);
     crate::invariants::check_centroid_thresholds(theta_ss, theta_ms, theta_o);
     let p_m = config.prefix.prefix_len(k, theta_o);
@@ -81,7 +72,7 @@ pub fn centroid_join(
     // Where a type's most permissive threshold — θ + 2θc for a
     // non-singleton, θ + θc for a singleton — admits disjoint pairs, the
     // sentinel routing kicks in (see pipeline::DISJOINT_SENTINEL).
-    let space = Footrule {
+    Footrule {
         k,
         prefix_lens: (p_m, p_s),
         thresholds: GroupThresholds::Mixed {
@@ -91,10 +82,25 @@ pub fn centroid_join(
         },
         use_position_filter: config.use_position_filter,
         style: GroupJoinStyle::NestedLoop,
-    };
+    }
+}
+
+/// Joins the centroid set `C = C_m ∪ C_s` per Algorithm 1, returning every
+/// centroid pair within its type-specific threshold (with exact distances
+/// and type tags for the expansion phase): one prefix join over the two
+/// type-tagged sources in `centroid_space`.
+pub fn centroid_join(
+    centroids_m: &Dataset<Arc<OrderedRanking>>,
+    singletons: &Dataset<Arc<OrderedRanking>>,
+    k: usize,
+    config: &JoinConfig,
+    partitions: usize,
+    delta: Option<usize>,
+    stats: &Arc<JoinStats>,
+) -> Dataset<PairHit> {
     prefix_join(
         &PrefixSource::centroids(centroids_m, singletons),
-        &space,
+        &centroid_space(k, config),
         partitions,
         delta,
         config.skew,

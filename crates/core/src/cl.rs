@@ -1,36 +1,63 @@
-//! The CL and CL-P drivers: Ordering → Clustering → Joining → Expansion
-//! (Figure 2 of the paper), with CL-P adding Algorithm 3's repartitioning of
-//! oversized posting lists in the joining phase.
+//! The CL and CL-P driver: Ordering → Clustering → Joining → Expansion →
+//! Dedup (Figure 2 of the paper), with CL-P adding Algorithm 3's
+//! repartitioning of oversized posting lists in the joining phase.
+//!
+//! There is one driver body, `cl_flavour`, generic over a `MetricSpace`:
+//! everything §5 proves about CL uses the triangle inequality and nothing
+//! else about the distance. The Footrule entry points below and the Jaccard
+//! ones ([`crate::jaccard_join`]) only turn their configuration into a
+//! `ClPlan` — the clustering space at θc, the centroid space with Lemma 5.3's
+//! thresholds, and θ itself.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use minispark::Cluster;
+use minispark::{Cluster, SkewBudget};
 use topk_rankings::distance::raw_threshold;
-use topk_rankings::Ranking;
+use topk_rankings::{PrefixKind, Ranking};
 
-use crate::centroid_join::centroid_join;
-use crate::clustering::clustering_phase;
-use crate::expansion::expansion;
-use crate::pipeline::{order_rankings, rs_uniform_k, uniform_k};
+use crate::centroid_join::centroid_space;
+use crate::clustering::{clustering_in, clustering_space};
+use crate::config::effective_partitions;
+use crate::expansion::expansion_in;
+use crate::kernels::MetricSpace;
+use crate::pipeline::{order_rankings, prefix_join, rs_uniform_k, uniform_k, PrefixSource};
 use crate::stats::JoinStats;
 use crate::{JoinConfig, JoinError, JoinOutcome};
 
-fn cl_flavour(
+/// What one CL run joins with, in its space's own terms.
+pub(crate) struct ClPlan<M: MetricSpace> {
+    /// The space of the clustering self-join, built for θc.
+    pub clustering: M,
+    /// The space of the centroid join: θ + 2θc with Lemma 5.3's per-type
+    /// relaxation, and the prefix lengths that go with it.
+    pub centroids: M,
+    /// The join threshold θ.
+    pub theta: M::Dist,
+    /// Whether the triangle bounds decide pairs before verification.
+    pub use_triangle_bounds: bool,
+}
+
+/// The one CL/CL-P driver body. `plan_for` builds the run's plan from the
+/// uniform ranking length `k`; the caller has validated its configuration.
+/// `partitions = 0` takes the cluster default; `delta` is CL-P's δ.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cl_flavour<M: MetricSpace>(
     cluster: &Cluster,
     data: &[Ranking],
-    config: &JoinConfig,
+    prefix_kind: PrefixKind,
+    partitions: usize,
     delta: Option<usize>,
+    skew: SkewBudget,
     label: &str,
+    plan_for: impl FnOnce(usize) -> ClPlan<M>,
 ) -> Result<JoinOutcome, JoinError> {
-    config.validate()?;
     let start = Instant::now();
     let Some(k) = uniform_k(data)? else {
         return Ok(JoinOutcome::empty(start.elapsed()));
     };
-    let theta_raw = raw_threshold(k, config.theta);
-    let theta_c_raw = raw_threshold(k, config.cluster_threshold);
-    let partitions = config.effective_partitions(cluster.config().default_partitions);
+    let plan = plan_for(k);
+    let partitions = effective_partitions(partitions, cluster.config().default_partitions);
     let stats = Arc::new(JoinStats::default());
 
     // Phase spans put Figure 2's Ordering → Clustering → Joining →
@@ -41,47 +68,48 @@ fn cl_flavour(
     // Phase 1 — Ordering (done once; both sub-joins reuse it, §5).
     let ordered = {
         let _phase = cluster.trace().span(format!("{label}/phase/ordering"));
-        order_rankings(cluster, data, config.prefix, partitions, label)
+        order_rankings(cluster, data, prefix_kind, partitions, label)
     };
 
     // Phase 2 — Clustering at θc.
     let clustering = {
         let _phase = cluster.trace().span(format!("{label}/phase/clustering"));
-        clustering_phase(
+        clustering_in(
             cluster,
             &ordered,
-            k,
-            theta_raw,
-            theta_c_raw,
-            config,
+            &plan.clustering,
+            plan.theta,
+            plan.use_triangle_bounds,
+            skew,
             partitions,
             &stats,
         )
     };
 
-    // Phase 3 — Joining the centroids at θ + 2θc (Lemma 5.1 / 5.3), with
-    // repartitioning for CL-P.
+    // Phase 3 — Joining the centroids at θ + 2θc (Lemma 5.1 / 5.3): one
+    // prefix join over the two type-tagged sources. An explicit δ (CL-P)
+    // repartitions; otherwise the skew policy may opt the join into it.
     let cjoin = {
         let _phase = cluster.trace().span(format!("{label}/phase/joining"));
-        centroid_join(
-            &clustering.centroids_m,
-            &clustering.singletons,
-            k,
-            config,
+        prefix_join(
+            &PrefixSource::centroids(&clustering.centroids_m, &clustering.singletons),
+            &plan.centroids,
             partitions,
             delta,
+            skew,
             &stats,
+            &format!("{}/join", M::CL_STAGES),
         )
     };
 
     // Phase 4 — Expansion back to ranking-level pairs.
     let expanded = {
         let _phase = cluster.trace().span(format!("{label}/phase/expansion"));
-        expansion(
+        expansion_in::<M>(
             &cjoin,
             &clustering.clusters,
-            theta_raw,
-            config.use_triangle_bounds,
+            plan.theta,
+            plan.use_triangle_bounds,
             partitions,
             &stats,
         )
@@ -103,13 +131,39 @@ fn cl_flavour(
     })
 }
 
+/// CL/CL-P under Footrule: the plan is the two phase modules' spaces.
+fn footrule_cl(
+    cluster: &Cluster,
+    data: &[Ranking],
+    config: &JoinConfig,
+    delta: Option<usize>,
+    label: &str,
+) -> Result<JoinOutcome, JoinError> {
+    config.validate()?;
+    cl_flavour(
+        cluster,
+        data,
+        config.prefix,
+        config.partitions,
+        delta,
+        config.skew,
+        label,
+        |k| ClPlan {
+            clustering: clustering_space(k, raw_threshold(k, config.cluster_threshold), config),
+            centroids: centroid_space(k, config),
+            theta: raw_threshold(k, config.theta),
+            use_triangle_bounds: config.use_triangle_bounds,
+        },
+    )
+}
+
 /// CL: the clustering-based similarity join (§5).
 pub fn cl_join(
     cluster: &Cluster,
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    cl_flavour(cluster, data, config, None, "cl")
+    footrule_cl(cluster, data, config, None, "cl")
 }
 
 /// CL over two relations (R-S join).
@@ -148,7 +202,7 @@ pub fn cl_join_rs(
         union.push(Ranking::new_unchecked(next, r.items().to_vec()));
         next += 1;
     }
-    let inner = cl_flavour(cluster, &union, config, None, "cl-rs")?;
+    let inner = footrule_cl(cluster, &union, config, None, "cl-rs")?;
     let mut pairs = Vec::new();
     for &(a, b) in &inner.pairs {
         // Internal pairs satisfy a < b, so a cross-relation pair always has
@@ -176,7 +230,7 @@ pub fn clp_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    cl_flavour(
+    footrule_cl(
         cluster,
         data,
         config,

@@ -4,31 +4,34 @@
 //! near-duplicate pairs; clusters are then formed by grouping the result
 //! pairs by their first (smaller-id) ranking, which becomes the centroid.
 //! Rankings that appear in no pair form singleton clusters. Because the
-//! Footrule adaptation is a metric, every pair of rankings inside one
-//! cluster is within `2·θc` of each other, so cluster-internal result pairs
-//! can be emitted immediately (verified only when the triangle bounds cannot
-//! certify them).
+//! distance is a metric, every pair of rankings inside one cluster is within
+//! `2·θc` of each other, so cluster-internal result pairs can be emitted
+//! immediately (verified only when the triangle bounds cannot certify them).
+//!
+//! The phase is written once over a `MetricSpace`; [`clustering_phase`] is
+//! its Footrule instantiation.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use minispark::{Cluster, Dataset};
+use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::OrderedRanking;
 
-use crate::kernels::{Footrule, GroupJoinStyle};
+use crate::kernels::{ordered_pair, Footrule, GroupJoinStyle, MetricSpace};
 use crate::pipeline::{prefix_join, PrefixSource};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
-/// `centroid id → [(member ranking, distance to centroid)]`.
-pub type ClusterTable = Dataset<(u64, Vec<(Arc<OrderedRanking>, u64)>)>;
+/// `centroid id → [(member ranking, distance to centroid)]`, distances in
+/// the join's space (raw Footrule by default).
+pub type ClusterTable<D = u64> = Dataset<(u64, Vec<(Arc<OrderedRanking>, D)>)>;
 
 /// Output of the clustering phase.
-pub struct Clustering {
+pub struct Clustering<D = u64> {
     /// The cluster table for clusters with at least one member. Clusters may
     /// overlap (a ranking can be a member of several clusters and a centroid
     /// itself), as §5.1 accepts.
-    pub clusters: ClusterTable,
+    pub clusters: ClusterTable<D>,
     /// The non-singleton centroids `C_m` (one ranking per cluster).
     pub centroids_m: Dataset<Arc<OrderedRanking>>,
     /// The singleton centroids `C_s`: rankings with no neighbour within θc.
@@ -36,6 +39,19 @@ pub struct Clustering {
     /// Result pairs already certain from the clustering phase (centroid ↔
     /// member and member ↔ member inside one cluster).
     pub within_cluster_pairs: Dataset<(u64, u64)>,
+}
+
+/// The Footrule space of the θc self-join. The paper uses VJ here ("our
+/// experiments revealed that VJ is the most efficient one to be used here")
+/// with the iterator-style per-group processing of §4.1.
+pub(crate) fn clustering_space(k: usize, theta_c_raw: u64, config: &JoinConfig) -> Footrule {
+    Footrule::uniform(
+        k,
+        theta_c_raw,
+        config.prefix,
+        GroupJoinStyle::NestedLoop,
+        config.use_position_filter,
+    )
 }
 
 /// Runs the clustering phase over the canonicalized dataset.
@@ -50,98 +66,102 @@ pub fn clustering_phase(
     partitions: usize,
     stats: &Arc<JoinStats>,
 ) -> Clustering {
-    // The θc self-join. The paper uses VJ here ("our experiments revealed
-    // that VJ is the most efficient one to be used here") with the
-    // iterator-style per-group processing of §4.1.
-    let space = Footrule::uniform(
-        k,
-        theta_c_raw,
-        config.prefix,
-        GroupJoinStyle::NestedLoop,
-        config.use_position_filter,
-    );
+    clustering_in(
+        cluster,
+        ordered,
+        &clustering_space(k, theta_c_raw, config),
+        theta_raw,
+        config.use_triangle_bounds,
+        config.skew,
+        partitions,
+        stats,
+    )
+}
+
+/// The clustering phase in any metric space: the self-join in `space` (built
+/// for θc) forms the clusters, and the cluster-internal pairs are decided
+/// against the join threshold `theta`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn clustering_in<M: MetricSpace>(
+    cluster: &Cluster,
+    ordered: &Dataset<Arc<OrderedRanking>>,
+    space: &M,
+    theta: M::Dist,
+    use_triangle_bounds: bool,
+    skew: SkewBudget,
+    partitions: usize,
+    stats: &Arc<JoinStats>,
+) -> Clustering<M::Dist> {
+    let stage = |name: &str| format!("{}/cluster/{name}", M::CL_STAGES);
     let rc = prefix_join(
         &[PrefixSource::plain(ordered)],
-        &space,
+        space,
         partitions,
         None,
-        config.skew,
+        skew,
         stats,
-        "cl/cluster",
+        &format!("{}/cluster", M::CL_STAGES),
     );
 
     // Clusters: group pairs by the smaller-id ranking (PairHit guarantees
     // a.id < b.id), matching "from the pairs, we take the first ranking …
     // as the cluster centroid, and the second one as their member".
     let clusters = rc
-        .map("cl/cluster/member-assignments", |hit| {
+        .map(&stage("member-assignments"), |hit| {
             (hit.a.id(), (Arc::clone(&hit.b), hit.distance))
         })
-        .group_by_key("cl/cluster/form-clusters", partitions);
+        .group_by_key(&stage("form-clusters"), partitions);
 
     // C_m: one ranking per centroid id. Keep-first is value-deterministic:
     // every value under one centroid id is an `Arc` of the same canonical
     // ranking, so the survivor is content-equal whichever duplicate wins.
     let centroids_m = rc
-        .map("cl/cluster/centroid-candidates", |hit| {
+        .map(&stage("centroid-candidates"), |hit| {
             (hit.a.id(), Arc::clone(&hit.a))
         })
-        .reduce_by_key("cl/cluster/dedup-centroids", partitions, |a, _| a)
-        .values("cl/cluster/centroid-rankings");
+        .reduce_by_key(&stage("dedup-centroids"), partitions, |a, _| a)
+        .values(&stage("centroid-rankings"));
 
     // C_s: rankings that appear in no θc pair. The id set is small metadata
     // (bounded by 2·|pairs|) and is broadcast, like the frequency order.
     let non_singleton_ids: HashSet<u64> = rc
-        .flat_map("cl/cluster/paired-ids", |hit| vec![hit.a.id(), hit.b.id()])
-        .distinct("cl/cluster/distinct-paired-ids", partitions)
+        .flat_map(&stage("paired-ids"), |hit| vec![hit.a.id(), hit.b.id()])
+        .distinct(&stage("distinct-paired-ids"), partitions)
         .collect()
         .into_iter()
         .collect();
     JoinStats::add(&stats.clusters, clusters.count() as u64);
     let paired = cluster.broadcast(non_singleton_ids);
-    let singletons = {
-        let paired = paired.clone();
-        ordered.filter("cl/cluster/singletons", move |r: &Arc<OrderedRanking>| {
-            !paired.value().contains(&r.id())
-        })
-    };
+    let singletons = ordered.filter(&stage("singletons"), move |r: &Arc<OrderedRanking>| {
+        !paired.value().contains(&r.id())
+    });
     JoinStats::add(&stats.singletons, singletons.count() as u64);
 
     // Cluster-internal results. Centroid–member distances are known exactly;
-    // member–member pairs are certified by the triangle bounds where
-    // possible (always, when 2·θc ≤ θ) and verified otherwise.
-    let use_triangle_bounds = config.use_triangle_bounds;
+    // member–member pairs are certified by the triangle bounds through the
+    // centroid where possible (always, when 2·θc ≤ θ) and verified otherwise.
     let within_cluster_pairs = {
         let stats = Arc::clone(stats);
         clusters.flat_map(
-            "cl/cluster/within-cluster-results",
+            &stage("within-cluster-results"),
             move |(centroid, members)| {
                 let mut out = Vec::new();
                 for (member, d) in members {
-                    if *d <= theta_raw {
+                    if *d <= theta {
                         out.push(ordered_pair(*centroid, member.id()));
                     }
                 }
-                for i in 0..members.len() {
-                    for j in (i + 1)..members.len() {
-                        let (mi, di) = &members[i];
-                        let (mj, dj) = &members[j];
-                        if mi.id() == mj.id() {
-                            continue;
-                        }
-                        if use_triangle_bounds && di + dj <= theta_raw {
-                            JoinStats::bump(&stats.triangle_accepted);
-                            out.push(ordered_pair(mi.id(), mj.id()));
-                        } else if use_triangle_bounds && di.abs_diff(*dj) > theta_raw {
-                            JoinStats::bump(&stats.triangle_pruned);
-                        } else {
-                            JoinStats::bump(&stats.candidates);
-                            JoinStats::bump(&stats.verified);
-                            if mi.footrule_within(mj, theta_raw).is_some() {
-                                JoinStats::bump(&stats.result_pairs);
-                                out.push(ordered_pair(mi.id(), mj.id()));
-                            }
-                        }
+                for (i, (mi, di)) in members.iter().enumerate() {
+                    for (mj, dj) in members.iter().skip(i + 1) {
+                        // Legs: both members to their shared centroid.
+                        out.extend(M::decide_by_triangle(
+                            mi,
+                            mj,
+                            &[*di, *dj],
+                            theta,
+                            use_triangle_bounds,
+                            &stats,
+                        ));
                     }
                 }
                 out
@@ -154,15 +174,6 @@ pub fn clustering_phase(
         centroids_m,
         singletons,
         within_cluster_pairs,
-    }
-}
-
-#[inline]
-fn ordered_pair(x: u64, y: u64) -> (u64, u64) {
-    if x < y {
-        (x, y)
-    } else {
-        (y, x)
     }
 }
 

@@ -12,69 +12,34 @@
 //!   `d(τi, ci) = dᵢ` and `d(ci, cj) = d`, it holds that
 //!   `|d − dᵢ| ≤ d(τi, cj) ≤ d + dᵢ`, so the pair is discarded when
 //!   `|d − dᵢ| > θ` and accepted unverified when `d + dᵢ ≤ θ`. Member-member
-//!   candidates use the three-term analogue.
+//!   candidates use the three-leg analogue
+//!   (`MetricSpace::decide_by_triangle`).
+//!
+//! The phase is written once over a `MetricSpace`; [`expansion`] is its
+//! Footrule instantiation.
 
 use std::sync::Arc;
 
 use minispark::Dataset;
 use topk_rankings::OrderedRanking;
 
+use crate::kernels::{Footrule, MetricSpace};
 use crate::pipeline::PairHit;
 use crate::stats::JoinStats;
 
 pub(crate) use crate::clustering::ClusterTable;
 
-type MmJoinRow = (u64, ((u64, u64), Vec<(Arc<OrderedRanking>, u64)>));
+type Members<D> = Vec<(Arc<OrderedRanking>, D)>;
 
-type Members = Vec<(Arc<OrderedRanking>, u64)>;
+type MmJoinRow<D> = (u64, ((u64, D), Members<D>));
 
 /// Rekeys an `R_j ⋈ clusters` row by the pair's second centroid so the
 /// second join can attach that side's members (Algorithm 2's transformation
 /// "so that the second centroid is set as key of the tuples").
-fn rekey_by_second_centroid((_, ((b_id, d), members_a)): &MmJoinRow) -> (u64, (u64, Members)) {
+fn rekey_by_second_centroid<D: Copy>(
+    (_, ((b_id, d), members_a)): &MmJoinRow<D>,
+) -> (u64, (D, Members<D>)) {
     (*b_id, (*d, members_a.clone()))
-}
-
-#[inline]
-fn ordered_pair(x: u64, y: u64) -> (u64, u64) {
-    if x < y {
-        (x, y)
-    } else {
-        (y, x)
-    }
-}
-
-/// Decides one expansion candidate with known centroid-path length
-/// `path = Σ known legs` and lower bound `lower`: triangle-prune,
-/// triangle-accept, or verify.
-#[inline]
-fn decide(
-    a: &Arc<OrderedRanking>,
-    b: &Arc<OrderedRanking>,
-    lower: u64,
-    path: u64,
-    theta_raw: u64,
-    use_triangle_bounds: bool,
-    stats: &JoinStats,
-) -> bool {
-    if use_triangle_bounds {
-        if lower > theta_raw {
-            JoinStats::bump(&stats.triangle_pruned);
-            return false;
-        }
-        if path <= theta_raw {
-            JoinStats::bump(&stats.triangle_accepted);
-            return true;
-        }
-    }
-    JoinStats::bump(&stats.candidates);
-    JoinStats::bump(&stats.verified);
-    if a.footrule_within(b, theta_raw).is_some() {
-        JoinStats::bump(&stats.result_pairs);
-        true
-    } else {
-        false
-    }
 }
 
 /// Expands the centroid-join result `cjoin` against the cluster table,
@@ -88,23 +53,41 @@ pub fn expansion(
     partitions: usize,
     stats: &Arc<JoinStats>,
 ) -> Dataset<(u64, u64)> {
+    expansion_in::<Footrule>(
+        cjoin,
+        clusters,
+        theta_raw,
+        use_triangle_bounds,
+        partitions,
+        stats,
+    )
+}
+
+/// The expansion phase in the metric space `M`, at the join threshold
+/// `theta`.
+pub(crate) fn expansion_in<M: MetricSpace>(
+    cjoin: &Dataset<PairHit<M::Dist>>,
+    clusters: &ClusterTable<M::Dist>,
+    theta: M::Dist,
+    use_triangle_bounds: bool,
+    partitions: usize,
+    stats: &Arc<JoinStats>,
+) -> Dataset<(u64, u64)> {
+    let stage = |name: &str| format!("{}/expand/{name}", M::CL_STAGES);
+
     // Centroid pairs within θ are results themselves (this covers all of
     // R_s — singleton pairs are verified against θ — plus close centroid
     // pairs of the other types).
     let direct = cjoin
-        .filter("cl/expand/direct", move |hit: &PairHit| {
-            hit.distance <= theta_raw
-        })
-        .map("cl/expand/direct-ids", super::pipeline::PairHit::ids);
+        .filter(&stage("direct"), move |hit| hit.distance <= theta)
+        .map(&stage("direct-ids"), PairHit::ids);
 
     // R_m: pairs with at least one non-singleton side.
-    let rm = cjoin.filter("cl/expand/rm", |hit: &PairHit| {
-        !(hit.a_singleton && hit.b_singleton)
-    });
+    let rm = cjoin.filter(&stage("rm"), |hit| !(hit.a_singleton && hit.b_singleton));
 
     // R_m,c: members of each non-singleton side against the other centroid.
     let member_vs_centroid = {
-        let by_centroid = rm.flat_map("cl/expand/key-by-centroid", |hit: &PairHit| {
+        let by_centroid = rm.flat_map(&stage("key-by-centroid"), |hit| {
             let mut out = Vec::with_capacity(2);
             if !hit.a_singleton {
                 out.push((hit.a.id(), (Arc::clone(&hit.b), hit.distance)));
@@ -114,27 +97,22 @@ pub fn expansion(
             }
             out
         });
-        let joined = by_centroid.join("cl/expand/join-clusters", clusters, partitions);
+        let joined = by_centroid.join(&stage("join-clusters"), clusters, partitions);
         let stats = Arc::clone(stats);
         joined.flat_map(
-            "cl/expand/member-centroid",
+            &stage("member-centroid"),
             move |(_, ((other, d), members))| {
                 let mut out = Vec::new();
                 for (member, d_i) in members {
-                    if member.id() == other.id() {
-                        continue;
-                    }
-                    if decide(
+                    // Legs: other centroid – the member's centroid – member.
+                    out.extend(M::decide_by_triangle(
                         member,
                         other,
-                        d.abs_diff(*d_i),
-                        d + d_i,
-                        theta_raw,
+                        &[*d, *d_i],
+                        theta,
                         use_triangle_bounds,
                         &stats,
-                    ) {
-                        out.push(ordered_pair(member.id(), other.id()));
-                    }
+                    ));
                 }
                 out
             },
@@ -144,42 +122,30 @@ pub fn expansion(
     // R_m,m: member × member across two non-singleton clusters.
     let member_vs_member = {
         let both_m = rm
-            .filter("cl/expand/both-m", |hit: &PairHit| {
-                !hit.a_singleton && !hit.b_singleton
-            })
-            .map("cl/expand/key-mm", |hit: &PairHit| {
+            .filter(&stage("both-m"), |hit| !hit.a_singleton && !hit.b_singleton)
+            .map(&stage("key-mm"), |hit| {
                 (hit.a.id(), (hit.b.id(), hit.distance))
             });
         let with_a_members = both_m
-            .join("cl/expand/join-a-members", clusters, partitions)
-            .map("cl/expand/rekey-by-b", rekey_by_second_centroid);
-        let with_both = with_a_members.join("cl/expand/join-b-members", clusters, partitions);
+            .join(&stage("join-a-members"), clusters, partitions)
+            .map(&stage("rekey-by-b"), rekey_by_second_centroid);
+        let with_both = with_a_members.join(&stage("join-b-members"), clusters, partitions);
         let stats = Arc::clone(stats);
         with_both.flat_map(
-            "cl/expand/member-member",
+            &stage("member-member"),
             move |(_, ((d, members_a), members_b))| {
                 let mut out = Vec::new();
                 for (ma, d_a) in members_a {
                     for (mb, d_b) in members_b {
-                        if ma.id() == mb.id() {
-                            continue;
-                        }
-                        // d(ma, mb) ≥ max(d − dₐ − d_b, dₐ − d − d_b, d_b − d − dₐ).
-                        let lower = d
-                            .saturating_sub(d_a + d_b)
-                            .max(d_a.saturating_sub(d + d_b))
-                            .max(d_b.saturating_sub(d + d_a));
-                        if decide(
+                        // Legs: centroid – centroid, then each member to its own.
+                        out.extend(M::decide_by_triangle(
                             ma,
                             mb,
-                            lower,
-                            d + d_a + d_b,
-                            theta_raw,
+                            &[*d, *d_a, *d_b],
+                            theta,
                             use_triangle_bounds,
                             &stats,
-                        ) {
-                            out.push(ordered_pair(ma.id(), mb.id()));
-                        }
+                        ));
                     }
                 }
                 out
@@ -323,5 +289,37 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.triangle_pruned, 1);
         assert_eq!(snap.verified, 0);
+    }
+
+    #[test]
+    fn triangle_accept_is_exact_at_the_u64_boundary() {
+        // Integer distances need no guard band: a member whose path through
+        // the centroids sums to exactly θ_raw is accepted unverified, one raw
+        // unit more and it is verified. d(c1, c3) = 2, d(m, c1) = 2 and the
+        // two swaps are disjoint, so d(m, c3) = 4 = the path length.
+        let cluster = Cluster::new(ClusterConfig::local(2));
+        let c1 = ranking(1, &[1, 2, 3, 4, 5]);
+        let c3 = ranking(3, &[2, 1, 3, 4, 5]);
+        let m = ranking(2, &[1, 2, 3, 5, 4]);
+        assert_eq!((c1.footrule_raw(&c3), m.footrule_raw(&c3)), (2, 4));
+        let cjoin = cluster.parallelize(vec![hit(&c1, &c3, false, true)], 1);
+        let clusters = cluster.parallelize(vec![(1u64, vec![(m, 2u64)])], 1);
+
+        let at_path = Arc::new(JoinStats::default());
+        let pairs = expansion(&cjoin, &clusters, 4, true, 2, &at_path).collect();
+        assert_eq!(pairs, vec![(1, 3), (2, 3)]);
+        let snap = at_path.snapshot();
+        assert_eq!((snap.triangle_accepted, snap.verified), (1, 0));
+
+        let one_short = Arc::new(JoinStats::default());
+        let pairs = expansion(&cjoin, &clusters, 3, true, 2, &one_short).collect();
+        assert_eq!(
+            pairs,
+            vec![(1, 3)],
+            "d(m, c3) = 4 > 3 — verified and dropped"
+        );
+        let snap = one_short.snapshot();
+        assert_eq!((snap.triangle_accepted, snap.triangle_pruned), (0, 0));
+        assert_eq!((snap.verified, snap.result_pairs), (1, 0));
     }
 }

@@ -19,10 +19,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use topk_rankings::bounds::position_filter_prunes;
 use topk_rankings::distance::{max_raw_distance, raw_threshold};
+use topk_rankings::verify::verify_candidate;
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, RankingId};
 
+use crate::kernels::count_verification;
 use crate::stats::JoinStats;
 use crate::JoinError;
 
@@ -281,6 +282,18 @@ impl RankingIndex {
         let theta_raw = raw_threshold(self.k, theta);
         let ordered_query = OrderedRanking::by_frequency(query, &self.freq);
 
+        // One candidate, decided by the join kernels' funnel (position filter
+        // on the shared item's ranks where one is known, then early-exit
+        // Footrule) and counted exactly like theirs. The uncounted query
+        // takes the `None` arm: no atomic is touched on the serving path.
+        let decide = |record: &OrderedRanking, shared_ranks| {
+            let outcome = verify_candidate(&ordered_query, record, shared_ranks, theta_raw, true);
+            match stats {
+                Some(stats) => count_verification(outcome, stats),
+                None => outcome.distance(),
+            }
+        };
+
         // alloc(per-query result buffer — one per range_query call, not per candidate)
         let mut results = Vec::new();
         if theta_raw >= max_raw_distance(self.k) {
@@ -292,14 +305,7 @@ impl RankingIndex {
                 if !live || record.id() == query.id() {
                     continue;
                 }
-                if let Some(stats) = stats {
-                    JoinStats::bump(&stats.candidates);
-                    JoinStats::bump(&stats.verified);
-                }
-                if let Some(d) = ordered_query.footrule_within(record, theta_raw) {
-                    if let Some(stats) = stats {
-                        JoinStats::bump(&stats.result_pairs);
-                    }
+                if let Some(d) = decide(record, None) {
                     results.push((record.id(), d));
                 }
             }
@@ -333,26 +339,8 @@ impl RankingIndex {
                     if record.id() == query.id() {
                         continue;
                     }
-                    if let Some(stats) = stats {
-                        JoinStats::bump(&stats.candidates);
-                    }
-                    if position_filter_prunes(
-                        usize::from(query_rank),
-                        usize::from(rec_rank),
-                        theta_raw,
-                    ) {
-                        if let Some(stats) = stats {
-                            JoinStats::bump(&stats.position_pruned);
-                        }
-                        continue;
-                    }
-                    if let Some(stats) = stats {
-                        JoinStats::bump(&stats.verified);
-                    }
-                    if let Some(d) = ordered_query.footrule_within(record, theta_raw) {
-                        if let Some(stats) = stats {
-                            JoinStats::bump(&stats.result_pairs);
-                        }
+                    let shared_ranks = (usize::from(query_rank), usize::from(rec_rank));
+                    if let Some(d) = decide(record, Some(shared_ranks)) {
                         results.push((record.id(), d));
                     }
                 }

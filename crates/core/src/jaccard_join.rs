@@ -1,8 +1,10 @@
 //! Similarity joins under **Jaccard distance** — the paper's announced
-//! future work (§8). The dataflow is the Footrule one ([`crate::pipeline`]):
-//! this module only supplies the Jaccard `JoinSpace` — prefix bound and
-//! per-pair decision — plus the clustering/expansion steps over `f64`
-//! distances, justified by Jaccard distance being a metric.
+//! future work (§8). Both drivers are the Footrule ones — the flat dataflow
+//! of [`crate::pipeline`] and the CL/CL-P driver of [`crate::cl`]: this
+//! module only supplies the Jaccard space (`JoinSpace`: prefix bound and
+//! per-pair decision; `MetricSpace`: ε-guarded triangle bounds and the
+//! counted verification — Jaccard distance is a metric) and turns a
+//! [`JaccardConfig`] into the spaces a run joins in.
 //!
 //! Differences from the Footrule space:
 //!
@@ -13,11 +15,10 @@
 //! * thresholds and distances are rationals represented as `f64`; all
 //!   algorithms share one exact predicate
 //!   ([`topk_rankings::jaccard::jaccard_within`]) so they decide candidate
-//!   pairs identically, and the expansion's triangle bounds are applied
-//!   with a conservative ε margin (a pruned/accepted decision is only taken
-//!   when it holds with room to spare; everything else is verified).
+//!   pairs identically, and the triangle bounds are applied with a
+//!   conservative ε margin (a pruned/accepted decision is only taken when it
+//!   holds with room to spare; everything else is verified).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,9 +26,10 @@ use minispark::{Cluster, SkewBudget};
 use topk_rankings::jaccard::{jaccard_prefix_len, jaccard_within};
 use topk_rankings::{OrderedRanking, PrefixKind, Ranking};
 
-use crate::config::{effective_partitions, validate_parameters};
-use crate::kernels::{JoinSpace, TokenEntry};
-use crate::pipeline::{order_rankings, prefix_join, uniform_k_of, PairHit, PrefixSource};
+use crate::cl::{cl_flavour, ClPlan};
+use crate::config::validate_parameters;
+use crate::kernels::{ordered_pair, JoinSpace, MetricSpace, TokenEntry};
+use crate::pipeline::uniform_k_of;
 use crate::stats::JoinStats;
 use crate::vj::run_prefix_join;
 use crate::{JoinError, JoinOutcome};
@@ -95,8 +97,6 @@ impl JaccardConfig {
     }
 }
 
-type SetRecord = Arc<OrderedRanking>;
-
 #[inline]
 fn within(a: &OrderedRanking, b: &OrderedRanking, theta: f64, stats: &JoinStats) -> Option<f64> {
     JoinStats::bump(&stats.candidates);
@@ -139,6 +139,21 @@ impl Jaccard {
             prefix_lens: (p, p),
         }
     }
+
+    /// The centroid join of CL at `min(θ + 2θc, 1)`, with Lemma 5.3's
+    /// relaxation for mixed and singleton pairs; singleton centroids emit
+    /// the (sound) θ + θc prefix.
+    fn centroids(k: usize, theta: f64, theta_c: f64) -> Self {
+        let theta_o = (theta + 2.0 * theta_c).min(1.0);
+        let theta_ms = (theta + theta_c).min(1.0);
+        Self {
+            thresholds: (theta_o, theta_ms, theta),
+            prefix_lens: (
+                jaccard_prefix_len(k, theta_o),
+                jaccard_prefix_len(k, theta_ms),
+            ),
+        }
+    }
 }
 
 impl JoinSpace for Jaccard {
@@ -166,6 +181,33 @@ impl JoinSpace for Jaccard {
             _ => self.thresholds.1,
         };
         within(&a.ranking, &b.ranking, threshold, stats)
+    }
+}
+
+/// Sums and differences of `f64` distances round, so a triangle bound only
+/// decides when it holds by more than [`EPS`].
+impl MetricSpace for Jaccard {
+    const CL_STAGES: &'static str = "jaccard-cl";
+
+    #[inline]
+    fn certainly_within(legs: &[f64], theta: f64) -> bool {
+        legs.iter().sum::<f64>() <= theta - EPS
+    }
+
+    #[inline]
+    fn certainly_beyond(legs: &[f64], theta: f64) -> bool {
+        let path: f64 = legs.iter().sum();
+        legs.iter().any(|&leg| leg - (path - leg) > theta + EPS)
+    }
+
+    #[inline]
+    fn verify(
+        a: &OrderedRanking,
+        b: &OrderedRanking,
+        theta: f64,
+        stats: &JoinStats,
+    ) -> Option<f64> {
+        within(a, b, theta, stats)
     }
 }
 
@@ -250,8 +292,9 @@ pub fn jaccard_brute_force_rs(
     })
 }
 
-/// The CL pipeline under Jaccard distance: cluster at θc, join centroids at
-/// `min(θ + 2θc, 1)`, expand with (ε-guarded) triangle bounds.
+/// CL under Jaccard distance: cluster at θc, join centroids at
+/// `min(θ + 2θc, 1)`, expand with (ε-guarded) triangle bounds — the shared
+/// CL driver in the Jaccard space.
 pub fn jaccard_cl_join(
     cluster: &Cluster,
     data: &[Ranking],
@@ -270,6 +313,8 @@ pub fn jaccard_clp_join(
     jaccard_cl_flavour(cluster, data, config, Some(config.partition_threshold))
 }
 
+/// Config → the two spaces → [`cl_flavour`]. CL and CL-P share the label:
+/// they differ in δ only.
 fn jaccard_cl_flavour(
     cluster: &Cluster,
     data: &[Ranking],
@@ -277,220 +322,21 @@ fn jaccard_cl_flavour(
     delta: Option<usize>,
 ) -> Result<JoinOutcome, JoinError> {
     config.validate()?;
-    let start = Instant::now();
-    let Some(k) = crate::pipeline::uniform_k(data)? else {
-        return Ok(JoinOutcome::empty(start.elapsed()));
-    };
-    let theta = config.theta;
-    let theta_c = config.cluster_threshold;
-    let partitions = effective_partitions(config.partitions, cluster.config().default_partitions);
-    let stats = Arc::new(JoinStats::default());
-
-    // Phase spans mirror the Footrule CL driver: Ordering → Clustering →
-    // Joining → Expansion → Dedup on the trace timeline (no-ops unless the
-    // cluster records a trace). The guard is rebound at each section break.
-    let run_span = cluster.trace().span("jaccard-cl/run");
-    let phase = cluster.trace().span("jaccard-cl/phase/ordering");
-    let ordered = order_rankings(cluster, data, PrefixKind::Overlap, partitions, "jaccard-cl");
-    drop(phase);
-
-    // ---- Clustering at θc. ------------------------------------------------
-    let phase = cluster.trace().span("jaccard-cl/phase/clustering");
-    let rc = prefix_join(
-        &[PrefixSource::plain(&ordered)],
-        &Jaccard::uniform(k, theta_c),
-        partitions,
-        None,
-        config.skew,
-        &stats,
-        "jaccard-cl/cluster",
-    );
-    let clusters = rc
-        .map("jaccard-cl/assignments", |h| {
-            (h.a.id(), (Arc::clone(&h.b), h.distance))
-        })
-        .group_by_key("jaccard-cl/form-clusters", partitions);
-    // Keep-first is value-deterministic: all values under one centroid id
-    // are `Arc`s of the same canonical record.
-    let centroids_m = rc
-        .map("jaccard-cl/centroid-candidates", |h| {
-            (h.a.id(), Arc::clone(&h.a))
-        })
-        .reduce_by_key("jaccard-cl/dedup-centroids", partitions, |a, _| a)
-        .values("jaccard-cl/centroids");
-    let paired_ids: HashSet<u64> = rc
-        .flat_map("jaccard-cl/paired-ids", |h| vec![h.a.id(), h.b.id()])
-        .distinct("jaccard-cl/distinct-ids", partitions)
-        .collect()
-        .into_iter()
-        .collect();
-    JoinStats::add(&stats.clusters, clusters.count() as u64);
-    let paired = cluster.broadcast(paired_ids);
-    let singletons = {
-        let paired = paired.clone();
-        ordered.filter("jaccard-cl/singletons", move |r: &SetRecord| {
-            !paired.value().contains(&r.id())
-        })
-    };
-    JoinStats::add(&stats.singletons, singletons.count() as u64);
-
-    // Cluster-internal results.
-    let within_cluster = {
-        let stats = Arc::clone(&stats);
-        clusters.flat_map("jaccard-cl/within-cluster", move |(centroid, members)| {
-            let mut out = Vec::new();
-            for (m, d) in members {
-                if *d <= theta {
-                    out.push(ordered_ids(*centroid, m.id()));
-                }
-            }
-            for i in 0..members.len() {
-                for j in (i + 1)..members.len() {
-                    let (mi, di) = &members[i];
-                    let (mj, dj) = &members[j];
-                    if mi.id() == mj.id() {
-                        continue;
-                    }
-                    if di + dj <= theta - EPS {
-                        JoinStats::bump(&stats.triangle_accepted);
-                        out.push(ordered_ids(mi.id(), mj.id()));
-                    } else if (di - dj).abs() > theta + EPS {
-                        JoinStats::bump(&stats.triangle_pruned);
-                    } else if within(mi, mj, theta, &stats).is_some() {
-                        out.push(ordered_ids(mi.id(), mj.id()));
-                    }
-                }
-            }
-            out
-        })
-    };
-
-    drop(phase);
-
-    // ---- Joining the centroids at θ + 2θc (mixed thresholds per type). ----
-    let phase = cluster.trace().span("jaccard-cl/phase/joining");
-    let theta_o = (theta + 2.0 * theta_c).min(1.0);
-    let theta_ms = (theta + theta_c).min(1.0);
-    let space = Jaccard {
-        thresholds: (theta_o, theta_ms, theta),
-        prefix_lens: (
-            jaccard_prefix_len(k, theta_o),
-            jaccard_prefix_len(k, theta_ms),
-        ),
-    };
-    // Explicit δ (CL-P) wins; otherwise the skew policy may opt the centroid
-    // join into splitting.
-    let cjoin = prefix_join(
-        &PrefixSource::centroids(&centroids_m, &singletons),
-        &space,
-        partitions,
+    cl_flavour(
+        cluster,
+        data,
+        PrefixKind::Overlap,
+        config.partitions,
         delta,
         config.skew,
-        &stats,
-        "jaccard-cl/join",
-    );
-
-    drop(phase);
-
-    // ---- Expansion. --------------------------------------------------------
-    let phase = cluster.trace().span("jaccard-cl/phase/expansion");
-    let direct = cjoin
-        .filter("jaccard-cl/direct", move |h: &PairHit<f64>| {
-            h.distance <= theta
-        })
-        .map("jaccard-cl/direct-ids", |h| (h.a.id(), h.b.id()));
-    let rm = cjoin.filter("jaccard-cl/rm", |h: &PairHit<f64>| {
-        !(h.a_singleton && h.b_singleton)
-    });
-    let member_vs_centroid = {
-        let by_centroid = rm.flat_map("jaccard-cl/key-by-centroid", |h: &PairHit<f64>| {
-            let mut out = Vec::with_capacity(2);
-            if !h.a_singleton {
-                out.push((h.a.id(), (Arc::clone(&h.b), h.distance)));
-            }
-            if !h.b_singleton {
-                out.push((h.b.id(), (Arc::clone(&h.a), h.distance)));
-            }
-            out
-        });
-        let joined = by_centroid.join("jaccard-cl/join-members", &clusters, partitions);
-        let stats = Arc::clone(&stats);
-        joined.flat_map(
-            "jaccard-cl/member-centroid",
-            move |(_, ((other, d), members))| {
-                let mut out = Vec::new();
-                for (m, d_i) in members {
-                    if m.id() == other.id() {
-                        continue;
-                    }
-                    if (d - d_i).abs() > theta + EPS {
-                        JoinStats::bump(&stats.triangle_pruned);
-                    } else if d + d_i <= theta - EPS {
-                        JoinStats::bump(&stats.triangle_accepted);
-                        out.push(ordered_ids(m.id(), other.id()));
-                    } else if within(m, other, theta, &stats).is_some() {
-                        out.push(ordered_ids(m.id(), other.id()));
-                    }
-                }
-                out
-            },
-        )
-    };
-    let member_vs_member = {
-        let both_m = rm
-            .filter("jaccard-cl/both-m", |h: &PairHit<f64>| {
-                !h.a_singleton && !h.b_singleton
-            })
-            .map("jaccard-cl/key-mm", |h: &PairHit<f64>| {
-                (h.a.id(), (h.b.id(), h.distance))
-            });
-        let with_a = both_m
-            .join("jaccard-cl/join-a", &clusters, partitions)
-            .map("jaccard-cl/rekey-b", rekey_by_second_centroid);
-        let with_both = with_a.join("jaccard-cl/join-b", &clusters, partitions);
-        let stats = Arc::clone(&stats);
-        with_both.flat_map(
-            "jaccard-cl/member-member",
-            move |(_, ((d, members_a), members_b))| {
-                let mut out = Vec::new();
-                for (ma, d_a) in members_a {
-                    for (mb, d_b) in members_b {
-                        if ma.id() == mb.id() {
-                            continue;
-                        }
-                        let lower = (d - d_a - d_b).max(d_a - d - d_b).max(d_b - d - d_a);
-                        if lower > theta + EPS {
-                            JoinStats::bump(&stats.triangle_pruned);
-                        } else if d + d_a + d_b <= theta - EPS {
-                            JoinStats::bump(&stats.triangle_accepted);
-                            out.push(ordered_ids(ma.id(), mb.id()));
-                        } else if within(ma, mb, theta, &stats).is_some() {
-                            out.push(ordered_ids(ma.id(), mb.id()));
-                        }
-                    }
-                }
-                out
-            },
-        )
-    };
-
-    drop(phase);
-
-    let phase = cluster.trace().span("jaccard-cl/phase/dedup");
-    let mut pairs = direct
-        .union(&member_vs_centroid)
-        .union(&member_vs_member)
-        .union(&within_cluster)
-        .distinct("jaccard-cl/final-distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    drop(phase);
-    drop(run_span);
-    Ok(JoinOutcome {
-        pairs,
-        stats: stats.snapshot(),
-        elapsed: start.elapsed(),
-    })
+        "jaccard-cl",
+        |k| ClPlan {
+            clustering: Jaccard::uniform(k, config.cluster_threshold),
+            centroids: Jaccard::centroids(k, config.theta, config.cluster_threshold),
+            theta: config.theta,
+            use_triangle_bounds: true,
+        },
+    )
 }
 
 /// Exact quadratic Jaccard baseline.
@@ -513,7 +359,7 @@ pub fn jaccard_brute_force(
         let mut out = Vec::new();
         for b in &data[i + 1..] {
             if jaccard_within(a, b, theta).is_some() {
-                out.push(ordered_ids(a.id(), b.id()));
+                out.push(ordered_pair(a.id(), b.id()));
             }
         }
         out
@@ -527,24 +373,6 @@ pub fn jaccard_brute_force(
         stats: crate::stats::StatsSnapshot::default(),
         elapsed: start.elapsed(),
     })
-}
-
-type JaccardMmRow = (u64, ((u64, f64), Vec<(SetRecord, f64)>));
-
-/// Rekeys an `R_j ⋈ clusters` row by the second centroid (Algorithm 2).
-fn rekey_by_second_centroid(
-    (_, ((b_id, d), members_a)): &JaccardMmRow,
-) -> (u64, (f64, Vec<(SetRecord, f64)>)) {
-    (*b_id, (*d, members_a.clone()))
-}
-
-#[inline]
-fn ordered_ids(x: u64, y: u64) -> (u64, u64) {
-    if x < y {
-        (x, y)
-    } else {
-        (y, x)
-    }
 }
 
 #[cfg(test)]
@@ -712,5 +540,54 @@ mod tests {
             jaccard_clp_join(&c, &[], &zero_delta),
             Err(JoinError::InvalidPartitionThreshold)
         ));
+    }
+
+    /// `c` = {1..5}; `m4` shares four items with it (d = 1/3), `m3` three
+    /// (d = 4/7), `m4` and `m3` share three (d = 4/7); `z` is disjoint from
+    /// all. At θc = 0.6 both are members of `c`'s cluster, and `m3` of `m4`'s.
+    fn boundary_sets() -> Vec<Ranking> {
+        [
+            (1, [1, 2, 3, 4, 5]),
+            (2, [1, 2, 3, 4, 6]),
+            (3, [1, 2, 3, 7, 8]),
+            (4, [11, 12, 13, 14, 15]),
+        ]
+        .into_iter()
+        .map(|(id, items)| Ranking::new(id, items.to_vec()).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn triangle_guard_verifies_at_the_exact_f64_boundary() {
+        // The legs through `c` are exactly (1/3, 4/7). At θ = their sum the
+        // upper bound *equals* θ, at θ = their difference the lower bound
+        // does: with rounding in play neither may decide — the pair must be
+        // verified — while a hair away from the edge both bounds do decide.
+        let (d4, d3) = (2.0 / 6.0, 4.0 / 7.0);
+        let (sum, diff) = (d4 + d3, d3 - d4);
+        assert!(!Jaccard::certainly_within(&[d4, d3], sum));
+        assert!(Jaccard::certainly_within(&[d4, d3], sum + 1e-6));
+        assert!(!Jaccard::certainly_beyond(&[d4, d3], diff));
+        assert!(Jaccard::certainly_beyond(&[d4, d3], diff - 1e-6));
+
+        let c = cluster();
+        let data = boundary_sets();
+        for theta in [sum, diff] {
+            let cfg = JaccardConfig::new(theta).with_cluster_threshold(0.6);
+            let outcome = jaccard_cl_join(&c, &data, &cfg).unwrap();
+            let expected = jaccard_brute_force(&c, &data, theta).unwrap().pairs;
+            assert_eq!(outcome.pairs, expected, "θ = {theta}");
+            assert_eq!(outcome.stats.clusters, 2, "θ = {theta}");
+            // Every member pair of this corpus sits on (or inside) the
+            // guard band: nothing is decided by the triangle bounds.
+            assert_eq!(outcome.stats.triangle_accepted, 0, "θ = {theta}");
+            assert_eq!(outcome.stats.triangle_pruned, 0, "θ = {theta}");
+            assert!(outcome.stats.verified > 0, "θ = {theta}");
+        }
+        // At θ = 1/3 + 4/7 the three overlapping sets all pair up; at
+        // θ = 4/7 − 1/3 nothing is close enough.
+        let at = |theta| jaccard_brute_force(&c, &data, theta).unwrap().pairs;
+        assert_eq!(at(sum), vec![(1, 2), (1, 3), (2, 3)]);
+        assert!(at(diff).is_empty());
     }
 }

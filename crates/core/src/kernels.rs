@@ -23,7 +23,9 @@
 //!
 //! The all-pairs and cross-chunk loops are generic over the per-pair
 //! decision, which is one of the three things a `JoinSpace` supplies; the
-//! public `join_group_*` functions are their Footrule instantiations.
+//! public `join_group_*` functions are their Footrule instantiations. A
+//! space whose distance is a metric also implements `MetricSpace`, which is
+//! all the CL/CL-P driver ([`crate::cl`]) needs on top.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -115,7 +117,7 @@ pub enum GroupJoinStyle {
 /// the variable-length Footrule and Jaccard.
 pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
     /// The distance a qualifying pair carries.
-    type Dist: Clone + Send + Sync + 'static;
+    type Dist: Copy + PartialOrd + Send + Sync + 'static;
 
     /// Number of leading canonical tokens `ranking` emits.
     fn prefix_len(&self, ranking: &OrderedRanking, singleton: bool) -> usize;
@@ -138,6 +140,80 @@ pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
         stats: &JoinStats,
     ) -> Vec<(usize, usize, Self::Dist)> {
         nested_loop_by(entries, mode, stats, |a, b, stats| self.decide(a, b, stats))
+    }
+}
+
+/// What a [`JoinSpace`] whose distance is a **metric** adds so that CL and
+/// CL-P run in it ([`crate::cl`]): everything §5 proves uses the triangle
+/// inequality and nothing else about the distance. Exactly two spaces
+/// implement it — [`Footrule`] and Jaccard; the variable-length Footrule must
+/// not (it is not a metric across lengths, see [`crate::varlen_join`]).
+///
+/// A pair whose distance is not known is reached through a path of *legs* —
+/// known distances member → centroid (→ centroid → member) — so the triangle
+/// inequality bounds it: `d ≤ Σ legs`, and `d ≥ leg − Σ other legs` for every
+/// leg. The two predicates must only answer `true` when the bound holds for
+/// certain in the space's arithmetic; whatever they leave open is verified.
+pub(crate) trait MetricSpace: JoinSpace {
+    /// Stage-label prefix of the space's CL phases; up to the first `/` it is
+    /// also the `driver` of their live kernel series.
+    const CL_STAGES: &'static str;
+
+    /// Whether the upper bound `Σ legs` certifies a distance ≤ `theta`.
+    fn certainly_within(legs: &[Self::Dist], theta: Self::Dist) -> bool;
+
+    /// Whether the lower bound `max(leg − Σ other legs)` certifies a distance
+    /// > `theta`.
+    fn certainly_beyond(legs: &[Self::Dist], theta: Self::Dist) -> bool;
+
+    /// Computes one pair's distance in full against `theta`, recording it as
+    /// a verified candidate. No shared token is known here, so no position
+    /// filter applies.
+    fn verify(
+        a: &OrderedRanking,
+        b: &OrderedRanking,
+        theta: Self::Dist,
+        stats: &JoinStats,
+    ) -> Option<Self::Dist>;
+
+    /// Algorithm 2's decision for one candidate pair reached through `legs`:
+    /// pruned or accepted by the triangle bounds where they are certain (and
+    /// enabled), verified otherwise. Returns the pair's normalized ids if it
+    /// is a result at `theta`. Clusters overlap, so a record can meet itself:
+    /// that is no candidate and touches no counter.
+    #[inline]
+    fn decide_by_triangle(
+        a: &OrderedRanking,
+        b: &OrderedRanking,
+        legs: &[Self::Dist],
+        theta: Self::Dist,
+        use_triangle_bounds: bool,
+        stats: &JoinStats,
+    ) -> Option<(u64, u64)> {
+        if a.id() == b.id() {
+            return None;
+        }
+        let is_result = if use_triangle_bounds && Self::certainly_beyond(legs, theta) {
+            JoinStats::bump(&stats.triangle_pruned);
+            false
+        } else if use_triangle_bounds && Self::certainly_within(legs, theta) {
+            JoinStats::bump(&stats.triangle_accepted);
+            true
+        } else {
+            Self::verify(a, b, theta, stats).is_some()
+        };
+        is_result.then(|| ordered_pair(a.id(), b.id()))
+    }
+}
+
+/// An unordered id pair in its normal form `(smaller, larger)` — what every
+/// self-join emits, so the final dedup is a plain `distinct`.
+#[inline]
+pub(crate) fn ordered_pair(x: u64, y: u64) -> (u64, u64) {
+    if x < y {
+        (x, y)
+    } else {
+        (y, x)
     }
 }
 
@@ -252,6 +328,23 @@ impl GroupThresholds {
     }
 }
 
+/// Books one candidate's [`Verification`] in the filter counters — the one
+/// place that maps the shared kernel's outcome onto `candidates`,
+/// `position_pruned`, `verified` and `result_pairs`, for the group kernels and
+/// the range-search index alike. Returns the distance if the pair qualified.
+#[inline]
+pub(crate) fn count_verification(outcome: Verification, stats: &JoinStats) -> Option<u64> {
+    JoinStats::bump(&stats.candidates);
+    if outcome == Verification::PositionPruned {
+        JoinStats::bump(&stats.position_pruned);
+        return None;
+    }
+    JoinStats::bump(&stats.verified);
+    let distance = outcome.distance()?;
+    JoinStats::bump(&stats.result_pairs);
+    Some(distance)
+}
+
 /// Verifies one candidate pair through the shared kernel
 /// ([`topk_rankings::verify::verify_candidate`]: position filter on the
 /// shared token's ranks, then early-exit Footrule), recording the stats.
@@ -265,29 +358,14 @@ fn verify_pair(
     use_position_filter: bool,
     stats: &JoinStats,
 ) -> Option<u64> {
-    let threshold = thresholds.for_pair(a.singleton, b.singleton);
-    JoinStats::bump(&stats.candidates);
-    match verify_candidate(
+    let outcome = verify_candidate(
         &a.ranking,
         &b.ranking,
         Some((shared_ranks.0 as usize, shared_ranks.1 as usize)),
-        threshold,
+        thresholds.for_pair(a.singleton, b.singleton),
         use_position_filter,
-    ) {
-        Verification::PositionPruned => {
-            JoinStats::bump(&stats.position_pruned);
-            None
-        }
-        Verification::Within(d) => {
-            JoinStats::bump(&stats.verified);
-            JoinStats::bump(&stats.result_pairs);
-            Some(d)
-        }
-        Verification::DistanceExceeded => {
-            JoinStats::bump(&stats.verified);
-            None
-        }
-    }
+    );
+    count_verification(outcome, stats)
 }
 
 /// The Footrule per-pair decision of the nested-loop and R-S kernels: the
@@ -400,6 +478,33 @@ impl JoinSpace for Footrule {
                 stats,
             ),
         }
+    }
+}
+
+/// Raw Footrule distances are integers: the triangle bounds are exact.
+impl MetricSpace for Footrule {
+    const CL_STAGES: &'static str = "cl";
+
+    #[inline]
+    fn certainly_within(legs: &[u64], theta_raw: u64) -> bool {
+        legs.iter().sum::<u64>() <= theta_raw
+    }
+
+    #[inline]
+    fn certainly_beyond(legs: &[u64], theta_raw: u64) -> bool {
+        let path: u64 = legs.iter().sum();
+        legs.iter()
+            .any(|&leg| leg.saturating_sub(path - leg) > theta_raw)
+    }
+
+    #[inline]
+    fn verify(
+        a: &OrderedRanking,
+        b: &OrderedRanking,
+        theta_raw: u64,
+        stats: &JoinStats,
+    ) -> Option<u64> {
+        count_verification(verify_candidate(a, b, None, theta_raw, false), stats)
     }
 }
 
@@ -1207,5 +1312,36 @@ mod tests {
         assert!(input.is_empty());
         assert_eq!(decoded.relation, Relation::Right);
         assert_eq!(decoded.ranking, e.ranking);
+    }
+
+    #[test]
+    fn footrule_triangle_bounds_are_exact_over_two_and_three_legs() {
+        // Exhaustive small grid against the bounds written out leg by leg:
+        // upper = Σ legs, lower = the largest leg minus all others (the only
+        // leg that can exceed the rest), both compared without any margin.
+        for d in 0..10u64 {
+            for da in 0..10u64 {
+                for theta in 0..32u64 {
+                    let two = [d, da];
+                    assert_eq!(Footrule::certainly_within(&two, theta), d + da <= theta);
+                    assert_eq!(
+                        Footrule::certainly_beyond(&two, theta),
+                        d.abs_diff(da) > theta
+                    );
+                    for db in 0..10u64 {
+                        let lower = d
+                            .saturating_sub(da + db)
+                            .max(da.saturating_sub(d + db))
+                            .max(db.saturating_sub(d + da));
+                        let three = [d, da, db];
+                        assert_eq!(
+                            Footrule::certainly_within(&three, theta),
+                            d + da + db <= theta
+                        );
+                        assert_eq!(Footrule::certainly_beyond(&three, theta), lower > theta);
+                    }
+                }
+            }
+        }
     }
 }

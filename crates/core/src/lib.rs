@@ -17,7 +17,7 @@
 //! All of them return the identical pair set — an invariant enforced by this
 //! repository's test suite against the brute-force baseline.
 //!
-//! # One pipeline, three per-pair decisions
+//! # One flat driver, one CL driver, N spaces
 //!
 //! The paper's dataflow — order by frequency → emit prefix tokens → group by
 //! token → per-group kernel → deduplicate — exists once, in [`pipeline`]. It
@@ -26,7 +26,14 @@
 //! per-pair decision ([`kernels`]). Three spaces do — Footrule (above),
 //! variable-length Footrule ([`mod@varlen_join`], footnote 1 of the paper) and
 //! Jaccard ([`jaccard_join`], §8) — and all their flat joins share one
-//! driver body.
+//! driver body ([`vj`]).
+//!
+//! CL and CL-P exist once too, in [`cl`]: clustering at θc, the centroid
+//! join at θ + 2θc and Algorithm 2's expansion use one property of the
+//! distance — the triangle inequality. A space that is a metric adds its two
+//! triangle predicates (exact for integer Footrule, ε-guarded for `f64`
+//! Jaccard) and a counted full verification, and gets both drivers; the
+//! variable-length space is not a metric across lengths and stays flat.
 //!
 //! # Two-relation (R-S) joins and arrivals
 //!

@@ -17,8 +17,8 @@
 use minispark::{check_determinism, schedule_matrix, ClusterConfig, Schedule};
 use topk_rankings::Ranking;
 use topk_simjoin::{
-    jaccard_clp_join, jaccard_vj_join, varlen_join, varlen_join_with_skew, Algorithm,
-    JaccardConfig, JoinConfig, SkewBudget,
+    jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, varlen_join, varlen_join_with_skew,
+    Algorithm, JaccardConfig, JoinConfig, SkewBudget,
 };
 
 const SLOT_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -176,6 +176,27 @@ fn jaccard_vj_is_schedule_independent() {
     })
     .unwrap_or_else(|failure| panic!("jaccard VJ is schedule-dependent: {failure}"));
     assert!(!outcome.reference.is_empty());
+}
+
+#[test]
+fn jaccard_cl_is_schedule_independent() {
+    // CL is one driver body shared with Footrule: the Jaccard space's pairs
+    // *and* its counters must come out of it identically under every
+    // schedule, on a timeline labelled `jaccard-cl`.
+    let data = corpus(48, 6, 32, 0x1ACCB);
+    let config = JaccardConfig::new(0.5).with_cluster_threshold(0.1);
+    let outcome = check_determinism(&base_config(), &SLOT_COUNTS, &schedules(), |cluster| {
+        let outcome = jaccard_cl_join(cluster, &data, &config).expect("join must succeed");
+        let trace = cluster.trace().snapshot();
+        assert!(trace.phases().any(|p| p.name == "jaccard-cl/run"));
+        // No δ and no skew budget: nothing splits, so no counter is
+        // timing-dependent.
+        (outcome.pairs, outcome.stats)
+    })
+    .unwrap_or_else(|failure| panic!("jaccard CL is schedule-dependent: {failure}"));
+    let (pairs, stats) = outcome.reference;
+    assert!(!pairs.is_empty());
+    assert!(stats.candidates > 0 && stats.singletons > 0);
 }
 
 #[test]

@@ -6,13 +6,16 @@
 //! variable-length — publishes them. For a flat join the grouped join is the
 //! only place that touches `JoinStats`, so the series must equal the run's
 //! final stats; CL-P's clustering and expansion phases bump the same stats
-//! outside the grouped join, so there the series is a non-zero lower bound.
+//! outside the grouped join, so there the series is a non-zero lower bound —
+//! except where the triangle bounds decide every such candidate, as in the
+//! Jaccard CL case below.
 
 use minispark::{Cluster, ClusterConfig, TraceCollector};
 use topk_datagen::CorpusProfile;
 use topk_rankings::Ranking;
 use topk_simjoin::{
-    clp_join, jaccard_vj_join, varlen_join, vj_join, JaccardConfig, JoinConfig, JoinOutcome,
+    clp_join, jaccard_cl_join, jaccard_vj_join, varlen_join, vj_join, JaccardConfig, JoinConfig,
+    JoinOutcome,
 };
 
 fn series(cluster: &Cluster, name: &str, driver: &str) -> u64 {
@@ -88,6 +91,49 @@ fn kernel_series_cover_every_driver() {
         assert!(
             live > 0 && live <= total,
             "cl-p: {name} = {live} of {total}"
+        );
+    }
+
+    // Jaccard CL rides the one CL driver under its own label, through both
+    // of its grouped joins (clustering, centroids). With θc = 0.05 on 10-sets
+    // a cluster's members are set-duplicates of their centroid (the next
+    // distance up is 2/11), so the triangle bounds decide every candidate of
+    // the clustering and expansion phases: only the grouped joins verify,
+    // and the series equal the final stats here too.
+    cluster.reset_metrics();
+    let stats = jaccard_cl_join(&cluster, &data, &jaccard).unwrap().stats;
+    assert!(stats.candidates > 0, "jaccard-cl: vacuous run");
+    assert!(stats.clusters > 0, "jaccard-cl: no clusters");
+    assert!(
+        stats.triangle_accepted + stats.triangle_pruned > 0,
+        "jaccard-cl: the expansion decided nothing"
+    );
+    for (name, expected) in [
+        ("simjoin_kernel_candidates_total", stats.candidates),
+        ("simjoin_kernel_verified_total", stats.verified),
+        ("simjoin_kernel_pruned_total", stats.position_pruned),
+        ("simjoin_result_pairs_total", stats.result_pairs),
+    ] {
+        assert_eq!(
+            series(&cluster, name, "jaccard-cl"),
+            expected,
+            "jaccard-cl: {name}"
+        );
+    }
+    let trace = cluster.trace().snapshot();
+    for span in [
+        "run",
+        "phase/ordering",
+        "phase/clustering",
+        "phase/joining",
+        "phase/expansion",
+        "phase/dedup",
+    ] {
+        assert!(
+            trace
+                .phases()
+                .any(|p| p.name == format!("jaccard-cl/{span}")),
+            "jaccard-cl/{span} span missing"
         );
     }
 }

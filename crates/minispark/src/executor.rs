@@ -286,6 +286,8 @@ where
 /// what this counts. Zero means the stage degenerated to the static plan
 /// (always true for one slot or one task); a high count on a split-join
 /// stage means the skew sub-partitions really did migrate to idle slots.
+/// A wide stage's merged map- and reduce-wave spans are counted wave by wave
+/// (see [`steal_count_indexed`]).
 pub fn steal_count(spans: &[TaskSpan], slots: usize) -> usize {
     // alloc(post-stage diagnostics, one pair Vec per analyzed stage)
     let pairs: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
@@ -320,14 +322,6 @@ pub fn steal_count_indexed(pairs: &[(usize, usize)], slots: usize) -> usize {
         }
     }
     total
-}
-
-/// [`steal_count_indexed`] over [`TaskSpan`]s — the form the wide-stage
-/// recorder holds after merging its map- and reduce-wave timings.
-pub fn steal_count_concat(spans: &[TaskSpan], slots: usize) -> usize {
-    // alloc(post-stage diagnostics, one pair Vec per analyzed stage)
-    let pairs: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
-    steal_count_indexed(&pairs, slots)
 }
 
 /// Stage entry point used by the engine's operators: dispatches to the
@@ -546,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn steal_count_concat_splits_waves_at_task_resets() {
+    fn steal_count_splits_waves_at_task_resets() {
         let queued = Instant::now();
         let span = |task: usize, slot: usize| TaskSpan {
             task,
@@ -567,7 +561,7 @@ mod tests {
             span(2, 0),
             span(3, 1),
         ];
-        assert_eq!(steal_count_concat(&spans, 2), 0);
+        assert_eq!(steal_count(&spans, 2), 0);
         // Second wave fully on slot 0 → tasks 1 and 3 are stolen there.
         let spans = vec![
             span(0, 0),
@@ -577,8 +571,8 @@ mod tests {
             span(2, 0),
             span(3, 0),
         ];
-        assert_eq!(steal_count_concat(&spans, 2), 2);
-        assert_eq!(steal_count_concat(&[], 4), 0);
+        assert_eq!(steal_count(&spans, 2), 2);
+        assert_eq!(steal_count(&[], 4), 0);
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod executor;
 pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod ops;
 pub mod pair;
 pub mod sched;
 pub mod shuffle;

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use crate::codec::Codec;
 use crate::dataset::{Cluster, Dataset};
-use crate::executor::{run_stage_tasks, steal_count_concat, TaskTimes};
+use crate::executor::{run_stage_tasks, steal_count, TaskTimes};
 use crate::metrics::StageMetrics;
 use crate::shuffle::{spread, stable_hash, HashPartitioner, Partitioner};
 use crate::spill::external_group_by_probed;
@@ -91,7 +91,7 @@ fn record_wide_stage(
         spilled_runs,
         // A wide stage's spans cover the map and reduce waves back to back,
         // each restarting its task indices; count steals per wave.
-        stolen_tasks: steal_count_concat(&spans, cluster.config().task_slots()),
+        stolen_tasks: steal_count(&spans, cluster.config().task_slots()),
     });
     cluster.inner.trace.record_stage_tasks(id, name, &spans);
     let engine = &cluster.inner.engine;

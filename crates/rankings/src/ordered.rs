@@ -246,16 +246,6 @@ impl OrderedRanking {
     }
 }
 
-/// Canonicalizes a whole dataset by frequency (driver-side convenience; the
-/// distributed pipelines do the same per partition with a broadcast table).
-pub fn order_dataset(rankings: &[Ranking], freq: &FrequencyTable) -> Vec<OrderedRanking> {
-    rankings
-        .iter()
-        // alloc(one-time dataset canonicalization on the driver)
-        .map(|r| OrderedRanking::by_frequency(r, freq))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +321,10 @@ mod tests {
     fn ordered_distance_equals_plain_distance() {
         let ds = sample_dataset();
         let freq = FrequencyTable::from_rankings(&ds);
-        let ordered = order_dataset(&ds, &freq);
+        let ordered: Vec<OrderedRanking> = ds
+            .iter()
+            .map(|r| OrderedRanking::by_frequency(r, &freq))
+            .collect();
         for i in 0..ds.len() {
             for j in 0..ds.len() {
                 assert_eq!(

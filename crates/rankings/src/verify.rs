@@ -58,37 +58,6 @@ pub fn verify_candidate(
     }
 }
 
-/// An order-normalized result pair `(smaller_id, larger_id)` with its raw
-/// distance. Normalizing at creation time makes the final duplicate
-/// elimination a plain `distinct`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ResultPair {
-    /// The smaller ranking id.
-    pub a: u64,
-    /// The larger ranking id.
-    pub b: u64,
-    /// Raw Footrule distance.
-    pub distance: u64,
-}
-
-impl ResultPair {
-    /// Builds a normalized pair; `x` and `y` may come in any order.
-    ///
-    /// # Panics
-    /// Panics if `x == y` — self-pairs are never join results.
-    pub fn new(x: u64, y: u64, distance: u64) -> Self {
-        assert_ne!(x, y, "self-pairs are not join results");
-        let (a, b) = if x < y { (x, y) } else { (y, x) };
-        Self { a, b, distance }
-    }
-
-    /// The pair without the distance, for set comparisons.
-    #[inline]
-    pub fn ids(&self) -> (u64, u64) {
-        (self.a, self.b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,17 +97,5 @@ mod tests {
         let v = verify_candidate(&a, &b, None, 5, true);
         assert_eq!(v, Verification::DistanceExceeded);
         assert_eq!(v.distance(), None);
-    }
-
-    #[test]
-    fn result_pair_normalizes_order() {
-        assert_eq!(ResultPair::new(9, 3, 5), ResultPair::new(3, 9, 5));
-        assert_eq!(ResultPair::new(9, 3, 5).ids(), (3, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "self-pairs")]
-    fn result_pair_rejects_self_pairs() {
-        let _ = ResultPair::new(4, 4, 0);
     }
 }
