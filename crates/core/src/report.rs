@@ -7,7 +7,7 @@
 //! document against the schema *and* the physical invariants the numbers
 //! must satisfy (occupancy in `[0, 1]`, non-negative times, per-stage keys).
 
-use minispark::{Cluster, ExecutorAnalytics, Json, MetricsReport, TraceSnapshot};
+use minispark::{Cluster, ExecutorAnalytics, Json, MetricsReport};
 use topk_rankings::PrefixKind;
 
 use crate::{JoinConfig, JoinOutcome, StatsSnapshot};
@@ -86,36 +86,6 @@ impl RunReport {
             analytics,
             heartbeat: cluster.heartbeat_document(),
         }
-    }
-
-    /// As [`RunReport::capture`], but from an already-forked
-    /// [`TraceSnapshot`] (harnesses that merge the per-run trace into a
-    /// parent collector pass the isolated snapshot here).
-    #[allow(clippy::too_many_arguments)] // the capture signature plus the snapshot
-    pub fn capture_with_trace(
-        algorithm: &str,
-        dataset: &str,
-        n: usize,
-        cluster: &Cluster,
-        join_config: &JoinConfig,
-        outcome: &JoinOutcome,
-        sim_slots: usize,
-        trace: &TraceSnapshot,
-    ) -> Self {
-        let mut report = Self::capture(
-            algorithm,
-            dataset,
-            n,
-            cluster,
-            join_config,
-            outcome,
-            sim_slots,
-        );
-        report.analytics = Some(ExecutorAnalytics::from_snapshot(
-            trace,
-            cluster.config().task_slots(),
-        ));
-        report
     }
 
     /// Renders this report as one JSON object (schema
@@ -533,7 +503,7 @@ fn validate_run(run: &Json, ctx: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{vj_join, Algorithm};
+    use crate::{vj_join, vj_join_rs, Algorithm};
     use minispark::{ClusterConfig, TraceCollector};
     use topk_datagen::CorpusProfile;
 
@@ -586,9 +556,21 @@ mod tests {
         ));
     }
 
+    /// The run shape the self-joins above never report: two relations and
+    /// split posting lists (non-zero skew counters, chunk-pair stages).
+    fn rs_skew_report() -> RunReport {
+        let cluster = Cluster::with_trace(ClusterConfig::local(4), TraceCollector::enabled());
+        let data = CorpusProfile::dblp_like(160, 10).generate();
+        let (left, right) = data.split_at(120);
+        let jc = JoinConfig::new(0.3).with_skew(minispark::SkewBudget::Fixed(1));
+        let outcome = vj_join_rs(&cluster, left, right, &jc).expect("valid relations");
+        assert!(outcome.stats.skew_chunks > 0, "a budget of 1 must split");
+        RunReport::capture("VJ-RS", "dblp-like", data.len(), &cluster, &jc, &outcome, 8)
+    }
+
     #[test]
     fn batch_document_validates() {
-        let reports = vec![run_report(false), run_report(true)];
+        let reports = vec![run_report(false), run_report(true), rs_skew_report()];
         let doc = runs_to_json(&reports);
         validate(&doc).expect("batch validates");
         let parsed = Json::parse(&doc.render()).expect("batch parses");
@@ -596,7 +578,7 @@ mod tests {
             .get("runs")
             .and_then(Json::as_arr)
             .expect("runs array");
-        assert_eq!(runs.len(), 2);
+        assert_eq!(runs.len(), 3);
     }
 
     #[test]

@@ -318,8 +318,13 @@ mod tests {
         );
         assert_eq!(off.stats.skew_chunks, 0, "Off must never split");
         assert!(
-            auto.stats.posting_lists_split > 0 && auto.stats.skew_chunks > 0,
+            auto.stats.posting_lists_split > 0,
             "Auto must split the hot token-1 group: {:?}",
+            auto.stats
+        );
+        assert!(
+            auto.stats.skew_chunks > auto.stats.posting_lists_split,
+            "every split group makes at least two chunks: {:?}",
             auto.stats
         );
     }

@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn demo_binaries_may_unwrap_but_not_todo() {
         for rel in [
-            "crates/bench/src/bin/bench_kernels.rs",
+            "crates/bench/src/bin/experiments.rs",
             "examples/quickstart.rs",
         ] {
             let ok = "fn main() { Some(1).unwrap(); panic!(\"bad input\"); }\n";

@@ -34,7 +34,6 @@
 
 mod atomics;
 mod audit;
-mod bench_diff;
 mod casts;
 mod errors;
 mod hotalloc;
@@ -54,9 +53,7 @@ const PASSES: &[&str] = &[
 
 const USAGE: &str = "usage: cargo run -p xtask -- \
      <lint|layers|atomics|casts|panics|locks|hotalloc|errors|audit> \
-     [--root <path>] [--json <path>]\n\
-     or:    cargo run -p xtask -- bench-diff <baseline.json> <candidate.json> \
-     [--max-wall-pct <pct>] [--max-ns-pct <pct>] [--max-occupancy-drop <abs>]";
+     [--root <path>] [--json <path>]";
 
 fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
     if let Some(root) = explicit {
@@ -206,11 +203,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `bench-diff` is a comparison command, not an audit pass — it takes two
-    // document paths and numeric thresholds instead of the shared flags.
-    if cmd == "bench-diff" {
-        return bench_diff::run_cli(args);
-    }
     let which: Vec<&str> = if cmd == "audit" {
         PASSES.to_vec()
     } else if let Some(pass) = PASSES.iter().find(|p| **p == cmd) {
