@@ -24,8 +24,13 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss,
+    reason = "benchmark sizes are far below 2^53 — exact in f64, and the round is ≥ 0"
+)]
 fn scaled(base: usize) -> usize {
-    // cast(benchmark sizes are far below 2^53 — exact in f64, and the round is ≥ 0)
     ((base as f64 * scale()).round() as usize).max(50)
 }
 

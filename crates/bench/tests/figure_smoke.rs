@@ -2,6 +2,9 @@
 //! internally consistent row set at tiny scale. (The full sweeps are the
 //! `experiments` binary's job; these tests pin the harness plumbing.)
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::unwrap_used)]
+
 use std::sync::Mutex;
 
 use topk_bench::figures;

@@ -21,6 +21,8 @@
 //! duplicate is rejected *before* the batch mutates any state, so a failed
 //! call leaves the joiner exactly as it was.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::HashSet;
 use std::time::Instant;
 

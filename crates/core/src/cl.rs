@@ -211,7 +211,7 @@ pub fn cl_join_rs(
             let left_idx = usize::try_from(a).expect("internal id a < |R| fits usize");
             let right_idx =
                 usize::try_from(b - boundary).expect("internal id b − |R| < |S| fits usize");
-            // panics(left_idx < |R| and right_idx < |S| by construction of the internal id space)
+            // left_idx < |R| and right_idx < |S| by construction of the internal id space.
             pairs.push((left[left_idx].id(), right[right_idx].id()));
         }
     }

@@ -16,6 +16,8 @@
 //! prefixes to cover the pair threshold; the stored side covers
 //! `theta_max ≥ θ`, the query side is probed with its exact `p(θ)`).
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -108,11 +110,14 @@ impl RankingIndex {
 
     /// Fraction of slots that are tombstones, `0.0` while empty. Long-lived
     /// mutable deployments compact past a ratio threshold.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "documented precision loss only beyond 2^53 slots — capacity is u32"
+    )]
     pub fn tombstone_ratio(&self) -> f64 {
         if self.records.is_empty() {
             0.0
         } else {
-            // cast(documented precision loss only beyond 2^53 slots — capacity is u32)
             self.tombstones as f64 / self.records.len() as f64
         }
     }
@@ -123,9 +128,12 @@ impl RankingIndex {
     }
 
     /// The current (live) version of `id`, if indexed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id_to_slot only maps to slots pushed into records"
+    )]
     pub fn get(&self, id: RankingId) -> Option<Ranking> {
         let slot = *self.id_to_slot.get(&id)?;
-        // panics(id_to_slot only maps to slots pushed into records)
         Some(self.records[slot as usize].to_ranking())
     }
 
@@ -209,9 +217,12 @@ impl RankingIndex {
     /// Marks `slot` dead and removes its posting entries. The caller keeps
     /// `id_to_slot` consistent (remove the id, or re-point it at the
     /// replacement slot).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id_to_slot only maps to slots pushed into records"
+    )]
     fn tombstone_slot(&mut self, slot: u32) {
         let p = self.stored_prefix_len();
-        // panics(id_to_slot only maps to slots pushed into records)
         let record = Arc::clone(&self.records[slot as usize]);
         for &(item, _) in record.prefix(p) {
             if let Some(list) = self.postings.get_mut(&item) {
@@ -221,9 +232,7 @@ impl RankingIndex {
                 }
             }
         }
-        // panics(id_to_slot only maps to slots pushed into records)
         debug_assert!(self.live[slot as usize], "slot tombstoned twice");
-        // panics(id_to_slot only maps to slots pushed into records)
         self.live[slot as usize] = false;
         self.tombstones += 1;
     }
@@ -321,20 +330,21 @@ impl RankingIndex {
                 let Some(postings) = self.postings.get(&item) else {
                     continue;
                 };
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "postings only store slots < records.len(); seen and live have records.len() entries"
+                )]
                 for &(rec_idx, rec_rank) in postings {
                     let rec_slot: u32 = rec_idx;
                     let slot = rec_slot as usize;
-                    // panics(postings only store slots < records.len(); seen has records.len() entries)
                     if seen[slot] {
                         continue;
                     }
-                    // panics(postings only store slots < records.len(); seen has records.len() entries)
                     seen[slot] = true;
                     debug_assert!(
                         self.live[slot],
                         "postings must never name a tombstoned slot"
                     );
-                    // panics(postings hold slots < records.len() by construction)
                     let record = &self.records[slot];
                     if record.id() == query.id() {
                         continue;

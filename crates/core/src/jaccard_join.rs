@@ -109,8 +109,15 @@ fn within(a: &OrderedRanking, b: &OrderedRanking, theta: f64, stats: &JoinStats)
         .filter(|(item, _)| b.pairs().iter().any(|(other, _)| other == item))
         .count();
     let total = a.k() + b.k();
-    // cast(total ≤ 2·MAX_K ≤ 2^17 — exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "total ≤ 2·MAX_K ≤ 2^17 — exact in f64"
+    )]
     let num = (total - 2 * o) as f64;
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "total ≤ 2·MAX_K ≤ 2^17 — exact in f64"
+    )]
     let den = (total - o) as f64;
     if num <= theta * den {
         JoinStats::bump(&stats.result_pairs);

@@ -27,6 +27,8 @@
 //! space whose distance is a metric also implements `MetricSpace`, which is
 //! all the CL/CL-P driver ([`crate::cl`]) needs on top.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -513,8 +515,11 @@ impl MetricSpace for Footrule {
 /// always comes first, so overlapping R/S id spaces cannot flip which
 /// relation the first slot came from.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass entry indices — both i and j are < entries.len()"
+)]
 fn ordered_indices(entries: &[TokenEntry], i: usize, j: usize) -> (usize, usize) {
-    // panics(callers pass entry indices — both i and j are < entries.len())
     if entries[i].record_key() < entries[j].record_key() {
         (i, j)
     } else {
@@ -637,36 +642,49 @@ pub fn join_group_indexed(
     // Process in ranking-id order so the index only ever holds ids no larger
     // than the probe's. The slot index breaks id ties, making the order
     // total — duplicate-id groups traverse identically on every run.
-    // cast(group cardinality is far below u32::MAX — slot ids fit u32)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "group cardinality is far below u32::MAX — slot ids fit u32"
+    )]
     scratch.order.extend(0..entries.len() as u32);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order holds exactly 0..entries.len() — every slot id is in range"
+    )]
     scratch
         .order
-        // panics(order holds exactly 0..entries.len() — every slot id is in range)
         .sort_unstable_by_key(|&i| (entries[i as usize].ranking.id(), i));
 
     for oi in 0..scratch.order.len() {
-        // cast(order holds u32 slot ids — widening into usize)
-        // panics(oi < order.len() by the loop bound; order ids are < entries.len())
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "oi < order.len() by the loop bound; order ids are < entries.len()"
+        )]
         let probe_idx = scratch.order[oi] as usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "oi < order.len() by the loop bound; order ids are < entries.len()"
+        )]
         let probe = &entries[probe_idx];
         let p = prefix_len_of(probe.singleton);
         let stamp = scratch.next_probe();
         for &(item, rank) in probe.ranking.prefix(p) {
             let mut cursor: u32 = scratch.heads.get(&item).copied().unwrap_or(NO_POSTING);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "cursor ≠ NO_POSTING is a valid posting id — chains only link inserted nodes; entry < entries.len() and seen_stamp is sized by begin_group"
+            )]
             while cursor != NO_POSTING {
                 let Posting {
                     entry,
                     rank: indexed_rank,
                     next,
-                    // panics(cursor ≠ NO_POSTING is a valid posting id — chains only link inserted nodes)
                 } = scratch.postings[cursor as usize];
                 cursor = next;
                 let indexed_idx = entry as usize;
-                // panics(entry < entries.len(); seen_stamp is sized by begin_group)
                 if scratch.seen_stamp[indexed_idx] == stamp {
                     continue;
                 }
-                // panics(entry < entries.len(); seen_stamp is sized by begin_group)
                 scratch.seen_stamp[indexed_idx] = stamp;
                 let indexed = &entries[indexed_idx];
                 // A ranking can occur more than once in a group (duplicate
@@ -692,15 +710,17 @@ pub fn join_group_indexed(
         }
         // Index the probe's prefix for subsequent (larger-id) members:
         // head-insert each token into its intrusive chain.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "probe_idx < entries.len(), which fits u32 — see the order construction; posting count ≤ group size × prefix length — far below u32::MAX"
+        )]
         for &(item, rank) in probe.ranking.prefix(p) {
             let head = scratch.heads.entry(item).or_insert(NO_POSTING);
             let node = Posting {
-                // cast(probe_idx < entries.len(), which fits u32 — see the order construction)
                 entry: probe_idx as u32,
                 rank,
                 next: *head,
             };
-            // cast(posting count ≤ group size × prefix length — far below u32::MAX)
             *head = scratch.postings.len() as u32;
             scratch.postings.push(node);
         }
@@ -1196,6 +1216,7 @@ mod tests {
         ]
     }
 
+    #[allow(clippy::type_complexity)]
     fn relation_pairs_of(
         results: &[(usize, usize, u64)],
         entries: &[TokenEntry],

@@ -22,6 +22,8 @@
 //! composite `(token, sub-key)` partitioner and joined pairwise with an R-S
 //! kernel — Algorithm 3 / §6.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::sync::Arc;
 
 use minispark::{Cluster, Counter, Dataset, SkewBudget};
@@ -373,7 +375,10 @@ fn hits_of<D, H>(
     triples
         .into_iter()
         .map(|(i, j, distance)| {
-            // panics(kernel triples index their inputs — i < left.len() and j < right.len())
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "kernel triples index their inputs — i < left.len() and j < right.len()"
+            )]
             let (x, y) = (&left[i], &right[j]);
             // Normalize by (relation, id), not id alone: chunks of a
             // bipartite group hold mixed relations with possibly overlapping

@@ -161,10 +161,6 @@ fn cluster_config_json(c: &minispark::ClusterConfig) -> Json {
         .with("task_slots", Json::num_usize(c.task_slots()))
         .with("default_partitions", Json::num_usize(c.default_partitions))
         .with(
-            "executor_memory_bytes",
-            Json::num_usize(c.executor_memory_bytes),
-        )
-        .with(
             "spill_record_budget",
             // MAX means "spilling disabled" — exported as null so readers
             // don't mistake a sentinel for a real budget.

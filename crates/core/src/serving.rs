@@ -25,6 +25,8 @@
 //! read lock; mutations take the WAL mutex for their whole span so that
 //! log append → index apply is atomic with respect to other mutations.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -38,6 +40,15 @@ use topk_rankings::{ItemId, Ranking, RankingId};
 
 use crate::wal::{WalError, WalRecord, WalStore};
 use crate::{JoinError, RankingIndex};
+
+/// The largest ranking id the serving layer accepts: 2^53 − 1, the largest
+/// integer that an `f64` tells apart from both neighbours. `/query` and
+/// `GET /rankings/<id>` render ids through [`Json::num_u64`] and
+/// `POST /rankings` reads them through [`Json::as_u64`], both `f64`; a
+/// larger id would be answered with — or stored as — a neighbouring one
+/// (2^53 + 1 reads as 2^53). [`ServingIndex::upsert_batch`] and replay in
+/// [`ServingIndex::open`] refuse it instead, whichever way it came in.
+pub const MAX_SERVED_ID: RankingId = (1 << 53) - 1;
 
 /// Ranking id used for query rankings sent without an explicit `id=`
 /// parameter. Range queries exclude self-matches by id, so a stored ranking
@@ -89,6 +100,9 @@ pub enum ServingError {
     Join(JoinError),
     /// The durability layer failed.
     Wal(WalError),
+    /// A ranking id above [`MAX_SERVED_ID`]: answers render ids as JSON
+    /// numbers, which would silently round it to a neighbouring id.
+    IdNotRenderable(RankingId),
 }
 
 impl std::fmt::Display for ServingError {
@@ -96,6 +110,11 @@ impl std::fmt::Display for ServingError {
         match self {
             ServingError::Join(e) => write!(f, "{e}"),
             ServingError::Wal(e) => write!(f, "{e}"),
+            ServingError::IdNotRenderable(id) => write!(
+                f,
+                "ranking id {id} is above 2^53 - 1 ({MAX_SERVED_ID}) and cannot be carried \
+                 exactly by a JSON number"
+            ),
         }
     }
 }
@@ -209,6 +228,7 @@ impl ServingIndex {
     /// intact record is recovered.
     pub fn open(dir: &Path, config: ServingConfig) -> Result<(Self, ReplayStats), ServingError> {
         let (store, replay) = WalStore::open(dir)?;
+        check_ids(&replay.snapshot)?;
         let mut index = RankingIndex::build(&replay.snapshot, config.theta_max)?;
         for record in &replay.records {
             apply_record(&mut index, record)?;
@@ -231,9 +251,11 @@ impl ServingIndex {
     ///
     /// The whole batch is validated against the index's ranking length
     /// *before* anything is logged or applied, so a rejected batch leaves
-    /// both the WAL and the index untouched.
+    /// both the WAL and the index untouched. Ids above [`MAX_SERVED_ID`] are
+    /// refused the same way.
     pub fn upsert_batch(&self, batch: &[Ranking]) -> Result<UpsertOutcome, ServingError> {
         let start = Instant::now();
+        check_ids(batch)?;
         // locks(lock order: WAL mutex first, index lock second — everywhere; the guard spans append+apply so WAL order equals apply order)
         let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
         {
@@ -478,11 +500,20 @@ fn last_versions(batch: &[Ranking]) -> Vec<Ranking> {
         .collect()
 }
 
+/// Refuses the first ranking of `rankings` whose id JSON cannot carry.
+fn check_ids(rankings: &[Ranking]) -> Result<(), ServingError> {
+    match rankings.iter().find(|r| r.id() > MAX_SERVED_ID) {
+        Some(r) => Err(ServingError::IdNotRenderable(r.id())),
+        None => Ok(()),
+    }
+}
+
 /// Applies one replayed WAL record to the index (replay-time mirror of the
 /// live mutation paths).
 fn apply_record(index: &mut RankingIndex, record: &WalRecord) -> Result<(), ServingError> {
     match record {
         WalRecord::Upsert(rankings) => {
+            check_ids(rankings)?;
             apply_upsert(index, rankings)?;
         }
         WalRecord::Delete(id) => {
@@ -568,11 +599,13 @@ fn matches_json(results: &[(u64, u64)], k: usize) -> Json {
     let arr = results
         .iter()
         .map(|&(id, d)| {
-            // cast(raw Footrule distances fit f64 exactly for any practical k)
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "raw Footrule distances are far below 2^53 — exact in f64"
+            )]
             let normalized = if max_raw == 0 {
                 0.0
             } else {
-                // cast(raw Footrule distances are far below 2^53 — exact in f64)
                 d as f64 / max_raw as f64
             };
             Json::obj()
@@ -588,7 +621,9 @@ fn matches_json(results: &[(u64, u64)], k: usize) -> Json {
 fn serving_error_response(err: &ServingError) -> Response {
     match err {
         // alloc(error-path formatting only)
-        ServingError::Join(e) => json_error(400, &e.to_string()),
+        ServingError::Join(_) | ServingError::IdNotRenderable(_) => {
+            json_error(400, &err.to_string())
+        }
         ServingError::Wal(e) => json_error(500, &e.to_string()),
     }
 }
@@ -994,7 +1029,6 @@ mod tests {
                 .with_snapshot_every(0),
         )?;
         for id in 0..10u64 {
-            // cast(test ids fit u32)
             let first = id as u32 * 10;
             service.upsert_batch(&[Ranking::new(id, (first..first + 5).collect())?])?;
         }

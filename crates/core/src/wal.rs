@@ -30,6 +30,8 @@
 //! callers can invoke at the cadence their durability budget allows;
 //! snapshots are always fsynced before the rename.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -149,8 +151,15 @@ impl WalRecord {
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < 256 by the loop bound; the table has 256 entries"
+    )]
     while i < 256 {
-        // cast(i < 256 — the table-index loop bound)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i < 256 — the table-index loop bound"
+        )]
         let mut c = i as u32;
         let mut j = 0;
         while j < 8 {
@@ -161,7 +170,6 @@ const fn crc32_table() -> [u32; 256] {
             };
             j += 1;
         }
-        // panics(i < 256 by the loop bound; the table has 256 entries)
         table[i] = c;
         i += 1;
     }
@@ -173,9 +181,11 @@ static CRC_TABLE: [u32; 256] = crc32_table();
 /// CRC-32 checksum of `bytes` (IEEE, the zlib/Ethernet polynomial).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index is masked into 0..=255 by `& 0xFF`; the table has 256 entries"
+    )]
     for &b in bytes {
-        // panics(index is masked into 0..=255 by `& 0xFF`; the table has 256 entries)
-        // cast(masked into 0..=255 by `& 0xFF` — fits usize)
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -230,7 +240,6 @@ impl WalStore {
         if dropped_bytes > 0 {
             // Cut the torn tail off so the next append does not extend a
             // half-written frame into permanently unreadable garbage.
-            // cast(byte offsets widen losslessly into u64)
             wal.set_len(intact_bytes as u64)?;
         }
         let replay = WalReplay {
@@ -244,7 +253,6 @@ impl WalStore {
                 dir: dir.to_path_buf(),
                 wal,
                 records_since_snapshot,
-                // cast(byte offsets widen losslessly into u64)
                 wal_bytes: intact_bytes as u64,
             },
             replay,
@@ -260,7 +268,10 @@ impl WalStore {
         record.encode(&mut payload);
         // alloc(same per-request frame buffer as above)
         let mut frame = Vec::with_capacity(payload.len() + 8);
-        // cast(a frame holds one request batch — far below 4 GiB)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a frame holds one request batch — far below 4 GiB"
+        )]
         (payload.len() as u32).encode(&mut frame);
         crc32(&payload).encode(&mut frame);
         frame.extend_from_slice(&payload);
@@ -406,7 +417,6 @@ fn replay_frames(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize), WalError> {
         let Some(stored_crc) = u32::decode(&mut peek) else {
             break; // torn checksum
         };
-        // cast(the decoded u32 frame length widens losslessly)
         let len = len as usize;
         if peek.len() < len {
             break; // torn payload

@@ -1,5 +1,8 @@
 //! Property tests at the kernel and phase level of `topk-simjoin`.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation)]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

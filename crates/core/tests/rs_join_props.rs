@@ -16,6 +16,9 @@
 //! by `minispark::check::schedule_matrix` from fixed seeds, so failures
 //! replay exactly (`Schedule::Seeded(n)` in the error names the schedule).
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation, clippy::panic)]
+
 use minispark::{check_determinism, schedule_matrix, Cluster, ClusterConfig, Schedule};
 use topk_rankings::Ranking;
 use topk_simjoin::{

@@ -17,6 +17,9 @@
 //!    such clients than workers all make progress, and a request the server
 //!    cannot frame ends the connection without touching the index.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation, clippy::let_underscore_must_use)]
+
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -306,6 +309,40 @@ fn http_server_restart_preserves_every_response() -> TestResult {
         assert_eq!(&body, expected, "response to {q} changed across restart");
     }
     std::fs::remove_dir_all(&dir)?;
+    Ok(())
+}
+
+/// Answers carry ids as JSON numbers (`f64`), so an id above 2^53 − 1 used
+/// to come back as a neighbouring id when the corpus was preloaded
+/// (`topk-serve --data`, `upsert_batch`) rather than posted. It is refused
+/// at every door now, and the largest accepted id comes back exact.
+#[test]
+fn an_id_json_cannot_carry_is_refused_not_rounded() -> TestResult {
+    let too_big: RankingId = (1 << 53) + 1;
+    let largest: RankingId = (1 << 53) - 1;
+    let service = ServingIndex::ephemeral(ServingConfig::new(0.4))?;
+    let err = service
+        .upsert_batch(&[permuted(1, 0), permuted(too_big, 1)])
+        .expect_err("the preload path refuses the id");
+    assert!(err.to_string().contains(&too_big.to_string()), "{err}");
+    assert_eq!(service.stats().live, 0, "a refused batch changes nothing");
+    service.upsert_batch(&[permuted(largest, 0)])?;
+
+    let server = ServingServer::start(0, Arc::new(service), 2)?;
+    let addr = server.addr();
+    let posted = upsert_body(&[permuted(too_big, 1)]);
+    let (status, body) = http(addr, "POST /rankings", Some(&posted));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("2^53"), "{body}");
+
+    let items: Vec<String> = permuted(0, 0).items().iter().map(u32::to_string).collect();
+    let query = format!("GET /query?theta=0.4&items={}", items.join(","));
+    let (status, body) = http(addr, &query, None);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(match_ids(&body), vec![largest]);
+    let (status, body) = http(addr, &format!("GET /rankings/{largest}"), None);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&largest.to_string()), "{body}");
     Ok(())
 }
 

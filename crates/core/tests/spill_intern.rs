@@ -6,6 +6,9 @@
 //! decode interner instead of materializing one copy per prefix-token
 //! occurrence.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -20,6 +20,19 @@
 //!   shared between harness runs.
 
 #![warn(missing_docs)]
+// Unit tests are exempt from the cast and discarded-`Result` rules (for the
+// unwrap/panic/indexing rules `clippy.toml` says the same).
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 
 pub mod corpus;
 pub mod increase;

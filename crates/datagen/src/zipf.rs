@@ -40,8 +40,11 @@ impl ZipfSampler {
     }
 
     /// The vocabulary size.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the table is built from 0..vocab_size, a u32 — len fits u32"
+    )]
     pub fn vocab_size(&self) -> u32 {
-        // cast(the table is built from 0..vocab_size, a u32 — len fits u32)
         self.cumulative.len() as u32
     }
 
@@ -51,11 +54,14 @@ impl ZipfSampler {
     }
 
     /// Draws one item id in `0..vocab_size`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "partition_point ≤ len ≤ u32::MAX — see vocab_size"
+    )]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let total = *self.cumulative.last().expect("non-empty table");
         let needle = rng.gen::<f64>() * total;
         // First index whose cumulative weight exceeds the needle.
-        // cast(partition_point ≤ len ≤ u32::MAX — see vocab_size)
         self.cumulative.partition_point(|&c| c <= needle) as u32
     }
 

@@ -2,6 +2,9 @@
 //! determinism, and the distance-preservation contract of the dataset
 //! increase.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation)]
+
 use std::collections::HashSet;
 
 use proptest::prelude::*;

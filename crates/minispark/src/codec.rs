@@ -7,6 +7,8 @@
 //! cross-platform concern, only round-trip fidelity — which the tests and a
 //! property test pin down.
 
+#![warn(clippy::indexing_slicing)]
+
 /// A type that can encode itself into a byte buffer and decode itself back.
 ///
 /// `decode` consumes bytes from the front of `input` and must return `None`
@@ -45,7 +47,6 @@ impl_codec_for_int!(u8, u16, u32, u64, i8, i16, i32, i64);
 
 impl Codec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
-        // cast(usize → u64 is value-preserving — the workspace supports 64-bit targets only)
         (*self as u64).encode(out);
     }
 

@@ -25,11 +25,6 @@ pub struct ClusterConfig {
     /// Default number of partitions for `parallelize` and shuffles when the
     /// caller does not specify one (the paper uses 286 for most runs).
     pub default_partitions: usize,
-    /// Per-executor memory budget in bytes (`spark.executor.memory`). Only
-    /// used by memory-aware operators (spilling group-by) to decide when to
-    /// spill; plain operators are unconstrained, like Spark operators that
-    /// fit in memory.
-    pub executor_memory_bytes: usize,
     /// Maximum records a memory-aware group-by keeps in memory per task
     /// before spilling a run to disk. `usize::MAX` disables spilling.
     pub spill_record_budget: usize,
@@ -68,15 +63,16 @@ impl ClusterConfig {
     }
 
     /// The paper's evaluation configuration (Table 3): 8 nodes, 24 executor
-    /// instances (3 per node), 5 cores and 8 GB per executor, 286 default
-    /// partitions.
+    /// instances (3 per node), 5 cores per executor, 286 default partitions.
+    /// Table 3's 8 GB per executor (`spark.executor.memory`) has no field
+    /// here: memory is not accounted in bytes, and what bounds a task's
+    /// footprint is [`ClusterConfig::spill_record_budget`], a record count.
     pub fn paper_table3() -> Self {
         Self {
             nodes: 8,
             executors_per_node: 3,
             cores_per_executor: 5,
             default_partitions: 286,
-            executor_memory_bytes: 8 * 1024 * 1024 * 1024,
             spill_record_budget: usize::MAX,
             spill_dir: None,
             schedule: None,
@@ -166,7 +162,6 @@ impl Default for ClusterConfig {
             executors_per_node: 1,
             cores_per_executor: 4,
             default_partitions: 16,
-            executor_memory_bytes: 1024 * 1024 * 1024,
             spill_record_budget: usize::MAX,
             spill_dir: None,
             schedule: None,
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(c.cores_per_executor, 5);
         assert_eq!(c.task_slots(), 120);
         assert_eq!(c.default_partitions, 286);
-        assert_eq!(c.executor_memory_bytes, 8 * 1024 * 1024 * 1024);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! important for skewed workloads where one oversized partition dominates
 //! (the exact effect the paper's CL-P repartitioning attacks).
 
+#![warn(clippy::indexing_slicing)]
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -120,6 +122,10 @@ where
         let busy_nanos = &busy_nanos;
         let f = &f;
         for slot in 0..workers {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx < num_tasks is checked before either use; pending and results have num_tasks slots"
+            )]
             scope.spawn(move || loop {
                 sched::yield_point("executor/claim");
                 // relaxed(cursor): the fetch_add's atomicity alone guarantees
@@ -131,7 +137,6 @@ where
                 }
                 let input = {
                     let _held = lock_order::acquire(lock_order::Family::Pending, idx);
-                    // panics(idx < num_tasks checked above; pending has num_tasks slots)
                     pending[idx]
                         .lock()
                         .take()
@@ -140,12 +145,14 @@ where
                 let start = Instant::now();
                 let output = f(idx, input);
                 let elapsed = start.elapsed();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "task durations are far below u64::MAX ns ≈ 584 years"
+                )]
                 // relaxed(counter): an independent duration counter, only
                 // read after the scope below joins every worker.
-                // cast(task durations are far below u64::MAX ns ≈ 584 years)
                 busy_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
                 let _held = lock_order::acquire(lock_order::Family::Results, idx);
-                // panics(idx < num_tasks checked above; results has num_tasks slots)
                 *results[idx].lock() = Some((output, elapsed, start, slot));
             });
         }
@@ -234,16 +241,18 @@ where
     let mut per_task = vec![Duration::ZERO; num_tasks];
     // alloc(per-stage task state, built once before the replay loop)
     let mut spans: Vec<Option<TaskSpan>> = vec![None; num_tasks];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order is a permutation of 0..num_tasks, so idx and dest are both < num_tasks — all four vectors are that long"
+    )]
     for (position, &idx) in order.iter().enumerate() {
         sched::yield_point("executor/claim");
         let slot = schedule.slot_of(position, num_tasks, slots);
-        // panics(order is a permutation of 0..num_tasks — idx is in range)
         let input = pending[idx].take().expect("task input claimed twice");
         let start = Instant::now();
         let output = f(idx, input);
         let elapsed = start.elapsed();
         let dest = if inject_claim_order { position } else { idx };
-        // panics(dest and idx are both < num_tasks — all three vectors are that long)
         outputs[dest] = Some(output);
         per_task[idx] = elapsed;
         spans[idx] = Some(TaskSpan {
@@ -305,10 +314,16 @@ pub fn steal_count_indexed(pairs: &[(usize, usize)], slots: usize) -> usize {
     let mut total = 0;
     let mut wave_start = 0;
     for idx in 1..=pairs.len() {
-        // panics(short-circuit guards idx < pairs.len(); idx ≥ 1 from the range)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "short-circuit guards idx < pairs.len(); idx ≥ 1 from the range"
+        )]
         let resets = idx == pairs.len() || pairs[idx].0 <= pairs[idx - 1].0;
         if resets {
-            // panics(wave_start ≤ idx ≤ pairs.len() — the wave is a valid subslice)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "wave_start ≤ idx ≤ pairs.len() — the wave is a valid subslice"
+            )]
             let wave = &pairs[wave_start..idx];
             let workers = slots.max(1).min(wave.len());
             if workers > 1 {

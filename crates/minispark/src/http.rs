@@ -611,7 +611,10 @@ impl Connection {
     /// of a persistent connection must expect at any time.
     fn park(mut self) {
         if let Some(parker) = self.parker.clone() {
-            // errors(the parking thread is gone only if it panicked; the connection comes back in the error and closes)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the parking thread is gone only if it panicked; the connection comes back in the error and closes"
+            )]
             let _ = parker.send(self);
             return;
         }
@@ -793,11 +796,17 @@ fn admit(
         (admitted, ended)
     };
     for handle in ended {
-        // errors(Err means the parking thread panicked; its connection closed with it and the acceptor keeps serving)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "Err means the parking thread panicked; its connection closed with it and the acceptor keeps serving"
+        )]
         let _ = handle.join();
     }
     if !admitted {
-        // errors(a client that is already gone needs no refusal)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a client that is already gone needs no refusal"
+        )]
         let _ = stream.write_all(OVERLOADED);
         return None;
     }
@@ -824,10 +833,16 @@ impl std::fmt::Debug for HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        // errors(self-connection only unblocks the accept loop; on failure the timeout covers us)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "self-connection only unblocks the accept loop; on failure the timeout covers us"
+        )]
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         if let Some(handle) = self.acceptor.take() {
-            // errors(Err means the acceptor thread panicked; Drop must not double-panic)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means the acceptor thread panicked; Drop must not double-panic"
+            )]
             let _ = handle.join();
         }
         // No connection is admitted any more. Shutting the open ones down
@@ -836,19 +851,28 @@ impl Drop for HttpServer {
         {
             let open = self.shared.open.lock();
             for socket in open.sockets.values() {
-                // errors(the peer may have reset the connection already; either way nothing blocks on it any longer)
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the peer may have reset the connection already; either way nothing blocks on it any longer"
+                )]
                 let _ = socket.shutdown(Shutdown::Both);
             }
         }
         for handle in self.workers.drain(..) {
-            // errors(Err means a worker thread panicked; Drop must not double-panic)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means a worker thread panicked; Drop must not double-panic"
+            )]
             let _ = handle.join();
         }
         // The workers have left, so every connection is closed and every
         // parking thread is past its loop.
         let parkers = std::mem::take(&mut self.shared.open.lock().parkers);
         for handle in parkers {
-            // errors(Err means a parking thread panicked; Drop must not double-panic)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means a parking thread panicked; Drop must not double-panic"
+            )]
             let _ = handle.join();
         }
     }

@@ -53,14 +53,22 @@ impl Json {
     }
 
     /// A number from a `usize` counter.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "documented above: JSON numbers are f64, counters beyond 2^53 round"
+    )]
     pub fn num_usize(n: usize) -> Self {
-        // cast(documented above: JSON numbers are f64, counters beyond 2^53 round)
         Json::Num(n as f64)
     }
 
-    /// A number from a `u64` counter.
+    /// A number from a `u64` counter. Identifiers rendered through this must
+    /// be kept at or below 2^53 by the caller (the serving layer refuses
+    /// larger ranking ids): above it the value rounds to a neighbour.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "documented above: JSON numbers are f64, counters beyond 2^53 round"
+    )]
     pub fn num_u64(n: u64) -> Self {
-        // cast(documented above: JSON numbers are f64, counters beyond 2^53 round)
         Json::Num(n as f64)
     }
 
@@ -105,7 +113,12 @@ impl Json {
     /// The value as a non-negative integer, if it is a whole number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // cast(2^53 is exactly representable; the guard makes the f64 → u64 cast exact)
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_precision_loss,
+                clippy::cast_sign_loss,
+                reason = "2^53 is exactly representable; the guard makes the f64 → u64 cast exact"
+            )]
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
                 Some(*n as u64)
             }
@@ -213,7 +226,10 @@ fn write_number(n: f64, out: &mut String) {
         // Rust's `{}` for f64 is the shortest representation that parses
         // back to the same bits — exactly what a round-tripping emitter
         // needs — and it never produces exponent syntax JSON would reject.
-        // errors(fmt::Write into a String is infallible)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = write!(out, "{n}");
     } else {
         // JSON has no NaN/Infinity; degrade like `JSON.stringify`.
@@ -232,11 +248,12 @@ fn write_string(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
-            // cast(char → u32 is the scalar value — always lossless)
             c if (c as u32) < 0x20 => {
                 use fmt::Write as _;
-                // cast(char → u32 is the scalar value — always lossless)
-                // errors(fmt::Write into a String is infallible)
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write into a String is infallible"
+                )]
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             // Non-ASCII passes through as UTF-8 (valid JSON).

@@ -75,16 +75,18 @@ impl StageMetrics {
     /// Skew ratio: largest partition share relative to the perfectly
     /// balanced share (1.0 = balanced; the paper's skewed posting lists show
     /// up as ≫ 1 here).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "observability ratio — f64 rounding beyond 2^53 records is irrelevant"
+    )]
     pub fn skew(&self) -> f64 {
         if self.output_records == 0 || self.num_tasks == 0 {
             return 1.0;
         }
-        // cast(observability ratio — f64 rounding beyond 2^53 records is irrelevant)
         let balanced = self.output_records as f64 / self.num_tasks as f64;
         if balanced == 0.0 {
             1.0
         } else {
-            // cast(observability ratio — f64 rounding beyond 2^53 records is irrelevant)
             self.max_partition_records as f64 / balanced
         }
     }

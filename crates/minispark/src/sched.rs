@@ -73,7 +73,10 @@ impl Schedule {
                 // permutations (up to modulo bias, irrelevant here — we need
                 // diversity, not statistical uniformity).
                 for i in (1..num_tasks).rev() {
-                    // cast(j ≤ i < num_tasks — the modulus keeps the draw in usize range)
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "j ≤ i < num_tasks — the modulus keeps the draw in usize range"
+                    )]
                     let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
                     order.swap(i, j);
                 }
@@ -101,6 +104,10 @@ impl Schedule {
         let slots = slots.max(1);
         match self {
             Schedule::Natural | Schedule::Reversed => position % slots,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the modulus keeps the draw below slots, a usize"
+            )]
             Schedule::Seeded(seed) => {
                 // An independent draw per position, decorrelated from the
                 // claim-order stream by a fixed odd constant.

@@ -7,6 +7,8 @@
 //! break up oversized posting lists ("we partition by both the item id and
 //! the randomly assigned number and increase the number of partitions").
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -35,8 +37,11 @@ pub(crate) fn stable_hash<K: Hash + ?Sized>(key: &K) -> u64 {
 /// counts 2/4/8/16). Any low-bit structure in the hash then maps straight
 /// into partition imbalance; multiply-shift folds the high bits in and also
 /// replaces the division with a multiply.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "(hash · n) >> 64 < n ≤ usize::MAX — the reduction is its own bound"
+)]
 pub(crate) fn spread(hash: u64, n: usize) -> usize {
-    // cast((hash · n) >> 64 < n ≤ usize::MAX — the reduction is its own bound)
     ((u128::from(hash) * n as u128) >> 64) as usize
 }
 

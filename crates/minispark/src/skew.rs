@@ -26,6 +26,8 @@
 //! static assignment. [`SplitStats::stolen_tasks`] reports how often that
 //! backfill actually happened (see [`crate::executor::steal_count`]).
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,24 +146,35 @@ where
     for (key, _) in sample {
         *counts.entry(key).or_default() += 1;
     }
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "record counts are far below 2^53 — exact in f64"
+    )]
     let scale = if sampled_records == 0 {
         1.0
     } else {
-        // cast(record counts are far below 2^53 — exact in f64)
         total_records as f64 / sampled_records as f64
     };
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "estimated group size — a non-negative float estimate, ceil fits usize"
+    )]
     let mut sizes: Vec<usize> = counts
         .values()
-        // cast(estimated group size — a non-negative float estimate, ceil fits usize)
         // alloc(sample-sized size list, once per estimate)
         .map(|&c| (c as f64 * scale).ceil() as usize)
         .collect();
     sizes.sort_unstable();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "1 ≤ rank.min(len) ≤ len — sizes is non-empty in this branch"
+    )]
     let p95_group_size = if sizes.is_empty() {
         0
     } else {
         let rank = (95 * sizes.len()).div_ceil(100).max(1);
-        // panics(1 ≤ rank.min(len) ≤ len — sizes is non-empty in this branch)
         sizes[rank.min(sizes.len()) - 1]
     };
     SkewEstimate {
@@ -252,11 +265,14 @@ impl SplitPlan {
 
     /// Splits a slice according to the plan. `items.len()` must equal the
     /// planned `len`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chunk bounds tile 0..len exactly; items.len() == len is asserted above"
+    )]
     pub fn chunks<'a, T>(&self, items: &'a [T]) -> Vec<&'a [T]> {
         debug_assert_eq!(items.len(), self.len, "plan was made for another group");
         self.chunk_bounds()
             .into_iter()
-            // panics(chunk bounds tile 0..len exactly; items.len() == len is asserted above)
             // alloc(one slice Vec per split group — borrows, no member copies)
             .map(|(start, end)| &items[start..end])
             .collect()
@@ -266,7 +282,10 @@ impl SplitPlan {
     /// recover the pairs a chunked self-join misses. Every cross-chunk
     /// member pair appears in exactly one of these.
     pub fn chunk_pairs(&self) -> Vec<(u32, u32)> {
-        // cast(split plans make at most a few hundred chunks — fits u32)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "split plans make at most a few hundred chunks — fits u32"
+        )]
         let chunks = self.num_chunks() as u32;
         // alloc(one pair list per split group, sized up front)
         let mut out = Vec::with_capacity((chunks as usize * chunks.saturating_sub(1) as usize) / 2);
@@ -345,6 +364,10 @@ where
             Vec::new()
         }
     });
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sub < num_chunks, which fits u32 — see chunk_pairs"
+    )]
     // Large groups are split into balanced chunks of ≤ budget members with a
     // secondary key.
     // alloc(stage label String, once per split join)
@@ -361,7 +384,6 @@ where
         plan.chunks(members)
             .into_iter()
             .enumerate()
-            // cast(sub < num_chunks, which fits u32 — see chunk_pairs)
             // alloc(chunk replicas must own their members to re-shuffle; split groups only)
             .map(|(sub, chunk)| ((*key, sub as u32), chunk.to_vec()))
             .collect::<Vec<_>>()
@@ -396,8 +418,11 @@ where
             let mut out = Vec::new();
             for i in 0..sorted.len() {
                 for j in (i + 1)..sorted.len() {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "loop bounds: i < j < sorted.len()"
+                    )]
                     out.push((
-                        // panics(loop bounds: i < j < sorted.len())
                         (*key, sorted[i].0, sorted[j].0),
                         (sorted[i].1.clone(), sorted[j].1.clone()),
                     ));

@@ -15,6 +15,8 @@
 //! Run files are length-prefixed entry streams read through `BufReader`, so
 //! the merge holds only one entry per run in memory.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fs::File;
@@ -121,7 +123,10 @@ impl RunReader {
 
 impl Drop for RunReader {
     fn drop(&mut self) {
-        // errors(best-effort temp-file cleanup in Drop; the OS reclaims stragglers)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort temp-file cleanup in Drop; the OS reclaims stragglers"
+        )]
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -216,13 +221,20 @@ where
                    memory_iter: &mut std::collections::btree_map::IntoIter<K, Vec<V>>|
      -> io::Result<Option<(K, Vec<V>)>> {
         match source {
-            // panics(Source::Run is only built with idx < memory_index ≤ runs.len())
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Source::Run is only built with idx < memory_index ≤ runs.len()"
+            )]
             Source::Run(idx) => runs[*idx].next_entry::<K, V>(),
             Source::Memory => Ok(memory_iter.next()),
         }
     };
 
     #[allow(clippy::needless_range_loop)] // idx doubles as the source id pushed into the heap
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx ≤ memory_index < pending.len()"
+    )]
     for idx in 0..=memory_index {
         let source = if idx == memory_index {
             Source::Memory
@@ -230,7 +242,6 @@ where
             Source::Run(idx)
         };
         if let Some((k, vs)) = advance(&source, &mut runs, &mut memory_iter)? {
-            // panics(idx ≤ memory_index < pending.len())
             pending[idx] = Some(vs);
             heap.push(Reverse((k, idx)));
         }
@@ -238,8 +249,11 @@ where
 
     // alloc(the grouped output the caller takes ownership of)
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the heap only holds source ids ≤ memory_index < pending.len()"
+    )]
     while let Some(Reverse((key, idx))) = heap.pop() {
-        // panics(the heap only holds source ids ≤ memory_index < pending.len())
         let mut values = pending[idx].take().expect("heap entry without values");
         let source = if idx == memory_index {
             Source::Memory
@@ -247,7 +261,6 @@ where
             Source::Run(idx)
         };
         if let Some((k, vs)) = advance(&source, &mut runs, &mut memory_iter)? {
-            // panics(idx ≤ memory_index < pending.len())
             pending[idx] = Some(vs);
             heap.push(Reverse((k, idx)));
         }

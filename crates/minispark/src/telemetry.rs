@@ -23,6 +23,8 @@
 //! sampler snapshots the registry on a background thread at a fixed
 //! interval into an in-memory `minispark/heartbeat/v1` time series.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,11 +53,14 @@ pub const NUM_BUCKETS: usize = EXACT_LIMIT + 59 * SUB_BUCKETS;
 /// sub-buckets per power of two — relative bucket width ≤ 1/16.
 pub fn bucket_index(v: u64) -> usize {
     if v < EXACT_LIMIT as u64 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "v < EXACT_LIMIT, a usize, is checked on the line above"
+        )]
         return v as usize;
     }
-    // v ≥ 32 ⇒ exp ∈ [5, 63]. cast(leading_zeros is at most 64 — fits usize)
+    // v ≥ 32 ⇒ exp ∈ [5, 63].
     let exp = 63 - v.leading_zeros() as usize;
-    // cast(masked to 4 bits — fits every usize)
     let sub = ((v >> (exp - 4)) & 15) as usize;
     EXACT_LIMIT + (exp - 5) * SUB_BUCKETS + sub
 }
@@ -111,9 +116,12 @@ impl HistogramCell {
 
     fn record(&self, v: u64) {
         let idx = bucket_index(v);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_index < NUM_BUCKETS by construction; buckets has NUM_BUCKETS cells"
+        )]
         // relaxed(counter): independent statistic cells; concurrent samplers
         // tolerate torn cross-cell totals (count may briefly lead buckets).
-        // panics(bucket_index < NUM_BUCKETS by construction; buckets has NUM_BUCKETS cells)
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         // relaxed(counter): same independent-statistic argument as above.
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +366,12 @@ impl HistogramData {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        // cast(count < 2^53 and q ∈ [0,1]; nearest-rank tolerates f64 rounding)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_precision_loss,
+            clippy::cast_sign_loss,
+            reason = "count < 2^53 and q ∈ [0,1]; nearest-rank tolerates f64 rounding"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for &(idx, n) in &self.buckets {
@@ -374,11 +387,14 @@ impl HistogramData {
     }
 
     /// Mean of recorded values (`None` when empty).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "ns-scale sums stay below 2^53; f64 rounding is fine for a mean"
+    )]
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             None
         } else {
-            // cast(ns-scale sums stay below 2^53; f64 rounding is fine for a mean)
             Some(self.sum as f64 / self.count as f64)
         }
     }
@@ -801,9 +817,12 @@ impl TelemetrySnapshot {
                     SampleValue::Counter(v) => doc
                         .with("kind", Json::str("counter"))
                         .with("value", Json::num_u64(*v)),
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "gauge levels are task/record counts ≪ 2^53"
+                    )]
                     SampleValue::Gauge(v) => doc
                         .with("kind", Json::str("gauge"))
-                        // cast(gauge levels are task/record counts ≪ 2^53)
                         .with("value", Json::num(*v as f64)),
                     SampleValue::Histogram(data) => doc
                         .with("kind", Json::str("histogram"))
@@ -937,7 +956,10 @@ impl HeartbeatShared {
         for m in &snapshot.metrics {
             let value = match &m.value {
                 SampleValue::Counter(v) => Json::num_u64(*v),
-                // cast(gauge levels are task/record counts ≪ 2^53)
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "gauge levels are task/record counts ≪ 2^53"
+                )]
                 SampleValue::Gauge(v) => Json::num(*v as f64),
                 SampleValue::Histogram(data) => {
                     let q = |p: f64| data.quantile(p).map_or(Json::Null, Json::num_u64);
@@ -1047,7 +1069,10 @@ impl Drop for Heartbeat {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
-            // errors(Err means the sampler thread panicked; Drop must not double-panic)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means the sampler thread panicked; Drop must not double-panic"
+            )]
             let _ = handle.join();
         }
     }

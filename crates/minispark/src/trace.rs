@@ -416,13 +416,16 @@ impl ExecutorAnalytics {
     }
 
     /// Busy-time-weighted mean occupancy across stages, in `[0, 1]`.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "slot counts are tiny — exact in f64"
+    )]
     pub fn overall_occupancy(&self) -> f64 {
         let span: f64 = self.stages.iter().map(|s| s.span.as_secs_f64()).sum();
         if span <= 0.0 {
             return 1.0;
         }
         let busy: f64 = self.stages.iter().map(|s| s.busy.as_secs_f64()).sum();
-        // cast(slot counts are tiny — exact in f64)
         (busy / (self.slots as f64 * span)).clamp(0.0, 1.0)
     }
 
@@ -454,10 +457,13 @@ fn stage_analytics(stage_id: usize, tasks: &[&TaskEvent], slots: usize) -> Stage
     let stolen_tasks = steal_count_indexed(&pairs, slots);
     let mut waits: Vec<Duration> = tasks.iter().map(|t| t.queue_wait()).collect();
     waits.sort_unstable();
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "slot counts are tiny — exact in f64"
+    )]
     let occupancy = if span.is_zero() {
         1.0
     } else {
-        // cast(slot counts are tiny — exact in f64)
         (busy.as_secs_f64() / (slots as f64 * span.as_secs_f64())).clamp(0.0, 1.0)
     };
     StageAnalytics {
@@ -494,8 +500,11 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
 // Chrome trace_event export
 // ---------------------------------------------------------------------------
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "trace timestamps — rounding beyond 2^53 ns (~3 months) is fine in a trace"
+)]
 fn micros(ns: u64) -> Json {
-    // cast(trace timestamps — rounding beyond 2^53 ns (~3 months) is fine in a trace)
     Json::num(ns as f64 / 1e3)
 }
 
@@ -538,6 +547,10 @@ pub fn chrome_trace(snapshot: &TraceSnapshot) -> Json {
         match event {
             TraceEvent::Task(t) => {
                 max_slot = Some(max_slot.map_or(t.slot, |m| m.max(t.slot)));
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "queue waits are far below u64::MAX ns ≈ 584 years"
+                )]
                 events.push(
                     chrome_event(&t.stage, "X", t.slot + 1, t.started_ns)
                         .with("dur", micros(t.finished_ns.saturating_sub(t.started_ns)))
@@ -547,7 +560,6 @@ pub fn chrome_trace(snapshot: &TraceSnapshot) -> Json {
                             Json::obj()
                                 .with("stage_id", Json::num_usize(t.stage_id))
                                 .with("task", Json::num_usize(t.task))
-                                // cast(queue waits are far below u64::MAX ns ≈ 584 years)
                                 .with("queue_wait_us", micros(t.queue_wait().as_nanos() as u64)),
                         ),
                 );

@@ -2,6 +2,9 @@
 //! with its obvious sequential equivalent, for any partitioning and any
 //! slot count.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+
 use std::collections::{HashMap, HashSet};
 
 use minispark::{Cluster, ClusterConfig};
@@ -79,7 +82,7 @@ proptest! {
             .parallelize(data, 6)
             .group_by_key_spilling("gs", 4);
         let normalize = |mut rows: Vec<(u32, Vec<u32>)>| {
-            for (_, vs) in rows.iter_mut() {
+            for (_, vs) in &mut rows {
                 vs.sort_unstable();
             }
             rows.sort();

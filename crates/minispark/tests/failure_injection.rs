@@ -2,6 +2,9 @@
 //! tasks, pathological partitionings, hot keys, forced spills, and the
 //! memory-budget path under stress.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::let_underscore_must_use)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minispark::{Cluster, ClusterConfig, CompositePartitioner, Partitioner};

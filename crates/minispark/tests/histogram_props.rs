@@ -3,6 +3,13 @@
 //! the exact nearest-rank answer, merge behaving like pooled recording,
 //! and lossless JSON round-trips of [`HistogramData`].
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 use minispark::telemetry::{
     bucket_index, bucket_lower, bucket_representative, bucket_upper, HistogramData,
     TelemetryRegistry, EXACT_LIMIT, NUM_BUCKETS,
@@ -22,7 +29,6 @@ fn histogram_of(values: &[u64]) -> HistogramData {
 /// The exact nearest-rank quantile over the raw values.
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     let count = sorted.len() as u64;
-    // cast(count is a test vector length, far below 2^53)
     let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
     sorted[usize::try_from(rank - 1).expect("rank fits usize")]
 }
@@ -90,7 +96,6 @@ proptest! {
             prop_assert_eq!(estimate, truth);
         } else {
             let error = estimate.abs_diff(truth) as f64;
-            // cast(quantile comparison tolerates f64 rounding)
             prop_assert!(error <= truth as f64 / 16.0, "{estimate} vs {truth}");
         }
     }

@@ -4,6 +4,9 @@
 //! NaN/Infinity policy degrades to `null`, and the parser never panics on
 //! arbitrary input.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::let_underscore_must_use)]
+
 use minispark::Json;
 use proptest::prelude::*;
 

@@ -4,6 +4,9 @@
 //! a real TCP connection, and the no-op invariance guarantee (telemetry on
 //! vs. off changes nothing about results or determinism fingerprints).
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::panic)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;

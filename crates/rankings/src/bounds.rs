@@ -31,6 +31,8 @@
 //!   soon as one shared item satisfies `2Δ > θ` (the paper states this as
 //!   `Δ > k(k+1)·θ_norm / 2`).
 
+#![warn(clippy::indexing_slicing)]
+
 /// Integer square root: the largest `r` with `r² ≤ n`.
 ///
 /// Exact for all `u64` inputs (the float seed is refined with integer
@@ -39,7 +41,12 @@ pub(crate) fn isqrt(n: u64) -> u64 {
     if n == 0 {
         return 0;
     }
-    // cast(float seed only — the loops below correct it with exact integer comparisons)
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "float seed only — the loops below correct it with exact integer comparisons"
+    )]
     let mut r = (n as f64).sqrt() as u64;
     // The float estimate is off by at most one in either direction for u64.
     while r.checked_mul(r).is_none_or(|sq| sq > n) {
@@ -116,6 +123,10 @@ pub fn ordered_prefix_len(k: usize, theta_raw: u64) -> Option<usize> {
     // Largest x with 2x² ≤ θ, then one more item to avoid missing pairs at
     // exactly the bound.
     let x: u64 = isqrt(theta_raw / 2);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "2θ < k² was checked above, so x = isqrt(θ/2) < k/2 and x + 1 ≤ k, a usize"
+    )]
     let p = ((x + 1) as usize).min(k);
     crate::invariants::check_prefix_len(p, k);
     Some(p)
@@ -166,8 +177,11 @@ impl PrefixKind {
 /// `rel_freqs` are the relative frequencies of the `v'` distinct items that
 /// can appear in a prefix. Used as guidance for choosing the partitioning
 /// threshold `δ` of CL-P (§6).
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "dataset sizes are far below 2^53 — exact in f64"
+)]
 pub fn expected_posting_list_len(n: usize, rel_freqs: &[f64]) -> f64 {
-    // cast(dataset sizes are far below 2^53 — exact in f64)
     rel_freqs.iter().map(|f| n as f64 * f * f).sum()
 }
 

@@ -15,6 +15,8 @@
 //! clustering algorithm's pruning (paper §5, and property-tested in this
 //! crate).
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::ranking::{rank_u64, Ranking};
 
 // The formula lives in `invariants` (the lower module — `distance` calls
@@ -33,9 +35,17 @@ pub use crate::invariants::max_raw_distance;
 /// sitting at exactly the threshold. Products within a few ulps of an
 /// integer snap to it; genuinely fractional products still floor.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "θ ∈ [0,1] is checked on entry, so both branches cast an integer-valued, non-negative f64 in [0, max] — exact in u64"
+)]
 pub fn raw_threshold(k: usize, theta: f64) -> u64 {
     crate::invariants::check_normalized(theta);
-    // cast(max = k·(k+1) ≤ ~2^33 for k ≤ MAX_K — exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "max = k·(k+1) ≤ ~2^33 for k ≤ MAX_K — exact in f64"
+    )]
     let max = max_raw_distance(k) as f64;
     let scaled = theta * max;
     let nearest = scaled.round();
@@ -45,10 +55,8 @@ pub fn raw_threshold(k: usize, theta: f64) -> u64 {
     // non-integer rational θ·k(k+1) with a small decimal denominator is
     // orders of magnitude further away).
     if (scaled - nearest).abs() <= max * f64::EPSILON * 4.0 {
-        // cast(θ ∈ [0,1] checked above, so this is an integer-valued f64 in [0, max] — exact in u64)
         nearest as u64
     } else {
-        // cast(see above — floor of a value in [0, max])
         scaled.floor() as u64
     }
 }
@@ -85,7 +93,10 @@ pub fn footrule_raw(a: &Ranking, b: &Ranking) -> u64 {
 /// which keeps the value in `[0, 1]`.
 pub fn footrule_norm(a: &Ranking, b: &Ranking) -> f64 {
     let k = a.k().max(b.k());
-    // cast(raw ≤ max = k·(k+1) ≤ ~2^33 — both sides exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "raw ≤ max = k·(k+1) ≤ ~2^33 — both sides exact in f64"
+    )]
     let norm = footrule_raw(a, b) as f64 / max_raw_distance(k) as f64;
     crate::invariants::check_normalized(norm);
     norm
@@ -193,8 +204,11 @@ pub fn footrule_sorted_within(
     let lb = b.len() as u64;
     let mut sum = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop guard: i < a.len() and j < b.len()"
+    )]
     while i < a.len() && j < b.len() {
-        // panics(loop guard: i < a.len() and j < b.len())
         let (item_a, rank_a) = a[i];
         let (item_b, rank_b) = b[j];
         sum += if item_a == item_b {
@@ -212,14 +226,20 @@ pub fn footrule_sorted_within(
             return None;
         }
     }
-    // panics(i only ever incremented while < a.len(), so i ≤ a.len())
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i only ever incremented while < a.len(), so i ≤ a.len()"
+    )]
     for &(_, rank_a) in &a[i..] {
         sum += u64::from(rank_a).abs_diff(lb);
         if sum > threshold_raw {
             return None;
         }
     }
-    // panics(j only ever incremented while < b.len(), so j ≤ b.len())
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j only ever incremented while < b.len(), so j ≤ b.len()"
+    )]
     for &(_, rank_b) in &b[j..] {
         sum += u64::from(rank_b).abs_diff(la);
         if sum > threshold_raw {
@@ -256,7 +276,10 @@ pub fn kendall_tau_topk(a: &Ranking, b: &Ranking) -> u64 {
     }
     let mut discordant = 0u64;
     for (x, &i) in domain.iter().enumerate() {
-        // panics(x < domain.len() from enumerate, so x + 1 ≤ domain.len())
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "x < domain.len() from enumerate, so x + 1 ≤ domain.len()"
+        )]
         for &j in &domain[x + 1..] {
             let (ra_i, ra_j) = (a.rank_of(i), a.rank_of(j));
             let (rb_i, rb_j) = (b.rank_of(i), b.rank_of(j));

@@ -16,12 +16,21 @@
 //! so verification reduces to counting shared items, and the prefix bound
 //! has a closed form: `d_J ≤ θ  ⇔  o ≥ ⌈2k(1−θ) / (2−θ)⌉`.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::ranking::Ranking;
 
 /// Jaccard distance between the item *sets* of two rankings.
 pub fn jaccard_distance(a: &Ranking, b: &Ranking) -> f64 {
-    // cast(o ≤ k ≤ MAX_K and k + k ≤ 2^17 — exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "o ≤ k ≤ MAX_K and k + k ≤ 2^17 — exact in f64"
+    )]
     let o = a.overlap(b) as f64;
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "o ≤ k ≤ MAX_K and k + k ≤ 2^17 — exact in f64"
+    )]
     let union = (a.k() + b.k()) as f64 - o;
     if union == 0.0 {
         0.0
@@ -37,8 +46,15 @@ pub fn jaccard_distance(a: &Ranking, b: &Ranking) -> f64 {
 pub fn jaccard_within(a: &Ranking, b: &Ranking, theta: f64) -> Option<f64> {
     let o = a.overlap(b);
     let total = a.k() + b.k();
-    // cast(total ≤ 2·MAX_K ≤ 2^17 — exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "total ≤ 2·MAX_K ≤ 2^17 — exact in f64"
+    )]
     let num = (total - 2 * o) as f64; // |A∪B| − |A∩B| scaled: union − inter
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "total ≤ 2·MAX_K ≤ 2^17 — exact in f64"
+    )]
     let den = (total - o) as f64; // |A∪B|
     if num <= theta * den {
         // panics(den == 0.0 takes the zero branch — the divisor is non-zero)
@@ -55,15 +71,22 @@ pub fn jaccard_min_overlap(k: usize, theta: f64) -> usize {
     if theta >= 1.0 {
         return 0;
     }
-    // cast(k ≤ MAX_K — exact in f64)
+    #[expect(clippy::cast_precision_loss, reason = "k ≤ MAX_K — exact in f64")]
     let bound = 2.0 * k as f64 * (1.0 - theta) / (2.0 - theta);
     // Find the smallest integer o with (2k − 2o) ≤ θ (2k − o), starting from
     // the float estimate and correcting with the exact predicate — immune
     // to rounding at the boundary.
-    // cast(float estimate only — corrected by the exact predicate below; ceil is ≥ 0 and ≤ 2k)
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float estimate only — corrected by the exact predicate below; ceil is ≥ 0 and ≤ 2k"
+    )]
     let mut o = bound.ceil() as usize;
     o = o.min(k);
-    // cast(both operands ≤ 2k ≤ 2^17 — exact in f64)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "both operands ≤ 2k ≤ 2^17 — exact in f64"
+    )]
     let qualifies = |o: usize| (2 * k - 2 * o.min(k)) as f64 <= theta * (2 * k - o.min(k)) as f64;
     while o > 0 && qualifies(o - 1) {
         o -= 1;

@@ -10,6 +10,8 @@
 //! prefix*; the original ranks are preserved alongside each item because the
 //! Footrule distance is computed over them.
 
+#![warn(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -79,10 +81,13 @@ impl FrequencyTable {
             // alloc(empty Vec never allocates; planner-side stats helper)
             return Vec::new();
         }
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "occurrence counts are far below 2^53 — exact in f64"
+        )]
         let mut freqs: Vec<f64> = self
             .counts
             .values()
-            // cast(occurrence counts are far below 2^53 — exact in f64)
             // alloc(planner-side stats helper, runs once per dataset)
             .map(|&c| c as f64 / total as f64)
             .collect();
@@ -137,9 +142,12 @@ impl OrderedRanking {
     /// Canonicalizes `ranking` by ascending item frequency (the default for
     /// VJ-style joins with the overlap prefix).
     pub fn by_frequency(ranking: &Ranking, freq: &FrequencyTable) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rank < k ≤ MAX_K = u16::MAX by Ranking's construction invariant"
+        )]
         let mut pairs: Vec<(ItemId, u16)> = ranking
             .iter_with_ranks()
-            // cast(rank < k ≤ MAX_K = u16::MAX by Ranking's construction invariant)
             // alloc(once per ranking at canonicalization, not per-candidate)
             .map(|(item, rank)| (item, rank as u16))
             .collect();
@@ -151,9 +159,12 @@ impl OrderedRanking {
     /// Keeps the original rank order — the canonical form for the **ordered
     /// prefix** (Lemma 4.1), whose prefix is the best-ranked items.
     pub fn by_rank(ranking: &Ranking) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rank < k ≤ MAX_K = u16::MAX by Ranking's construction invariant"
+        )]
         let pairs: Vec<(ItemId, u16)> = ranking
             .iter_with_ranks()
-            // cast(rank < k ≤ MAX_K = u16::MAX by Ranking's construction invariant)
             // alloc(once per ranking at canonicalization, not per-candidate)
             .map(|(item, rank)| (item, rank as u16))
             .collect();
@@ -187,8 +198,11 @@ impl OrderedRanking {
 
     /// The first `p` pairs — the prefix to be indexed.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the end index is clamped to pairs.len()"
+    )]
     pub fn prefix(&self, p: usize) -> &[(ItemId, u16)] {
-        // panics(the end index is clamped to pairs.len())
         &self.pairs[..p.min(self.pairs.len())]
     }
 
@@ -202,11 +216,14 @@ impl OrderedRanking {
 
     /// The original rank of `item`, or `None` if not contained (binary
     /// search on the item-sorted shadow).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "binary_search returns Ok(pos) with pos < by_item.len()"
+    )]
     pub fn rank_of(&self, item: ItemId) -> Option<usize> {
         self.by_item
             .binary_search_by_key(&item, |&(i, _)| i)
             .ok()
-            // panics(binary_search returns Ok(pos) with pos < by_item.len())
             .map(|pos| self.by_item[pos].1 as usize)
     }
 

@@ -17,6 +17,8 @@
 //! rankings whose lengths differ by `Δ` are at distance at least
 //! `Δ(Δ−1)/2` no matter their content.
 
+#![warn(clippy::indexing_slicing)]
+
 /// Minimum raw Footrule distance between rankings of lengths `ka` and `kb`
 /// sharing exactly `o` items.
 ///

@@ -5,6 +5,8 @@
 //! early-exit Footrule computation. Keeping the kernel in one place
 //! guarantees that VJ, VJ-NL, CL and CL-P verify identically.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::bounds::position_filter_prunes;
 use crate::ordered::OrderedRanking;
 

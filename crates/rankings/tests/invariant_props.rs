@@ -5,6 +5,9 @@
 //! into them — a property failure here is either a violated bound caught by
 //! proptest or an invariant trip caught by the kernel itself. Both are bugs.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation)]
+
 use proptest::prelude::*;
 use topk_rankings::bounds::{ordered_prefix_len, overlap_prefix_len};
 use topk_rankings::distance::{

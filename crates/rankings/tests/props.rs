@@ -5,6 +5,9 @@
 //! metric, and the prefix/position filters are only admissible because they
 //! never prune a true result.
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+
 use proptest::prelude::*;
 use topk_rankings::bounds::{
     lower_bound_disjoint_prefix, min_distance_given_overlap, min_overlap, ordered_prefix_len,
@@ -217,7 +220,8 @@ proptest! {
         let mut pb = to_pairs(&b);
         if scramble {
             pa.reverse();
-            pb.rotate_left(pb.len() / 2);
+            let mid = pb.len() / 2;
+            pb.rotate_left(mid);
         }
         let mut sa = pa.clone();
         let mut sb = pb.clone();
@@ -259,7 +263,7 @@ proptest! {
     #[test]
     fn raw_threshold_is_exact_on_decimal_grid(num in 0u64..=1000, k in 5usize..=50) {
         let theta = num as f64 / 1000.0;
-        let exact = (num as u128 * max_raw_distance(k) as u128 / 1000) as u64;
+        let exact = (u128::from(num) * u128::from(max_raw_distance(k)) / 1000) as u64;
         prop_assert_eq!(raw_threshold(k, theta), exact);
     }
 }

@@ -1,7 +1,7 @@
 //! The `atomics` pass — `cargo run -p xtask -- atomics` (and `-- audit`).
 //!
-//! PR 1's `relaxed-comment` lint only demanded *a* comment near every
-//! `Ordering::Relaxed`. This pass makes the justification structural: every
+//! A comment near an `Ordering::Relaxed` says nothing a tool can check.
+//! This pass makes the justification structural: every
 //! `Ordering::*` site in non-test library code is parsed, its operation is
 //! recovered (which atomic method consumes the ordering), and `Relaxed`
 //! sites must carry a machine-readable **class tag** in the audit core's

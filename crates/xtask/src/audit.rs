@@ -1,12 +1,11 @@
 //! The shared audit core: the source model, suppression-tag grammar, ratchet
 //! baseline and JSON reporting that every `xtask` analysis pass builds on.
 //!
-//! PRs 1 and 3 grew three bespoke scanners (`lint`, `layers`, `atomics`) that
-//! each re-implemented the same plumbing: walk the tree, mask comments and
+//! Every pass needs the same plumbing: walk the tree, mask comments and
 //! literals out of the code view, find `#[cfg(test)]` regions, map byte
 //! offsets to line numbers, and print `path:line` diagnostics. This module
-//! extracts that plumbing once, and adds the three pieces a growing pass
-//! catalogue needs (DESIGN.md §12 "The audit framework"):
+//! holds that plumbing once, plus the three pieces a pass catalogue needs
+//! (DESIGN.md §12 "The audit framework"):
 //!
 //! * **[`SourceFile`]** — one parsed source file: raw text, a code view and a
 //!   comment view of identical shape, line starts, test regions, and
@@ -15,12 +14,12 @@
 //! * **Suppression tags** — the machine-readable justification grammar
 //!   `<tag>(<payload>)` in a comment on the same line as the flagged site or
 //!   up to three lines above it. `relaxed(<class>)` (atomics),
-//!   `cast(<why>)` (casts) and `panics(<invariant>)` (panics) all parse
-//!   through [`SourceFile::tag`].
+//!   `panics(<invariant>)` (panics), `locks(<why>)` (locks) and
+//!   `alloc(<why>)` (hotalloc) all parse through [`SourceFile::tag`].
 //! * **Ratchet baseline** — `crates/xtask/audit-baseline.txt` pins the
 //!   accepted violation count per pass. Counts may only shrink: a run above
 //!   its baseline fails, and a run *below* it fails too until the baseline
-//!   is lowered (the same only-shrinks discipline as the lint allowlist).
+//!   is lowered.
 //! * **JSON report** — [`render_report`] serializes every pass's inventory
 //!   and violations to a dependency-free `audit-report/v1` document for CI
 //!   artifacts (`--json <path>`).
@@ -32,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// One policy violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Violation {
-    /// Rule identifier, e.g. `no-unwrap` (the allowlist keys on it).
+    /// Rule identifier, e.g. `lock-cycle`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub path: String,
@@ -403,9 +402,9 @@ pub(crate) fn block_end(code: &str, pos: usize) -> usize {
     bytes.len()
 }
 
-/// Whether `rel` is library code for the unwrap/panic/relaxed/cast rules: any
-/// `src/` file of a crate or the suite (binaries included — they ship).
-/// `tests/`, `benches/` and `examples/` are exempt by policy.
+/// Whether `rel` is library code for the atomics and locks rules: any `src/`
+/// file of a crate or the suite (binaries included — they ship). `tests/`,
+/// `benches/` and `examples/` are exempt by policy.
 pub(crate) fn is_library_path(rel: &str) -> bool {
     let exempt = ["tests/", "benches/", "examples/"];
     if exempt
@@ -415,17 +414,6 @@ pub(crate) fn is_library_path(rel: &str) -> bool {
         return false;
     }
     rel.starts_with("src/") || rel.contains("/src/")
-}
-
-/// Whether `rel` is demo code: `examples/` and `src/bin/` binaries. The
-/// `lint` pass applies a relaxed rule set here — `.unwrap()` is acceptable
-/// in a binary that aborts on bad input, but `todo!`/`dbg!` stay banned and
-/// atomics still need a justifying comment. Other passes keep their own
-/// scoping (`src/bin/` remains library code for casts/panics/errors).
-pub(crate) fn is_demo_path(rel: &str) -> bool {
-    let demo = ["examples/", "src/bin/"];
-    demo.iter()
-        .any(|d| rel.starts_with(d) || rel.contains(&format!("/{d}")))
 }
 
 /// How many lines above a site the tag/justification comment window extends
@@ -487,11 +475,6 @@ impl SourceFile {
     /// Whether this file is library code (ships; strictest rules apply).
     pub(crate) fn is_library(&self) -> bool {
         is_library_path(&self.rel)
-    }
-
-    /// Whether this file is demo code (examples and `src/bin/` binaries).
-    pub(crate) fn is_demo(&self) -> bool {
-        is_demo_path(&self.rel)
     }
 
     /// A [`Violation`] at byte offset `pos` in this file.
@@ -795,77 +778,76 @@ mod tests {
 
     #[test]
     fn tag_parses_from_the_window() {
-        let src =
-            "fn f() {\n    // cast(len fits u32: capped at construction)\n    let x = 1;\n}\n";
+        let src = "fn f() {\n    // alloc(setup buffer: built once per stage)\n    let x = 1;\n}\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
         assert_eq!(
-            f.tag("cast", 3).as_deref(),
-            Some("len fits u32: capped at construction")
+            f.tag("alloc", 3).as_deref(),
+            Some("setup buffer: built once per stage")
         );
         // Window: same line or ≤3 above; line 7 is too far from line 2.
-        assert_eq!(f.tag("cast", 7), None);
+        assert_eq!(f.tag("alloc", 7), None);
         // Other tag names don't match.
         assert_eq!(f.tag("panics", 3), None);
     }
 
     #[test]
     fn tag_ignores_code_and_strings() {
-        let src = "fn cast(x: u32) {}\nlet s = \"cast(nope)\";\nlet y = 2;\n";
+        let src = "fn alloc(x: u32) {}\nlet s = \"alloc(nope)\";\nlet y = 2;\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
-        assert_eq!(f.tag("cast", 3), None);
+        assert_eq!(f.tag("alloc", 3), None);
     }
 
     #[test]
     fn tag_payload_preserves_case_and_trims() {
-        let src = "// CAST( Fits: K ≤ MAX_K )\nlet x = 1;\n";
+        let src = "// ALLOC( Once: K ≤ MAX_K )\nlet x = 1;\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
-        assert_eq!(f.tag("cast", 2).as_deref(), Some("Fits: K ≤ MAX_K"));
+        assert_eq!(f.tag("alloc", 2).as_deref(), Some("Once: K ≤ MAX_K"));
     }
 
     #[test]
     fn baseline_parses_and_defaults_to_zero() {
-        let b = parse_baseline("# comment\nlint 3\n\ncasts 0\n").expect("valid");
-        assert_eq!(b.budget("lint"), 3);
-        assert_eq!(b.budget("casts"), 0);
+        let b = parse_baseline("# comment\nlocks 3\n\nlayers 0\n").expect("valid");
+        assert_eq!(b.budget("locks"), 3);
+        assert_eq!(b.budget("layers"), 0);
         assert_eq!(b.budget("panics"), 0, "absent pass defaults to zero");
     }
 
     #[test]
     fn baseline_rejects_garbage_and_duplicates() {
-        assert!(parse_baseline("lint\n").is_err());
-        assert!(parse_baseline("lint x\n").is_err());
-        assert!(parse_baseline("lint 1\nlint 2\n").is_err());
+        assert!(parse_baseline("locks\n").is_err());
+        assert!(parse_baseline("locks x\n").is_err());
+        assert!(parse_baseline("locks 1\nlocks 2\n").is_err());
     }
 
     #[test]
     fn ratchet_flags_only_the_stale_direction() {
-        let b = parse_baseline("casts 2\n").expect("valid");
-        assert!(ratchet(&b, "casts", 2).is_empty(), "at budget: fine");
+        let b = parse_baseline("locks 2\n").expect("valid");
+        assert!(ratchet(&b, "locks", 2).is_empty(), "at budget: fine");
         assert!(
-            ratchet(&b, "casts", 3).is_empty(),
+            ratchet(&b, "locks", 3).is_empty(),
             "above budget: the excess violations themselves fail the run"
         );
-        let stale = ratchet(&b, "casts", 1);
+        let stale = ratchet(&b, "locks", 1);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "ratchet-stale");
-        assert!(stale[0].msg.contains("lower the `casts` line"));
+        assert!(stale[0].msg.contains("lower the `locks` line"));
     }
 
     #[test]
     fn budget_tolerates_exactly_the_recorded_debt() {
-        let b = parse_baseline("casts 1\n").expect("valid");
+        let b = parse_baseline("locks 1\n").expect("valid");
         let v = |line| Violation {
-            rule: "cast-audit",
+            rule: "lock-wildcard",
             path: "crates/demo/src/lib.rs".to_string(),
             line,
             col: 1,
             msg: "x".to_string(),
         };
-        let (tolerated, excess) = apply_budget(&b, "casts", vec![v(1), v(2)]);
+        let (tolerated, excess) = apply_budget(&b, "locks", vec![v(1), v(2)]);
         assert_eq!(tolerated.len(), 1);
         assert_eq!(excess.len(), 1);
         assert_eq!(excess[0].line, 2, "excess keeps tree order");
-        let (tolerated, excess) = apply_budget(&b, "casts", vec![v(1)]);
+        let (tolerated, excess) = apply_budget(&b, "locks", vec![v(1)]);
         assert_eq!((tolerated.len(), excess.len()), (1, 0));
     }
 
@@ -873,21 +855,21 @@ mod tests {
     fn report_is_valid_json_shape() {
         let b = Baseline::default();
         let passes = vec![PassOutcome {
-            pass: "casts",
-            sites: vec!["a.rs:1:2: u32 -> u64 widening [ok]".to_string()],
+            pass: "locks",
+            sites: vec!["a.rs:1: lock `m` [named]".to_string()],
             violations: vec![Violation {
-                rule: "cast-audit",
+                rule: "lock-wildcard",
                 path: "a \"quoted\".rs".to_string(),
                 line: 3,
                 col: 7,
-                msg: "bad\ncast".to_string(),
+                msg: "bad\nguard".to_string(),
             }],
         }];
         let json = render_report(Path::new("/tmp/x"), &b, &passes);
         assert!(json.contains("\"schema\": \"audit-report/v1\""));
-        assert!(json.contains("\"pass\": \"casts\""));
+        assert!(json.contains("\"pass\": \"locks\""));
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("bad\\ncast"));
+        assert!(json.contains("bad\\nguard"));
         // Balanced braces/brackets — a cheap structural sanity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -7,8 +7,8 @@
 //! partitioning it optimizes (the motivation mirrors the silent per-record
 //! overheads that distributed-join papers keep rediscovering). This pass
 //! pins the property: every **allocation expression** on the hot-path file
-//! set — the same files whose panic-capability the `panics` pass guards,
-//! minus `bounds.rs` (pure arithmetic) and `telemetry.rs` (allocates only on
+//! set — `panics::HOT_PATHS`, the per-pair / per-record modules, minus
+//! `bounds.rs` (pure arithmetic) and `telemetry.rs` (allocates only on
 //! first-registration, a cold path by construction) — must carry an
 //! `alloc(<why>)` tag stating why the allocation is not per-record (setup,
 //! per-stage, spill boundary, error path), or be hoisted into scratch.
@@ -21,8 +21,7 @@
 //! * the `vec![..]` macro and `format!(..)`;
 //! * `.to_vec()` and `.collect()`/`.collect::<..>()`;
 //! * `.clone()` on a receiver the lexical type table binds to a collection
-//!   type (the same annotation-scanning technique as `casts::binding_types`,
-//!   applied to `Vec`/`String`/map/set/deque bindings).
+//!   type (annotation scanning over `Vec`/`String`/map/set/deque bindings).
 //!
 //! The ratchet baseline starts (and stays) at zero: a new untagged
 //! allocation on a hot file fails CI, so the zero-alloc property can only
@@ -34,8 +33,8 @@ use std::path::Path;
 
 use crate::audit::{find_tokens, PassOutcome, SourceFile, Violation};
 
-/// The hot-path files whose allocations this pass audits: the `panics` list
-/// minus `bounds.rs` and `telemetry.rs` (see module docs).
+/// The hot-path files whose allocations this pass audits:
+/// `panics::HOT_PATHS` minus `bounds.rs` and `telemetry.rs` (see module docs).
 pub(crate) const HOT_PATHS: &[&str] = &[
     "crates/rankings/src/distance.rs",
     "crates/rankings/src/ordered.rs",
@@ -125,7 +124,7 @@ fn excerpt(code: &str, pos: usize) -> String {
 
 /// Identifiers the file's annotations bind to a collection type: scans
 /// `name: Vec<..>`-shaped annotations (fn params, struct fields, typed
-/// lets) the same way `casts::binding_types` scans numeric ones.
+/// lets).
 pub(crate) fn collection_bindings(code: &str) -> BTreeSet<String> {
     let bytes = code.as_bytes();
     let mut out = BTreeSet::new();

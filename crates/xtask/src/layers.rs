@@ -25,8 +25,8 @@
 //!   the layering holds *inside* crates too (e.g. the executor depends on
 //!   `sched`, never on the `check` harness above it).
 //!
-//! Like `lint`, the pass is purely lexical (comments and literals are
-//! masked first) and dependency-free.
+//! The pass is purely lexical (comments and literals are masked first) and
+//! dependency-free.
 
 use std::collections::BTreeMap;
 use std::path::Path;

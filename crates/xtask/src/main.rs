@@ -2,29 +2,25 @@
 //!
 //! Every command is an analysis **pass** over the shared audit core
 //! (`audit.rs`: masked source model, suppression-tag grammar, ratchet
-//! baseline, JSON report — DESIGN.md §12):
+//! baseline, JSON report — DESIGN.md §12). The passes are the rules that
+//! clippy cannot state; casts, discarded `Result`s, `unwrap`/`panic!`/
+//! `todo!`/`dbg!`, `unsafe` and raw indexing are clippy's and rustc's
+//! (`[workspace.lints]` in the root `Cargo.toml`, `clippy.toml`).
 //!
-//! * `lint` — workspace policy: no `unsafe`, no `.unwrap()`/`panic!` in
-//!   library code, justified `Ordering::Relaxed`, no `todo!`/`dbg!`.
 //! * `layers` — architectural layering: crate dependencies point strictly
 //!   down the `rankings → minispark → core → datagen → bench` stack, `xtask`
 //!   stays isolated, intra-crate module imports are acyclic.
 //! * `atomics` — every `Ordering::*` site classified by operation; `Relaxed`
 //!   requires a `relaxed(<class>)` tag justifying that operation.
-//! * `casts` — every numeric `as` cast classified; lossy or uninferable
-//!   casts require a `cast(<why>)` tag or a `From`/`try_from` rewrite.
-//! * `panics` — panic-capable operators (raw indexing, computed divisors)
-//!   on the hot-path file list require a `panics(<invariant>)` tag or a
-//!   checked rewrite.
+//! * `panics` — computed divisors (`x / n`, `x % n`) on the hot-path file
+//!   list require a `panics(<invariant>)` tag or a checked rewrite.
 //! * `locks` — every `.lock()`/`.read()`/`.write()` guard inventoried with
 //!   its lexical scope; wildcard guards, guards held across blocking calls,
 //!   and inconsistent per-crate acquisition orders (deadlock cycles) fail.
 //! * `hotalloc` — allocation expressions (`Vec::new`, `vec![`, `collect`,
 //!   `format!`, collection `clone()`, …) on the hot-path file list require
 //!   an `alloc(<why>)` tag, pinning the zero-steady-state-alloc property.
-//! * `errors` — discarded `Result`s (`let _ =` on Result calls, bare
-//!   `.ok();`, `unwrap_or_default()` on IO) require an `errors(<why>)` tag.
-//! * `audit` — all eight passes in one run, with the ratchet baseline
+//! * `audit` — all five passes in one run, with the ratchet baseline
 //!   enforced and an optional `--json <path>` machine-readable report.
 //!
 //! Flags (any command): `--root <path>` scans a different tree,
@@ -34,11 +30,8 @@
 
 mod atomics;
 mod audit;
-mod casts;
-mod errors;
 mod hotalloc;
 mod layers;
-mod lint;
 mod locks;
 mod panics;
 
@@ -47,13 +40,10 @@ use std::process::ExitCode;
 
 use audit::{Baseline, PassOutcome, Violation};
 
-const PASSES: &[&str] = &[
-    "lint", "layers", "atomics", "casts", "panics", "locks", "hotalloc", "errors",
-];
+const PASSES: &[&str] = &["layers", "atomics", "panics", "locks", "hotalloc"];
 
 const USAGE: &str = "usage: cargo run -p xtask -- \
-     <lint|layers|atomics|casts|panics|locks|hotalloc|errors|audit> \
-     [--root <path>] [--json <path>]";
+     <layers|atomics|panics|locks|hotalloc|audit> [--root <path>] [--json <path>]";
 
 fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
     if let Some(root) = explicit {
@@ -107,15 +97,12 @@ fn run_passes(root: &Path, which: &[&str]) -> Result<(Vec<PassOutcome>, Baseline
     let mut outcomes = Vec::new();
     for &name in which {
         let outcome = match name {
-            "lint" => lint::run(root, &sources),
             "layers" => layers::run(root, &sources)
                 .map_err(|e| format!("failed to scan {}: {e}", root.display()))?,
             "atomics" => atomics::run(root, &sources),
-            "casts" => casts::run(root, &sources),
             "panics" => panics::run(root, &sources),
             "locks" => locks::run(root, &sources),
             "hotalloc" => hotalloc::run(root, &sources),
-            "errors" => errors::run(root, &sources),
             other => return Err(format!("xtask: unknown pass `{other}`\n{USAGE}")),
         };
         outcomes.push(outcome);
@@ -244,20 +231,6 @@ mod tests {
         (outcomes.remove(0), failures)
     }
 
-    /// The policy gate: `cargo test` fails on any lint violation in the
-    /// workspace tree, keeping CI and local runs honest without a separate
-    /// tool invocation.
-    #[test]
-    fn workspace_is_lint_clean() {
-        let (_, failures) = workspace_gate("lint");
-        assert!(
-            failures.is_empty(),
-            "xtask lint found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
-    }
-
     /// The layering gate: crate ranks and intra-crate module acyclicity.
     #[test]
     fn workspace_layers_are_clean() {
@@ -287,32 +260,14 @@ mod tests {
         );
     }
 
-    /// The cast-soundness gate: every numeric `as` cast in library code is
-    /// value-preserving, justified with a `cast(<why>)` tag, or recorded
-    /// (shrinking-only) in the baseline.
-    #[test]
-    fn workspace_casts_are_clean() {
-        let (outcome, failures) = workspace_gate("casts");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see the workspace's casts — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask casts found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
-    }
-
-    /// The panic-freedom gate: raw indexing and computed divisors on the
-    /// hot-path files carry `panics(<invariant>)` tags or checked rewrites.
+    /// The panic-freedom gate: computed divisors on the hot-path files carry
+    /// `panics(<invariant>)` tags or checked rewrites.
     #[test]
     fn workspace_panics_are_clean() {
         let (outcome, failures) = workspace_gate("panics");
         assert!(
             !outcome.sites.is_empty(),
-            "the audit should see hot-path index/div sites — scanning the wrong tree?"
+            "the audit should see hot-path divisor sites — scanning the wrong tree?"
         );
         assert!(
             failures.is_empty(),
@@ -358,29 +313,116 @@ mod tests {
         );
     }
 
-    /// The error-handling gate: no `Result` is silently discarded in library
-    /// code without an `errors(<why>)` tag naming the reason.
+    // -- what clippy enforces ------------------------------------------------
+
+    /// The library-code rules that are clippy's to enforce: casts, discarded
+    /// `Result`s, unwrap/panic/todo/dbg (`indexing_slicing`, scoped to
+    /// `HOT_PATHS`, and rustc's `unsafe_code` are checked separately below).
+    const CLIPPY_GATE: &[&str] = &[
+        "cast_possible_truncation",
+        "cast_possible_wrap",
+        "cast_precision_loss",
+        "cast_sign_loss",
+        "let_underscore_must_use",
+        "unused_result_ok",
+        "unwrap_used",
+        "panic",
+        "todo",
+        "dbg_macro",
+    ];
+
+    /// The trimmed lines of one `[header]` table of a manifest.
+    fn manifest_table<'a>(manifest: &'a str, header: &str) -> Vec<&'a str> {
+        manifest
+            .lines()
+            .map(str::trim)
+            .skip_while(|line| *line != header)
+            .skip(1)
+            .take_while(|line| !line.starts_with('['))
+            .collect()
+    }
+
+    /// Whether `table` sets `key` to one of `values` (quotes included).
+    fn table_sets(table: &[&str], key: &str, values: &[&str]) -> bool {
+        table.iter().any(|line| {
+            line.split_once('=')
+                .is_some_and(|(k, v)| k.trim() == key && values.contains(&v.trim()))
+        })
+    }
+
+    /// Clippy's share of the policy is only enforced if every crate keeps
+    /// asking for it: the workspace lint table names each lint, every
+    /// member inherits that table (so a new crate cannot opt out silently),
+    /// every hot-path module turns on `indexing_slicing`, and `clippy.toml`
+    /// holds nothing but the test exemptions.
     #[test]
-    fn workspace_errors_are_clean() {
-        let (outcome, failures) = workspace_gate("errors");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see the tagged best-effort sites — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask errors found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
+    fn clippy_enforces_the_library_rules_in_every_member() {
+        let root = workspace_root(None);
+        let read = |rel: &str| {
+            std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+        };
+        let manifest = read("Cargo.toml");
+        let clippy = manifest_table(&manifest, "[workspace.lints.clippy]");
+        for lint in CLIPPY_GATE {
+            assert!(
+                table_sets(&clippy, lint, &["\"warn\"", "\"deny\""]),
+                "`{lint}` must be warn or deny in [workspace.lints.clippy]"
+            );
+        }
+        let rust = manifest_table(&manifest, "[workspace.lints.rust]");
+        assert!(table_sets(
+            &rust,
+            "unsafe_code",
+            &["\"deny\"", "\"forbid\""]
+        ));
+
+        let mut members = vec!["Cargo.toml".to_string()];
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+            let name = entry.expect("dir entry").file_name();
+            let rel = format!("crates/{}/Cargo.toml", name.to_string_lossy());
+            if root.join(&rel).is_file() {
+                members.push(rel);
+            }
+        }
+        assert!(members.len() > 5, "found only {members:?}");
+        for rel in &members {
+            assert!(
+                table_sets(
+                    &manifest_table(&read(rel), "[lints]"),
+                    "workspace",
+                    &["true"]
+                ),
+                "{rel} must inherit the workspace lints: `[lints] workspace = true`"
+            );
+        }
+
+        for rel in panics::HOT_PATHS {
+            assert!(
+                read(rel)
+                    .lines()
+                    .any(|line| line == "#![warn(clippy::indexing_slicing)]"),
+                "{rel} is a hot path and must turn on clippy::indexing_slicing"
+            );
+        }
+
+        for line in read("clippy.toml").lines() {
+            let line = line.trim();
+            assert!(
+                line.is_empty()
+                    || line.starts_with('#')
+                    || (line.starts_with("allow-") && line.ends_with("-in-tests = true")),
+                "clippy.toml holds only the allow-*-in-tests switches, not `{line}`"
+            );
+        }
     }
 
     // -- ratchet fixture ----------------------------------------------------
     //
     // `fixtures/ratchet-demo` is a committed mini-tree with exactly one
-    // unjustified cast (recorded in its own audit-baseline.txt). It is not a
-    // workspace member and `collect_sources` skips `fixtures` dirs, so the
-    // workspace gates above never see it.
+    // unjustified site per ratcheted pass — a wildcard lock guard and a
+    // hot-path `Vec::new` — each recorded at budget 1 in its own
+    // audit-baseline.txt. It is not a workspace member and `collect_sources`
+    // skips `fixtures` dirs, so the workspace gates above never see it.
 
     fn fixture_root() -> PathBuf {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/ratchet-demo")
@@ -388,59 +430,7 @@ mod tests {
 
     #[test]
     fn fixture_debt_is_tolerated_at_its_recorded_budget() {
-        let (outcomes, baseline) =
-            run_passes(&fixture_root(), &["casts"]).expect("fixture tree must be readable");
-        assert_eq!(
-            outcomes[0].violations.len(),
-            1,
-            "the fixture carries exactly one unjustified cast:\n{}",
-            render(&outcomes[0].violations)
-        );
-        assert_eq!(
-            baseline.budget("casts"),
-            1,
-            "recorded in the fixture baseline"
-        );
-        let failures = enforce(&baseline, &outcomes);
-        assert!(failures.is_empty(), "{}", render(&failures));
-    }
-
-    #[test]
-    fn an_unjustified_new_cast_fails_the_gate() {
-        let root = fixture_root();
-        let mut sources = audit::load_tree(&root).expect("fixture tree must be readable");
-        sources.push(audit::SourceFile::parse(
-            "crates/demo/src/extra.rs",
-            "pub fn f(x: u64) -> u16 { x as u16 }\n",
-        ));
-        let outcome = casts::run(&root, &sources);
-        let baseline = audit::load_baseline(&root).expect("fixture baseline parses");
-        let failures = enforce(&baseline, &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "cast-audit");
-        assert_eq!(failures[0].path, "crates/demo/src/extra.rs");
-    }
-
-    #[test]
-    fn an_unjustified_new_index_fails_the_gate() {
-        // The panics pass scopes to HOT_PATHS, so stage the fixture source
-        // under a hot path name.
-        let hot = audit::SourceFile::parse(
-            "crates/core/src/kernels.rs",
-            "pub fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n",
-        );
-        let outcome = panics::run(Path::new("."), &[hot]);
-        let failures = enforce(&Baseline::default(), &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "panics-audit");
-    }
-
-    #[test]
-    fn fixture_debt_covers_the_semantic_passes_too() {
-        // The fixture also carries exactly one unjustified site per semantic
-        // pass (a wildcard guard, a hot-path `Vec::new`, a discarded
-        // `Result`), each recorded at budget 1 in its baseline.
-        let (outcomes, baseline) = run_passes(&fixture_root(), &["locks", "hotalloc", "errors"])
+        let (outcomes, baseline) = run_passes(&fixture_root(), &["locks", "hotalloc"])
             .expect("fixture tree must be readable");
         for outcome in &outcomes {
             assert_eq!(
@@ -454,6 +444,20 @@ mod tests {
         }
         let failures = enforce(&baseline, &outcomes);
         assert!(failures.is_empty(), "{}", render(&failures));
+    }
+
+    #[test]
+    fn an_unjustified_computed_divisor_fails_the_gate() {
+        // The panics pass scopes to HOT_PATHS, so stage the source under a
+        // hot path name.
+        let hot = audit::SourceFile::parse(
+            "crates/core/src/kernels.rs",
+            "pub fn f(total: u64, n: u64) -> u64 { total / n }\n",
+        );
+        let outcome = panics::run(Path::new("."), &[hot]);
+        let failures = enforce(&Baseline::default(), &[outcome]);
+        assert_eq!(failures.len(), 1, "{}", render(&failures));
+        assert_eq!(failures[0].rule, "panics-audit");
     }
 
     #[test]
@@ -482,23 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn an_unjustified_discarded_result_fails_the_gate() {
-        let sloppy = audit::SourceFile::parse(
-            "crates/demo/src/extra.rs",
-            "pub fn f(p: &std::path::Path) {\n    let _ = std::fs::remove_file(p);\n}\n",
-        );
-        let outcome = errors::run(Path::new("."), &[sloppy]);
-        let failures = enforce(&Baseline::default(), &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "errors-discard");
-    }
-
-    #[test]
-    fn fixing_semantic_debt_forces_the_baseline_down() {
-        // Each semantic pass's fixture debt, once fixed, must be struck from
-        // the fixture baseline — a clean outcome against budget 1 is stale.
+    fn fixing_recorded_debt_forces_the_baseline_down() {
+        // Each pass's fixture debt, once fixed, must be struck from the
+        // fixture baseline — a clean outcome against budget 1 is stale.
         let baseline = audit::load_baseline(&fixture_root()).expect("fixture baseline parses");
-        for pass in ["locks", "hotalloc", "errors"] {
+        for pass in ["locks", "hotalloc"] {
             let clean = PassOutcome {
                 pass,
                 sites: Vec::new(),
@@ -507,24 +499,10 @@ mod tests {
             let failures = enforce(&baseline, &[clean]);
             assert_eq!(failures.len(), 1, "{pass}: {}", render(&failures));
             assert_eq!(failures[0].rule, "ratchet-stale", "{pass}");
+            assert!(failures[0]
+                .msg
+                .contains(&format!("lower the `{pass}` line")));
         }
-    }
-
-    #[test]
-    fn fixing_recorded_debt_forces_the_baseline_down() {
-        // Simulate the fixture's one debt site being fixed: the pass now
-        // reports zero, the baseline still budgets one — ratchet-stale.
-        let root = fixture_root();
-        let baseline = audit::load_baseline(&root).expect("fixture baseline parses");
-        let clean = PassOutcome {
-            pass: "casts",
-            sites: Vec::new(),
-            violations: Vec::new(),
-        };
-        let failures = enforce(&baseline, &[clean]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "ratchet-stale");
-        assert!(failures[0].msg.contains("lower the `casts` line"));
     }
 
     #[test]
@@ -578,7 +556,7 @@ mod tests {
     fn parse_flags_rejects_a_missing_operand() {
         for flag in ["--root", "--json"] {
             let args = [flag.to_string()];
-            let err = parse_flags("lint", args.into_iter()).expect_err("missing operand");
+            let err = parse_flags("locks", args.into_iter()).expect_err("missing operand");
             assert!(err.contains("needs a path operand"), "{err}");
             assert!(err.contains("usage:"), "{err}");
         }

@@ -1,37 +1,34 @@
 //! The `panics` pass — `cargo run -p xtask -- panics` (and `-- audit`).
 //!
-//! The lint pass already bans `panic!`/`unwrap` in library code, but Rust
-//! panics through operators too: `xs[i]` and `x / y` compile silently and
-//! abort the whole join at runtime. On the verification hot path a panic is
-//! not a diagnostic — it kills a worker mid-shuffle and the driver reports a
-//! wrong (partial) join result as an I/O failure. This pass audits the
-//! **hot-path files** (the explicit `HOT_PATHS` list below: distance kernels,
-//! candidate generation, partitioning, spill/codec) for the two
-//! panic-capable operator families the team actually writes:
+//! Clippy bans `panic!`/`unwrap` in library code and raw indexing in the
+//! per-record modules (`indexing_slicing`, turned on by an inner attribute in
+//! every [`HOT_PATHS`] file), but Rust panics through one more operator that
+//! clippy has no scoped lint for: `x / n` and `x % n` compile silently and
+//! abort the whole join at runtime when `n` is zero. On the verification hot
+//! path a panic is not a diagnostic — it kills a worker mid-shuffle and the
+//! driver reports a wrong (partial) join result as an I/O failure.
 //!
-//! * **raw indexing** — `xs[i]`, `map[&k]`, `slice[a..b]`. Out of bounds or
-//!   a missing key panics. Every site needs a `panics(<invariant>)` tag
-//!   naming the invariant that bounds the index, or a rewrite onto
-//!   `get`/`get_mut`/iterators/`split_at`/pattern matching.
-//! * **division/remainder by a non-literal** — `x / n`, `x % n` where `n`
-//!   is not a literal constant. Zero panics (integers) and literal divisors
-//!   are trivially non-zero, so only computed divisors need a
-//!   `panics(<invariant>)` tag or a guarded rewrite (`checked_div`,
-//!   explicit `if n == 0` handling). Lines that mention `f32`/`f64` are
-//!   skipped: float division never panics.
+//! So this pass audits the **hot-path files** for **division/remainder by a
+//! non-literal**. Literal divisors are trivially non-zero, so only computed
+//! divisors need a `panics(<invariant>)` tag (same line or ≤3 lines above)
+//! or a guarded rewrite (`checked_div`, explicit `if n == 0` handling).
+//! Statements that mention `f32`/`f64` or a float literal are skipped: float
+//! division never panics.
 //!
 //! Deliberately out of scope: overflow in `+`/`-`/`*` (wraps in release;
-//! PR 1's `debug_assert!` layer and the `casts` pass own value-range
-//! discipline) and indexing in cold paths (config parsing, report
-//! formatting), where a panic is an acceptable assertion. The list of hot
-//! paths is code, not config — extending it is a reviewed change.
+//! the `debug_assert!` layer and clippy's cast lints own value-range
+//! discipline) and cold paths (config parsing, report formatting), where a
+//! panic is an acceptable assertion. The list of hot paths is code, not
+//! config — extending it is a reviewed change.
 
 use std::path::Path;
 
 use crate::audit::{PassOutcome, SourceFile, Violation};
 
-/// The files whose panic-capability this pass audits. Root-relative paths;
-/// extend this list when a new file joins the per-pair / per-record path.
+/// The per-pair / per-record modules. This pass audits their computed
+/// divisors, and each of them must turn on `clippy::indexing_slicing` with an
+/// inner attribute (`main.rs` tests that). Root-relative paths; extend the
+/// list when a new file joins the per-pair / per-record path.
 pub(crate) const HOT_PATHS: &[&str] = &[
     // rankings: per-pair distance/verification kernels.
     "crates/rankings/src/distance.rs",
@@ -60,12 +57,10 @@ pub(crate) const HOT_PATHS: &[&str] = &[
     "crates/minispark/src/telemetry.rs",
 ];
 
-/// One audited panic-capable site.
+/// One audited computed-divisor site.
 pub(crate) struct Site {
     pub path: String,
     pub line: usize,
-    /// `"index"` or `"div"`.
-    pub kind: &'static str,
     /// A short excerpt of the offending code.
     pub excerpt: String,
     /// The `panics(<invariant>)` tag found, if any.
@@ -75,27 +70,20 @@ pub(crate) struct Site {
 impl Site {
     pub(crate) fn describe(&self) -> String {
         format!(
-            "{}:{}: {} `{}` [{}]",
+            "{}:{}: div `{}` [{}]",
             self.path,
             self.line,
-            self.kind,
             self.excerpt,
             self.tag.as_deref().unwrap_or("-"),
         )
     }
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// A short single-line excerpt of the code around `pos`.
 fn excerpt(code: &str, pos: usize) -> String {
-    let bytes = code.as_bytes();
     let start = code[..pos].rfind('\n').map_or(0, |p| p + 1);
     let end = code[pos..].find('\n').map_or(code.len(), |p| pos + p);
     let line = code[start..end].trim();
-    let _ = bytes;
     if line.len() > 60 {
         let mut cut = 57;
         while cut > 0 && !line.is_char_boundary(cut) {
@@ -107,51 +95,20 @@ fn excerpt(code: &str, pos: usize) -> String {
     }
 }
 
-/// Raw-index detection: a `[` directly preceded (no whitespace) by an
-/// identifier character, `)` or `]` is an `Index` operation on an
-/// expression. This shape excludes attribute brackets (`#[...]`), macro
-/// brackets (`vec![...]` ends in `!`), array types (`[u32; 4]` follows
-/// `:`/`(`/whitespace) and array literals.
-fn is_raw_index(code: &str, pos: usize) -> bool {
+/// Whether the `/` or `%` at `pos` (also `/=`, `%=`) has a non-literal
+/// right-hand side. A literal divisor is non-zero unless it *is* zero, and
+/// `/ 0` is a compile error (the unconditional-panic lint). A divisor on the
+/// next line is rare enough to just audit.
+fn nonliteral_divisor(code: &str, pos: usize) -> bool {
     let bytes = code.as_bytes();
-    if pos == 0 {
-        return false;
-    }
-    let prev = bytes[pos - 1];
-    is_ident_byte(prev) || prev == b')' || prev == b']'
-}
-
-/// Division/remainder with a non-literal right-hand side. `/` doubling as
-/// comment syntax never appears in the masked code view, but `/=`, `%=`,
-/// closure pipes and paths still need care. Returns the divisor excerpt
-/// when the site needs auditing.
-fn nonliteral_divisor(code: &str, pos: usize) -> Option<()> {
-    let bytes = code.as_bytes();
-    let op = bytes[pos];
-    // `%` in a format string is masked already; `/` here can only be the
-    // operator or part of `/=` (also a division).
     let mut j = pos + 1;
-    if op == b'/' && matches!(bytes.get(j), Some(b'/') | Some(b'*')) {
-        return None; // defensive: masked comments leave no `//`, but cheap
-    }
     if bytes.get(j) == Some(&b'=') {
-        j += 1; // `/=` and `%=`
-    }
-    while j < bytes.len() && (bytes[j] == b' ' || bytes[j] == b'\t') {
         j += 1;
     }
-    let b = *bytes.get(j)?;
-    if b.is_ascii_digit() {
-        // Literal divisor: non-zero unless it *is* zero — `/ 0` would be a
-        // compile error (unconditional panic lint), so treat as safe.
-        return None;
+    while matches!(bytes.get(j), Some(b' ' | b'\t')) {
+        j += 1;
     }
-    if b == b'\n' {
-        // Operator at end of line: divisor on the next line, rare enough to
-        // just audit it.
-        return Some(());
-    }
-    Some(())
+    bytes.get(j).is_some_and(|b| !b.is_ascii_digit())
 }
 
 /// True when the statement around `pos` mentions a float type or float-ish
@@ -169,113 +126,39 @@ fn floatish_context(code: &str, pos: usize) -> bool {
     .any(|needle| window.contains(needle))
 }
 
-/// The identifier ending directly before `pos` (whitespace skipped), if any.
-fn ident_ending_before(code: &str, pos: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    let mut end = pos;
-    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
-        end -= 1;
-    }
-    let mut start = end;
-    while start > 0 && is_ident_byte(bytes[start - 1]) {
-        start -= 1;
-    }
-    (start < end).then(|| &code[start..end])
-}
-
-/// The identifier starting directly after `pos` (whitespace skipped), if any.
-fn ident_starting_after(code: &str, pos: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    let mut start = pos;
-    while start < bytes.len() && bytes[start].is_ascii_whitespace() {
-        start += 1;
-    }
-    let mut end = start;
-    while end < bytes.len() && is_ident_byte(bytes[end]) {
-        end += 1;
-    }
-    (start < end && !bytes[start].is_ascii_digit()).then(|| &code[start..end])
-}
-
-/// Whether either operand of the `/`/`%` at `pos` is an identifier the
-/// same-file annotations bind to `f32`/`f64` (Rust never mixes operand
-/// types, so one float operand makes the division float division).
-fn float_operand(code: &str, pos: usize, floats: &[String]) -> bool {
-    let mut after = pos + 1;
-    if code.as_bytes().get(after) == Some(&b'=') {
-        after += 1; // `/=` and `%=`
-    }
-    let lhs = ident_ending_before(code, pos);
-    let rhs = ident_starting_after(code, after);
-    [lhs, rhs]
-        .into_iter()
-        .flatten()
-        .any(|name| floats.iter().any(|f| f == name))
-}
-
 /// Audits one parsed file (callers filter to `HOT_PATHS`).
 pub(crate) fn audit_file(file: &SourceFile) -> (Vec<Site>, Vec<Violation>) {
     let mut sites = Vec::new();
     let mut violations = Vec::new();
     let code = &file.code;
-    let bytes = code.as_bytes();
-    // Identifiers the same-file annotations bind to a float type: a division
-    // with one of these as an operand is float division and cannot panic.
-    let floats: Vec<String> = crate::casts::binding_types(code)
-        .into_iter()
-        .filter_map(|(name, ty)| {
-            use crate::casts::NumTy;
-            matches!(ty, Some(NumTy::F32 | NumTy::F64)).then_some(name)
-        })
-        .collect();
-
-    let push_site =
-        |pos: usize, kind: &'static str, sites: &mut Vec<Site>, violations: &mut Vec<Violation>| {
-            let line = file.line_of(pos);
-            let tag = file.tag("panics", line);
-            if tag.is_none() {
-                let (what, fix) = match kind {
-                "index" => (
-                    "raw index — out of bounds panics on the hot path",
-                    "use `get`/iterators/`split_at`, or state the bounding invariant in a \
-                     `panics(<invariant>)` tag (same line or ≤3 lines above)",
-                ),
-                _ => (
-                    "division/remainder by a computed value — zero panics on the hot path",
-                    "guard the divisor, use `checked_div`, or state the non-zero invariant in a \
-                     `panics(<invariant>)` tag (same line or ≤3 lines above)",
-                ),
-            };
-                violations.push(file.violation("panics-audit", pos, format!("{what}; {fix}")));
-            }
-            sites.push(Site {
-                path: file.rel.clone(),
-                line,
-                kind,
-                excerpt: excerpt(code, pos),
-                tag,
-            });
-        };
-
-    for (pos, &byte) in bytes.iter().enumerate() {
-        if file.in_test(pos) {
+    for (pos, byte) in code.bytes().enumerate() {
+        if !matches!(byte, b'/' | b'%')
+            || file.in_test(pos)
+            || !nonliteral_divisor(code, pos)
+            || floatish_context(code, pos)
+        {
             continue;
         }
-        match byte {
-            b'[' if is_raw_index(code, pos) => {
-                push_site(pos, "index", &mut sites, &mut violations);
-            }
-            b'/' | b'%'
-                // Skip the left operand's absence (unary context can't
-                // produce `/` or `%`) and literal/float divisors.
-                if nonliteral_divisor(code, pos).is_some()
-                    && !floatish_context(code, pos)
-                    && !float_operand(code, pos, &floats)
-                => {
-                    push_site(pos, "div", &mut sites, &mut violations);
-                }
-            _ => {}
+        let line = file.line_of(pos);
+        let tag = file.tag("panics", line);
+        if tag.is_none() {
+            violations.push(
+                file.violation(
+                    "panics-audit",
+                    pos,
+                    "division/remainder by a computed value — zero panics on the hot path; guard \
+                 the divisor, use `checked_div`, or state the non-zero invariant in a \
+                 `panics(<invariant>)` tag (same line or ≤3 lines above)"
+                        .to_string(),
+                ),
+            );
         }
+        sites.push(Site {
+            path: file.rel.clone(),
+            line,
+            excerpt: excerpt(code, pos),
+            tag,
+        });
     }
     (sites, violations)
 }
@@ -310,74 +193,58 @@ mod tests {
     }
 
     #[test]
-    fn raw_index_needs_a_tag() {
-        let bad = "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n";
-        let (sites, violations) = audit(bad);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(sites[0].kind, "index");
-        assert!(violations[0].msg.contains("raw index"));
-
-        let good = "fn f(xs: &[u32], i: usize) -> u32 {\n    // panics(i < xs.len() — caller clamps to k)\n    xs[i]\n}\n";
-        assert!(audit(good).1.is_empty());
-    }
-
-    #[test]
-    fn attributes_macros_and_types_are_not_indexing() {
-        let src = "#[derive(Clone)]\nfn f() -> Vec<u32> { let a: [u32; 2] = [1, 2]; vec![3, 4] }\n";
-        let (sites, violations) = audit(src);
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(sites.is_empty());
-    }
-
-    #[test]
-    fn slice_of_call_result_is_indexing() {
-        let src = "fn f(v: &Vec<Vec<u32>>) -> u32 { v.last().expect(\"non-empty\")[0] }\n";
-        let (sites, _) = audit(src);
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].kind, "index");
-    }
-
-    #[test]
     fn computed_divisor_needs_a_tag_but_literal_does_not() {
         let bad = "fn f(total: u64, n: u64) -> u64 { total / n }\n";
         let (sites, violations) = audit(bad);
         assert_eq!(violations.len(), 1);
-        assert_eq!(sites[0].kind, "div");
+        assert_eq!(sites.len(), 1);
+        assert!(violations[0].msg.contains("computed value"));
 
         let literal = "fn f(total: u64) -> u64 { total / 2 + total % 8 }\n";
-        assert!(audit(literal).1.is_empty());
+        assert!(audit(literal).0.is_empty());
 
         let tagged = "fn f(total: u64, n: u64) -> u64 {\n    // panics(n = num_partitions ≥ 1, validated in Config::new)\n    total / n\n}\n";
         assert!(audit(tagged).1.is_empty());
     }
 
     #[test]
+    fn compound_assignment_is_a_division_too() {
+        let src = "fn f(mut total: u64, n: u64) -> u64 { total %= n; total }\n";
+        assert_eq!(audit(src).1.len(), 1);
+    }
+
+    #[test]
     fn float_division_is_exempt() {
-        let src = "fn f(a: f64, b: f64) -> f64 { a / b }\n";
-        assert!(audit(src).1.is_empty());
+        // Lexical: the statement itself has to say it is float arithmetic.
+        let src = "fn f(a: u32, b: u32) -> f64 { let r = f64::from(a) / f64::from(b); r }\n";
+        assert!(audit(src).0.is_empty());
+    }
+
+    #[test]
+    fn indexing_is_clippys_business() {
+        let src = "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n";
+        assert!(audit(src).0.is_empty());
     }
 
     #[test]
     fn test_regions_are_exempt() {
-        let src = "#[cfg(test)]\nmod t { fn f(xs: &[u32]) -> u32 { xs[0] } }\n";
+        let src = "#[cfg(test)]\nmod t { fn f(a: u64, n: u64) -> u64 { a / n } }\n";
         assert!(audit(src).1.is_empty());
     }
 
     #[test]
     fn only_hot_paths_are_audited_by_run() {
-        let cold = SourceFile::parse(
-            "crates/core/src/report.rs",
-            "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n",
-        );
-        let hot = SourceFile::parse(HOT, "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n");
+        let src = "fn f(a: u64, n: u64) -> u64 { a / n }\n";
+        let cold = SourceFile::parse("crates/core/src/report.rs", src);
+        let hot = SourceFile::parse(HOT, src);
         let outcome = run(Path::new("."), &[cold, hot]);
         assert_eq!(outcome.violations.len(), 1);
         assert!(outcome.violations[0].path.contains("distance.rs"));
     }
 
     #[test]
-    fn comments_and_strings_never_trip_the_rules() {
-        let src = "// xs[i] and a / b in prose\nfn f() -> &'static str { \"xs[i] % n\" }\n";
+    fn comments_and_strings_never_trip_the_rule() {
+        let src = "// a / b in prose\nfn f() -> &'static str { \"a % n\" }\n";
         assert!(audit(src).1.is_empty());
     }
 }

@@ -6,6 +6,9 @@
 //! cargo run --release --example online_matching
 //! ```
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind an example.
+#![allow(clippy::cast_precision_loss)]
+
 use std::time::Instant;
 
 use topk_datagen::CorpusProfile;

@@ -8,6 +8,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind an example.
+#![allow(clippy::unwrap_used)]
+
 use minispark::{Cluster, ClusterConfig};
 use topk_datagen::CorpusProfile;
 use topk_rankings::{footrule_norm, footrule_raw, BoundSummary, Ranking};

@@ -34,17 +34,26 @@ pub fn format_pairs(pairs: &[(u64, u64)], data: &[Ranking], limit: usize) -> Str
         match (by_id.get(&a), by_id.get(&b)) {
             (Some(ra), Some(rb)) => {
                 let d = topk_rankings::footrule_norm(ra, rb);
-                // errors(fmt::Write into a String is infallible)
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write into a String is infallible"
+                )]
                 let _ = writeln!(out, "  {ra}  ↔  {rb}   (normalized distance {d:.3})");
             }
             _ => {
-                // errors(fmt::Write into a String is infallible)
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write into a String is infallible"
+                )]
                 let _ = writeln!(out, "  ({a}, {b})");
             }
         }
     }
     if pairs.len() > limit {
-        // errors(fmt::Write into a String is infallible)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = writeln!(out, "  … and {} more pairs", pairs.len() - limit);
     }
     out

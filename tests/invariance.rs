@@ -2,6 +2,9 @@
 //! partition counts, node counts, δ, θc, prefix flavour, position filter.
 //! (Performance depends on all of them; correctness on none.)
 
+// The library-code rules of `[workspace.lints.clippy]` do not bind test code.
+#![allow(clippy::cast_possible_truncation, clippy::unwrap_used)]
+
 use minispark::{Cluster, ClusterConfig, SkewBudget};
 use topk_datagen::CorpusProfile;
 use topk_rankings::{PrefixKind, Ranking};
@@ -174,6 +177,7 @@ fn ablations_change_the_work_profile() {
 type Pairs = Vec<(u64, u64)>;
 
 /// One flat join family: its self-join and its R-S twin under a skew policy.
+#[allow(clippy::type_complexity)]
 struct Family<'a> {
     name: &'a str,
     self_join: &'a dyn Fn(&[Ranking], SkewBudget) -> Pairs,
