@@ -53,7 +53,6 @@ impl ArrivalJoin {
     pub fn new(corpus: &[Ranking], theta: f64) -> Result<Self, JoinError> {
         let index = RankingIndex::build(corpus, theta)?;
         // Corpus ids are unique (checked by the build above).
-        // alloc(once per joiner construction, not per arrival)
         let seen = corpus.iter().map(Ranking::id).collect();
         Ok(Self {
             index,
@@ -112,7 +111,6 @@ impl ArrivalJoin {
     pub fn join_arrivals(&mut self, batch: &[Ranking]) -> Result<JoinOutcome, JoinError> {
         let start = Instant::now();
         // ---- Pre-validate: the batch must be rejectable atomically. ------
-        // alloc(once per mini-batch, sized up front)
         let mut batch_ids = HashSet::with_capacity(batch.len());
         let mut expected_k = if self.index.k() == 0 {
             None
@@ -139,7 +137,6 @@ impl ArrivalJoin {
         // The index at query time holds corpus + previous batches + earlier
         // members of this batch, so every pair involving this arrival and an
         // earlier record is reported here and never again.
-        // alloc(once per mini-batch; an empty Vec never allocates)
         let mut pairs = Vec::new();
         for r in batch {
             let neighbours = self

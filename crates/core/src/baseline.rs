@@ -6,12 +6,73 @@ use std::time::Instant;
 
 use minispark::Cluster;
 use topk_rankings::distance::raw_threshold;
-use topk_rankings::Ranking;
+use topk_rankings::{footrule_within, Ranking};
 
+use crate::kernels::ordered_pair;
+use crate::stats::StatsSnapshot;
 use crate::{JoinError, JoinOutcome};
 
+/// The one brute-force dataflow, under every distance: broadcast the inner
+/// relation, stripe the outer one over the cluster, keep the pairs `within`
+/// accepts, `distinct`, sort. One relation is the self-join (each record
+/// scans the records after it; pairs are `(smaller id, larger id)`), two are
+/// the R-S join (every cross pair, `(left id, right id)`). The stages are
+/// `{label}/compare` and `{label}/distinct`.
+///
+/// It shares nothing with `pipeline.rs` on purpose: this is the oracle the
+/// pipeline is tested against.
+pub(crate) fn all_pairs(
+    cluster: &Cluster,
+    relations: &[&[Ranking]],
+    label: &str,
+    within: impl Fn(&Ranking, &Ranking) -> bool + Sync,
+) -> JoinOutcome {
+    let start = Instant::now();
+    debug_assert!(matches!(relations.len(), 1 | 2), "one relation or two");
+    let (Some(&outer), Some(&inner)) = (relations.first(), relations.last()) else {
+        return JoinOutcome::empty(start.elapsed());
+    };
+    let self_join = relations.len() == 1;
+
+    let shared = cluster.broadcast(Arc::new(inner.to_vec()));
+    let partitions = cluster.config().default_partitions;
+    let stripes = cluster.parallelize((0..outer.len()).collect(), partitions);
+    let pairs_ds = stripes.flat_map(&format!("{label}/compare"), move |&i| {
+        let inner = shared.value();
+        let a = &outer[i];
+        let scanned = if self_join {
+            &inner[i + 1..]
+        } else {
+            &inner[..]
+        };
+        scanned
+            .iter()
+            .filter(|b| within(a, b))
+            .map(|b| {
+                if self_join {
+                    ordered_pair(a.id(), b.id())
+                } else {
+                    (a.id(), b.id())
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    // Ids are unique within a relation, so the pairs already are distinct;
+    // be defensive about duplicate inputs.
+    let mut pairs = pairs_ds
+        .distinct(&format!("{label}/distinct"), partitions)
+        .collect();
+    pairs.sort_unstable();
+    JoinOutcome {
+        pairs,
+        stats: StatsSnapshot::default(),
+        elapsed: start.elapsed(),
+    }
+}
+
 /// Computes the exact join result by comparing every pair, parallelized over
-/// the cluster (each task owns a stripe of `i` indices and scans `j > i`).
+/// the cluster (each task owns a stripe of records and scans the ones after
+/// each).
 ///
 /// Quadratic — only suitable for validation-scale datasets, which is its
 /// purpose.
@@ -24,41 +85,13 @@ pub fn brute_force_join(
         return Err(JoinError::InvalidThreshold(theta));
     }
     let start = Instant::now();
-    let k = crate::pipeline::uniform_k(data)?;
-    let Some(k) = k else {
+    let Some(k) = crate::pipeline::uniform_k(data)? else {
         return Ok(JoinOutcome::empty(start.elapsed()));
     };
     let theta_raw = raw_threshold(k, theta);
-
-    let shared = cluster.broadcast(Arc::new(data.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let indices = cluster.parallelize((0..data.len()).collect(), partitions);
-    let pairs_ds = indices.flat_map("brute-force/compare", move |&i| {
-        let data = shared.value();
-        let a = &data[i];
-        let mut out = Vec::new();
-        for b in &data[i + 1..] {
-            if topk_rankings::footrule_within(a, b, theta_raw).is_some() {
-                let (x, y) = if a.id() < b.id() {
-                    (a.id(), b.id())
-                } else {
-                    (b.id(), a.id())
-                };
-                out.push((x, y));
-            }
-        }
-        out
-    });
-    // Ids are unique per dataset, but be defensive about duplicate inputs.
-    let mut pairs = pairs_ds
-        .distinct("brute-force/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    Ok(all_pairs(cluster, &[data], "brute-force", move |a, b| {
+        footrule_within(a, b, theta_raw).is_some()
+    }))
 }
 
 /// Computes the exact bipartite (R-S) join result by comparing every
@@ -82,31 +115,8 @@ pub fn brute_force_join_rs(
         return Ok(JoinOutcome::empty(start.elapsed()));
     };
     let theta_raw = raw_threshold(k, theta);
-
-    let shared_right = cluster.broadcast(Arc::new(right.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    let pairs_ds = left_ds.flat_map("brute-force-rs/compare", move |a: &Ranking| {
-        let right = shared_right.value();
-        let mut out = Vec::new();
-        for b in right.iter() {
-            if topk_rankings::footrule_within(a, b, theta_raw).is_some() {
-                out.push((a.id(), b.id()));
-            }
-        }
-        out
-    });
-    // Ids are unique within each relation, so cross pairs are already
-    // distinct; be defensive anyway, mirroring the self-join baseline.
-    let mut pairs = pairs_ds
-        .distinct("brute-force-rs/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    let within = move |a: &Ranking, b: &Ranking| footrule_within(a, b, theta_raw).is_some();
+    Ok(all_pairs(cluster, &[left, right], "brute-force-rs", within))
 }
 
 #[cfg(test)]

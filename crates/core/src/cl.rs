@@ -190,7 +190,6 @@ pub fn cl_join_rs(
     // 0..|R| (their position), right records |R|..|R|+|S|. The internal
     // pair order (a < b) then guarantees a cross pair leads with the left
     // record, and mapping back to original ids is a slice lookup.
-    // alloc(one driver-side union copy of both inputs, once per join call)
     let mut union = Vec::with_capacity(left.len() + right.len());
     let mut next: u64 = 0;
     for r in left {

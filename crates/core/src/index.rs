@@ -73,13 +73,10 @@ impl RankingIndex {
             k,
             theta_max,
             freq,
-            // alloc(one-time index construction, sized up front)
             records: Vec::with_capacity(data.len()),
-            // alloc(one-time index construction, sized up front)
             live: Vec::with_capacity(data.len()),
             id_to_slot: HashMap::with_capacity(data.len()),
             tombstones: 0,
-            // alloc(one-time index construction; postings fill on insert)
             postings: HashMap::new(),
         };
         for r in data {
@@ -145,7 +142,6 @@ impl RankingIndex {
             .zip(&self.live)
             .filter(|&(_, live)| *live)
             .map(|(record, _)| record.to_ranking())
-            // alloc(snapshot/compaction export — one Vec per rebuild, not per record)
             .collect()
     }
 
@@ -247,9 +243,10 @@ impl RankingIndex {
     /// Self-matches (same id) are excluded.
     ///
     /// # Errors
-    /// `InvalidThreshold` when `theta > theta_max` (the stored prefixes
-    /// cannot guarantee completeness beyond the build threshold) or not a
-    /// probability; `MixedRankingLengths` when the query length differs.
+    /// `InvalidThreshold` when `theta` is not a probability,
+    /// `ThresholdAboveIndexBound` when `theta > theta_max` (the stored
+    /// prefixes cannot guarantee completeness beyond the build threshold);
+    /// `MixedRankingLengths` when the query length differs.
     pub fn range_query(&self, query: &Ranking, theta: f64) -> Result<Vec<(u64, u64)>, JoinError> {
         self.range_query_impl(query, theta, None)
     }
@@ -275,11 +272,16 @@ impl RankingIndex {
         theta: f64,
         stats: Option<&JoinStats>,
     ) -> Result<Vec<(u64, u64)>, JoinError> {
-        if !(0.0..=1.0).contains(&theta) || !theta.is_finite() || theta > self.theta_max + 1e-12 {
+        if !(0.0..=1.0).contains(&theta) || !theta.is_finite() {
             return Err(JoinError::InvalidThreshold(theta));
         }
+        if theta > self.theta_max + 1e-12 {
+            return Err(JoinError::ThresholdAboveIndexBound {
+                theta,
+                theta_max: self.theta_max,
+            });
+        }
         if self.is_empty() {
-            // alloc(empty Vec never allocates)
             return Ok(Vec::new());
         }
         if query.k() != self.k {
@@ -303,7 +305,6 @@ impl RankingIndex {
             }
         };
 
-        // alloc(per-query result buffer — one per range_query call, not per candidate)
         let mut results = Vec::new();
         if theta_raw >= max_raw_distance(self.k) {
             // Disjoint pairs qualify: prefix probing is incomplete, scan.
@@ -324,7 +325,6 @@ impl RankingIndex {
             // here: tombstoning removes a dead slot's postings eagerly, so
             // the lists only name live slots, and every live id owns
             // exactly one slot (the upsert invariant).
-            // alloc(per-query dedup bitmap — one per range_query call)
             let mut seen: Vec<bool> = vec![false; self.records.len()];
             for &(item, query_rank) in ordered_query.prefix(p) {
                 let Some(postings) = self.postings.get(&item) else {

@@ -19,16 +19,16 @@
 //!   conservative ε margin (a pruned/accepted decision is only taken when it
 //!   holds with room to spare; everything else is verified).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use minispark::{Cluster, SkewBudget};
 use topk_rankings::jaccard::{jaccard_prefix_len, jaccard_within};
 use topk_rankings::{OrderedRanking, PrefixKind, Ranking};
 
+use crate::baseline::all_pairs;
 use crate::cl::{cl_flavour, ClPlan};
 use crate::config::validate_parameters;
-use crate::kernels::{ordered_pair, JoinSpace, MetricSpace, TokenEntry};
+use crate::kernels::{JoinSpace, MetricSpace, TokenEntry};
 use crate::pipeline::uniform_k_of;
 use crate::stats::JoinStats;
 use crate::vj::run_prefix_join;
@@ -275,28 +275,8 @@ pub fn jaccard_brute_force_rs(
     if crate::pipeline::rs_uniform_k(left, right)?.is_none() {
         return Ok(JoinOutcome::empty(start.elapsed()));
     }
-    let shared_right = cluster.broadcast(Arc::new(right.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    let pairs_ds = left_ds.flat_map("jaccard-bf-rs/compare", move |a: &Ranking| {
-        let right = shared_right.value();
-        let mut out = Vec::new();
-        for b in right.iter() {
-            if jaccard_within(a, b, theta).is_some() {
-                out.push((a.id(), b.id()));
-            }
-        }
-        out
-    });
-    let mut pairs = pairs_ds
-        .distinct("jaccard-bf-rs/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    let within = move |a: &Ranking, b: &Ranking| jaccard_within(a, b, theta).is_some();
+    Ok(all_pairs(cluster, &[left, right], "jaccard-bf-rs", within))
 }
 
 /// CL under Jaccard distance: cluster at θc, join centroids at
@@ -355,31 +335,10 @@ pub fn jaccard_brute_force(
     if !(0.0..=1.0).contains(&theta) || !theta.is_finite() {
         return Err(JoinError::InvalidThreshold(theta));
     }
-    let start = Instant::now();
     crate::pipeline::uniform_k(data)?;
-    let shared = cluster.broadcast(Arc::new(data.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let indices = cluster.parallelize((0..data.len()).collect(), partitions);
-    let pairs_ds = indices.flat_map("jaccard-bf/compare", move |&i| {
-        let data = shared.value();
-        let a = &data[i];
-        let mut out = Vec::new();
-        for b in &data[i + 1..] {
-            if jaccard_within(a, b, theta).is_some() {
-                out.push(ordered_pair(a.id(), b.id()));
-            }
-        }
-        out
-    });
-    let mut pairs = pairs_ds
-        .distinct("jaccard-bf/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    Ok(all_pairs(cluster, &[data], "jaccard-bf", move |a, b| {
+        jaccard_within(a, b, theta).is_some()
+    }))
 }
 
 #[cfg(test)]

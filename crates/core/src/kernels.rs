@@ -232,7 +232,6 @@ thread_local! {
     /// ranking — the interner restores the map-side `Arc` sharing. `Weak`
     /// entries keep the cache from pinning rankings beyond the partitions
     /// that reference them.
-    // alloc(empty HashMap never allocates; filled only on spill replay)
     static DECODE_INTERNER: RefCell<HashMap<u64, Weak<OrderedRanking>>> =
         RefCell::new(HashMap::new());
 }
@@ -270,7 +269,6 @@ impl minispark::Codec for TokenEntry {
         self.singleton.encode(out);
         self.relation.as_u8().encode(out);
         self.ranking.id().encode(out);
-        // alloc(spill encode only runs under memory pressure, never on the fast path)
         self.ranking.pairs().to_vec().encode(out);
     }
 
@@ -633,7 +631,6 @@ pub fn join_group_indexed(
     // Group boundary: an interleaving point for schedule exploration (a
     // single relaxed-load branch when no hook is installed).
     minispark::sched::yield_point("kernel/indexed-group");
-    // alloc(the output buffer — the kernel's only allocation; index memory is GroupScratch)
     let mut results = Vec::new();
     if entries.len() < 2 {
         return results;
@@ -756,7 +753,6 @@ pub(crate) fn nested_loop_by<D>(
 ) -> Vec<(usize, usize, D)> {
     // Group boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/nested-loop-group");
-    // alloc(the output buffer — the kernel's only allocation)
     let mut results = Vec::new();
     for (i, a) in entries.iter().enumerate() {
         for (j, b) in entries.iter().enumerate().skip(i + 1) {
@@ -806,7 +802,6 @@ pub(crate) fn cross_loop_by<D>(
 ) -> Vec<(usize, usize, D)> {
     // Sub-partition boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/rs-group");
-    // alloc(the output buffer — the kernel's only allocation)
     let mut results = Vec::new();
     for (i, a) in left.iter().enumerate() {
         for (j, b) in right.iter().enumerate() {

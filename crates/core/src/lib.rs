@@ -128,6 +128,14 @@ use topk_rankings::{Ranking, RankingId};
 pub enum JoinError {
     /// A threshold was outside `[0, 1]` or not finite.
     InvalidThreshold(f64),
+    /// A query threshold above the `theta_max` its index was built for: the
+    /// stored prefixes cannot guarantee a complete answer beyond it.
+    ThresholdAboveIndexBound {
+        /// The threshold asked for.
+        theta: f64,
+        /// The bound the index was built with.
+        theta_max: f64,
+    },
     /// The partitioning threshold δ was zero.
     InvalidPartitionThreshold,
     /// The dataset mixes ranking lengths (the paper works with fixed-length
@@ -150,6 +158,11 @@ impl std::fmt::Display for JoinError {
             JoinError::InvalidThreshold(t) => {
                 write!(f, "threshold {t} is not a normalized distance in [0, 1]")
             }
+            JoinError::ThresholdAboveIndexBound { theta, theta_max } => write!(
+                f,
+                "threshold {theta} is above theta_max = {theta_max}, the largest \
+                 threshold this index answers completely"
+            ),
             JoinError::InvalidPartitionThreshold => {
                 write!(f, "the partitioning threshold δ must be at least 1")
             }

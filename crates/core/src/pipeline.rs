@@ -112,24 +112,19 @@ pub(crate) fn order_relations(
 ) -> Vec<PrefixSource> {
     let datasets: Vec<Dataset<Ranking>> = relations
         .iter()
-        // alloc(driver-side stage construction — one dataset copy per relation, not per record)
         .map(|data| cluster.parallelize(data.to_vec(), partitions))
-        // alloc(one dataset handle per relation)
         .collect();
     let freq = match (prefix_kind, datasets.split_first()) {
         (PrefixKind::Overlap, Some((first, rest))) => {
             let counts = rest
                 .iter()
                 .fold(first.clone(), |all, ds| all.union(ds))
-                // alloc(stage label String, once per stage)
                 .flat_map(&format!("{label}/freq-emit"), |r: &Ranking| {
                     r.items()
                         .iter()
                         .map(|&item| (item, 1u64))
-                        // alloc(one count-pair Vec per ranking; the shuffle takes ownership)
                         .collect::<Vec<_>>()
                 })
-                // alloc(stage label + driver-side count collection, once per ordering phase)
                 .reduce_by_key(&format!("{label}/freq-count"), partitions, |a, b| a + b)
                 .collect();
             Some(cluster.broadcast(FrequencyTable::from_counts(counts)))
@@ -142,11 +137,9 @@ pub(crate) fn order_relations(
         .map(|(i, ds)| {
             let (relation, name) = relation_tag(i, datasets.len());
             let ordered = match freq.clone() {
-                // alloc(stage label String, once per stage)
                 Some(freq) => ds.map(&format!("{label}/order-{name}by-frequency"), move |r| {
                     Arc::new(OrderedRanking::by_frequency(r, freq.value()))
                 }),
-                // alloc(stage label String, once per stage)
                 None => ds.map(&format!("{label}/order-{name}by-rank"), |r| {
                     Arc::new(OrderedRanking::by_rank(r))
                 }),
@@ -158,7 +151,6 @@ pub(crate) fn order_relations(
                 name,
             }
         })
-        // alloc(one source handle per relation)
         .collect()
 }
 
@@ -211,7 +203,6 @@ fn emit_prefixes_by(
             .iter()
             .map(|&(item, rank)| (item, entry(rank)))
             .chain(sentinel.then(|| (DISJOINT_SENTINEL, entry(0))))
-            // alloc(one prefix-token Vec per ranking; the shuffle takes ownership)
             .collect::<Vec<_>>()
     })
 }
@@ -297,7 +288,6 @@ pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
                 space.admits_disjoint(src.singleton),
                 src.singleton,
                 src.relation,
-                // alloc(stage label String, once per join stage)
                 &format!("{label}/emit-{}prefixes", src.name),
             )
         })
@@ -341,13 +331,11 @@ pub(crate) fn prefix_join<S: JoinSpace>(
     // tags, so any survivor is content-equal (pinned by the determinism
     // suite).
     prefix_hits(sources, space, partitions, delta, skew, stats, label, whole)
-        // alloc(stage label String, once per join stage)
         .map(&format!("{label}/key-pairs"), |hit| {
             let keys = hit.record_keys();
             crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
             (keys, hit.clone())
         })
-        // alloc(stage label Strings, once per join stage)
         .reduce_by_key(&format!("{label}/dedup-pairs"), partitions, |a, _b| a)
         .values(&format!("{label}/drop-keys"))
 }
@@ -390,7 +378,6 @@ fn hits_of<D, H>(
                 hit(y, x, distance)
             }
         })
-        // alloc(one hit buffer per token group or sub-partition pair, not per candidate)
         .collect()
 }
 
@@ -469,15 +456,12 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
     // (the property §4.1 argues iterator-style processing preserves); the
     // engine reproduces that when the cluster config sets a spill budget.
     let grouped = if emitted.cluster().config().spill_record_budget != usize::MAX {
-        // alloc(stage label String, once per join stage)
         emitted.group_by_key_spilling(&format!("{label}/group-by-token"), partitions)
     } else {
-        // alloc(stage label String, once per join stage)
         emitted.group_by_key(&format!("{label}/group-by-token"), partitions)
     };
 
     let hits = match delta {
-        // alloc(stage label String, once per join stage)
         None => grouped.flat_map(&format!("{label}/join-groups"), |(token, entries)| {
             group_hits(*token, entries, space, mode, stats, &hit, &live)
         }),
@@ -520,7 +504,6 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
 /// returns the length (`None` for an empty dataset).
 pub fn uniform_k(data: &[Ranking]) -> Result<Option<usize>, crate::JoinError> {
     let mut k = None;
-    // alloc(one-time input validation per join call, sized up front)
     let mut ids = std::collections::HashSet::with_capacity(data.len());
     for r in data {
         match k {

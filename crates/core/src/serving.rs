@@ -277,7 +277,6 @@ impl ServingIndex {
             }
         }
         if let Some(store) = wal.as_mut() {
-            // alloc(the WAL record owns a copy of the batch — one clone per upsert request, the durability boundary)
             store.append(&WalRecord::Upsert(batch.to_vec()))?;
         }
         let outcome = {
@@ -489,14 +488,12 @@ fn last_versions(batch: &[Ranking]) -> Vec<Ranking> {
         .iter()
         .enumerate()
         .map(|(at, r)| (r.id(), at))
-        // alloc(only for a first batch that repeats an id — once per index, not per record)
         .collect();
     batch
         .iter()
         .enumerate()
         .filter(|&(at, r)| last_at.get(&r.id()) == Some(&at))
         .map(|(_, r)| r.clone())
-        // alloc(as above: once per index)
         .collect()
 }
 
@@ -541,7 +538,6 @@ fn ranking_from_json(doc: &Json) -> Result<Ranking, String> {
         .get("items")
         .and_then(Json::as_arr)
         .ok_or("each ranking needs an \"items\" array")?;
-    // alloc(per-request body parse buffer)
     let mut items = Vec::with_capacity(items_json.len());
     for v in items_json {
         let item = v
@@ -550,14 +546,12 @@ fn ranking_from_json(doc: &Json) -> Result<Ranking, String> {
             .ok_or("items must be u32 item ids")?;
         items.push(item);
     }
-    // alloc(request-rejection error path — not per-record)
     Ranking::new(id, items).map_err(|e| format!("ranking {id}: {e}"))
 }
 
 /// Parses the `POST /rankings` body: either a bare array of ranking
 /// objects or `{"rankings": [..]}`.
 fn batch_from_body(body: &str) -> Result<Vec<Ranking>, String> {
-    // alloc(request-rejection error path — not per-record)
     let doc = Json::parse(body).map_err(|e| format!("body is not JSON: {e}"))?;
     let arr = match doc.as_arr() {
         Some(arr) => arr,
@@ -566,7 +560,6 @@ fn batch_from_body(body: &str) -> Result<Vec<Ranking>, String> {
             .and_then(Json::as_arr)
             .ok_or("body must be a JSON array of rankings or {\"rankings\": [..]}")?,
     };
-    // alloc(per-request body parse buffer)
     let mut batch = Vec::with_capacity(arr.len());
     for doc in arr {
         batch.push(ranking_from_json(doc)?);
@@ -580,13 +573,11 @@ fn query_ranking(req: &Request) -> Result<Ranking, String> {
     let items_param = req
         .query("items")
         .ok_or("missing \"items\" query parameter (comma-separated item ids)")?;
-    // alloc(per-request query parse buffer)
     let items: Result<Vec<ItemId>, _> = items_param.split(',').map(str::parse).collect();
     let items = items.map_err(|e| format!("bad item id in \"items\": {e}"))?;
     let id = match req.query("id") {
         Some(raw) => raw
             .parse::<RankingId>()
-            // alloc(request-rejection error path — not per-record)
             .map_err(|e| format!("bad \"id\": {e}"))?,
         None => FOREIGN_QUERY_ID,
     };
@@ -613,14 +604,12 @@ fn matches_json(results: &[(u64, u64)], k: usize) -> Json {
                 .with("raw_distance", Json::num_u64(d))
                 .with("distance", Json::num(normalized))
         })
-        // alloc(one response document per request — the render dominates)
         .collect();
     Json::Arr(arr)
 }
 
 fn serving_error_response(err: &ServingError) -> Response {
     match err {
-        // alloc(error-path formatting only)
         ServingError::Join(_) | ServingError::IdNotRenderable(_) => {
             json_error(400, &err.to_string())
         }
@@ -670,7 +659,6 @@ fn handle_get(service: &ServingIndex, req: &Request) -> Response {
     };
     match service.get(id) {
         Some(ranking) => {
-            // alloc(one response document per request — the render dominates)
             let items = ranking.items().iter().map(|&i| Json::num(i)).collect();
             Response::json(
                 200,
@@ -706,8 +694,9 @@ fn handle_query(service: &ServingIndex, req: &Request) -> Response {
 fn handle_nearest(service: &ServingIndex, req: &Request) -> Response {
     let n = match req.query("n") {
         Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            // alloc(request-rejection error path — not per-record)
+            // `n` is echoed as a JSON number, like an id.
+            Ok(n) if u64::try_from(n).is_ok_and(|n| n <= MAX_SERVED_ID) => n,
+            Ok(_) => return json_error(400, "\"n\" must be at most 2^53 - 1"),
             Err(e) => return json_error(400, &format!("bad \"n\": {e}")),
         },
         None => 10,
@@ -1103,8 +1092,14 @@ mod tests {
             .expect_err("θ beyond theta_max");
         assert!(matches!(
             err,
-            ServingError::Join(JoinError::InvalidThreshold(_))
+            ServingError::Join(JoinError::ThresholdAboveIndexBound { .. })
         ));
+        let message = err.to_string();
+        assert!(
+            message.contains("0.9") && message.contains("theta_max = 0.2"),
+            "{message}"
+        );
+        assert!(!message.contains("[0, 1]"), "{message}");
         Ok(())
     }
 }

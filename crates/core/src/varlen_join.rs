@@ -26,13 +26,13 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use minispark::{Cluster, SkewBudget};
 use topk_rankings::bounds::position_filter_prunes;
 use topk_rankings::varlen::{min_distance_given_lengths, min_overlap_var, prefix_len_var};
-use topk_rankings::{OrderedRanking, PrefixKind, Ranking};
+use topk_rankings::{footrule_within, OrderedRanking, PrefixKind, Ranking};
 
+use crate::baseline::all_pairs;
 use crate::kernels::{JoinSpace, TokenEntry};
 use crate::stats::JoinStats;
 use crate::vj::run_prefix_join;
@@ -206,29 +206,8 @@ pub fn varlen_brute_force_rs(
     right: &[Ranking],
     theta_raw: u64,
 ) -> Result<JoinOutcome, JoinError> {
-    let start = Instant::now();
-    let shared_right = cluster.broadcast(Arc::new(right.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let left_ds = cluster.parallelize(left.to_vec(), partitions);
-    let pairs_ds = left_ds.flat_map("varlen-bf-rs/compare", move |a: &Ranking| {
-        let right = shared_right.value();
-        let mut out = Vec::new();
-        for b in right.iter() {
-            if topk_rankings::footrule_within(a, b, theta_raw).is_some() {
-                out.push((a.id(), b.id()));
-            }
-        }
-        out
-    });
-    let mut pairs = pairs_ds
-        .distinct("varlen-bf-rs/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    let within = move |a: &Ranking, b: &Ranking| footrule_within(a, b, theta_raw).is_some();
+    Ok(all_pairs(cluster, &[left, right], "varlen-bf-rs", within))
 }
 
 /// Exact quadratic baseline at a raw threshold, for mixed-length datasets.
@@ -237,35 +216,9 @@ pub fn varlen_brute_force(
     data: &[Ranking],
     theta_raw: u64,
 ) -> Result<JoinOutcome, JoinError> {
-    let start = Instant::now();
-    let shared = cluster.broadcast(Arc::new(data.to_vec()));
-    let partitions = cluster.config().default_partitions;
-    let indices = cluster.parallelize((0..data.len()).collect(), partitions);
-    let pairs_ds = indices.flat_map("varlen-bf/compare", move |&i| {
-        let data = shared.value();
-        let a = &data[i];
-        let mut out = Vec::new();
-        for b in &data[i + 1..] {
-            if topk_rankings::footrule_within(a, b, theta_raw).is_some() {
-                let (x, y) = if a.id() < b.id() {
-                    (a.id(), b.id())
-                } else {
-                    (b.id(), a.id())
-                };
-                out.push((x, y));
-            }
-        }
-        out
-    });
-    let mut pairs = pairs_ds
-        .distinct("varlen-bf/distinct", partitions)
-        .collect();
-    pairs.sort_unstable();
-    Ok(JoinOutcome {
-        pairs,
-        stats: crate::stats::StatsSnapshot::default(),
-        elapsed: start.elapsed(),
-    })
+    Ok(all_pairs(cluster, &[data], "varlen-bf", move |a, b| {
+        footrule_within(a, b, theta_raw).is_some()
+    }))
 }
 
 #[cfg(test)]

@@ -132,7 +132,6 @@ impl WalRecord {
                 if count > input.len() {
                     return None;
                 }
-                // alloc(replay-time materialization — runs once per startup, not per request)
                 let mut rankings = Vec::with_capacity(count);
                 for _ in 0..count {
                     let id = RankingId::decode(input)?;
@@ -225,7 +224,6 @@ impl WalStore {
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
 
         let wal_path = dir.join(WAL_FILE);
-        // alloc(recovery-time only: the WAL is read once at open)
         let mut existing = Vec::new();
         if wal_path.exists() {
             File::open(&wal_path)?.read_to_end(&mut existing)?;
@@ -263,10 +261,8 @@ impl WalStore {
     /// written in a single `write_all`, so a crash leaves either the whole
     /// frame or a torn tail that the next open truncates.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        // alloc(one frame buffer per mutation request — the WAL is the request path's durability boundary, not a per-record inner loop)
         let mut payload = Vec::new();
         record.encode(&mut payload);
-        // alloc(same per-request frame buffer as above)
         let mut frame = Vec::with_capacity(payload.len() + 8);
         #[expect(
             clippy::cast_possible_truncation,
@@ -296,7 +292,6 @@ impl WalStore {
     /// still holds records the snapshot already reflects, which replay
     /// re-applies idempotently.
     pub fn snapshot(&mut self, rankings: &[Ranking]) -> Result<(), WalError> {
-        // alloc(snapshot serialization buffer — snapshots run on the compaction cadence, not per request)
         let mut payload = Vec::new();
         rankings.len().encode(&mut payload);
         for r in rankings {
@@ -310,7 +305,6 @@ impl WalStore {
         {
             let mut out = File::create(&tmp)?;
             out.write_all(SNAPSHOT_MAGIC)?;
-            // alloc(8-byte checksum scratch on the snapshot cadence)
             let mut crc_bytes = Vec::with_capacity(4);
             crc32(&payload).encode(&mut crc_bytes);
             out.write_all(&crc_bytes)?;
@@ -351,16 +345,13 @@ fn read_snapshot(path: &Path) -> Result<Vec<Ranking>, WalError> {
         file: SNAPSHOT_FILE,
         message,
     };
-    // alloc(recovery-time only: the snapshot is read once at open)
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => f.read_to_end(&mut bytes)?,
-        // alloc(Vec::new for the no-snapshot case does not allocate)
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e.into()),
     };
     if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
-        // alloc(corruption error path — not per-record)
         return Err(corrupt(format!(
             "{} bytes is shorter than the header",
             bytes.len()
@@ -379,21 +370,16 @@ fn read_snapshot(path: &Path) -> Result<Vec<Ranking>, WalError> {
     let payload = &mut rest_ref;
     let count = usize::decode(payload).ok_or_else(|| corrupt("count missing".to_string()))?;
     if count > payload.len() {
-        // alloc(corruption error path — not per-record)
         return Err(corrupt(format!("impossible ranking count {count}")));
     }
-    // alloc(startup-time snapshot materialization)
     let mut rankings = Vec::with_capacity(count);
     for i in 0..count {
         let id = RankingId::decode(payload)
-            // alloc(corruption error path — not per-record)
             .ok_or_else(|| corrupt(format!("ranking {i}: id missing")))?;
         let items = Vec::<ItemId>::decode(payload)
-            // alloc(corruption error path — not per-record)
             .ok_or_else(|| corrupt(format!("ranking {i}: items missing")))?;
-        let ranking = Ranking::new(id, items)
-            // alloc(corruption error path — not per-record)
-            .map_err(|e| corrupt(format!("ranking {i} (id {id}): {e}")))?;
+        let ranking =
+            Ranking::new(id, items).map_err(|e| corrupt(format!("ranking {i} (id {id}): {e}")))?;
         rankings.push(ranking);
     }
     Ok(rankings)
@@ -405,7 +391,6 @@ fn read_snapshot(path: &Path) -> Result<Vec<Ranking>, WalError> {
 /// is dropped. A checksum-*valid* frame that fails to decode is corruption
 /// and errors out.
 fn replay_frames(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize), WalError> {
-    // alloc(startup-time WAL materialization)
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut cursor = bytes;
@@ -435,7 +420,6 @@ fn replay_frames(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize), WalError> {
             _ => {
                 return Err(WalError::Corrupt {
                     file: WAL_FILE,
-                    // alloc(corruption error path — not per-record)
                     message: format!(
                         "frame at byte {offset} passes its checksum but does not decode"
                     ),

@@ -343,6 +343,55 @@ fn an_id_json_cannot_carry_is_refused_not_rounded() -> TestResult {
     let (status, body) = http(addr, &format!("GET /rankings/{largest}"), None);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(&largest.to_string()), "{body}");
+
+    // `/nearest` echoes `n` the same way, so the same bound holds for it.
+    let nearest = |n: u64| format!("GET /nearest?n={n}&items={}", items.join(","));
+    let (status, body) = http(addr, &nearest(u64::MAX), None);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("2^53"), "{body}");
+    let (status, body) = http(addr, &nearest(largest), None);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"n\":{largest}")), "{body}");
+    Ok(())
+}
+
+/// `URLSearchParams`, Python `requests` and `curl --data-urlencode -G` send
+/// `items=1,2,3` as `items=1%2C2%2C3`: both spellings are the same request.
+#[test]
+fn percent_encoded_and_literal_queries_get_identical_answers() -> TestResult {
+    let service = ServingIndex::ephemeral(ServingConfig::new(0.3))?;
+    service.upsert_batch(&(0..12).map(|i| permuted(i, i)).collect::<Vec<_>>())?;
+    let server = ServingServer::start(0, Arc::new(service), 2)?;
+    let addr = server.addr();
+
+    let items: Vec<String> = permuted(0, 0).items().iter().map(u32::to_string).collect();
+    for (plain, escaped) in [
+        ("/query?theta=0.3&items=", "/query?theta=0%2e3&%69tems="),
+        ("/nearest?n=5&items=", "/nearest?n=%35&items="),
+    ] {
+        let literal = http(addr, &format!("GET {plain}{}", items.join(",")), None);
+        let encoded = http(addr, &format!("GET {escaped}{}", items.join("%2C")), None);
+        assert_eq!(literal.0, 200, "{plain}: {}", literal.1);
+        assert!(!match_ids(&literal.1).is_empty(), "{plain}: {}", literal.1);
+        assert_eq!(encoded, literal, "{plain}");
+    }
+
+    // A θ above the server's bound is told so, with both values.
+    let above = format!("GET /query?theta=0.31&items={}", items.join("%2C"));
+    let (status, body) = http(addr, &above, None);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("0.31") && body.contains("theta_max = 0.3"),
+        "{body}"
+    );
+
+    // A malformed escape is a 400 that ends the connection; the server
+    // keeps answering on the next one.
+    let mut session = Session::connect(addr);
+    let (status, _, _) = session.request("GET /query?theta=0.3&items=1%2", None);
+    assert_eq!(status, 400);
+    assert!(session.closed());
+    assert_eq!(http(addr, "GET /stats", None).0, 200);
     Ok(())
 }
 

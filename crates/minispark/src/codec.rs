@@ -107,7 +107,6 @@ impl<T: Codec> Codec for Vec<T> {
         if len > input.len() {
             return None;
         }
-        // alloc(decode materializes the owned value — the codec's contract)
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(input)?);
@@ -149,14 +148,12 @@ impl Codec for String {
         }
         let (head, tail) = input.split_at(len);
         *input = tail;
-        // alloc(decode materializes the owned value — the codec's contract)
         String::from_utf8(head.to_vec()).ok()
     }
 }
 
 /// Encodes a value into a fresh buffer (convenience for tests and spills).
 pub fn encode_to_vec<T: Codec>(value: &T) -> Vec<u8> {
-    // alloc(fresh buffer is this convenience helper's whole point)
     let mut out = Vec::new();
     value.encode(&mut out);
     out

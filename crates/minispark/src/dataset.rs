@@ -8,11 +8,11 @@
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::broadcast::Broadcast;
 use crate::config::ClusterConfig;
-use crate::executor::{run_stage_tasks, steal_count, TaskSpan, TaskTimes};
+use crate::executor::{run_stage_tasks, steal_count, TaskSpan};
 use crate::http::{LiveServer, TelemetrySource};
 use crate::json::Json;
 use crate::metrics::{MetricsRegistry, MetricsReport, StageMetrics};
@@ -160,45 +160,44 @@ impl Cluster {
         Dataset::from_partitions(self.clone(), vec![Vec::new()])
     }
 
-    /// Records a driver-side stage (operations that gather or rearrange
-    /// data on the driver rather than on executor tasks), so they appear in
-    /// the metrics report like every other data movement.
-    pub(crate) fn record_driver_stage(
-        &self,
-        name: &str,
-        start: Instant,
-        records: usize,
-        shuffled: usize,
-    ) {
+    /// Records one finished stage: the only place a [`StageMetrics`] row is
+    /// assembled, its tasks reach the trace and the engine's shuffle-byte
+    /// counter moves. `spans` are the executor's task spans, a wide stage's
+    /// map and reduce waves back to back. A stage that ran on the driver
+    /// (gathering or rearranging data without executor tasks) passes none: it
+    /// occupied no slot, and is traced as one slot-0 task over its wall time
+    /// so the timeline stays gap-free.
+    pub(crate) fn record_stage(&self, name: &str, start: Instant, spans: &[TaskSpan], io: StageIo) {
         let wall = start.elapsed();
+        let on_driver = [TaskSpan {
+            task: 0,
+            slot: 0,
+            queued: start,
+            started: start,
+            finished: start + wall,
+        }];
+        let spans = if spans.is_empty() { &on_driver } else { spans };
+        let task_durations: Vec<Duration> = spans.iter().map(TaskSpan::busy).collect();
         let id = self.inner.metrics.record(StageMetrics {
             stage_id: 0,
             name: name.to_string(),
             wall,
-            task_time: wall,
-            task_durations: vec![wall],
-            num_tasks: 1,
-            input_records: records,
-            output_records: records,
-            shuffle_records: shuffled,
-            shuffle_bytes: shuffled * std::mem::size_of::<usize>(),
-            max_partition_records: records,
-            spilled_runs: 0,
-            stolen_tasks: 0,
+            task_time: task_durations.iter().sum(),
+            task_durations,
+            num_tasks: io.out_sizes.len(),
+            input_records: io.input_records,
+            output_records: io.out_sizes.iter().sum(),
+            shuffle_records: io.shuffled,
+            shuffle_bytes: io.shuffled * io.record_size,
+            max_partition_records: io.out_sizes.iter().copied().max().unwrap_or(0),
+            spilled_runs: io.spilled_runs,
+            // A wide stage's waves each restart their task indices; steals
+            // are counted per wave.
+            stolen_tasks: steal_count(spans, self.config().task_slots()),
         });
-        // Driver stages occupy no executor slot; trace them as one slot-0
-        // task so the timeline stays gap-free.
-        self.inner.trace.record_stage_tasks(
-            id,
-            name,
-            &[TaskSpan {
-                task: 0,
-                slot: 0,
-                queued: start,
-                started: start,
-                finished: start + wall,
-            }],
-        );
+        self.inner.trace.record_stage_tasks(id, name, spans);
+        let engine = &self.inner.engine;
+        engine.shuffle_bytes.add_usize(io.shuffled * io.record_size);
     }
 
     /// Runs one narrow stage: `f(partition_index, partition) → new partition`
@@ -223,31 +222,31 @@ impl Cluster {
             inputs,
             |idx, part| f(idx, &part),
         );
-        let output_records: usize = outputs.iter().map(std::vec::Vec::len).sum();
-        let max_partition_records = outputs.iter().map(std::vec::Vec::len).max().unwrap_or(0);
-        let TaskTimes {
-            total,
-            per_task,
-            spans,
-        } = times;
-        let id = self.inner.metrics.record(StageMetrics {
-            stage_id: 0,
-            name: name.to_string(),
-            wall: start.elapsed(),
-            task_time: total,
-            task_durations: per_task,
-            num_tasks: outputs.len(),
+        let out_sizes: Vec<usize> = outputs.iter().map(Vec::len).collect();
+        let io = StageIo {
             input_records,
-            output_records,
-            shuffle_records: 0,
-            shuffle_bytes: 0,
-            max_partition_records,
-            spilled_runs: 0,
-            stolen_tasks: steal_count(&spans, self.config().task_slots()),
-        });
-        self.inner.trace.record_stage_tasks(id, name, &spans);
+            out_sizes: &out_sizes,
+            ..StageIo::default()
+        };
+        self.record_stage(name, start, &times.spans, io);
         Dataset::from_partitions(self.clone(), outputs)
     }
+}
+
+/// What one stage read, wrote and shuffled, as [`Cluster::record_stage`]
+/// takes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageIo<'a> {
+    /// Records read.
+    pub input_records: usize,
+    /// Records in each output partition, one per result task.
+    pub out_sizes: &'a [usize],
+    /// Records that crossed the shuffle (0 for a narrow stage).
+    pub shuffled: usize,
+    /// In-memory size of one shuffled record, in bytes.
+    pub record_size: usize,
+    /// Run files the reduce side spilled to disk.
+    pub spilled_runs: usize,
 }
 
 /// An immutable, partitioned collection — the engine's RDD.
@@ -371,40 +370,17 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                 next = (next + 1) % n;
             }
         }
-        let moved: usize = targets.iter().map(std::vec::Vec::len).sum();
-        let max_partition_records = targets.iter().map(std::vec::Vec::len).max().unwrap_or(0);
-        let wall = start.elapsed();
-        let engine = &self.cluster.inner.engine;
-        engine.shuffle_records.add_usize(moved);
-        engine
-            .shuffle_bytes
-            .add_usize(moved * std::mem::size_of::<T>());
-        let id = self.cluster.inner.metrics.record(StageMetrics {
-            stage_id: 0,
-            name: name.to_string(),
-            wall,
-            task_time: wall,
-            task_durations: vec![wall],
-            num_tasks: n,
+        let out_sizes: Vec<usize> = targets.iter().map(Vec::len).collect();
+        let moved: usize = out_sizes.iter().sum();
+        self.cluster.inner.engine.shuffle_records.add_usize(moved);
+        let io = StageIo {
             input_records: moved,
-            output_records: moved,
-            shuffle_records: moved,
-            shuffle_bytes: moved * std::mem::size_of::<T>(),
-            max_partition_records,
+            out_sizes: &out_sizes,
+            shuffled: moved,
+            record_size: std::mem::size_of::<T>(),
             spilled_runs: 0,
-            stolen_tasks: 0,
-        });
-        self.cluster.inner.trace.record_stage_tasks(
-            id,
-            name,
-            &[TaskSpan {
-                task: 0,
-                slot: 0,
-                queued: start,
-                started: start,
-                finished: start + wall,
-            }],
-        );
+        };
+        self.cluster.record_stage(name, start, &[], io);
         if self.cluster.inner.trace.is_enabled() && moved > 0 {
             self.cluster
                 .inner
@@ -458,8 +434,12 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         for part in &self.partitions {
             out.extend(part.iter().take(per_partition).cloned());
         }
-        self.cluster()
-            .record_driver_stage(name, start, out.len(), 0);
+        let io = StageIo {
+            input_records: out.len(),
+            out_sizes: &[out.len()],
+            ..StageIo::default()
+        };
+        self.cluster().record_stage(name, start, &[], io);
         out
     }
 

@@ -8,7 +8,8 @@
 
 #![warn(clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -36,15 +37,19 @@ pub struct TaskSpan {
     pub finished: Instant,
 }
 
-/// Timing of one executed stage: the summed busy time plus the per-task
-/// durations (the input to the cluster-simulation makespan, see
-/// [`crate::metrics::StageMetrics::simulated_wall`]).
+impl TaskSpan {
+    /// How long the task ran: `finished − started`.
+    pub fn busy(&self) -> Duration {
+        self.finished - self.started
+    }
+}
+
+/// Timing of one executed stage. Every duration the engine reports — the
+/// summed busy time, the per-task durations behind the cluster-simulation
+/// makespan ([`crate::metrics::StageMetrics::simulated_wall`]) — is read off
+/// the spans ([`TaskSpan::busy`]).
 #[derive(Debug, Clone, Default)]
 pub struct TaskTimes {
-    /// Sum of all task durations.
-    pub total: Duration,
-    /// Duration of each task, in task order.
-    pub per_task: Vec<Duration>,
     /// Scheduling trace of each task, in task order. Built from instants the
     /// executor takes anyway, so the cost is independent of whether a
     /// [`crate::trace::TraceCollector`] consumes it.
@@ -66,7 +71,6 @@ where
     let slots = slots.max(1);
     let num_tasks = inputs.len();
     if num_tasks == 0 {
-        // alloc(empty Vec never allocates)
         return (Vec::new(), TaskTimes::default());
     }
     sched::arm_from_env();
@@ -77,49 +81,33 @@ where
     if slots == 1 || num_tasks == 1 {
         // Fast sequential path (also keeps single-slot runs deterministic in
         // their scheduling for tests).
-        // alloc(per-stage output/timing buffers, sized once — not per task)
         let mut outputs = Vec::with_capacity(num_tasks);
-        let mut per_task = Vec::with_capacity(num_tasks);
         let mut spans = Vec::with_capacity(num_tasks);
         for (idx, input) in inputs.into_iter().enumerate() {
             let start = Instant::now();
             outputs.push(f(idx, input));
-            let elapsed = start.elapsed();
-            per_task.push(elapsed);
             spans.push(TaskSpan {
                 task: idx,
                 slot: 0,
                 queued,
                 started: start,
-                finished: start + elapsed,
+                finished: Instant::now(),
             });
         }
-        let total = per_task.iter().sum();
-        return (
-            outputs,
-            TaskTimes {
-                total,
-                per_task,
-                spans,
-            },
-        );
+        return (outputs, TaskTimes { spans });
     }
 
-    // alloc(per-stage task-slot tables, built once before the workers start)
     let pending: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    // Per-task result slot: output, busy duration, start instant, worker slot.
-    type TaskResult<O> = Mutex<Option<(O, Duration, Instant, usize)>>;
-    // alloc(per-stage task-slot tables, built once before the workers start)
+    // Per-task result slot: output and span.
+    type TaskResult<O> = Mutex<Option<(O, TaskSpan)>>;
     let results: Vec<TaskResult<O>> = (0..num_tasks).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let busy_nanos = AtomicU64::new(0);
 
     let workers = slots.min(num_tasks);
     std::thread::scope(|scope| {
         let pending = &pending;
         let results = &results;
         let cursor = &cursor;
-        let busy_nanos = &busy_nanos;
         let f = &f;
         for slot in 0..workers {
             #[expect(
@@ -142,59 +130,31 @@ where
                         .take()
                         .expect("task input claimed twice")
                 };
-                let start = Instant::now();
+                let started = Instant::now();
                 let output = f(idx, input);
-                let elapsed = start.elapsed();
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "task durations are far below u64::MAX ns ≈ 584 years"
-                )]
-                // relaxed(counter): an independent duration counter, only
-                // read after the scope below joins every worker.
-                busy_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+                let span = TaskSpan {
+                    task: idx,
+                    slot,
+                    queued,
+                    started,
+                    finished: Instant::now(),
+                };
                 let _held = lock_order::acquire(lock_order::Family::Results, idx);
-                *results[idx].lock() = Some((output, elapsed, start, slot));
+                *results[idx].lock() = Some((output, span));
             });
         }
     });
 
-    // alloc(per-stage output/timing buffers, sized once — not per task)
-    let mut outputs = Vec::with_capacity(num_tasks);
-    let mut per_task = Vec::with_capacity(num_tasks);
-    let mut spans = Vec::with_capacity(num_tasks);
-    for (idx, cell) in results.into_iter().enumerate() {
-        let (output, elapsed, started, slot) = cell.into_inner().expect("task produced no output");
-        outputs.push(output);
-        per_task.push(elapsed);
-        spans.push(TaskSpan {
-            task: idx,
-            slot,
-            queued,
-            started,
-            finished: started + elapsed,
-        });
-    }
+    let (outputs, spans): (Vec<O>, Vec<TaskSpan>) = results
+        .into_iter()
+        .map(|cell| cell.into_inner().expect("task produced no output"))
+        .unzip();
     debug_assert_eq!(
         outputs.len(),
         num_tasks,
-        "executor invariant: exactly one output per task"
+        "executor invariant: exactly one output and one span per task"
     );
-    debug_assert_eq!(
-        per_task.len(),
-        num_tasks,
-        "executor invariant: exactly one timing per task"
-    );
-    (
-        outputs,
-        TaskTimes {
-            // relaxed(read-after-join): torn-read tolerant, joined-before-load
-            // — the scope joined all workers above, so every fetch_add to
-            // busy_nanos happens-before this load; no writer can tear it.
-            total: Duration::from_nanos(busy_nanos.load(Ordering::Relaxed)),
-            per_task,
-            spans,
-        },
-    )
+    (outputs, TaskTimes { spans })
 }
 
 /// Runs `f(task_index, input)` for every input under a deterministic
@@ -220,7 +180,6 @@ where
     let slots = slots.max(1);
     let num_tasks = inputs.len();
     if num_tasks == 0 {
-        // alloc(empty Vec never allocates)
         return (Vec::new(), TaskTimes::default());
     }
     sched::arm_from_env();
@@ -235,53 +194,38 @@ where
     let inject_claim_order =
         std::env::var_os("MINISPARK_SCHED_INJECT").is_some_and(|v| v == "claim-order");
 
-    // alloc(per-stage task state, built once before the replay loop)
     let mut pending: Vec<Option<I>> = inputs.into_iter().map(Some).collect();
     let mut outputs: Vec<Option<O>> = (0..num_tasks).map(|_| None).collect();
-    let mut per_task = vec![Duration::ZERO; num_tasks];
-    // alloc(per-stage task state, built once before the replay loop)
     let mut spans: Vec<Option<TaskSpan>> = vec![None; num_tasks];
     #[expect(
         clippy::indexing_slicing,
-        reason = "order is a permutation of 0..num_tasks, so idx and dest are both < num_tasks — all four vectors are that long"
+        reason = "order is a permutation of 0..num_tasks, so idx and dest are both < num_tasks — all three vectors are that long"
     )]
     for (position, &idx) in order.iter().enumerate() {
         sched::yield_point("executor/claim");
         let slot = schedule.slot_of(position, num_tasks, slots);
         let input = pending[idx].take().expect("task input claimed twice");
-        let start = Instant::now();
+        let started = Instant::now();
         let output = f(idx, input);
-        let elapsed = start.elapsed();
         let dest = if inject_claim_order { position } else { idx };
         outputs[dest] = Some(output);
-        per_task[idx] = elapsed;
         spans[idx] = Some(TaskSpan {
             task: idx,
             slot,
             queued,
-            started: start,
-            finished: start + elapsed,
+            started,
+            finished: Instant::now(),
         });
     }
     let outputs: Vec<O> = outputs
         .into_iter()
         .map(|o| o.expect("task produced no output"))
-        // alloc(per-stage unwrap of the option table into the output Vec)
         .collect();
     let spans: Vec<TaskSpan> = spans
         .into_iter()
         .map(|s| s.expect("task produced no span"))
-        // alloc(per-stage unwrap of the option table into the span Vec)
         .collect();
-    let total = per_task.iter().sum();
-    (
-        outputs,
-        TaskTimes {
-            total,
-            per_task,
-            spans,
-        },
-    )
+    (outputs, TaskTimes { spans })
 }
 
 /// Number of tasks in `spans` that were **stolen**: executed on a different
@@ -298,7 +242,6 @@ where
 /// A wide stage's merged map- and reduce-wave spans are counted wave by wave
 /// (see [`steal_count_indexed`]).
 pub fn steal_count(spans: &[TaskSpan], slots: usize) -> usize {
-    // alloc(post-stage diagnostics, one pair Vec per analyzed stage)
     let pairs: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
     steal_count_indexed(&pairs, slots)
 }
@@ -325,12 +268,11 @@ pub fn steal_count_indexed(pairs: &[(usize, usize)], slots: usize) -> usize {
                 reason = "wave_start ≤ idx ≤ pairs.len() — the wave is a valid subslice"
             )]
             let wave = &pairs[wave_start..idx];
-            let workers = slots.max(1).min(wave.len());
-            if workers > 1 {
+            let workers = NonZeroUsize::new(slots.min(wave.len())).filter(|w| w.get() > 1);
+            if let Some(workers) = workers {
                 total += wave
                     .iter()
-                    // panics(workers > 1 guarded just above — the modulus is non-zero)
-                    .filter(|(task, slot)| *slot != task % workers)
+                    .filter(|(task, slot)| *slot != *task % workers)
                     .count();
             }
             wave_start = idx;
@@ -373,8 +315,8 @@ where
         None => run_tasks(slots, inputs, wrapped),
     };
     if probe.is_enabled() {
-        for d in &times.per_task {
-            probe.task_ns.record_duration(*d);
+        for span in &times.spans {
+            probe.task_ns.record_duration(span.busy());
         }
     }
     (outputs, times)
@@ -400,8 +342,7 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let (out, times) = run_tasks::<u32, u32, _>(4, vec![], |_, i| i);
         assert!(out.is_empty());
-        assert_eq!(times.total, Duration::ZERO);
-        assert!(times.per_task.is_empty());
+        assert!(times.spans.is_empty());
     }
 
     #[test]
@@ -617,15 +558,11 @@ mod tests {
         let (_, times) = run_tasks(4, inputs, |_, ()| {
             std::thread::sleep(Duration::from_millis(2));
         });
+        let busy: Vec<Duration> = times.spans.iter().map(TaskSpan::busy).collect();
+        assert_eq!(busy.len(), 8);
         assert!(
-            times.total >= Duration::from_millis(8),
-            "busy = {:?}",
-            times.total
+            busy.iter().all(|d| *d >= Duration::from_millis(2)),
+            "{busy:?}"
         );
-        assert_eq!(times.per_task.len(), 8);
-        assert!(times
-            .per_task
-            .iter()
-            .all(|d| *d >= Duration::from_millis(2)));
     }
 }

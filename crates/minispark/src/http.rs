@@ -5,8 +5,9 @@
 //!
 //! * [`HttpServer`] — the general router: `GET`/`POST`/`DELETE` with
 //!   `Content-Length` body reads, `{param}` path captures and query-string
-//!   access. The ranking-similarity serving layer (`topk_simjoin::serving`)
-//!   runs on it.
+//!   access, both percent-decoded (and `+` is a space in a query string).
+//!   The ranking-similarity serving layer (`topk_simjoin::serving`) runs on
+//!   it.
 //! * [`LiveServer`] — the read-only live metrics plane used by the bench
 //!   harness: `GET /metrics` (Prometheus text exposition 0.0.4) and
 //!   `GET /snapshot` (the `minispark/telemetry-snapshot/v1` JSON document),
@@ -40,8 +41,9 @@
 //! Request reading is strict, because on a reused socket a request the
 //! server frames differently from the client poisons every later one: a head
 //! that exceeds the 4 KiB cap without terminating answers `431`; a head that
-//! ends (EOF or read timeout) before `\r\n\r\n`, fails to parse, or carries
-//! two different `Content-Length`s answers `400`; any `Transfer-Encoding`
+//! ends (EOF or read timeout) before `\r\n\r\n`, fails to parse (a bad
+//! `%XX` escape in the target included), or carries two different
+//! `Content-Length`s answers `400`; any `Transfer-Encoding`
 //! answers `501`; a declared `Content-Length` beyond the body cap answers
 //! `413`. Each of these closes the connection, and the server never routes a
 //! request parsed from a truncated head. `Expect: 100-continue` is answered
@@ -54,6 +56,7 @@
 //! rebinding the port — which also sidesteps `TIME_WAIT` rebind failures,
 //! since `std` exposes no `SO_REUSEADDR`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -458,21 +461,55 @@ fn parse_head(head: &[u8]) -> Result<Head, ReadFailure> {
     let query = query_string
         .split('&')
         .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (k.to_string(), v.to_string()),
-            None => (kv.to_string(), String::new()),
+        .map(|kv| {
+            let (key, value) = kv.split_once('=').unwrap_or((kv, ""));
+            Ok((
+                percent_decode(key, true)?.into_owned(),
+                percent_decode(value, true)?.into_owned(),
+            ))
         })
-        .collect();
+        .collect::<Result<_, ReadFailure>>()?;
 
     Ok(Head {
         method: method.to_string(),
-        path: path.to_string(),
+        path: percent_decode(path, false)?.into_owned(),
         query,
         content_length,
         // HTTP/1.1 persists unless told otherwise, HTTP/1.0 only when asked.
         keep_alive: !close && (keep || version != "HTTP/1.0"),
         expects_continue,
     })
+}
+
+/// Decodes the `%XX` escapes of one request-target component, and `+` as a
+/// space where `form` says the component is a query key or value
+/// (`application/x-www-form-urlencoded`, what browsers and HTTP clients
+/// send). A component with nothing to decode — every request the benchmark
+/// client makes — comes back borrowed. A truncated or non-hex escape, or
+/// bytes that are not UTF-8 once decoded, is a malformed head.
+fn percent_decode(raw: &str, form: bool) -> Result<Cow<'_, str>, ReadFailure> {
+    if !raw.bytes().any(|b| b == b'%' || (form && b == b'+')) {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let mut out = Vec::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    let hex_digit = |bytes: &mut std::str::Bytes<'_>| {
+        let digit = char::from(bytes.next()?).to_digit(16)?;
+        u8::try_from(digit).ok()
+    };
+    while let Some(byte) = bytes.next() {
+        out.push(match byte {
+            b'%' => match (hex_digit(&mut bytes), hex_digit(&mut bytes)) {
+                (Some(hi), Some(lo)) => hi << 4 | lo,
+                _ => return Err(ReadFailure::Malformed("bad percent-escape in target")),
+            },
+            b'+' if form => b' ',
+            other => other,
+        });
+    }
+    String::from_utf8(out)
+        .map(Cow::Owned)
+        .map_err(|_| ReadFailure::Malformed("target is not UTF-8 once percent-decoded"))
 }
 
 /// Position of `\r\n\r\n` in `buf`, if present.
@@ -1117,6 +1154,16 @@ mod tests {
         // Missing query keys are None, empty query strings parse.
         let (_, got) = get(addr, "/search");
         assert_eq!(got, "q= n=-\n");
+
+        // Keys, values and captures are percent-decoded; `+` is a space in
+        // a query string and a plus in a path.
+        let (_, got) = get(addr, "/search?q=1%2C2%2c3+%C3%A9&%6E=5");
+        assert_eq!(got, "q=1,2,3 é n=5\n");
+        let raw = raw_request(
+            addr,
+            "DELETE /items/a%20b+c HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(split_response(&raw).1, "deleted a b+c\n");
     }
 
     #[test]
@@ -1173,6 +1220,19 @@ mod tests {
             "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: banana\r\n\r\n",
         );
         assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+
+        // Escapes that are truncated, not hex, or not UTF-8 once decoded.
+        for target in [
+            "/search?q=%",
+            "/search?q=%4",
+            "/search?q=%zz",
+            "/search?%ff=1",
+            "/items/%c3",
+        ] {
+            let raw = raw_request(addr, &format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"));
+            assert!(raw.starts_with("HTTP/1.1 400"), "{target}: {raw}");
+            assert!(raw.contains("Connection: close"), "{target}: {raw}");
+        }
 
         // An empty connection (connect, close) gets no response and, more
         // importantly, does not wedge the worker for the next client.

@@ -12,9 +12,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::codec::Codec;
-use crate::dataset::{Cluster, Dataset};
-use crate::executor::{run_stage_tasks, steal_count, TaskTimes};
-use crate::metrics::StageMetrics;
+use crate::dataset::{Cluster, Dataset, StageIo};
+use crate::executor::{run_stage_tasks, TaskTimes};
 use crate::shuffle::{spread, stable_hash, HashPartitioner, Partitioner};
 use crate::spill::external_group_by_probed;
 
@@ -53,8 +52,6 @@ where
 
 fn merge_times(a: TaskTimes, b: TaskTimes) -> TaskTimes {
     TaskTimes {
-        total: a.total + b.total,
-        per_task: a.per_task.into_iter().chain(b.per_task).collect(),
         spans: a.spans.into_iter().chain(b.spans).collect(),
     }
 }
@@ -71,33 +68,16 @@ fn record_wide_stage(
     spilled_runs: usize,
     record_size: usize,
 ) {
-    let TaskTimes {
-        total,
-        per_task,
-        spans,
-    } = times;
-    let id = cluster.inner.metrics.record(StageMetrics {
-        stage_id: 0,
-        name: name.to_string(),
-        wall: start.elapsed(),
-        task_time: total,
-        task_durations: per_task,
-        num_tasks: out_sizes.len(),
+    let io = StageIo {
         input_records,
-        output_records: out_sizes.iter().sum(),
-        shuffle_records: shuffled,
-        shuffle_bytes: shuffled * record_size,
-        max_partition_records: out_sizes.iter().copied().max().unwrap_or(0),
+        out_sizes,
+        shuffled,
+        record_size,
         spilled_runs,
-        // A wide stage's spans cover the map and reduce waves back to back,
-        // each restarting its task indices; count steals per wave.
-        stolen_tasks: steal_count(&spans, cluster.config().task_slots()),
-    });
-    cluster.inner.trace.record_stage_tasks(id, name, &spans);
-    let engine = &cluster.inner.engine;
-    engine.shuffle_bytes.add_usize(shuffled * record_size);
+    };
+    cluster.record_stage(name, start, &times.spans, io);
     // The reduce side has consumed the flushed records by now.
-    engine.shuffle_inflight.sub_usize(shuffled);
+    cluster.inner.engine.shuffle_inflight.sub_usize(shuffled);
 }
 
 /// Marks the shuffle barrier of a wide stage: called between the map-side

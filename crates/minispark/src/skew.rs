@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::dataset::Dataset;
@@ -138,10 +139,8 @@ where
     V: Clone + Send + Sync + 'static,
 {
     let total_records = keyed.count();
-    // alloc(one sampling pass per join — bounded by per_partition, not data size)
     let sample = keyed.sample_prefix(&format!("{label}/skew-sample"), per_partition);
     let sampled_records = sample.len();
-    // alloc(sample-sized count table, once per estimate)
     let mut counts: HashMap<K, usize> = HashMap::new();
     for (key, _) in sample {
         *counts.entry(key).or_default() += 1;
@@ -163,7 +162,6 @@ where
     )]
     let mut sizes: Vec<usize> = counts
         .values()
-        // alloc(sample-sized size list, once per estimate)
         .map(|&c| (c as f64 * scale).ceil() as usize)
         .collect();
     sizes.sort_unstable();
@@ -238,18 +236,14 @@ impl SplitPlan {
     /// The half-open index ranges `[start, end)` of the chunks, in order.
     /// They tile `0..len` exactly; every range spans ≤ `budget` indices.
     pub fn chunk_bounds(&self) -> Vec<(usize, usize)> {
-        let chunks = self.num_chunks();
-        if chunks == 0 {
-            // alloc(empty Vec never allocates)
+        let Some(chunks) = NonZeroUsize::new(self.num_chunks()) else {
             return Vec::new();
-        }
-        // panics(chunks == 0 returned early — both divisors are non-zero)
+        };
         let base = self.len / chunks;
         let extra = self.len % chunks;
-        // alloc(one bounds Vec per split group — split groups are rare by design)
-        let mut out = Vec::with_capacity(chunks);
+        let mut out = Vec::with_capacity(chunks.get());
         let mut at = 0;
-        for idx in 0..chunks {
+        for idx in 0..chunks.get() {
             let size = base + usize::from(idx < extra);
             debug_assert!(
                 (1..=self.budget).contains(&size),
@@ -273,7 +267,6 @@ impl SplitPlan {
         debug_assert_eq!(items.len(), self.len, "plan was made for another group");
         self.chunk_bounds()
             .into_iter()
-            // alloc(one slice Vec per split group — borrows, no member copies)
             .map(|(start, end)| &items[start..end])
             .collect()
     }
@@ -287,7 +280,6 @@ impl SplitPlan {
             reason = "split plans make at most a few hundred chunks — fits u32"
         )]
         let chunks = self.num_chunks() as u32;
-        // alloc(one pair list per split group, sized up front)
         let mut out = Vec::with_capacity((chunks as usize * chunks.saturating_sub(1) as usize) / 2);
         for i in 0..chunks {
             for j in (i + 1)..chunks {
@@ -355,12 +347,10 @@ where
     let rs_joins = AtomicU64::new(0);
 
     // Small groups join as usual.
-    // alloc(stage label String, once per split join)
     let small = grouped.flat_map(&format!("{label}/join-small-groups"), |(key, members)| {
         if members.len() <= budget {
             self_join(*key, members)
         } else {
-            // alloc(empty Vec never allocates)
             Vec::new()
         }
     });
@@ -370,10 +360,8 @@ where
     )]
     // Large groups are split into balanced chunks of ≤ budget members with a
     // secondary key.
-    // alloc(stage label String, once per split join)
     let chunks = grouped.flat_map(&format!("{label}/split-large-groups"), |(key, members)| {
         if members.len() <= budget {
-            // alloc(empty Vec never allocates)
             return Vec::new();
         }
         let plan = SplitPlan::new(members.len(), budget);
@@ -384,18 +372,15 @@ where
         plan.chunks(members)
             .into_iter()
             .enumerate()
-            // alloc(chunk replicas must own their members to re-shuffle; split groups only)
             .map(|(sub, chunk)| ((*key, sub as u32), chunk.to_vec()))
             .collect::<Vec<_>>()
     });
     // Self-join each chunk after spreading chunks across the cluster by
     // (key, sub-key) — the composite partitioner of §6.
     let spread = chunks.partition_by(
-        // alloc(stage label String, once per split join)
         &format!("{label}/spread-chunks"),
         &CompositePartitioner::new(partitions.saturating_mul(2).max(1)),
     );
-    // alloc(stage label String, once per split join)
     let self_hits = spread.flat_map(&format!("{label}/join-chunks"), |((key, _), chunk)| {
         self_join(*key, chunk)
     });
@@ -405,14 +390,11 @@ where
     // same chunk replicas.)
     let chunk_pairs = chunks
         .map(
-            // alloc(stage label String, once per split join)
             &format!("{label}/key-chunks"),
             |((key, sub), chunk): &((K, u32), Vec<M>)| (*key, (*sub, chunk.clone())),
         )
-        // alloc(stage label Strings, once per split join)
         .group_by_key(&format!("{label}/pair-chunks"), partitions)
         .flat_map(&format!("{label}/emit-chunk-pairs"), |(key, subs)| {
-            // alloc(per split key: sorted chunk refs + the pair list for R-S joins)
             let mut sorted: Vec<&(u32, Vec<M>)> = subs.iter().collect();
             sorted.sort_by_key(|(sub, _)| *sub);
             let mut out = Vec::new();
@@ -431,12 +413,10 @@ where
             out
         });
     let spread_pairs = chunk_pairs.partition_by(
-        // alloc(stage label String, once per split join)
         &format!("{label}/spread-chunk-pairs"),
         &CompositePartitioner::new(partitions.saturating_mul(2).max(1)),
     );
     let rs_results = spread_pairs.flat_map(
-        // alloc(stage label String, once per split join)
         &format!("{label}/rs-join-chunks"),
         |((key, _, _), (left, right))| {
             // relaxed(counter): independent statistics counter, read only
@@ -450,7 +430,6 @@ where
     // Steal accounting: sum the stolen-task counts of the chunk-bearing
     // stages this call just recorded (the before/after slice keeps repeated
     // joins on one cluster from double counting).
-    // alloc(two stage-name keys for steal accounting, once per split join)
     let join_chunks = format!("{label}/join-chunks");
     let rs_join_chunks = format!("{label}/rs-join-chunks");
     let stolen_tasks: u64 = cluster

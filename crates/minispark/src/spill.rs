@@ -44,7 +44,6 @@ fn spill_file_path(dir: Option<&Path>) -> PathBuf {
     // relaxed(unique-id): only atomicity matters — each caller must draw a
     // distinct suffix, no ordering with other memory is implied.
     let unique = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
-    // alloc(one file name per spilled run, IO-bound path)
     dir.join(format!(
         "minispark-spill-{}-{}.run",
         std::process::id(),
@@ -72,7 +71,6 @@ impl RunWriter {
     /// Writes one entry; returns the bytes it occupies on disk (payload plus
     /// length prefix), feeding the spill-bytes telemetry.
     fn write_entry<K: Codec, V: Codec>(&mut self, key: &K, values: &Vec<V>) -> io::Result<usize> {
-        // alloc(per-entry encode buffer on the spill path, dwarfed by the disk write)
         let mut buf = Vec::new();
         key.encode(&mut buf);
         values.encode(&mut buf);
@@ -109,7 +107,6 @@ impl RunReader {
             Err(e) => return Err(e),
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
-        // alloc(per-entry decode buffer on the spill path, dwarfed by the disk read)
         let mut buf = vec![0u8; len];
         self.reader.read_exact(&mut buf)?;
         let mut slice = buf.as_slice();
@@ -165,7 +162,6 @@ where
     I: Iterator<Item = (K, V)>,
 {
     let record_budget = record_budget.max(1);
-    // alloc(empty group/run containers never allocate until records arrive)
     let mut in_memory: BTreeMap<K, Vec<V>> = BTreeMap::new();
     let mut buffered = 0usize;
     let mut runs: Vec<RunReader> = Vec::new();
@@ -192,7 +188,6 @@ where
     let spilled_runs = runs.len();
     if runs.is_empty() {
         return Ok(ExternalGroupByResult {
-            // alloc(the grouped output the caller takes ownership of)
             groups: in_memory.into_iter().collect(),
             spilled_runs,
         });
@@ -208,12 +203,10 @@ where
         Memory,
     }
 
-    // alloc(merge state sized by run count, once per external group-by)
     let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
     // Pending values per source, aligned with heap entries by source index.
     // Source index: 0..runs.len() are runs, runs.len() is the memory iterator.
     let memory_index = runs.len();
-    // alloc(merge state sized by run count, once per external group-by)
     let mut pending: Vec<Option<Vec<V>>> = (0..=memory_index).map(|_| None).collect();
 
     let advance = |source: &Source,
@@ -247,7 +240,6 @@ where
         }
     }
 
-    // alloc(the grouped output the caller takes ownership of)
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();
     #[expect(
         clippy::indexing_slicing,

@@ -70,7 +70,6 @@ pub fn bucket_lower(index: usize) -> u64 {
     if index < EXACT_LIMIT {
         return index as u64;
     }
-    // panics(SUB_BUCKETS is a non-zero constant)
     let row = (index - EXACT_LIMIT) / SUB_BUCKETS;
     let sub = (index - EXACT_LIMIT) % SUB_BUCKETS;
     ((SUB_BUCKETS + sub) as u64) << (row + 1)

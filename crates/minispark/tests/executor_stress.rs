@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use minispark::executor::run_tasks;
+use minispark::executor::{run_tasks, TaskSpan};
 
 /// Every `(slots, tasks)` combination must return outputs in input order
 /// with one timing per task — including slots > tasks, slots == 1, and the
@@ -35,7 +35,7 @@ fn outputs_stay_in_input_order_across_slot_counts() {
                 "outputs out of order at slots = {slots}, tasks = {num_tasks}"
             );
             assert_eq!(
-                times.per_task.len(),
+                times.spans.len(),
                 num_tasks,
                 "one timing per task at slots = {slots}, tasks = {num_tasks}"
             );
@@ -70,8 +70,9 @@ fn skewed_task_durations_keep_order() {
         input
     });
     assert_eq!(outputs, (0..128).collect::<Vec<u64>>());
-    assert_eq!(times.per_task.len(), 128);
-    assert!(times.total >= Duration::from_millis(2 * (128 / 17)));
+    assert_eq!(times.spans.len(), 128);
+    let busy: Duration = times.spans.iter().map(TaskSpan::busy).sum();
+    assert!(busy >= Duration::from_millis(2 * (128 / 17)));
 }
 
 /// A panic inside any task must propagate to the caller (the stage fails),

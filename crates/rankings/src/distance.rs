@@ -267,7 +267,6 @@ pub fn footrule_sorted_within(
 /// are within constant factors of each other (Diaconis–Graham), which makes
 /// this useful for sanity checks and downstream users.
 pub fn kendall_tau_topk(a: &Ranking, b: &Ranking) -> u64 {
-    // alloc(sanity-check metric, not called by the join algorithms)
     let mut domain: Vec<u32> = a.items().to_vec();
     for &item in b.items() {
         if !a.contains(item) {

@@ -57,7 +57,6 @@ pub fn jaccard_within(a: &Ranking, b: &Ranking, theta: f64) -> Option<f64> {
     )]
     let den = (total - o) as f64; // |A∪B|
     if num <= theta * den {
-        // panics(den == 0.0 takes the zero branch — the divisor is non-zero)
         Some(if den == 0.0 { 0.0 } else { num / den })
     } else {
         None

@@ -32,7 +32,6 @@ pub struct FrequencyTable {
 impl FrequencyTable {
     /// Builds the table by counting item occurrences across `rankings`.
     pub fn from_rankings<'a>(rankings: impl IntoIterator<Item = &'a Ranking>) -> Self {
-        // alloc(one-time frequency-table build per dataset, not per-candidate)
         let mut counts = HashMap::new();
         for ranking in rankings {
             for &item in ranking.items() {
@@ -46,7 +45,6 @@ impl FrequencyTable {
     /// produced by a distributed `reduce_by_key` stage.
     pub fn from_counts(pairs: impl IntoIterator<Item = (ItemId, u64)>) -> Self {
         Self {
-            // alloc(one-time frequency-table build per dataset, not per-candidate)
             counts: pairs.into_iter().collect(),
         }
     }
@@ -78,7 +76,6 @@ impl FrequencyTable {
     pub fn relative_frequencies(&self) -> Vec<f64> {
         let total = self.total_occurrences();
         if total == 0 {
-            // alloc(empty Vec never allocates; planner-side stats helper)
             return Vec::new();
         }
         #[expect(
@@ -88,7 +85,6 @@ impl FrequencyTable {
         let mut freqs: Vec<f64> = self
             .counts
             .values()
-            // alloc(planner-side stats helper, runs once per dataset)
             .map(|&c| c as f64 / total as f64)
             .collect();
         freqs.sort_by(|a, b| b.partial_cmp(a).expect("counts are finite"));
@@ -123,7 +119,6 @@ pub struct OrderedRanking {
 
 /// Builds the item-sorted shadow of a canonical pair list.
 fn sort_by_item(pairs: &[(ItemId, u16)]) -> Box<[(ItemId, u16)]> {
-    // alloc(shadow built once per ranking at construction, amortized over its candidates)
     let mut shadow: Vec<(ItemId, u16)> = pairs.to_vec();
     shadow.sort_unstable();
     shadow.into_boxed_slice()
@@ -148,7 +143,6 @@ impl OrderedRanking {
         )]
         let mut pairs: Vec<(ItemId, u16)> = ranking
             .iter_with_ranks()
-            // alloc(once per ranking at canonicalization, not per-candidate)
             .map(|(item, rank)| (item, rank as u16))
             .collect();
         // One table lookup per item, not one per comparison.
@@ -165,7 +159,6 @@ impl OrderedRanking {
         )]
         let pairs: Vec<(ItemId, u16)> = ranking
             .iter_with_ranks()
-            // alloc(once per ranking at canonicalization, not per-candidate)
             .map(|(item, rank)| (item, rank as u16))
             .collect();
         Self::build(ranking.id(), pairs)
@@ -247,11 +240,9 @@ impl OrderedRanking {
         let mut items: Vec<(u16, ItemId)> = self
             .pairs
             .iter()
-            // alloc(result materialization for output/debug, off the verify path)
             .map(|&(item, rank)| (rank, item))
             .collect();
         items.sort_unstable();
-        // alloc(result materialization for output/debug, off the verify path)
         Ranking::new_unchecked(self.id, items.into_iter().map(|(_, item)| item).collect())
     }
 

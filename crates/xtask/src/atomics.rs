@@ -8,8 +8,8 @@
 //! comment window (same line or ≤3 lines above):
 //!
 //! ```text
-//! // relaxed(counter): an independent duration counter, only read after …
-//! busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
+//! // relaxed(counter): independent statistics counter, read only after …
+//! rs_joins.fetch_add(1, Ordering::Relaxed);
 //! ```
 //!
 //! The taxonomy (DESIGN.md §"Concurrency checking and architectural
@@ -30,8 +30,6 @@
 //! synchronize). Non-`Relaxed` sites are inventoried for the report but
 //! never violations: stronger-than-needed ordering is a performance
 //! question, not a correctness one.
-
-use std::path::Path;
 
 use crate::audit::{PassOutcome, SourceFile, Violation};
 
@@ -207,7 +205,7 @@ pub(crate) fn audit_file(file: &SourceFile) -> (Vec<Site>, Vec<Violation>) {
 }
 
 /// Audits the whole parsed tree.
-pub(crate) fn run(_root: &Path, sources: &[SourceFile]) -> PassOutcome {
+pub(crate) fn run(sources: &[SourceFile]) -> PassOutcome {
     let mut sites = Vec::new();
     let mut violations = Vec::new();
     for file in sources {

@@ -1,11 +1,10 @@
-//! The shared audit core: the source model, suppression-tag grammar, ratchet
-//! baseline and JSON reporting that every `xtask` analysis pass builds on.
+//! The shared audit core: the source model, suppression-tag grammar and JSON
+//! reporting that both `xtask` analysis passes build on.
 //!
 //! Every pass needs the same plumbing: walk the tree, mask comments and
 //! literals out of the code view, find `#[cfg(test)]` regions, map byte
 //! offsets to line numbers, and print `path:line` diagnostics. This module
-//! holds that plumbing once, plus the three pieces a pass catalogue needs
-//! (DESIGN.md §12 "The audit framework"):
+//! holds that plumbing once (DESIGN.md §12 "The audit framework"):
 //!
 //! * **[`SourceFile`]** — one parsed source file: raw text, a code view and a
 //!   comment view of identical shape, line starts, test regions, and
@@ -13,20 +12,16 @@
 //!   is read and masked exactly once per `audit` run.
 //! * **Suppression tags** — the machine-readable justification grammar
 //!   `<tag>(<payload>)` in a comment on the same line as the flagged site or
-//!   up to three lines above it. `relaxed(<class>)` (atomics),
-//!   `panics(<invariant>)` (panics), `locks(<why>)` (locks) and
-//!   `alloc(<why>)` (hotalloc) all parse through [`SourceFile::tag`].
-//! * **Ratchet baseline** — `crates/xtask/audit-baseline.txt` pins the
-//!   accepted violation count per pass. Counts may only shrink: a run above
-//!   its baseline fails, and a run *below* it fails too until the baseline
-//!   is lowered.
+//!   up to three lines above it. `relaxed(<class>)` (atomics) and
+//!   `locks(<why>)` (locks) both parse through [`SourceFile::tag`].
 //! * **JSON report** — [`render_report`] serializes every pass's inventory
 //!   and violations to a dependency-free `audit-report/v1` document for CI
 //!   artifacts (`--json <path>`).
+//!
+//! There is no tolerated-debt budget: any violation fails the run.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One policy violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,40 +291,6 @@ pub(crate) fn test_regions(code: &str) -> Vec<(usize, usize)> {
     regions
 }
 
-pub(crate) fn in_regions(regions: &[(usize, usize)], pos: usize) -> bool {
-    regions.iter().any(|&(a, b)| pos >= a && pos < b)
-}
-
-pub(crate) fn line_of(line_starts: &[usize], pos: usize) -> usize {
-    match line_starts.binary_search(&pos) {
-        Ok(n) => n + 1,
-        Err(n) => n,
-    }
-}
-
-/// Occurrences of `needle` in `hay` that sit on identifier boundaries.
-pub(crate) fn find_tokens(hay: &str, needle: &str) -> Vec<usize> {
-    let bytes = hay.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle).map(|p| p + from) {
-        let before_ok = pos == 0 || {
-            let b = bytes[pos - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let after = pos + needle.len();
-        let after_ok = after >= bytes.len() || {
-            let b = bytes[after];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok && after_ok {
-            out.push(pos);
-        }
-        from = pos + needle.len();
-    }
-    out
-}
-
 /// Start of the statement containing `pos`: scans backward over balanced
 /// `()`/`[]`/`{}` groups (so a `;` inside a closure body or struct literal
 /// does not end the walk early) until an unmatched opener or a top-level
@@ -355,10 +316,12 @@ pub(crate) fn stmt_start(code: &str, pos: usize) -> usize {
     0
 }
 
-/// End of the statement containing `pos`: scans forward over balanced
-/// groups until a top-level `;` (returned inclusive) or the closer of the
-/// enclosing block (returned exclusive — tail expressions end there).
-pub(crate) fn stmt_end(code: &str, pos: usize) -> usize {
+/// End of the guard scope that starts at `pos`: scans forward over balanced
+/// groups to the closer of the enclosing block (returned exclusive — tail
+/// expressions and `let`-bound guards end there). With `statement`, a
+/// top-level `;`/`,` ends the scan first (returned inclusive): a temporary
+/// guard lives to the end of its statement.
+pub(crate) fn scope_end(code: &str, pos: usize, statement: bool) -> usize {
     let bytes = code.as_bytes();
     let mut depth = 0usize;
     let mut i = pos;
@@ -371,49 +334,12 @@ pub(crate) fn stmt_end(code: &str, pos: usize) -> usize {
                 }
                 depth -= 1;
             }
-            b';' | b',' if depth == 0 => return i + 1,
+            b';' | b',' if statement && depth == 0 => return i + 1,
             _ => {}
         }
         i += 1;
     }
     bytes.len()
-}
-
-/// End of the block enclosing `pos`: scans forward over balanced groups to
-/// the first unmatched `}`. Used for the lexical scope of a `let`-bound
-/// guard (it lives to the end of its block unless dropped earlier).
-pub(crate) fn block_end(code: &str, pos: usize) -> usize {
-    let bytes = code.as_bytes();
-    let mut depth = 0usize;
-    let mut i = pos;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                if depth == 0 {
-                    return i;
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    bytes.len()
-}
-
-/// Whether `rel` is library code for the atomics and locks rules: any `src/`
-/// file of a crate or the suite (binaries included — they ship). `tests/`,
-/// `benches/` and `examples/` are exempt by policy.
-pub(crate) fn is_library_path(rel: &str) -> bool {
-    let exempt = ["tests/", "benches/", "examples/"];
-    if exempt
-        .iter()
-        .any(|d| rel.starts_with(d) || rel.contains(&format!("/{d}")))
-    {
-        return false;
-    }
-    rel.starts_with("src/") || rel.contains("/src/")
 }
 
 /// How many lines above a site the tag/justification comment window extends
@@ -453,7 +379,10 @@ impl SourceFile {
 
     /// 1-based line of a byte offset.
     pub(crate) fn line_of(&self, pos: usize) -> usize {
-        line_of(&self.line_starts, pos)
+        match self.line_starts.binary_search(&pos) {
+            Ok(n) => n + 1,
+            Err(n) => n,
+        }
     }
 
     /// 1-based column (byte offset within the line) of a byte offset.
@@ -464,17 +393,22 @@ impl SourceFile {
 
     /// Whether `pos` falls inside a `#[cfg(test)]`-gated item.
     pub(crate) fn in_test(&self, pos: usize) -> bool {
-        in_regions(&self.test_regions, pos)
+        self.test_regions.iter().any(|&(a, b)| pos >= a && pos < b)
     }
 
-    /// The test regions, for passes that walk the code view directly.
-    pub(crate) fn test_regions(&self) -> &[(usize, usize)] {
-        &self.test_regions
-    }
-
-    /// Whether this file is library code (ships; strictest rules apply).
+    /// Whether this file is library code for the atomics and locks rules:
+    /// any `src/` file of a crate or the suite (binaries included — they
+    /// ship). `tests/`, `benches/` and `examples/` are exempt by policy.
     pub(crate) fn is_library(&self) -> bool {
-        is_library_path(&self.rel)
+        let rel = self.rel.as_str();
+        let exempt = ["tests/", "benches/", "examples/"];
+        if exempt
+            .iter()
+            .any(|d| rel.starts_with(d) || rel.contains(&format!("/{d}")))
+        {
+            return false;
+        }
+        rel.starts_with("src/") || rel.contains("/src/")
     }
 
     /// A [`Violation`] at byte offset `pos` in this file.
@@ -511,9 +445,10 @@ impl SourceFile {
     }
 }
 
-/// Recursively collects the workspace's `.rs` files, root-relative.
-pub(crate) fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    const SKIP_DIRS: &[&str] = &["target", ".git", "results", ".claude", "fixtures"];
+/// Reads and parses every `.rs` file under `root` into [`SourceFile`]s, in
+/// path order.
+pub(crate) fn load_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    const SKIP_DIRS: &[&str] = &["target", "results"];
     let mut stack = vec![root.to_path_buf()];
     let mut files = Vec::new();
     while let Some(dir) = stack.pop() {
@@ -532,126 +467,25 @@ pub(crate) fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
         }
     }
     files.sort();
-    Ok(files)
-}
-
-/// Reads and parses the whole tree under `root` into [`SourceFile`]s.
-pub(crate) fn load_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    let mut out = Vec::new();
-    for path in collect_sources(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(&path)?;
-        out.push(SourceFile::parse(&rel, &src));
-    }
-    Ok(out)
+    files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy();
+            let src = std::fs::read_to_string(path)?;
+            Ok(SourceFile::parse(&rel.replace('\\', "/"), &src))
+        })
+        .collect()
 }
 
 /// The result of one analysis pass over the tree: its inventory (one
 /// human-oriented line per audited site) and its violations.
 pub(crate) struct PassOutcome {
-    /// Pass name as the CLI and the baseline file know it.
+    /// Pass name as the CLI knows it.
     pub pass: &'static str,
     /// One line per audited site (may be empty for violation-only passes).
     pub sites: Vec<String>,
     /// Violations found.
     pub violations: Vec<Violation>,
-}
-
-// ---------------------------------------------------------------------------
-// Ratchet baseline
-// ---------------------------------------------------------------------------
-
-/// Root-relative path of the committed ratchet baseline.
-pub(crate) const BASELINE_PATH: &str = "crates/xtask/audit-baseline.txt";
-
-/// The committed per-pass violation budget. Counts may only shrink.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub(crate) struct Baseline(BTreeMap<String, usize>);
-
-impl Baseline {
-    /// The budget for `pass` (absent passes have budget 0 — new passes start
-    /// strict and the baseline only ever records debt, never headroom).
-    pub(crate) fn budget(&self, pass: &str) -> usize {
-        self.0.get(pass).copied().unwrap_or(0)
-    }
-}
-
-/// Parses `pass count` lines; `#` comments and blank lines are skipped.
-pub(crate) fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut map = BTreeMap::new();
-    for (n, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((pass, count)) = line.split_once(char::is_whitespace) else {
-            return Err(format!("{BASELINE_PATH}:{}: expected `pass count`", n + 1));
-        };
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|e| format!("{BASELINE_PATH}:{}: bad count: {e}", n + 1))?;
-        if map.insert(pass.to_string(), count).is_some() {
-            return Err(format!(
-                "{BASELINE_PATH}:{}: duplicate pass `{pass}`",
-                n + 1
-            ));
-        }
-    }
-    Ok(Baseline(map))
-}
-
-/// Loads the committed baseline under `root` (absent file = all-zero budgets).
-pub(crate) fn load_baseline(root: &Path) -> Result<Baseline, String> {
-    match std::fs::read_to_string(root.join(BASELINE_PATH)) {
-        Ok(text) => parse_baseline(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("{BASELINE_PATH}: {e}")),
-    }
-}
-
-/// Enforces the ratchet for one pass: a violation count above the budget
-/// fails outright, and a count *below* it fails until the baseline is
-/// lowered, so recorded debt can never silently regrow. Returns the ratchet
-/// violations to append to the pass's own.
-pub(crate) fn ratchet(baseline: &Baseline, pass: &'static str, count: usize) -> Vec<Violation> {
-    let budget = baseline.budget(pass);
-    let mut out = Vec::new();
-    if count < budget {
-        out.push(Violation {
-            rule: "ratchet-stale",
-            path: BASELINE_PATH.to_string(),
-            line: 1,
-            col: 1,
-            msg: format!(
-                "pass `{pass}` now has {count} violation(s) but the baseline still \
-                 budgets {budget} — lower the `{pass}` line (the ratchet only tightens)"
-            ),
-        });
-    }
-    // Note: `count > budget` is not reported here — the `count - budget`
-    // excess violations are already being reported by the pass itself, and
-    // the runner fails on them. The ratchet's job is the shrink direction.
-    out
-}
-
-/// Splits a pass's raw violations into `(tolerated, excess)` under the
-/// baseline budget: the first `budget` violations are tolerated (recorded
-/// debt), the rest must be fixed. Deterministic because passes emit
-/// violations in tree order.
-pub(crate) fn apply_budget(
-    baseline: &Baseline,
-    pass: &str,
-    violations: Vec<Violation>,
-) -> (Vec<Violation>, Vec<Violation>) {
-    let budget = baseline.budget(pass);
-    let mut tolerated = violations;
-    let excess = tolerated.split_off(budget.min(tolerated.len()));
-    (tolerated, excess)
 }
 
 // ---------------------------------------------------------------------------
@@ -677,10 +511,9 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Serializes an audit run to the `audit-report/v1` JSON document: per pass,
-/// the audited-site inventory, every violation with its span, and the
-/// baseline budget in force. Dependency-free by design (xtask must build
-/// anywhere the workspace builds).
-pub(crate) fn render_report(root: &Path, baseline: &Baseline, passes: &[PassOutcome]) -> String {
+/// the audited-site inventory and every violation with its span.
+/// Dependency-free by design (xtask must build anywhere the workspace builds).
+pub(crate) fn render_report(root: &Path, passes: &[PassOutcome]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"audit-report/v1\",\n");
     out.push_str(&format!(
@@ -691,10 +524,6 @@ pub(crate) fn render_report(root: &Path, baseline: &Baseline, passes: &[PassOutc
         out.push_str("    {\n");
         out.push_str(&format!("      \"pass\": \"{}\",\n", json_escape(p.pass)));
         out.push_str(&format!("      \"sites\": {},\n", p.sites.len()));
-        out.push_str(&format!(
-            "      \"baseline\": {},\n",
-            baseline.budget(p.pass)
-        ));
         out.push_str(&format!("      \"violations\": {},\n", p.violations.len()));
         out.push_str("      \"inventory\": [");
         for (j, site) in p.sites.iter().enumerate() {
@@ -778,82 +607,34 @@ mod tests {
 
     #[test]
     fn tag_parses_from_the_window() {
-        let src = "fn f() {\n    // alloc(setup buffer: built once per stage)\n    let x = 1;\n}\n";
+        let src = "fn f() {\n    // locks(registry first: the order every caller takes)\n    let x = 1;\n}\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
         assert_eq!(
-            f.tag("alloc", 3).as_deref(),
-            Some("setup buffer: built once per stage")
+            f.tag("locks", 3).as_deref(),
+            Some("registry first: the order every caller takes")
         );
         // Window: same line or ≤3 above; line 7 is too far from line 2.
-        assert_eq!(f.tag("alloc", 7), None);
+        assert_eq!(f.tag("locks", 7), None);
         // Other tag names don't match.
-        assert_eq!(f.tag("panics", 3), None);
+        assert_eq!(f.tag("relaxed", 3), None);
     }
 
     #[test]
     fn tag_ignores_code_and_strings() {
-        let src = "fn alloc(x: u32) {}\nlet s = \"alloc(nope)\";\nlet y = 2;\n";
+        let src = "fn locks(x: u32) {}\nlet s = \"locks(nope)\";\nlet y = 2;\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
-        assert_eq!(f.tag("alloc", 3), None);
+        assert_eq!(f.tag("locks", 3), None);
     }
 
     #[test]
     fn tag_payload_preserves_case_and_trims() {
-        let src = "// ALLOC( Once: K ≤ MAX_K )\nlet x = 1;\n";
+        let src = "// LOCKS( Once: K ≤ MAX_K )\nlet x = 1;\n";
         let f = SourceFile::parse("crates/demo/src/lib.rs", src);
-        assert_eq!(f.tag("alloc", 2).as_deref(), Some("Once: K ≤ MAX_K"));
-    }
-
-    #[test]
-    fn baseline_parses_and_defaults_to_zero() {
-        let b = parse_baseline("# comment\nlocks 3\n\nlayers 0\n").expect("valid");
-        assert_eq!(b.budget("locks"), 3);
-        assert_eq!(b.budget("layers"), 0);
-        assert_eq!(b.budget("panics"), 0, "absent pass defaults to zero");
-    }
-
-    #[test]
-    fn baseline_rejects_garbage_and_duplicates() {
-        assert!(parse_baseline("locks\n").is_err());
-        assert!(parse_baseline("locks x\n").is_err());
-        assert!(parse_baseline("locks 1\nlocks 2\n").is_err());
-    }
-
-    #[test]
-    fn ratchet_flags_only_the_stale_direction() {
-        let b = parse_baseline("locks 2\n").expect("valid");
-        assert!(ratchet(&b, "locks", 2).is_empty(), "at budget: fine");
-        assert!(
-            ratchet(&b, "locks", 3).is_empty(),
-            "above budget: the excess violations themselves fail the run"
-        );
-        let stale = ratchet(&b, "locks", 1);
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].rule, "ratchet-stale");
-        assert!(stale[0].msg.contains("lower the `locks` line"));
-    }
-
-    #[test]
-    fn budget_tolerates_exactly_the_recorded_debt() {
-        let b = parse_baseline("locks 1\n").expect("valid");
-        let v = |line| Violation {
-            rule: "lock-wildcard",
-            path: "crates/demo/src/lib.rs".to_string(),
-            line,
-            col: 1,
-            msg: "x".to_string(),
-        };
-        let (tolerated, excess) = apply_budget(&b, "locks", vec![v(1), v(2)]);
-        assert_eq!(tolerated.len(), 1);
-        assert_eq!(excess.len(), 1);
-        assert_eq!(excess[0].line, 2, "excess keeps tree order");
-        let (tolerated, excess) = apply_budget(&b, "locks", vec![v(1)]);
-        assert_eq!((tolerated.len(), excess.len()), (1, 0));
+        assert_eq!(f.tag("locks", 2).as_deref(), Some("Once: K ≤ MAX_K"));
     }
 
     #[test]
     fn report_is_valid_json_shape() {
-        let b = Baseline::default();
         let passes = vec![PassOutcome {
             pass: "locks",
             sites: vec!["a.rs:1: lock `m` [named]".to_string()],
@@ -865,7 +646,7 @@ mod tests {
                 msg: "bad\nguard".to_string(),
             }],
         }];
-        let json = render_report(Path::new("/tmp/x"), &b, &passes);
+        let json = render_report(Path::new("/tmp/x"), &passes);
         assert!(json.contains("\"schema\": \"audit-report/v1\""));
         assert!(json.contains("\"pass\": \"locks\""));
         assert!(json.contains("\\\"quoted\\\""));

@@ -35,9 +35,8 @@
 //! the flagged line or up to three lines above.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
-use crate::audit::{block_end, stmt_end, stmt_start, PassOutcome, SourceFile, Violation};
+use crate::audit::{scope_end, stmt_start, PassOutcome, SourceFile, Violation};
 
 /// Blocking operations a guard must not be held across, with the reason
 /// used in the diagnostic. Lexical needles over the masked code view.
@@ -341,10 +340,10 @@ pub(crate) fn audit_file(file: &SourceFile) -> FileAudit {
             };
             let scope = match &binding {
                 Binding::Wildcard => (after, after),
-                Binding::Temp => (after, stmt_end(code, after)),
+                Binding::Temp => (after, scope_end(code, after, true)),
                 Binding::Named(name) => {
                     let from = j + 1; // just past the `let`'s `;`
-                    let mut to = block_end(code, from);
+                    let mut to = scope_end(code, from, false);
                     // `drop(name)` releases the guard early.
                     let drop_needle = format!("drop({name})");
                     if let Some(p) = code[from..to].find(&drop_needle) {
@@ -476,7 +475,7 @@ pub(crate) fn cycle_nodes(edges: &[(String, String)]) -> Vec<String> {
 
 /// Audits the library files of the parsed tree and checks each crate's
 /// lock-order graph for cycles.
-pub(crate) fn run(_root: &Path, sources: &[SourceFile]) -> PassOutcome {
+pub(crate) fn run(sources: &[SourceFile]) -> PassOutcome {
     let mut sites = Vec::new();
     let mut violations = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
@@ -685,7 +684,7 @@ mod tests {
     fn run_reports_cycles_across_functions() {
         let src = "fn f(&self) {\n    // locks(order: first then second)\n    let a = self.first.lock();\n    let b = self.second.lock();\n}\nfn g(&self) {\n    // locks(order: second then first)\n    let b = self.second.lock();\n    let a = self.first.lock();\n}\n";
         let file = SourceFile::parse(LIB, src);
-        let outcome = run(Path::new("."), &[file]);
+        let outcome = run(&[file]);
         let cycles: Vec<_> = outcome
             .violations
             .iter()
@@ -702,7 +701,7 @@ mod tests {
             "crates/demo/tests/t.rs",
             "fn f(m: &Mutex<u32>) { let _ = m.lock(); }\n",
         );
-        let outcome = run(Path::new("."), &[test_file]);
+        let outcome = run(&[test_file]);
         assert!(outcome.sites.is_empty());
         assert!(outcome.violations.is_empty());
     }

@@ -1,54 +1,44 @@
 //! `xtask` — project-native developer tooling, run as `cargo run -p xtask -- <cmd>`.
 //!
 //! Every command is an analysis **pass** over the shared audit core
-//! (`audit.rs`: masked source model, suppression-tag grammar, ratchet
-//! baseline, JSON report — DESIGN.md §12). The passes are the rules that
-//! clippy cannot state; casts, discarded `Result`s, `unwrap`/`panic!`/
-//! `todo!`/`dbg!`, `unsafe` and raw indexing are clippy's and rustc's
-//! (`[workspace.lints]` in the root `Cargo.toml`, `clippy.toml`).
+//! (`audit.rs`: masked source model, suppression-tag grammar, JSON report —
+//! DESIGN.md §12). The two passes are what only a lexical pass over this
+//! tree can say; every other rule has an owner that states it better —
+//! clippy, rustc, cargo, a `NonZeroUsize`, the counting allocator of
+//! `crates/core/tests/alloc_budget.rs` (DESIGN.md §7 has the table).
 //!
-//! * `layers` — architectural layering: crate dependencies point strictly
-//!   down the `rankings → minispark → core → datagen → bench` stack, `xtask`
-//!   stays isolated, intra-crate module imports are acyclic.
 //! * `atomics` — every `Ordering::*` site classified by operation; `Relaxed`
 //!   requires a `relaxed(<class>)` tag justifying that operation.
-//! * `panics` — computed divisors (`x / n`, `x % n`) on the hot-path file
-//!   list require a `panics(<invariant>)` tag or a checked rewrite.
 //! * `locks` — every `.lock()`/`.read()`/`.write()` guard inventoried with
 //!   its lexical scope; wildcard guards, guards held across blocking calls,
 //!   and inconsistent per-crate acquisition orders (deadlock cycles) fail.
-//! * `hotalloc` — allocation expressions (`Vec::new`, `vec![`, `collect`,
-//!   `format!`, collection `clone()`, …) on the hot-path file list require
-//!   an `alloc(<why>)` tag, pinning the zero-steady-state-alloc property.
-//! * `audit` — all five passes in one run, with the ratchet baseline
-//!   enforced and an optional `--json <path>` machine-readable report.
+//! * `audit` — both passes in one run, with an optional `--json <path>`
+//!   machine-readable report.
 //!
 //! Flags (any command): `--root <path>` scans a different tree,
 //! `--json <path>` writes the `audit-report/v1` document. Each command exits
-//! non-zero on any enforced violation, and each pass also runs as a
-//! `#[test]`, so plain `cargo test` is the tier-1 gate for all of them.
+//! non-zero on any violation, and each pass also runs as a `#[test]`, so
+//! plain `cargo test` is the tier-1 gate for both.
 
 mod atomics;
 mod audit;
-mod hotalloc;
-mod layers;
 mod locks;
-mod panics;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use audit::{Baseline, PassOutcome, Violation};
+use audit::{PassOutcome, SourceFile};
 
-const PASSES: &[&str] = &["layers", "atomics", "panics", "locks", "hotalloc"];
+/// A pass: its command name and its entry point over the parsed tree.
+type Pass = (&'static str, fn(&[SourceFile]) -> PassOutcome);
+
+const PASSES: &[Pass] = &[("atomics", atomics::run), ("locks", locks::run)];
 
 const USAGE: &str = "usage: cargo run -p xtask -- \
-     <layers|atomics|panics|locks|hotalloc|audit> [--root <path>] [--json <path>]";
+     <atomics|locks|audit> [--root <path>] [--json <path>]";
 
-fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
-    if let Some(root) = explicit {
-        return root;
-    }
+/// The tree to scan when `--root` does not name one.
+fn workspace_root() -> PathBuf {
     // This file lives at <root>/crates/xtask/src/main.rs.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -88,158 +78,94 @@ fn parse_flags(cmd: &str, args: impl Iterator<Item = String>) -> Result<Flags, S
     Ok(flags)
 }
 
-/// Runs the named passes over one parse of the tree. Returns the outcomes in
-/// the order requested plus the loaded ratchet baseline.
-fn run_passes(root: &Path, which: &[&str]) -> Result<(Vec<PassOutcome>, Baseline), String> {
+/// Runs `which` over one parse of the tree, in the order given.
+fn run_passes(root: &Path, which: &[Pass]) -> Result<Vec<PassOutcome>, String> {
     let sources =
         audit::load_tree(root).map_err(|e| format!("failed to scan {}: {e}", root.display()))?;
-    let baseline = audit::load_baseline(root)?;
-    let mut outcomes = Vec::new();
-    for &name in which {
-        let outcome = match name {
-            "layers" => layers::run(root, &sources)
-                .map_err(|e| format!("failed to scan {}: {e}", root.display()))?,
-            "atomics" => atomics::run(root, &sources),
-            "panics" => panics::run(root, &sources),
-            "locks" => locks::run(root, &sources),
-            "hotalloc" => hotalloc::run(root, &sources),
-            other => return Err(format!("xtask: unknown pass `{other}`\n{USAGE}")),
-        };
-        outcomes.push(outcome);
-    }
-    Ok((outcomes, baseline))
+    Ok(which.iter().map(|(_, run)| run(&sources)).collect())
 }
 
-/// Applies the ratchet baseline to raw pass outcomes: violations beyond each
-/// pass's recorded budget fail, and a count below the budget fails too until
-/// the baseline line is lowered. Returns every enforced failure.
-fn enforce(baseline: &Baseline, outcomes: &[PassOutcome]) -> Vec<Violation> {
-    let mut failures = Vec::new();
-    for outcome in outcomes {
-        let (_tolerated, excess) =
-            audit::apply_budget(baseline, outcome.pass, outcome.violations.clone());
-        failures.extend(audit::ratchet(
-            baseline,
-            outcome.pass,
-            outcome.violations.len(),
-        ));
-        failures.extend(excess);
+/// Runs the command, prints the human report, writes the JSON report when
+/// asked, and fails on any violation.
+fn run(cmd: &str, args: impl Iterator<Item = String>) -> Result<(), String> {
+    let which: Vec<Pass> = PASSES
+        .iter()
+        .filter(|(name, _)| cmd == "audit" || cmd == *name)
+        .copied()
+        .collect();
+    if which.is_empty() {
+        return Err(USAGE.to_string());
     }
-    failures
-}
-
-/// Runs `which` under `root`, prints the human report, writes the JSON
-/// report when asked, and returns the process exit code.
-fn run_command(cmd: &str, root: &Path, which: &[&str], json: Option<&Path>) -> ExitCode {
-    let (outcomes, baseline) = match run_passes(root, which) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("xtask {cmd}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let flags = parse_flags(cmd, args)?;
+    let root = flags.root.unwrap_or_else(workspace_root);
+    let outcomes = run_passes(&root, &which).map_err(|e| format!("xtask {cmd}: {e}"))?;
     for outcome in &outcomes {
-        if which.len() == 1 && !outcome.sites.is_empty() {
-            eprintln!(
-                "xtask {}: {} site(s) audited",
-                outcome.pass,
-                outcome.sites.len()
-            );
+        let (pass, sites) = (outcome.pass, outcome.sites.len());
+        if which.len() == 1 {
+            eprintln!("xtask {pass}: {sites} site(s) audited");
             for site in &outcome.sites {
                 eprintln!("  {site}");
             }
         } else {
-            eprintln!(
-                "xtask {}: {} site(s), {} violation(s), baseline {}",
-                outcome.pass,
-                outcome.sites.len(),
-                outcome.violations.len(),
-                baseline.budget(outcome.pass)
-            );
+            let violations = outcome.violations.len();
+            eprintln!("xtask {pass}: {sites} site(s), {violations} violation(s)");
         }
     }
-    if let Some(path) = json {
-        let report = audit::render_report(root, &baseline, &outcomes);
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("xtask {cmd}: failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &flags.json {
+        std::fs::write(path, audit::render_report(&root, &outcomes))
+            .map_err(|e| format!("xtask {cmd}: failed to write {}: {e}", path.display()))?;
         eprintln!("xtask {cmd}: wrote {}", path.display());
     }
-    let failures = enforce(&baseline, &outcomes);
+    let failures: Vec<_> = outcomes.iter().flat_map(|o| &o.violations).collect();
     if failures.is_empty() {
         eprintln!("xtask {cmd}: clean ({})", root.display());
-        ExitCode::SUCCESS
-    } else {
-        for v in &failures {
-            eprintln!("{v}");
-        }
-        eprintln!(
-            "xtask {cmd}: {} violation(s). Fix each site, justify it with the pass's \
-             suppression tag, or (exceptionally) record debt in {} — which may only shrink.",
-            failures.len(),
-            audit::BASELINE_PATH
-        );
-        ExitCode::FAILURE
+        return Ok(());
     }
+    for v in &failures {
+        eprintln!("{v}");
+    }
+    Err(format!(
+        "xtask {cmd}: {} violation(s). Fix each site or justify it with the pass's \
+         suppression tag.",
+        failures.len()
+    ))
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+    let outcome = match args.next() {
+        Some(cmd) => run(&cmd, args),
+        None => Err(USAGE.to_string()),
     };
-    let which: Vec<&str> = if cmd == "audit" {
-        PASSES.to_vec()
-    } else if let Some(pass) = PASSES.iter().find(|p| **p == cmd) {
-        vec![pass]
-    } else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(&cmd, args) {
-        Ok(flags) => flags,
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let root = workspace_root(flags.root);
-    run_command(&cmd, &root, &which, flags.json.as_deref())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn render(violations: &[Violation]) -> String {
-        violations
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Runs one pass over the real workspace and returns its outcome plus
-    /// the enforced failures — the body of every tier-1 gate below.
-    fn workspace_gate(pass: &'static str) -> (PassOutcome, Vec<Violation>) {
-        let root = workspace_root(None);
-        let (mut outcomes, baseline) =
-            run_passes(&root, &[pass]).expect("workspace tree must be readable");
-        let failures = enforce(&baseline, &outcomes);
-        (outcomes.remove(0), failures)
-    }
-
-    /// The layering gate: crate ranks and intra-crate module acyclicity.
-    #[test]
-    fn workspace_layers_are_clean() {
-        let (_, failures) = workspace_gate("layers");
+    /// Runs one pass over the real workspace and asserts it saw sites and
+    /// found no violation — the body of both tier-1 gates below.
+    fn assert_workspace_clean(pass: &'static str, run: fn(&[SourceFile]) -> PassOutcome) {
+        let outcome = run_passes(&workspace_root(), &[(pass, run)])
+            .expect("workspace tree must be readable")
+            .remove(0);
         assert!(
-            failures.is_empty(),
-            "xtask layers found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
+            !outcome.sites.is_empty(),
+            "xtask {pass} saw no site — scanning the wrong tree?"
+        );
+        let rendered: Vec<String> = outcome.violations.iter().map(ToString::to_string).collect();
+        assert!(
+            rendered.is_empty(),
+            "xtask {pass} found {} violation(s):\n{}",
+            rendered.len(),
+            rendered.join("\n")
         );
     }
 
@@ -247,34 +173,7 @@ mod tests {
     /// class tag that justifies its operation.
     #[test]
     fn workspace_atomics_are_clean() {
-        let (outcome, failures) = workspace_gate("atomics");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see the executor's atomics — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask atomics found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
-    }
-
-    /// The panic-freedom gate: computed divisors on the hot-path files carry
-    /// `panics(<invariant>)` tags or checked rewrites.
-    #[test]
-    fn workspace_panics_are_clean() {
-        let (outcome, failures) = workspace_gate("panics");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see hot-path divisor sites — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask panics found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
+        assert_workspace_clean("atomics", atomics::run);
     }
 
     /// The lock-discipline gate: every guard in library code has a clean
@@ -282,38 +181,10 @@ mod tests {
     /// guard, consistent per-crate acquisition order.
     #[test]
     fn workspace_locks_are_clean() {
-        let (outcome, failures) = workspace_gate("locks");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see the runtime's lock sites — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask locks found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
+        assert_workspace_clean("locks", locks::run);
     }
 
-    /// The allocation gate: hot-path allocation expressions carry an
-    /// `alloc(<why>)` tag, so the kernels' zero-steady-state-allocation
-    /// property can only improve.
-    #[test]
-    fn workspace_hotalloc_is_clean() {
-        let (outcome, failures) = workspace_gate("hotalloc");
-        assert!(
-            !outcome.sites.is_empty(),
-            "the audit should see hot-path allocation sites — scanning the wrong tree?"
-        );
-        assert!(
-            failures.is_empty(),
-            "xtask hotalloc found {} violation(s):\n{}",
-            failures.len(),
-            render(&failures)
-        );
-    }
-
-    // -- what clippy enforces ------------------------------------------------
+    // -- what cargo, rustc and clippy enforce --------------------------------
 
     /// The library-code rules that are clippy's to enforce: casts, discarded
     /// `Result`s, unwrap/panic/todo/dbg (`indexing_slicing`, scoped to
@@ -331,33 +202,87 @@ mod tests {
         "dbg_macro",
     ];
 
-    /// The trimmed lines of one `[header]` table of a manifest.
-    fn manifest_table<'a>(manifest: &'a str, header: &str) -> Vec<&'a str> {
+    /// The per-pair / per-record modules: each must turn on
+    /// `clippy::indexing_slicing` with an inner attribute. Root-relative
+    /// paths; extend the list when a new file joins the per-pair /
+    /// per-record path.
+    const HOT_PATHS: &[&str] = &[
+        // rankings: per-pair distance/verification kernels.
+        "crates/rankings/src/distance.rs",
+        "crates/rankings/src/ordered.rs",
+        "crates/rankings/src/bounds.rs",
+        "crates/rankings/src/varlen.rs",
+        "crates/rankings/src/jaccard.rs",
+        "crates/rankings/src/verify.rs",
+        // core: candidate generation and the driver pipeline's inner loops.
+        "crates/core/src/kernels.rs",
+        "crates/core/src/pipeline.rs",
+        "crates/core/src/index.rs",
+        // core: the arrival joiner's query-then-insert loop runs per arrival.
+        "crates/core/src/arrivals.rs",
+        // core: the serving layer's per-request and per-record paths (every
+        // upsert/query/delete and every WAL frame runs through these).
+        "crates/core/src/serving.rs",
+        "crates/core/src/wal.rs",
+        // minispark: partitioning, skew splitting, spill and codec inner loops.
+        "crates/minispark/src/shuffle.rs",
+        "crates/minispark/src/skew.rs",
+        "crates/minispark/src/spill.rs",
+        "crates/minispark/src/codec.rs",
+        "crates/minispark/src/executor.rs",
+        // telemetry: the record path runs inside every task's inner loop.
+        "crates/minispark/src/telemetry.rs",
+    ];
+
+    /// The four library crates, bottom of the stack first.
+    const LIBS: &[&str] = &["topk-rankings", "minispark", "topk-simjoin", "topk-datagen"];
+
+    /// The layering contract, one row per member manifest: the workspace
+    /// crates its `[dependencies]` may name. Cargo refuses cycles and rustc
+    /// refuses a crate the manifest does not declare, so all that is left to
+    /// state is which acyclic edges are wanted: dependencies point down
+    /// `rankings → minispark → core → datagen → bench → suite`, and `xtask`
+    /// depends on nothing at all. `[dev-dependencies]` are free (core's tests
+    /// use datagen's fixtures).
+    const ALLOWED_EDGES: &[(&str, &[&str])] = &[
+        ("crates/rankings/Cargo.toml", &[]),
+        ("crates/minispark/Cargo.toml", &[]),
+        ("crates/core/Cargo.toml", &["topk-rankings", "minispark"]),
+        ("crates/datagen/Cargo.toml", &["topk-rankings"]),
+        ("crates/bench/Cargo.toml", LIBS),
+        ("Cargo.toml", LIBS),
+        ("crates/xtask/Cargo.toml", &[]),
+    ];
+
+    /// The `key = value` entries of one `[header]` table of a manifest, both
+    /// sides trimmed (quotes kept), comments skipped.
+    fn manifest_table<'a>(manifest: &'a str, header: &str) -> Vec<(&'a str, &'a str)> {
         manifest
             .lines()
             .map(str::trim)
             .skip_while(|line| *line != header)
             .skip(1)
             .take_while(|line| !line.starts_with('['))
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.split_once('='))
+            .map(|(key, value)| (key.trim(), value.trim()))
             .collect()
     }
 
     /// Whether `table` sets `key` to one of `values` (quotes included).
-    fn table_sets(table: &[&str], key: &str, values: &[&str]) -> bool {
-        table.iter().any(|line| {
-            line.split_once('=')
-                .is_some_and(|(k, v)| k.trim() == key && values.contains(&v.trim()))
-        })
+    fn table_sets(table: &[(&str, &str)], key: &str, values: &[&str]) -> bool {
+        table.iter().any(|(k, v)| *k == key && values.contains(v))
     }
 
-    /// Clippy's share of the policy is only enforced if every crate keeps
-    /// asking for it: the workspace lint table names each lint, every
+    /// What cargo, rustc and clippy enforce is only enforced if every crate
+    /// keeps asking for it: the workspace lint table names each lint, every
     /// member inherits that table (so a new crate cannot opt out silently),
-    /// every hot-path module turns on `indexing_slicing`, and `clippy.toml`
-    /// holds nothing but the test exemptions.
+    /// every member's workspace `[dependencies]` are edges the layering
+    /// allows, every hot-path module turns on `indexing_slicing`, and
+    /// `clippy.toml` holds nothing but the test exemptions.
     #[test]
     fn clippy_enforces_the_library_rules_in_every_member() {
-        let root = workspace_root(None);
+        let root = workspace_root();
         let read = |rel: &str| {
             std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
         };
@@ -384,19 +309,38 @@ mod tests {
                 members.push(rel);
             }
         }
-        assert!(members.len() > 5, "found only {members:?}");
-        for rel in &members {
+        let manifests: Vec<(&str, String)> =
+            members.iter().map(|m| (m.as_str(), read(m))).collect();
+        let packages: Vec<&str> = manifests
+            .iter()
+            .flat_map(|(_, manifest)| manifest_table(manifest, "[package]"))
+            .filter(|(key, _)| *key == "name")
+            .map(|(_, name)| name.trim_matches('"'))
+            .collect();
+        assert_eq!(packages.len(), members.len(), "{packages:?}");
+        for (rel, manifest) in &manifests {
             assert!(
-                table_sets(
-                    &manifest_table(&read(rel), "[lints]"),
-                    "workspace",
-                    &["true"]
-                ),
+                table_sets(&manifest_table(manifest, "[lints]"), "workspace", &["true"]),
                 "{rel} must inherit the workspace lints: `[lints] workspace = true`"
             );
+            let (_, allowed) = ALLOWED_EDGES
+                .iter()
+                .find(|(member, _)| member == rel)
+                .unwrap_or_else(|| panic!("{rel} has no row in ALLOWED_EDGES"));
+            for (dep, _) in manifest_table(manifest, "[dependencies]") {
+                assert!(
+                    !packages.contains(&dep) || allowed.contains(&dep),
+                    "{rel}: `{dep}` in [dependencies] points up the stack \
+                     (allowed workspace edges: {allowed:?})"
+                );
+                assert_ne!(
+                    *rel, "crates/xtask/Cargo.toml",
+                    "xtask builds with std alone"
+                );
+            }
         }
 
-        for rel in panics::HOT_PATHS {
+        for rel in HOT_PATHS {
             assert!(
                 read(rel)
                     .lines()
@@ -416,121 +360,11 @@ mod tests {
         }
     }
 
-    // -- ratchet fixture ----------------------------------------------------
-    //
-    // `fixtures/ratchet-demo` is a committed mini-tree with exactly one
-    // unjustified site per ratcheted pass — a wildcard lock guard and a
-    // hot-path `Vec::new` — each recorded at budget 1 in its own
-    // audit-baseline.txt. It is not a workspace member and `collect_sources`
-    // skips `fixtures` dirs, so the workspace gates above never see it.
-
-    fn fixture_root() -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/ratchet-demo")
-    }
-
-    #[test]
-    fn fixture_debt_is_tolerated_at_its_recorded_budget() {
-        let (outcomes, baseline) = run_passes(&fixture_root(), &["locks", "hotalloc"])
-            .expect("fixture tree must be readable");
-        for outcome in &outcomes {
-            assert_eq!(
-                outcome.violations.len(),
-                1,
-                "pass `{}` should see exactly one debt site:\n{}",
-                outcome.pass,
-                render(&outcome.violations)
-            );
-            assert_eq!(baseline.budget(outcome.pass), 1, "{}", outcome.pass);
-        }
-        let failures = enforce(&baseline, &outcomes);
-        assert!(failures.is_empty(), "{}", render(&failures));
-    }
-
-    #[test]
-    fn an_unjustified_computed_divisor_fails_the_gate() {
-        // The panics pass scopes to HOT_PATHS, so stage the source under a
-        // hot path name.
-        let hot = audit::SourceFile::parse(
-            "crates/core/src/kernels.rs",
-            "pub fn f(total: u64, n: u64) -> u64 { total / n }\n",
-        );
-        let outcome = panics::run(Path::new("."), &[hot]);
-        let failures = enforce(&Baseline::default(), &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "panics-audit");
-    }
-
-    #[test]
-    fn an_unjustified_new_lock_site_fails_the_gate() {
-        let wild = audit::SourceFile::parse(
-            "crates/demo/src/extra.rs",
-            "pub fn f(m: &std::sync::Mutex<u32>) {\n    let _ = m.lock().expect(\"poisoned\");\n}\n",
-        );
-        let outcome = locks::run(Path::new("."), &[wild]);
-        let failures = enforce(&Baseline::default(), &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "lock-wildcard");
-    }
-
-    #[test]
-    fn an_unjustified_new_hot_allocation_fails_the_gate() {
-        // hotalloc scopes to HOT_PATHS, so stage the source under a hot name.
-        let hot = audit::SourceFile::parse(
-            "crates/minispark/src/shuffle.rs",
-            "pub fn f() -> Vec<u32> { Vec::new() }\n",
-        );
-        let outcome = hotalloc::run(Path::new("."), &[hot]);
-        let failures = enforce(&Baseline::default(), &[outcome]);
-        assert_eq!(failures.len(), 1, "{}", render(&failures));
-        assert_eq!(failures[0].rule, "alloc-audit");
-    }
-
-    #[test]
-    fn fixing_recorded_debt_forces_the_baseline_down() {
-        // Each pass's fixture debt, once fixed, must be struck from the
-        // fixture baseline — a clean outcome against budget 1 is stale.
-        let baseline = audit::load_baseline(&fixture_root()).expect("fixture baseline parses");
-        for pass in ["locks", "hotalloc"] {
-            let clean = PassOutcome {
-                pass,
-                sites: Vec::new(),
-                violations: Vec::new(),
-            };
-            let failures = enforce(&baseline, &[clean]);
-            assert_eq!(failures.len(), 1, "{pass}: {}", render(&failures));
-            assert_eq!(failures[0].rule, "ratchet-stale", "{pass}");
-            assert!(failures[0]
-                .msg
-                .contains(&format!("lower the `{pass}` line")));
-        }
-    }
-
-    #[test]
-    fn the_workspace_baseline_is_all_zero() {
-        // The real tree carries no recorded debt: every budget in the
-        // committed baseline must be zero, so the gates above are strict.
-        let baseline =
-            audit::load_baseline(&workspace_root(None)).expect("workspace baseline parses");
-        for pass in PASSES {
-            assert_eq!(
-                baseline.budget(pass),
-                0,
-                "pass `{pass}` carries recorded debt — burn it down instead"
-            );
-        }
-    }
-
     // -- CLI plumbing -------------------------------------------------------
 
     #[test]
-    fn workspace_root_prefers_the_explicit_path() {
-        let explicit = PathBuf::from("/tmp/some-tree");
-        assert_eq!(workspace_root(Some(explicit.clone())), explicit);
-    }
-
-    #[test]
     fn workspace_root_derives_from_the_manifest_dir() {
-        let root = workspace_root(None);
+        let root = workspace_root();
         assert!(
             root.join("crates/xtask/src/main.rs").is_file(),
             "derived root {} should contain this very file",
@@ -565,17 +399,16 @@ mod tests {
     #[test]
     fn parse_flags_rejects_unknown_flags() {
         let args = ["--frobnicate".to_string()];
-        let err = parse_flags("layers", args.into_iter()).expect_err("unknown flag");
+        let err = parse_flags("atomics", args.into_iter()).expect_err("unknown flag");
         assert!(err.contains("unknown argument `--frobnicate`"), "{err}");
     }
 
     #[test]
     fn the_json_report_covers_every_pass() {
-        let root = workspace_root(None);
-        let (outcomes, baseline) =
-            run_passes(&root, PASSES).expect("workspace tree must be readable");
-        let json = audit::render_report(&root, &baseline, &outcomes);
-        for pass in PASSES {
+        let root = workspace_root();
+        let outcomes = run_passes(&root, PASSES).expect("workspace tree must be readable");
+        let json = audit::render_report(&root, &outcomes);
+        for (pass, _) in PASSES {
             assert!(json.contains(&format!("\"pass\": \"{pass}\"")), "{pass}");
         }
         assert!(json.contains("\"schema\": \"audit-report/v1\""));
