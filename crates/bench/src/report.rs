@@ -40,13 +40,13 @@ pub struct Row {
 impl Row {
     /// The CSV header matching [`Row::to_csv`].
     pub fn csv_header() -> &'static str {
-        "figure,dataset,algorithm,theta,theta_c,delta,partitions,nodes,k,n,seconds,sim_seconds,pairs,candidates,position_pruned,verified,triangle_pruned,triangle_accepted,clusters,singletons,splits,rs_joins"
+        "figure,dataset,algorithm,theta,theta_c,delta,partitions,nodes,k,n,seconds,sim_seconds,pairs,candidates,position_pruned,overlap_pruned,verified,triangle_pruned,triangle_accepted,clusters,singletons,splits,rs_joins"
     }
 
     /// One CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{}",
             self.figure,
             self.dataset,
             self.algorithm,
@@ -62,6 +62,7 @@ impl Row {
             self.pairs,
             self.stats.candidates,
             self.stats.position_pruned,
+            self.stats.overlap_pruned,
             self.stats.verified,
             self.stats.triangle_pruned,
             self.stats.triangle_accepted,

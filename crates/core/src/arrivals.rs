@@ -312,6 +312,9 @@ mod tests {
         }
         let snap = joiner.stats();
         assert!(snap.candidates > 0);
-        assert_eq!(snap.candidates, snap.position_pruned + snap.verified);
+        assert_eq!(
+            snap.candidates,
+            snap.position_pruned + snap.overlap_pruned + snap.verified
+        );
     }
 }

@@ -19,7 +19,7 @@ use topk_rankings::OrderedRanking;
 
 use crate::kernels::{ordered_pair, Footrule, GroupJoinStyle, MetricSpace};
 use crate::pipeline::{prefix_join, PrefixSource};
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, KernelCounts};
 use crate::JoinConfig;
 
 /// `centroid id → [(member ranking, distance to centroid)]`, distances in
@@ -151,6 +151,7 @@ pub(crate) fn clustering_in<M: MetricSpace>(
                         out.push(ordered_pair(*centroid, member.id()));
                     }
                 }
+                let mut counts = KernelCounts::default();
                 for (i, (mi, di)) in members.iter().enumerate() {
                     for (mj, dj) in members.iter().skip(i + 1) {
                         // Legs: both members to their shared centroid.
@@ -160,10 +161,11 @@ pub(crate) fn clustering_in<M: MetricSpace>(
                             &[*di, *dj],
                             theta,
                             use_triangle_bounds,
-                            &stats,
+                            &mut counts,
                         ));
                     }
                 }
+                counts.flush(&stats);
                 out
             },
         )

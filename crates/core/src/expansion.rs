@@ -25,7 +25,7 @@ use topk_rankings::OrderedRanking;
 
 use crate::kernels::{Footrule, MetricSpace};
 use crate::pipeline::PairHit;
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, KernelCounts};
 
 pub(crate) use crate::clustering::ClusterTable;
 
@@ -103,6 +103,7 @@ pub(crate) fn expansion_in<M: MetricSpace>(
             &stage("member-centroid"),
             move |(_, ((other, d), members))| {
                 let mut out = Vec::new();
+                let mut counts = KernelCounts::default();
                 for (member, d_i) in members {
                     // Legs: other centroid – the member's centroid – member.
                     out.extend(M::decide_by_triangle(
@@ -111,9 +112,10 @@ pub(crate) fn expansion_in<M: MetricSpace>(
                         &[*d, *d_i],
                         theta,
                         use_triangle_bounds,
-                        &stats,
+                        &mut counts,
                     ));
                 }
+                counts.flush(&stats);
                 out
             },
         )
@@ -135,6 +137,7 @@ pub(crate) fn expansion_in<M: MetricSpace>(
             &stage("member-member"),
             move |(_, ((d, members_a), members_b))| {
                 let mut out = Vec::new();
+                let mut counts = KernelCounts::default();
                 for (ma, d_a) in members_a {
                     for (mb, d_b) in members_b {
                         // Legs: centroid – centroid, then each member to its own.
@@ -144,10 +147,11 @@ pub(crate) fn expansion_in<M: MetricSpace>(
                             &[*d, *d_a, *d_b],
                             theta,
                             use_triangle_bounds,
-                            &stats,
+                            &mut counts,
                         ));
                     }
                 }
+                counts.flush(&stats);
                 out
             },
         )

@@ -25,8 +25,7 @@ use topk_rankings::distance::{max_raw_distance, raw_threshold};
 use topk_rankings::verify::verify_candidate;
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, RankingId};
 
-use crate::kernels::count_verification;
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, KernelCounts};
 use crate::JoinError;
 
 /// Inverted prefix index supporting exact Footrule range queries up to a
@@ -252,11 +251,12 @@ impl RankingIndex {
     }
 
     /// [`RankingIndex::range_query`] with filter-effectiveness accounting:
-    /// bumps `candidates` per probed (deduplicated) posting entry,
-    /// `position_pruned` per position-filter rejection, `verified` per
-    /// Footrule evaluation and `result_pairs` per emitted neighbour — the
+    /// counts `candidates` per probed (deduplicated) posting entry,
+    /// `position_pruned` / `overlap_pruned` per filter rejection, `verified`
+    /// per Footrule evaluation and `result_pairs` per emitted neighbour — the
     /// same counter semantics as the batch join kernels, so index-backed and
-    /// batch runs are comparable in reports and telemetry.
+    /// batch runs are comparable in reports and telemetry. The probe counts
+    /// locally and adds to `stats` once, when it returns.
     pub fn range_query_with_stats(
         &self,
         query: &Ranking,
@@ -294,15 +294,19 @@ impl RankingIndex {
         let ordered_query = OrderedRanking::by_frequency(query, &self.freq);
 
         // One candidate, decided by the join kernels' funnel (position filter
-        // on the shared item's ranks where one is known, then early-exit
-        // Footrule) and counted exactly like theirs. The uncounted query
-        // takes the `None` arm: no atomic is touched on the serving path.
-        let decide = |record: &OrderedRanking, shared_ranks| {
-            let outcome = verify_candidate(&ordered_query, record, shared_ranks, theta_raw, true);
-            match stats {
-                Some(stats) => count_verification(outcome, stats),
-                None => outcome.distance(),
-            }
+        // on the shared item's ranks where one is known, overlap filter, then
+        // early-exit Footrule) and counted exactly like theirs — in the
+        // probe's own counts: no atomic is touched per candidate, and none at
+        // all by the uncounted query of the serving path.
+        let mut counts = KernelCounts::default();
+        let mut decide = |record: &OrderedRanking, shared_ranks| {
+            counts.book(verify_candidate(
+                &ordered_query,
+                record,
+                shared_ranks,
+                theta_raw,
+                true,
+            ))
         };
 
         let mut results = Vec::new();
@@ -355,6 +359,9 @@ impl RankingIndex {
                     }
                 }
             }
+        }
+        if let Some(stats) = stats {
+            counts.flush(stats);
         }
         results.sort_by_key(|&(id, d)| (d, id));
         Ok(results)
@@ -509,9 +516,12 @@ mod tests {
             .expect("θ is within the build maximum");
         assert_eq!(plain, counted);
         let snap = stats.snapshot();
-        // Every candidate is either position-pruned or verified; every
-        // result came out of a verification.
-        assert_eq!(snap.candidates, snap.position_pruned + snap.verified);
+        // Every candidate is position-pruned, overlap-pruned or verified;
+        // every result came out of a verification.
+        assert_eq!(
+            snap.candidates,
+            snap.position_pruned + snap.overlap_pruned + snap.verified
+        );
         assert_eq!(snap.result_pairs, counted.len() as u64);
         assert!(snap.candidates > 0);
     }

@@ -30,7 +30,7 @@ use crate::cl::{cl_flavour, ClPlan};
 use crate::config::validate_parameters;
 use crate::kernels::{JoinSpace, MetricSpace, TokenEntry};
 use crate::pipeline::uniform_k_of;
-use crate::stats::JoinStats;
+use crate::stats::KernelCounts;
 use crate::vj::run_prefix_join;
 use crate::{JoinError, JoinOutcome};
 
@@ -98,9 +98,14 @@ impl JaccardConfig {
 }
 
 #[inline]
-fn within(a: &OrderedRanking, b: &OrderedRanking, theta: f64, stats: &JoinStats) -> Option<f64> {
-    JoinStats::bump(&stats.candidates);
-    JoinStats::bump(&stats.verified);
+fn within(
+    a: &OrderedRanking,
+    b: &OrderedRanking,
+    theta: f64,
+    counts: &mut KernelCounts,
+) -> Option<f64> {
+    counts.candidates += 1;
+    counts.verified += 1;
     // Overlap over the pair representation (item order is canonical-
     // frequency order; only membership matters).
     let o = a
@@ -120,7 +125,7 @@ fn within(a: &OrderedRanking, b: &OrderedRanking, theta: f64, stats: &JoinStats)
     )]
     let den = (total - o) as f64;
     if num <= theta * den {
-        JoinStats::bump(&stats.result_pairs);
+        counts.result_pairs += 1;
         Some(if den == 0.0 { 0.0 } else { num / den })
     } else {
         None
@@ -181,13 +186,13 @@ impl JoinSpace for Jaccard {
     }
 
     #[inline]
-    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<f64> {
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, counts: &mut KernelCounts) -> Option<f64> {
         let threshold = match (a.singleton, b.singleton) {
             (false, false) => self.thresholds.0,
             (true, true) => self.thresholds.2,
             _ => self.thresholds.1,
         };
-        within(&a.ranking, &b.ranking, threshold, stats)
+        within(&a.ranking, &b.ranking, threshold, counts)
     }
 }
 
@@ -212,9 +217,9 @@ impl MetricSpace for Jaccard {
         a: &OrderedRanking,
         b: &OrderedRanking,
         theta: f64,
-        stats: &JoinStats,
+        counts: &mut KernelCounts,
     ) -> Option<f64> {
-        within(a, b, theta, stats)
+        within(a, b, theta, counts)
     }
 }
 

@@ -33,10 +33,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use topk_rankings::verify::{verify_candidate, Verification};
+use topk_rankings::verify::verify_candidate;
 use topk_rankings::{max_raw_distance, ItemId, OrderedRanking, PrefixKind, Relation};
 
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, KernelCounts};
 
 /// One ranking's occurrence in a token group: the token's original rank in
 /// the ranking, the centroid-type tag (only meaningful in the centroid
@@ -129,9 +129,14 @@ pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
     fn admits_disjoint(&self, singleton: bool) -> bool;
 
     /// Decides one candidate pair of a token group — each entry's `rank` is
-    /// the group token's rank in it — recording the filter counters.
-    /// Returns the distance if the pair qualifies.
-    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<Self::Dist>;
+    /// the group token's rank in it — recording the filter counters in the
+    /// calling kernel's `counts`. Returns the distance if the pair qualifies.
+    fn decide(
+        &self,
+        a: &TokenEntry,
+        b: &TokenEntry,
+        counts: &mut KernelCounts,
+    ) -> Option<Self::Dist>;
 
     /// Joins one token group. The nested loop, unless the space has (and was
     /// configured with) a better group kernel.
@@ -141,7 +146,9 @@ pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
         mode: JoinMode,
         stats: &JoinStats,
     ) -> Vec<(usize, usize, Self::Dist)> {
-        nested_loop_by(entries, mode, stats, |a, b, stats| self.decide(a, b, stats))
+        nested_loop_by(entries, mode, stats, |a, b, counts| {
+            self.decide(a, b, counts)
+        })
     }
 }
 
@@ -168,14 +175,14 @@ pub(crate) trait MetricSpace: JoinSpace {
     /// > `theta`.
     fn certainly_beyond(legs: &[Self::Dist], theta: Self::Dist) -> bool;
 
-    /// Computes one pair's distance in full against `theta`, recording it as
-    /// a verified candidate. No shared token is known here, so no position
-    /// filter applies.
+    /// Decides one pair against `theta` with no triangle bound to go by,
+    /// recording it as a candidate. No shared token is known here, so no
+    /// position filter applies.
     fn verify(
         a: &OrderedRanking,
         b: &OrderedRanking,
         theta: Self::Dist,
-        stats: &JoinStats,
+        counts: &mut KernelCounts,
     ) -> Option<Self::Dist>;
 
     /// Algorithm 2's decision for one candidate pair reached through `legs`:
@@ -190,19 +197,19 @@ pub(crate) trait MetricSpace: JoinSpace {
         legs: &[Self::Dist],
         theta: Self::Dist,
         use_triangle_bounds: bool,
-        stats: &JoinStats,
+        counts: &mut KernelCounts,
     ) -> Option<(u64, u64)> {
         if a.id() == b.id() {
             return None;
         }
         let is_result = if use_triangle_bounds && Self::certainly_beyond(legs, theta) {
-            JoinStats::bump(&stats.triangle_pruned);
+            counts.triangle_pruned += 1;
             false
         } else if use_triangle_bounds && Self::certainly_within(legs, theta) {
-            JoinStats::bump(&stats.triangle_accepted);
+            counts.triangle_accepted += 1;
             true
         } else {
-            Self::verify(a, b, theta, stats).is_some()
+            Self::verify(a, b, theta, counts).is_some()
         };
         is_result.then(|| ordered_pair(a.id(), b.id()))
     }
@@ -328,27 +335,10 @@ impl GroupThresholds {
     }
 }
 
-/// Books one candidate's [`Verification`] in the filter counters — the one
-/// place that maps the shared kernel's outcome onto `candidates`,
-/// `position_pruned`, `verified` and `result_pairs`, for the group kernels and
-/// the range-search index alike. Returns the distance if the pair qualified.
-#[inline]
-pub(crate) fn count_verification(outcome: Verification, stats: &JoinStats) -> Option<u64> {
-    JoinStats::bump(&stats.candidates);
-    if outcome == Verification::PositionPruned {
-        JoinStats::bump(&stats.position_pruned);
-        return None;
-    }
-    JoinStats::bump(&stats.verified);
-    let distance = outcome.distance()?;
-    JoinStats::bump(&stats.result_pairs);
-    Some(distance)
-}
-
 /// Verifies one candidate pair through the shared kernel
 /// ([`topk_rankings::verify::verify_candidate`]: position filter on the
-/// shared token's ranks, then early-exit Footrule), recording the stats.
-/// Returns the distance if the pair qualifies.
+/// shared token's ranks, overlap filter, then early-exit Footrule), booking
+/// the outcome. Returns the distance if the pair qualifies.
 #[inline]
 fn verify_pair(
     a: &TokenEntry,
@@ -356,16 +346,15 @@ fn verify_pair(
     shared_ranks: (u16, u16),
     thresholds: &GroupThresholds,
     use_position_filter: bool,
-    stats: &JoinStats,
+    counts: &mut KernelCounts,
 ) -> Option<u64> {
-    let outcome = verify_candidate(
+    counts.book(verify_candidate(
         &a.ranking,
         &b.ranking,
         Some((shared_ranks.0 as usize, shared_ranks.1 as usize)),
         thresholds.for_pair(a.singleton, b.singleton),
         use_position_filter,
-    );
-    count_verification(outcome, stats)
+    ))
 }
 
 /// The Footrule per-pair decision of the nested-loop and R-S kernels: the
@@ -374,15 +363,15 @@ fn verify_pair(
 fn on_group_token(
     thresholds: &GroupThresholds,
     use_position_filter: bool,
-) -> impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<u64> + '_ {
-    move |a, b, stats| {
+) -> impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<u64> + '_ {
+    move |a, b, counts| {
         verify_pair(
             a,
             b,
             (a.rank, b.rank),
             thresholds,
             use_position_filter,
-            stats,
+            counts,
         )
     }
 }
@@ -448,8 +437,8 @@ impl JoinSpace for Footrule {
     }
 
     #[inline]
-    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<u64> {
-        on_group_token(&self.thresholds, self.use_position_filter)(a, b, stats)
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, counts: &mut KernelCounts) -> Option<u64> {
+        on_group_token(&self.thresholds, self.use_position_filter)(a, b, counts)
     }
 
     fn join_group(
@@ -502,9 +491,9 @@ impl MetricSpace for Footrule {
         a: &OrderedRanking,
         b: &OrderedRanking,
         theta_raw: u64,
-        stats: &JoinStats,
+        counts: &mut KernelCounts,
     ) -> Option<u64> {
-        count_verification(verify_candidate(a, b, None, theta_raw, false), stats)
+        counts.book(verify_candidate(a, b, None, theta_raw, false))
     }
 }
 
@@ -635,6 +624,7 @@ pub fn join_group_indexed(
     if entries.len() < 2 {
         return results;
     }
+    let mut counts = KernelCounts::default();
     scratch.begin_group(entries.len());
     // Process in ranking-id order so the index only ever holds ids no larger
     // than the probe's. The slot index breaks id ties, making the order
@@ -698,7 +688,7 @@ pub fn join_group_indexed(
                     (indexed_rank, rank),
                     thresholds,
                     use_position_filter,
-                    stats,
+                    &mut counts,
                 ) {
                     let (a, b) = ordered_indices(entries, indexed_idx, probe_idx);
                     results.push((a, b, d));
@@ -722,6 +712,7 @@ pub fn join_group_indexed(
             scratch.postings.push(node);
         }
     }
+    counts.flush(stats);
     results
 }
 
@@ -749,22 +740,24 @@ pub(crate) fn nested_loop_by<D>(
     entries: &[TokenEntry],
     mode: JoinMode,
     stats: &JoinStats,
-    decide: impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<D>,
+    decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
 ) -> Vec<(usize, usize, D)> {
     // Group boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/nested-loop-group");
     let mut results = Vec::new();
+    let mut counts = KernelCounts::default();
     for (i, a) in entries.iter().enumerate() {
         for (j, b) in entries.iter().enumerate().skip(i + 1) {
             if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = decide(a, b, stats) {
+            if let Some(d) = decide(a, b, &mut counts) {
                 let (x, y) = ordered_indices(entries, i, j);
                 results.push((x, y, d));
             }
         }
     }
+    counts.flush(stats);
     results
 }
 
@@ -798,21 +791,23 @@ pub(crate) fn cross_loop_by<D>(
     right: &[TokenEntry],
     mode: JoinMode,
     stats: &JoinStats,
-    decide: impl Fn(&TokenEntry, &TokenEntry, &JoinStats) -> Option<D>,
+    decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
 ) -> Vec<(usize, usize, D)> {
     // Sub-partition boundary: interleaving point, see `join_group_indexed`.
     minispark::sched::yield_point("kernel/rs-group");
     let mut results = Vec::new();
+    let mut counts = KernelCounts::default();
     for (i, a) in left.iter().enumerate() {
         for (j, b) in right.iter().enumerate() {
             if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = decide(a, b, stats) {
+            if let Some(d) = decide(a, b, &mut counts) {
                 results.push((i, j, d));
             }
         }
     }
+    counts.flush(stats);
     results
 }
 
@@ -1090,11 +1085,14 @@ mod tests {
             JoinMode::SelfJoin,
             &without,
         );
-        assert!(with.snapshot().verified < without.snapshot().verified);
-        assert_eq!(
-            with.snapshot().result_pairs,
-            without.snapshot().result_pairs
-        );
+        let (with, without) = (with.snapshot(), without.snapshot());
+        // Fewer pairs get past the position filter to the overlap filter
+        // and the merge.
+        assert!(with.position_pruned > 0);
+        assert_eq!(without.position_pruned, 0);
+        assert!(with.overlap_pruned + with.verified < without.overlap_pruned + without.verified);
+        assert!(with.verified <= without.verified);
+        assert_eq!(with.result_pairs, without.result_pairs);
     }
 
     #[test]

@@ -395,8 +395,8 @@ fn group_hits<S: JoinSpace, H>(
     live: &LiveKernelCounters,
 ) -> Vec<H> {
     let triples = if token == DISJOINT_SENTINEL {
-        nested_loop_by(entries, mode, stats, |a, b, stats| {
-            space.decide(a, b, stats)
+        nested_loop_by(entries, mode, stats, |a, b, counts| {
+            space.decide(a, b, counts)
         })
     } else {
         space.join_group(entries, mode, stats)
@@ -450,6 +450,8 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
     let live_verified =
         telemetry.counter_with("simjoin_kernel_verified_total", &[("driver", driver)]);
     let live_pruned = telemetry.counter_with("simjoin_kernel_pruned_total", &[("driver", driver)]);
+    let live_overlap_pruned =
+        telemetry.counter_with("simjoin_kernel_overlap_pruned_total", &[("driver", driver)]);
     let before = stats.snapshot();
 
     // Spark can spill shuffle groups to disk when executor memory runs low
@@ -476,8 +478,8 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
                     group_hits(token, chunk, space, mode, stats, &hit, &live)
                 },
                 |_token, left: &[TokenEntry], right: &[TokenEntry]| {
-                    let triples = cross_loop_by(left, right, mode, stats, |a, b, stats| {
-                        space.decide(a, b, stats)
+                    let triples = cross_loop_by(left, right, mode, stats, |a, b, counts| {
+                        space.decide(a, b, counts)
                     });
                     hits_of(triples, left, right, &hit, &live)
                 },
@@ -496,6 +498,7 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
     live_candidates.add(after.candidates.saturating_sub(before.candidates));
     live_verified.add(after.verified.saturating_sub(before.verified));
     live_pruned.add(after.position_pruned.saturating_sub(before.position_pruned));
+    live_overlap_pruned.add(after.overlap_pruned.saturating_sub(before.overlap_pruned));
 
     hits
 }

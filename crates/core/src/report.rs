@@ -198,6 +198,7 @@ fn stats_json(s: &StatsSnapshot) -> Json {
     Json::obj()
         .with("candidates", Json::num_u64(s.candidates))
         .with("position_pruned", Json::num_u64(s.position_pruned))
+        .with("overlap_pruned", Json::num_u64(s.overlap_pruned))
         .with("verified", Json::num_u64(s.verified))
         .with("result_pairs", Json::num_u64(s.result_pairs))
         .with("triangle_pruned", Json::num_u64(s.triangle_pruned))
@@ -401,6 +402,11 @@ fn validate_run(run: &Json, ctx: &str) -> Result<(), String> {
     ] {
         expect_non_negative(expect_key(stats, key, ctx)?, &format!("{ctx}.stats.{key}"))?;
     }
+    // Captures written before the overlap filter existed carry no such key
+    // and stay valid `run-report/v1` documents.
+    if let Some(overlap_pruned) = stats.get("overlap_pruned") {
+        expect_non_negative(overlap_pruned, &format!("{ctx}.stats.overlap_pruned"))?;
+    }
     let stages = expect_key(run, "stages", ctx)?
         .as_arr()
         .ok_or_else(|| format!("{ctx}.stages is not an array"))?;
@@ -591,6 +597,39 @@ mod tests {
             }
         }
         assert!(validate(&doc).is_err());
+    }
+
+    /// Rewrites `stats.overlap_pruned` of a run document: `None` removes the
+    /// key (the shape of a capture that predates the filter).
+    fn with_overlap_pruned(mut doc: Json, replacement: Option<Json>) -> Json {
+        let Json::Obj(fields) = &mut doc else {
+            panic!("a run report is an object");
+        };
+        let (_, stats) = fields
+            .iter_mut()
+            .find(|(key, _)| key == "stats")
+            .expect("stats object");
+        let Json::Obj(stats) = stats else {
+            panic!("stats is an object");
+        };
+        stats.retain(|(key, _)| key != "overlap_pruned");
+        if let Some(value) = replacement {
+            stats.push(("overlap_pruned".to_string(), value));
+        }
+        doc
+    }
+
+    #[test]
+    fn overlap_pruned_is_reported_and_optional_on_read() {
+        let doc = run_report(false).to_json();
+        let stats = doc.get("stats").expect("stats");
+        let count = |key: &str| stats.get(key).and_then(Json::as_f64).expect("a counter");
+        assert_eq!(
+            count("candidates"),
+            count("position_pruned") + count("overlap_pruned") + count("verified")
+        );
+        validate(&with_overlap_pruned(doc.clone(), None)).expect("old captures stay valid");
+        assert!(validate(&with_overlap_pruned(doc, Some(Json::num(-1.0)))).is_err());
     }
 
     #[test]

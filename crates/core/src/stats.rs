@@ -2,11 +2,16 @@
 //! one algorithm beats another (candidates generated, position-filter and
 //! triangle-inequality prunes, clusters formed, …).
 //!
-//! Counters are atomics so the engine's parallel tasks can update them
-//! directly; a [`JoinStats`] is shared via `Arc` into the pipeline closures
-//! and snapshotted at the end of a run.
+//! A [`JoinStats`] is shared via `Arc` into the pipeline closures and
+//! snapshotted at the end of a run. Its counters are atomics, but no task
+//! touches them per pair: a kernel invocation counts into a plain
+//! [`KernelCounts`] it owns and flushes it with one `add` per counter when it
+//! returns, so the shared cache lines move once per group, not four times per
+//! candidate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use topk_rankings::verify::Verification;
 
 /// Thread-safe counters updated during a join run.
 #[derive(Debug, Default)]
@@ -15,6 +20,8 @@ pub struct JoinStats {
     pub candidates: AtomicU64,
     /// Candidates discarded by the position filter.
     pub position_pruned: AtomicU64,
+    /// Candidates discarded by the overlap-signature filter.
+    pub overlap_pruned: AtomicU64,
     /// Candidates for which the full (early-exit) distance was computed.
     pub verified: AtomicU64,
     /// Verified candidates that qualified as results.
@@ -42,20 +49,12 @@ pub struct JoinStats {
 }
 
 impl JoinStats {
-    /// Increments a counter by one.
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        // relaxed(counter): an independent monotonic counter — no other
-        // memory is published with it, and the executor's thread join orders
-        // all increments before any snapshot.
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Increments a counter by `n`.
     #[inline]
     pub fn add(counter: &AtomicU64, n: u64) {
-        // relaxed(counter): same reasoning as `bump` — a pure counter
-        // increment.
+        // relaxed(counter): an independent monotonic counter — no other
+        // memory is published with it, and the executor's thread join orders
+        // all increments before any snapshot.
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -68,6 +67,7 @@ impl JoinStats {
         StatsSnapshot {
             candidates: load(&self.candidates),
             position_pruned: load(&self.position_pruned),
+            overlap_pruned: load(&self.overlap_pruned),
             verified: load(&self.verified),
             result_pairs: load(&self.result_pairs),
             triangle_pruned: load(&self.triangle_pruned),
@@ -82,6 +82,75 @@ impl JoinStats {
     }
 }
 
+/// The per-pair counters of one kernel invocation — a group join, a
+/// chunk-pair join, an index probe, one expansion closure call: plain
+/// integers the invocation owns, [`flush`](KernelCounts::flush)ed into the
+/// shared [`JoinStats`] when it returns. The only way a per-pair counter
+/// moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// See [`JoinStats::candidates`].
+    pub candidates: u64,
+    /// See [`JoinStats::position_pruned`].
+    pub position_pruned: u64,
+    /// See [`JoinStats::overlap_pruned`].
+    pub overlap_pruned: u64,
+    /// See [`JoinStats::verified`].
+    pub verified: u64,
+    /// See [`JoinStats::result_pairs`].
+    pub result_pairs: u64,
+    /// See [`JoinStats::triangle_pruned`].
+    pub triangle_pruned: u64,
+    /// See [`JoinStats::triangle_accepted`].
+    pub triangle_accepted: u64,
+}
+
+impl KernelCounts {
+    /// Books one candidate's [`Verification`] — the one place that maps the
+    /// shared kernel's outcome onto `candidates`, `position_pruned`,
+    /// `overlap_pruned`, `verified` and `result_pairs`, for the group kernels
+    /// and the range-search index alike. Returns the distance if the pair
+    /// qualified.
+    #[inline]
+    pub fn book(&mut self, outcome: Verification) -> Option<u64> {
+        self.candidates += 1;
+        match outcome {
+            Verification::PositionPruned => self.position_pruned += 1,
+            Verification::OverlapPruned => self.overlap_pruned += 1,
+            Verification::DistanceExceeded => self.verified += 1,
+            Verification::Within(_) => {
+                self.verified += 1;
+                self.result_pairs += 1;
+            }
+        }
+        outcome.distance()
+    }
+
+    /// Adds the counts to `stats`, one `add` per counter that moved.
+    pub fn flush(self, stats: &JoinStats) {
+        // Where no triangle or length bound decided a pair, every candidate
+        // left the funnel through exactly one of its three stages.
+        debug_assert!(
+            self.triangle_pruned + self.triangle_accepted > 0
+                || self.candidates == self.position_pruned + self.overlap_pruned + self.verified,
+            "filter funnel does not add up: {self:?}"
+        );
+        for (counter, n) in [
+            (&stats.candidates, self.candidates),
+            (&stats.position_pruned, self.position_pruned),
+            (&stats.overlap_pruned, self.overlap_pruned),
+            (&stats.verified, self.verified),
+            (&stats.result_pairs, self.result_pairs),
+            (&stats.triangle_pruned, self.triangle_pruned),
+            (&stats.triangle_accepted, self.triangle_accepted),
+        ] {
+            if n > 0 {
+                JoinStats::add(counter, n);
+            }
+        }
+    }
+}
+
 /// Immutable snapshot of [`JoinStats`], attached to every
 /// [`crate::JoinOutcome`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,6 +159,8 @@ pub struct StatsSnapshot {
     pub candidates: u64,
     /// Candidates discarded by the position filter.
     pub position_pruned: u64,
+    /// Candidates discarded by the overlap-signature filter.
+    pub overlap_pruned: u64,
     /// Full distance computations performed.
     pub verified: u64,
     /// Pairs that qualified (before global dedup).
@@ -117,9 +188,10 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "candidates={} pos-pruned={} verified={} results={} tri-pruned={} tri-accepted={} clusters={} singletons={} splits={} rs-joins={} skew-chunks={} skew-steals={}",
+            "candidates={} pos-pruned={} ovl-pruned={} verified={} results={} tri-pruned={} tri-accepted={} clusters={} singletons={} splits={} rs-joins={} skew-chunks={} skew-steals={}",
             self.candidates,
             self.position_pruned,
+            self.overlap_pruned,
             self.verified,
             self.result_pairs,
             self.triangle_pruned,
@@ -141,13 +213,37 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let stats = JoinStats::default();
-        JoinStats::bump(&stats.candidates);
-        JoinStats::bump(&stats.candidates);
+        JoinStats::add(&stats.candidates, 1);
+        JoinStats::add(&stats.candidates, 1);
         JoinStats::add(&stats.verified, 5);
         let snap = stats.snapshot();
         assert_eq!(snap.candidates, 2);
         assert_eq!(snap.verified, 5);
         assert_eq!(snap.result_pairs, 0);
+    }
+
+    #[test]
+    fn kernel_counts_book_every_outcome_once_and_flush_adds() {
+        let mut counts = KernelCounts::default();
+        assert_eq!(counts.book(Verification::Within(4)), Some(4));
+        assert_eq!(counts.book(Verification::PositionPruned), None);
+        assert_eq!(counts.book(Verification::OverlapPruned), None);
+        assert_eq!(counts.book(Verification::OverlapPruned), None);
+        assert_eq!(counts.book(Verification::DistanceExceeded), None);
+        let stats = JoinStats::default();
+        counts.flush(&stats);
+        counts.flush(&stats);
+        let snap = stats.snapshot();
+        assert_eq!(
+            (snap.candidates, snap.position_pruned, snap.overlap_pruned),
+            (10, 2, 4)
+        );
+        assert_eq!((snap.verified, snap.result_pairs), (4, 2));
+        assert_eq!(
+            snap.candidates,
+            snap.position_pruned + snap.overlap_pruned + snap.verified
+        );
+        assert!(snap.to_string().contains("ovl-pruned=4"));
     }
 
     #[test]
@@ -160,17 +256,33 @@ mod tests {
 
     #[test]
     fn concurrent_updates_are_counted() {
-        let stats = std::sync::Arc::new(JoinStats::default());
+        // Eight "kernels" count locally and flush concurrently, as the
+        // executor's tasks do: nothing is lost between the local totals and
+        // the shared counters.
+        let stats = JoinStats::default();
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                let stats = std::sync::Arc::clone(&stats);
+            for thread in 0..8u64 {
+                let stats = &stats;
                 s.spawn(move || {
-                    for _ in 0..1000 {
-                        JoinStats::bump(&stats.candidates);
+                    for _group in 0..50 {
+                        let mut counts = KernelCounts::default();
+                        for pair in 0..20 + thread {
+                            counts.book(if pair % 4 == 0 {
+                                Verification::Within(pair)
+                            } else {
+                                Verification::OverlapPruned
+                            });
+                        }
+                        counts.flush(stats);
                     }
                 });
             }
         });
-        assert_eq!(stats.snapshot().candidates, 8000);
+        let snap = stats.snapshot();
+        let per_thread = |f: fn(u64) -> u64| (0..8u64).map(|t| 50 * f(20 + t)).sum::<u64>();
+        assert_eq!(snap.candidates, per_thread(|n| n));
+        assert_eq!(snap.verified, per_thread(|n| n.div_ceil(4)));
+        assert_eq!(snap.result_pairs, snap.verified);
+        assert_eq!(snap.overlap_pruned, snap.candidates - snap.verified);
     }
 }

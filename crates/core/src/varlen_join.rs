@@ -14,8 +14,9 @@
 //!   ranking's loosest partner length may only exist on the right),
 //! * the **length filter**: a pair whose length gap alone implies a
 //!   distance above the threshold is pruned before any content comparison,
-//! * the **position filter** for same-length pairs only (its rank-sum
-//!   cancellation argument needs equal lengths),
+//! * the **position filter** and the **overlap filter** for same-length
+//!   pairs only (the rank-sum cancellation argument and the
+//!   `(k − o)(k − o + 1)` bound both need equal lengths),
 //! * early-exit Footrule verification (which supports mixed lengths with
 //!   each side's own artificial rank).
 //!
@@ -28,13 +29,13 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use minispark::{Cluster, SkewBudget};
-use topk_rankings::bounds::position_filter_prunes;
 use topk_rankings::varlen::{min_distance_given_lengths, min_overlap_var, prefix_len_var};
+use topk_rankings::verify::verify_candidate;
 use topk_rankings::{footrule_within, OrderedRanking, PrefixKind, Ranking};
 
 use crate::baseline::all_pairs;
 use crate::kernels::{JoinSpace, TokenEntry};
-use crate::stats::JoinStats;
+use crate::stats::KernelCounts;
 use crate::vj::run_prefix_join;
 use crate::{JoinError, JoinOutcome};
 
@@ -85,25 +86,26 @@ impl JoinSpace for Varlen {
         self.disjoint_possible
     }
 
-    /// Length filter, equal-length position filter, early-exit verification.
+    /// Length filter, then the shared kernel: equal-length position and
+    /// overlap filters, early-exit verification.
     #[inline]
-    fn decide(&self, a: &TokenEntry, b: &TokenEntry, stats: &JoinStats) -> Option<u64> {
+    fn decide(&self, a: &TokenEntry, b: &TokenEntry, counts: &mut KernelCounts) -> Option<u64> {
         let (ka, kb) = (a.ranking.k(), b.ranking.k());
-        JoinStats::bump(&stats.candidates);
         if min_distance_given_lengths(ka, kb) > self.theta_raw {
-            JoinStats::bump(&stats.triangle_pruned);
+            counts.candidates += 1;
+            counts.triangle_pruned += 1;
             return None;
         }
-        if ka == kb
-            && position_filter_prunes(usize::from(a.rank), usize::from(b.rank), self.theta_raw)
-        {
-            JoinStats::bump(&stats.position_pruned);
-            return None;
-        }
-        JoinStats::bump(&stats.verified);
-        let distance = a.ranking.footrule_within(&b.ranking, self.theta_raw)?;
-        JoinStats::bump(&stats.result_pairs);
-        Some(distance)
+        // The position filter needs equal lengths (the kernel's overlap
+        // filter checks that for itself).
+        let shared_ranks = (usize::from(a.rank), usize::from(b.rank));
+        counts.book(verify_candidate(
+            &a.ranking,
+            &b.ranking,
+            Some(shared_ranks),
+            self.theta_raw,
+            ka == kb,
+        ))
     }
 }
 

@@ -341,7 +341,15 @@ mod tests {
             vj_nl_join(&c, &data, &JoinConfig::new(0.1).with_position_filter(false)).unwrap();
         assert_eq!(with.pairs, without.pairs);
         assert!(with.stats.position_pruned > 0);
-        assert!(with.stats.verified < without.stats.verified);
+        // What the position filter takes never reaches the later stages
+        // (most of it the overlap filter would have caught: the merge itself
+        // may see the same pairs either way).
+        let past_position = |s: &crate::StatsSnapshot| s.overlap_pruned + s.verified;
+        assert_eq!(
+            past_position(&with.stats) + with.stats.position_pruned,
+            past_position(&without.stats)
+        );
+        assert!(with.stats.verified <= without.stats.verified);
     }
 
     #[test]

@@ -179,6 +179,9 @@ proptest! {
         let snap = stats.snapshot();
         prop_assert_eq!(snap.result_pairs as usize, results.len());
         prop_assert!(snap.verified <= snap.candidates);
-        prop_assert_eq!(snap.verified + snap.position_pruned, snap.candidates);
+        prop_assert_eq!(
+            snap.verified + snap.position_pruned + snap.overlap_pruned,
+            snap.candidates
+        );
     }
 }

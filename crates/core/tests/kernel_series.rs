@@ -1,7 +1,7 @@
 //! The live per-driver kernel series.
 //!
 //! `pipeline::token_grouped_join` owns the
-//! `simjoin_kernel_{groups,candidates,verified,pruned}_total{driver=…}`
+//! `simjoin_kernel_{groups,candidates,verified,pruned,overlap_pruned}_total{driver=…}`
 //! counters, so every driver that rides it — Footrule, Jaccard,
 //! variable-length — publishes them. For a flat join the grouped join is the
 //! only place that touches `JoinStats`, so the series must equal the run's
@@ -56,11 +56,13 @@ fn kernel_series_cover_every_driver() {
                 // Sets carry no positions; the other two must exercise the
                 // pruned series with a non-zero value.
                 assert!(stats.position_pruned > 0, "{driver}: nothing pruned");
+                assert!(stats.overlap_pruned > 0, "{driver}: overlap filter idle");
             }
             for (name, expected) in [
                 ("simjoin_kernel_candidates_total", stats.candidates),
                 ("simjoin_kernel_verified_total", stats.verified),
                 ("simjoin_kernel_pruned_total", stats.position_pruned),
+                ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
                 ("simjoin_result_pairs_total", stats.result_pairs),
             ] {
                 assert_eq!(
@@ -86,6 +88,7 @@ fn kernel_series_cover_every_driver() {
         ("simjoin_kernel_candidates_total", stats.candidates),
         ("simjoin_kernel_verified_total", stats.verified),
         ("simjoin_kernel_pruned_total", stats.position_pruned),
+        ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
     ] {
         let live = series(&cluster, name, "cl");
         assert!(
@@ -112,6 +115,7 @@ fn kernel_series_cover_every_driver() {
         ("simjoin_kernel_candidates_total", stats.candidates),
         ("simjoin_kernel_verified_total", stats.verified),
         ("simjoin_kernel_pruned_total", stats.position_pruned),
+        ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
         ("simjoin_result_pairs_total", stats.result_pairs),
     ] {
         assert_eq!(

@@ -19,8 +19,10 @@
 //!   ordered prefix of Lemma 4.1, the position filter, the
 //!   minimum-distance-given-overlap bound and the posting-list length
 //!   estimator (Eq. 4),
-//! * [`ordered`] — global frequency ordering (the *Ordering* phase),
-//! * [`verify`] — the shared candidate-verification kernels,
+//! * [`ordered`] — global frequency ordering (the *Ordering* phase) and the
+//!   per-ranking overlap signature,
+//! * [`verify`] — the shared candidate-verification kernel: position
+//!   filter, overlap-signature filter, early-exit distance,
 //! * [`invariants`] — `debug_assert!`-backed runtime checks wired into the
 //!   kernels above (free in release builds, exercised by every test run).
 //!

@@ -110,11 +110,28 @@ impl FrequencyTable {
 /// construction (amortized over every candidate the ranking appears in) and
 /// is a pure function of `pairs`, so equality/hashing over both fields stays
 /// consistent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// It also carries a 128-bit **overlap signature** (*beyond the paper*): one
+/// bit per item through a fixed multiplicative hash, and `lost`, the number
+/// of items whose bit another item of the same ranking already set. Two
+/// signatures bound the number of shared items from above in O(1)
+/// ([`OrderedRanking::overlap_upper_bound`]), which lets
+/// [`crate::verify::verify_candidate`] reject most candidates through the
+/// paper's own overlap bound before the merge starts.
+///
+/// The private `build` is the **only constructor**: the shadow and the
+/// signature are always computed from `pairs`, never accepted from outside
+/// (the type is deliberately not `Deserialize` — a stale signature would
+/// silently drop results).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderedRanking {
     id: RankingId,
     pairs: Box<[(ItemId, u16)]>,
     by_item: Box<[(ItemId, u16)]>,
+    /// Two words, not a `u128`, whose alignment would pad the struct.
+    signature: [u64; 2],
+    /// `k − popcount(signature)`.
+    lost: u16,
 }
 
 /// Builds the item-sorted shadow of a canonical pair list.
@@ -124,13 +141,66 @@ fn sort_by_item(pairs: &[(ItemId, u16)]) -> Box<[(ItemId, u16)]> {
     shadow.into_boxed_slice()
 }
 
+/// The signature bit of `item`: the top seven bits of a Fibonacci
+/// (multiplicative) hash, as `(word, mask)`.
+#[inline]
+fn signature_bit(item: ItemId) -> (usize, u64) {
+    let bit = item.wrapping_mul(0x9E37_79B9) >> 25;
+    ((bit >> 6) as usize, 1 << (bit & 63))
+}
+
+/// The overlap signature of a pair list and how many of its items it lost
+/// to collisions among themselves.
+fn sign(pairs: &[(ItemId, u16)]) -> ([u64; 2], u16) {
+    let mut signature = [0u64; 2];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "word is the high bit of a 7-bit value — 0 or 1"
+    )]
+    for &(item, _) in pairs {
+        let (word, mask) = signature_bit(item);
+        signature[word] |= mask;
+    }
+    let distinct_bits = signature[0].count_ones() + signature[1].count_ones();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "0 ≤ k − popcount ≤ k ≤ MAX_K = u16::MAX; every set bit came from an item, so popcount ≤ k"
+    )]
+    let lost = (pairs.len() - distinct_bits as usize) as u16;
+    (signature, lost)
+}
+
+/// Test fixture for this module and [`crate::verify`]: the first `n` item
+/// ids whose signature bits are pairwise distinct (`distinct`) or all equal
+/// to item 0's (`!distinct`).
+#[cfg(test)]
+pub(crate) fn items_by_signature_bit(n: usize, distinct: bool) -> Vec<ItemId> {
+    let mut bits = Vec::new();
+    (0..)
+        .filter(|&item| {
+            let bit = signature_bit(item);
+            let keep = if distinct {
+                !bits.contains(&bit)
+            } else {
+                bit == signature_bit(0)
+            };
+            bits.push(bit);
+            keep
+        })
+        .take(n)
+        .collect()
+}
+
 impl OrderedRanking {
     fn build(id: RankingId, pairs: Vec<(ItemId, u16)>) -> Self {
         let by_item = sort_by_item(&pairs);
+        let (signature, lost) = sign(&pairs);
         Self {
             id,
             pairs: pairs.into_boxed_slice(),
             by_item,
+            signature,
+            lost,
         }
     }
 
@@ -234,6 +304,21 @@ impl OrderedRanking {
         footrule_sorted_within(&self.by_item, &other.by_item, threshold_raw)
     }
 
+    /// An upper bound on the number of items shared with `other`, from the
+    /// two overlap signatures alone: `popcount(sig_a & sig_b) + min(lost_a,
+    /// lost_b)`.
+    ///
+    /// Sound because the distinct bits of any subset `X` of a ranking's
+    /// items number at least `|X| − lost`, and every bit of the shared set
+    /// `S` is set in both signatures: `popcount(sig_a & sig_b) ≥ |S| −
+    /// min(lost_a, lost_b)`. The bound can exceed `k` (by at most `lost`).
+    #[inline]
+    pub fn overlap_upper_bound(&self, other: &OrderedRanking) -> usize {
+        let common = (self.signature[0] & other.signature[0]).count_ones()
+            + (self.signature[1] & other.signature[1]).count_ones();
+        common as usize + usize::from(self.lost.min(other.lost))
+    }
+
     /// Converts back into a plain [`Ranking`] (restoring the original item
     /// order).
     pub fn to_ranking(&self) -> Ranking {
@@ -247,7 +332,8 @@ impl OrderedRanking {
     }
 
     /// Approximate deep size in bytes (for shuffle accounting). Counts both
-    /// the canonical pairs and the item-sorted shadow.
+    /// the canonical pairs and the item-sorted shadow (the signature is
+    /// inline).
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.pairs.len() + self.by_item.len()) * std::mem::size_of::<(ItemId, u16)>()
@@ -391,6 +477,66 @@ mod tests {
         assert_eq!(ordered.rank_of(9), Some(0));
         assert_eq!(ordered.rank_of(5), Some(2));
         assert_eq!(ordered.rank_of(4), None);
+    }
+
+    /// The true overlap of two rankings, counted naively.
+    fn overlap(a: &OrderedRanking, b: &OrderedRanking) -> usize {
+        a.pairs()
+            .iter()
+            .filter(|&&(item, _)| b.rank_of(item).is_some())
+            .count()
+    }
+
+    #[test]
+    fn signature_bound_never_undercounts_the_overlap() {
+        // Dense item ids (many rankings over few items) and k = 200 > 128
+        // bits, where most items are lost to collisions.
+        let mut ds: Vec<OrderedRanking> = sample_dataset()
+            .iter()
+            .map(OrderedRanking::by_rank)
+            .collect();
+        for start in [0u32, 50, 150, 1_000] {
+            let items: Vec<u32> = (start..start + 200).collect();
+            ds.push(OrderedRanking::by_rank(&r(u64::from(start) + 100, &items)));
+        }
+        for a in &ds {
+            assert_eq!(
+                usize::from(a.lost),
+                a.k() - (a.signature[0].count_ones() + a.signature[1].count_ones()) as usize
+            );
+            assert!(a.overlap_upper_bound(a) >= a.k());
+            for b in &ds {
+                assert!(a.overlap_upper_bound(b) >= overlap(a, b));
+                assert_eq!(a.overlap_upper_bound(b), b.overlap_upper_bound(a));
+            }
+        }
+    }
+
+    #[test]
+    fn items_on_one_signature_bit_are_counted_as_lost() {
+        // Five items that all hash to item 0's bit: one bit set, four lost.
+        let colliding = items_by_signature_bit(5, false);
+        let a = OrderedRanking::by_rank(&r(1, &colliding));
+        assert_eq!((a.signature[0] | a.signature[1]).count_ones(), 1);
+        assert_eq!(a.lost, 4);
+        // Against itself the one common bit alone would claim overlap 1;
+        // the `lost` correction restores the true 5.
+        assert_eq!(a.overlap_upper_bound(&a), 5);
+        // A collision-free partner sharing nothing (item 0, on `a`'s bit, is
+        // skipped): min(lost) = 0, no bit in common — the bound is exact.
+        let free = &items_by_signature_bit(6, true)[1..];
+        let b = OrderedRanking::by_rank(&r(2, free));
+        assert_eq!(b.lost, 0);
+        assert_eq!(a.overlap_upper_bound(&b), 0);
+    }
+
+    #[test]
+    fn from_pairs_rebuilds_the_signature() {
+        let ranking = r(3, &[9, 2, 5, 70_000, 11]);
+        let built = OrderedRanking::by_rank(&ranking);
+        let decoded = OrderedRanking::from_pairs(3, built.pairs().to_vec());
+        assert_eq!(decoded, built);
+        assert_eq!(decoded.signature, built.signature);
     }
 
     #[test]

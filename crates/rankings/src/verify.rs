@@ -1,13 +1,15 @@
 //! Shared candidate-verification kernels.
 //!
 //! Every join algorithm in the paper funnels candidate pairs through the same
-//! two steps: the **position filter** on the shared (indexed) item, then the
-//! early-exit Footrule computation. Keeping the kernel in one place
+//! steps: the **position filter** on the shared (indexed) item, then the
+//! **overlap filter** on the two overlap signatures (*beyond the paper*: the
+//! paper's overlap bound applied per candidate, see [`verify_candidate`]),
+//! then the early-exit Footrule computation. Keeping the kernel in one place
 //! guarantees that VJ, VJ-NL, CL and CL-P verify identically.
 
 #![warn(clippy::indexing_slicing)]
 
-use crate::bounds::position_filter_prunes;
+use crate::bounds::{min_distance_given_overlap, position_filter_prunes};
 use crate::ordered::OrderedRanking;
 
 /// Outcome of verifying one candidate pair.
@@ -18,6 +20,10 @@ pub enum Verification {
     /// Pruned by the position filter on the shared item (no distance
     /// computation was performed).
     PositionPruned,
+    /// Pruned by the overlap filter: the two signatures prove the pair shares
+    /// too few items to be within the threshold (no distance computation was
+    /// performed).
+    OverlapPruned,
     /// The full (early-exit) distance computation exceeded the threshold.
     DistanceExceeded,
 }
@@ -38,8 +44,23 @@ impl Verification {
 /// of the inverted-index token that brought them together.
 ///
 /// Applies the position filter first (§4: a shared item with rank difference
-/// `> θ/2` certifies the pair is not a result) and only then computes the
-/// distance with early exit.
+/// `> θ/2` certifies the pair is not a result), then the overlap filter, and
+/// only then computes the distance with early exit.
+///
+/// The overlap filter is exact. With `S` the set of shared items and
+/// `u =` [`OrderedRanking::overlap_upper_bound`]:
+///
+/// 1. the distinct signature bits of any subset `X` of a ranking number at
+///    least `|X| − lost`, and every bit of `S` is set in both signatures, so
+///    `popcount(sig_a & sig_b) ≥ |S| − min(lost_a, lost_b)`, i.e. `|S| ≤ u`;
+/// 2. two length-`k` rankings sharing `|S|` items are at raw distance
+///    `F ≥ (k − |S|)(k − |S| + 1)` ([`min_distance_given_overlap`]);
+/// 3. that bound falls as the overlap grows, so `F ≥ (k − u)(k − u + 1)`,
+///    and a pair with `(k − u)(k − u + 1) > θ` cannot qualify.
+///
+/// The bound needs equal lengths; a mixed-length pair falls through to the
+/// merge.
+#[inline]
 pub fn verify_candidate(
     a: &OrderedRanking,
     b: &OrderedRanking,
@@ -54,6 +75,10 @@ pub fn verify_candidate(
             }
         }
     }
+    let k = a.k();
+    if k == b.k() && min_distance_given_overlap(k, a.overlap_upper_bound(b).min(k)) > theta_raw {
+        return Verification::OverlapPruned;
+    }
     match a.footrule_within(b, theta_raw) {
         Some(d) => Verification::Within(d),
         None => Verification::DistanceExceeded,
@@ -63,7 +88,8 @@ pub fn verify_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordered::{FrequencyTable, OrderedRanking};
+    use crate::distance::{footrule_pairs, footrule_pairs_within, max_raw_distance};
+    use crate::ordered::{items_by_signature_bit as items_by_bit, FrequencyTable, OrderedRanking};
     use crate::ranking::Ranking;
 
     fn ordered(id: u64, items: &[u32]) -> OrderedRanking {
@@ -94,10 +120,160 @@ mod tests {
 
     #[test]
     fn verify_distance_exceeded() {
+        // Same items (the overlap filter has nothing to say), reversed: F = 4.
         let a = ordered(1, &[1, 2, 3]);
-        let b = ordered(2, &[7, 8, 9]);
-        let v = verify_candidate(&a, &b, None, 5, true);
+        let b = ordered(2, &[3, 2, 1]);
+        let v = verify_candidate(&a, &b, None, 3, true);
         assert_eq!(v, Verification::DistanceExceeded);
         assert_eq!(v.distance(), None);
+    }
+
+    /// A partner for `pool[..k]` sharing exactly its first `o` items, at the
+    /// same ranks, with `k − o` private items from the rest of the pool below.
+    fn sharing(pool: &[u32], k: usize, o: usize) -> OrderedRanking {
+        let items: Vec<u32> = pool[..o]
+            .iter()
+            .chain(&pool[k..2 * k - o])
+            .copied()
+            .collect();
+        ordered(2, &items)
+    }
+
+    /// `verify_candidate` against the retained naive scan at every raw
+    /// threshold of the pair's length (and one beyond): same `Some`/`None`,
+    /// same distance, with and without a shared-item hint.
+    fn assert_agrees_with_naive_scan(a: &OrderedRanking, b: &OrderedRanking) {
+        let exact = footrule_pairs(a.pairs(), b.pairs());
+        let k = a.k().max(b.k());
+        let thresholds: Vec<u64> = if k <= 10 {
+            (0..=max_raw_distance(k) + 1).collect()
+        } else {
+            // Too many to sweep: the pair's own distance and a spread of
+            // overlap boundaries, each with its neighbours.
+            (0..=k)
+                .step_by(k / 8)
+                .map(|o| min_distance_given_overlap(k, o))
+                .chain([exact])
+                .flat_map(|t| [t.saturating_sub(1), t, t + 1])
+                .collect()
+        };
+        for theta in thresholds {
+            let naive = footrule_pairs_within(a.pairs(), b.pairs(), theta);
+            assert_eq!(naive, (exact <= theta).then_some(exact));
+            let got = verify_candidate(a, b, None, theta, true);
+            assert_eq!(got.distance(), naive, "θ = {theta}, outcome {got:?}");
+            assert_eq!(verify_candidate(b, a, None, theta, false), got);
+        }
+    }
+
+    #[test]
+    fn overlap_filter_is_exact_at_every_overlap_boundary() {
+        // k = 10, collision-free items, exactly `o` shared at equal top ranks
+        // and the private items at the bottom: the cheapest arrangement, so
+        // F = (k − o)(k − o + 1) exactly and u = o exactly.
+        let k = 10;
+        let pool = items_by_bit(2 * k, true);
+        for o in 0..=k {
+            let a = ordered(1, &pool[..k]);
+            let b = sharing(&pool, k, o);
+            assert_eq!(a.overlap_upper_bound(&b), o);
+            let boundary = min_distance_given_overlap(k, o);
+            assert_eq!(a.footrule_raw(&b), boundary);
+            assert_eq!(
+                verify_candidate(&a, &b, None, boundary, true),
+                Verification::Within(boundary),
+                "o = {o}: a pair at exactly its overlap bound qualifies"
+            );
+            assert_eq!(
+                verify_candidate(&a, &b, None, boundary + 1, true),
+                Verification::Within(boundary)
+            );
+            if let Some(below) = boundary.checked_sub(1) {
+                assert_eq!(
+                    verify_candidate(&a, &b, None, below, true),
+                    Verification::OverlapPruned,
+                    "o = {o}: one below the bound the signatures alone decide"
+                );
+            }
+            assert_agrees_with_naive_scan(&a, &b);
+        }
+    }
+
+    #[test]
+    fn shared_items_on_one_signature_bit_are_not_pruned() {
+        // Every item of both rankings lands on one bit: popcount(a & b) = 1
+        // whatever the overlap, and only `lost` keeps the bound sound.
+        let k = 6;
+        let pool = items_by_bit(2 * k, false);
+        let a = ordered(1, &pool[..k]);
+        for o in 0..=k {
+            let b = sharing(&pool, k, o);
+            assert_eq!(
+                a.overlap_upper_bound(&b),
+                k,
+                "1 common bit + min(lost) = k − 1"
+            );
+            assert_agrees_with_naive_scan(&a, &b);
+        }
+        // Colliding against collision-free: min(lost) = 0, so one shared
+        // colliding item is all the signatures can vouch for — and all there is.
+        let free = items_by_bit(k + 1, true);
+        let b_items: Vec<u32> = std::iter::once(pool[0])
+            .chain(free[1..k].iter().copied())
+            .collect();
+        let b = ordered(3, &b_items);
+        assert_eq!(a.overlap_upper_bound(&b), 1);
+        assert_agrees_with_naive_scan(&a, &b);
+    }
+
+    #[test]
+    fn tiny_and_oversized_k_agree_with_the_naive_scan() {
+        // k = 1 and 2: the only overlaps are none, one, (both).
+        for (a_items, b_items) in [
+            (vec![1u32], vec![1u32]),
+            (vec![1], vec![2]),
+            (vec![1, 2], vec![2, 1]),
+            (vec![1, 2], vec![1, 3]),
+            (vec![1, 2], vec![3, 4]),
+        ] {
+            assert_agrees_with_naive_scan(&ordered(1, &a_items), &ordered(2, &b_items));
+        }
+        // k = 200 > 128 bits: at least 72 items are lost on each side, the
+        // bound saturates towards k and the filter must simply stop pruning.
+        let a_items: Vec<u32> = (0..200).collect();
+        let a = ordered(1, &a_items);
+        for shift in [0u32, 1, 50, 150, 200, 10_000] {
+            let mut b_items: Vec<u32> = (shift..shift + 200).collect();
+            b_items.reverse();
+            let b = ordered(2, &b_items);
+            assert!(a.overlap_upper_bound(&b) >= 200usize.saturating_sub(shift as usize));
+            assert_agrees_with_naive_scan(&a, &b);
+        }
+    }
+
+    #[test]
+    fn mixed_lengths_fall_through_to_the_merge() {
+        // A length-3 ranking and its length-5 extension: the two extra items
+        // sit at ranks 3 and 4 against the artificial rank 3, so F = 1 — far
+        // below what (k − o)(k − o + 1) would claim for either length. The
+        // equal-length overlap bound must not be applied.
+        let a = ordered(1, &[1, 2, 3]);
+        let b = ordered(2, &[1, 2, 3, 4, 5]);
+        assert_eq!(
+            verify_candidate(&a, &b, None, 1, true),
+            Verification::Within(1)
+        );
+        assert_eq!(
+            verify_candidate(&a, &b, None, 0, true),
+            Verification::DistanceExceeded
+        );
+        // Disjoint mixed-length pair, far apart: still the merge's verdict.
+        let c = ordered(3, &[7, 8, 9, 10, 11]);
+        assert_eq!(
+            verify_candidate(&a, &c, None, 5, true),
+            Verification::DistanceExceeded
+        );
+        assert_agrees_with_naive_scan(&a, &b);
+        assert_agrees_with_naive_scan(&a, &c);
     }
 }

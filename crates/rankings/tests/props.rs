@@ -18,6 +18,7 @@ use topk_rankings::distance::{
     footrule_within, kendall_tau_topk, max_raw_distance, raw_threshold,
 };
 use topk_rankings::ordered::{FrequencyTable, OrderedRanking};
+use topk_rankings::verify::{verify_candidate, Verification};
 use topk_rankings::Ranking;
 
 /// Strategy: a top-k ranking with `k` distinct items drawn from a small
@@ -256,6 +257,46 @@ proptest! {
             oa.footrule_within(&ob, threshold),
             footrule_pairs_within(oa.pairs(), ob.pairs(), threshold)
         );
+    }
+
+    // ---- The overlap filter in front of the merge is exact: for every raw
+    // threshold of the length, `verify_candidate` (position filter on a truly
+    // shared item → signature overlap filter → merge) agrees with the
+    // retained naive scan on `Some`/`None` and on the distance, so the filter
+    // never fires on a pair that qualifies. `stride` spreads the item ids
+    // over the signature's hash range; the small universe keeps overlaps
+    // high. ----
+
+    #[test]
+    fn verify_candidate_equals_naive_scan_at_every_threshold(
+        (a, b) in ranking_pair(7, 16),
+        stride in prop_oneof![Just(1u32), Just(128), Just(65_537), 1u32..=1_000_000],
+    ) {
+        let spread = |r: &Ranking, id| {
+            Ranking::new_unchecked(id, r.items().iter().map(|&i| i * stride).collect())
+        };
+        let (a, b) = (spread(&a, 1), spread(&b, 2));
+        let freq = FrequencyTable::from_rankings([&a, &b]);
+        let oa = OrderedRanking::by_frequency(&a, &freq);
+        let ob = OrderedRanking::by_frequency(&b, &freq);
+        let shared = oa
+            .pairs()
+            .iter()
+            .find_map(|&(item, rank)| ob.rank_of(item).map(|other| (usize::from(rank), other)));
+        prop_assert!(oa.overlap_upper_bound(&ob) >= a.overlap(&b));
+        for theta_raw in 0..=max_raw_distance(7) {
+            let naive = footrule_pairs_within(oa.pairs(), ob.pairs(), theta_raw);
+            for hint in [None, shared] {
+                let outcome = verify_candidate(&oa, &ob, hint, theta_raw, true);
+                prop_assert_eq!(
+                    outcome.distance(), naive,
+                    "θr = {}, hint {:?}, outcome {:?}", theta_raw, hint, outcome
+                );
+                if naive.is_some() {
+                    prop_assert_eq!(outcome, Verification::Within(footrule_raw(&a, &b)));
+                }
+            }
+        }
     }
 
     // ---- raw_threshold equals exact rational arithmetic on decimal θ. ----

@@ -32,6 +32,11 @@ assert any(e.get("ph") == "X" and e.get("tid", 0) > 0 for e in events), \
 report = json.load(open("results/fig6.report.json"))
 assert report["schema"] == "topk-simjoin/run-report/v1"
 assert report["runs"], "no runs captured"
+for run in report["runs"]:
+    stats = run["stats"]
+    assert "overlap_pruned" in stats, f"{run['algorithm']}: no overlap_pruned"
+    funnel = stats["position_pruned"] + stats["overlap_pruned"] + stats["verified"]
+    assert stats["candidates"] == funnel, f"{run['algorithm']}: funnel {stats}"
 print(f"{len(events)} trace events, {len(report['runs'])} run reports")
 EOF
 }
