@@ -22,7 +22,7 @@ use minispark::Dataset;
 use topk_rankings::distance::raw_threshold;
 use topk_rankings::OrderedRanking;
 
-use crate::kernels::{Footrule, GroupJoinStyle, GroupThresholds};
+use crate::kernels::{Footrule, GroupThresholds};
 use crate::pipeline::{prefix_join, PairHit, PrefixSource};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
@@ -81,7 +81,6 @@ pub(crate) fn centroid_space(k: usize, config: &JoinConfig) -> Footrule {
             ss: theta_ss,
         },
         use_position_filter: config.use_position_filter,
-        style: GroupJoinStyle::NestedLoop,
     }
 }
 
@@ -89,6 +88,10 @@ pub(crate) fn centroid_space(k: usize, config: &JoinConfig) -> Footrule {
 /// centroid pair within its type-specific threshold (with exact distances
 /// and type tags for the expansion phase): one prefix join over the two
 /// type-tagged sources in `centroid_space`.
+///
+/// Ranking ids must be unique across `C_m ∪ C_s` (as clustering leaves
+/// them): each pair is then returned exactly once, with no deduplication.
+/// Debug builds panic on an input that breaks this.
 pub fn centroid_join(
     centroids_m: &Dataset<Arc<OrderedRanking>>,
     singletons: &Dataset<Arc<OrderedRanking>>,
@@ -213,7 +216,18 @@ mod tests {
 
     #[test]
     fn repartitioned_centroid_join_matches_plain() {
-        let data: Vec<Ranking> = (0..40)
+        let data = chunk_corpus();
+        let cm: Vec<Ranking> = data[..20].to_vec();
+        let cs: Vec<Ranking> = data[20..].to_vec();
+        let plain = split_and_join(cm.clone(), cs.clone(), 0.3, 0.03, None);
+        let split = split_and_join(cm, cs, 0.3, 0.03, Some(3));
+        assert_eq!(plain, split);
+        assert!(!plain.is_empty());
+    }
+
+    /// Forty k = 10 rankings sharing one hot head, rotated four ways.
+    fn chunk_corpus() -> Vec<Ranking> {
+        (0..40)
             .map(|i| {
                 let base = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
                 let mut items: Vec<u32> = base.to_vec();
@@ -221,13 +235,20 @@ mod tests {
                 items[9] = 20 + i;
                 r(u64::from(i), &items)
             })
-            .collect();
-        let cm: Vec<Ranking> = data[..20].to_vec();
-        let cs: Vec<Ranking> = data[20..].to_vec();
-        let plain = split_and_join(cm.clone(), cs.clone(), 0.3, 0.03, None);
-        let split = split_and_join(cm, cs, 0.3, 0.03, Some(3));
-        assert_eq!(plain, split);
-        assert!(!plain.is_empty());
+            .collect()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a record key repeats")]
+    fn duplicate_centroid_ids_are_rejected() {
+        // A verbatim copy (same id, same items) is a second record with the
+        // same prefix, so its pairs would come out twice: the input breaks
+        // `centroid_join`'s unique-id precondition, whole or chunked.
+        let data = chunk_corpus();
+        let mut cs: Vec<Ranking> = data[20..].to_vec();
+        cs.push(data[25].clone());
+        split_and_join(data[..20].to_vec(), cs, 0.3, 0.03, Some(2));
     }
 
     #[test]
@@ -239,20 +260,9 @@ mod tests {
         // thresholds), and the candidate/verified counters must match the
         // unchunked join exactly — each unordered pair is examined once
         // whether its group is joined whole or as chunks plus chunk pairs.
-        // One singleton ranking is duplicated verbatim (same id, same
-        // items): equal-id pairs must stay skipped across chunk boundaries.
-        let data: Vec<Ranking> = (0..40)
-            .map(|i| {
-                let base = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-                let mut items: Vec<u32> = base.to_vec();
-                items.rotate_left((i % 4) as usize);
-                items[9] = 20 + i;
-                r(u64::from(i), &items)
-            })
-            .collect();
+        let data = chunk_corpus();
         let cm: Vec<Ranking> = data[..20].to_vec();
-        let mut cs: Vec<Ranking> = data[20..].to_vec();
-        cs.push(data[25].clone());
+        let cs: Vec<Ranking> = data[20..].to_vec();
 
         let (theta, theta_c) = (0.3, 0.03);
         let k = 10;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::OrderedRanking;
 
-use crate::kernels::{ordered_pair, Footrule, GroupJoinStyle, MetricSpace};
+use crate::kernels::{ordered_pair, Footrule, MetricSpace};
 use crate::pipeline::{prefix_join, PrefixSource};
 use crate::stats::{JoinStats, KernelCounts};
 use crate::JoinConfig;
@@ -45,13 +45,7 @@ pub struct Clustering<D = u64> {
 /// experiments revealed that VJ is the most efficient one to be used here")
 /// with the iterator-style per-group processing of §4.1.
 pub(crate) fn clustering_space(k: usize, theta_c_raw: u64, config: &JoinConfig) -> Footrule {
-    Footrule::uniform(
-        k,
-        theta_c_raw,
-        config.prefix,
-        GroupJoinStyle::NestedLoop,
-        config.use_position_filter,
-    )
+    Footrule::uniform(k, theta_c_raw, config.prefix, config.use_position_filter)
 }
 
 /// Runs the clustering phase over the canonicalized dataset.

@@ -51,6 +51,8 @@ pub fn check_tagged_pair_normalized(a: (u8, u64), b: (u8, u64)) {
     );
 }
 
+// The `*_trips` tests trip a `debug_assert!`, which release builds compile
+// out: they exist in debug builds only.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,30 +72,35 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "CL-P invariant")]
     fn oversized_subpartition_trips() {
         check_subpartition(6, 5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "CL-P invariant")]
     fn empty_subpartition_trips() {
         check_subpartition(0, 5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "Lemma 5.3 invariant")]
     fn inverted_thresholds_trip() {
         check_centroid_thresholds(9, 6, 12);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "pair invariant")]
     fn self_pair_trips() {
         check_pair_normalized(4, 4);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "pair invariant")]
     fn right_leading_tagged_pair_trips() {
         check_tagged_pair_normalized((1, 2), (0, 9));

@@ -2,24 +2,21 @@
 //!
 //! After the prefix-emission shuffle, every reduce-side group holds the
 //! rankings whose prefix contains one particular token. The kernels here
-//! find the qualifying pairs inside one group (or across two sub-partitions
-//! of a group, for CL-P's R-S joins), in the two styles §4 compares:
+//! find the qualifying pairs inside one group ([`join_group_nested_loop`],
+//! VJ-NL's iterator style of §4.1: every pair of the group, position filter
+//! on the group token, no materialized index) or across two sub-partitions
+//! of a group ([`join_group_rs`], CL-P's R-S joins).
 //!
-//! * [`join_group_indexed`] — VJ's style: build a group-local inverted index
-//!   over the members' prefixes and probe it (the per-reducer PPJoin-like
-//!   pass of Vernica et al.),
-//! * [`join_group_nested_loop`] — VJ-NL's style (§4.1): stream ordered pairs
-//!   with iterators, applying the position filter on the group token, no
-//!   materialized index.
-//!
-//! Both produce the same pair set; the indexed variant pays index
-//! construction and hashing, the nested-loop variant pays O(|group|²)
-//! candidate enumeration — exactly the trade-off the paper measures.
+//! VJ's group-local inverted index is not among them: every entry of token
+//! t's group has t in its prefix, so probing any index over the group's
+//! prefixes walks t's whole posting chain — the entire group — and prunes
+//! nothing the nested loop does not enumerate anyway.
 //!
 //! Kernels emit entry-index triples `(i, j, distance)` with
 //! `entries[i].id < entries[j].id`; callers map them to their output type.
-//! Cross-group duplicates are removed later by a global `distinct`, as in
-//! the paper's final phase.
+//! A pair whose prefixes share several tokens is found in several groups;
+//! the pipeline keeps it in exactly one of them (`pipeline::owns`), so
+//! nothing downstream deduplicates the groups' output.
 //!
 //! The all-pairs and cross-chunk loops are generic over the per-pair
 //! decision, which is one of the three things a `JoinSpace` supplies; the
@@ -33,9 +30,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use minispark::shuffle::FastHashMap;
 use topk_rankings::verify::verify_candidate;
-use topk_rankings::{max_raw_distance, ItemId, OrderedRanking, PrefixKind, Relation};
+use topk_rankings::{max_raw_distance, OrderedRanking, PrefixKind, Relation};
 
 use crate::stats::{JoinStats, KernelCounts};
 
@@ -104,15 +100,6 @@ impl JoinMode {
     }
 }
 
-/// Which per-group kernel a Footrule pipeline uses (§4 vs. §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupJoinStyle {
-    /// VJ: group-local inverted index over member prefixes.
-    Indexed,
-    /// VJ-NL: streaming nested loop over the group.
-    NestedLoop,
-}
-
 /// What varies between the similarity spaces that ride the one prefix-join
 /// dataflow of [`crate::pipeline`]: how long a record's prefix is, whether
 /// its threshold admits token-disjoint partners (the sentinel group), and
@@ -138,19 +125,6 @@ pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
         b: &TokenEntry,
         counts: &mut KernelCounts,
     ) -> Option<Self::Dist>;
-
-    /// Joins one token group. The nested loop, unless the space has (and was
-    /// configured with) a better group kernel.
-    fn join_group(
-        &self,
-        entries: &[TokenEntry],
-        mode: JoinMode,
-        stats: &JoinStats,
-    ) -> Vec<(usize, usize, Self::Dist)> {
-        nested_loop_by(entries, mode, stats, |a, b, counts| {
-            self.decide(a, b, counts)
-        })
-    }
 }
 
 /// What a [`JoinSpace`] whose distance is a **metric** adds so that CL and
@@ -336,50 +310,30 @@ impl GroupThresholds {
     }
 }
 
-/// Verifies one candidate pair through the shared kernel
-/// ([`topk_rankings::verify::verify_candidate`]: position filter on the
-/// shared token's ranks, overlap filter, then early-exit Footrule), booking
-/// the outcome. Returns the distance if the pair qualifies.
-#[inline]
-fn verify_pair(
-    a: &TokenEntry,
-    b: &TokenEntry,
-    shared_ranks: (u16, u16),
-    thresholds: &GroupThresholds,
-    use_position_filter: bool,
-    counts: &mut KernelCounts,
-) -> Option<u64> {
-    counts.book(verify_candidate(
-        &a.ranking,
-        &b.ranking,
-        Some((shared_ranks.0 as usize, shared_ranks.1 as usize)),
-        thresholds.for_pair(a.singleton, b.singleton),
-        use_position_filter,
-    ))
-}
-
 /// The Footrule per-pair decision of the nested-loop and R-S kernels: the
-/// shared token is the group's, so its ranks are the entries' own.
+/// shared kernel ([`topk_rankings::verify::verify_candidate`]: position
+/// filter on the group token's ranks — the entries' own — overlap filter,
+/// then early-exit Footrule), booking the outcome. Yields the distance of a
+/// qualifying pair.
 #[inline]
 fn on_group_token(
     thresholds: &GroupThresholds,
     use_position_filter: bool,
 ) -> impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<u64> + '_ {
     move |a, b, counts| {
-        verify_pair(
-            a,
-            b,
-            (a.rank, b.rank),
-            thresholds,
+        counts.book(verify_candidate(
+            &a.ranking,
+            &b.ranking,
+            Some((usize::from(a.rank), usize::from(b.rank))),
+            thresholds.for_pair(a.singleton, b.singleton),
             use_position_filter,
-            counts,
-        )
+        ))
     }
 }
 
 /// The paper's space: fixed-length rankings under Spearman's Footrule, with
 /// per-centroid-type thresholds and prefixes (Lemma 5.3; both types coincide
-/// in plain self-joins), the position filter, and the choice of group kernel.
+/// in plain self-joins) and the position filter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Footrule {
     /// The uniform ranking length.
@@ -390,8 +344,6 @@ pub(crate) struct Footrule {
     pub thresholds: GroupThresholds,
     /// Whether the position filter runs before verification.
     pub use_position_filter: bool,
-    /// The kernel for ordinary (non-sentinel) token groups.
-    pub style: GroupJoinStyle,
 }
 
 impl Footrule {
@@ -400,7 +352,6 @@ impl Footrule {
         k: usize,
         theta_raw: u64,
         prefix_kind: PrefixKind,
-        style: GroupJoinStyle,
         use_position_filter: bool,
     ) -> Self {
         let p = prefix_kind.prefix_len(k, theta_raw);
@@ -409,16 +360,6 @@ impl Footrule {
             prefix_lens: (p, p),
             thresholds: GroupThresholds::Uniform(theta_raw),
             use_position_filter,
-            style,
-        }
-    }
-
-    #[inline]
-    fn prefix_len_of(&self, singleton: bool) -> usize {
-        if singleton {
-            self.prefix_lens.1
-        } else {
-            self.prefix_lens.0
         }
     }
 }
@@ -428,7 +369,11 @@ impl JoinSpace for Footrule {
 
     #[inline]
     fn prefix_len(&self, _ranking: &OrderedRanking, singleton: bool) -> usize {
-        self.prefix_len_of(singleton)
+        if singleton {
+            self.prefix_lens.1
+        } else {
+            self.prefix_lens.0
+        }
     }
 
     /// A record's most permissive pair threshold is the one against a
@@ -440,34 +385,6 @@ impl JoinSpace for Footrule {
     #[inline]
     fn decide(&self, a: &TokenEntry, b: &TokenEntry, counts: &mut KernelCounts) -> Option<u64> {
         on_group_token(&self.thresholds, self.use_position_filter)(a, b, counts)
-    }
-
-    fn join_group(
-        &self,
-        entries: &[TokenEntry],
-        mode: JoinMode,
-        stats: &JoinStats,
-    ) -> Vec<(usize, usize, u64)> {
-        match self.style {
-            GroupJoinStyle::Indexed => with_group_scratch(|scratch| {
-                join_group_indexed(
-                    entries,
-                    |singleton| self.prefix_len_of(singleton),
-                    &self.thresholds,
-                    self.use_position_filter,
-                    mode,
-                    stats,
-                    scratch,
-                )
-            }),
-            GroupJoinStyle::NestedLoop => join_group_nested_loop(
-                entries,
-                &self.thresholds,
-                self.use_position_filter,
-                mode,
-                stats,
-            ),
-        }
     }
 }
 
@@ -515,207 +432,30 @@ fn ordered_indices(entries: &[TokenEntry], i: usize, j: usize) -> (usize, usize)
     }
 }
 
-/// Sentinel chain terminator for [`GroupScratch`] posting chains.
-const NO_POSTING: u32 = u32::MAX;
-
-/// One node of an intrusive posting chain in the flat arena: the entry it
-/// refers to, the token's original rank in that entry, and the arena index
-/// of the next posting for the same item.
-#[derive(Debug, Clone, Copy)]
-struct Posting {
-    entry: u32,
-    rank: u16,
-    next: u32,
-}
-
-/// Reusable working memory for [`join_group_indexed`].
-///
-/// The kernel used to build a fresh `HashMap<ItemId, Vec<(usize, u16)>>` per
-/// group — one map plus one `Vec` allocation per distinct prefix token, per
-/// group, for the lifetime of the join. The scratch replaces the per-token
-/// `Vec`s with intrusive chains in a single flat arena and the per-probe
-/// `seen` clear loop with a generation counter, so a warm scratch runs the
-/// kernel without allocating at all. One group's contents never leak into
-/// the next: `begin_group` resets the arena and `next_probe` invalidates
-/// every stamp by bumping the generation.
+/// The empty scratch [`join_group_indexed`] takes. Deleted once the
+/// benchmark's staged replay stops binding it (ROADMAP item 9).
 #[derive(Debug, Default)]
-pub struct GroupScratch {
-    /// Item id → arena index of the newest posting for that item (on the
-    /// shuffle's hasher: the items are the group's own prefix tokens).
-    heads: FastHashMap<ItemId, u32>,
-    /// Flat arena of posting-chain nodes, reused across groups.
-    postings: Vec<Posting>,
-    /// Entry indices in processing order, reused across groups.
-    order: Vec<u32>,
-    /// Per-entry stamp; an entry is "seen by the current probe" iff its
-    /// stamp equals `generation`.
-    seen_stamp: Vec<u32>,
-    /// Current probe's stamp value; bumping it un-sees every entry in O(1).
-    generation: u32,
-}
+pub struct GroupScratch;
 
-impl GroupScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the scratch for a group of `n` entries.
-    fn begin_group(&mut self, n: usize) {
-        self.heads.clear();
-        self.postings.clear();
-        self.order.clear();
-        if self.seen_stamp.len() < n {
-            self.seen_stamp.resize(n, 0);
-        }
-    }
-
-    /// Starts a new probe: returns the stamp that marks entries as seen by
-    /// it. On the (astronomically rare) generation wrap the stamps are
-    /// zeroed so stale stamps from 2³² probes ago can never alias.
-    fn next_probe(&mut self) -> u32 {
-        self.generation = match self.generation.checked_add(1) {
-            Some(g) => g,
-            None => {
-                self.seen_stamp.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
-        self.generation
-    }
-}
-
-thread_local! {
-    /// Per-executor-thread [`GroupScratch`]: every group a thread processes
-    /// reuses one arena instead of rebuilding the inverted index from
-    /// nothing. Kernel closures run as `Fn` from multiple executor threads,
-    /// so the scratch is thread-local rather than captured.
-    static GROUP_SCRATCH: RefCell<GroupScratch> = RefCell::new(GroupScratch::new());
-}
-
-/// Runs `f` with the calling thread's reusable [`GroupScratch`].
-///
-/// This is how the pipelines thread the scratch into
-/// [`join_group_indexed`]; tests that want a cold scratch can pass their own
-/// `GroupScratch::new()` instead.
+/// Runs `f` with a [`GroupScratch`]. Deleted once the benchmark's staged
+/// replay stops binding it (ROADMAP item 9).
 pub fn with_group_scratch<R>(f: impl FnOnce(&mut GroupScratch) -> R) -> R {
-    GROUP_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+    f(&mut GroupScratch)
 }
 
-/// VJ-style kernel: index the group members' prefixes in a group-local
-/// inverted index and probe it, verifying each distinct colliding pair once.
-///
-/// `prefix_len_of(singleton)` gives the prefix length of an entry (constant
-/// for self-joins, type-dependent in the centroid join). `mode` selects the
-/// skip rule: a self-join skips duplicate ranking ids, a bipartite join
-/// skips same-relation pairs (see [`JoinMode`]). `scratch` is the reusable
-/// index memory — see [`GroupScratch`] and [`with_group_scratch`].
+/// [`join_group_nested_loop`]; the prefix lengths and the scratch are
+/// unused. Deleted once the benchmark's staged replay stops binding it
+/// (ROADMAP item 9).
 pub fn join_group_indexed(
     entries: &[TokenEntry],
-    prefix_len_of: impl Fn(bool) -> usize,
+    _prefix_len_of: impl Fn(bool) -> usize,
     thresholds: &GroupThresholds,
     use_position_filter: bool,
     mode: JoinMode,
     stats: &JoinStats,
-    scratch: &mut GroupScratch,
+    _scratch: &mut GroupScratch,
 ) -> Vec<(usize, usize, u64)> {
-    // Group boundary: an interleaving point for schedule exploration (a
-    // single relaxed-load branch when no hook is installed).
-    minispark::sched::yield_point("kernel/indexed-group");
-    let mut results = Vec::new();
-    if entries.len() < 2 {
-        return results;
-    }
-    let mut counts = KernelCounts::default();
-    scratch.begin_group(entries.len());
-    // Process in ranking-id order so the index only ever holds ids no larger
-    // than the probe's. The slot index breaks id ties, making the order
-    // total — duplicate-id groups traverse identically on every run.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "group cardinality is far below u32::MAX — slot ids fit u32"
-    )]
-    scratch.order.extend(0..entries.len() as u32);
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "order holds exactly 0..entries.len() — every slot id is in range"
-    )]
-    scratch
-        .order
-        .sort_unstable_by_key(|&i| (entries[i as usize].ranking.id(), i));
-
-    for oi in 0..scratch.order.len() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "oi < order.len() by the loop bound; order ids are < entries.len()"
-        )]
-        let probe_idx = scratch.order[oi] as usize;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "oi < order.len() by the loop bound; order ids are < entries.len()"
-        )]
-        let probe = &entries[probe_idx];
-        let p = prefix_len_of(probe.singleton);
-        let stamp = scratch.next_probe();
-        for &(item, rank) in probe.ranking.prefix(p) {
-            let mut cursor: u32 = scratch.heads.get(&item).copied().unwrap_or(NO_POSTING);
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "cursor ≠ NO_POSTING is a valid posting id — chains only link inserted nodes; entry < entries.len() and seen_stamp is sized by begin_group"
-            )]
-            while cursor != NO_POSTING {
-                let Posting {
-                    entry,
-                    rank: indexed_rank,
-                    next,
-                } = scratch.postings[cursor as usize];
-                cursor = next;
-                let indexed_idx = entry as usize;
-                if scratch.seen_stamp[indexed_idx] == stamp {
-                    continue;
-                }
-                scratch.seen_stamp[indexed_idx] = stamp;
-                let indexed = &entries[indexed_idx];
-                // A ranking can occur more than once in a group (duplicate
-                // ids in the input) and a bipartite group never pairs
-                // records of one relation; the mode's skip rule is applied
-                // before the candidate counter so every kernel's stats
-                // agree.
-                if mode.skips(indexed, probe) {
-                    continue;
-                }
-                if let Some(d) = verify_pair(
-                    indexed,
-                    probe,
-                    (indexed_rank, rank),
-                    thresholds,
-                    use_position_filter,
-                    &mut counts,
-                ) {
-                    let (a, b) = ordered_indices(entries, indexed_idx, probe_idx);
-                    results.push((a, b, d));
-                }
-            }
-        }
-        // Index the probe's prefix for subsequent (larger-id) members:
-        // head-insert each token into its intrusive chain.
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "probe_idx < entries.len(), which fits u32 — see the order construction; posting count ≤ group size × prefix length — far below u32::MAX"
-        )]
-        for &(item, rank) in probe.ranking.prefix(p) {
-            let head = scratch.heads.entry(item).or_insert(NO_POSTING);
-            let node = Posting {
-                entry: probe_idx as u32,
-                rank,
-                next: *head,
-            };
-            *head = scratch.postings.len() as u32;
-            scratch.postings.push(node);
-        }
-    }
-    counts.flush(stats);
-    results
+    join_group_nested_loop(entries, thresholds, use_position_filter, mode, stats)
 }
 
 /// VJ-NL-style kernel: iterate all ordered pairs of the group, position
@@ -744,7 +484,8 @@ pub(crate) fn nested_loop_by<D>(
     stats: &JoinStats,
     decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
 ) -> Vec<(usize, usize, D)> {
-    // Group boundary: interleaving point, see `join_group_indexed`.
+    // Group boundary: an interleaving point for schedule exploration (a
+    // single relaxed-load branch when no hook is installed).
     minispark::sched::yield_point("kernel/nested-loop-group");
     let mut results = Vec::new();
     let mut counts = KernelCounts::default();
@@ -795,7 +536,7 @@ pub(crate) fn cross_loop_by<D>(
     stats: &JoinStats,
     decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
 ) -> Vec<(usize, usize, D)> {
-    // Sub-partition boundary: interleaving point, see `join_group_indexed`.
+    // Sub-partition boundary: interleaving point, see `nested_loop_by`.
     minispark::sched::yield_point("kernel/rs-group");
     let mut results = Vec::new();
     let mut counts = KernelCounts::default();
@@ -871,147 +612,28 @@ mod tests {
     }
 
     #[test]
-    fn indexed_matches_nested_loop() {
-        let entries = group();
-        let stats_nl = JoinStats::default();
-        let nl = pairs_of(
-            &join_group_nested_loop(
-                &entries,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_nl,
-            ),
-            &entries,
-        );
-        let stats_ix = JoinStats::default();
-        let ix = pairs_of(
-            &join_group_indexed(
-                &entries,
-                |_| 3,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_ix,
-                &mut GroupScratch::new(),
-            ),
-            &entries,
-        );
-        assert_eq!(nl, ix);
-    }
-
-    #[test]
-    fn indexed_skips_duplicate_ranking_ids_like_nested_loop() {
-        // Regression: the indexed kernel used to verify (and emit) pairs of
-        // entries carrying the same ranking id, which the nested-loop kernel
-        // skips. Feed both kernels a group holding a duplicated ranking and
-        // assert identical pair sets and identical candidate counts.
+    fn nested_loop_skips_duplicate_ranking_ids() {
+        // A group holding three copies of ranking 2: pairs of one id are
+        // neither candidates nor results.
         let mut entries = group();
-        entries.push(entry(2, &[2, 1, 3, 4, 5], 1)); // duplicate of id 2
-        entries.push(entry(2, &[2, 1, 3, 4, 5], 1)); // and a third copy
-        let stats_nl = JoinStats::default();
-        let nl = pairs_of(
-            &join_group_nested_loop(
-                &entries,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_nl,
-            ),
+        entries.push(entry(2, &[2, 1, 3, 4, 5], 1));
+        entries.push(entry(2, &[2, 1, 3, 4, 5], 1));
+        let stats = JoinStats::default();
+        let results = join_group_nested_loop(
             &entries,
-        );
-        let stats_ix = JoinStats::default();
-        let ix = pairs_of(
-            &join_group_indexed(
-                &entries,
-                |_| 3,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_ix,
-                &mut GroupScratch::new(),
-            ),
-            &entries,
-        );
-        assert_eq!(nl, ix);
-        assert_eq!(
-            stats_nl.snapshot().candidates,
-            stats_ix.snapshot().candidates
-        );
-        // No emitted pair may relate a ranking id to itself.
-        for &(i, j, _) in &join_group_indexed(
-            &entries,
-            |_| 3,
             &GroupThresholds::Uniform(8),
             true,
             JoinMode::SelfJoin,
-            &JoinStats::default(),
-            &mut GroupScratch::new(),
-        ) {
+            &stats,
+        );
+        // 15 pairs of 6 entries, less the 3 pairs among the copies.
+        assert_eq!(stats.snapshot().candidates, 12);
+        for &(i, j, _) in &results {
             assert_ne!(entries[i].ranking.id(), entries[j].ranking.id());
         }
-    }
-
-    #[test]
-    fn scratch_reuse_does_not_leak_state_across_groups() {
-        // Run a big group, then a small unrelated one, through the same
-        // scratch; the small group must behave exactly as with a cold
-        // scratch.
-        let mut scratch = GroupScratch::new();
-        let big = group();
-        join_group_indexed(
-            &big,
-            |_| 3,
-            &GroupThresholds::Uniform(8),
-            true,
-            JoinMode::SelfJoin,
-            &JoinStats::default(),
-            &mut scratch,
-        );
-        let small = vec![entry(7, &[9, 8, 7, 6, 5], 9), entry(8, &[9, 8, 7, 6, 4], 9)];
-        let stats_warm = JoinStats::default();
-        let warm = pairs_of(
-            &join_group_indexed(
-                &small,
-                |_| 3,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_warm,
-                &mut scratch,
-            ),
-            &small,
-        );
-        let stats_cold = JoinStats::default();
-        let cold = pairs_of(
-            &join_group_indexed(
-                &small,
-                |_| 3,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::SelfJoin,
-                &stats_cold,
-                &mut GroupScratch::new(),
-            ),
-            &small,
-        );
-        assert_eq!(warm, cold);
-        assert_eq!(
-            stats_warm.snapshot().candidates,
-            stats_cold.snapshot().candidates
-        );
-    }
-
-    #[test]
-    fn scratch_generation_wrap_resets_stamps() {
-        let mut scratch = GroupScratch::new();
-        scratch.begin_group(3);
-        scratch.generation = u32::MAX - 1;
-        scratch.seen_stamp = vec![u32::MAX, 0, u32::MAX - 1];
-        assert_eq!(scratch.next_probe(), u32::MAX);
-        // Wrap: stamps must be zeroed so nothing aliases generation 1.
-        assert_eq!(scratch.next_probe(), 1);
-        assert!(scratch.seen_stamp.iter().all(|&s| s == 0));
+        let mut ids: Vec<(u64, u64, u64)> = pairs_of(&results, &entries);
+        ids.dedup();
+        assert_eq!(ids, vec![(1, 2, 2), (1, 3, 2), (2, 3, 4)]);
     }
 
     #[test]
@@ -1047,25 +669,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&da.ranking, &db.ranking));
         assert_eq!(da.ranking.pairs(), a.ranking.pairs());
         assert_eq!(db.ranking.pairs(), b.ranking.pairs());
-    }
-
-    #[test]
-    fn indexed_verifies_each_pair_at_most_once() {
-        // Entries share many prefix tokens; the seen-set must prevent
-        // re-verification per collision.
-        let entries = vec![entry(1, &[1, 2, 3, 4, 5], 1), entry(2, &[1, 2, 3, 4, 6], 1)];
-        let stats = JoinStats::default();
-        let results = join_group_indexed(
-            &entries,
-            |_| 5, // full prefix → 5 shared tokens
-            &GroupThresholds::Uniform(110),
-            false,
-            JoinMode::SelfJoin,
-            &stats,
-            &mut GroupScratch::new(),
-        );
-        assert_eq!(results.len(), 1);
-        assert_eq!(stats.snapshot().candidates, 1);
     }
 
     #[test]
@@ -1168,16 +771,6 @@ mod tests {
             &stats
         )
         .is_empty());
-        assert!(join_group_indexed(
-            &one,
-            |_| 2,
-            &GroupThresholds::Uniform(5),
-            true,
-            JoinMode::SelfJoin,
-            &stats,
-            &mut GroupScratch::new()
-        )
-        .is_empty());
         assert!(join_group_rs(
             &one,
             &[],
@@ -1252,36 +845,6 @@ mod tests {
             assert_eq!(entries[i].relation, Relation::Left);
             assert_eq!(entries[j].relation, Relation::Right);
         }
-    }
-
-    #[test]
-    fn bipartite_indexed_matches_nested_loop() {
-        let entries = bipartite_group();
-        let stats_nl = JoinStats::default();
-        let nl = relation_pairs_of(
-            &join_group_nested_loop(
-                &entries,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::Bipartite,
-                &stats_nl,
-            ),
-            &entries,
-        );
-        let stats_ix = JoinStats::default();
-        let ix = relation_pairs_of(
-            &join_group_indexed(
-                &entries,
-                |_| 3,
-                &GroupThresholds::Uniform(8),
-                true,
-                JoinMode::Bipartite,
-                &stats_ix,
-                &mut GroupScratch::new(),
-            ),
-            &entries,
-        );
-        assert_eq!(nl, ix);
     }
 
     #[test]

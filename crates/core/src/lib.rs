@@ -20,7 +20,8 @@
 //! # One flat driver, one CL driver, N spaces
 //!
 //! The paper's dataflow — order by frequency → emit prefix tokens → group by
-//! token → per-group kernel → deduplicate — exists once, in [`pipeline`]. It
+//! token → per-group kernel, each pair kept by the one group that owns it —
+//! exists once, in [`pipeline`]. It
 //! does not depend on the distance: a similarity space supplies a record's
 //! prefix length, whether its threshold admits token-disjoint pairs, and the
 //! per-pair decision ([`kernels`]). Three spaces do — Footrule (above),
@@ -179,7 +180,7 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Result of a join run: the (sorted, deduplicated) id pairs, the filter
+/// Result of a join run: the (sorted, distinct) id pairs, the filter
 /// counters, and the wall-clock time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinOutcome {

@@ -8,8 +8,12 @@
 //! ```text
 //! rankings ─ count item frequencies ─ broadcast order ─ canonicalize
 //!          ─ emit (prefix-token, ranking) pairs ─ group by token
-//!          ─ per-group join kernel ─ deduplicate
+//!          ─ per-group join kernel, each pair kept by its one owning group
 //! ```
+//!
+//! A pair whose prefixes share m tokens meets in m groups; only the group of
+//! the smallest shared item keeps it (`owns`), so the output holds every
+//! qualifying pair exactly once and no phase deduplicates it.
 //!
 //! Nothing in it depends on the distance. A `JoinSpace` supplies the three
 //! things that do — a record's prefix length, whether its threshold admits
@@ -31,7 +35,7 @@ use minispark::{Cluster, Counter, Dataset, SkewBudget};
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation};
 
 use crate::kernels::{cross_loop_by, nested_loop_by, JoinMode, JoinSpace, TokenEntry};
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, KernelCounts};
 
 /// A qualifying pair with everything downstream phases need: both rankings
 /// (shared `Arc`s), the exact distance (`u64` raw Footrule unless the space
@@ -66,8 +70,8 @@ impl<D> PairHit<D> {
         (self.a.id(), self.b.id())
     }
 
-    /// The full record-identity pair — the deduplication key. Relations are
-    /// part of the key because R and S id spaces may overlap.
+    /// The full record-identity pair. Relations are part of it because R and
+    /// S id spaces may overlap.
     pub fn record_keys(&self) -> ((u8, u64), (u8, u64)) {
         (
             (self.a_relation.as_u8(), self.a.id()),
@@ -80,8 +84,9 @@ impl<D> PairHit<D> {
 /// admits **disjoint** pairs (`θ_raw ≥ k·(k+1)`, i.e. ω = 0). Prefix
 /// filtering is inherently incomplete there — a disjoint qualifying pair
 /// shares no token at all — so such rankings are additionally routed into
-/// one group that is always joined with the nested-loop kernel. Irrelevant
-/// for the paper's thresholds (θ ≤ 0.4) but required for a total API.
+/// one group, which owns exactly the pairs whose prefixes share nothing.
+/// Irrelevant for the paper's thresholds (θ ≤ 0.4) but required for a total
+/// API.
 pub const DISJOINT_SENTINEL: ItemId = ItemId::MAX;
 
 /// Relation tag and stage-label infix of relation `i` of `n`: a lone
@@ -274,11 +279,11 @@ impl PrefixSource {
 /// chunk-pair plans either way.
 ///
 /// Returns what `hit` keeps of every qualifying pair — called with the
-/// pair's entries in `(relation, id)` order and its distance — **before**
-/// deduplication: a pair that collides on several tokens (or in several
-/// chunk joins) appears once per collision. The flat drivers keep the id
-/// pair, which is their output and its own dedup key; CL's phases keep
-/// whole [`PairHit`]s ([`prefix_join`]).
+/// pair's entries in `(relation, id)` order and its distance — **exactly
+/// once**: a pair that collides on several tokens is kept only by the group
+/// that [`owns`] it, and the chunks of a split group inherit its ownership.
+/// The flat drivers keep the id pair, which is their output; CL's phases
+/// keep whole [`PairHit`]s ([`prefix_join`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     sources: &[PrefixSource],
@@ -314,8 +319,10 @@ pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     )
 }
 
-/// [`prefix_hits`] keeping every hit whole, deduplicated — what the
-/// clustering and centroid joins of CL/CL-P need.
+/// [`prefix_hits`] keeping every hit whole — what the clustering and
+/// centroid joins of CL/CL-P need. Record keys `(relation, id)` must be
+/// unique across `sources`: each qualifying pair then comes out once, and
+/// debug builds check that it does.
 pub(crate) fn prefix_join<S: JoinSpace>(
     sources: &[PrefixSource],
     space: &S,
@@ -325,30 +332,78 @@ pub(crate) fn prefix_join<S: JoinSpace>(
     stats: &Arc<JoinStats>,
     label: &str,
 ) -> Dataset<PairHit<S::Dist>> {
-    let whole = |x: &TokenEntry, y: &TokenEntry, distance| PairHit {
-        a: Arc::clone(&x.ranking),
-        b: Arc::clone(&y.ranking),
-        distance,
-        a_singleton: x.singleton,
-        b_singleton: y.singleton,
-        a_relation: x.relation,
-        b_relation: y.relation,
+    let whole = |x: &TokenEntry, y: &TokenEntry, distance| {
+        let hit = PairHit {
+            a: Arc::clone(&x.ranking),
+            b: Arc::clone(&y.ranking),
+            distance,
+            a_singleton: x.singleton,
+            b_singleton: y.singleton,
+            a_relation: x.relation,
+            b_relation: y.relation,
+        };
+        let keys = hit.record_keys();
+        crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
+        hit
     };
-    // Keep one PairHit per `(relation, id)` record-key pair; the relations
-    // are part of the key because an R-S join's id spaces may overlap. The
-    // keep-first combiner is value-deterministic even though the kept
-    // *instance* depends on hash-map iteration order: every duplicate under
-    // one key pair carries the same exact distance and the same per-record
-    // tags, so any survivor is content-equal (pinned by the determinism
-    // suite).
-    prefix_hits(sources, space, partitions, delta, skew, stats, label, whole)
-        .map(&format!("{label}/key-pairs"), |hit| {
-            let keys = hit.record_keys();
-            crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
-            (keys, hit.clone())
-        })
-        .reduce_by_key(&format!("{label}/dedup-pairs"), partitions, |a, _b| a)
-        .values(&format!("{label}/drop-keys"))
+    // A split join's output is the union of its small-group, chunk and
+    // chunk-pair stages, five times `partitions`; CL's later stages run a
+    // task per partition, so bring it back to `partitions`.
+    let hits = prefix_hits(sources, space, partitions, delta, skew, stats, label, whole)
+        .coalesce(partitions);
+    if cfg!(debug_assertions) {
+        let mut keys: Vec<_> = (0..hits.num_partitions())
+            .flat_map(|p| hits.partition(p).iter().map(PairHit::record_keys))
+            .collect();
+        keys.sort_unstable();
+        debug_assert!(
+            keys.is_sorted_by(|a, b| a < b),
+            "{label}: a pair came out twice — a record key repeats across the sources"
+        );
+    }
+    hits
+}
+
+/// Whether the group of `token` owns the qualifying pair `(a, b)`: `token`
+/// is the smallest item id in `prefix(a) ∩ prefix(b)`, each prefix the
+/// record's own ([`JoinSpace::prefix_len`], so Lemma 5.3's mixed lengths
+/// take the intersection of two different prefixes). For the
+/// [`DISJOINT_SENTINEL`], larger than every item, that means the prefixes
+/// share nothing.
+///
+/// Exactly one group owns a pair both records reach: prefix filtering puts
+/// every qualifying pair in some shared token's group (or the sentinel's),
+/// the smallest shared item's group holds both records too, and the
+/// per-pair decision does not depend on the group. Item ids order every
+/// prefix kind alike — a ranking's own canonical order would not, because
+/// rank-ordered prefixes have no global order.
+///
+/// O(p²) over prefixes of p ≤ k items; it runs only on pairs the space
+/// accepted, so it costs per result, not per candidate.
+fn owns<S: JoinSpace>(space: &S, token: ItemId, a: &TokenEntry, b: &TokenEntry) -> bool {
+    let a_prefix = a.ranking.prefix(space.prefix_len(&a.ranking, a.singleton));
+    let b_prefix = b.ranking.prefix(space.prefix_len(&b.ranking, b.singleton));
+    !a_prefix
+        .iter()
+        .any(|&(item, _)| item < token && b_prefix.iter().any(|&(other, _)| other == item))
+}
+
+/// The per-pair decision of `token`'s group (or of a chunk of it): the
+/// space's, keeping only the qualifying pairs the group [`owns`]. A pair
+/// another group owns stays a verified candidate and is not a result here.
+fn owned_decision<S: JoinSpace>(
+    space: &S,
+    token: ItemId,
+) -> impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<S::Dist> + '_ {
+    move |a, b, counts| {
+        let distance = space.decide(a, b, counts)?;
+        if owns(space, token, a, b) {
+            Some(distance)
+        } else {
+            counts.disown();
+            None
+        }
+    }
 }
 
 /// Live per-driver kernel counters on the cluster's telemetry registry —
@@ -356,7 +411,7 @@ pub(crate) fn prefix_join<S: JoinSpace>(
 struct LiveKernelCounters {
     /// Kernel invocations: group self-joins plus sub-partition R-S joins.
     groups: Counter,
-    /// Qualifying pairs emitted by kernels, before pair deduplication.
+    /// Result pairs kept by kernels, each pair once (in its owning group).
     pairs: Counter,
 }
 
@@ -392,10 +447,8 @@ fn hits_of<D, H>(
         .collect()
 }
 
-/// Joins one token group (or one chunk of a split group). Sentinel groups
-/// contain rankings that need not share any token, so an index-probing
-/// kernel (which only pairs prefix collisions) would miss pairs there —
-/// they always take the nested loop.
+/// Joins one token group (or one chunk of a split group), keeping the pairs
+/// the group owns.
 fn group_hits<S: JoinSpace, H>(
     token: ItemId,
     entries: &[TokenEntry],
@@ -405,13 +458,7 @@ fn group_hits<S: JoinSpace, H>(
     hit: &impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H,
     live: &LiveKernelCounters,
 ) -> Vec<H> {
-    let triples = if token == DISJOINT_SENTINEL {
-        nested_loop_by(entries, mode, stats, |a, b, counts| {
-            space.decide(a, b, counts)
-        })
-    } else {
-        space.join_group(entries, mode, stats)
-    };
+    let triples = nested_loop_by(entries, mode, stats, owned_decision(space, token));
     hits_of(triples, entries, entries, hit, live)
 }
 
@@ -488,10 +535,9 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
                     crate::invariants::check_subpartition(chunk.len(), delta);
                     group_hits(token, chunk, space, mode, stats, &hit, &live)
                 },
-                |_token, left: &[TokenEntry], right: &[TokenEntry]| {
-                    let triples = cross_loop_by(left, right, mode, stats, |a, b, counts| {
-                        space.decide(a, b, counts)
-                    });
+                |token, left: &[TokenEntry], right: &[TokenEntry]| {
+                    let triples =
+                        cross_loop_by(left, right, mode, stats, owned_decision(space, token));
                     hits_of(triples, left, right, &hit, &live)
                 },
             );

@@ -24,7 +24,11 @@ pub struct JoinStats {
     pub overlap_pruned: AtomicU64,
     /// Candidates for which the full (early-exit) distance was computed.
     pub verified: AtomicU64,
-    /// Verified candidates that qualified as results.
+    /// Verified candidates that qualified as results, each pair once: a
+    /// token-grouped join counts a pair only in the one group that owns it
+    /// (`pipeline::owns`), so for the flat drivers this equals the number of
+    /// output pairs. CL's expansion still counts every verified result of
+    /// its overlapping clusters.
     pub result_pairs: AtomicU64,
     /// Expansion candidates discarded by the triangle lower bound.
     pub triangle_pruned: AtomicU64,
@@ -126,6 +130,14 @@ impl KernelCounts {
         outcome.distance()
     }
 
+    /// Takes back the result [`book`](KernelCounts::book) counted for a
+    /// qualifying pair that another token group owns: it stays a verified
+    /// candidate here and is counted as a result by its owner.
+    #[inline]
+    pub fn disown(&mut self) {
+        self.result_pairs -= 1;
+    }
+
     /// Adds the counts to `stats`, one `add` per counter that moved.
     pub fn flush(self, stats: &JoinStats) {
         // Where no triangle or length bound decided a pair, every candidate
@@ -163,7 +175,8 @@ pub struct StatsSnapshot {
     pub overlap_pruned: u64,
     /// Full distance computations performed.
     pub verified: u64,
-    /// Pairs that qualified (before global dedup).
+    /// Pairs that qualified, each counted once (see
+    /// [`JoinStats::result_pairs`]).
     pub result_pairs: u64,
     /// Triangle-lower-bound prunes in the expansion phase.
     pub triangle_pruned: u64,

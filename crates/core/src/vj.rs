@@ -1,10 +1,16 @@
 //! The Vernica-Join adaptation to top-k rankings (§4), in three flavours:
 //!
-//! * [`vj_join`] — inverted-index verification per token group (VJ),
-//! * [`vj_nl_join`] — iterator nested-loop verification (VJ-NL, §4.1),
+//! * [`vj_join`] — VJ,
+//! * [`vj_nl_join`] — VJ-NL, iterator nested-loop verification (§4.1),
 //! * [`vj_repartitioned_join`] — VJ-NL plus Algorithm 3's splitting of
 //!   oversized posting lists (the joining machinery CL-P adds on top of CL;
 //!   exposed standalone for ablation benchmarks).
+//!
+//! VJ and VJ-NL run the same code here. The paper's VJ probes a group-local
+//! inverted index, but every entry of token t's group has t in its prefix,
+//! so the probe reaches the whole group: it verifies exactly VJ-NL's
+//! candidates and only adds the index's cost. Both names stay, as the
+//! paper's Fig. 6 compares them.
 //!
 //! All of them — and their R-S twins, and the Jaccard and variable-length
 //! flat joins — are `run_prefix_join` with a different `JoinSpace` and a
@@ -18,15 +24,16 @@ use topk_rankings::distance::raw_threshold;
 use topk_rankings::{PrefixKind, Ranking};
 
 use crate::config::{effective_partitions, validate_skew};
-use crate::kernels::{Footrule, GroupJoinStyle, JoinSpace, TokenEntry};
+use crate::kernels::{Footrule, JoinSpace, TokenEntry};
 use crate::pipeline::{order_relations, prefix_hits, uniform_k_of};
 use crate::stats::JoinStats;
 use crate::{JoinConfig, JoinError, JoinOutcome};
 
-/// The one flat prefix-join driver: Ordering → Joining → Dedup over one
-/// relation (a self-join, pairs `(a, b)` with `a < b`) or two (an R-S join,
-/// pairs `(left id, right id)` — the id spaces may overlap, so no ordering is
-/// implied), sorted.
+/// The one flat prefix-join driver: Ordering → Joining over one relation (a
+/// self-join, pairs `(a, b)` with `a < b`) or two (an R-S join, pairs
+/// `(left id, right id)` — the id spaces may overlap, so no ordering is
+/// implied), sorted. Every pair comes out of its one owning token group, so
+/// there is nothing to deduplicate.
 ///
 /// `space_for` validates the input and builds the join's space; `Ok(None)`
 /// is an input with no possible result (an empty relation). `partitions = 0`
@@ -50,29 +57,29 @@ pub(crate) fn run_prefix_join<S: JoinSpace>(
     let partitions = effective_partitions(partitions, cluster.config().default_partitions);
     let stats = Arc::new(JoinStats::default());
 
-    // Phase spans label the Ordering → Joining → Dedup pipeline on the
-    // trace timeline (no-ops unless the cluster records a trace).
+    // Phase spans label the Ordering → Joining pipeline on the trace
+    // timeline (no-ops unless the cluster records a trace).
     let run_span = cluster.trace().span(format!("{label}/run"));
     let sources = {
         let _phase = cluster.trace().span(format!("{label}/phase/ordering"));
         order_relations(cluster, relations, prefix_kind, partitions, label)
     };
-    let hits = {
+    let mut pairs = {
         let _phase = cluster.trace().span(format!("{label}/phase/joining"));
-        // The id pair is the output and its own dedup key (hits lead with
-        // the left record, so it is unambiguous even when the id spaces of
-        // two relations overlap): nothing else needs to cross the shuffle.
+        // The id pair is the output (hits lead with the left record, so it
+        // is unambiguous even when the id spaces of two relations overlap):
+        // nothing else needs to leave the kernels.
         let ids = |a: &TokenEntry, b: &TokenEntry, _| (a.ranking.id(), b.ranking.id());
         prefix_hits(
             &sources, &space, partitions, delta, skew, &stats, label, ids,
         )
-    };
-    let mut pairs = {
-        let _phase = cluster.trace().span(format!("{label}/phase/dedup"));
-        hits.distinct(&format!("{label}/dedup-pairs"), partitions)
-            .collect()
+        .collect()
     };
     pairs.sort_unstable();
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "{label}: a pair came out of more than one token group"
+    );
     drop(run_span);
     Ok(JoinOutcome {
         pairs,
@@ -85,7 +92,6 @@ fn vj_flavour(
     cluster: &Cluster,
     relations: &[&[Ranking]],
     config: &JoinConfig,
-    style: GroupJoinStyle,
     delta: Option<usize>,
     label: &str,
 ) -> Result<JoinOutcome, JoinError> {
@@ -93,13 +99,7 @@ fn vj_flavour(
     let space_for = || {
         Ok(uniform_k_of(relations)?.map(|k| {
             let theta_raw = raw_threshold(k, config.theta);
-            Footrule::uniform(
-                k,
-                theta_raw,
-                config.prefix,
-                style,
-                config.use_position_filter,
-            )
+            Footrule::uniform(k, theta_raw, config.prefix, config.use_position_filter)
         }))
     };
     run_prefix_join(
@@ -114,20 +114,14 @@ fn vj_flavour(
     )
 }
 
-/// VJ: prefix filtering with per-group inverted indexes (§4).
+/// VJ: prefix filtering per token group (§4). The same join as
+/// [`vj_nl_join`] (see the module docs), under its own stage labels.
 pub fn vj_join(
     cluster: &Cluster,
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(
-        cluster,
-        &[data],
-        config,
-        GroupJoinStyle::Indexed,
-        None,
-        "vj",
-    )
+    vj_flavour(cluster, &[data], config, None, "vj")
 }
 
 /// VJ-NL: prefix filtering with nested-loop (iterator) verification (§4.1).
@@ -136,34 +130,21 @@ pub fn vj_nl_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(
-        cluster,
-        &[data],
-        config,
-        GroupJoinStyle::NestedLoop,
-        None,
-        "vj-nl",
-    )
+    vj_flavour(cluster, &[data], config, None, "vj-nl")
 }
 
 /// VJ over two relations (R-S join): both relations' prefixes shuffle into
 /// one token-grouped bipartite join; only cross-relation pairs are verified.
 /// Output pairs are `(left id, right id)`, sorted — the two id spaces may
-/// overlap, so no `a < b` ordering is implied.
+/// overlap, so no `a < b` ordering is implied. The same join as
+/// [`vj_nl_join_rs`].
 pub fn vj_join_rs(
     cluster: &Cluster,
     left: &[Ranking],
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(
-        cluster,
-        &[left, right],
-        config,
-        GroupJoinStyle::Indexed,
-        None,
-        "vj-rs",
-    )
+    vj_flavour(cluster, &[left, right], config, None, "vj-rs")
 }
 
 /// VJ-NL over two relations (R-S join), nested-loop verification per group.
@@ -174,14 +155,7 @@ pub fn vj_nl_join_rs(
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(
-        cluster,
-        &[left, right],
-        config,
-        GroupJoinStyle::NestedLoop,
-        None,
-        "vj-nl-rs",
-    )
+    vj_flavour(cluster, &[left, right], config, None, "vj-nl-rs")
 }
 
 /// VJ-NL with repartitioning of posting lists longer than the configured
@@ -196,7 +170,6 @@ pub fn vj_repartitioned_join(
         cluster,
         &[data],
         config,
-        GroupJoinStyle::NestedLoop,
         Some(config.partition_threshold),
         "vj-p",
     )
@@ -261,8 +234,8 @@ mod tests {
 
     #[test]
     fn fixed_skew_budget_never_changes_the_result_set() {
-        // ISSUE 5, satellite 4: splitting + stealing must be invisible in
-        // the output, for any budget, on both kernel styles.
+        // Splitting + stealing must be invisible in the output, for any
+        // budget, on both drivers.
         use minispark::SkewBudget;
         let c = cluster();
         let data = corpus();
@@ -381,6 +354,7 @@ mod tests {
         let outcome = vj_join(&c, &data, &JoinConfig::new(0.3)).unwrap();
         assert!(outcome.stats.candidates > 0);
         assert!(outcome.stats.verified > 0);
-        assert!(outcome.stats.result_pairs as usize >= outcome.pairs.len());
+        // Each pair is counted once, in the group that owns it.
+        assert_eq!(outcome.stats.result_pairs as usize, outcome.pairs.len());
     }
 }

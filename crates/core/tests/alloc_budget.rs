@@ -35,9 +35,7 @@ use topk_datagen::CorpusProfile;
 use topk_rankings::distance::raw_threshold;
 use topk_rankings::verify::verify_candidate;
 use topk_rankings::{FrequencyTable, OrderedRanking, PrefixKind, Ranking};
-use topk_simjoin::kernels::{
-    join_group_indexed, join_group_nested_loop, GroupScratch, GroupThresholds, JoinMode, TokenEntry,
-};
+use topk_simjoin::kernels::{join_group_nested_loop, GroupThresholds, JoinMode, TokenEntry};
 use topk_simjoin::pipeline::order_rankings;
 use topk_simjoin::{
     clp_join, vj_join, JoinConfig, JoinStats, RankingIndex, ServingConfig, ServingIndex,
@@ -200,56 +198,43 @@ impl KernelRun {
     }
 }
 
-/// Both group kernels over `entries` at θ; the indexed one on `scratch`.
-fn run_kernels(entries: &[TokenEntry], scratch: &mut GroupScratch) -> [KernelRun; 2] {
+/// The group kernel over `entries` at θ.
+fn run_kernel(entries: &[TokenEntry]) -> KernelRun {
     let thresholds = GroupThresholds::Uniform(raw_threshold(K, THETA));
-    // Whole rankings are indexed, so the group token is inside every
-    // member's probed prefix whichever token it is.
-    let indexed = KernelRun::measure("join_group_indexed", entries, |stats| {
-        let mode = JoinMode::SelfJoin;
-        join_group_indexed(entries, |_| K, &thresholds, true, mode, stats, scratch)
-    });
-    let nested = KernelRun::measure("join_group_nested_loop", entries, |stats| {
+    KernelRun::measure("join_group_nested_loop", entries, |stats| {
         join_group_nested_loop(entries, &thresholds, true, JoinMode::SelfJoin, stats)
-    });
-    [indexed, nested]
+    })
 }
 
 #[test]
-fn group_kernels_allocate_their_output_and_nothing_per_candidate() {
+fn group_kernel_allocates_its_output_and_nothing_per_candidate() {
     let data = corpus(20_000);
-    let mut scratch = GroupScratch::new();
-    // Warm the scratch on the largest group: its arena grows once.
-    run_kernels(&hottest_group(&data, SIZES[2]), &mut scratch);
     println!("kernel                  entries  candidates  results  allocations");
     for n in SIZES {
-        for run in run_kernels(&hottest_group(&data, n), &mut scratch) {
-            println!(
-                "{:<23} {n:>7} {:>11} {:>8} {:>12}",
-                run.kernel, run.candidates, run.results, run.allocations
-            );
-            run.assert_allocates_its_output_only();
-        }
+        let run = run_kernel(&hottest_group(&data, n));
+        println!(
+            "{:<23} {n:>7} {:>11} {:>8} {:>12}",
+            run.kernel, run.candidates, run.results, run.allocations
+        );
+        run.assert_allocates_its_output_only();
     }
 
     // The same results from four times the candidates cost the same.
-    let small = run_kernels(&planted_group(40, 20), &mut scratch);
-    let large = run_kernels(&planted_group(40, 120), &mut scratch);
-    for (small, large) in small.iter().zip(&large) {
-        assert_eq!(small.results, 40, "the planted twins are the only results");
-        assert_eq!(large.results, small.results);
-        assert!(
-            large.candidates >= 4 * small.candidates,
-            "{} vs {} candidates",
-            large.candidates,
-            small.candidates
-        );
-        assert_eq!(
-            large.allocations, small.allocations,
-            "{}: {} candidates allocated {} times, {} candidates {} times",
-            large.kernel, large.candidates, large.allocations, small.candidates, small.allocations
-        );
-    }
+    let small = run_kernel(&planted_group(40, 20));
+    let large = run_kernel(&planted_group(40, 120));
+    assert_eq!(small.results, 40, "the planted twins are the only results");
+    assert_eq!(large.results, small.results);
+    assert!(
+        large.candidates >= 4 * small.candidates,
+        "{} vs {} candidates",
+        large.candidates,
+        small.candidates
+    );
+    assert_eq!(
+        large.allocations, small.allocations,
+        "{}: {} candidates allocated {} times, {} candidates {} times",
+        large.kernel, large.candidates, large.allocations, small.candidates, small.allocations
+    );
 }
 
 #[test]
@@ -350,7 +335,8 @@ fn a_join_allocates_less_per_record_as_its_input_grows() {
     ];
     println!("join      records    pairs  allocations/record");
     for (name, config, join) in joins {
-        // Warm the thread's kernel scratch so every size sees it alike.
+        // One warm-up run, so every size sees the same lazily initialised
+        // state.
         let cluster = Cluster::new(ClusterConfig::local(1));
         join(&cluster, &data, &config);
         let mut per_record = Vec::new();

@@ -125,11 +125,10 @@ fn cl_p_is_schedule_independent() {
 
 #[test]
 fn vj_with_skew_splitting_is_schedule_independent() {
-    // ISSUE 5, satellites 2 + 4: a fixed split budget routes hot groups
-    // through the chunk spread / chunk-pair R-S stages and funnels their
-    // hits into the keep-first `vj/dedup-pairs` reducer from many more
-    // producer tasks — the dedup stage must stay value-deterministic under
-    // every schedule, and the stage-metrics fingerprint must not drift.
+    // A fixed split budget routes hot groups through the chunk spread /
+    // chunk-pair R-S stages, whose chunks must keep exactly the pairs their
+    // group owns under every schedule; the stage-metrics fingerprint must
+    // not drift.
     assert_footrule_deterministic_with_skew(Algorithm::Vj, SkewBudget::Fixed(4));
 }
 
@@ -196,8 +195,8 @@ fn jaccard_cl_p_is_schedule_independent() {
 
 #[test]
 fn jaccard_vj_with_skew_splitting_is_schedule_independent() {
-    // Covers the Jaccard dedup stages (`jaccard-vj/dedup`) with split
-    // groups feeding them.
+    // Split Jaccard groups: each chunk and chunk pair keeps the pairs its
+    // group owns, under every schedule.
     let data = corpus(48, 6, 32, 0x1ACCA);
     let config = JaccardConfig::new(0.5)
         .with_cluster_threshold(0.1)

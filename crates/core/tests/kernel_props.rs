@@ -1,17 +1,23 @@
 //! Property tests at the kernel and phase level of `topk-simjoin`.
 
 // The library-code rules of `[workspace.lints.clippy]` do not bind test code.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 
 use std::sync::Arc;
 
+use minispark::{Cluster, ClusterConfig};
 use topk_datagen::rng::{check, Rng};
-use topk_rankings::{FrequencyTable, OrderedRanking, Ranking};
+use topk_rankings::bounds::min_distance_given_overlap;
+use topk_rankings::{FrequencyTable, OrderedRanking, PrefixKind, Ranking};
 use topk_simjoin::kernels::{
-    join_group_indexed, join_group_nested_loop, join_group_rs, GroupScratch, GroupThresholds,
-    JoinMode, TokenEntry,
+    join_group_nested_loop, join_group_rs, GroupThresholds, JoinMode, TokenEntry,
 };
-use topk_simjoin::JoinStats;
+use topk_simjoin::{
+    brute_force_join, brute_force_join_rs, cl_join, clp_join, jaccard_brute_force, jaccard_cl_join,
+    jaccard_clp_join, jaccard_vj_join, varlen_brute_force, varlen_join_with_skew, vj_join,
+    vj_join_rs, vj_nl_join, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinOutcome,
+    JoinStats, SkewBudget,
+};
 
 /// Cases per property.
 const CASES: u64 = 48;
@@ -54,54 +60,6 @@ fn normalize(results: Vec<(usize, usize, u64)>, entries: &[TokenEntry]) -> Vec<(
     out.sort_unstable();
     out.dedup();
     out
-}
-
-// The two kernel styles must find the identical pair set: the group
-// token is in every member's prefix, so the indexed kernel's prefix
-// probing covers all pairs the nested loop enumerates.
-#[test]
-fn indexed_kernel_equals_nested_loop() {
-    check("indexed_kernel_equals_nested_loop", CASES, |rng| {
-        let entries = token_group(rng, 14, 6, 20);
-        let theta_raw = rng.gen_range(0u64..=42);
-        let prefix_len = rng.gen_range(1usize..=6);
-        let pos_filter = rng.gen_bool(0.5);
-        let s1 = JoinStats::default();
-        let nl = normalize(
-            join_group_nested_loop(
-                &entries,
-                &GroupThresholds::Uniform(theta_raw),
-                pos_filter,
-                JoinMode::SelfJoin,
-                &s1,
-            ),
-            &entries,
-        );
-        let s2 = JoinStats::default();
-        let ix = normalize(
-            join_group_indexed(
-                &entries,
-                |_| prefix_len,
-                &GroupThresholds::Uniform(theta_raw),
-                pos_filter,
-                JoinMode::SelfJoin,
-                &s2,
-                &mut GroupScratch::new(),
-            ),
-            &entries,
-        );
-        // The indexed kernel only probes `prefix_len` tokens — completeness
-        // within a group needs the group token inside that prefix. With the
-        // full prefix the sets must match exactly.
-        if prefix_len == 6 {
-            assert_eq!(&ix, &nl);
-        } else {
-            // Shorter prefixes can only lose pairs, never invent them.
-            for hit in &ix {
-                assert!(nl.contains(hit), "indexed invented {hit:?}");
-            }
-        }
-    });
 }
 
 // The R-S kernel over a split of the group equals the nested loop
@@ -182,4 +140,206 @@ fn kernel_stats_are_consistent() {
             snap.candidates
         );
     });
+}
+
+/// Every driver that runs the token-grouped join, by its stage label.
+const DRIVERS: [&str; 11] = [
+    "vj",
+    "vj-nl",
+    "vj-rs",
+    "vj-p",
+    "cl",
+    "cl-p",
+    "jaccard-vj",
+    "jaccard-cl",
+    "jaccard-clp",
+    "varlen-mixed",
+    "varlen-equal",
+];
+
+/// Ranking length of the fixed-length corpora.
+const K: usize = 6;
+
+/// `n` rankings over a small universe, most of them perturbations of an
+/// earlier one (an adjacent swap or one replaced item), so pairs sharing
+/// several prefix tokens abound. `lengths` bounds each ranking's length.
+fn near_duplicates(
+    rng: &mut Rng,
+    n: u64,
+    lengths: std::ops::RangeInclusive<usize>,
+) -> Vec<Ranking> {
+    const UNIVERSE: u32 = 16;
+    let mut data: Vec<Ranking> = Vec::new();
+    for id in 0..n {
+        let items = match data.len() {
+            0 => None,
+            len if rng.gen_bool(0.7) => Some(data[rng.gen_range(0..len)].items().to_vec()),
+            _ => None,
+        };
+        let items = match items {
+            Some(mut items) if rng.gen_bool(0.5) => {
+                let i = rng.gen_range(0..items.len() - 1);
+                items.swap(i, i + 1);
+                items
+            }
+            Some(mut items) => {
+                let fresh = (0..UNIVERSE).find(|item| !items.contains(item));
+                let i = rng.gen_range(0..items.len());
+                items[i] = fresh.expect("the universe is larger than a ranking");
+                items
+            }
+            None => {
+                let k = rng.gen_range(lengths.clone());
+                rng.distinct(UNIVERSE, k)
+            }
+        };
+        data.push(Ranking::new(id, items).expect("distinct items by construction"));
+    }
+    data
+}
+
+/// A raw Footrule threshold on or next to a boundary where the minimum
+/// overlap (and so the prefix length) changes, or the maximum — where the
+/// threshold admits disjoint pairs and the sentinel group joins.
+fn raw_near_boundary(rng: &mut Rng, k: usize) -> u64 {
+    let max = min_distance_given_overlap(k, 0);
+    if rng.gen_bool(0.15) {
+        return max;
+    }
+    let boundary = min_distance_given_overlap(k, rng.gen_range(1..=k));
+    (boundary + rng.gen_range(0u64..=2))
+        .saturating_sub(1)
+        .min(max)
+}
+
+/// A Jaccard threshold on or just beside a minimum-overlap boundary
+/// `(2k − 2o) / (2k − o)`, or 1.
+fn jaccard_near_boundary(rng: &mut Rng) -> f64 {
+    if rng.gen_bool(0.15) {
+        return 1.0;
+    }
+    let o = rng.gen_range(1..=K) as f64;
+    let k = K as f64;
+    let boundary = (2.0 * k - 2.0 * o) / (2.0 * k - o);
+    let theta = boundary + [-1e-6, 0.0, 1e-6][rng.gen_range(0usize..3)];
+    theta.clamp(0.0, 1.0)
+}
+
+// Whichever token groups a qualifying pair meets in, exactly one of them
+// keeps it: the output — before the drivers sort it — already holds every
+// pair once, equals brute force, and the flat drivers count each result
+// once. Every driver, both prefix kinds, thresholds on and beside the
+// overlap boundaries (and at the sentinel), every skew policy, spilling
+// shuffles and one or two slots.
+#[test]
+fn every_pair_is_kept_by_one_group_and_matches_brute_force() {
+    let mut case = 0usize;
+    let mut nonempty = 0usize;
+    check(
+        "every_pair_is_kept_by_one_group_and_matches_brute_force",
+        132,
+        |rng| {
+            let driver = DRIVERS[case % DRIVERS.len()];
+            case += 1;
+            let prefix = [PrefixKind::Overlap, PrefixKind::Ordered][rng.gen_range(0usize..2)];
+            let skew = [
+                SkewBudget::Off,
+                SkewBudget::Fixed(1),
+                SkewBudget::Fixed(3),
+                SkewBudget::Auto,
+            ][rng.gen_range(0usize..4)];
+            let slots = rng.gen_range(1usize..=2);
+            let spill = rng.gen_bool(0.5);
+            let delta = rng.gen_range(2usize..=6);
+            let mut cluster_config = ClusterConfig::local(slots).with_default_partitions(3);
+            if spill {
+                cluster_config = cluster_config.with_spill_budget(8);
+            }
+            let cluster = Cluster::new(cluster_config);
+            let n = rng.gen_range(20u64..=40);
+            let data = near_duplicates(rng, n, K..=K);
+
+            let theta = raw_near_boundary(rng, K) as f64 / min_distance_given_overlap(K, 0) as f64;
+            let footrule = JoinConfig::new(theta)
+                .with_prefix(prefix)
+                .with_cluster_threshold([0.0, 0.03, 0.1][rng.gen_range(0usize..3)])
+                .with_partition_threshold(delta)
+                .with_skew(skew);
+            let jaccard = JaccardConfig::new(jaccard_near_boundary(rng))
+                .with_cluster_threshold([0.0, 0.05, 0.2][rng.gen_range(0usize..3)])
+                .with_partition_threshold(delta)
+                .with_skew(skew);
+            let thetas = format!("θ = {theta} (Jaccard {})", jaccard.theta);
+            let described = format!(
+                "{driver}, {prefix:?}, {thetas}, {skew:?}, δ = {delta}, {slots} slot(s), \
+                 spill = {spill}"
+            );
+
+            let (outcome, expected, flat): (JoinOutcome, JoinOutcome, bool) = match driver {
+                "vj" | "vj-nl" | "vj-p" | "cl" | "cl-p" => {
+                    let join = match driver {
+                        "vj" => vj_join,
+                        "vj-nl" => vj_nl_join,
+                        "vj-p" => vj_repartitioned_join,
+                        "cl" => cl_join,
+                        _ => clp_join,
+                    };
+                    (
+                        join(&cluster, &data, &footrule).expect("valid input"),
+                        brute_force_join(&cluster, &data, theta).expect("valid input"),
+                        !driver.starts_with("cl"),
+                    )
+                }
+                "vj-rs" => {
+                    let right = near_duplicates(rng, n / 2, K..=K);
+                    (
+                        vj_join_rs(&cluster, &data, &right, &footrule).expect("valid input"),
+                        brute_force_join_rs(&cluster, &data, &right, theta).expect("valid input"),
+                        true,
+                    )
+                }
+                "jaccard-vj" | "jaccard-cl" | "jaccard-clp" => {
+                    let join = match driver {
+                        "jaccard-vj" => jaccard_vj_join,
+                        "jaccard-cl" => jaccard_cl_join,
+                        _ => jaccard_clp_join,
+                    };
+                    (
+                        join(&cluster, &data, &jaccard).expect("valid input"),
+                        jaccard_brute_force(&cluster, &data, jaccard.theta).expect("valid input"),
+                        driver == "jaccard-vj",
+                    )
+                }
+                _ => {
+                    let data = if driver == "varlen-mixed" {
+                        near_duplicates(rng, n, 4..=7)
+                    } else {
+                        data
+                    };
+                    let max_k = data.iter().map(Ranking::k).max().expect("n ≥ 20");
+                    let theta_raw = raw_near_boundary(rng, max_k);
+                    (
+                        varlen_join_with_skew(&cluster, &data, theta_raw, 0, skew)
+                            .expect("valid input"),
+                        varlen_brute_force(&cluster, &data, theta_raw).expect("valid input"),
+                        true,
+                    )
+                }
+            };
+            assert!(
+                outcome.pairs.windows(2).all(|w| w[0] < w[1]),
+                "{described}: a pair came out twice"
+            );
+            assert_eq!(outcome.pairs, expected.pairs, "{described}");
+            if flat {
+                assert_eq!(
+                    outcome.stats.result_pairs,
+                    outcome.pairs.len() as u64,
+                    "{described}: result pairs counted more than once"
+                );
+            }
+            nonempty += usize::from(!expected.pairs.is_empty());
+        },
+    );
+    assert!(nonempty >= 100, "only {nonempty} of 132 cases had any pair");
 }

@@ -92,9 +92,9 @@ fn spilled_joins_match_in_memory_joins() {
             metrics.total_spilled_runs() > 0,
             "{name}: the budget must actually force spills"
         );
-        if name == "jaccard-vj" {
-            // The flat Jaccard join used to deduplicate twice (a keyed
-            // reduce, then a `distinct` on the ids): one whole extra shuffle.
+        if matches!(name, "vj" | "vj-nl" | "vj-rs" | "jaccard-vj" | "varlen") {
+            // Each pair leaves the kernels once, from the one token group
+            // that owns it: the flat drivers shuffle nothing to deduplicate.
             let dedups: Vec<&str> = metrics
                 .stages
                 .iter()
@@ -102,7 +102,7 @@ fn spilled_joins_match_in_memory_joins() {
                 .map(|s| s.name.as_str())
                 .filter(|n| n.contains("dedup") || n.contains("distinct"))
                 .collect();
-            assert_eq!(dedups, ["jaccard-vj/dedup-pairs"]);
+            assert!(dedups.is_empty(), "{name}: dedup shuffles {dedups:?}");
         }
     }
     assert_eq!(plain.metrics().total_spilled_runs(), 0);

@@ -392,6 +392,25 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
+    /// Merges the partitions into at most `n` without a shuffle (Spark's
+    /// `coalesce`): partition `j` is appended to output partition `j mod n`,
+    /// so the parts of a [`union`](Dataset::union) interleave. Keeps later
+    /// narrow stages at `n` tasks after a union multiplied the partitions.
+    pub fn coalesce(&self, n: usize) -> Dataset<T>
+    where
+        T: Clone,
+    {
+        let n = n.max(1);
+        if self.partitions.len() <= n {
+            return self.clone();
+        }
+        let mut targets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+        for (j, part) in self.partitions.iter().enumerate() {
+            targets[j % n].extend(part.iter().cloned());
+        }
+        Dataset::from_partitions(self.cluster.clone(), targets)
+    }
+
     /// Redistributes records round-robin into `n` partitions (a full
     /// shuffle; used to rebalance after skewed stages).
     pub fn repartition(&self, name: &str, n: usize) -> Dataset<T>
@@ -587,6 +606,22 @@ mod tests {
         let mut all = u.collect();
         all.sort();
         assert_eq!(all, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn coalesce_merges_partitions_without_a_stage() {
+        let c = cluster();
+        let a = c.parallelize(vec![1, 2, 3, 4], 4);
+        let u = a.union(&c.parallelize(vec![5, 6], 2));
+        let stages = c.metrics().stages.len();
+        let merged = u.coalesce(4);
+        assert_eq!(merged.num_partitions(), 4);
+        assert_eq!(merged.partition(0), &[1, 5]);
+        assert_eq!(merged.partition(1), &[2, 6]);
+        assert_eq!(merged.partition(2), &[3]);
+        assert_eq!(c.metrics().stages.len(), stages);
+        // Already at or below `n`: unchanged.
+        assert_eq!(merged.coalesce(8).num_partitions(), 4);
     }
 
     #[test]

@@ -315,8 +315,9 @@ pub struct SplitStats {
 /// `members`; `cross_join(key, left, right)` every qualifying pair with one
 /// side in each. Together with the chunk-pair coverage of
 /// [`SplitPlan::chunk_pairs`] this makes the union of all stage outputs
-/// contain exactly the unsplit join's pairs (pairs found via several keys or
-/// chunks still need the caller's usual deduplication).
+/// contain exactly the unsplit join's pairs, each pair of one key's members
+/// once (a pair found via several keys is the caller's to deduplicate or to
+/// assign to one key).
 ///
 /// Stage names mirror the original CL-P pipeline (`{label}/join-small-groups`,
 /// `…/split-large-groups`, `…/spread-chunks`, `…/join-chunks`,

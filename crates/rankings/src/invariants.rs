@@ -94,6 +94,8 @@ pub fn check_item_sorted(pairs: &[(u32, u16)]) {
     );
 }
 
+// The `*_trips` tests trip a `debug_assert!`, which release builds compile
+// out: they exist in debug builds only.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,36 +117,42 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "merge invariant")]
     fn unsorted_pairs_trip() {
         check_item_sorted(&[(2, 0), (1, 1)]);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "merge invariant")]
     fn duplicate_items_trip() {
         check_item_sorted(&[(1, 0), (1, 1)]);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "Footrule invariant")]
     fn distance_above_max_trips() {
         check_raw_distance(31, 5, 5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "normalization invariant")]
     fn threshold_above_one_trips() {
         check_normalized(1.5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "prefix invariant")]
     fn zero_prefix_trips() {
         check_prefix_len(0, 10);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "verification invariant")]
     fn accepting_beyond_threshold_trips() {
         check_within_threshold(7, 6);

@@ -37,6 +37,10 @@ for run in report["runs"]:
     assert "overlap_pruned" in stats, f"{run['algorithm']}: no overlap_pruned"
     funnel = stats["position_pruned"] + stats["overlap_pruned"] + stats["verified"]
     assert stats["candidates"] == funnel, f"{run['algorithm']}: funnel {stats}"
+    # The flat joins count each result pair once, in its owning group.
+    if run["algorithm"] in ("VJ", "VJ-NL"):
+        assert stats["result_pairs"] == run["pairs"], \
+            f"{run['algorithm']}: {stats['result_pairs']} results for {run['pairs']} pairs"
 print(f"{len(events)} trace events, {len(report['runs'])} run reports")
 EOF
 }
