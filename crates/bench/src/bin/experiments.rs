@@ -127,7 +127,7 @@ struct Options {
     ids: Vec<String>,
     trace_out: Option<String>,
     report_out: Option<String>,
-    live_port: Option<u16>,
+    endpoint_port: Option<u16>,
     metrics_out: Option<String>,
     right: Option<String>,
     arrivals: Option<String>,
@@ -144,7 +144,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut ids = Vec::new();
     let mut trace_out = None;
     let mut report_out = None;
-    let mut live_port = None;
+    let mut endpoint_port = None;
     let mut metrics_out = None;
     let mut right = None;
     let mut arrivals = None;
@@ -169,7 +169,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     "--trace-out" => trace_out = Some(value),
                     "--report-out" => report_out = Some(value),
                     "--live-port" => {
-                        live_port = Some(
+                        endpoint_port = Some(
                             value
                                 .parse::<u16>()
                                 .map_err(|_| format!("--live-port {value}: not a port number"))?,
@@ -196,7 +196,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         ids,
         trace_out,
         report_out,
-        live_port,
+        endpoint_port,
         metrics_out,
         right,
         arrivals,
@@ -221,7 +221,7 @@ impl Options {
         if self.batch_size.is_some() && self.arrivals.is_none() {
             return Err("--batch-size requires --arrivals".into());
         }
-        if self.metrics_out.is_some() && self.live_port.is_none() {
+        if self.metrics_out.is_some() && self.endpoint_port.is_none() {
             return Err(
                 "--metrics-out requires --live-port (telemetry snapshots are only collected \
                  in live-telemetry mode)"
@@ -263,7 +263,7 @@ fn main() {
         ids: args,
         trace_out,
         report_out,
-        live_port,
+        endpoint_port,
         metrics_out,
         right,
         arrivals,
@@ -277,11 +277,11 @@ fn main() {
     };
     let capture = if trace_out.is_some()
         || report_out.is_some()
-        || live_port.is_some()
+        || endpoint_port.is_some()
         || metrics_out.is_some()
     {
         Some(Capture::install_with(CaptureSettings {
-            live_port,
+            endpoint_port,
             metrics_out: metrics_out.clone().map(PathBuf::from),
         }))
     } else {
@@ -402,7 +402,7 @@ mod tests {
             "m.json",
         ]))
         .expect("metrics-out with live-port is valid");
-        assert_eq!(o.live_port, Some(0));
+        assert_eq!(o.endpoint_port, Some(0));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const SNAPSHOTS_SCHEMA: &str = "minispark/telemetry-snapshots/v1";
 pub struct CaptureSettings {
     /// Bind the live `/metrics` + `/snapshot` endpoint on this port
     /// (`0` = ephemeral).
-    pub live_port: Option<u16>,
+    pub endpoint_port: Option<u16>,
     /// Retain each run's final telemetry snapshot for export.
     pub metrics_out: Option<PathBuf>,
 }
@@ -49,7 +49,7 @@ pub struct CaptureSettings {
 impl CaptureSettings {
     /// Whether these settings need telemetry-enabled clusters.
     pub fn telemetry(&self) -> bool {
-        self.live_port.is_some() || self.metrics_out.is_some()
+        self.endpoint_port.is_some() || self.metrics_out.is_some()
     }
 }
 
@@ -60,7 +60,7 @@ pub struct Capture {
     reports: Mutex<Vec<RunReport>>,
     settings: CaptureSettings,
     /// The shared registry slot plus the server holding it open; `None`
-    /// without `live_port` (or if the bind failed — reported, not fatal).
+    /// without `endpoint_port` (or if the bind failed — reported, not fatal).
     live: Option<(TelemetrySource, LiveServer)>,
     snapshots: Mutex<Vec<Json>>,
 }
@@ -76,7 +76,7 @@ impl Capture {
     /// The first installation wins; later calls return it unchanged.
     pub fn install_with(settings: CaptureSettings) -> &'static Capture {
         CAPTURE.get_or_init(|| {
-            let live = settings.live_port.and_then(|port| {
+            let live = settings.endpoint_port.and_then(|port| {
                 let source = TelemetrySource::new(minispark::TelemetryRegistry::enabled());
                 match LiveServer::start(port, source.clone()) {
                     Ok(server) => {
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn any_telemetry_flag_switches_telemetry_on() {
         let live = CaptureSettings {
-            live_port: Some(0),
+            endpoint_port: Some(0),
             ..CaptureSettings::default()
         };
         assert!(live.telemetry());

@@ -124,9 +124,11 @@ pub(crate) fn cl_flavour<M: MetricSpace>(
     };
     pairs.sort_unstable();
     drop(run_span);
+    let stats = stats.snapshot();
+    stats.publish(cluster.telemetry(), label);
     Ok(JoinOutcome {
         pairs,
-        stats: stats.snapshot(),
+        stats,
         elapsed: start.elapsed(),
     })
 }

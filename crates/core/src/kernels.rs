@@ -139,8 +139,10 @@ pub(crate) trait JoinSpace: Clone + Send + Sync + 'static {
 /// leg. The two predicates must only answer `true` when the bound holds for
 /// certain in the space's arithmetic; whatever they leave open is verified.
 pub(crate) trait MetricSpace: JoinSpace {
-    /// Stage-label prefix of the space's CL phases; up to the first `/` it is
-    /// also the `driver` of their live kernel series.
+    /// Stage-label prefix of the space's CL phases (`…/cluster/…`,
+    /// `…/join/…`, `…/expand/…`), shared by CL and CL-P. It names stages
+    /// only: the live series carry the run's own label
+    /// ([`crate::StatsSnapshot::publish`]), so CL-P reports as `cl-p`.
     const CL_STAGES: &'static str;
 
     /// Whether the upper bound `Σ legs` certifies a distance ≤ `theta`.

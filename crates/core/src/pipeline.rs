@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use minispark::shuffle::FastHashMap;
-use minispark::{Cluster, Counter, Dataset, SkewBudget};
+use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation};
 
 use crate::kernels::{cross_loop_by, nested_loop_by, JoinMode, JoinSpace, TokenEntry};
@@ -406,26 +406,14 @@ fn owned_decision<S: JoinSpace>(
     }
 }
 
-/// Live per-driver kernel counters on the cluster's telemetry registry —
-/// no-op handles (one branch per record) when telemetry is off.
-struct LiveKernelCounters {
-    /// Kernel invocations: group self-joins plus sub-partition R-S joins.
-    groups: Counter,
-    /// Result pairs kept by kernels, each pair once (in its owning group).
-    pairs: Counter,
-}
-
-/// Books one kernel invocation and turns its index triples (`i` into `left`,
-/// `j` into `right`; one slice twice for an in-group join) into hits.
+/// Turns one kernel invocation's index triples (`i` into `left`, `j` into
+/// `right`; one slice twice for an in-group join) into hits.
 fn hits_of<D, H>(
     triples: Vec<(usize, usize, D)>,
     left: &[TokenEntry],
     right: &[TokenEntry],
     hit: &impl Fn(&TokenEntry, &TokenEntry, D) -> H,
-    live: &LiveKernelCounters,
 ) -> Vec<H> {
-    live.groups.inc();
-    live.pairs.add_usize(triples.len());
     triples
         .into_iter()
         .map(|(i, j, distance)| {
@@ -456,10 +444,9 @@ fn group_hits<S: JoinSpace, H>(
     mode: JoinMode,
     stats: &JoinStats,
     hit: &impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H,
-    live: &LiveKernelCounters,
 ) -> Vec<H> {
     let triples = nested_loop_by(entries, mode, stats, owned_decision(space, token));
-    hits_of(triples, entries, entries, hit, live)
+    hits_of(triples, entries, entries, hit)
 }
 
 /// The reduce side of every prefix join: group emitted `(token, entry)`
@@ -494,24 +481,6 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
         None => skew.resolve(emitted, label),
     };
 
-    // Live per-driver kernel series: the driver name is the label prefix
-    // before the first '/' ("cl/join" → driver="cl"). All
-    // handles are no-ops when the cluster's telemetry is off.
-    let telemetry = emitted.cluster().telemetry();
-    let driver = label.split('/').next().unwrap_or(label);
-    let live = LiveKernelCounters {
-        groups: telemetry.counter_with("simjoin_kernel_groups_total", &[("driver", driver)]),
-        pairs: telemetry.counter_with("simjoin_result_pairs_total", &[("driver", driver)]),
-    };
-    let live_candidates =
-        telemetry.counter_with("simjoin_kernel_candidates_total", &[("driver", driver)]);
-    let live_verified =
-        telemetry.counter_with("simjoin_kernel_verified_total", &[("driver", driver)]);
-    let live_pruned = telemetry.counter_with("simjoin_kernel_pruned_total", &[("driver", driver)]);
-    let live_overlap_pruned =
-        telemetry.counter_with("simjoin_kernel_overlap_pruned_total", &[("driver", driver)]);
-    let before = stats.snapshot();
-
     // Spark can spill shuffle groups to disk when executor memory runs low
     // (the property §4.1 argues iterator-style processing preserves); the
     // engine reproduces that when the cluster config sets a spill budget.
@@ -521,9 +490,9 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
         emitted.group_by_key(&format!("{label}/group-by-token"), partitions)
     };
 
-    let hits = match delta {
+    match delta {
         None => grouped.flat_map(&format!("{label}/join-groups"), |(token, entries)| {
-            group_hits(*token, entries, space, mode, stats, &hit, &live)
+            group_hits(*token, entries, space, mode, stats, &hit)
         }),
         Some(delta) => {
             let (hits, split) = minispark::skew::split_grouped_join(
@@ -533,12 +502,12 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
                 label,
                 |token, chunk: &[TokenEntry]| {
                     crate::invariants::check_subpartition(chunk.len(), delta);
-                    group_hits(token, chunk, space, mode, stats, &hit, &live)
+                    group_hits(token, chunk, space, mode, stats, &hit)
                 },
                 |token, left: &[TokenEntry], right: &[TokenEntry]| {
                     let triples =
                         cross_loop_by(left, right, mode, stats, owned_decision(space, token));
-                    hits_of(triples, left, right, &hit, &live)
+                    hits_of(triples, left, right, &hit)
                 },
             );
             JoinStats::add(&stats.posting_lists_split, split.groups_split);
@@ -547,17 +516,7 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
             JoinStats::add(&stats.skew_steals, split.stolen_tasks);
             hits
         }
-    };
-
-    // Stages are eager, so the join's filter-cascade counts are fully in
-    // `stats` here; publish the deltas on the live per-driver series.
-    let after = stats.snapshot();
-    live_candidates.add(after.candidates.saturating_sub(before.candidates));
-    live_verified.add(after.verified.saturating_sub(before.verified));
-    live_pruned.add(after.position_pruned.saturating_sub(before.position_pruned));
-    live_overlap_pruned.add(after.overlap_pruned.saturating_sub(before.overlap_pruned));
-
-    hits
+    }
 }
 
 /// Validates that all rankings share one length `k` and have unique ids;

@@ -3,7 +3,9 @@
 //! triangle-inequality prunes, clusters formed, …).
 //!
 //! A [`JoinStats`] is shared via `Arc` into the pipeline closures and
-//! snapshotted at the end of a run. Its counters are atomics, but no task
+//! snapshotted at the end of a run; the driver then publishes the snapshot
+//! to the cluster's telemetry registry ([`StatsSnapshot::publish`]), so the
+//! live series are the run's own numbers. Its counters are atomics, but no task
 //! touches them per pair: a kernel invocation counts into a plain
 //! [`KernelCounts`] it owns and flushes it with one `add` per counter when it
 //! returns, so the shared cache lines move once per group, not four times per
@@ -11,6 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use minispark::TelemetryRegistry;
 use topk_rankings::verify::Verification;
 
 /// Thread-safe counters updated during a join run.
@@ -48,7 +51,8 @@ pub struct JoinStats {
     pub skew_chunks: AtomicU64,
     /// Chunk self-join / chunk-pair R-S tasks that the executor's dynamic
     /// claim placed on a non-home slot (work stealing backfilling idle
-    /// slots; see [`minispark::executor::steal_count`]).
+    /// slots; see [`minispark::executor::steal_count`]). 0 when no group
+    /// was split; otherwise empty tasks that moved count too.
     pub skew_steals: AtomicU64,
 }
 
@@ -197,25 +201,51 @@ pub struct StatsSnapshot {
     pub skew_steals: u64,
 }
 
+impl StatsSnapshot {
+    /// Every counter with its name — the run report's JSON key — in
+    /// declaration order. The display form, the report and the live series
+    /// all read the counters through here, so a new counter is one line.
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("candidates", self.candidates),
+            ("position_pruned", self.position_pruned),
+            ("overlap_pruned", self.overlap_pruned),
+            ("verified", self.verified),
+            ("result_pairs", self.result_pairs),
+            ("triangle_pruned", self.triangle_pruned),
+            ("triangle_accepted", self.triangle_accepted),
+            ("clusters", self.clusters),
+            ("singletons", self.singletons),
+            ("posting_lists_split", self.posting_lists_split),
+            ("rs_joins", self.rs_joins),
+            ("skew_chunks", self.skew_chunks),
+            ("skew_steals", self.skew_steals),
+        ]
+    }
+
+    /// Adds every counter of a finished run to its live series,
+    /// `simjoin_<field>_total{driver="…"}`. A driver calls this once per
+    /// run, with its stage label as `driver`; it is the only place a join's
+    /// counters reach the registry.
+    pub(crate) fn publish(&self, registry: &TelemetryRegistry, driver: &str) {
+        if !registry.is_enabled() {
+            return;
+        }
+        for (name, value) in self.fields() {
+            registry
+                .counter_with(&format!("simjoin_{name}_total"), &[("driver", driver)])
+                .add(value);
+        }
+    }
+}
+
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "candidates={} pos-pruned={} ovl-pruned={} verified={} results={} tri-pruned={} tri-accepted={} clusters={} singletons={} splits={} rs-joins={} skew-chunks={} skew-steals={}",
-            self.candidates,
-            self.position_pruned,
-            self.overlap_pruned,
-            self.verified,
-            self.result_pairs,
-            self.triangle_pruned,
-            self.triangle_accepted,
-            self.clusters,
-            self.singletons,
-            self.posting_lists_split,
-            self.rs_joins,
-            self.skew_chunks,
-            self.skew_steals,
-        )
+        for (i, (name, value)) in self.fields().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}={value}")?;
+        }
+        Ok(())
     }
 }
 
@@ -256,7 +286,7 @@ mod tests {
             snap.candidates,
             snap.position_pruned + snap.overlap_pruned + snap.verified
         );
-        assert!(snap.to_string().contains("ovl-pruned=4"));
+        assert!(snap.to_string().contains("overlap_pruned=4"));
     }
 
     #[test]
@@ -264,7 +294,31 @@ mod tests {
         let stats = JoinStats::default();
         JoinStats::add(&stats.clusters, 3);
         let text = stats.snapshot().to_string();
-        assert!(text.contains("clusters=3"));
+        assert!(text.starts_with("candidates=0 position_pruned=0"), "{text}");
+        assert!(text.contains(" clusters=3 "), "{text}");
+    }
+
+    #[test]
+    fn publish_adds_every_field_under_the_driver_label() {
+        let stats = JoinStats::default();
+        JoinStats::add(&stats.candidates, 7);
+        JoinStats::add(&stats.skew_steals, 2);
+        let snap = stats.snapshot();
+        let registry = TelemetryRegistry::enabled();
+        snap.publish(&registry, "vj");
+        snap.publish(&registry, "vj");
+        let series = |name: &str, driver: &str| {
+            registry
+                .counter_with(&format!("simjoin_{name}_total"), &[("driver", driver)])
+                .get()
+        };
+        for (name, value) in snap.fields() {
+            assert_eq!(series(name, "vj"), 2 * value, "{name}");
+        }
+        assert_eq!(series("candidates", "cl"), 0, "another driver's series");
+        let disabled = TelemetryRegistry::disabled();
+        snap.publish(&disabled, "vj");
+        assert!(disabled.snapshot().metrics.is_empty());
     }
 
     #[test]

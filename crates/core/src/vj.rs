@@ -81,9 +81,11 @@ pub(crate) fn run_prefix_join<S: JoinSpace>(
         "{label}: a pair came out of more than one token group"
     );
     drop(run_span);
+    let stats = stats.snapshot();
+    stats.publish(cluster.telemetry(), label);
     Ok(JoinOutcome {
         pairs,
-        stats: stats.snapshot(),
+        stats,
         elapsed: start.elapsed(),
     })
 }

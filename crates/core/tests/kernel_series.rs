@@ -1,143 +1,189 @@
-//! The live per-driver kernel series.
+//! The live per-driver join series.
 //!
-//! `pipeline::token_grouped_join` owns the
-//! `simjoin_kernel_{groups,candidates,verified,pruned,overlap_pruned}_total{driver=…}`
-//! counters, so every driver that rides it — Footrule, Jaccard,
-//! variable-length — publishes them. For a flat join the grouped join is the
-//! only place that touches `JoinStats`, so the series must equal the run's
-//! final stats; CL-P's clustering and expansion phases bump the same stats
-//! outside the grouped join, so there the series is a non-zero lower bound —
-//! except where the triangle bounds decide every such candidate, as in the
-//! Jaccard CL case below.
+//! Every driver publishes its finished `StatsSnapshot` once, under its own
+//! stage label (`StatsSnapshot::publish`), so each
+//! `simjoin_<field>_total{driver=label}` must equal the run's field exactly —
+//! for the flat joins, the R-S joins, CL, CL-P and the Jaccard CL alike, the
+//! counters booked outside the grouped joins (clustering, expansion, skew
+//! splits) included. Each driver also names the counters its run must move
+//! and the phase spans it must record, so an equality between two zeros
+//! never passes for a check.
 
+use minispark::telemetry::SampleValue;
 use minispark::{Cluster, ClusterConfig, TraceCollector};
 use topk_datagen::CorpusProfile;
-use topk_rankings::Ranking;
 use topk_simjoin::{
-    clp_join, jaccard_cl_join, jaccard_vj_join, varlen_join, vj_join, JaccardConfig, JoinConfig,
-    JoinOutcome,
+    cl_join, cl_join_rs, clp_join, jaccard_cl_join, jaccard_clp_join, jaccard_vj_join,
+    jaccard_vj_join_rs, varlen_join, varlen_join_rs, vj_join, vj_join_rs, vj_nl_join,
+    vj_nl_join_rs, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinOutcome,
 };
 
-fn series(cluster: &Cluster, name: &str, driver: &str) -> u64 {
-    cluster
-        .telemetry()
-        .counter_with(name, &[("driver", driver)])
-        .get()
-}
+/// The phase spans of the flat drivers (`run_prefix_join`).
+const FLAT: &[&str] = &["run", "phase/ordering", "phase/joining"];
+/// The phase spans of the CL drivers (`cl_flavour`).
+const CL: &[&str] = &[
+    "run",
+    "phase/ordering",
+    "phase/clustering",
+    "phase/joining",
+    "phase/expansion",
+    "phase/dedup",
+];
+/// Fields every run must move.
+const JOINED: &[&str] = &["candidates", "verified", "result_pairs"];
+/// The position and overlap filters: runs over rankings, not sets.
+const POSITIONAL: &[&str] = &["position_pruned", "overlap_pruned"];
+/// The clustering and the expansion's triangle bounds.
+const CLUSTERED: &[&str] = &["clusters", "singletons", "triangle_accepted"];
+/// CL-P's and VJ-P's posting-list repartitioning at δ.
+const SPLIT: &[&str] = &["posting_lists_split", "rs_joins", "skew_chunks"];
 
 #[test]
-fn kernel_series_cover_every_driver() {
+fn every_driver_publishes_its_stats_under_its_own_label() {
     let cluster = Cluster::with_trace(
         ClusterConfig::local(2).with_telemetry(),
         TraceCollector::enabled(),
     );
     let data = CorpusProfile::orku_like(300, 10).generate();
-    // θ = 0.1 keeps the position filter active (see vj.rs), so the pruned
-    // series is exercised too.
-    let footrule = JoinConfig::new(0.1).with_partition_threshold(10);
-    let jaccard = JaccardConfig::new(0.4);
+    let (left, right) = data.split_at(150);
+    // θ = 0.1 keeps the position filter active (see vj.rs); δ = 3 makes
+    // every `-p` driver split posting lists (δ = 10 splits none here).
+    let footrule = JoinConfig::new(0.1).with_partition_threshold(3);
+    let jaccard = JaccardConfig::new(0.4).with_partition_threshold(3);
 
-    type Join<'a> = &'a dyn Fn(&[Ranking]) -> JoinOutcome;
-    let flat: [(&str, Join); 3] = [
-        ("vj", &|d| vj_join(&cluster, d, &footrule).unwrap()),
-        ("jaccard-vj", &|d| {
-            jaccard_vj_join(&cluster, d, &jaccard).unwrap()
-        }),
-        ("varlen", &|d| varlen_join(&cluster, d, 11, 0).unwrap()),
+    type Join<'a> = &'a dyn Fn() -> JoinOutcome;
+    type Names = &'static [&'static str];
+    // (label, run, phase spans, field groups the run must move)
+    let drivers: [(&str, Join, Names, &[Names]); 14] = [
+        (
+            "vj",
+            &|| vj_join(&cluster, &data, &footrule).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
+        (
+            "vj-nl",
+            &|| vj_nl_join(&cluster, &data, &footrule).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
+        (
+            "vj-rs",
+            &|| vj_join_rs(&cluster, left, right, &footrule).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
+        (
+            "vj-nl-rs",
+            &|| vj_nl_join_rs(&cluster, left, right, &footrule).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
+        (
+            "vj-p",
+            &|| vj_repartitioned_join(&cluster, &data, &footrule).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL, SPLIT],
+        ),
+        (
+            "cl",
+            &|| cl_join(&cluster, &data, &footrule).unwrap(),
+            CL,
+            &[JOINED, POSITIONAL, CLUSTERED],
+        ),
+        (
+            "cl-p",
+            &|| clp_join(&cluster, &data, &footrule).unwrap(),
+            CL,
+            &[JOINED, POSITIONAL, CLUSTERED, SPLIT],
+        ),
+        (
+            "cl-rs",
+            &|| cl_join_rs(&cluster, left, right, &footrule).unwrap(),
+            CL,
+            &[JOINED, POSITIONAL, CLUSTERED],
+        ),
+        (
+            "jaccard-vj",
+            &|| jaccard_vj_join(&cluster, &data, &jaccard).unwrap(),
+            FLAT,
+            &[JOINED],
+        ),
+        (
+            "jaccard-vj-rs",
+            &|| jaccard_vj_join_rs(&cluster, left, right, &jaccard).unwrap(),
+            FLAT,
+            &[JOINED],
+        ),
+        // Jaccard CL and CL-P share their label: they differ in δ only.
+        (
+            "jaccard-cl",
+            &|| jaccard_cl_join(&cluster, &data, &jaccard).unwrap(),
+            CL,
+            &[JOINED, CLUSTERED],
+        ),
+        (
+            "jaccard-cl",
+            &|| jaccard_clp_join(&cluster, &data, &jaccard).unwrap(),
+            CL,
+            &[JOINED, CLUSTERED, SPLIT],
+        ),
+        (
+            "varlen",
+            &|| varlen_join(&cluster, &data, 11, 0).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
+        (
+            "varlen-rs",
+            &|| varlen_join_rs(&cluster, left, right, 11, 0).unwrap(),
+            FLAT,
+            &[JOINED, POSITIONAL],
+        ),
     ];
-    for (driver, join) in flat {
+
+    for (driver, join, spans, moved) in drivers {
         // Twice on the same cluster: the reset in between is the run
         // boundary, so the second run's series must not carry the first's.
         for run in 0..2 {
             cluster.reset_metrics();
-            let stats = join(&data).stats;
-            assert!(stats.candidates > 0, "{driver}: vacuous run");
-            if driver != "jaccard-vj" {
-                // Sets carry no positions; the other two must exercise the
-                // pruned series with a non-zero value.
-                assert!(stats.position_pruned > 0, "{driver}: nothing pruned");
-                assert!(stats.overlap_pruned > 0, "{driver}: overlap filter idle");
-            }
-            for (name, expected) in [
-                ("simjoin_kernel_candidates_total", stats.candidates),
-                ("simjoin_kernel_verified_total", stats.verified),
-                ("simjoin_kernel_pruned_total", stats.position_pruned),
-                ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
-                ("simjoin_result_pairs_total", stats.result_pairs),
-            ] {
-                assert_eq!(
-                    series(&cluster, name, driver),
-                    expected,
-                    "{driver} run {run}: {name}"
+            let stats = join().stats;
+            let fields = stats.fields();
+            for name in moved.iter().copied().flatten() {
+                let value = fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+                assert!(
+                    value.is_some_and(|v| v > 0),
+                    "{driver}: {name} idle ({stats})"
                 );
             }
-            assert!(series(&cluster, "simjoin_kernel_groups_total", driver) > 0);
+            let series: Vec<(String, u64)> = cluster
+                .telemetry()
+                .snapshot()
+                .metrics
+                .into_iter()
+                .filter(|m| m.name.starts_with("simjoin_"))
+                .filter_map(|m| match m.value {
+                    SampleValue::Counter(v) => Some((m.series(), v)),
+                    _ => None,
+                })
+                .collect();
+            for (name, expected) in fields {
+                let key = format!("simjoin_{name}_total{{driver=\"{driver}\"}}");
+                let live = series.iter().find(|(s, _)| *s == key).map(|&(_, v)| v);
+                assert_eq!(live, Some(expected), "{driver} run {run}: {key}");
+            }
+            // Nothing moved under any other label (CL-P is not `cl`).
+            let label = format!("{{driver=\"{driver}\"}}");
+            for (s, v) in &series {
+                assert!(*v == 0 || s.ends_with(&label), "{driver}: {s} = {v}");
+            }
             let trace = cluster.trace().snapshot();
-            for span in ["run", "phase/ordering", "phase/joining"] {
+            for span in spans {
                 assert!(
                     trace.phases().any(|p| p.name == format!("{driver}/{span}")),
                     "{driver}/{span} span missing"
                 );
             }
         }
-    }
-
-    cluster.reset_metrics();
-    let stats = clp_join(&cluster, &data, &footrule).unwrap().stats;
-    for (name, total) in [
-        ("simjoin_kernel_candidates_total", stats.candidates),
-        ("simjoin_kernel_verified_total", stats.verified),
-        ("simjoin_kernel_pruned_total", stats.position_pruned),
-        ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
-    ] {
-        let live = series(&cluster, name, "cl");
-        assert!(
-            live > 0 && live <= total,
-            "cl-p: {name} = {live} of {total}"
-        );
-    }
-
-    // Jaccard CL rides the one CL driver under its own label, through both
-    // of its grouped joins (clustering, centroids). With θc = 0.05 on 10-sets
-    // a cluster's members are set-duplicates of their centroid (the next
-    // distance up is 2/11), so the triangle bounds decide every candidate of
-    // the clustering and expansion phases: only the grouped joins verify,
-    // and the series equal the final stats here too.
-    cluster.reset_metrics();
-    let stats = jaccard_cl_join(&cluster, &data, &jaccard).unwrap().stats;
-    assert!(stats.candidates > 0, "jaccard-cl: vacuous run");
-    assert!(stats.clusters > 0, "jaccard-cl: no clusters");
-    assert!(
-        stats.triangle_accepted + stats.triangle_pruned > 0,
-        "jaccard-cl: the expansion decided nothing"
-    );
-    for (name, expected) in [
-        ("simjoin_kernel_candidates_total", stats.candidates),
-        ("simjoin_kernel_verified_total", stats.verified),
-        ("simjoin_kernel_pruned_total", stats.position_pruned),
-        ("simjoin_kernel_overlap_pruned_total", stats.overlap_pruned),
-        ("simjoin_result_pairs_total", stats.result_pairs),
-    ] {
-        assert_eq!(
-            series(&cluster, name, "jaccard-cl"),
-            expected,
-            "jaccard-cl: {name}"
-        );
-    }
-    let trace = cluster.trace().snapshot();
-    for span in [
-        "run",
-        "phase/ordering",
-        "phase/clustering",
-        "phase/joining",
-        "phase/expansion",
-        "phase/dedup",
-    ] {
-        assert!(
-            trace
-                .phases()
-                .any(|p| p.name == format!("jaccard-cl/{span}")),
-            "jaccard-cl/{span} span missing"
-        );
     }
 }

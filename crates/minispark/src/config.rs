@@ -36,18 +36,14 @@ pub struct ClusterConfig {
     /// concurrency-checking mode (see [`crate::sched`] and [`crate::check`]).
     pub schedule: Option<Schedule>,
     /// Whether the cluster records live telemetry ([`crate::telemetry`]):
-    /// executor, shuffle, spill and skew counters plus driver-side kernel
-    /// counters. Off by default — every instrument is then a true no-op.
+    /// executor, shuffle and spill series, plus each join run's counters
+    /// once it finishes. Off by default — every instrument is then a true
+    /// no-op.
     pub telemetry: bool,
     /// Sampling interval of the background [`crate::telemetry::Heartbeat`]
     /// sampler. `None` (the default) runs no sampler; `Some(interval)`
     /// implies `telemetry` when set via [`ClusterConfig::with_heartbeat`].
     pub heartbeat_interval: Option<Duration>,
-    /// Loopback port of the live `/metrics` endpoint
-    /// ([`crate::http::LiveServer`]). `None` (the default) serves nothing;
-    /// `Some(0)` binds an ephemeral port (see
-    /// [`crate::dataset::Cluster::live_addr`]).
-    pub live_port: Option<u16>,
 }
 
 impl ClusterConfig {
@@ -78,7 +74,6 @@ impl ClusterConfig {
             schedule: None,
             telemetry: false,
             heartbeat_interval: None,
-            live_port: None,
         }
     }
 
@@ -144,14 +139,6 @@ impl ClusterConfig {
         self.heartbeat_interval = Some(interval);
         self
     }
-
-    /// Returns a copy serving live `/metrics` on `127.0.0.1:port` (implies
-    /// telemetry; `port = 0` binds an ephemeral port).
-    pub fn with_live_port(mut self, port: u16) -> Self {
-        self.telemetry = true;
-        self.live_port = Some(port);
-        self
-    }
 }
 
 impl Default for ClusterConfig {
@@ -167,7 +154,6 @@ impl Default for ClusterConfig {
             schedule: None,
             telemetry: false,
             heartbeat_interval: None,
-            live_port: None,
         }
     }
 }
@@ -222,14 +208,11 @@ mod tests {
     fn telemetry_builders_imply_the_flag() {
         let c = ClusterConfig::local(2);
         assert!(!c.telemetry, "telemetry is opt-in");
-        assert!(c.heartbeat_interval.is_none() && c.live_port.is_none());
+        assert!(c.heartbeat_interval.is_none());
         assert!(ClusterConfig::local(2).with_telemetry().telemetry);
         let hb = ClusterConfig::local(2).with_heartbeat(Duration::from_millis(50));
         assert!(hb.telemetry, "a heartbeat needs a live registry");
         assert_eq!(hb.heartbeat_interval, Some(Duration::from_millis(50)));
-        let live = ClusterConfig::local(2).with_live_port(0);
-        assert!(live.telemetry, "an endpoint needs a live registry");
-        assert_eq!(live.live_port, Some(0));
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //! narrow transformations here, key-based wide transformations in
 //! [`crate::pair`].
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::broadcast::Broadcast;
 use crate::config::ClusterConfig;
 use crate::executor::{run_stage_tasks, steal_count, TaskSpan};
-use crate::http::{LiveServer, TelemetrySource};
 use crate::json::Json;
 use crate::metrics::{MetricsRegistry, MetricsReport, StageMetrics};
 use crate::telemetry::{EngineTelemetry, Heartbeat, TelemetryRegistry};
@@ -26,7 +24,6 @@ pub(crate) struct ClusterInner {
     pub(crate) telemetry: TelemetryRegistry,
     pub(crate) engine: EngineTelemetry,
     pub(crate) heartbeat: Option<Heartbeat>,
-    pub(crate) server: Option<LiveServer>,
 }
 
 /// Handle to the simulated cluster: owns the configuration and the metrics
@@ -58,16 +55,6 @@ impl Cluster {
         let heartbeat = config
             .heartbeat_interval
             .map(|interval| Heartbeat::start(telemetry.clone(), interval));
-        let server = config.live_port.and_then(|port| {
-            match LiveServer::start(port, TelemetrySource::new(telemetry.clone())) {
-                Ok(server) => Some(server),
-                Err(err) => {
-                    // A dead endpoint is a lost observer, not a lost run.
-                    eprintln!("minispark: live endpoint bind on port {port} failed: {err}");
-                    None
-                }
-            }
-        });
         Self {
             inner: Arc::new(ClusterInner {
                 config,
@@ -76,7 +63,6 @@ impl Cluster {
                 telemetry,
                 engine,
                 heartbeat,
-                server,
             }),
         }
     }
@@ -87,17 +73,12 @@ impl Cluster {
     }
 
     /// The cluster's live telemetry registry (disabled — a no-op — unless
-    /// the configuration opted in via [`ClusterConfig::with_telemetry`],
-    /// [`ClusterConfig::with_heartbeat`] or [`ClusterConfig::with_live_port`]).
+    /// the configuration opted in via [`ClusterConfig::with_telemetry`] or
+    /// [`ClusterConfig::with_heartbeat`]). To serve it over HTTP, start a
+    /// [`crate::LiveServer`] over
+    /// `TelemetrySource::new(cluster.telemetry().clone())`.
     pub fn telemetry(&self) -> &TelemetryRegistry {
         &self.inner.telemetry
-    }
-
-    /// Address of the live `/metrics` endpoint, when one is serving (set
-    /// [`ClusterConfig::with_live_port`]; port 0 binds an ephemeral port and
-    /// this reports the one chosen).
-    pub fn live_addr(&self) -> Option<SocketAddr> {
-        self.inner.server.as_ref().map(LiveServer::addr)
     }
 
     /// The `minispark/heartbeat/v1` time series collected so far (`None`
@@ -160,12 +141,13 @@ impl Cluster {
     }
 
     /// Records one finished stage: the only place a [`StageMetrics`] row is
-    /// assembled, its tasks reach the trace and the engine's shuffle-byte
-    /// counter moves. `spans` are the executor's task spans, a wide stage's
-    /// map and reduce waves back to back. A stage that ran on the driver
-    /// (gathering or rearranging data without executor tasks) passes none: it
-    /// occupied no slot, and is traced as one slot-0 task over its wall time
-    /// so the timeline stays gap-free.
+    /// assembled, its tasks reach the trace and the engine's shuffle and
+    /// spill totals move — from the row's own numbers, so the live series
+    /// and the metrics report cannot disagree. `spans` are the executor's
+    /// task spans, a wide stage's map and reduce waves back to back. A stage
+    /// that ran on the driver (gathering or rearranging data without
+    /// executor tasks) passes none: it occupied no slot, and is traced as one
+    /// slot-0 task over its wall time so the timeline stays gap-free.
     pub(crate) fn record_stage(&self, name: &str, start: Instant, spans: &[TaskSpan], io: StageIo) {
         let wall = start.elapsed();
         let on_driver = [TaskSpan {
@@ -177,6 +159,7 @@ impl Cluster {
         }];
         let spans = if spans.is_empty() { &on_driver } else { spans };
         let task_durations: Vec<Duration> = spans.iter().map(TaskSpan::busy).collect();
+        let claims: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
         let id = self.inner.metrics.record(StageMetrics {
             stage_id: 0,
             name: name.to_string(),
@@ -192,11 +175,14 @@ impl Cluster {
             spilled_runs: io.spilled_runs,
             // A wide stage's waves each restart their task indices; steals
             // are counted per wave.
-            stolen_tasks: steal_count(spans, self.config().task_slots()),
+            stolen_tasks: steal_count(&claims, self.config().task_slots()),
         });
         self.inner.trace.record_stage_tasks(id, name, spans);
         let engine = &self.inner.engine;
+        engine.shuffle_records.add_usize(io.shuffled);
         engine.shuffle_bytes.add_usize(io.shuffled * io.record_size);
+        engine.spill_runs.add_usize(io.spilled_runs);
+        engine.spill_bytes.add_usize(io.spilled_bytes);
     }
 
     /// Runs one narrow stage over records the caller keeps: every slice of
@@ -276,6 +262,8 @@ pub(crate) struct StageIo<'a> {
     pub record_size: usize,
     /// Run files the reduce side spilled to disk.
     pub spilled_runs: usize,
+    /// Bytes written into those run files.
+    pub spilled_bytes: usize,
 }
 
 /// An immutable, partitioned collection — the engine's RDD.
@@ -429,13 +417,12 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
         let out_sizes: Vec<usize> = targets.iter().map(Vec::len).collect();
         let moved: usize = out_sizes.iter().sum();
-        self.cluster.inner.engine.shuffle_records.add_usize(moved);
         let io = StageIo {
             input_records: moved,
             out_sizes: &out_sizes,
             shuffled: moved,
             record_size: std::mem::size_of::<T>(),
-            spilled_runs: 0,
+            ..StageIo::default()
         };
         self.cluster.record_stage(name, start, &[], io);
         if self.cluster.inner.trace.is_enabled() && moved > 0 {

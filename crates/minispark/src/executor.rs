@@ -232,10 +232,11 @@ where
     (outputs, TaskTimes { spans })
 }
 
-/// Number of tasks in `spans` that were **stolen**: executed on a different
-/// slot than the static round-robin assignment `task % workers` would use,
-/// where `workers = min(slots, tasks)` is the number of workers the stage
-/// could occupy.
+/// Number of **stolen** tasks among a stage's `(task index, slot)` claims,
+/// in recording order: tasks executed on a different slot than the static
+/// round-robin assignment `task % workers` would use, where
+/// `workers = min(slots, tasks)` is the number of workers the stage could
+/// occupy.
 ///
 /// The executor claims tasks dynamically (atomic cursor), so a fast slot
 /// that runs dry backfills itself with tasks a static scheduler would have
@@ -243,21 +244,14 @@ where
 /// what this counts. Zero means the stage degenerated to the static plan
 /// (always true for one slot or one task); a high count on a split-join
 /// stage means the skew sub-partitions really did migrate to idle slots.
-/// A wide stage's merged map- and reduce-wave spans are counted wave by wave
-/// (see [`steal_count_indexed`]).
-pub fn steal_count(spans: &[TaskSpan], slots: usize) -> usize {
-    let pairs: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
-    steal_count_indexed(&pairs, slots)
-}
-
-/// [`steal_count`] over raw `(task_index, slot)` pairs, in recording order.
 ///
 /// Handles concatenated task waves (a wide stage records its map and reduce
 /// waves back to back, each restarting task indices at 0): waves are
 /// recovered at the task-index resets and counted separately, so one wave's
-/// indices never judge another wave's slots. Used by the trace analytics,
-/// whose [`crate::trace::TaskEvent`]s carry indices but not `Instant`s.
-pub fn steal_count_indexed(pairs: &[(usize, usize)], slots: usize) -> usize {
+/// indices never judge another wave's slots. The stage row
+/// ([`TaskSpan`]s) and the trace analytics ([`crate::trace::TaskEvent`]s)
+/// both count through here.
+pub fn steal_count(pairs: &[(usize, usize)], slots: usize) -> usize {
     let mut total = 0;
     let mut wave_start = 0;
     for idx in 1..=pairs.len() {
@@ -461,77 +455,43 @@ mod tests {
 
     #[test]
     fn steal_count_is_zero_for_static_assignments() {
-        let queued = Instant::now();
-        let span = |task: usize, slot: usize| TaskSpan {
-            task,
-            slot,
-            queued,
-            started: queued,
-            finished: queued,
-        };
         // Perfect round-robin over 2 workers: nothing stolen.
-        let spans: Vec<TaskSpan> = (0..6).map(|t| span(t, t % 2)).collect();
-        assert_eq!(steal_count(&spans, 2), 0);
+        let claims: Vec<(usize, usize)> = (0..6).map(|t| (t, t % 2)).collect();
+        assert_eq!(steal_count(&claims, 2), 0);
         // Sequential path: everything on slot 0, one worker — never a steal.
-        let seq: Vec<TaskSpan> = (0..5).map(|t| span(t, 0)).collect();
+        let seq: Vec<(usize, usize)> = (0..5).map(|t| (t, 0)).collect();
         assert_eq!(steal_count(&seq, 1), 0);
         assert_eq!(steal_count(&[], 4), 0);
     }
 
     #[test]
     fn steal_count_counts_deviations_from_round_robin() {
-        let queued = Instant::now();
-        let span = |task: usize, slot: usize| TaskSpan {
-            task,
-            slot,
-            queued,
-            started: queued,
-            finished: queued,
-        };
         // 4 tasks, 2 workers; tasks 1 and 3 ran on slot 0 instead of 1.
-        let spans = vec![span(0, 0), span(1, 0), span(2, 0), span(3, 0)];
-        assert_eq!(steal_count(&spans, 2), 2);
+        assert_eq!(steal_count(&[(0, 0), (1, 0), (2, 0), (3, 0)], 2), 2);
         // Workers are capped by the task count: 2 tasks on 8 slots means
         // round-robin over 2 workers, so slot 1 running task 1 is home.
-        let spans = vec![span(0, 0), span(1, 1)];
-        assert_eq!(steal_count(&spans, 8), 0);
-        let spans = vec![span(0, 1), span(1, 0)];
-        assert_eq!(steal_count(&spans, 8), 2);
+        assert_eq!(steal_count(&[(0, 0), (1, 1)], 8), 0);
+        assert_eq!(steal_count(&[(0, 1), (1, 0)], 8), 2);
     }
 
     #[test]
     fn steal_count_splits_waves_at_task_resets() {
-        let queued = Instant::now();
-        let span = |task: usize, slot: usize| TaskSpan {
-            task,
-            slot,
-            queued,
-            started: queued,
-            finished: queued,
-        };
         // Two clean round-robin waves of 4 tasks on 2 slots: no steals, and
         // the reset at the second task-0 must not be misread as a deviation.
-        let spans = vec![
-            span(0, 0),
-            span(1, 1),
-            span(2, 0),
-            span(3, 1),
-            span(0, 0),
-            span(1, 1),
-            span(2, 0),
-            span(3, 1),
+        let two_waves = [
+            (0, 0),
+            (1, 1),
+            (2, 0),
+            (3, 1),
+            (0, 0),
+            (1, 1),
+            (2, 0),
+            (3, 1),
         ];
-        assert_eq!(steal_count(&spans, 2), 0);
+        assert_eq!(steal_count(&two_waves, 2), 0);
         // Second wave fully on slot 0 → tasks 1 and 3 are stolen there.
-        let spans = vec![
-            span(0, 0),
-            span(1, 1),
-            span(0, 0),
-            span(1, 0),
-            span(2, 0),
-            span(3, 0),
-        ];
-        assert_eq!(steal_count(&spans, 2), 2);
+        let claims = [(0, 0), (1, 1), (0, 0), (1, 0), (2, 0), (3, 0)];
+        assert_eq!(steal_count(&claims, 2), 2);
         assert_eq!(steal_count(&[], 4), 0);
     }
 
@@ -545,14 +505,10 @@ mod tests {
         let (_, times) = run_tasks(2, inputs, |_, ms| {
             std::thread::sleep(Duration::from_millis(ms));
         });
+        let claims: Vec<(usize, usize)> = times.spans.iter().map(|s| (s.task, s.slot)).collect();
         assert!(
-            steal_count(&times.spans, 2) > 0,
-            "straggler stage showed no dynamic backfill: {:?}",
-            times
-                .spans
-                .iter()
-                .map(|s| (s.task, s.slot))
-                .collect::<Vec<_>>()
+            steal_count(&claims, 2) > 0,
+            "straggler stage showed no dynamic backfill: {claims:?}"
         );
     }
 

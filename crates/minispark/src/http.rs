@@ -8,8 +8,7 @@
 //!   access, both percent-decoded (and `+` is a space in a query string).
 //!   The ranking-similarity serving layer (`topk_simjoin::serving`) runs on
 //!   it.
-//! * [`LiveServer`] — the read-only live metrics plane used by the bench
-//!   harness: `GET /metrics` (Prometheus text exposition 0.0.4) and
+//! * [`LiveServer`] — the read-only live metrics plane: `GET /metrics` (Prometheus text exposition 0.0.4) and
 //!   `GET /snapshot` (the `minispark/telemetry-snapshot/v1` JSON document),
 //!   served from a swappable [`TelemetrySource`].
 //!
@@ -50,8 +49,9 @@
 //! with an interim `100 Continue` before the body is read.
 //!
 //! The registry served by [`LiveServer`] is held behind a swappable
-//! [`TelemetrySource`]: a cluster-owned server serves its own registry for
-//! its whole lifetime, while a long-lived server (the bench harness's
+//! [`TelemetrySource`]: a server started over one cluster's registry
+//! (`TelemetrySource::new(cluster.telemetry().clone())`) serves it for its
+//! whole lifetime, while a long-lived server (the bench harness's
 //! `--live-port`) re-points the source at each new run's cluster without
 //! rebinding the port — which also sidesteps `TIME_WAIT` rebind failures,
 //! since `std` exposes no `SO_REUSEADDR`.

@@ -15,7 +15,7 @@ use crate::codec::Codec;
 use crate::dataset::{Cluster, Dataset, StageIo};
 use crate::executor::{run_stage_tasks, TaskTimes};
 use crate::shuffle::{spread, stable_hash, FastHashMap, FastHashSet, HashPartitioner, Partitioner};
-use crate::spill::external_group_by_probed;
+use crate::spill::external_group_by;
 
 /// Scatters every record of `input` into `targets` buckets according to
 /// `target_of`, in parallel on the map side. Returns the target partitions.
@@ -91,28 +91,10 @@ fn merge_times(a: TaskTimes, b: TaskTimes) -> TaskTimes {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record_wide_stage(
-    cluster: &Cluster,
-    name: &str,
-    start: Instant,
-    times: TaskTimes,
-    input_records: usize,
-    shuffled: usize,
-    out_sizes: &[usize],
-    spilled_runs: usize,
-    record_size: usize,
-) {
-    let io = StageIo {
-        input_records,
-        out_sizes,
-        shuffled,
-        record_size,
-        spilled_runs,
-    };
+fn record_wide_stage(cluster: &Cluster, name: &str, start: Instant, times: TaskTimes, io: StageIo) {
     cluster.record_stage(name, start, &times.spans, io);
     // The reduce side has consumed the flushed records by now.
-    cluster.inner.engine.shuffle_inflight.sub_usize(shuffled);
+    cluster.inner.engine.shuffle_inflight.sub_usize(io.shuffled);
 }
 
 /// Marks the shuffle barrier of a wide stage: called between the map-side
@@ -127,10 +109,8 @@ fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
     if trace.is_enabled() && shuffled > 0 {
         trace.mark(&format!("shuffle-flush/{name}"), shuffled as u64);
     }
-    let engine = &cluster.inner.engine;
-    engine.shuffle_records.add_usize(shuffled);
     // In flight until the reduce wave consumes them (record_wide_stage).
-    engine.shuffle_inflight.add_usize(shuffled);
+    cluster.inner.engine.shuffle_inflight.add_usize(shuffled);
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -159,16 +139,19 @@ where
                 groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
             });
         let out_sizes: Vec<usize> = grouped.iter().map(std::vec::Vec::len).collect();
+        let io = StageIo {
+            input_records,
+            out_sizes: &out_sizes,
+            shuffled,
+            record_size: std::mem::size_of::<(K, V)>(),
+            ..StageIo::default()
+        };
         record_wide_stage(
             self.cluster(),
             name,
             start,
             merge_times(scatter_times, times),
-            input_records,
-            shuffled,
-            &out_sizes,
-            0,
-            std::mem::size_of::<(K, V)>(),
+            io,
         );
         Dataset::from_partitions(self.cluster().clone(), grouped)
     }
@@ -192,17 +175,11 @@ where
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let trace = self.cluster().trace().clone();
-        let spill_probe = self.cluster().inner.engine.spill.clone();
         let probe = &self.cluster().inner.engine.executor;
         let (results, times) =
             run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
-                let result = external_group_by_probed(
-                    part.into_iter(),
-                    budget,
-                    spill_dir.as_deref(),
-                    &spill_probe,
-                )
-                .expect("spill I/O failed");
+                let result = external_group_by(part.into_iter(), budget, spill_dir.as_deref())
+                    .expect("spill I/O failed");
                 if trace.is_enabled() {
                     // One instant event per spilled run file, emitted as the
                     // reduce task merges them back — the timeline counterpart of
@@ -214,22 +191,27 @@ where
                 result
             });
         let mut grouped = Vec::with_capacity(results.len());
-        let mut spilled_runs = 0;
+        let (mut spilled_runs, mut spilled_bytes) = (0, 0);
         for r in results {
             spilled_runs += r.spilled_runs;
+            spilled_bytes += r.spilled_bytes;
             grouped.push(r.groups);
         }
         let out_sizes: Vec<usize> = grouped.iter().map(std::vec::Vec::len).collect();
+        let io = StageIo {
+            input_records,
+            out_sizes: &out_sizes,
+            shuffled,
+            record_size: std::mem::size_of::<(K, V)>(),
+            spilled_runs,
+            spilled_bytes,
+        };
         record_wide_stage(
             self.cluster(),
             name,
             start,
             merge_times(scatter_times, times),
-            input_records,
-            shuffled,
-            &out_sizes,
-            spilled_runs,
-            std::mem::size_of::<(K, V)>(),
+            io,
         );
         Dataset::from_partitions(self.cluster().clone(), grouped)
     }
@@ -262,16 +244,19 @@ where
                 combine_by_key(part.into_iter(), &f)
             });
         let out_sizes: Vec<usize> = reduced.iter().map(std::vec::Vec::len).collect();
+        let io = StageIo {
+            input_records,
+            out_sizes: &out_sizes,
+            shuffled,
+            record_size: std::mem::size_of::<(K, V)>(),
+            ..StageIo::default()
+        };
         record_wide_stage(
             self.cluster(),
             name,
             start,
             merge_times(merge_times(combine_times, scatter_times), reduce_times),
-            input_records,
-            shuffled,
-            &out_sizes,
-            0,
-            std::mem::size_of::<(K, V)>(),
+            io,
         );
         Dataset::from_partitions(self.cluster().clone(), reduced)
     }
@@ -340,16 +325,19 @@ where
             },
         );
         let out_sizes: Vec<usize> = cogrouped.iter().map(std::vec::Vec::len).collect();
+        let io = StageIo {
+            input_records,
+            out_sizes: &out_sizes,
+            shuffled,
+            record_size,
+            ..StageIo::default()
+        };
         record_wide_stage(
             self.cluster(),
             name,
             start,
             merge_times(merge_times(left_times, right_times), times),
-            input_records,
-            shuffled,
-            &out_sizes,
-            0,
-            record_size,
+            io,
         );
         Dataset::from_partitions(self.cluster().clone(), cogrouped)
     }
@@ -369,17 +357,14 @@ where
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let out_sizes: Vec<usize> = scattered.iter().map(std::vec::Vec::len).collect();
-        record_wide_stage(
-            self.cluster(),
-            name,
-            start,
-            scatter_times,
+        let io = StageIo {
             input_records,
+            out_sizes: &out_sizes,
             shuffled,
-            &out_sizes,
-            0,
-            std::mem::size_of::<(K, V)>(),
-        );
+            record_size: std::mem::size_of::<(K, V)>(),
+            ..StageIo::default()
+        };
+        record_wide_stage(self.cluster(), name, start, scatter_times, io);
         Dataset::from_partitions(self.cluster().clone(), scattered)
     }
 
@@ -435,16 +420,19 @@ where
                 out
             });
         let out_sizes: Vec<usize> = deduped.iter().map(std::vec::Vec::len).collect();
+        let io = StageIo {
+            input_records,
+            out_sizes: &out_sizes,
+            shuffled,
+            record_size: std::mem::size_of::<T>(),
+            ..StageIo::default()
+        };
         record_wide_stage(
             self.cluster(),
             name,
             start,
             merge_times(scatter_times, times),
-            input_records,
-            shuffled,
-            &out_sizes,
-            0,
-            std::mem::size_of::<T>(),
+            io,
         );
         Dataset::from_partitions(self.cluster().clone(), deduped)
     }

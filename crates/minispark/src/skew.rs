@@ -301,7 +301,8 @@ pub struct SplitStats {
     pub rs_joins: u64,
     /// Tasks of the chunk self-join and chunk-pair R-S stages that the
     /// dynamic claim placed on a non-home slot (work stealing; see
-    /// [`crate::executor::steal_count`]).
+    /// [`crate::executor::steal_count`]). 0 when no group was split;
+    /// otherwise empty tasks that moved count too.
     pub stolen_tasks: u64,
 }
 
@@ -427,32 +428,35 @@ where
     );
     let hits = small.union(&self_hits).union(&rs_results);
 
+    // relaxed(read-after-join): the eager stages finished — no writers remain.
+    let groups_split = groups_split.load(Ordering::Relaxed);
     // Steal accounting: sum the stolen-task counts of the chunk-bearing
     // stages this call just recorded (the before/after slice keeps repeated
-    // joins on one cluster from double counting).
+    // joins on one cluster from double counting). With no group split those
+    // stages run only their `2 × partitions` empty tasks, so the count is 0.
+    // Once a group splits, every moved task counts, empty ones included.
     let join_chunks = format!("{label}/join-chunks");
     let rs_join_chunks = format!("{label}/rs-join-chunks");
-    let stolen_tasks: u64 = cluster
-        .metrics()
-        .stages
-        .iter()
-        .skip(stages_before)
-        .filter(|s| s.name == join_chunks || s.name == rs_join_chunks)
-        .map(|s| s.stolen_tasks as u64)
-        .sum();
+    let stolen_tasks: u64 = if groups_split == 0 {
+        0
+    } else {
+        cluster
+            .metrics()
+            .stages
+            .iter()
+            .skip(stages_before)
+            .filter(|s| s.name == join_chunks || s.name == rs_join_chunks)
+            .map(|s| s.stolen_tasks as u64)
+            .sum()
+    };
 
     let stats = SplitStats {
-        // relaxed(read-after-join): the eager stages finished — no writers remain.
-        groups_split: groups_split.load(Ordering::Relaxed),
+        groups_split,
+        // relaxed(read-after-join): as above.
         chunks: chunks_created.load(Ordering::Relaxed),
         rs_joins: rs_joins.load(Ordering::Relaxed),
         stolen_tasks,
     };
-    let engine = &cluster.inner.engine;
-    engine.skew_groups_split.add(stats.groups_split);
-    engine.skew_chunks.add(stats.chunks);
-    engine.skew_rs_joins.add(stats.rs_joins);
-    engine.skew_steals.add(stats.stolen_tasks);
     (hits, stats)
 }
 
@@ -638,7 +642,15 @@ mod tests {
     }
 
     fn run_split(groups: Vec<(u32, Vec<u32>)>, budget: usize) -> (HashSet<(u32, u32)>, SplitStats) {
-        let c = Cluster::new(ClusterConfig::local(4));
+        run_split_on(ClusterConfig::local(4), groups, budget)
+    }
+
+    fn run_split_on(
+        config: ClusterConfig,
+        groups: Vec<(u32, Vec<u32>)>,
+        budget: usize,
+    ) -> (HashSet<(u32, u32)>, SplitStats) {
+        let c = Cluster::new(config);
         let grouped = c.parallelize(groups, 3);
         let (hits, stats) = split_grouped_join(
             &grouped,
@@ -705,5 +717,21 @@ mod tests {
         assert_eq!(stats.groups_split, 1);
         assert_eq!(stats.chunks, 4);
         assert_eq!(stats.rs_joins, 6);
+    }
+
+    /// The reversed schedule claims every task of an 8-task stage on 4 slots
+    /// off its round-robin slot. A split join's chunk stages count those
+    /// claims as steals; a join that splits nothing runs only the chunk
+    /// stages' empty tasks and reports 0.
+    #[test]
+    fn steals_are_counted_only_when_a_group_splits() {
+        let config = ClusterConfig::local(4).with_schedule(crate::sched::Schedule::Reversed);
+        let groups = vec![(1u32, (0..10).collect::<Vec<u32>>()), (2, vec![100, 101])];
+        let (_, split) = run_split_on(config.clone(), groups.clone(), 3);
+        assert_eq!(split.groups_split, 1);
+        assert!(split.stolen_tasks > 0, "{split:?}");
+        let (_, unsplit) = run_split_on(config, groups, 10);
+        assert_eq!(unsplit.groups_split, 0);
+        assert_eq!(unsplit.stolen_tasks, 0, "{unsplit:?}");
     }
 }

@@ -25,16 +25,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::Codec;
-use crate::telemetry::SpillProbe;
 
 /// Result of an external group-by: the grouped records plus how many run
-/// files had to be spilled (0 = everything fit in memory).
+/// files, of how many bytes, had to be spilled (0 = everything fit in
+/// memory).
 #[derive(Debug)]
 pub struct ExternalGroupByResult<K, V> {
     /// The grouped output, sorted by key.
     pub groups: Vec<(K, Vec<V>)>,
     /// Number of run files written to disk.
     pub spilled_runs: usize,
+    /// Bytes written into those run files.
+    pub spilled_bytes: usize,
 }
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -69,7 +71,7 @@ impl RunWriter {
     }
 
     /// Writes one entry; returns the bytes it occupies on disk (payload plus
-    /// length prefix), feeding the spill-bytes telemetry.
+    /// length prefix).
     fn write_entry<K: Codec, V: Codec>(&mut self, key: &K, values: &Vec<V>) -> io::Result<usize> {
         let mut buf = Vec::new();
         key.encode(&mut buf);
@@ -144,40 +146,21 @@ where
     V: Codec,
     I: Iterator<Item = (K, V)>,
 {
-    external_group_by_probed(records, record_budget, spill_dir, &SpillProbe::disabled())
-}
-
-/// [`external_group_by`] with live telemetry: every finished run ticks the
-/// probe's run counter and adds the run's on-disk bytes. A disabled probe
-/// makes this identical to the plain version.
-pub fn external_group_by_probed<K, V, I>(
-    records: I,
-    record_budget: usize,
-    spill_dir: Option<&Path>,
-    probe: &SpillProbe,
-) -> io::Result<ExternalGroupByResult<K, V>>
-where
-    K: Codec + Ord + Clone,
-    V: Codec,
-    I: Iterator<Item = (K, V)>,
-{
     let record_budget = record_budget.max(1);
     let mut in_memory: BTreeMap<K, Vec<V>> = BTreeMap::new();
     let mut buffered = 0usize;
     let mut runs: Vec<RunReader> = Vec::new();
+    let mut spilled_bytes = 0usize;
 
     for (k, v) in records {
         in_memory.entry(k).or_default().push(v);
         buffered += 1;
         if buffered >= record_budget {
             let mut writer = RunWriter::create(spill_dir)?;
-            let mut run_bytes = 0usize;
             for (key, values) in std::mem::take(&mut in_memory) {
-                run_bytes += writer.write_entry(&key, &values)?;
+                spilled_bytes += writer.write_entry(&key, &values)?;
             }
             runs.push(writer.finish()?);
-            probe.runs.inc();
-            probe.bytes.add_usize(run_bytes);
             // A finished run is a durability boundary other tasks could
             // observe — announce it to the schedule-exploration harness.
             crate::sched::yield_point("spill-run");
@@ -190,6 +173,7 @@ where
         return Ok(ExternalGroupByResult {
             groups: in_memory.into_iter().collect(),
             spilled_runs,
+            spilled_bytes,
         });
     }
 
@@ -267,6 +251,7 @@ where
     Ok(ExternalGroupByResult {
         groups,
         spilled_runs,
+        spilled_bytes,
     })
 }
 
@@ -354,14 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_counts_runs_and_bytes() {
-        let registry = crate::telemetry::TelemetryRegistry::enabled();
-        let probe = SpillProbe::register(&registry);
+    fn reports_the_bytes_its_runs_hold() {
         let records: Vec<(u32, u64)> = (0..200).map(|n| (n % 11, u64::from(n))).collect();
-        let result = external_group_by_probed(records.into_iter(), 50, None, &probe).unwrap();
-        assert!(result.spilled_runs > 0);
-        assert_eq!(probe.runs.get(), result.spilled_runs as u64);
-        assert!(probe.bytes.get() > 0, "runs carry bytes");
+        let spilled = external_group_by(records.clone().into_iter(), 50, None).unwrap();
+        assert_eq!(spilled.spilled_runs, 4);
+        // Every run holds its entries' length prefixes and encodings, so
+        // four runs hold more than four prefixes' worth.
+        assert!(spilled.spilled_bytes > 4 * 4, "{}", spilled.spilled_bytes);
+        let in_memory = external_group_by(records.into_iter(), usize::MAX, None).unwrap();
+        assert_eq!((in_memory.spilled_runs, in_memory.spilled_bytes), (0, 0));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::executor::{steal_count_indexed, TaskSpan};
+use crate::executor::{steal_count, TaskSpan};
 use crate::json::Json;
 
 /// One executed task: where it ran and the queued/started/finished split.
@@ -474,7 +474,7 @@ fn stage_analytics(stage_id: usize, tasks: &[&TaskEvent], slots: usize) -> Stage
     // Recording order is preserved per stage, so wide stages' concatenated
     // map/reduce waves split correctly at their task-index resets.
     let pairs: Vec<(usize, usize)> = tasks.iter().map(|t| (t.task, t.slot)).collect();
-    let stolen_tasks = steal_count_indexed(&pairs, slots);
+    let stolen_tasks = steal_count(&pairs, slots);
     let mut waits: Vec<Duration> = tasks.iter().map(|t| t.queue_wait()).collect();
     waits.sort_unstable();
     #[expect(

@@ -12,7 +12,9 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use minispark::telemetry::{SampleValue, HEARTBEAT_SCHEMA, SNAPSHOT_SCHEMA};
-use minispark::{check_determinism, schedule_matrix, Cluster, ClusterConfig, Json};
+use minispark::{
+    check_determinism, schedule_matrix, Cluster, ClusterConfig, Json, LiveServer, TelemetrySource,
+};
 
 /// A small shuffle-heavy workload with a verifiable answer.
 fn run_workload(cluster: &Cluster) -> Vec<(u32, u64)> {
@@ -120,6 +122,41 @@ fn two_runs_on_one_cluster_do_not_bleed() {
     );
 }
 
+/// The shuffle and spill totals move only where a stage row is recorded, so
+/// after a spilling run they equal the metrics report's sums exactly.
+#[test]
+fn shuffle_and_spill_totals_equal_the_stage_rows() {
+    let cluster = Cluster::new(
+        ClusterConfig::local(2)
+            .with_telemetry()
+            .with_spill_budget(16),
+    );
+    let records: Vec<(u32, u64)> = (0..400u32).map(|n| (n % 23, u64::from(n))).collect();
+    let grouped = cluster
+        .parallelize(records, 8)
+        .group_by_key_spilling("group", 4)
+        .repartition("rebalance", 3);
+    assert_eq!(grouped.count(), 23);
+    run_workload(&cluster);
+
+    let metrics = cluster.metrics();
+    let total = |n: usize| u64::try_from(n).expect("fits u64");
+    assert!(metrics.total_spilled_runs() > 0, "a budget of 16 spills");
+    assert_eq!(
+        counter_value(&cluster, "minispark_spill_runs_total"),
+        total(metrics.total_spilled_runs())
+    );
+    assert!(counter_value(&cluster, "minispark_spill_bytes_total") > 0);
+    assert_eq!(
+        counter_value(&cluster, "minispark_shuffle_records_total"),
+        total(metrics.total_shuffle_records())
+    );
+    assert_eq!(
+        counter_value(&cluster, "minispark_shuffle_bytes_total"),
+        total(metrics.total_shuffle_bytes())
+    );
+}
+
 #[test]
 fn heartbeat_collects_a_time_series() {
     let config = ClusterConfig::local(2).with_heartbeat(Duration::from_millis(1));
@@ -167,9 +204,11 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn live_endpoint_serves_prometheus_and_json_over_tcp() {
+    let cluster = Cluster::new(ClusterConfig::local(2).with_telemetry());
     // Port 0: the OS picks a free port — parallel test runs never collide.
-    let cluster = Cluster::new(ClusterConfig::local(2).with_live_port(0));
-    let addr = cluster.live_addr().expect("server bound");
+    let server = LiveServer::start(0, TelemetrySource::new(cluster.telemetry().clone()))
+        .expect("ephemeral bind");
+    let addr = server.addr();
     run_workload(&cluster);
 
     let metrics = get(addr, "/metrics");

@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use minispark::{Cluster, ClusterConfig};
+use minispark::{Cluster, ClusterConfig, LiveServer, TelemetrySource};
 use topk_datagen::CorpusProfile;
 use topk_simjoin::{Algorithm, JoinConfig, RunReport};
 
@@ -37,14 +37,17 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 fn main() {
-    // Telemetry + heartbeat + live endpoint, all from the cluster config.
-    // Port 9898 keeps the curl commands above copy-pasteable; if it is
-    // taken, the cluster logs the bind failure and runs without the server.
+    // Telemetry + heartbeat from the cluster config, and an endpoint over
+    // the cluster's registry. Port 9898 keeps the curl commands above
+    // copy-pasteable; if it is taken, the example runs without the server.
     let config = ClusterConfig::local(4)
         .with_default_partitions(32)
-        .with_heartbeat(Duration::from_millis(25))
-        .with_live_port(9898);
+        .with_heartbeat(Duration::from_millis(25));
     let cluster = Cluster::new(config);
+    let server = LiveServer::start(9898, TelemetrySource::new(cluster.telemetry().clone()))
+        .map_err(|err| eprintln!("live endpoint bind on port 9898 failed: {err}"))
+        .ok();
+    let addr = server.as_ref().map(LiveServer::addr);
 
     // A Zipf-skewed corpus: a few hot tokens concentrate the join work, so
     // the skew counters and the occupancy story have something to show.
@@ -61,7 +64,6 @@ fn main() {
     let join_config = JoinConfig::new(0.3).with_partition_threshold(100);
 
     // Scrape mid-run from a watcher thread while the join executes.
-    let addr = cluster.live_addr();
     let watcher = addr.map(|addr| {
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
@@ -90,14 +92,13 @@ fn main() {
         }
     }
 
-    // The full exposition after the run: counters, gauges, histograms.
-    if let Some(addr) = cluster.live_addr() {
+    // The full exposition after the run: counters, gauges, histograms. The
+    // run published its counters once, as it finished, under `cl-p`.
+    if let Some(addr) = addr {
         let exposition = scrape(addr, "/metrics");
         let body = exposition.split("\r\n\r\n").nth(1).unwrap_or(&exposition);
-        println!("\n== final /metrics (kernel + skew series) ==");
-        for line in body.lines().filter(|l| {
-            !l.starts_with('#') && (l.starts_with("simjoin_") || l.starts_with("minispark_skew"))
-        }) {
+        println!("\n== final /metrics (the run's join series) ==");
+        for line in body.lines().filter(|l| l.starts_with("simjoin_")) {
             println!("{line}");
         }
     }
