@@ -6,7 +6,7 @@
 //! experiments [fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table3|all] …
 //!             [rs --right <path>] [arrivals --arrivals <path> [--batch-size <n>]]
 //!             [--scale <f>] [--trace-out <path>] [--report-out <path>]
-//!             [--live-port <port>] [--metrics-out <path>]
+//!             [--live-port <port>]
 //!
 //! TOPK_SCALE=2.0 experiments fig6     # run at twice the default size
 //! experiments fig6 --scale 0.05 --trace-out trace.json --report-out run.json
@@ -16,15 +16,15 @@
 //! ```
 //!
 //! Results are printed to stdout and also written to `results/<id>.csv`.
-//! With `--trace-out`, every run records onto one shared trace timeline and
-//! a Chrome `trace_event` document (Perfetto-loadable) is written at the
-//! end; with `--report-out`, one JSON run report per measured run (metrics,
+//! With `--trace-out`, every run records its phases onto one shared trace
+//! timeline and a Chrome `trace_event` document (Perfetto-loadable) is
+//! written at the end, drawing those phases with every run's task spans;
+//! with `--report-out`, one JSON run report per measured run (metrics,
 //! stats, configs, executor analytics, heartbeat) is written. `--live-port`
 //! serves live Prometheus `/metrics` and JSON `/snapshot` for the run in
-//! flight (port 0 picks an ephemeral port), and `--metrics-out` writes every
-//! run's final telemetry snapshot as one JSON batch (it requires
-//! `--live-port`, which switches measured clusters to telemetry + heartbeat
-//! mode). `--scale` is a command-line synonym for the `TOPK_SCALE`
+//! flight (port 0 picks an ephemeral port) and switches measured clusters to
+//! telemetry + heartbeat mode, so each run report ends with a sample of the
+//! whole registry. `--scale` is a command-line synonym for the `TOPK_SCALE`
 //! environment variable.
 //!
 //! The `rs` experiment joins the scaled ORKU-like corpus (left) against the
@@ -32,9 +32,8 @@
 //! streams the file named by `--arrivals` against the same corpus in
 //! mini-batches of `--batch-size` (default 64). Inconsistent flag combos —
 //! `--right` together with `--arrivals`, `--batch-size` without
-//! `--arrivals`, `--metrics-out` without `--live-port`, or an `rs`/
-//! `arrivals` id without its input file (and vice versa) — are hard usage
-//! errors, not silently ignored.
+//! `--arrivals`, or an `rs`/`arrivals` id without its input file (and vice
+//! versa) — are hard usage errors, not silently ignored.
 
 use std::path::PathBuf;
 
@@ -128,14 +127,13 @@ struct Options {
     trace_out: Option<String>,
     report_out: Option<String>,
     endpoint_port: Option<u16>,
-    metrics_out: Option<String>,
     right: Option<String>,
     arrivals: Option<String>,
     batch_size: Option<usize>,
 }
 
 /// Splits the value-taking flags (`--scale`, `--trace-out`, `--report-out`,
-/// `--live-port`, `--metrics-out`, `--right`, `--arrivals`, `--batch-size`)
+/// `--live-port`, `--right`, `--arrivals`, `--batch-size`)
 /// from the experiment ids, then rejects inconsistent combinations — a
 /// flag that contradicts another flag or an id that is missing its operand
 /// is a usage error, never silently ignored. `--scale` is applied to
@@ -145,15 +143,14 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut trace_out = None;
     let mut report_out = None;
     let mut endpoint_port = None;
-    let mut metrics_out = None;
     let mut right = None;
     let mut arrivals = None;
     let mut batch_size = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--scale" | "--trace-out" | "--report-out" | "--live-port" | "--metrics-out"
-            | "--right" | "--arrivals" | "--batch-size" => {
+            "--scale" | "--trace-out" | "--report-out" | "--live-port" | "--right"
+            | "--arrivals" | "--batch-size" => {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("{arg} requires a value"))?;
@@ -177,13 +174,12 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     }
                     "--right" => right = Some(value),
                     "--arrivals" => arrivals = Some(value),
-                    "--batch-size" => {
+                    _ => {
                         batch_size =
                             Some(value.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(
                                 || format!("--batch-size {value}: not a positive integer"),
                             )?);
                     }
-                    _ => metrics_out = Some(value),
                 }
             }
             other if other.starts_with("--") => {
@@ -197,7 +193,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         trace_out,
         report_out,
         endpoint_port,
-        metrics_out,
         right,
         arrivals,
         batch_size,
@@ -220,13 +215,6 @@ impl Options {
         }
         if self.batch_size.is_some() && self.arrivals.is_none() {
             return Err("--batch-size requires --arrivals".into());
-        }
-        if self.metrics_out.is_some() && self.endpoint_port.is_none() {
-            return Err(
-                "--metrics-out requires --live-port (telemetry snapshots are only collected \
-                 in live-telemetry mode)"
-                    .into(),
-            );
         }
         let wants_rs = self.ids.iter().any(|id| id == "rs");
         let wants_arrivals = self.ids.iter().any(|id| id == "arrivals");
@@ -264,7 +252,6 @@ fn main() {
         trace_out,
         report_out,
         endpoint_port,
-        metrics_out,
         right,
         arrivals,
         batch_size,
@@ -275,15 +262,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let capture = if trace_out.is_some()
-        || report_out.is_some()
-        || endpoint_port.is_some()
-        || metrics_out.is_some()
-    {
-        Some(Capture::install_with(CaptureSettings {
-            endpoint_port,
-            metrics_out: metrics_out.clone().map(PathBuf::from),
-        }))
+    let capture = if trace_out.is_some() || report_out.is_some() || endpoint_port.is_some() {
+        Some(Capture::install_with(CaptureSettings { endpoint_port }))
     } else {
         None
     };
@@ -342,8 +322,12 @@ fn main() {
     }
 
     let Some(capture) = capture else { return };
+    let reports = capture.reports();
     if let Some(path) = trace_out {
-        let text = minispark::trace::chrome_trace_json(&capture.trace().snapshot());
+        let text = minispark::trace::chrome_trace_json(
+            &capture.trace().snapshot(),
+            reports.iter().flat_map(|r| &r.metrics.stages),
+        );
         // Self-check: the emitted document must parse back.
         if let Err(e) = Json::parse(&text) {
             eprintln!("# internal error: chrome trace does not parse: {e}");
@@ -352,16 +336,12 @@ fn main() {
         write_output(&path, &text, "Chrome trace");
     }
     if let Some(path) = report_out {
-        let doc = topk_simjoin::runs_to_json(&capture.reports());
+        let doc = topk_simjoin::runs_to_json(&reports);
         if let Err(e) = topk_simjoin::report::validate(&doc) {
             eprintln!("# internal error: run report fails validation: {e}");
             std::process::exit(1);
         }
         write_output(&path, &doc.render(), "run report");
-    }
-    if let Some(path) = metrics_out {
-        let doc = capture.metrics_document();
-        write_output(&path, &doc.render(), "telemetry snapshots");
     }
 }
 
@@ -394,14 +374,7 @@ mod tests {
             parse_args(args(&["arrivals", "--arrivals", "s.txt"])).expect("batch size is optional");
         assert_eq!(o.batch_size, None);
 
-        let o = parse_args(args(&[
-            "fig6",
-            "--live-port",
-            "0",
-            "--metrics-out",
-            "m.json",
-        ]))
-        .expect("metrics-out with live-port is valid");
+        let o = parse_args(args(&["fig6", "--live-port", "0"])).expect("valid live invocation");
         assert_eq!(o.endpoint_port, Some(0));
     }
 
@@ -414,10 +387,6 @@ mod tests {
         let e = parse_args(args(&["fig6", "--batch-size", "8"]))
             .expect_err("batch-size without arrivals");
         assert!(e.contains("--batch-size requires --arrivals"), "{e}");
-
-        let e = parse_args(args(&["fig6", "--metrics-out", "m.json"]))
-            .expect_err("metrics-out without live-port");
-        assert!(e.contains("--metrics-out requires --live-port"), "{e}");
     }
 
     #[test]

@@ -4,27 +4,26 @@
 //! per measured run, so a trace/report consumer cannot simply hold a cluster
 //! handle. Instead, a harness frontend (the `experiments` binary, an
 //! example) [`Capture::install`]s a process-wide capture once; from then on
-//! every `measure*` call runs its cluster with a [`TraceCollector::fork`] of
-//! the shared collector, merges the run's events back (one comparable
-//! timeline across runs) and pushes a [`RunReport`].
+//! every `measure*` call builds its cluster on the capture's one shared
+//! collector (every run's phases and marks on one timeline) and pushes a
+//! [`RunReport`], whose stage rows carry the run's task spans. The Chrome
+//! export draws the collector's snapshot together with those rows.
 //!
 //! [`Capture::install_with`] additionally switches on the live metrics
 //! plane: every measured cluster runs with telemetry and a heartbeat
-//! sampler, an optional capture-owned HTTP endpoint serves `/metrics` and
-//! `/snapshot` across runs (each new cluster's registry is swapped into the
-//! shared [`TelemetrySource`], so one bound port outlives every short-lived
-//! cluster), and each run's final telemetry snapshot is retained for a
-//! `--metrics-out` style export.
+//! sampler (its series ends up in the run's report), and a capture-owned
+//! HTTP endpoint serves `/metrics` and `/snapshot` across runs (each new
+//! cluster's registry is swapped into the shared [`TelemetrySource`], so one
+//! bound port outlives every short-lived cluster).
 //!
 //! When nothing is installed the harness behaves exactly as before: clusters
 //! get the default disabled collector, telemetry stays a no-op, and the
 //! measured runs pay nothing.
 
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-use minispark::{Cluster, ClusterConfig, Json, LiveServer, TelemetrySource, TraceCollector};
+use minispark::{Cluster, ClusterConfig, LiveServer, TelemetrySource, TraceCollector};
 use topk_simjoin::RunReport;
 
 static CAPTURE: OnceLock<Capture> = OnceLock::new();
@@ -33,24 +32,13 @@ static CAPTURE: OnceLock<Capture> = OnceLock::new();
 /// under the ≤2% overhead budget, fine enough to resolve per-stage shape.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
-/// Schema identifier of the [`Capture::metrics_document`] batch.
-pub const SNAPSHOTS_SCHEMA: &str = "minispark/telemetry-snapshots/v1";
-
 /// Telemetry options of one capture installation.
 #[derive(Debug, Default, Clone)]
 pub struct CaptureSettings {
     /// Bind the live `/metrics` + `/snapshot` endpoint on this port
-    /// (`0` = ephemeral).
+    /// (`0` = ephemeral); measured clusters then run with telemetry and a
+    /// heartbeat.
     pub endpoint_port: Option<u16>,
-    /// Retain each run's final telemetry snapshot for export.
-    pub metrics_out: Option<PathBuf>,
-}
-
-impl CaptureSettings {
-    /// Whether these settings need telemetry-enabled clusters.
-    pub fn telemetry(&self) -> bool {
-        self.endpoint_port.is_some() || self.metrics_out.is_some()
-    }
 }
 
 /// The process-wide trace collector and run-report accumulator.
@@ -62,7 +50,6 @@ pub struct Capture {
     /// The shared registry slot plus the server holding it open; `None`
     /// without `endpoint_port` (or if the bind failed — reported, not fatal).
     live: Option<(TelemetrySource, LiveServer)>,
-    snapshots: Mutex<Vec<Json>>,
 }
 
 impl Capture {
@@ -94,7 +81,6 @@ impl Capture {
                 reports: Mutex::new(Vec::new()),
                 settings,
                 live,
-                snapshots: Mutex::new(Vec::new()),
             }
         })
     }
@@ -105,8 +91,7 @@ impl Capture {
         CAPTURE.get()
     }
 
-    /// The shared collector (fork it per run; merge back with
-    /// [`TraceCollector::extend`]).
+    /// The shared collector every measured cluster records onto.
     pub fn trace(&self) -> &TraceCollector {
         &self.trace
     }
@@ -121,39 +106,22 @@ impl Capture {
         self.live.as_ref().map(|(_, server)| server.addr())
     }
 
-    /// Applies the capture's telemetry settings to a run's cluster config:
-    /// with telemetry on, every measured cluster also runs the heartbeat
-    /// sampler so its reports carry the time series.
-    pub fn cluster_config(&self, config: ClusterConfig) -> ClusterConfig {
-        if self.settings.telemetry() {
+    /// A cluster for one measured run, recording onto the shared collector.
+    /// With an endpoint port set, it also runs telemetry and the heartbeat
+    /// sampler (so its report carries the time series), and the live
+    /// endpoint is pointed at its registry: scrapes observe the new run
+    /// without the server rebinding.
+    pub fn cluster(&self, config: ClusterConfig) -> Cluster {
+        let config = if self.settings.endpoint_port.is_some() {
             config.with_heartbeat(HEARTBEAT_INTERVAL)
         } else {
             config
-        }
-    }
-
-    /// Points the live endpoint at `cluster`'s registry. Call right after
-    /// creating each measured cluster; scrapes then observe the new run
-    /// without the server rebinding.
-    pub fn attach(&self, cluster: &Cluster) {
+        };
+        let cluster = Cluster::with_trace(config, self.trace.clone());
         if let Some((source, _)) = &self.live {
             source.set(cluster.telemetry().clone());
         }
-    }
-
-    /// Records the end of one measured run: retains the cluster's final
-    /// telemetry snapshot (when telemetry is on) for [`Self::metrics_document`].
-    pub fn finish_run(&self, cluster: &Cluster) {
-        if cluster.telemetry().is_enabled() {
-            // Snapshot first: it takes the registry lock internally, and a
-            // concurrent scrape must never wait on the snapshots lock (and
-            // vice versa) just because a run happened to finish.
-            let doc = cluster.telemetry().snapshot().to_json();
-            self.snapshots
-                .lock()
-                .expect("capture snapshot lock poisoned")
-                .push(doc);
-        }
+        cluster
     }
 
     /// Appends one finished run's report.
@@ -170,42 +138,5 @@ impl Capture {
             .lock()
             .expect("capture report lock poisoned")
             .clone()
-    }
-
-    /// All retained per-run telemetry snapshots as one
-    /// `minispark/telemetry-snapshots/v1` document.
-    pub fn metrics_document(&self) -> Json {
-        let snapshots = self
-            .snapshots
-            .lock()
-            .expect("capture snapshot lock poisoned")
-            .clone();
-        Json::obj()
-            .with("schema", Json::str(SNAPSHOTS_SCHEMA))
-            .with("snapshots", Json::Arr(snapshots))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_settings_keep_telemetry_off() {
-        assert!(!CaptureSettings::default().telemetry());
-    }
-
-    #[test]
-    fn any_telemetry_flag_switches_telemetry_on() {
-        let live = CaptureSettings {
-            endpoint_port: Some(0),
-            ..CaptureSettings::default()
-        };
-        assert!(live.telemetry());
-        let metrics = CaptureSettings {
-            metrics_out: Some(PathBuf::from("metrics.json")),
-            ..CaptureSettings::default()
-        };
-        assert!(metrics.telemetry());
     }
 }

@@ -60,22 +60,10 @@ pub fn measure_with_sim_slots(
     config: &JoinConfig,
 ) -> Row {
     let capture = crate::capture::Capture::active();
-    // An installed capture may switch on telemetry + heartbeat for every
-    // measured cluster (live endpoint, snapshot export).
-    let exec_config = match capture {
-        Some(cap) => cap.cluster_config(exec_config),
-        None => exec_config,
-    };
     let cluster = match capture {
-        // Forked collector: the run records onto its own buffer (isolated
-        // analytics) while sharing the capture's epoch (one timeline).
-        Some(cap) => Cluster::with_trace(exec_config.clone(), cap.trace().fork()),
+        Some(cap) => cap.cluster(exec_config.clone()),
         None => Cluster::new(exec_config.clone()),
     };
-    if let Some(cap) = capture {
-        // Swap this run's registry into the shared live endpoint.
-        cap.attach(&cluster);
-    }
     let run_span = cluster.trace().span(format!(
         "run/{figure}/{}/{}@{}",
         workload.name,
@@ -97,8 +85,6 @@ pub fn measure_with_sim_slots(
             &outcome,
             sim_slots,
         ));
-        cap.trace().extend(cluster.trace().snapshot().events);
-        cap.finish_run(&cluster);
     }
     Row {
         figure,
@@ -427,13 +413,7 @@ pub fn rs_join_rows(right: &[Ranking], right_name: &str) -> Vec<Row> {
     let left = datasets::orku();
     let dataset = format!("{}⋈{right_name}", left.name);
     let capture = crate::capture::Capture::active();
-    let exec_config = {
-        let base = harness_exec();
-        match capture {
-            Some(cap) => cap.cluster_config(base),
-            None => base,
-        }
-    };
+    let exec_config = harness_exec();
     type RsDriver = fn(
         &Cluster,
         &[Ranking],
@@ -465,12 +445,9 @@ pub fn rs_join_rows(right: &[Ranking], right_name: &str) -> Vec<Row> {
         }
         for (name, driver) in drivers {
             let cluster = match capture {
-                Some(cap) => Cluster::with_trace(exec_config.clone(), cap.trace().fork()),
+                Some(cap) => cap.cluster(exec_config.clone()),
                 None => Cluster::new(exec_config.clone()),
             };
-            if let Some(cap) = capture {
-                cap.attach(&cluster);
-            }
             let run_span = cluster
                 .trace()
                 .span(format!("run/rs/{dataset}/{name}@{theta}"));
@@ -505,8 +482,6 @@ pub fn rs_join_rows(right: &[Ranking], right_name: &str) -> Vec<Row> {
                     &outcome,
                     paper_sim_slots(),
                 ));
-                cap.trace().extend(cluster.trace().snapshot().events);
-                cap.finish_run(&cluster);
             }
             rows.push(Row {
                 figure: "rs",

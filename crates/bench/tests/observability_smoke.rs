@@ -28,13 +28,16 @@ fn capture_collects_valid_reports_and_phase_spans() {
     let parsed = Json::parse(&doc.render()).expect("the report renders to valid JSON");
     report::validate(&parsed).expect("the parsed report validates");
     for report in &reports {
-        let analytics = report.analytics.as_ref().expect("capture enables tracing");
-        assert!(!analytics.stages.is_empty());
+        assert!(!report.analytics.stages.is_empty());
     }
 
     // The shared trace holds run umbrellas and phase spans for every
-    // algorithm, and renders to a parseable Chrome document.
-    let text = minispark::trace::chrome_trace_json(&capture.trace().snapshot());
+    // algorithm, and renders with the reports' stage rows to a parseable
+    // Chrome document.
+    let text = minispark::trace::chrome_trace_json(
+        &capture.trace().snapshot(),
+        reports.iter().flat_map(|r| &r.metrics.stages),
+    );
     let trace = Json::parse(&text).expect("the Chrome trace parses");
     let events = trace
         .get("traceEvents")
@@ -62,5 +65,12 @@ fn capture_collects_valid_reports_and_phase_spans() {
         e.get("name")
             .and_then(Json::as_str)
             .is_some_and(|n| n.starts_with("run/smoke/"))
+    }));
+    // Every run's task spans land on the slot tracks.
+    assert!(events.iter().any(|e| {
+        e.get("ph").and_then(Json::as_str) == Some("X")
+            && e.get("tid")
+                .and_then(Json::as_u64)
+                .is_some_and(|tid| tid > 0)
     }));
 }

@@ -1,6 +1,6 @@
 //! The run report: one JSON document per measured join run, unifying the
 //! engine's [`MetricsReport`], the join's [`StatsSnapshot`], both
-//! configurations and (when tracing was on) the [`ExecutorAnalytics`].
+//! configurations and the [`ExecutorAnalytics`] read off the stage rows.
 //!
 //! The schema is versioned (`"topk-simjoin/run-report/v1"`) so downstream
 //! tooling can detect incompatible changes; [`validate`] checks a parsed
@@ -40,16 +40,17 @@ pub struct RunReport {
     pub stats: StatsSnapshot,
     /// Per-stage engine metrics.
     pub metrics: MetricsReport,
-    /// Executor-utilization analytics; `None` when tracing was disabled.
-    pub analytics: Option<ExecutorAnalytics>,
+    /// Executor-utilization analytics of the run's stage rows.
+    pub analytics: ExecutorAnalytics,
     /// The heartbeat sampler's time series (`"minispark/heartbeat/v1"`
     /// document); `None` when the cluster ran without a heartbeat.
     pub heartbeat: Option<Json>,
 }
 
 impl RunReport {
-    /// Captures a report from a finished run: the cluster's metrics and (if
-    /// tracing is enabled) its trace snapshot, plus the join outcome.
+    /// Captures a report from a finished run: the cluster's metrics, the
+    /// executor analytics over them and its heartbeat series, plus the join
+    /// outcome.
     pub fn capture(
         algorithm: &str,
         dataset: &str,
@@ -62,15 +63,7 @@ impl RunReport {
         let metrics = cluster.metrics();
         let sim_slots = sim_slots.max(1);
         let sim_seconds = metrics.simulated_total(sim_slots).as_secs_f64();
-        let trace = cluster.trace();
-        let analytics = if trace.is_enabled() {
-            Some(ExecutorAnalytics::from_snapshot(
-                &trace.snapshot(),
-                cluster.config().task_slots(),
-            ))
-        } else {
-            None
-        };
+        let analytics = ExecutorAnalytics::from_metrics(&metrics);
         Self {
             algorithm: algorithm.to_string(),
             dataset: dataset.to_string(),
@@ -104,13 +97,7 @@ impl RunReport {
             .with("pairs", Json::num_usize(self.pairs))
             .with("stats", stats_json(&self.stats))
             .with("stages", stages_json(&self.metrics))
-            .with(
-                "executor",
-                match &self.analytics {
-                    Some(a) => analytics_json(a),
-                    None => Json::Null,
-                },
-            )
+            .with("executor", analytics_json(&self.analytics))
             .with(
                 "heartbeat",
                 match &self.heartbeat {
@@ -221,7 +208,7 @@ fn stages_json(metrics: &MetricsReport) -> Json {
                     )
                     .with("skew", Json::num(s.skew()))
                     .with("spilled_runs", Json::num_usize(s.spilled_runs))
-                    .with("stolen_tasks", Json::num_usize(s.stolen_tasks))
+                    .with("stolen_tasks", Json::num_usize(s.stolen_tasks(slots)))
             })
             .collect(),
     )
@@ -408,6 +395,8 @@ fn validate_run(run: &Json, ctx: &str) -> Result<(), String> {
             &format!("{sctx}.sim_ms"),
         )?;
     }
+    // Documents written before every report carried analytics hold null
+    // here; they stay valid `run-report/v1` documents.
     let executor = expect_key(run, "executor", ctx)?;
     if !matches!(executor, Json::Null) {
         let ectx = format!("{ctx}.executor");
@@ -494,7 +483,10 @@ mod tests {
     use topk_datagen::CorpusProfile;
 
     fn run_report(trace: bool) -> RunReport {
-        let config = ClusterConfig::local(4);
+        run_report_on(ClusterConfig::local(4), trace)
+    }
+
+    fn run_report_on(config: ClusterConfig, trace: bool) -> RunReport {
         let cluster = if trace {
             Cluster::with_trace(config, TraceCollector::enabled())
         } else {
@@ -514,12 +506,53 @@ mod tests {
         )
     }
 
+    /// Rewrites the top-level `key` of a run document.
+    fn with_key(mut doc: Json, key: &str, replacement: Json) -> Json {
+        let Json::Obj(fields) = &mut doc else {
+            panic!("a run report is an object");
+        };
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("key present");
+        *value = replacement;
+        doc
+    }
+
     #[test]
-    fn report_without_trace_has_null_executor() {
+    fn report_without_trace_carries_executor_analytics() {
         let report = run_report(false);
+        assert!(!report.analytics.stages.is_empty());
+        assert_eq!(report.analytics.stages.len(), report.metrics.stages.len());
         let doc = report.to_json();
-        assert!(matches!(doc.get("executor"), Some(Json::Null)));
+        let stages = doc
+            .get("executor")
+            .and_then(|e| e.get("stages"))
+            .and_then(Json::as_arr)
+            .expect("executor stages");
+        assert!(!stages.is_empty());
         validate(&doc).expect("report validates");
+        // Documents from before every report carried analytics stay valid.
+        validate(&with_key(doc, "executor", Json::Null)).expect("null executor validates");
+    }
+
+    #[test]
+    fn tracing_does_not_change_the_executor_section() {
+        let config = ClusterConfig::local(4).with_schedule(minispark::Schedule::Seeded(5));
+        let traced = run_report_on(config.clone(), true).analytics;
+        let untraced = run_report_on(config, false).analytics;
+        let shape = |a: &ExecutorAnalytics| -> Vec<(usize, String, usize, usize)> {
+            a.stages
+                .iter()
+                .map(|s| (s.stage_id, s.stage.clone(), s.tasks, s.stolen_tasks))
+                .collect()
+        };
+        assert_eq!(traced.slots, untraced.slots);
+        assert_eq!(shape(&traced), shape(&untraced));
+        assert!(
+            traced.stages.iter().any(|s| s.stolen_tasks > 0),
+            "a seeded schedule steals somewhere, so the comparison is not vacuous"
+        );
     }
 
     #[test]
@@ -572,14 +605,7 @@ mod tests {
         assert!(validate(&Json::obj()).is_err());
         let wrong_schema = Json::obj().with("schema", Json::str("nope"));
         assert!(validate(&wrong_schema).is_err());
-        let mut doc = run_report(true).to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "seconds" {
-                    *value = Json::num(-1.0);
-                }
-            }
-        }
+        let doc = with_key(run_report(true).to_json(), "seconds", Json::num(-1.0));
         assert!(validate(&doc).is_err());
     }
 
@@ -655,14 +681,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_malformed_heartbeat_section() {
-        let mut doc = run_report(false).to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "heartbeat" {
-                    *value = Json::obj().with("schema", Json::str("nope"));
-                }
-            }
-        }
+        let doc = with_key(
+            run_report(false).to_json(),
+            "heartbeat",
+            Json::obj().with("schema", Json::str("nope")),
+        );
         assert!(validate(&doc).is_err());
     }
 }

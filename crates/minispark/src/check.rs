@@ -3,7 +3,8 @@
 //! [`crate::sched`] makes the executor's interleavings *controllable*; this
 //! module makes them *checkable*:
 //!
-//! * [`audit_snapshot`] replays a [`TraceSnapshot`] against the executor's
+//! * [`audit_snapshot`] replays one run's stage rows (their task spans) and
+//!   its [`TraceSnapshot`] (the shuffle-flush marks) against the executor's
 //!   happens-before contract — per-task `queued ≤ started ≤ finished`, no
 //!   two tasks overlapping on one slot, and no shuffle read beginning before
 //!   the upstream flush mark (the flush-barrier rule);
@@ -22,15 +23,18 @@
 //! lives below the executor so this module (which sits *above*
 //! [`crate::dataset`]) never appears in the executor's dependencies.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use crate::config::ClusterConfig;
 use crate::dataset::Cluster;
+use crate::metrics::StageMetrics;
 use crate::sched::Schedule;
 use crate::trace::{TraceCollector, TraceSnapshot};
 
 /// One violation of the executor's happens-before contract found in a
-/// trace. See [`audit_snapshot`] for the rules.
+/// run's stage rows and trace. See [`audit_snapshot`] for the rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditViolation {
     /// Which rule was violated: `task-monotonicity`, `slot-exclusivity` or
@@ -46,13 +50,16 @@ impl fmt::Display for AuditViolation {
     }
 }
 
-/// Audits one run's [`TraceSnapshot`] against the executor's
-/// happens-before contract. Returns every violation found (empty = clean).
+/// Audits one run against the executor's happens-before contract: the task
+/// spans of its `stages` (the cluster's [`crate::MetricsReport::stages`])
+/// and the `shuffle-flush/*` marks of its `snapshot`. Returns every
+/// violation found (empty = clean). Instants are reported as ns since the
+/// snapshot's epoch.
 ///
 /// Rules:
 ///
 /// 1. **task-monotonicity** — every task satisfies
-///    `queued_ns ≤ started_ns ≤ finished_ns`;
+///    `queued ≤ started ≤ finished`;
 /// 2. **slot-exclusivity** — a worker slot runs one task at a time: sorted
 ///    by start, consecutive tasks on one slot must not overlap;
 /// 3. **flush-barrier** — a `shuffle-flush/<stage>` mark separates the
@@ -61,48 +68,55 @@ impl fmt::Display for AuditViolation {
 ///    flush would be reading a shuffle before all upstream buckets were
 ///    flushed).
 ///
-/// The snapshot must come from a single run (one cluster, one timeline);
-/// timelines merged via [`TraceCollector::extend`] legitimately interleave
-/// and would trip the slot-exclusivity rule.
-pub fn audit_snapshot(snapshot: &TraceSnapshot) -> Vec<AuditViolation> {
+/// Rows and marks must come from a single run (one cluster); several
+/// clusters sharing a collector legitimately interleave on it and would
+/// trip the slot-exclusivity rule.
+pub fn audit_snapshot(snapshot: &TraceSnapshot, stages: &[StageMetrics]) -> Vec<AuditViolation> {
+    let ns = |at: Instant| snapshot.offset_ns(at);
     let mut violations = Vec::new();
+    let tasks = || {
+        stages
+            .iter()
+            .flat_map(|stage| stage.spans.iter().map(move |t| (stage.name.as_str(), t)))
+    };
 
-    // Rule 1: per-task instant monotonicity.
-    for t in snapshot.tasks() {
-        if !(t.queued_ns <= t.started_ns && t.started_ns <= t.finished_ns) {
+    // Rule 1: per-task instant monotonicity. The same pass groups the tasks
+    // by slot for rule 2.
+    let mut by_slot: BTreeMap<usize, Vec<(Instant, Instant, &str, usize)>> = BTreeMap::new();
+    for (stage, t) in tasks() {
+        by_slot
+            .entry(t.slot)
+            .or_default()
+            .push((t.started, t.finished, stage, t.task));
+        if !(t.queued <= t.started && t.started <= t.finished) {
             violations.push(AuditViolation {
                 rule: "task-monotonicity",
                 detail: format!(
-                    "stage '{}' task {}: queued={} started={} finished={}",
-                    t.stage, t.task, t.queued_ns, t.started_ns, t.finished_ns
+                    "stage '{stage}' task {}: queued={} started={} finished={}",
+                    t.task,
+                    ns(t.queued),
+                    ns(t.started),
+                    ns(t.finished)
                 ),
             });
         }
     }
 
-    // Rule 2: slot exclusivity. Group by slot, sort by start, check for
-    // overlap between consecutive occupancies.
-    let mut by_slot: std::collections::BTreeMap<usize, Vec<(u64, u64, String, usize)>> =
-        std::collections::BTreeMap::new();
-    for t in snapshot.tasks() {
-        by_slot.entry(t.slot).or_default().push((
-            t.started_ns,
-            t.finished_ns,
-            t.stage.to_string(),
-            t.task,
-        ));
-    }
+    // Rule 2: slot exclusivity. Per slot, sorted by start, consecutive
+    // occupancies must not overlap.
     for (slot, mut occupancies) in by_slot {
         occupancies.sort_unstable_by_key(|&(started, finished, ..)| (started, finished));
         for pair in occupancies.windows(2) {
-            let (_, prev_end, ref prev_stage, prev_task) = pair[0];
-            let (next_start, _, ref next_stage, next_task) = pair[1];
+            let (_, prev_end, prev_stage, prev_task) = pair[0];
+            let (next_start, _, next_stage, next_task) = pair[1];
             if next_start < prev_end {
                 violations.push(AuditViolation {
                     rule: "slot-exclusivity",
                     detail: format!(
-                        "slot {slot}: '{next_stage}' task {next_task} started at {next_start} \
-                         while '{prev_stage}' task {prev_task} was still running (until {prev_end})"
+                        "slot {slot}: '{next_stage}' task {next_task} started at {} \
+                         while '{prev_stage}' task {prev_task} was still running (until {})",
+                        ns(next_start),
+                        ns(prev_end)
                     ),
                 });
             }
@@ -115,14 +129,19 @@ pub fn audit_snapshot(snapshot: &TraceSnapshot) -> Vec<AuditViolation> {
         let Some(stage) = mark.name.strip_prefix("shuffle-flush/") else {
             continue;
         };
-        for t in snapshot.tasks() {
-            if &*t.stage == stage && t.started_ns < mark.at_ns && mark.at_ns < t.finished_ns {
+        let at = snapshot.epoch + Duration::from_nanos(mark.at_ns);
+        for (_, t) in tasks().filter(|&(name, _)| name == stage) {
+            if t.started < at && at < t.finished {
                 violations.push(AuditViolation {
                     rule: "flush-barrier",
                     detail: format!(
                         "stage '{stage}' task {} (slot {}) spans the shuffle flush at {} \
                          (started={} finished={})",
-                        t.task, t.slot, mark.at_ns, t.started_ns, t.finished_ns
+                        t.task,
+                        t.slot,
+                        mark.at_ns,
+                        ns(t.started),
+                        ns(t.finished)
                     ),
                 });
             }
@@ -157,7 +176,8 @@ pub fn schedule_matrix(n: usize, seed: u64) -> Vec<Schedule> {
 /// exposed the problem.
 #[derive(Debug, Clone)]
 pub enum CheckFailure {
-    /// A run's trace violated the executor's happens-before contract.
+    /// A run's stage rows and trace violated the executor's happens-before
+    /// contract.
     Audit {
         /// Task-slot count of the failing run.
         slots: usize,
@@ -335,7 +355,7 @@ where
             let result = run(&cluster);
             runs += 1;
 
-            let violations = audit_snapshot(&cluster.trace().snapshot());
+            let violations = audit_snapshot(&cluster.trace().snapshot(), &cluster.metrics().stages);
             if !violations.is_empty() {
                 return Err(CheckFailure::Audit {
                     slots,
@@ -388,50 +408,67 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{MarkEvent, TaskEvent, TraceEvent};
-    use std::sync::Arc;
+    use crate::trace::{MarkEvent, TraceEvent};
 
-    fn task(stage: &str, task: usize, slot: usize, span: (u64, u64, u64)) -> TraceEvent {
-        TraceEvent::Task(TaskEvent {
-            stage_id: 0,
-            stage: Arc::from(stage),
-            task,
-            slot,
-            queued_ns: span.0,
-            started_ns: span.1,
-            finished_ns: span.2,
-        })
+    fn row(base: Instant, name: &str, tasks: &[(usize, usize, (u64, u64, u64))]) -> StageMetrics {
+        StageMetrics::synthetic(name, base, tasks)
+    }
+
+    fn trace(epoch: Instant, events: Vec<TraceEvent>) -> TraceSnapshot {
+        TraceSnapshot { epoch, events }
     }
 
     #[test]
     fn audit_accepts_a_real_run() {
-        let cluster = Cluster::with_trace(ClusterConfig::local(4), TraceCollector::enabled());
-        let pairs: Vec<(u32, u32)> = (0..200).map(|n| (n % 7, n)).collect();
-        cluster.parallelize(pairs, 8).group_by_key("group", 4);
-        let violations = audit_snapshot(&cluster.trace().snapshot());
+        // A real run's shape on synthetic rows: a narrow stage on two slots,
+        // then a wide stage whose map wave ends before the flush mark and
+        // whose reduce wave starts after it, plus a driver stage on slot 0.
+        let base = Instant::now();
+        let stages = [
+            row(base, "map", &[(0, 0, (0, 0, 10)), (1, 1, (0, 1, 12))]),
+            row(
+                base,
+                "group",
+                &[
+                    (0, 0, (20, 20, 30)),
+                    (1, 1, (20, 21, 31)),
+                    (0, 1, (35, 40, 50)),
+                    (1, 0, (35, 41, 55)),
+                ],
+            ),
+            row(base, "collect", &[(0, 0, (60, 60, 70))]),
+        ];
+        let marks = vec![TraceEvent::Mark(MarkEvent {
+            name: "shuffle-flush/group".to_string(),
+            at_ns: 33,
+            value: 8,
+        })];
+        let violations = audit_snapshot(&trace(base, marks), &stages);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn audit_flags_non_monotone_task_instants() {
-        let snapshot = TraceSnapshot {
-            events: vec![task("s", 0, 0, (50, 40, 60))],
-        };
-        let violations = audit_snapshot(&snapshot);
+        let base = Instant::now();
+        let stages = [row(base, "s", &[(0, 0, (50, 40, 60))])];
+        let violations = audit_snapshot(&trace(base, Vec::new()), &stages);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].rule, "task-monotonicity");
     }
 
     #[test]
     fn audit_flags_overlapping_tasks_on_one_slot() {
-        let snapshot = TraceSnapshot {
-            events: vec![
-                task("s", 0, 2, (0, 10, 30)),
-                task("s", 1, 2, (0, 20, 40)), // starts while task 0 runs
-                task("s", 2, 3, (0, 20, 40)), // different slot: fine
+        let base = Instant::now();
+        let stages = [row(
+            base,
+            "s",
+            &[
+                (0, 2, (0, 10, 30)),
+                (1, 2, (0, 20, 40)), // starts while task 0 runs
+                (2, 3, (0, 20, 40)), // different slot: fine
             ],
-        };
-        let violations = audit_snapshot(&snapshot);
+        )];
+        let violations = audit_snapshot(&trace(base, Vec::new()), &stages);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "slot-exclusivity");
         assert!(violations[0].detail.contains("slot 2"));
@@ -439,19 +476,24 @@ mod tests {
 
     #[test]
     fn audit_flags_a_task_spanning_the_flush_barrier() {
-        let snapshot = TraceSnapshot {
-            events: vec![
-                task("wide", 0, 0, (0, 10, 20)),
-                task("wide", 1, 1, (0, 40, 60)), // strictly contains the mark
-                task("other", 0, 2, (0, 40, 60)), // different stage: fine
-                TraceEvent::Mark(MarkEvent {
-                    name: "shuffle-flush/wide".to_string(),
-                    at_ns: 50,
-                    value: 2,
-                }),
-            ],
-        };
-        let violations = audit_snapshot(&snapshot);
+        let base = Instant::now();
+        let stages = [
+            row(
+                base,
+                "wide",
+                &[
+                    (0, 0, (0, 10, 20)),
+                    (1, 1, (0, 40, 60)), // strictly contains the mark
+                ],
+            ),
+            row(base, "other", &[(0, 2, (0, 40, 60))]), // different stage: fine
+        ];
+        let marks = vec![TraceEvent::Mark(MarkEvent {
+            name: "shuffle-flush/wide".to_string(),
+            at_ns: 50,
+            value: 2,
+        })];
+        let violations = audit_snapshot(&trace(base, marks), &stages);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "flush-barrier");
     }

@@ -7,11 +7,11 @@
 //! [`crate::pair`].
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::broadcast::Broadcast;
 use crate::config::ClusterConfig;
-use crate::executor::{run_stage_tasks, steal_count, TaskSpan};
+use crate::executor::{run_stage_tasks, TaskSpan};
 use crate::json::Json;
 use crate::metrics::{MetricsRegistry, MetricsReport, StageMetrics};
 use crate::telemetry::{EngineTelemetry, Heartbeat, TelemetryRegistry};
@@ -42,9 +42,10 @@ impl Cluster {
         Self::with_trace(config, TraceCollector::disabled())
     }
 
-    /// Boots a cluster whose stages report into `trace` (pass
-    /// [`TraceCollector::enabled`] to record per-task spans, phase spans and
-    /// shuffle/spill events).
+    /// Boots a cluster whose phase spans and shuffle/spill events go to
+    /// `trace` (pass [`TraceCollector::enabled`] to record them; clusters
+    /// handed clones of one collector share its buffer and timeline). Task
+    /// spans are kept in the stage rows either way.
     pub fn with_trace(config: ClusterConfig, trace: TraceCollector) -> Self {
         let telemetry = if config.telemetry {
             TelemetryRegistry::enabled()
@@ -101,8 +102,10 @@ impl Cluster {
         report
     }
 
-    /// Clears recorded metrics, live telemetry and trace state (between
-    /// benchmark iterations) so back-to-back runs on one cluster never mix.
+    /// Clears recorded stage rows, live telemetry (the heartbeat series
+    /// restarts with the registry's new epoch) and the trace collector this
+    /// cluster was handed — shared with every cluster built on a clone of
+    /// it — so back-to-back runs on one cluster never mix.
     pub fn reset_metrics(&self) {
         self.inner.metrics.reset();
         self.inner.telemetry.reset();
@@ -141,31 +144,35 @@ impl Cluster {
     }
 
     /// Records one finished stage: the only place a [`StageMetrics`] row is
-    /// assembled, its tasks reach the trace and the engine's shuffle and
-    /// spill totals move — from the row's own numbers, so the live series
-    /// and the metrics report cannot disagree. `spans` are the executor's
-    /// task spans, a wide stage's map and reduce waves back to back. A stage
+    /// assembled and the engine's shuffle and spill totals move — from the
+    /// row's own numbers, so the live series and the metrics report cannot
+    /// disagree. `spans` are the executor's task spans, a wide stage's map
+    /// and reduce waves back to back; the row keeps them as they are. A stage
     /// that ran on the driver (gathering or rearranging data without
-    /// executor tasks) passes none: it occupied no slot, and is traced as one
-    /// slot-0 task over its wall time so the timeline stays gap-free.
-    pub(crate) fn record_stage(&self, name: &str, start: Instant, spans: &[TaskSpan], io: StageIo) {
+    /// executor tasks) passes none: it occupied no slot, and its row holds
+    /// one slot-0 span over its wall time so the timeline stays gap-free.
+    pub(crate) fn record_stage(
+        &self,
+        name: &str,
+        start: Instant,
+        mut spans: Vec<TaskSpan>,
+        io: StageIo,
+    ) {
         let wall = start.elapsed();
-        let on_driver = [TaskSpan {
-            task: 0,
-            slot: 0,
-            queued: start,
-            started: start,
-            finished: start + wall,
-        }];
-        let spans = if spans.is_empty() { &on_driver } else { spans };
-        let task_durations: Vec<Duration> = spans.iter().map(TaskSpan::busy).collect();
-        let claims: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
-        let id = self.inner.metrics.record(StageMetrics {
+        if spans.is_empty() {
+            spans.push(TaskSpan {
+                task: 0,
+                slot: 0,
+                queued: start,
+                started: start,
+                finished: start + wall,
+            });
+        }
+        self.inner.metrics.record(StageMetrics {
             stage_id: 0,
             name: name.to_string(),
             wall,
-            task_time: task_durations.iter().sum(),
-            task_durations,
+            spans,
             num_tasks: io.out_sizes.len(),
             input_records: io.input_records,
             output_records: io.out_sizes.iter().sum(),
@@ -173,11 +180,7 @@ impl Cluster {
             shuffle_bytes: io.shuffled * io.record_size,
             max_partition_records: io.out_sizes.iter().copied().max().unwrap_or(0),
             spilled_runs: io.spilled_runs,
-            // A wide stage's waves each restart their task indices; steals
-            // are counted per wave.
-            stolen_tasks: steal_count(&claims, self.config().task_slots()),
         });
-        self.inner.trace.record_stage_tasks(id, name, spans);
         let engine = &self.inner.engine;
         engine.shuffle_records.add_usize(io.shuffled);
         engine.shuffle_bytes.add_usize(io.shuffled * io.record_size);
@@ -229,7 +232,7 @@ impl Cluster {
     {
         let start = Instant::now();
         let input_records: usize = inputs.iter().map(|p| p.len()).sum();
-        let (outputs, times) =
+        let (outputs, spans) =
             run_stage_tasks(self.config(), &self.inner.engine.executor, inputs, &f);
         let out_sizes: Vec<usize> = outputs.iter().map(Vec::len).collect();
         let io = StageIo {
@@ -237,7 +240,7 @@ impl Cluster {
             out_sizes: &out_sizes,
             ..StageIo::default()
         };
-        self.record_stage(name, start, &times.spans, io);
+        self.record_stage(name, start, spans, io);
         Dataset::from_partitions(self.clone(), outputs)
     }
 }
@@ -424,7 +427,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             record_size: std::mem::size_of::<T>(),
             ..StageIo::default()
         };
-        self.cluster.record_stage(name, start, &[], io);
+        self.cluster.record_stage(name, start, Vec::new(), io);
         if self.cluster.inner.trace.is_enabled() && moved > 0 {
             self.cluster
                 .inner
@@ -483,7 +486,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             out_sizes: &[out.len()],
             ..StageIo::default()
         };
-        self.cluster().record_stage(name, start, &[], io);
+        self.cluster().record_stage(name, start, Vec::new(), io);
         out
     }
 

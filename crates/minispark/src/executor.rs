@@ -21,8 +21,10 @@ use crate::telemetry::ExecutorProbe;
 /// queued → started → finished instants. `queued` is the stage submission
 /// time (all tasks of a stage become runnable together), so
 /// `started − queued` is the task's queue wait and `finished − started` its
-/// busy time. Consumed by [`crate::trace::TraceCollector::record_stage_tasks`].
-#[derive(Debug, Clone, Copy)]
+/// busy time. A stage's spans are stored once, in its
+/// [`crate::metrics::StageMetrics`] row; every duration the engine reports
+/// is read off them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskSpan {
     /// Task index within the stage.
     pub task: usize,
@@ -39,29 +41,22 @@ pub struct TaskSpan {
 impl TaskSpan {
     /// How long the task ran: `finished − started`.
     pub fn busy(&self) -> Duration {
-        self.finished - self.started
+        self.finished.saturating_duration_since(self.started)
     }
-}
 
-/// Timing of one executed stage. Every duration the engine reports — the
-/// summed busy time, the per-task durations behind the cluster-simulation
-/// makespan ([`crate::metrics::StageMetrics::simulated_wall`]) — is read off
-/// the spans ([`TaskSpan::busy`]).
-#[derive(Debug, Clone, Default)]
-pub struct TaskTimes {
-    /// Scheduling trace of each task, in task order. Built from instants the
-    /// executor takes anyway, so the cost is independent of whether a
-    /// [`crate::trace::TraceCollector`] consumes it.
-    pub spans: Vec<TaskSpan>,
+    /// How long the task waited for a free slot: `started − queued`.
+    pub fn queue_wait(&self) -> Duration {
+        self.started.saturating_duration_since(self.queued)
+    }
 }
 
 /// Runs `f(task_index, input)` for every input, using at most `slots`
 /// concurrent worker threads. Returns the outputs in input order along with
-/// the task timings.
+/// one span per task, in task order.
 ///
 /// Panics in a task propagate to the caller (the stage fails), mirroring a
 /// failed Spark job.
-pub fn run_tasks<I, O, F>(slots: usize, inputs: Vec<I>, f: F) -> (Vec<O>, TaskTimes)
+pub fn run_tasks<I, O, F>(slots: usize, inputs: Vec<I>, f: F) -> (Vec<O>, Vec<TaskSpan>)
 where
     I: Send,
     O: Send,
@@ -70,7 +65,7 @@ where
     let slots = slots.max(1);
     let num_tasks = inputs.len();
     if num_tasks == 0 {
-        return (Vec::new(), TaskTimes::default());
+        return (Vec::new(), Vec::new());
     }
     sched::arm_from_env();
     // Stage submission time: every task of the stage is runnable from here,
@@ -93,7 +88,7 @@ where
                 finished: Instant::now(),
             });
         }
-        return (outputs, TaskTimes { spans });
+        return (outputs, spans);
     }
 
     let pending: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
@@ -158,14 +153,14 @@ where
         num_tasks,
         "executor invariant: exactly one output and one span per task"
     );
-    (outputs, TaskTimes { spans })
+    (outputs, spans)
 }
 
 /// Runs `f(task_index, input)` for every input under a deterministic
 /// [`Schedule`]: tasks execute one at a time on the calling thread, in the
 /// schedule's claim order, labelled with the schedule's slot assignment.
-/// Returns outputs in **input order** (like [`run_tasks`]) plus timings
-/// whose spans reflect the scheduled order.
+/// Returns outputs in **input order** (like [`run_tasks`]) plus spans that
+/// reflect the scheduled order.
 ///
 /// This is the executor's concurrency-checking mode — same contract as
 /// [`run_tasks`], different (replayable) interleaving. Installed engine-wide
@@ -175,7 +170,7 @@ pub fn run_tasks_scheduled<I, O, F>(
     slots: usize,
     inputs: Vec<I>,
     f: F,
-) -> (Vec<O>, TaskTimes)
+) -> (Vec<O>, Vec<TaskSpan>)
 where
     I: Send,
     O: Send,
@@ -184,7 +179,7 @@ where
     let slots = slots.max(1);
     let num_tasks = inputs.len();
     if num_tasks == 0 {
-        return (Vec::new(), TaskTimes::default());
+        return (Vec::new(), Vec::new());
     }
     sched::arm_from_env();
     let queued = Instant::now();
@@ -229,7 +224,7 @@ where
         .into_iter()
         .map(|s| s.expect("task produced no span"))
         .collect();
-    (outputs, TaskTimes { spans })
+    (outputs, spans)
 }
 
 /// Number of **stolen** tasks among a stage's `(task index, slot)` claims,
@@ -249,8 +244,8 @@ where
 /// waves back to back, each restarting task indices at 0): waves are
 /// recovered at the task-index resets and counted separately, so one wave's
 /// indices never judge another wave's slots. The stage row
-/// ([`TaskSpan`]s) and the trace analytics ([`crate::trace::TaskEvent`]s)
-/// both count through here.
+/// ([`crate::metrics::StageMetrics::stolen_tasks`]) and the executor
+/// analytics both count through here.
 pub fn steal_count(pairs: &[(usize, usize)], slots: usize) -> usize {
     let mut total = 0;
     let mut wave_start = 0;
@@ -293,7 +288,7 @@ pub(crate) fn run_stage_tasks<I, O, F>(
     probe: &ExecutorProbe,
     inputs: Vec<I>,
     f: F,
-) -> (Vec<O>, TaskTimes)
+) -> (Vec<O>, Vec<TaskSpan>)
 where
     I: Send,
     O: Send,
@@ -308,16 +303,16 @@ where
         probe.tasks_completed.inc();
         output
     };
-    let (outputs, times) = match config.schedule {
+    let (outputs, spans) = match config.schedule {
         Some(schedule) => run_tasks_scheduled(schedule, slots, inputs, wrapped),
         None => run_tasks(slots, inputs, wrapped),
     };
     if probe.is_enabled() {
-        for span in &times.spans {
+        for span in &spans {
             probe.task_ns.record_duration(span.busy());
         }
     }
-    (outputs, times)
+    (outputs, spans)
 }
 
 #[cfg(test)]
@@ -338,9 +333,9 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let (out, times) = run_tasks::<u32, u32, _>(4, vec![], |_, i| i);
+        let (out, spans) = run_tasks::<u32, u32, _>(4, vec![], |_, i| i);
         assert!(out.is_empty());
-        assert!(times.spans.is_empty());
+        assert!(spans.is_empty());
     }
 
     #[test]
@@ -381,11 +376,11 @@ mod tests {
     #[test]
     fn spans_carry_slots_and_ordered_instants() {
         let inputs = vec![(); 16];
-        let (_, times) = run_tasks(4, inputs, |_, ()| {
+        let (_, spans) = run_tasks(4, inputs, |_, ()| {
             std::thread::sleep(Duration::from_micros(100));
         });
-        assert_eq!(times.spans.len(), 16);
-        for (idx, s) in times.spans.iter().enumerate() {
+        assert_eq!(spans.len(), 16);
+        for (idx, s) in spans.iter().enumerate() {
             assert_eq!(s.task, idx);
             assert!(s.slot < 4);
             assert!(s.queued <= s.started);
@@ -393,8 +388,8 @@ mod tests {
         }
         // The sequential path pins everything on slot 0.
         let (_, seq) = run_tasks(1, vec![(); 3], |_, ()| ());
-        assert_eq!(seq.spans.len(), 3);
-        assert!(seq.spans.iter().all(|s| s.slot == 0));
+        assert_eq!(seq.len(), 3);
+        assert!(seq.iter().all(|s| s.slot == 0));
     }
 
     #[test]
@@ -407,11 +402,11 @@ mod tests {
             Schedule::Seeded(11),
             Schedule::StragglersFirst,
         ] {
-            let (out, times) =
+            let (out, spans) =
                 run_tasks_scheduled(schedule, 4, inputs.clone(), |idx, n| (idx as u64) * 100 + n);
             assert_eq!(out, reference, "{schedule:?} must preserve input order");
-            assert_eq!(times.spans.len(), 40);
-            for (idx, s) in times.spans.iter().enumerate() {
+            assert_eq!(spans.len(), 40);
+            for (idx, s) in spans.iter().enumerate() {
                 assert_eq!(s.task, idx);
                 assert!(s.slot < 4, "{schedule:?} produced slot {}", s.slot);
                 assert!(s.queued <= s.started && s.started <= s.finished);
@@ -502,10 +497,10 @@ mod tests {
         // tasks that round-robin would have parked behind the straggler.
         let mut inputs = vec![50u64];
         inputs.extend(std::iter::repeat_n(1u64, 15));
-        let (_, times) = run_tasks(2, inputs, |_, ms| {
+        let (_, spans) = run_tasks(2, inputs, |_, ms| {
             std::thread::sleep(Duration::from_millis(ms));
         });
-        let claims: Vec<(usize, usize)> = times.spans.iter().map(|s| (s.task, s.slot)).collect();
+        let claims: Vec<(usize, usize)> = spans.iter().map(|s| (s.task, s.slot)).collect();
         assert!(
             steal_count(&claims, 2) > 0,
             "straggler stage showed no dynamic backfill: {claims:?}"
@@ -515,10 +510,10 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let inputs = vec![(); 8];
-        let (_, times) = run_tasks(4, inputs, |_, ()| {
+        let (_, spans) = run_tasks(4, inputs, |_, ()| {
             std::thread::sleep(Duration::from_millis(2));
         });
-        let busy: Vec<Duration> = times.spans.iter().map(TaskSpan::busy).collect();
+        let busy: Vec<Duration> = spans.iter().map(TaskSpan::busy).collect();
         assert_eq!(busy.len(), 8);
         assert!(
             busy.iter().all(|d| *d >= Duration::from_millis(2)),

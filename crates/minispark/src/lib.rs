@@ -20,7 +20,9 @@
 //! * **metrics** ([`MetricsReport`]): per-stage wall time, task counts,
 //!   shuffle records/bytes and partition skew — the quantities the paper
 //!   reasons about (posting-list skew, shuffle overhead of repartition
-//!   joins),
+//!   joins) — plus every task's queued/started/finished span and slot id,
+//!   the one store of task timings, with executor-utilization analytics
+//!   ([`ExecutorAnalytics`]) read off them,
 //! * **spill-to-disk** ([`spill`]): an external group-by that encodes
 //!   overflowing groups to temporary run files and merges them, reproducing
 //!   Spark's ability to spill shuffle data that iterator-style (VJ-NL)
@@ -29,17 +31,17 @@
 //!   budgets ([`SkewBudget`]) and a generic splitter that breaks oversized
 //!   key groups into balanced ≤-budget chunks joined per chunk and per chunk
 //!   pair — the paper's δ-repartitioning (§6) as a reusable subsystem,
-//! * **tracing** ([`trace`]): an opt-in per-task span/event collector
-//!   (queue-wait vs. busy split, slot ids, phase spans, shuffle-flush and
-//!   spill-run events) with executor-utilization analytics
-//!   ([`ExecutorAnalytics`]) and a Chrome `trace_event` exporter
-//!   (Perfetto-loadable); a hand-rolled [`json`] value type backs the
-//!   exporters without adding dependencies,
+//! * **tracing** ([`trace`]): an opt-in collector of driver phase spans and
+//!   instant events (shuffle flushes, spill runs) and a Chrome
+//!   `trace_event` exporter (Perfetto-loadable) that draws them together
+//!   with the stage rows' task spans; a hand-rolled [`json`] value type backs
+//!   the exporters without adding dependencies,
 //! * **concurrency checking** ([`sched`], [`check`]): a deterministic,
 //!   seed-driven [`Schedule`] mode for the executor (installed via
 //!   [`ClusterConfig::with_schedule`]), yield-point hooks at claim / flush /
-//!   spill boundaries, and a schedule-exploration harness that audits
-//!   traces (happens-before, slot exclusivity, flush barriers) and asserts
+//!   spill boundaries, and a schedule-exploration harness that audits each
+//!   run's task spans and flush marks (happens-before, slot exclusivity,
+//!   flush barriers) and asserts
 //!   that results are schedule- and slot-count-independent.
 //!
 //! Everything runs in one OS process; "distribution" means bounded

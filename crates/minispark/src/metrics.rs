@@ -9,6 +9,8 @@ use std::fmt;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
+use crate::executor::{steal_count, TaskSpan};
+
 /// Metrics of a single executed stage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageMetrics {
@@ -18,11 +20,12 @@ pub struct StageMetrics {
     pub name: String,
     /// Wall-clock duration of the stage (including scheduling).
     pub wall: Duration,
-    /// Sum of the per-task busy durations.
-    pub task_time: Duration,
-    /// Duration of each individual task (the input to the cluster-simulation
-    /// makespan, [`StageMetrics::simulated_wall`]).
-    pub task_durations: Vec<Duration>,
+    /// The executor's span of every task, a wide stage's map and reduce
+    /// waves back to back; a driver stage holds one slot-0 span over its
+    /// wall time. The one store of the stage's task timings: busy times,
+    /// the simulated makespan, steals and the executor analytics are all
+    /// read off it.
+    pub spans: Vec<TaskSpan>,
     /// Number of tasks (usually the partition count).
     pub num_tasks: usize,
     /// Records read by the stage.
@@ -37,14 +40,30 @@ pub struct StageMetrics {
     pub max_partition_records: usize,
     /// Number of run files spilled to disk by memory-aware operators.
     pub spilled_runs: usize,
-    /// Tasks that executed on a different slot than a static round-robin
-    /// assignment would use ([`crate::executor::steal_count`]): how much the
-    /// dynamic claim backfilled idle slots. 0 for driver-side stages and
-    /// single-slot runs.
-    pub stolen_tasks: usize,
 }
 
 impl StageMetrics {
+    /// Busy duration of each task, in span order (the input to the
+    /// cluster-simulation makespan, [`StageMetrics::simulated_wall`]).
+    pub fn task_durations(&self) -> impl Iterator<Item = Duration> + '_ {
+        self.spans.iter().map(TaskSpan::busy)
+    }
+
+    /// Sum of the per-task busy durations.
+    pub fn task_time(&self) -> Duration {
+        self.task_durations().sum()
+    }
+
+    /// Tasks that executed on a different slot than a static round-robin
+    /// assignment over `slots` would use ([`steal_count`]): how much the
+    /// dynamic claim backfilled idle slots. 0 for driver-side stages and
+    /// single-slot runs. A wide stage's waves each restart their task
+    /// indices; steals are counted per wave.
+    pub fn stolen_tasks(&self, slots: usize) -> usize {
+        let claims: Vec<(usize, usize)> = self.spans.iter().map(|s| (s.task, s.slot)).collect();
+        steal_count(&claims, slots)
+    }
+
     /// Simulated wall-clock time of this stage on a cluster with `slots`
     /// concurrently usable cores: the makespan of an LPT (longest processing
     /// time first) schedule of the measured task durations onto `slots`
@@ -57,10 +76,10 @@ impl StageMetrics {
     /// first-free-core task assignment.
     pub fn simulated_wall(&self, slots: usize) -> Duration {
         let slots = slots.max(1);
-        if self.task_durations.is_empty() {
+        if self.spans.is_empty() {
             return self.wall;
         }
-        let mut sorted: Vec<Duration> = self.task_durations.clone();
+        let mut sorted: Vec<Duration> = self.task_durations().collect();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         let mut loads = vec![Duration::ZERO; slots.min(sorted.len()).max(1)];
         for task in sorted {
@@ -179,9 +198,10 @@ impl MetricsReport {
         self.stages.iter().map(|s| s.spilled_runs).sum()
     }
 
-    /// Total stolen tasks across stages (see [`StageMetrics::stolen_tasks`]).
+    /// Total stolen tasks across stages at the report's slot count (see
+    /// [`StageMetrics::stolen_tasks`]).
     pub fn total_stolen_tasks(&self) -> usize {
-        self.stages.iter().map(|s| s.stolen_tasks).sum()
+        self.stages.iter().map(|s| s.stolen_tasks(self.slots)).sum()
     }
 
     /// The worst skew ratio observed in any stage.
@@ -263,7 +283,7 @@ impl fmt::Display for MetricsReport {
                 s.shuffle_bytes,
                 s.skew(),
                 s.spilled_runs,
-                s.stolen_tasks,
+                s.stolen_tasks(slots),
             )?;
         }
         writeln!(
@@ -280,8 +300,43 @@ impl fmt::Display for MetricsReport {
 }
 
 #[cfg(test)]
+impl StageMetrics {
+    /// A row named `name` whose task spans are `(task, slot, (queued,
+    /// started, finished))`, each instant in ns after `base`.
+    pub(crate) fn synthetic(
+        name: &str,
+        base: std::time::Instant,
+        tasks: &[(usize, usize, (u64, u64, u64))],
+    ) -> Self {
+        let at = |ns| base + Duration::from_nanos(ns);
+        let span = |&(task, slot, (q, s, f))| TaskSpan {
+            task,
+            slot,
+            queued: at(q),
+            started: at(s),
+            finished: at(f),
+        };
+        Self {
+            name: name.to_string(),
+            spans: tasks.iter().map(span).collect(),
+            ..Self::default()
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One slot-0 span per busy time in ms, all queued and started together.
+    fn busy_ms(ms: &[u64]) -> Vec<TaskSpan> {
+        let tasks: Vec<_> = ms
+            .iter()
+            .enumerate()
+            .map(|(task, &m)| (task, 0, (0, 0, m * 1_000_000)))
+            .collect();
+        StageMetrics::synthetic("", std::time::Instant::now(), &tasks).spans
+    }
 
     fn stage(out: usize, max_part: usize, tasks: usize) -> StageMetrics {
         StageMetrics {
@@ -351,7 +406,7 @@ mod tests {
     fn display_reports_simulated_wall_for_the_slot_count() {
         let reg = MetricsRegistry::default();
         let mut s = stage(1, 1, 4);
-        s.task_durations = vec![Duration::from_millis(8); 4];
+        s.spans = busy_ms(&[8; 4]);
         reg.record(s);
         let mut report = reg.report();
         report.slots = 2;
@@ -365,12 +420,8 @@ mod tests {
     #[test]
     fn simulated_wall_models_slot_counts() {
         let mut s = stage(0, 0, 4);
-        s.task_durations = vec![
-            Duration::from_millis(8),
-            Duration::from_millis(4),
-            Duration::from_millis(4),
-            Duration::from_millis(4),
-        ];
+        s.spans = busy_ms(&[8, 4, 4, 4]);
+        assert_eq!(s.task_time(), Duration::from_millis(20));
         // 1 slot: everything serializes → 20 ms.
         assert_eq!(s.simulated_wall(1), Duration::from_millis(20));
         // 2 slots, LPT: {8, 4} and {4, 4} → 12 ms.
@@ -391,9 +442,9 @@ mod tests {
     fn simulated_total_sums_stages() {
         let reg = MetricsRegistry::default();
         let mut s1 = stage(1, 1, 1);
-        s1.task_durations = vec![Duration::from_millis(2); 4];
+        s1.spans = busy_ms(&[2; 4]);
         let mut s2 = stage(1, 1, 1);
-        s2.task_durations = vec![Duration::from_millis(6)];
+        s2.spans = busy_ms(&[6]);
         reg.record(s1);
         reg.record(s2);
         assert_eq!(reg.report().simulated_total(2), Duration::from_millis(10));

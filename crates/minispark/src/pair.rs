@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use crate::codec::Codec;
 use crate::dataset::{Cluster, Dataset, StageIo};
-use crate::executor::{run_stage_tasks, TaskTimes};
+use crate::executor::{run_stage_tasks, TaskSpan};
 use crate::shuffle::{spread, stable_hash, FastHashMap, FastHashSet, HashPartitioner, Partitioner};
 use crate::spill::external_group_by;
 
@@ -27,7 +27,7 @@ pub(crate) fn shuffle_scatter<T, F>(
     input: &Dataset<T>,
     targets: usize,
     target_of: F,
-) -> (Vec<Vec<T>>, TaskTimes)
+) -> (Vec<Vec<T>>, Vec<TaskSpan>)
 where
     T: Clone + Send + Sync + 'static,
     F: Fn(&T) -> usize + Sync,
@@ -35,7 +35,7 @@ where
     let targets = targets.max(1);
     let inputs: Vec<Arc<Vec<T>>> = input.partitions.clone();
     let probe = &input.cluster().inner.engine.executor;
-    let (bucketed, times) = run_stage_tasks(input.cluster().config(), probe, inputs, |_, part| {
+    let (bucketed, spans) = run_stage_tasks(input.cluster().config(), probe, inputs, |_, part| {
         let target_of_record: Vec<usize> = part.iter().map(&target_of).collect();
         let mut sizes = vec![0usize; targets];
         for &t in &target_of_record {
@@ -57,7 +57,7 @@ where
             target.extend(bucket);
         }
     }
-    (out, times)
+    (out, spans)
 }
 
 /// Folds records into one value per key with `f`, probing the map once per
@@ -85,14 +85,16 @@ where
     acc.into_iter().filter_map(|(k, v)| Some((k, v?))).collect()
 }
 
-fn merge_times(a: TaskTimes, b: TaskTimes) -> TaskTimes {
-    TaskTimes {
-        spans: a.spans.into_iter().chain(b.spans).collect(),
-    }
-}
-
-fn record_wide_stage(cluster: &Cluster, name: &str, start: Instant, times: TaskTimes, io: StageIo) {
-    cluster.record_stage(name, start, &times.spans, io);
+/// Records a wide stage; `spans` are its task waves (map side, then reduce
+/// side) back to back.
+fn record_wide_stage(
+    cluster: &Cluster,
+    name: &str,
+    start: Instant,
+    spans: Vec<TaskSpan>,
+    io: StageIo,
+) {
+    cluster.record_stage(name, start, spans, io);
     // The reduce side has consumed the flushed records by now.
     cluster.inner.engine.shuffle_inflight.sub_usize(io.shuffled);
 }
@@ -125,12 +127,12 @@ where
         let input_records = self.count();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_times) =
+        let (scattered, scatter_spans) =
             shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let probe = &self.cluster().inner.engine.executor;
-        let (grouped, times) =
+        let (grouped, spans) =
             run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
                 let mut groups: FastHashMap<K, Vec<V>> = FastHashMap::default();
                 for (k, v) in part {
@@ -150,7 +152,7 @@ where
             self.cluster(),
             name,
             start,
-            merge_times(scatter_times, times),
+            [scatter_spans, spans].concat(),
             io,
         );
         Dataset::from_partitions(self.cluster().clone(), grouped)
@@ -170,13 +172,13 @@ where
         let spill_dir = self.cluster().config().spill_dir.clone();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_times) =
+        let (scattered, scatter_spans) =
             shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let trace = self.cluster().trace().clone();
         let probe = &self.cluster().inner.engine.executor;
-        let (results, times) =
+        let (results, spans) =
             run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
                 let result = external_group_by(part.into_iter(), budget, spill_dir.as_deref())
                     .expect("spill I/O failed");
@@ -210,7 +212,7 @@ where
             self.cluster(),
             name,
             start,
-            merge_times(scatter_times, times),
+            [scatter_spans, spans].concat(),
             io,
         );
         Dataset::from_partitions(self.cluster().clone(), grouped)
@@ -227,7 +229,7 @@ where
         // Map-side combine.
         let inputs: Vec<Arc<Vec<(K, V)>>> = self.partitions.clone();
         let probe = &self.cluster().inner.engine.executor;
-        let (combined, combine_times) =
+        let (combined, combine_spans) =
             run_stage_tasks(self.cluster().config(), probe, inputs, |_, part| {
                 combine_by_key(part.iter().map(|(k, v)| (k.clone(), v.clone())), &f)
             });
@@ -235,11 +237,11 @@ where
 
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_times) =
+        let (scattered, scatter_spans) =
             shuffle_scatter(&combined, n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
-        let (reduced, reduce_times) =
+        let (reduced, reduce_spans) =
             run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
                 combine_by_key(part.into_iter(), &f)
             });
@@ -255,7 +257,7 @@ where
             self.cluster(),
             name,
             start,
-            merge_times(merge_times(combine_times, scatter_times), reduce_times),
+            [combine_spans, scatter_spans, reduce_spans].concat(),
             io,
         );
         Dataset::from_partitions(self.cluster().clone(), reduced)
@@ -298,9 +300,9 @@ where
         let input_records = self.count() + other.count();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (left, left_times) =
+        let (left, left_spans) =
             shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
-        let (right, right_times) =
+        let (right, right_spans) =
             shuffle_scatter(other, n, |(k, _): &(K, W)| partitioner.partition(k));
         let shuffled: usize = left.iter().map(std::vec::Vec::len).sum::<usize>()
             + right.iter().map(std::vec::Vec::len).sum::<usize>();
@@ -309,7 +311,7 @@ where
         #[allow(clippy::type_complexity)]
         let zipped: Vec<(Vec<(K, V)>, Vec<(K, W)>)> = left.into_iter().zip(right).collect();
         let probe = &self.cluster().inner.engine.executor;
-        let (cogrouped, times) = run_stage_tasks(
+        let (cogrouped, spans) = run_stage_tasks(
             self.cluster().config(),
             probe,
             zipped,
@@ -336,7 +338,7 @@ where
             self.cluster(),
             name,
             start,
-            merge_times(merge_times(left_times, right_times), times),
+            [left_spans, right_spans, spans].concat(),
             io,
         );
         Dataset::from_partitions(self.cluster().clone(), cogrouped)
@@ -350,7 +352,7 @@ where
     {
         let start = Instant::now();
         let input_records = self.count();
-        let (scattered, scatter_times) =
+        let (scattered, scatter_spans) =
             shuffle_scatter(self, partitioner.num_partitions(), |(k, _)| {
                 partitioner.partition(k)
             });
@@ -364,7 +366,7 @@ where
             record_size: std::mem::size_of::<(K, V)>(),
             ..StageIo::default()
         };
-        record_wide_stage(self.cluster(), name, start, scatter_times, io);
+        record_wide_stage(self.cluster(), name, start, scatter_spans, io);
         Dataset::from_partitions(self.cluster().clone(), scattered)
     }
 
@@ -399,12 +401,12 @@ where
         let start = Instant::now();
         let input_records = self.count();
         let targets = partitions.max(1);
-        let (scattered, scatter_times) =
+        let (scattered, scatter_spans) =
             shuffle_scatter(self, targets, |t| spread(stable_hash(t), targets));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let probe = &self.cluster().inner.engine.executor;
-        let (deduped, times) =
+        let (deduped, spans) =
             run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
                 // The seen-set owns each unique record once; the output is
                 // rebuilt from it, so records are cloned exactly once.
@@ -431,7 +433,7 @@ where
             self.cluster(),
             name,
             start,
-            merge_times(scatter_times, times),
+            [scatter_spans, spans].concat(),
             io,
         );
         Dataset::from_partitions(self.cluster().clone(), deduped)

@@ -440,13 +440,13 @@ where
     let stolen_tasks: u64 = if groups_split == 0 {
         0
     } else {
-        cluster
-            .metrics()
+        let report = cluster.metrics();
+        report
             .stages
             .iter()
             .skip(stages_before)
             .filter(|s| s.name == join_chunks || s.name == rs_join_chunks)
-            .map(|s| s.stolen_tasks as u64)
+            .map(|s| s.stolen_tasks(report.slots) as u64)
             .sum()
     };
 

@@ -886,7 +886,8 @@ struct HeartbeatShared {
     registry: TelemetryRegistry,
     started: Instant,
     interval: Duration,
-    samples: Mutex<Vec<Json>>,
+    /// `(registry epoch, sample)`, every entry of the newest epoch sampled.
+    samples: Mutex<Vec<(u64, Json)>>,
 }
 
 impl HeartbeatShared {
@@ -920,10 +921,17 @@ impl HeartbeatShared {
             )
             .with("epoch", Json::num_u64(snapshot.epoch))
             .with("metrics", metrics);
-        self.samples
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(sample);
+        // A registry reset starts a new run: the first sample of a newer
+        // epoch drops the older ones, and a sample taken before a reset but
+        // stored after a newer one is dropped itself — the series only ever
+        // holds the current run, so all its entries share one epoch.
+        let mut samples = self.samples.lock().unwrap_or_else(PoisonError::into_inner);
+        match samples.last() {
+            Some(&(held, _)) if held > snapshot.epoch => return,
+            Some(&(held, _)) if held < snapshot.epoch => samples.clear(),
+            _ => {}
+        }
+        samples.push((snapshot.epoch, sample));
     }
 }
 
@@ -997,8 +1005,10 @@ impl Heartbeat {
         self.len() == 0
     }
 
-    /// The `minispark/heartbeat/v1` document over all samples so far. Takes
-    /// one final flush sample first so even sub-interval runs have data.
+    /// The `minispark/heartbeat/v1` document over the samples of the
+    /// registry's current epoch: after a [`TelemetryRegistry::reset`], the
+    /// previous run's samples are gone. Takes one final flush sample first so
+    /// even sub-interval runs have data.
     pub fn document(&self) -> Json {
         self.sample_now();
         let samples = self
@@ -1006,7 +1016,9 @@ impl Heartbeat {
             .samples
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+            .iter()
+            .map(|(_, sample)| sample.clone())
+            .collect();
         Json::obj()
             .with("schema", Json::str(HEARTBEAT_SCHEMA))
             .with(

@@ -1,72 +1,42 @@
-//! Execution tracing: per-task spans, phase spans and instant events, plus
-//! the analytics and the Chrome `trace_event` export built on them.
+//! Execution tracing: phase spans and instant events, plus the executor
+//! analytics and the Chrome `trace_event` export built on them and on the
+//! stage rows.
 //!
 //! The paper's evaluation argues from runtime *mechanisms* — phase
 //! breakdowns (Fig. 2), posting-list skew, spill behaviour — and the
 //! aggregate [`crate::MetricsReport`] table cannot show *when* things
 //! happened: which slot ran which task, how long tasks queued, whether CL-P's
-//! δ-repartitioning really replaced one long task by many short ones. This
-//! module records exactly that:
+//! δ-repartitioning really replaced one long task by many short ones. Every
+//! task's queued → started → finished span and slot id is stored once, in
+//! its stage's [`StageMetrics`] row ([`StageMetrics::spans`]), whether or
+//! not tracing is on. This module adds what a stage row cannot hold and the
+//! views over both:
 //!
 //! * a [`TraceCollector`] attached to every [`crate::Cluster`]. Disabled by
 //!   default and then a **no-op**: every recording entry point checks one
-//!   boolean before touching the event buffer, so release benches pay
-//!   nothing beyond timestamps the executor already takes;
-//! * [`TaskEvent`]s carrying the queued → started → finished split (queue
-//!   wait vs. busy time) and the worker-slot id for every executed task;
+//!   boolean before touching the event buffer;
 //! * [`PhaseEvent`]s from RAII [`SpanGuard`]s, used by the join drivers to
 //!   label the Ordering → Clustering → Joining → Expansion pipeline;
 //! * [`MarkEvent`]s for point-in-time facts (shuffle flushes, spill runs);
 //! * [`ExecutorAnalytics`]: slot occupancy, idle fraction, queue-wait
-//!   percentiles and a critical-path estimate per stage — the utilization
-//!   view next to the existing [`crate::StageMetrics::skew`];
+//!   percentiles and a critical-path estimate per stage, read off a
+//!   [`MetricsReport`]'s stage rows — the utilization view next to the
+//!   existing [`crate::StageMetrics::skew`], traced or not;
 //! * [`chrome_trace`]: a Chrome `trace_event` document (open in Perfetto or
-//!   `chrome://tracing`) with one track per slot and a phase track on top.
+//!   `chrome://tracing`) with one track per slot, drawn from stage rows, and
+//!   a phase track on top, drawn from the trace.
 //!
 //! All timestamps are nanoseconds relative to the collector's creation
-//! (monotonic, from [`Instant`]), so traces from several clusters sharing
-//! one collector (via [`TraceCollector::fork`]) line up on one timeline.
+//! ([`TraceSnapshot::epoch`], monotonic, from [`Instant`]), so several
+//! clusters sharing one collector record onto one timeline, and their stage
+//! rows' instants are placed on it.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::executor::{steal_count, TaskSpan};
+use crate::executor::TaskSpan;
 use crate::json::Json;
-
-/// One executed task: where it ran and the queued/started/finished split.
-///
-/// Invariant: `queued_ns ≤ started_ns ≤ finished_ns`, so
-/// `queue_wait() + busy()` is the task's total residence time, which is in
-/// turn bounded by its stage's wall time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskEvent {
-    /// The metrics stage id the task belonged to.
-    pub stage_id: usize,
-    /// The stage's operator name.
-    pub stage: Arc<str>,
-    /// Task index within the stage.
-    pub task: usize,
-    /// Worker slot (0-based) the task executed on.
-    pub slot: usize,
-    /// When the task became runnable (stage submission), ns since epoch.
-    pub queued_ns: u64,
-    /// When a worker picked the task up, ns since epoch.
-    pub started_ns: u64,
-    /// When the task finished, ns since epoch.
-    pub finished_ns: u64,
-}
-
-impl TaskEvent {
-    /// Time spent waiting for a free slot.
-    pub fn queue_wait(&self) -> Duration {
-        Duration::from_nanos(self.started_ns.saturating_sub(self.queued_ns))
-    }
-
-    /// Time spent executing.
-    pub fn busy(&self) -> Duration {
-        Duration::from_nanos(self.finished_ns.saturating_sub(self.started_ns))
-    }
-}
+use crate::metrics::{MetricsReport, StageMetrics};
 
 /// A labelled driver-side interval (a join phase, a whole run, …), recorded
 /// by a [`SpanGuard`] on drop.
@@ -94,8 +64,6 @@ pub struct MarkEvent {
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// An executed task.
-    Task(TaskEvent),
     /// A labelled driver-side interval.
     Phase(PhaseEvent),
     /// A point-in-time fact.
@@ -111,7 +79,8 @@ struct TraceInner {
 
 /// The span/event collector attached to a [`crate::Cluster`].
 ///
-/// Cheap to clone (an `Arc` handle). Disabled by default
+/// Cheap to clone (an `Arc` handle); clusters built with clones of one
+/// collector record onto one buffer and one timeline. Disabled by default
 /// ([`TraceCollector::disabled`], also [`Default`]): a disabled collector is
 /// a no-op — every recording method returns after one boolean check, so the
 /// engine's hot paths are unaffected unless tracing was requested.
@@ -127,11 +96,11 @@ impl Default for TraceCollector {
 }
 
 impl TraceCollector {
-    fn with_enabled(enabled: bool, epoch: Instant) -> Self {
+    fn with_enabled(enabled: bool) -> Self {
         Self {
             inner: Arc::new(TraceInner {
                 enabled,
-                epoch,
+                epoch: Instant::now(),
                 events: Mutex::new(Vec::new()),
             }),
         }
@@ -139,12 +108,12 @@ impl TraceCollector {
 
     /// A collector that records events; its creation time is the trace epoch.
     pub fn enabled() -> Self {
-        Self::with_enabled(true, Instant::now())
+        Self::with_enabled(true)
     }
 
     /// A no-op collector (the default on every cluster).
     pub fn disabled() -> Self {
-        Self::with_enabled(false, Instant::now())
+        Self::with_enabled(false)
     }
 
     /// Whether this collector records anything.
@@ -152,44 +121,16 @@ impl TraceCollector {
         self.inner.enabled
     }
 
-    /// A collector with a **fresh buffer** sharing this collector's epoch
-    /// and enabled-ness. Lets a harness give every measured run its own
-    /// cluster (and thus an isolated per-run event set) while all events
-    /// stay on one comparable timeline; merge back with
-    /// [`TraceCollector::extend`].
-    #[must_use]
-    pub fn fork(&self) -> Self {
-        Self::with_enabled(self.inner.enabled, self.inner.epoch)
-    }
-
     fn now_ns(&self) -> u64 {
         instant_ns(self.inner.epoch, Instant::now())
     }
 
-    /// Records the task spans of one executed stage. No-op when disabled.
-    pub fn record_stage_tasks(&self, stage_id: usize, stage: &str, spans: &[TaskSpan]) {
-        if !self.inner.enabled || spans.is_empty() {
-            return;
-        }
-        let stage: Arc<str> = Arc::from(stage);
-        let epoch = self.inner.epoch;
-        let mut events = self
-            .inner
+    fn push(&self, event: TraceEvent) {
+        self.inner
             .events
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        events.reserve(spans.len());
-        for span in spans {
-            events.push(TraceEvent::Task(TaskEvent {
-                stage_id,
-                stage: Arc::clone(&stage),
-                task: span.task,
-                slot: span.slot,
-                queued_ns: instant_ns(epoch, span.queued),
-                started_ns: instant_ns(epoch, span.started),
-                finished_ns: instant_ns(epoch, span.finished),
-            }));
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(event);
     }
 
     /// Opens a phase span; the [`PhaseEvent`] is recorded when the returned
@@ -215,33 +156,17 @@ impl TraceCollector {
             return;
         }
         let at_ns = self.now_ns();
-        self.inner
-            .events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(TraceEvent::Mark(MarkEvent {
-                name: name.to_string(),
-                at_ns,
-                value,
-            }));
+        self.push(TraceEvent::Mark(MarkEvent {
+            name: name.to_string(),
+            at_ns,
+            value,
+        }));
     }
 
-    /// Appends already-recorded events (from a [`TraceCollector::fork`]ed
-    /// collector's snapshot). No-op when disabled.
-    pub fn extend(&self, events: Vec<TraceEvent>) {
-        if !self.inner.enabled {
-            return;
-        }
-        self.inner
-            .events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(events);
-    }
-
-    /// A copy of everything recorded so far.
+    /// A copy of everything recorded so far, with the collector's epoch.
     pub fn snapshot(&self) -> TraceSnapshot {
         TraceSnapshot {
+            epoch: self.inner.epoch,
             events: self
                 .inner
                 .events
@@ -280,41 +205,38 @@ impl Drop for SpanGuard {
         if let Some(collector) = self.collector.take() {
             let begin_ns = instant_ns(collector.inner.epoch, self.begin);
             let end_ns = collector.now_ns();
-            collector
-                .inner
-                .events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(TraceEvent::Phase(PhaseEvent {
-                    name: std::mem::take(&mut self.name),
-                    begin_ns,
-                    end_ns,
-                }));
+            collector.push(TraceEvent::Phase(PhaseEvent {
+                name: std::mem::take(&mut self.name),
+                begin_ns,
+                end_ns,
+            }));
         }
     }
 }
 
 /// An immutable copy of a collector's events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceSnapshot {
+    /// The collector's creation time: every event's `*_ns` counts from here,
+    /// and [`TraceSnapshot::offset_ns`] places a stage row's instants on the
+    /// same timeline.
+    pub epoch: Instant,
     /// All recorded events, in recording order.
     pub events: Vec<TraceEvent>,
 }
 
 impl TraceSnapshot {
-    /// The task events.
-    pub fn tasks(&self) -> impl Iterator<Item = &TaskEvent> {
-        self.events.iter().filter_map(|e| match e {
-            TraceEvent::Task(t) => Some(t),
-            _ => None,
-        })
+    /// `at` as nanoseconds since [`TraceSnapshot::epoch`] (0 for an instant
+    /// before it).
+    pub fn offset_ns(&self, at: Instant) -> u64 {
+        instant_ns(self.epoch, at)
     }
 
     /// The phase events.
     pub fn phases(&self) -> impl Iterator<Item = &PhaseEvent> {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Phase(p) => Some(p),
-            _ => None,
+            TraceEvent::Mark(_) => None,
         })
     }
 
@@ -322,7 +244,7 @@ impl TraceSnapshot {
     pub fn marks(&self) -> impl Iterator<Item = &MarkEvent> {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Mark(m) => Some(m),
-            _ => None,
+            TraceEvent::Phase(_) => None,
         })
     }
 
@@ -336,14 +258,14 @@ impl TraceSnapshot {
 // Executor analytics
 // ---------------------------------------------------------------------------
 
-/// Utilization analysis of one stage, derived from its [`TaskEvent`]s.
+/// Utilization analysis of one stage, derived from its row's task spans.
 #[derive(Debug, Clone)]
 pub struct StageAnalytics {
     /// The metrics stage id.
     pub stage_id: usize,
     /// The stage's operator name.
     pub stage: String,
-    /// Number of task events.
+    /// Number of task spans.
     pub tasks: usize,
     /// First queued → last finished.
     pub span: Duration,
@@ -370,8 +292,8 @@ pub struct StageAnalytics {
     /// slots the stage never touched show up as zero busy time.
     pub slot_busy: Vec<Duration>,
     /// Tasks that ran on a different slot than static round-robin would
-    /// assign ([`crate::executor::steal_count`]) — how much the dynamic
-    /// claim backfilled idle slots, e.g. for skew-split sub-partitions.
+    /// assign ([`StageMetrics::stolen_tasks`]) — how much the dynamic claim
+    /// backfilled idle slots, e.g. for skew-split sub-partitions.
     pub stolen_tasks: usize,
 }
 
@@ -395,28 +317,26 @@ impl StageAnalytics {
     }
 }
 
-/// Executor utilization derived from a [`TraceSnapshot`] — the timeline view
-/// next to the aggregate [`crate::MetricsReport`].
+/// Executor utilization derived from a [`MetricsReport`]'s stage rows — the
+/// timeline view next to the aggregate table.
 #[derive(Debug, Clone)]
 pub struct ExecutorAnalytics {
     /// The slot count the occupancy is computed against.
     pub slots: usize,
-    /// Per-stage analysis, in stage-id order.
+    /// Per-stage analysis, in stage order.
     pub stages: Vec<StageAnalytics>,
 }
 
 impl ExecutorAnalytics {
-    /// Analyses a snapshot's task events against `slots` executor slots.
-    pub fn from_snapshot(snapshot: &TraceSnapshot, slots: usize) -> Self {
-        let slots = slots.max(1);
-        let mut by_stage: std::collections::BTreeMap<usize, Vec<&TaskEvent>> =
-            std::collections::BTreeMap::new();
-        for task in snapshot.tasks() {
-            by_stage.entry(task.stage_id).or_default().push(task);
-        }
-        let stages = by_stage
-            .into_iter()
-            .map(|(stage_id, tasks)| stage_analytics(stage_id, &tasks, slots))
+    /// Analyses every stage row of `report` that holds task spans against
+    /// the report's slot count ([`MetricsReport::slots`], 0 counted as 1).
+    pub fn from_metrics(report: &MetricsReport) -> Self {
+        let slots = report.slots.max(1);
+        let stages = report
+            .stages
+            .iter()
+            .filter(|stage| !stage.spans.is_empty())
+            .map(|stage| stage_analytics(stage, slots))
             .collect();
         Self { slots, stages }
     }
@@ -455,28 +375,22 @@ impl ExecutorAnalytics {
     }
 }
 
-fn stage_analytics(stage_id: usize, tasks: &[&TaskEvent], slots: usize) -> StageAnalytics {
-    let first_queued = tasks.iter().map(|t| t.queued_ns).min().unwrap_or(0);
-    let last_finished = tasks.iter().map(|t| t.finished_ns).max().unwrap_or(0);
-    let span = Duration::from_nanos(last_finished.saturating_sub(first_queued));
-    let busy: Duration = tasks.iter().map(|t| t.busy()).sum();
-    let queue_wait: Duration = tasks.iter().map(|t| t.queue_wait()).sum();
-    let longest_task = tasks
-        .iter()
-        .map(|t| t.busy())
-        .max()
-        .unwrap_or(Duration::ZERO);
+fn stage_analytics(stage: &StageMetrics, slots: usize) -> StageAnalytics {
+    let tasks = &stage.spans;
+    let first_queued = tasks.iter().map(|t| t.queued).min();
+    let last_finished = tasks.iter().map(|t| t.finished).max();
+    let span = (first_queued.zip(last_finished))
+        .map_or(Duration::ZERO, |(q, f)| f.saturating_duration_since(q));
+    let busy = stage.task_time();
+    let longest_task = stage.task_durations().max().unwrap_or(Duration::ZERO);
     let max_slot = tasks.iter().map(|t| t.slot).max().unwrap_or(0);
     let mut slot_busy = vec![Duration::ZERO; (max_slot + 1).max(slots)];
     for t in tasks {
         slot_busy[t.slot] += t.busy();
     }
-    // Recording order is preserved per stage, so wide stages' concatenated
-    // map/reduce waves split correctly at their task-index resets.
-    let pairs: Vec<(usize, usize)> = tasks.iter().map(|t| (t.task, t.slot)).collect();
-    let stolen_tasks = steal_count(&pairs, slots);
-    let mut waits: Vec<Duration> = tasks.iter().map(|t| t.queue_wait()).collect();
+    let mut waits: Vec<Duration> = tasks.iter().map(TaskSpan::queue_wait).collect();
     waits.sort_unstable();
+    let queue_wait: Duration = waits.iter().sum();
     #[expect(
         clippy::cast_precision_loss,
         reason = "slot counts are tiny — exact in f64"
@@ -487,11 +401,8 @@ fn stage_analytics(stage_id: usize, tasks: &[&TaskEvent], slots: usize) -> Stage
         (busy.as_secs_f64() / (slots as f64 * span.as_secs_f64())).clamp(0.0, 1.0)
     };
     StageAnalytics {
-        stage_id,
-        stage: tasks
-            .first()
-            .map(|t| t.stage.to_string())
-            .unwrap_or_default(),
+        stage_id: stage.stage_id,
+        stage: stage.name.clone(),
         tasks: tasks.len(),
         span,
         busy,
@@ -503,7 +414,7 @@ fn stage_analytics(stage_id: usize, tasks: &[&TaskEvent], slots: usize) -> Stage
         queue_wait_max: waits.last().copied().unwrap_or(Duration::ZERO),
         longest_task,
         slot_busy,
-        stolen_tasks,
+        stolen_tasks: stage.stolen_tasks(slots),
     }
 }
 
@@ -528,6 +439,10 @@ fn micros(ns: u64) -> Json {
     Json::num(ns as f64 / 1e3)
 }
 
+fn duration_micros(d: Duration) -> Json {
+    micros(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
 fn chrome_event(name: &str, ph: &str, tid: usize, ts_ns: u64) -> Json {
     Json::obj()
         .with("name", Json::str(name))
@@ -548,14 +463,21 @@ fn thread_meta(tid: usize, name: &str, sort_index: usize) -> Vec<Json> {
     ]
 }
 
-/// Renders a snapshot as a Chrome `trace_event` document ([`Json`] form).
+/// Renders a trace snapshot plus the stage rows of the runs it covers as a
+/// Chrome `trace_event` document ([`Json`] form). The rows' instants are
+/// placed on the snapshot's epoch, so rows from several clusters that shared
+/// the collector line up with its phases and with each other.
 ///
 /// Layout: one process (`pid` 0), thread 0 is the **phase track** (the
 /// drivers' nested phase spans — nesting is by time containment, which is
 /// how Perfetto stacks same-track complete events), and thread `slot + 1`
-/// is the task track of executor slot `slot`. Instant events (shuffle
-/// flushes, spill runs) land on the phase track.
-pub fn chrome_trace(snapshot: &TraceSnapshot) -> Json {
+/// is the task track of executor slot `slot`: one complete event per task
+/// span. Instant events (shuffle flushes, spill runs) land on the phase
+/// track.
+pub fn chrome_trace<'a>(
+    snapshot: &TraceSnapshot,
+    stages: impl IntoIterator<Item = &'a StageMetrics>,
+) -> Json {
     let mut events: Vec<Json> = Vec::with_capacity(snapshot.events.len() + 8);
     events.push(chrome_event("process_name", "M", 0, 0).with(
         "args",
@@ -563,27 +485,25 @@ pub fn chrome_trace(snapshot: &TraceSnapshot) -> Json {
     ));
     events.extend(thread_meta(0, "phases", 0));
     let mut max_slot: Option<usize> = None;
+    for stage in stages {
+        for t in &stage.spans {
+            max_slot = Some(max_slot.map_or(t.slot, |m| m.max(t.slot)));
+            events.push(
+                chrome_event(&stage.name, "X", t.slot + 1, snapshot.offset_ns(t.started))
+                    .with("dur", duration_micros(t.busy()))
+                    .with("cat", Json::str("task"))
+                    .with(
+                        "args",
+                        Json::obj()
+                            .with("stage_id", Json::num_usize(stage.stage_id))
+                            .with("task", Json::num_usize(t.task))
+                            .with("queue_wait_us", duration_micros(t.queue_wait())),
+                    ),
+            );
+        }
+    }
     for event in &snapshot.events {
         match event {
-            TraceEvent::Task(t) => {
-                max_slot = Some(max_slot.map_or(t.slot, |m| m.max(t.slot)));
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "queue waits are far below u64::MAX ns ≈ 584 years"
-                )]
-                events.push(
-                    chrome_event(&t.stage, "X", t.slot + 1, t.started_ns)
-                        .with("dur", micros(t.finished_ns.saturating_sub(t.started_ns)))
-                        .with("cat", Json::str("task"))
-                        .with(
-                            "args",
-                            Json::obj()
-                                .with("stage_id", Json::num_usize(t.stage_id))
-                                .with("task", Json::num_usize(t.task))
-                                .with("queue_wait_us", micros(t.queue_wait().as_nanos() as u64)),
-                        ),
-                );
-            }
             TraceEvent::Phase(p) => {
                 events.push(
                     chrome_event(&p.name, "X", 0, p.begin_ns)
@@ -612,24 +532,23 @@ pub fn chrome_trace(snapshot: &TraceSnapshot) -> Json {
 }
 
 /// [`chrome_trace`], rendered to a JSON string.
-pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
-    chrome_trace(snapshot).render()
+pub fn chrome_trace_json<'a>(
+    snapshot: &TraceSnapshot,
+    stages: impl IntoIterator<Item = &'a StageMetrics>,
+) -> String {
+    chrome_trace(snapshot, stages).render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(task: usize, slot: usize, q: u64, s: u64, f: u64) -> TaskEvent {
-        TaskEvent {
-            stage_id: 0,
-            stage: Arc::from("stage"),
-            task,
-            slot,
-            queued_ns: q,
-            started_ns: s,
-            finished_ns: f,
-        }
+    fn row(base: Instant, spans: &[(usize, usize, (u64, u64, u64))]) -> StageMetrics {
+        StageMetrics::synthetic("stage", base, spans)
+    }
+
+    fn report(slots: usize, stages: Vec<StageMetrics>) -> MetricsReport {
+        MetricsReport { slots, stages }
     }
 
     #[test]
@@ -640,58 +559,32 @@ mod tests {
             let _g = c.span("phase");
             c.mark("mark", 1);
         }
-        c.record_stage_tasks(
-            0,
-            "s",
-            &[TaskSpan {
-                task: 0,
-                slot: 0,
-                queued: Instant::now(),
-                started: Instant::now(),
-                finished: Instant::now(),
-            }],
-        );
         assert!(c.snapshot().is_empty());
     }
 
     #[test]
-    fn enabled_collector_records_phases_marks_tasks() {
+    fn enabled_collector_records_phases_and_marks() {
         let c = TraceCollector::enabled();
         {
             let _g = c.span("phase-a");
             c.mark("flush", 42);
         }
-        let now = Instant::now();
-        c.record_stage_tasks(
-            3,
-            "stage-x",
-            &[TaskSpan {
-                task: 1,
-                slot: 2,
-                queued: now,
-                started: now,
-                finished: now,
-            }],
-        );
         let snap = c.snapshot();
         assert_eq!(snap.phases().count(), 1);
         assert_eq!(snap.marks().next().map(|m| m.value), Some(42));
-        let task = snap.tasks().next().expect("task recorded");
-        assert_eq!((task.stage_id, task.task, task.slot), (3, 1, 2));
-        assert_eq!(&*task.stage, "stage-x");
         c.clear();
         assert!(c.snapshot().is_empty());
     }
 
     #[test]
-    fn fork_shares_epoch_but_not_buffer() {
+    fn clones_share_one_buffer_and_epoch() {
         let parent = TraceCollector::enabled();
-        let child = parent.fork();
-        child.mark("child-only", 1);
-        assert!(parent.snapshot().is_empty());
-        assert_eq!(child.snapshot().events.len(), 1);
-        parent.extend(child.snapshot().events);
-        assert_eq!(parent.snapshot().events.len(), 1);
+        let child = parent.clone();
+        child.mark("child", 1);
+        let snap = parent.snapshot();
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.epoch, child.snapshot().epoch);
+        assert_eq!(snap.offset_ns(snap.epoch + Duration::from_nanos(7)), 7);
     }
 
     #[test]
@@ -710,13 +603,11 @@ mod tests {
     fn analytics_compute_occupancy_and_waits() {
         // Two slots, span 100ns; slot 0 busy 100, slot 1 busy 40 after a
         // 60ns queue wait → occupancy (100+40)/200 = 0.7.
-        let snap = TraceSnapshot {
-            events: vec![
-                TraceEvent::Task(span(0, 0, 0, 0, 100)),
-                TraceEvent::Task(span(1, 1, 0, 60, 100)),
-            ],
-        };
-        let a = ExecutorAnalytics::from_snapshot(&snap, 2);
+        let base = Instant::now();
+        let a = ExecutorAnalytics::from_metrics(&report(
+            2,
+            vec![row(base, &[(0, 0, (0, 0, 100)), (1, 1, (0, 60, 100))])],
+        ));
         assert_eq!(a.stages.len(), 1);
         let s = &a.stages[0];
         assert_eq!(s.tasks, 2);
@@ -741,14 +632,22 @@ mod tests {
     fn analytics_count_steals_and_pad_idle_slots() {
         // Three tasks, 4 analysed slots, everything on slot 0: tasks 1 and 2
         // deviate from round-robin over min(4, 3) = 3 workers.
-        let snap = TraceSnapshot {
-            events: vec![
-                TraceEvent::Task(span(0, 0, 0, 0, 10)),
-                TraceEvent::Task(span(1, 0, 0, 10, 20)),
-                TraceEvent::Task(span(2, 0, 0, 20, 100)),
+        let base = Instant::now();
+        let a = ExecutorAnalytics::from_metrics(&report(
+            4,
+            vec![
+                row(
+                    base,
+                    &[
+                        (0, 0, (0, 0, 10)),
+                        (1, 0, (0, 10, 20)),
+                        (2, 0, (0, 20, 100)),
+                    ],
+                ),
+                row(base, &[]),
             ],
-        };
-        let a = ExecutorAnalytics::from_snapshot(&snap, 4);
+        ));
+        assert_eq!(a.stages.len(), 1, "a row without spans is not analysed");
         let s = &a.stages[0];
         assert_eq!(s.stolen_tasks, 2);
         // slot_busy is padded to the slot count; untouched slots are zero,
@@ -769,14 +668,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_slot_tracks_and_parses() {
+        let epoch = Instant::now();
         let snap = TraceSnapshot {
+            epoch,
             events: vec![
                 TraceEvent::Phase(PhaseEvent {
                     name: "cl/phase/joining".into(),
                     begin_ns: 0,
                     end_ns: 5_000,
                 }),
-                TraceEvent::Task(span(0, 1, 0, 1_000, 3_000)),
                 TraceEvent::Mark(MarkEvent {
                     name: "spill-run/x".into(),
                     at_ns: 2_000,
@@ -784,17 +684,19 @@ mod tests {
                 }),
             ],
         };
-        let doc = chrome_trace(&snap);
+        let stages = [row(epoch, &[(0, 1, (0, 1_000, 3_000))])];
+        let doc = chrome_trace(&snap, &stages);
         let text = doc.render();
         let parsed = Json::parse(&text).expect("chrome trace parses");
         let events = parsed
             .get("traceEvents")
             .and_then(Json::as_arr)
             .expect("traceEvents array");
-        // Task on tid = slot + 1 = 2 with dur 2 µs.
+        // Task on tid = slot + 1 = 2 at 1 µs after the epoch, dur 2 µs.
         assert!(events.iter().any(|e| {
             e.get("ph").and_then(Json::as_str) == Some("X")
                 && e.get("tid").and_then(Json::as_u64) == Some(2)
+                && e.get("ts").and_then(Json::as_f64) == Some(1.0)
                 && e.get("dur").and_then(Json::as_f64) == Some(2.0)
         }));
         // Thread metadata names the slot track.

@@ -6,8 +6,9 @@
 #![allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use minispark::executor::TaskSpan;
 use minispark::{Cluster, ClusterConfig, StageMetrics};
 use topk_datagen::rng::{check, Rng};
 
@@ -241,8 +242,19 @@ fn results_independent_of_slots_and_partitions() {
 /// LPT makespan invariants: never below max(longest task, total/slots),
 /// never above the serial total, monotone non-increasing in slots.
 fn assert_makespan_bounds(millis: &[u64], slots: usize) {
+    let base = Instant::now();
     let stage = StageMetrics {
-        task_durations: millis.iter().map(|&m| Duration::from_millis(m)).collect(),
+        spans: millis
+            .iter()
+            .enumerate()
+            .map(|(task, &m)| TaskSpan {
+                task,
+                slot: 0,
+                queued: base,
+                started: base,
+                finished: base + Duration::from_millis(m),
+            })
+            .collect(),
         num_tasks: millis.len(),
         ..StageMetrics::default()
     };

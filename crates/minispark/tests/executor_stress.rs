@@ -21,7 +21,7 @@ fn outputs_stay_in_input_order_across_slot_counts() {
     for slots in [1, 2, 3, 4, 7, 8, 16, 64] {
         for num_tasks in [0usize, 1, 2, 7, 64, 257] {
             let inputs: Vec<usize> = (0..num_tasks).collect();
-            let (outputs, times) = run_tasks(slots, inputs, |idx, input| {
+            let (outputs, spans) = run_tasks(slots, inputs, |idx, input| {
                 assert_eq!(idx, input, "task index must match input position");
                 // Jitter the fast tasks so claim order varies between runs.
                 if input % 13 == 0 {
@@ -35,7 +35,7 @@ fn outputs_stay_in_input_order_across_slot_counts() {
                 "outputs out of order at slots = {slots}, tasks = {num_tasks}"
             );
             assert_eq!(
-                times.spans.len(),
+                spans.len(),
                 num_tasks,
                 "one timing per task at slots = {slots}, tasks = {num_tasks}"
             );
@@ -63,15 +63,15 @@ fn every_task_claimed_exactly_once_under_contention() {
 #[test]
 fn skewed_task_durations_keep_order() {
     let inputs: Vec<u64> = (0..128).collect();
-    let (outputs, times) = run_tasks(8, inputs, |_, input| {
+    let (outputs, spans) = run_tasks(8, inputs, |_, input| {
         if input % 17 == 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
         input
     });
     assert_eq!(outputs, (0..128).collect::<Vec<u64>>());
-    assert_eq!(times.spans.len(), 128);
-    let busy: Duration = times.spans.iter().map(TaskSpan::busy).sum();
+    assert_eq!(spans.len(), 128);
+    let busy: Duration = spans.iter().map(TaskSpan::busy).sum();
     assert!(busy >= Duration::from_millis(2 * (128 / 17)));
 }
 

@@ -49,7 +49,7 @@ fn real_runs_pass_the_happens_before_audit_under_every_schedule() {
         let cluster = traced_cluster(3, schedule);
         let counts = word_count(&cluster);
         assert_eq!(counts.iter().map(|(_, n)| n).sum::<usize>(), 11);
-        let violations = audit_snapshot(&cluster.trace().snapshot());
+        let violations = audit_snapshot(&cluster.trace().snapshot(), &cluster.metrics().stages);
         assert!(
             violations.is_empty(),
             "audit violations under {schedule:?}: {violations:?}"

@@ -184,6 +184,39 @@ fn heartbeat_collects_a_time_series() {
     assert!(samples.iter().all(|s| s.get("metrics").is_some()));
 }
 
+/// A reset ends the run for the heartbeat too: after it, the document holds
+/// only samples of the new registry epoch, even with the sampler thread
+/// racing the reset at a 1 ms cadence.
+#[test]
+fn heartbeat_samples_do_not_survive_a_reset() {
+    let config = ClusterConfig::local(2).with_heartbeat(Duration::from_millis(1));
+    let cluster = Cluster::new(config);
+    run_workload(&cluster);
+    std::thread::sleep(Duration::from_millis(10));
+    cluster.reset_metrics();
+    run_workload(&cluster);
+
+    let epoch = cluster.telemetry().epoch();
+    assert_eq!(epoch, 1, "one reset, one epoch bump");
+    let doc = cluster.heartbeat_document().expect("heartbeat configured");
+    let samples = doc
+        .get("samples")
+        .and_then(Json::as_arr)
+        .expect("samples array");
+    assert!(
+        !samples.is_empty(),
+        "the final flush sample is always there"
+    );
+    for sample in samples {
+        assert_eq!(
+            sample.get("epoch").and_then(Json::as_u64),
+            Some(epoch),
+            "a pre-reset sample leaked into the document: {}",
+            sample.render()
+        );
+    }
+}
+
 /// One blocking HTTP exchange against the live endpoint.
 fn http(addr: std::net::SocketAddr, request: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("endpoint reachable");

@@ -1,6 +1,7 @@
 //! Invariants of the tracing layer against real engine runs: the
-//! queued ≤ started ≤ finished ordering, per-task residence bounded by the
-//! stage wall time, analytics ranges, the Chrome export, and the disabled
+//! queued ≤ started ≤ finished ordering of every stage row's task spans,
+//! per-task residence bounded by the stage wall time, analytics ranges, the
+//! Chrome export, clusters sharing one collector, and the disabled
 //! collector being a true no-op.
 
 use minispark::trace::chrome_trace_json;
@@ -15,6 +16,18 @@ fn run_workload(cluster: &Cluster) {
     assert_eq!(grouped.collect().len(), 97);
 }
 
+/// The complete (`"ph": "X"`) events of a Chrome trace document.
+fn complete_events(text: &str) -> Vec<Json> {
+    let doc = Json::parse(text).expect("the Chrome trace must parse back");
+    doc.get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .cloned()
+        .collect()
+}
+
 #[test]
 fn disabled_collector_is_a_true_noop() {
     let cluster = Cluster::new(ClusterConfig::local(2));
@@ -24,57 +37,50 @@ fn disabled_collector_is_a_true_noop() {
         cluster.trace().snapshot().is_empty(),
         "a disabled collector must record nothing"
     );
+    // The stage rows keep their task spans regardless.
+    assert!(cluster.metrics().stages.iter().all(|s| !s.spans.is_empty()));
 }
 
 #[test]
-fn task_events_obey_ordering_and_stage_wall_bounds() {
-    let cluster = Cluster::with_trace(ClusterConfig::local(2), TraceCollector::enabled());
+fn task_spans_obey_ordering_and_stage_wall_bounds() {
+    let cluster = Cluster::new(ClusterConfig::local(2));
     run_workload(&cluster);
-    let snapshot = cluster.trace().snapshot();
     let metrics = cluster.metrics();
     let slots = cluster.config().task_slots();
-    assert!(snapshot.tasks().count() > 0, "tasks were recorded");
+    assert!(metrics.stages.iter().map(|s| s.spans.len()).sum::<usize>() > 0);
 
-    for task in snapshot.tasks() {
-        assert!(
-            task.queued_ns <= task.started_ns && task.started_ns <= task.finished_ns,
-            "task ordering violated in stage {:?}: {} / {} / {}",
-            task.stage,
-            task.queued_ns,
-            task.started_ns,
-            task.finished_ns
-        );
-        assert!(task.slot < slots, "slot {} out of range", task.slot);
-        let stage = &metrics.stages[task.stage_id];
-        assert_eq!(&*task.stage, stage.name.as_str());
-        // queue_wait + busy is the task's residence (finished − queued),
-        // which can never exceed the stage's wall time: the queued stamp is
-        // taken after the stage starts, the finished stamp before its
-        // metrics are recorded.
-        let residence = task.queue_wait() + task.busy();
-        assert!(
-            residence <= stage.wall,
-            "task residence {:?} exceeds wall {:?} of stage {}",
-            residence,
-            stage.wall,
-            stage.name
-        );
+    for stage in &metrics.stages {
+        for task in &stage.spans {
+            assert!(
+                task.queued <= task.started && task.started <= task.finished,
+                "task ordering violated in stage {}: {task:?}",
+                stage.name
+            );
+            assert!(task.slot < slots, "slot {} out of range", task.slot);
+            // queue_wait + busy is the task's residence (finished − queued),
+            // which can never exceed the stage's wall time: the queued stamp
+            // is taken after the stage starts, the finished stamp before its
+            // row is recorded.
+            let residence = task.queue_wait() + task.busy();
+            assert!(
+                residence <= stage.wall,
+                "task residence {residence:?} exceeds wall {:?} of stage {}",
+                stage.wall,
+                stage.name
+            );
+        }
+        assert_eq!(stage.task_time(), stage.task_durations().sum());
     }
-
-    // Every traced stage id resolves to a recorded metrics stage.
-    let max_id = snapshot.tasks().map(|t| t.stage_id).max().unwrap_or(0);
-    assert!(max_id < metrics.stages.len());
 }
 
 #[test]
 fn analytics_ranges_are_physical() {
-    let cluster = Cluster::with_trace(ClusterConfig::local(2), TraceCollector::enabled());
+    let cluster = Cluster::new(ClusterConfig::local(2));
     run_workload(&cluster);
-    let analytics = ExecutorAnalytics::from_snapshot(
-        &cluster.trace().snapshot(),
-        cluster.config().task_slots(),
-    );
-    assert!(!analytics.stages.is_empty());
+    let metrics = cluster.metrics();
+    let analytics = ExecutorAnalytics::from_metrics(&metrics);
+    assert_eq!(analytics.slots, cluster.config().task_slots());
+    assert_eq!(analytics.stages.len(), metrics.stages.len());
     assert!((0.0..=1.0).contains(&analytics.overall_occupancy()));
     assert!((0.0..=1.0).contains(&analytics.overall_idle_fraction()));
     assert!(analytics.critical_path() <= analytics.total_busy());
@@ -95,6 +101,14 @@ fn analytics_ranges_are_physical() {
         let slot_sum: std::time::Duration = stage.slot_busy.iter().sum();
         assert_eq!(slot_sum, stage.busy, "slot timeline must account busy");
     }
+    assert_eq!(
+        analytics
+            .stages
+            .iter()
+            .map(|s| s.stolen_tasks)
+            .sum::<usize>(),
+        metrics.total_stolen_tasks()
+    );
 }
 
 #[test]
@@ -105,27 +119,23 @@ fn chrome_export_parses_and_covers_all_tasks() {
         run_workload(&cluster);
     }
     let snapshot = cluster.trace().snapshot();
-    let text = chrome_trace_json(&snapshot);
-    let doc = Json::parse(&text).expect("the Chrome trace must parse back");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    let complete = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-        .count();
-    // Every task and phase event becomes one complete event.
-    assert_eq!(
-        complete,
-        snapshot.tasks().count() + snapshot.phases().count()
-    );
+    let metrics = cluster.metrics();
+    let text = chrome_trace_json(&snapshot, &metrics.stages);
+    let complete = complete_events(&text);
+    // One complete event per stage-row task plus one per phase.
+    let tasks: usize = metrics.stages.iter().map(|s| s.spans.len()).sum();
+    assert_eq!(complete.len(), tasks + snapshot.phases().count());
     // The driver span is on the phase track (tid 0).
-    assert!(events.iter().any(|e| {
+    assert!(complete.iter().any(|e| {
         e.get("name").and_then(Json::as_str) == Some("demo/run")
             && e.get("tid").and_then(Json::as_u64) == Some(0)
     }));
     // Shuffle flush marks surface as instant events.
+    let doc = Json::parse(&text).expect("parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
     assert!(events.iter().any(|e| {
         e.get("ph").and_then(Json::as_str) == Some("i")
             && e.get("name")
@@ -135,18 +145,38 @@ fn chrome_export_parses_and_covers_all_tasks() {
 }
 
 #[test]
-fn forked_runs_share_one_timeline() {
-    let parent = TraceCollector::enabled();
-    for _ in 0..2 {
-        let cluster = Cluster::with_trace(ClusterConfig::local(2), parent.fork());
-        run_workload(&cluster);
-        parent.extend(cluster.trace().snapshot().events);
+fn clusters_sharing_a_collector_export_both_runs() {
+    let collector = TraceCollector::enabled();
+    let mut runs = Vec::new();
+    for run in 0..2 {
+        let cluster = Cluster::with_trace(ClusterConfig::local(2), collector.clone());
+        {
+            let _run = cluster.trace().span(format!("run-{run}"));
+            run_workload(&cluster);
+        }
+        runs.push(cluster.metrics());
     }
-    let snapshot = parent.snapshot();
-    let stages: std::collections::HashSet<usize> = snapshot.tasks().map(|t| t.stage_id).collect();
-    // Both runs restart stage ids at 0 — the merged timeline keeps both.
-    assert!(snapshot.tasks().count() > 0);
-    assert!(stages.contains(&0));
-    // All timestamps are on the parent's epoch: monotone non-negative.
-    assert!(snapshot.tasks().all(|t| t.finished_ns >= t.queued_ns));
+    let snapshot = collector.snapshot();
+    assert_eq!(snapshot.phases().count(), 2, "one buffer holds both runs");
+
+    // Both runs restart stage ids at 0; the export draws every task of both.
+    let text = chrome_trace_json(&snapshot, runs.iter().flat_map(|r| &r.stages));
+    let tasks: usize = runs
+        .iter()
+        .flat_map(|r| &r.stages)
+        .map(|s| s.spans.len())
+        .sum();
+    assert_eq!(complete_events(&text).len(), tasks + 2);
+
+    // One timeline: every task of run i lies inside run i's phase span.
+    for (run, metrics) in runs.iter().enumerate() {
+        let phase = snapshot
+            .phases()
+            .find(|p| p.name == format!("run-{run}"))
+            .expect("run phase recorded");
+        for task in metrics.stages.iter().flat_map(|s| &s.spans) {
+            assert!(phase.begin_ns <= snapshot.offset_ns(task.queued));
+            assert!(snapshot.offset_ns(task.finished) <= phase.end_ns);
+        }
+    }
 }

@@ -646,16 +646,17 @@ mod tests {
 
     #[test]
     fn snapshot_under_capture_lock_regression() {
-        // The exact pre-fix shape of `Capture::finish_run`: the snapshots
-        // guard held while `snapshot()` takes the telemetry registry lock.
-        let old = "fn finish_run(&self, cluster: &Cluster) {\n    self.snapshots\n        .lock()\n        .expect(\"capture snapshot lock poisoned\")\n        .push(cluster.telemetry().snapshot().to_json());\n}\n";
+        // The pre-fix shape of a capture method that retained each run's
+        // telemetry snapshot: the snapshots guard held while `snapshot()`
+        // takes the telemetry registry lock.
+        let old = "fn keep_snapshot(&self, cluster: &Cluster) {\n    self.snapshots\n        .lock()\n        .expect(\"capture snapshot lock poisoned\")\n        .push(cluster.telemetry().snapshot().to_json());\n}\n";
         let a = audit(old);
         assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
         assert_eq!(a.violations[0].rule, "lock-blocking");
         assert!(a.violations[0].msg.contains("telemetry snapshot"));
 
         // The fixed shape: snapshot first, lock after.
-        let fixed = "fn finish_run(&self, cluster: &Cluster) {\n    let doc = cluster.telemetry().snapshot().to_json();\n    self.snapshots\n        .lock()\n        .expect(\"capture snapshot lock poisoned\")\n        .push(doc);\n}\n";
+        let fixed = "fn keep_snapshot(&self, cluster: &Cluster) {\n    let doc = cluster.telemetry().snapshot().to_json();\n    self.snapshots\n        .lock()\n        .expect(\"capture snapshot lock poisoned\")\n        .push(doc);\n}\n";
         assert!(audit(fixed).violations.is_empty());
     }
 

@@ -13,13 +13,14 @@
 //! phase spans (Ordering → Clustering → Joining → Expansion) stacked on the
 //! `phases` track above them.
 
-use minispark::{trace, Cluster, ClusterConfig, ExecutorAnalytics, TraceCollector};
+use minispark::{trace, Cluster, ClusterConfig, TraceCollector};
 use topk_datagen::CorpusProfile;
 use topk_simjoin::{runs_to_json, Algorithm, JoinConfig, RunReport};
 
 fn main() {
-    // One collector for the whole tour; each run's cluster gets a fork
-    // (isolated per-run analytics, one shared timeline).
+    // One collector for the whole tour: both runs' clusters record their
+    // phases onto it, on one timeline. Task spans live in each run's stage
+    // rows, which the report carries.
     let collector = TraceCollector::enabled();
     let data = CorpusProfile::orku_like(1_500, 10).generate();
     // A small δ so CL-P actually splits posting lists — in the trace this
@@ -29,17 +30,23 @@ fn main() {
 
     let mut reports = Vec::new();
     for algo in [Algorithm::Vj, Algorithm::ClP] {
-        let cluster = Cluster::with_trace(exec.clone(), collector.fork());
+        let cluster = Cluster::with_trace(exec.clone(), collector.clone());
         let outcome = algo
             .run(&cluster, &data, &config)
             .expect("example join failed");
         println!("== {} ({} pairs) ==", algo.name(), outcome.pairs.len());
         println!("{}", cluster.metrics());
 
-        let analytics = ExecutorAnalytics::from_snapshot(
-            &cluster.trace().snapshot(),
+        let report = RunReport::capture(
+            algo.name(),
+            "orku-like",
+            data.len(),
+            &cluster,
+            &config,
+            &outcome,
             cluster.config().task_slots(),
         );
+        let analytics = &report.analytics;
         println!(
             "executor: occupancy {:.0}%, idle {:.0}%, busy {:.1} ms, critical path {:.1} ms",
             100.0 * analytics.overall_occupancy(),
@@ -61,24 +68,18 @@ fn main() {
             );
         }
         println!();
-
-        reports.push(RunReport::capture(
-            algo.name(),
-            "orku-like",
-            data.len(),
-            &cluster,
-            &config,
-            &outcome,
-            cluster.config().task_slots(),
-        ));
-        collector.extend(cluster.trace().snapshot().events);
+        reports.push(report);
     }
 
     let out_dir = std::path::Path::new("results");
     std::fs::create_dir_all(out_dir).expect("could not create results/");
     let trace_path = out_dir.join("observability_tour.trace.json");
-    std::fs::write(&trace_path, trace::chrome_trace_json(&collector.snapshot()))
-        .expect("could not write the trace");
+    let stages = reports.iter().flat_map(|r| &r.metrics.stages);
+    std::fs::write(
+        &trace_path,
+        trace::chrome_trace_json(&collector.snapshot(), stages),
+    )
+    .expect("could not write the trace");
     let report_path = out_dir.join("observability_tour.report.json");
     std::fs::write(&report_path, runs_to_json(&reports).render())
         .expect("could not write the report");
