@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use minispark::Dataset;
+use minispark::{Dataset, SkewBudget};
 use topk_rankings::distance::raw_threshold;
 use topk_rankings::OrderedRanking;
 
@@ -89,6 +89,9 @@ pub(crate) fn centroid_space(k: usize, config: &JoinConfig) -> Footrule {
 /// and type tags for the expansion phase): one prefix join over the two
 /// type-tagged sources in `centroid_space`.
 ///
+/// `delta = Some(δ)` splits hot groups at CL-P's δ (`SkewBudget::Fixed(δ)`);
+/// `None` leaves the decision to `config.skew`.
+///
 /// Ranking ids must be unique across `C_m ∪ C_s` (as clustering leaves
 /// them): each pair is then returned exactly once, with no deduplication.
 /// Debug builds panic on an input that breaks this.
@@ -105,8 +108,7 @@ pub fn centroid_join(
         &PrefixSource::centroids(centroids_m, singletons),
         &centroid_space(k, config),
         partitions,
-        delta,
-        config.skew,
+        delta.map_or(config.skew, SkewBudget::Fixed),
         stats,
         "cl/join",
     )

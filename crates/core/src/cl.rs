@@ -32,6 +32,9 @@ pub(crate) struct ClPlan<M: MetricSpace> {
     /// The space of the centroid join: θ + 2θc with Lemma 5.3's per-type
     /// relaxation, and the prefix lengths that go with it.
     pub centroids: M,
+    /// Whether and where the centroid join splits hot groups: CL-P's
+    /// `Fixed(δ)`, or the configured policy under CL.
+    pub joining: SkewBudget,
     /// The join threshold θ.
     pub theta: M::Dist,
     /// Whether the triangle bounds decide pairs before verification.
@@ -40,14 +43,13 @@ pub(crate) struct ClPlan<M: MetricSpace> {
 
 /// The one CL/CL-P driver body. `plan_for` builds the run's plan from the
 /// uniform ranking length `k`; the caller has validated its configuration.
-/// `partitions = 0` takes the cluster default; `delta` is CL-P's δ.
-#[allow(clippy::too_many_arguments)]
+/// `partitions = 0` takes the cluster default; `skew` is the clustering
+/// phase's policy, the plan carries the joining phase's.
 pub(crate) fn cl_flavour<M: MetricSpace>(
     cluster: &Cluster,
     data: &[Ranking],
     prefix_kind: PrefixKind,
     partitions: usize,
-    delta: Option<usize>,
     skew: SkewBudget,
     label: &str,
     plan_for: impl FnOnce(usize) -> ClPlan<M>,
@@ -87,16 +89,15 @@ pub(crate) fn cl_flavour<M: MetricSpace>(
     };
 
     // Phase 3 — Joining the centroids at θ + 2θc (Lemma 5.1 / 5.3): one
-    // prefix join over the two type-tagged sources. An explicit δ (CL-P)
-    // repartitions; otherwise the skew policy may opt the join into it.
+    // prefix join over the two type-tagged sources, split under the plan's
+    // budget (CL-P's δ).
     let cjoin = {
         let _phase = cluster.trace().span(format!("{label}/phase/joining"));
         prefix_join(
             &PrefixSource::centroids(&clustering.centroids_m, &clustering.singletons),
             &plan.centroids,
             partitions,
-            delta,
-            skew,
+            plan.joining,
             &stats,
             &format!("{}/join", M::CL_STAGES),
         )
@@ -133,12 +134,13 @@ pub(crate) fn cl_flavour<M: MetricSpace>(
     })
 }
 
-/// CL/CL-P under Footrule: the plan is the two phase modules' spaces.
+/// CL/CL-P under Footrule: the plan is the two phase modules' spaces, the
+/// centroid join split under `joining`.
 fn footrule_cl(
     cluster: &Cluster,
     data: &[Ranking],
     config: &JoinConfig,
-    delta: Option<usize>,
+    joining: SkewBudget,
     label: &str,
 ) -> Result<JoinOutcome, JoinError> {
     config.validate()?;
@@ -147,12 +149,12 @@ fn footrule_cl(
         data,
         config.prefix,
         config.partitions,
-        delta,
         config.skew,
         label,
         |k| ClPlan {
             clustering: clustering_space(k, raw_threshold(k, config.cluster_threshold), config),
             centroids: centroid_space(k, config),
+            joining,
             theta: raw_threshold(k, config.theta),
             use_triangle_bounds: config.use_triangle_bounds,
         },
@@ -165,7 +167,7 @@ pub fn cl_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    footrule_cl(cluster, data, config, None, "cl")
+    footrule_cl(cluster, data, config, config.skew, "cl")
 }
 
 /// CL over two relations (R-S join).
@@ -203,7 +205,7 @@ pub fn cl_join_rs(
         union.push(Ranking::new_unchecked(next, r.items().to_vec()));
         next += 1;
     }
-    let inner = footrule_cl(cluster, &union, config, None, "cl-rs")?;
+    let inner = footrule_cl(cluster, &union, config, config.skew, "cl-rs")?;
     let mut pairs = Vec::new();
     for &(a, b) in &inner.pairs {
         // Internal pairs satisfy a < b, so a cross-relation pair always has
@@ -231,13 +233,8 @@ pub fn clp_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    footrule_cl(
-        cluster,
-        data,
-        config,
-        Some(config.partition_threshold),
-        "cl-p",
-    )
+    let delta = SkewBudget::Fixed(config.partition_threshold);
+    footrule_cl(cluster, data, config, delta, "cl-p")
 }
 
 #[cfg(test)]

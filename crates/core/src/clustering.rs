@@ -91,7 +91,6 @@ pub(crate) fn clustering_in<M: MetricSpace>(
         &[PrefixSource::plain(ordered)],
         space,
         partitions,
-        None,
         skew,
         stats,
         &format!("{}/cluster", M::CL_STAGES),

@@ -50,11 +50,11 @@ pub struct JoinConfig {
     /// Skew handling for the token-grouped join phases (DESIGN.md §11):
     /// `Off` (default) joins each prefix-token group as one task, `Fixed(b)`
     /// splits groups larger than `b` into ≤-b sub-partitions à la CL-P, and
-    /// `Auto` samples the token stream first and derives the budget from the
-    /// cluster's slot count and the estimated p95 group size. Independent of
-    /// [`partition_threshold`](Self::partition_threshold), which is CL-P's
-    /// always-on δ; `skew` is the opt-in for every *other* driver (VJ,
-    /// VJ-NL, CL's centroid join, the Jaccard joins, the varlen join).
+    /// `Auto` derives the budget from the cluster's slot count and the exact
+    /// group sizes (p95 and max) of the grouped tokens. VJ-P and the joining
+    /// phase of CL-P split at `Fixed(`[`partition_threshold`](Self::partition_threshold)`)`
+    /// instead; every other join phase — VJ, VJ-NL, CL's centroid join and
+    /// both clustering phases — splits under `skew`.
     pub skew: SkewBudget,
 }
 
@@ -124,7 +124,8 @@ impl JoinConfig {
         self
     }
 
-    /// Validates the configuration against a dataset's ranking length.
+    /// Validates the configuration on its own: θ and θc in `[0, 1]`, δ ≥ 1
+    /// and no `SkewBudget::Fixed(0)`.
     pub fn validate(&self) -> Result<(), JoinError> {
         validate_parameters(
             [self.theta, self.cluster_threshold],

@@ -50,9 +50,9 @@ pub struct JaccardConfig {
     pub partition_threshold: usize,
     /// Reduce-side partitions (0 = cluster default).
     pub partitions: usize,
-    /// Opt-in skew handling for the token-grouped joins (see
-    /// [`crate::JoinConfig::skew`]); `partition_threshold` remains CL-P's
-    /// always-on δ.
+    /// Skew handling for the token-grouped joins (see
+    /// [`crate::JoinConfig::skew`]); CL-P's centroid join splits at
+    /// `Fixed(partition_threshold)` instead.
     pub skew: SkewBudget,
 }
 
@@ -237,7 +237,6 @@ fn jaccard_vj(
         relations,
         PrefixKind::Overlap,
         config.partitions,
-        None,
         config.skew,
         label,
         || Ok(uniform_k_of(relations)?.map(|k| Jaccard::uniform(k, config.theta))),
@@ -292,7 +291,7 @@ pub fn jaccard_cl_join(
     data: &[Ranking],
     config: &JaccardConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    jaccard_cl_flavour(cluster, data, config, None)
+    jaccard_cl_flavour(cluster, data, config, config.skew)
 }
 
 /// CL-P for sets: the CL pipeline with Algorithm-3 repartitioning of the
@@ -302,16 +301,17 @@ pub fn jaccard_clp_join(
     data: &[Ranking],
     config: &JaccardConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    jaccard_cl_flavour(cluster, data, config, Some(config.partition_threshold))
+    let delta = SkewBudget::Fixed(config.partition_threshold);
+    jaccard_cl_flavour(cluster, data, config, delta)
 }
 
 /// Config → the two spaces → [`cl_flavour`]. CL and CL-P share the label:
-/// they differ in δ only.
+/// they differ only in the centroid join's budget, `joining`.
 fn jaccard_cl_flavour(
     cluster: &Cluster,
     data: &[Ranking],
     config: &JaccardConfig,
-    delta: Option<usize>,
+    joining: SkewBudget,
 ) -> Result<JoinOutcome, JoinError> {
     config.validate()?;
     cl_flavour(
@@ -319,12 +319,12 @@ fn jaccard_cl_flavour(
         data,
         PrefixKind::Overlap,
         config.partitions,
-        delta,
         config.skew,
         "jaccard-cl",
         |k| ClPlan {
             clustering: Jaccard::uniform(k, config.cluster_threshold),
             centroids: Jaccard::centroids(k, config.theta, config.cluster_threshold),
+            joining,
             theta: config.theta,
             use_triangle_bounds: true,
         },

@@ -114,10 +114,7 @@ pub use serving::{
     ServingStats, UpsertOutcome,
 };
 pub use stats::{JoinStats, StatsSnapshot};
-pub use varlen_join::{
-    varlen_brute_force, varlen_brute_force_rs, varlen_join, varlen_join_rs,
-    varlen_join_rs_with_skew, varlen_join_with_skew,
-};
+pub use varlen_join::{varlen_brute_force, varlen_brute_force_rs, varlen_join, varlen_join_rs};
 pub use vj::{vj_join, vj_join_rs, vj_nl_join, vj_nl_join_rs, vj_repartitioned_join};
 pub use wal::{WalError, WalRecord, WalReplay, WalStore};
 

@@ -21,10 +21,11 @@
 //! relations decides between a self-join and a bipartite R-S join: the
 //! self-join is the one-relation case of the same path.
 //!
-//! With a partitioning threshold δ (`token_grouped_join`'s `delta`), groups
-//! larger than δ are split into sub-partitions that are re-distributed with a
-//! composite `(token, sub-key)` partitioner and joined pairwise with an R-S
-//! kernel — Algorithm 3 / §6.
+//! One [`SkewBudget`] says whether hot groups split: under a budget (CL-P's
+//! partitioning threshold δ is `Fixed(δ)`), groups larger than it are split
+//! into sub-partitions that are re-distributed with a composite
+//! `(token, sub-key)` partitioner and joined pairwise with an R-S kernel —
+//! Algorithm 3 / §6. The budget is resolved once, on the grouped tokens.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -284,12 +285,10 @@ impl PrefixSource {
 /// that [`owns`] it, and the chunks of a split group inherit its ownership.
 /// The flat drivers keep the id pair, which is their output; CL's phases
 /// keep whole [`PairHit`]s ([`prefix_join`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     sources: &[PrefixSource],
     space: &S,
     partitions: usize,
-    delta: Option<usize>,
     skew: SkewBudget,
     stats: &Arc<JoinStats>,
     label: &str,
@@ -314,9 +313,7 @@ pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     } else {
         JoinMode::SelfJoin
     };
-    token_grouped_join(
-        &emitted, space, mode, partitions, delta, skew, stats, label, hit,
-    )
+    token_grouped_join(&emitted, space, mode, partitions, skew, stats, label, hit)
 }
 
 /// [`prefix_hits`] keeping every hit whole — what the clustering and
@@ -327,7 +324,6 @@ pub(crate) fn prefix_join<S: JoinSpace>(
     sources: &[PrefixSource],
     space: &S,
     partitions: usize,
-    delta: Option<usize>,
     skew: SkewBudget,
     stats: &Arc<JoinStats>,
     label: &str,
@@ -349,8 +345,8 @@ pub(crate) fn prefix_join<S: JoinSpace>(
     // A split join's output is the union of its small-group, chunk and
     // chunk-pair stages, five times `partitions`; CL's later stages run a
     // task per partition, so bring it back to `partitions`.
-    let hits = prefix_hits(sources, space, partitions, delta, skew, stats, label, whole)
-        .coalesce(partitions);
+    let hits =
+        prefix_hits(sources, space, partitions, skew, stats, label, whole).coalesce(partitions);
     if cfg!(debug_assertions) {
         let mut keys: Vec<_> = (0..hits.num_partitions())
             .flat_map(|p| hits.partition(p).iter().map(PairHit::record_keys))
@@ -453,34 +449,24 @@ fn group_hits<S: JoinSpace, H>(
 /// pairs by token and join inside each group, keeping `hit(a, b, distance)`
 /// of every qualifying pair (see [`prefix_hits`]).
 ///
-/// With `delta = Some(δ)` (CL-P, Algorithm 3) groups longer than δ are split
-/// into sub-partitions of at most δ entries: each sub-partition is
+/// When `skew` resolves to a budget ([`SkewBudget::resolve`], on the grouped
+/// tokens — `Fixed(δ)` is CL-P's Algorithm 3) groups longer than it are split
+/// into sub-partitions of at most that many entries: each sub-partition is
 /// self-joined after being re-distributed with a composite partitioner, and
 /// every sub-partition pair is R-S-joined — spreading one hot token's work
 /// over the whole cluster. The splitting itself lives in
-/// [`minispark::skew::split_grouped_join`]; with `delta = None` the `skew`
-/// policy may still opt the join into splitting (sampling the emitted token
-/// stream first under `SkewBudget::Auto`).
+/// [`minispark::skew::split_grouped_join`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     emitted: &Dataset<(ItemId, TokenEntry)>,
     space: &S,
     mode: JoinMode,
     partitions: usize,
-    delta: Option<usize>,
     skew: SkewBudget,
     stats: &Arc<JoinStats>,
     label: &str,
     hit: impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H + Sync,
 ) -> Dataset<H> {
-    // An explicit δ (CL-P's always-on partitioning threshold) wins;
-    // otherwise the opt-in skew policy decides from the pre-shuffle token
-    // stream.
-    let delta = match delta {
-        Some(d) => Some(d.max(1)),
-        None => skew.resolve(emitted, label),
-    };
-
     // Spark can spill shuffle groups to disk when executor memory runs low
     // (the property §4.1 argues iterator-style processing preserves); the
     // engine reproduces that when the cluster config sets a spill budget.
@@ -490,18 +476,18 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
         emitted.group_by_key(&format!("{label}/group-by-token"), partitions)
     };
 
-    match delta {
+    match skew.resolve(&grouped) {
         None => grouped.flat_map(&format!("{label}/join-groups"), |(token, entries)| {
             group_hits(*token, entries, space, mode, stats, &hit)
         }),
-        Some(delta) => {
+        Some(budget) => {
             let (hits, split) = minispark::skew::split_grouped_join(
                 &grouped,
-                delta,
+                budget,
                 partitions,
                 label,
                 |token, chunk: &[TokenEntry]| {
-                    crate::invariants::check_subpartition(chunk.len(), delta);
+                    crate::invariants::check_subpartition(chunk.len(), budget.get());
                     group_hits(token, chunk, space, mode, stats, &hit)
                 },
                 |token, left: &[TokenEntry], right: &[TokenEntry]| {

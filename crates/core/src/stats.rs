@@ -23,7 +23,8 @@ pub struct JoinStats {
     pub candidates: AtomicU64,
     /// Candidates discarded by the position filter.
     pub position_pruned: AtomicU64,
-    /// Candidates discarded by the overlap-signature filter.
+    /// Candidates discarded by a size bound: the overlap-signature filter,
+    /// or the variable-length join's length filter.
     pub overlap_pruned: AtomicU64,
     /// Candidates for which the full (early-exit) distance was computed.
     pub verified: AtomicU64,
@@ -144,11 +145,10 @@ impl KernelCounts {
 
     /// Adds the counts to `stats`, one `add` per counter that moved.
     pub fn flush(self, stats: &JoinStats) {
-        // Where no triangle or length bound decided a pair, every candidate
-        // left the funnel through exactly one of its three stages.
+        // Every candidate leaves the funnel through exactly one of its three
+        // stages (a pair a triangle bound decides is no candidate).
         debug_assert!(
-            self.triangle_pruned + self.triangle_accepted > 0
-                || self.candidates == self.position_pruned + self.overlap_pruned + self.verified,
+            self.candidates == self.position_pruned + self.overlap_pruned + self.verified,
             "filter funnel does not add up: {self:?}"
         );
         for (counter, n) in [
@@ -175,7 +175,8 @@ pub struct StatsSnapshot {
     pub candidates: u64,
     /// Candidates discarded by the position filter.
     pub position_pruned: u64,
-    /// Candidates discarded by the overlap-signature filter.
+    /// Candidates discarded by a size bound (see
+    /// [`JoinStats::overlap_pruned`]).
     pub overlap_pruned: u64,
     /// Full distance computations performed.
     pub verified: u64,

@@ -13,7 +13,8 @@
 //!   partner length in the dataset (over R ∪ S in an R-S join — a left
 //!   ranking's loosest partner length may only exist on the right),
 //! * the **length filter**: a pair whose length gap alone implies a
-//!   distance above the threshold is pruned before any content comparison,
+//!   distance above the threshold is pruned before any content comparison
+//!   (booked as `overlap_pruned`, the counter of size-bound prunes),
 //! * the **position filter** and the **overlap filter** for same-length
 //!   pairs only (the rank-sum cancellation argument and the
 //!   `(k − o)(k − o + 1)` bound both need equal lengths),
@@ -93,7 +94,7 @@ impl JoinSpace for Varlen {
         let (ka, kb) = (a.ranking.k(), b.ranking.k());
         if min_distance_given_lengths(ka, kb) > self.theta_raw {
             counts.candidates += 1;
-            counts.triangle_pruned += 1;
+            counts.overlap_pruned += 1;
             return None;
         }
         // The position filter needs equal lengths (the kernel's overlap
@@ -109,9 +110,21 @@ impl JoinSpace for Varlen {
     }
 }
 
+/// Checks that ids are unique within each relation (across relations they
+/// may collide) — what the varlen driver and its oracles both require.
+fn unique_ids(relations: &[&[Ranking]]) -> Result<(), JoinError> {
+    for data in relations {
+        let mut ids = HashSet::with_capacity(data.len());
+        if let Some(dup) = data.iter().find(|r| !ids.insert(r.id())) {
+            return Err(JoinError::DuplicateRankingId(dup.id()));
+        }
+    }
+    Ok(())
+}
+
 /// The one varlen driver: [`run_prefix_join`] in the [`Varlen`] space over
 /// one relation or two. Lengths may mix freely; ids must be unique within
-/// each relation (across relations they may collide).
+/// each relation.
 fn varlen(
     cluster: &Cluster,
     relations: &[&[Ranking]],
@@ -121,23 +134,15 @@ fn varlen(
     label: &str,
 ) -> Result<JoinOutcome, JoinError> {
     let space_for = || {
-        if relations.iter().any(|data| data.is_empty()) {
-            return Ok(None);
-        }
-        for data in relations {
-            let mut ids = HashSet::with_capacity(data.len());
-            if let Some(dup) = data.iter().find(|r| !ids.insert(r.id())) {
-                return Err(JoinError::DuplicateRankingId(dup.id()));
-            }
-        }
-        Ok(Some(Varlen::new(relations, theta_raw)))
+        unique_ids(relations)?;
+        let any_empty = relations.iter().any(|data| data.is_empty());
+        Ok((!any_empty).then(|| Varlen::new(relations, theta_raw)))
     };
     run_prefix_join(
         cluster,
         relations,
         PrefixKind::Overlap,
         partitions,
-        None,
         skew,
         label,
         space_for,
@@ -145,20 +150,10 @@ fn varlen(
 }
 
 /// Prefix-filtered similarity join over rankings of arbitrary (mixed)
-/// lengths at a **raw** Footrule threshold.
-pub fn varlen_join(
-    cluster: &Cluster,
-    data: &[Ranking],
-    theta_raw: u64,
-    partitions: usize,
-) -> Result<JoinOutcome, JoinError> {
-    varlen_join_with_skew(cluster, data, theta_raw, partitions, SkewBudget::Off)
-}
-
-/// [`varlen_join`] with opt-in skew handling: under a [`SkewBudget`] other
+/// lengths at a **raw** Footrule threshold. Under a [`SkewBudget`] other
 /// than `Off`, oversized token groups are split into ≤-budget sub-partitions
 /// joined per chunk and per chunk pair (see [`minispark::skew`]).
-pub fn varlen_join_with_skew(
+pub fn varlen_join(
     cluster: &Cluster,
     data: &[Ranking],
     theta_raw: u64,
@@ -172,17 +167,6 @@ pub fn varlen_join_with_skew(
 /// only cross-relation pairs are candidates and pairs are
 /// `(left id, right id)`, sorted — id spaces may overlap.
 pub fn varlen_join_rs(
-    cluster: &Cluster,
-    left: &[Ranking],
-    right: &[Ranking],
-    theta_raw: u64,
-    partitions: usize,
-) -> Result<JoinOutcome, JoinError> {
-    varlen_join_rs_with_skew(cluster, left, right, theta_raw, partitions, SkewBudget::Off)
-}
-
-/// [`varlen_join_rs`] with opt-in skew handling for hot token groups.
-pub fn varlen_join_rs_with_skew(
     cluster: &Cluster,
     left: &[Ranking],
     right: &[Ranking],
@@ -208,6 +192,7 @@ pub fn varlen_brute_force_rs(
     right: &[Ranking],
     theta_raw: u64,
 ) -> Result<JoinOutcome, JoinError> {
+    unique_ids(&[left, right])?;
     let within = move |a: &Ranking, b: &Ranking| footrule_within(a, b, theta_raw).is_some();
     Ok(all_pairs(cluster, &[left, right], "varlen-bf-rs", within))
 }
@@ -218,6 +203,7 @@ pub fn varlen_brute_force(
     data: &[Ranking],
     theta_raw: u64,
 ) -> Result<JoinOutcome, JoinError> {
+    unique_ids(&[data])?;
     Ok(all_pairs(cluster, &[data], "varlen-bf", move |a, b| {
         footrule_within(a, b, theta_raw).is_some()
     }))
@@ -263,7 +249,7 @@ mod tests {
             let expected = varlen_brute_force(&c, &data, theta_raw)
                 .expect("mixed-length corpus is valid input")
                 .pairs;
-            let got = varlen_join(&c, &data, theta_raw, 8)
+            let got = varlen_join(&c, &data, theta_raw, 8, SkewBudget::Off)
                 .expect("mixed-length corpus is valid input")
                 .pairs;
             assert_eq!(got, expected, "θ_raw = {theta_raw}");
@@ -280,7 +266,7 @@ mod tests {
                 .expect("distinct items form a valid ranking"),
             Ranking::new(3, vec![8, 9, 10]).expect("distinct items form a valid ranking"),
         ];
-        let got = varlen_join(&c, &data, 1, 4)
+        let got = varlen_join(&c, &data, 1, 4, SkewBudget::Off)
             .expect("mixed-length input is valid for the varlen join")
             .pairs;
         assert_eq!(got, vec![(1, 2)]);
@@ -294,20 +280,84 @@ mod tests {
             Ranking::new(2, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
                 .expect("distinct items form a valid ranking"),
         ];
-        // Gap Δ = 7 ⇒ min distance 21 > θ = 20 ⇒ pruned by lengths alone.
-        let outcome =
-            varlen_join(&c, &data, 20, 4).expect("mixed-length input is valid for the varlen join");
+        // Gap Δ = 7 ⇒ min distance 21 > θ = 20 ⇒ pruned by lengths alone,
+        // which is a size bound: it books as `overlap_pruned`.
+        let outcome = varlen_join(&c, &data, 20, 4, SkewBudget::Off)
+            .expect("mixed-length input is valid for the varlen join");
         assert!(outcome.pairs.is_empty());
-        assert!(outcome.stats.triangle_pruned > 0 || outcome.stats.candidates == 0);
+        let stats = outcome.stats;
+        assert_eq!(
+            (stats.candidates, stats.overlap_pruned, stats.verified),
+            (1, 1, 0),
+            "{stats}"
+        );
+        assert_eq!(stats.triangle_pruned, 0, "{stats}");
         // At θ = 21 the pair becomes reachable; whether it qualifies is up
         // to verification.
         let expected = varlen_brute_force(&c, &data, 21)
             .expect("mixed-length input is valid for the brute force")
             .pairs;
-        let got = varlen_join(&c, &data, 21, 4)
+        let got = varlen_join(&c, &data, 21, 4, SkewBudget::Off)
             .expect("mixed-length input is valid for the varlen join")
             .pairs;
         assert_eq!(got, expected);
+    }
+
+    /// A varlen run prunes mixed-length pairs by their length gap; those
+    /// prunes leave the funnel as `overlap_pruned`, and no triangle bound —
+    /// there is none in this driver — is reported.
+    #[test]
+    fn length_prunes_keep_the_funnel_exact_and_claim_no_triangle_bound() {
+        let c = cluster();
+        let data = mixed_corpus();
+        let (left, right) = mixed_relations();
+        for theta_raw in [5u64, 15] {
+            let runs = [
+                varlen_join(&c, &data, theta_raw, 8, SkewBudget::Off),
+                varlen_join_rs(&c, &left, &right, theta_raw, 8, SkewBudget::Off),
+            ];
+            for run in runs {
+                let stats = run.expect("mixed-length input is valid").stats;
+                assert_eq!(stats.triangle_pruned, 0, "θ_raw = {theta_raw}: {stats}");
+                assert_eq!(stats.triangle_accepted, 0, "θ_raw = {theta_raw}: {stats}");
+                assert!(stats.overlap_pruned > 0, "θ_raw = {theta_raw}: {stats}");
+                assert_eq!(
+                    stats.candidates,
+                    stats.position_pruned + stats.overlap_pruned + stats.verified,
+                    "θ_raw = {theta_raw}: {stats}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn brute_force_oracles_reject_duplicate_ids_like_the_driver() {
+        let c = cluster();
+        // Two copies of one id at distance 0: the self-join oracle used to
+        // report a bogus (7, 7) pair.
+        let dup = vec![
+            Ranking::new(7, vec![1, 2, 3]).expect("distinct items form a valid ranking"),
+            Ranking::new(7, vec![1, 2, 3]).expect("distinct items form a valid ranking"),
+        ];
+        let ok = vec![Ranking::new(7, vec![1, 2, 3]).expect("distinct items form a valid ranking")];
+        let rejected = |result: Result<JoinOutcome, JoinError>| {
+            matches!(result, Err(JoinError::DuplicateRankingId(7)))
+        };
+        assert!(rejected(varlen_join(&c, &dup, 10, 4, SkewBudget::Off)));
+        assert!(rejected(varlen_brute_force(&c, &dup, 10)));
+        assert!(rejected(varlen_join_rs(
+            &c,
+            &dup,
+            &ok,
+            10,
+            4,
+            SkewBudget::Off
+        )));
+        assert!(rejected(varlen_brute_force_rs(&c, &dup, &ok, 10)));
+        assert!(rejected(varlen_brute_force_rs(&c, &ok, &dup, 10)));
+        // One id on both sides of an R-S join is a legal pair.
+        let pairs = varlen_brute_force_rs(&c, &ok, &ok, 10).expect("ids may repeat across");
+        assert_eq!(pairs.pairs, vec![(7, 7)]);
     }
 
     #[test]
@@ -320,7 +370,7 @@ mod tests {
         ];
         // Max possible distance across these lengths is small; a raw budget
         // of 100 admits everything, including disjoint pairs.
-        let got = varlen_join(&c, &data, 100, 2)
+        let got = varlen_join(&c, &data, 100, 2, SkewBudget::Off)
             .expect("mixed-length input is valid for the varlen join")
             .pairs;
         assert_eq!(got, vec![(1, 2), (1, 3), (2, 3)]);
@@ -329,7 +379,7 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let c = cluster();
-        assert!(varlen_join(&c, &[], 10, 4)
+        assert!(varlen_join(&c, &[], 10, 4, SkewBudget::Off)
             .expect("empty input is valid for the varlen join")
             .pairs
             .is_empty());
@@ -357,7 +407,7 @@ mod tests {
             let expected = varlen_brute_force_rs(&c, &left, &right, theta_raw)
                 .expect("mixed-length relations are valid input")
                 .pairs;
-            let got = varlen_join_rs(&c, &left, &right, theta_raw, 8)
+            let got = varlen_join_rs(&c, &left, &right, theta_raw, 8, SkewBudget::Off)
                 .expect("mixed-length relations are valid input")
                 .pairs;
             assert_eq!(got, expected, "θ_raw = {theta_raw}");
@@ -368,13 +418,12 @@ mod tests {
     fn rs_skew_split_never_changes_the_result_set() {
         let c = cluster();
         let (left, right) = mixed_relations();
-        let expected = varlen_join_rs(&c, &left, &right, 30, 8)
+        let expected = varlen_join_rs(&c, &left, &right, 30, 8, SkewBudget::Off)
             .expect("mixed-length relations are valid input")
             .pairs;
         for budget in [1usize, 3, 100_000] {
-            let outcome =
-                varlen_join_rs_with_skew(&c, &left, &right, 30, 8, SkewBudget::Fixed(budget))
-                    .expect("mixed-length relations are valid input");
+            let outcome = varlen_join_rs(&c, &left, &right, 30, 8, SkewBudget::Fixed(budget))
+                .expect("mixed-length relations are valid input");
             assert_eq!(outcome.pairs, expected, "budget = {budget}");
             if budget == 1 {
                 assert!(outcome.stats.posting_lists_split > 0);
@@ -391,7 +440,7 @@ mod tests {
         ];
         let ok = vec![Ranking::new(9, vec![1, 2, 3]).expect("distinct items form a valid ranking")];
         assert!(matches!(
-            varlen_join_rs(&c, &dup, &ok, 10, 4),
+            varlen_join_rs(&c, &dup, &ok, 10, 4, SkewBudget::Off),
             Err(JoinError::DuplicateRankingId(1))
         ));
         // An id shared ACROSS relations is legal.
@@ -399,11 +448,11 @@ mod tests {
             Ranking::new(9, vec![1, 2, 3]).expect("distinct items form a valid ranking"),
             Ranking::new(1, vec![1, 2, 3, 4]).expect("distinct items form a valid ranking"),
         ];
-        let got = varlen_join_rs(&c, &ok, &other, 10, 4)
+        let got = varlen_join_rs(&c, &ok, &other, 10, 4, SkewBudget::Off)
             .expect("overlapping id spaces are valid for R-S")
             .pairs;
         assert_eq!(got, vec![(9, 1), (9, 9)]);
-        assert!(varlen_join_rs(&c, &ok, &[], 10, 4)
+        assert!(varlen_join_rs(&c, &ok, &[], 10, 4, SkewBudget::Off)
             .expect("an empty side is valid")
             .pairs
             .is_empty());
@@ -419,11 +468,11 @@ mod tests {
         let zero = SkewBudget::Fixed(0);
         for input in [data.as_slice(), &[]] {
             assert!(matches!(
-                varlen_join_with_skew(&c, input, 30, 8, zero),
+                varlen_join(&c, input, 30, 8, zero),
                 Err(JoinError::InvalidPartitionThreshold)
             ));
             assert!(matches!(
-                varlen_join_rs_with_skew(&c, input, input, 30, 8, zero),
+                varlen_join_rs(&c, input, input, 30, 8, zero),
                 Err(JoinError::InvalidPartitionThreshold)
             ));
         }
@@ -437,13 +486,12 @@ mod tests {
         let c = cluster();
         let data = mixed_corpus();
         for theta_raw in [5u64, 30] {
-            let expected = varlen_join(&c, &data, theta_raw, 8)
+            let expected = varlen_join(&c, &data, theta_raw, 8, SkewBudget::Off)
                 .expect("mixed-length corpus is valid input")
                 .pairs;
             for budget in [1usize, 3, 10, 100_000] {
-                let outcome =
-                    varlen_join_with_skew(&c, &data, theta_raw, 8, SkewBudget::Fixed(budget))
-                        .expect("mixed-length corpus is valid input");
+                let outcome = varlen_join(&c, &data, theta_raw, 8, SkewBudget::Fixed(budget))
+                    .expect("mixed-length corpus is valid input");
                 assert_eq!(
                     outcome.pairs, expected,
                     "θ_raw = {theta_raw}, budget = {budget}"

@@ -37,14 +37,12 @@ use crate::{JoinConfig, JoinError, JoinOutcome};
 ///
 /// `space_for` validates the input and builds the join's space; `Ok(None)`
 /// is an input with no possible result (an empty relation). `partitions = 0`
-/// takes the cluster default.
-#[allow(clippy::too_many_arguments)]
+/// takes the cluster default; `skew` decides whether hot token groups split.
 pub(crate) fn run_prefix_join<S: JoinSpace>(
     cluster: &Cluster,
     relations: &[&[Ranking]],
     prefix_kind: PrefixKind,
     partitions: usize,
-    delta: Option<usize>,
     skew: SkewBudget,
     label: &str,
     space_for: impl FnOnce() -> Result<Option<S>, JoinError>,
@@ -70,10 +68,7 @@ pub(crate) fn run_prefix_join<S: JoinSpace>(
         // is unambiguous even when the id spaces of two relations overlap):
         // nothing else needs to leave the kernels.
         let ids = |a: &TokenEntry, b: &TokenEntry, _| (a.ranking.id(), b.ranking.id());
-        prefix_hits(
-            &sources, &space, partitions, delta, skew, &stats, label, ids,
-        )
-        .collect()
+        prefix_hits(&sources, &space, partitions, skew, &stats, label, ids).collect()
     };
     pairs.sort_unstable();
     debug_assert!(
@@ -90,11 +85,13 @@ pub(crate) fn run_prefix_join<S: JoinSpace>(
     })
 }
 
+/// The Footrule flat join under `skew`: `config.skew`, or VJ-P's
+/// `Fixed(partition_threshold)`.
 fn vj_flavour(
     cluster: &Cluster,
     relations: &[&[Ranking]],
     config: &JoinConfig,
-    delta: Option<usize>,
+    skew: SkewBudget,
     label: &str,
 ) -> Result<JoinOutcome, JoinError> {
     config.validate()?;
@@ -109,8 +106,7 @@ fn vj_flavour(
         relations,
         config.prefix,
         config.partitions,
-        delta,
-        config.skew,
+        skew,
         label,
         space_for,
     )
@@ -123,7 +119,7 @@ pub fn vj_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(cluster, &[data], config, None, "vj")
+    vj_flavour(cluster, &[data], config, config.skew, "vj")
 }
 
 /// VJ-NL: prefix filtering with nested-loop (iterator) verification (§4.1).
@@ -132,7 +128,7 @@ pub fn vj_nl_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(cluster, &[data], config, None, "vj-nl")
+    vj_flavour(cluster, &[data], config, config.skew, "vj-nl")
 }
 
 /// VJ over two relations (R-S join): both relations' prefixes shuffle into
@@ -146,7 +142,7 @@ pub fn vj_join_rs(
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(cluster, &[left, right], config, None, "vj-rs")
+    vj_flavour(cluster, &[left, right], config, config.skew, "vj-rs")
 }
 
 /// VJ-NL over two relations (R-S join), nested-loop verification per group.
@@ -157,7 +153,7 @@ pub fn vj_nl_join_rs(
     right: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(cluster, &[left, right], config, None, "vj-nl-rs")
+    vj_flavour(cluster, &[left, right], config, config.skew, "vj-nl-rs")
 }
 
 /// VJ-NL with repartitioning of posting lists longer than the configured
@@ -168,13 +164,8 @@ pub fn vj_repartitioned_join(
     data: &[Ranking],
     config: &JoinConfig,
 ) -> Result<JoinOutcome, JoinError> {
-    vj_flavour(
-        cluster,
-        &[data],
-        config,
-        Some(config.partition_threshold),
-        "vj-p",
-    )
+    let delta = SkewBudget::Fixed(config.partition_threshold);
+    vj_flavour(cluster, &[data], config, delta, "vj-p")
 }
 
 #[cfg(test)]
@@ -268,7 +259,7 @@ mod tests {
         // A corpus where every ranking leads with hot item 1: under the
         // rank-ordered prefix the token-1 posting list holds the whole
         // corpus, while per-family tokens form hundreds of tiny groups —
-        // exactly the shape `SkewBudget::Auto`'s sampling pass must detect.
+        // exactly the shape `SkewBudget::Auto`'s group sizes must reveal.
         use minispark::SkewBudget;
         use topk_rankings::PrefixKind;
         let data: Vec<Ranking> = (0..240u64)

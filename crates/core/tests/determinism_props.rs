@@ -21,8 +21,8 @@ use minispark::{check_determinism, schedule_matrix, ClusterConfig, Schedule};
 use topk_datagen::{CorpusProfile, Rng};
 use topk_rankings::Ranking;
 use topk_simjoin::{
-    jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, varlen_join, varlen_join_with_skew,
-    Algorithm, JaccardConfig, JoinConfig, SkewBudget,
+    jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, varlen_join, Algorithm, JaccardConfig,
+    JoinConfig, SkewBudget,
 };
 
 const SLOT_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -214,7 +214,7 @@ fn jaccard_vj_with_skew_splitting_is_schedule_independent() {
 fn varlen_with_skew_splitting_is_schedule_independent() {
     let data = varlen_corpus(48, 28, 0x7A51);
     let outcome = check_determinism(&base_config(), &SLOT_COUNTS, &schedules(), |cluster| {
-        varlen_join_with_skew(cluster, &data, 30, 5, SkewBudget::Fixed(3))
+        varlen_join(cluster, &data, 30, 5, SkewBudget::Fixed(3))
             .expect("join must succeed")
             .pairs
     })
@@ -226,7 +226,7 @@ fn varlen_with_skew_splitting_is_schedule_independent() {
 fn varlen_is_schedule_independent() {
     let data = varlen_corpus(48, 28, 0x7A51);
     let outcome = check_determinism(&base_config(), &SLOT_COUNTS, &schedules(), |cluster| {
-        varlen_join(cluster, &data, 30, 5)
+        varlen_join(cluster, &data, 30, 5, SkewBudget::Off)
             .expect("join must succeed")
             .pairs
     })

@@ -14,9 +14,9 @@ use topk_simjoin::kernels::{
 };
 use topk_simjoin::{
     brute_force_join, brute_force_join_rs, cl_join, clp_join, jaccard_brute_force, jaccard_cl_join,
-    jaccard_clp_join, jaccard_vj_join, varlen_brute_force, varlen_join_with_skew, vj_join,
-    vj_join_rs, vj_nl_join, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinOutcome,
-    JoinStats, SkewBudget,
+    jaccard_clp_join, jaccard_vj_join, varlen_brute_force, varlen_join, vj_join, vj_join_rs,
+    vj_nl_join, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinOutcome, JoinStats,
+    SkewBudget,
 };
 
 /// Cases per property.
@@ -319,8 +319,7 @@ fn every_pair_is_kept_by_one_group_and_matches_brute_force() {
                     let max_k = data.iter().map(Ranking::k).max().expect("n ≥ 20");
                     let theta_raw = raw_near_boundary(rng, max_k);
                     (
-                        varlen_join_with_skew(&cluster, &data, theta_raw, 0, skew)
-                            .expect("valid input"),
+                        varlen_join(&cluster, &data, theta_raw, 0, skew).expect("valid input"),
                         varlen_brute_force(&cluster, &data, theta_raw).expect("valid input"),
                         true,
                     )

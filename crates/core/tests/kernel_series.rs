@@ -10,7 +10,7 @@
 //! never passes for a check.
 
 use minispark::telemetry::SampleValue;
-use minispark::{Cluster, ClusterConfig, TraceCollector};
+use minispark::{Cluster, ClusterConfig, SkewBudget, TraceCollector};
 use topk_datagen::CorpusProfile;
 use topk_simjoin::{
     cl_join, cl_join_rs, clp_join, jaccard_cl_join, jaccard_clp_join, jaccard_vj_join,
@@ -130,13 +130,13 @@ fn every_driver_publishes_its_stats_under_its_own_label() {
         ),
         (
             "varlen",
-            &|| varlen_join(&cluster, &data, 11, 0).unwrap(),
+            &|| varlen_join(&cluster, &data, 11, 0, SkewBudget::Off).unwrap(),
             FLAT,
             &[JOINED, POSITIONAL],
         ),
         (
             "varlen-rs",
-            &|| varlen_join_rs(&cluster, left, right, 11, 0).unwrap(),
+            &|| varlen_join_rs(&cluster, left, right, 11, 0, SkewBudget::Off).unwrap(),
             FLAT,
             &[JOINED, POSITIONAL],
         ),

@@ -24,8 +24,8 @@ use topk_datagen::Rng;
 use topk_rankings::Ranking;
 use topk_simjoin::{
     brute_force_join_rs, cl_join_rs, jaccard_brute_force_rs, jaccard_vj_join_rs,
-    varlen_brute_force_rs, varlen_join_rs_with_skew, vj_join_rs, vj_nl_join_rs, JaccardConfig,
-    JoinConfig, SkewBudget,
+    varlen_brute_force_rs, varlen_join_rs, vj_join_rs, vj_nl_join_rs, JaccardConfig, JoinConfig,
+    SkewBudget,
 };
 
 const SLOT_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -203,7 +203,7 @@ fn varlen_rs_is_schedule_independent_and_matches_the_baseline() {
     let right = varlen_corpus(36, 28, 0x7A52);
     for skew in [SkewBudget::Off, SkewBudget::Fixed(3)] {
         let outcome = check_determinism(&base_config(), &SLOT_COUNTS, &schedules(), |cluster| {
-            varlen_join_rs_with_skew(cluster, &left, &right, 30, 5, skew)
+            varlen_join_rs(cluster, &left, &right, 30, 5, skew)
                 .expect("join must succeed")
                 .pairs
         })

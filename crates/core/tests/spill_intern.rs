@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use minispark::{Cluster, ClusterConfig};
+use minispark::{Cluster, ClusterConfig, SkewBudget};
 use topk_rankings::{FrequencyTable, OrderedRanking, Ranking};
 use topk_simjoin::kernels::TokenEntry;
 use topk_simjoin::{
@@ -76,7 +76,7 @@ fn spilled_joins_match_in_memory_joins() {
         ("vj-rs", &|c| vj_join_rs(c, &data, &right, &config)),
         ("jaccard-vj", &|c| jaccard_vj_join(c, &data, &jaccard)),
         ("jaccard-clp", &|c| jaccard_clp_join(c, &data, &jaccard)),
-        ("varlen", &|c| varlen_join(c, &data, 10, 0)),
+        ("varlen", &|c| varlen_join(c, &data, 10, 0, SkewBudget::Off)),
     ];
     for (name, join) in runs {
         let spilly = Cluster::new(ClusterConfig::local(2).with_spill_budget(8));

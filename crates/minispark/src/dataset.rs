@@ -466,30 +466,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         out
     }
 
-    /// The first `per_partition` records of every partition, gathered on
-    /// the driver — a deterministic prefix scan, the cheap sampling pass the
-    /// skew estimator ([`crate::skew`]) runs before deciding whether to
-    /// split groups. It needs no RNG and touches at most
-    /// `per_partition × partitions` records. Recorded as a driver stage
-    /// under `name`.
-    pub fn sample_prefix(&self, name: &str, per_partition: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let start = Instant::now();
-        let mut out = Vec::new();
-        for part in &self.partitions {
-            out.extend(part.iter().take(per_partition).cloned());
-        }
-        let io = StageIo {
-            input_records: out.len(),
-            out_sizes: &[out.len()],
-            ..StageIo::default()
-        };
-        self.cluster().record_stage(name, start, Vec::new(), io);
-        out
-    }
-
     /// Keys every record: `t → (f(t), t)`.
     pub fn key_by<K, F>(&self, name: &str, f: F) -> Dataset<(K, T)>
     where
@@ -664,16 +640,5 @@ mod tests {
         let ds = cluster().parallelize(vec![1u32, 2, 3], 1);
         let clone = ds.clone();
         assert!(Arc::ptr_eq(&ds.partitions[0], &clone.partitions[0]));
-    }
-
-    #[test]
-    fn sample_prefix_takes_partition_heads() {
-        let c = cluster();
-        let ds = c.parallelize((0..40u32).collect(), 4); // partitions of 10
-        let got = ds.sample_prefix("peek", 3);
-        assert_eq!(got, vec![0, 1, 2, 10, 11, 12, 20, 21, 22, 30, 31, 32]);
-        // Capped by partition size; recorded as a stage.
-        assert_eq!(ds.sample_prefix("peek-all", 100).len(), 40);
-        assert_eq!(c.metrics().stages_named("peek").len(), 2);
     }
 }

@@ -27,8 +27,8 @@
 //!   overflowing groups to temporary run files and merges them, reproducing
 //!   Spark's ability to spill shuffle data that iterator-style (VJ-NL)
 //!   processing preserves and materialized indexes defeat,
-//! * **skew handling** ([`skew`]): a prefix-scan group-size estimator, split
-//!   budgets ([`SkewBudget`]) and a generic splitter that breaks oversized
+//! * **skew handling** ([`skew`]): split budgets ([`SkewBudget`]), resolved
+//!   against the exact group sizes of a grouped dataset, and a generic splitter that breaks oversized
 //!   key groups into balanced ≤-budget chunks joined per chunk and per chunk
 //!   pair — the paper's δ-repartitioning (§6) as a reusable subsystem,
 //! * **tracing** ([`trace`]): an opt-in collector of driver phase spans and
@@ -108,7 +108,7 @@ pub use json::Json;
 pub use metrics::{MetricsReport, StageMetrics};
 pub use sched::Schedule;
 pub use shuffle::{CompositePartitioner, HashPartitioner, Partitioner};
-pub use skew::{SkewBudget, SkewEstimate, SplitPlan, SplitStats};
+pub use skew::{SkewBudget, SplitPlan, SplitStats};
 pub use telemetry::{
     Counter, Gauge, Heartbeat, HistogramData, LiveHistogram, TelemetryRegistry, TelemetrySnapshot,
 };

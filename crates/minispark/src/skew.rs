@@ -4,16 +4,14 @@
 //!
 //! Per-key group sizes of a prefix-filtering join follow the corpus's Zipf
 //! skew: one hot token's posting list can hold a whole stage hostage while
-//! every other slot idles. The pieces here attack that in three steps:
+//! every other slot idles. The pieces here attack that in two steps:
 //!
-//! 1. **Measure** ([`estimate_group_sizes`]): a cheap deterministic prefix
-//!    scan over the keyed dataset ([`crate::dataset::Dataset::sample_prefix`])
-//!    estimates the per-key group-size distribution (p95 and max, scaled up
-//!    by the sampling fraction) without running the shuffle.
-//! 2. **Decide** ([`SkewBudget`]): an opt-in policy — off, a fixed budget, or
-//!    an automatic budget derived from the slot count and the sampled p95
-//!    group size ([`SkewEstimate::auto_budget`]).
-//! 3. **Split** ([`SplitPlan`], [`split_grouped_join`]): groups over the
+//! 1. **Decide** ([`SkewBudget`]): one value says whether and at what
+//!    budget a grouped join splits — off, a fixed budget (CL-P's δ is
+//!    `Fixed(δ)`), or an automatic budget derived from the slot count and
+//!    the exact group sizes the grouping shuffle just produced
+//!    ([`SkewBudget::resolve`]).
+//! 2. **Split** ([`SplitPlan`], [`split_grouped_join`]): groups over the
 //!    budget are broken into balanced sub-partitions of at most `budget`
 //!    members, spread across the cluster with the composite `(key, sub)`
 //!    partitioner, self-joined chunk by chunk and R-S-joined for every chunk
@@ -33,12 +31,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::dataset::Dataset;
-use crate::shuffle::{CompositePartitioner, FastHashMap};
-
-/// Default number of records the estimator reads from the head of each
-/// partition. Enough for stable p95/max estimates on realistic partition
-/// counts while keeping the scan O(partitions × constant).
-pub const DEFAULT_SAMPLE_PER_PARTITION: usize = 4096;
+use crate::shuffle::CompositePartitioner;
 
 /// The skew-handling policy of a join: whether (and at what budget) oversized
 /// key groups are split into sub-partitions.
@@ -47,139 +40,62 @@ pub enum SkewBudget {
     /// No splitting (the default): every key group is joined as one task.
     #[default]
     Off,
-    /// Sample the keyed dataset first and derive the budget from the slot
-    /// count and the estimated group-size distribution
-    /// ([`SkewEstimate::auto_budget`]); skip splitting entirely when the
-    /// estimated maximum group already fits the budget.
+    /// Derive the budget from the slot count and the exact group sizes
+    /// ([`SkewBudget::resolve`]); skip splitting entirely when the largest
+    /// group already fits the budget.
     Auto,
-    /// Split every group larger than the given budget (the paper's explicit
-    /// δ; clamped to ≥ 1).
+    /// Split every group larger than the given budget — the paper's δ. The
+    /// join drivers reject `Fixed(0)`.
     Fixed(usize),
 }
 
 impl SkewBudget {
-    /// Resolves the policy against a keyed dataset: the chunk budget to
-    /// split with, or `None` to run unsplit.
+    /// Resolves the policy against a key-grouped dataset: the chunk budget
+    /// to split with, or `None` to run unsplit.
     ///
-    /// `Auto` runs the sampling pass (recorded as a `{label}/skew-sample`
-    /// driver stage) and backs off to `None` when the estimated maximum
-    /// group size does not exceed the derived budget — a no-skew join keeps
-    /// its exact unsplit stage structure.
-    pub fn resolve<K, V>(&self, keyed: &Dataset<(K, V)>, label: &str) -> Option<usize>
-    where
-        K: Hash + Eq + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        match *self {
-            SkewBudget::Off => None,
-            SkewBudget::Fixed(budget) => Some(budget.max(1)),
-            SkewBudget::Auto => {
-                let estimate = estimate_group_sizes(keyed, DEFAULT_SAMPLE_PER_PARTITION, label);
-                let slots = keyed.cluster().config().task_slots();
-                let budget = estimate.auto_budget(slots);
-                (estimate.max_group_size > budget).then_some(budget)
-            }
-        }
-    }
-}
-
-/// Group-size estimates from a prefix scan of a keyed dataset, scaled from
-/// the sample to the full dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkewEstimate {
-    /// Records the prefix scan actually read.
-    pub sampled_records: usize,
-    /// Records in the full dataset.
-    pub total_records: usize,
-    /// Distinct keys observed in the sample.
-    pub groups_seen: usize,
-    /// Estimated 95th-percentile group size (nearest rank over the sampled
-    /// keys, scaled by `total/sampled`).
-    pub p95_group_size: usize,
-    /// Estimated size of the largest group (scaled like the p95).
-    pub max_group_size: usize,
-}
-
-impl SkewEstimate {
-    /// The automatic chunk budget for a cluster with `slots` task slots:
+    /// `Fixed(b)` is `b` (a `Fixed(0)` that reaches here splits into single
+    /// members). `Auto` reads the exact group lengths — the grouping shuffle
+    /// produced them, no sample is needed — and derives
     ///
     /// ```text
     /// budget = max(p95, ⌈max / (2·slots)⌉)
     /// ```
     ///
-    /// The p95 floor keeps typical groups unsplit (splitting them buys no
-    /// balance and costs chunk-pair joins); the `max / (2·slots)` term caps
-    /// the hottest group at about `2·slots` chunks, enough self-join tasks
-    /// to occupy every slot without exploding the quadratic number of
-    /// chunk-pair R-S tasks.
-    pub fn auto_budget(&self, slots: usize) -> usize {
-        let slots = slots.max(1);
-        let p95 = self.p95_group_size.max(1);
-        let cap = self.max_group_size.div_ceil(2 * slots).max(1);
-        p95.max(cap)
-    }
-}
-
-/// Estimates per-key group sizes from the first `per_partition` records of
-/// each partition of `keyed` — the cheap pre-shuffle sampling pass. The scan
-/// is deterministic (no RNG) and is recorded as a `{label}/skew-sample`
-/// driver stage.
-///
-/// Keys are spread hash-uniformly across partitions, so the per-partition
-/// prefixes form an unbiased slice of the key stream; per-key sample counts
-/// are scaled by `total/sampled` to estimate true group sizes.
-pub fn estimate_group_sizes<K, V>(
-    keyed: &Dataset<(K, V)>,
-    per_partition: usize,
-    label: &str,
-) -> SkewEstimate
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    let total_records = keyed.count();
-    let sample = keyed.sample_prefix(&format!("{label}/skew-sample"), per_partition);
-    let sampled_records = sample.len();
-    let mut counts: FastHashMap<K, usize> = FastHashMap::default();
-    for (key, _) in sample {
-        *counts.entry(key).or_default() += 1;
-    }
-    #[expect(
-        clippy::cast_precision_loss,
-        reason = "record counts are far below 2^53 — exact in f64"
-    )]
-    let scale = if sampled_records == 0 {
-        1.0
-    } else {
-        total_records as f64 / sampled_records as f64
-    };
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_precision_loss,
-        clippy::cast_sign_loss,
-        reason = "estimated group size — a non-negative float estimate, ceil fits usize"
-    )]
-    let mut sizes: Vec<usize> = counts
-        .values()
-        .map(|&c| (c as f64 * scale).ceil() as usize)
-        .collect();
-    sizes.sort_unstable();
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "1 ≤ rank.min(len) ≤ len — sizes is non-empty in this branch"
-    )]
-    let p95_group_size = if sizes.is_empty() {
-        0
-    } else {
-        let rank = (95 * sizes.len()).div_ceil(100).max(1);
-        sizes[rank.min(sizes.len()) - 1]
-    };
-    SkewEstimate {
-        sampled_records,
-        total_records,
-        groups_seen: sizes.len(),
-        p95_group_size,
-        max_group_size: sizes.last().copied().unwrap_or(0),
+    /// from the nearest-rank p95 and the maximum length. The p95 floor keeps
+    /// typical groups unsplit (splitting them buys no balance and costs
+    /// chunk-pair joins); the `max / (2·slots)` term caps the hottest group
+    /// at about `2·slots` chunks, enough self-join tasks to occupy every
+    /// slot without exploding the quadratic number of chunk-pair R-S tasks.
+    /// When the largest group fits that budget, `Auto` resolves to `None`:
+    /// a no-skew join keeps its exact unsplit stage structure.
+    pub fn resolve<K, V>(&self, grouped: &Dataset<(K, Vec<V>)>) -> Option<NonZeroUsize>
+    where
+        K: Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        match *self {
+            SkewBudget::Off => None,
+            SkewBudget::Fixed(budget) => {
+                Some(NonZeroUsize::new(budget).unwrap_or(NonZeroUsize::MIN))
+            }
+            SkewBudget::Auto => {
+                let mut sizes: Vec<usize> = (0..grouped.num_partitions())
+                    .flat_map(|p| {
+                        grouped
+                            .partition(p)
+                            .iter()
+                            .map(|(_, members)| members.len())
+                    })
+                    .collect();
+                sizes.sort_unstable();
+                let max = sizes.last().copied()?;
+                let rank = (95 * sizes.len()).div_ceil(100);
+                let p95 = sizes.get(rank.saturating_sub(1)).copied().unwrap_or(max);
+                let slots = grouped.cluster().config().task_slots().max(1);
+                let budget = p95.max(max.div_ceil(2 * slots));
+                NonZeroUsize::new(budget).filter(|budget| max > budget.get())
+            }
+        }
     }
 }
 
@@ -195,36 +111,18 @@ where
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitPlan {
     len: usize,
-    budget: usize,
+    budget: NonZeroUsize,
 }
 
 impl SplitPlan {
-    /// Plans the split of a group of `len` members under `budget` (≥ 1).
-    pub fn new(len: usize, budget: usize) -> Self {
-        Self {
-            len,
-            budget: budget.max(1),
-        }
-    }
-
-    /// The group size this plan covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for the empty group (which yields no chunks).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The effective chunk budget (≥ 1).
-    pub fn budget(&self) -> usize {
-        self.budget
+    /// Plans the split of a group of `len` members under `budget`.
+    pub fn new(len: usize, budget: NonZeroUsize) -> Self {
+        Self { len, budget }
     }
 
     /// Number of chunks: `⌈len / budget⌉` (0 for an empty group).
     pub fn num_chunks(&self) -> usize {
-        self.len.div_ceil(self.budget)
+        self.len.div_ceil(self.budget.get())
     }
 
     /// Whether the group actually splits (more than one chunk).
@@ -245,7 +143,7 @@ impl SplitPlan {
         for idx in 0..chunks.get() {
             let size = base + usize::from(idx < extra);
             debug_assert!(
-                (1..=self.budget).contains(&size),
+                (1..=self.budget.get()).contains(&size),
                 "chunk size {size} outside 1..={}",
                 self.budget
             );
@@ -320,14 +218,16 @@ pub struct SplitStats {
 /// once (a pair found via several keys is the caller's to deduplicate or to
 /// assign to one key).
 ///
-/// Stage names mirror the original CL-P pipeline (`{label}/join-small-groups`,
+/// The task that holds a whole large group cuts its chunks
+/// (`{label}/split-large-groups`) and, in a second pass over the same
+/// groups, emits every chunk pair (`…/pair-large-groups`): the pairs need no
+/// shuffle to meet. The stages, in order: `…/join-small-groups`,
 /// `…/split-large-groups`, `…/spread-chunks`, `…/join-chunks`,
-/// `…/key-chunks`, `…/pair-chunks`, `…/emit-chunk-pairs`,
-/// `…/spread-chunk-pairs`, `…/rs-join-chunks`), so traces and metrics stay
-/// comparable.
+/// `…/pair-large-groups`, `…/spread-chunk-pairs`, `…/rs-join-chunks` — two
+/// shuffles, the two spreads.
 pub fn split_grouped_join<K, M, O, SJ, CJ>(
     grouped: &Dataset<(K, Vec<M>)>,
-    budget: usize,
+    budget: NonZeroUsize,
     partitions: usize,
     label: &str,
     self_join: SJ,
@@ -340,16 +240,20 @@ where
     SJ: Fn(K, &[M]) -> Vec<O> + Sync,
     CJ: Fn(K, &[M], &[M]) -> Vec<O> + Sync,
 {
-    let budget = budget.max(1);
     let cluster = grouped.cluster();
     let stages_before = cluster.inner.metrics.stage_count();
     let groups_split = AtomicU64::new(0);
     let chunks_created = AtomicU64::new(0);
     let rs_joins = AtomicU64::new(0);
+    let plan_of = |members: &[M]| {
+        let plan = SplitPlan::new(members.len(), budget);
+        plan.is_split().then_some(plan)
+    };
+    let spread = CompositePartitioner::new(partitions.saturating_mul(2).max(1));
 
     // Small groups join as usual.
     let small = grouped.flat_map(&format!("{label}/join-small-groups"), |(key, members)| {
-        if members.len() <= budget {
+        if plan_of(members).is_none() {
             self_join(*key, members)
         } else {
             Vec::new()
@@ -362,10 +266,9 @@ where
     // Large groups are split into balanced chunks of ≤ budget members with a
     // secondary key.
     let chunks = grouped.flat_map(&format!("{label}/split-large-groups"), |(key, members)| {
-        if members.len() <= budget {
+        let Some(plan) = plan_of(members) else {
             return Vec::new();
-        }
-        let plan = SplitPlan::new(members.len(), budget);
+        };
         // relaxed(counter): independent statistics counters, read only after
         // the eager stage (and the whole splitter) completes.
         groups_split.fetch_add(1, Ordering::Relaxed);
@@ -378,54 +281,39 @@ where
     });
     // Self-join each chunk after spreading chunks across the cluster by
     // (key, sub-key) — the composite partitioner of §6.
-    let spread = chunks.partition_by(
-        &format!("{label}/spread-chunks"),
-        &CompositePartitioner::new(partitions.saturating_mul(2).max(1)),
-    );
-    let self_hits = spread.flat_map(&format!("{label}/join-chunks"), |((key, _), chunk)| {
-        self_join(*key, chunk)
-    });
-    // Every ordered pair of chunks of one key is R-S joined. (The paper
-    // realizes this as a Spark self-join of the chunk RDD keyed by token,
-    // keeping pairs with sub₁ < sub₂ — the pairing below moves exactly the
-    // same chunk replicas.)
-    let chunk_pairs = chunks
-        .map(
-            &format!("{label}/key-chunks"),
-            |((key, sub), chunk): &((K, u32), Vec<M>)| (*key, (*sub, chunk.clone())),
-        )
-        .group_by_key(&format!("{label}/pair-chunks"), partitions)
-        .flat_map(&format!("{label}/emit-chunk-pairs"), |(key, subs)| {
-            let mut sorted: Vec<&(u32, Vec<M>)> = subs.iter().collect();
-            sorted.sort_by_key(|(sub, _)| *sub);
-            let mut out = Vec::new();
-            for i in 0..sorted.len() {
-                for j in (i + 1)..sorted.len() {
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "loop bounds: i < j < sorted.len()"
-                    )]
-                    out.push((
-                        (*key, sorted[i].0, sorted[j].0),
-                        (sorted[i].1.clone(), sorted[j].1.clone()),
-                    ));
-                }
-            }
-            out
+    let self_hits = chunks
+        .partition_by(&format!("{label}/spread-chunks"), &spread)
+        .flat_map(&format!("{label}/join-chunks"), |((key, _), chunk)| {
+            self_join(*key, chunk)
         });
-    let spread_pairs = chunk_pairs.partition_by(
-        &format!("{label}/spread-chunk-pairs"),
-        &CompositePartitioner::new(partitions.saturating_mul(2).max(1)),
-    );
-    let rs_results = spread_pairs.flat_map(
-        &format!("{label}/rs-join-chunks"),
-        |((key, _, _), (left, right))| {
-            // relaxed(counter): independent statistics counter, read only
-            // after the eager stage completes.
-            rs_joins.fetch_add(1, Ordering::Relaxed);
-            cross_join(*key, left, right)
-        },
-    );
+    // Every unordered pair of chunks of one key is R-S joined, emitted by
+    // the task that holds the whole group. (The paper realizes this as a
+    // Spark self-join of the chunk RDD keyed by token, keeping pairs with
+    // sub₁ < sub₂ — the pairs below carry exactly the same chunk replicas.)
+    let chunk_pairs = grouped.flat_map(&format!("{label}/pair-large-groups"), |(key, members)| {
+        let Some(plan) = plan_of(members) else {
+            return Vec::new();
+        };
+        let chunks = plan.chunks(members);
+        plan.chunk_pairs()
+            .into_iter()
+            .filter_map(|(i, j)| {
+                let (left, right) = (chunks.get(i as usize)?, chunks.get(j as usize)?);
+                Some(((*key, i, j), (left.to_vec(), right.to_vec())))
+            })
+            .collect::<Vec<_>>()
+    });
+    let rs_results = chunk_pairs
+        .partition_by(&format!("{label}/spread-chunk-pairs"), &spread)
+        .flat_map(
+            &format!("{label}/rs-join-chunks"),
+            |((key, _, _), (left, right))| {
+                // relaxed(counter): independent statistics counter, read only
+                // after the eager stage completes.
+                rs_joins.fetch_add(1, Ordering::Relaxed);
+                cross_join(*key, left, right)
+            },
+        );
     let hits = small.union(&self_hits).union(&rs_results);
 
     // relaxed(read-after-join): the eager stages finished — no writers remain.
@@ -467,9 +355,13 @@ mod tests {
     use crate::dataset::Cluster;
     use std::collections::HashSet;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).expect("a non-zero budget")
+    }
+
     #[test]
     fn split_plan_balances_and_tiles() {
-        let plan = SplitPlan::new(10, 3);
+        let plan = SplitPlan::new(10, nz(3));
         assert_eq!(plan.num_chunks(), 4);
         assert!(plan.is_split());
         // Balanced: sizes 3,3,2,2 — never the greedy 3,3,3,1.
@@ -482,19 +374,18 @@ mod tests {
 
     #[test]
     fn split_plan_edge_cases() {
-        assert_eq!(SplitPlan::new(0, 5).num_chunks(), 0);
-        assert!(SplitPlan::new(0, 5).chunk_bounds().is_empty());
-        assert!(SplitPlan::new(0, 5).chunk_pairs().is_empty());
-        assert_eq!(SplitPlan::new(5, 5).num_chunks(), 1);
-        assert!(!SplitPlan::new(5, 5).is_split());
-        // Budget 0 clamps to 1: one chunk per member.
-        assert_eq!(SplitPlan::new(3, 0).budget(), 1);
-        assert_eq!(SplitPlan::new(3, 0).num_chunks(), 3);
+        assert_eq!(SplitPlan::new(0, nz(5)).num_chunks(), 0);
+        assert!(SplitPlan::new(0, nz(5)).chunk_bounds().is_empty());
+        assert!(SplitPlan::new(0, nz(5)).chunk_pairs().is_empty());
+        assert_eq!(SplitPlan::new(5, nz(5)).num_chunks(), 1);
+        assert!(!SplitPlan::new(5, nz(5)).is_split());
+        // Budget 1: one chunk per member.
+        assert_eq!(SplitPlan::new(3, nz(1)).num_chunks(), 3);
     }
 
     #[test]
     fn chunk_pairs_enumerate_upper_triangle() {
-        let plan = SplitPlan::new(10, 3); // 4 chunks
+        let plan = SplitPlan::new(10, nz(3)); // 4 chunks
         assert_eq!(
             plan.chunk_pairs(),
             vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -510,7 +401,7 @@ mod tests {
     fn split_plan_covers_every_member_pair_exactly_once() {
         for len in 0..=48usize {
             for budget in 1..=9usize {
-                let plan = SplitPlan::new(len, budget);
+                let plan = SplitPlan::new(len, nz(budget));
                 let bounds = plan.chunk_bounds();
                 // Gapless tiling, each chunk non-empty and within budget.
                 let mut cursor = 0;
@@ -545,83 +436,49 @@ mod tests {
         }
     }
 
+    /// A grouped dataset with one group per entry of `sizes`.
+    fn groups_of(c: &Cluster, sizes: &[usize]) -> Dataset<(u32, Vec<u8>)> {
+        let groups = (0u32..).zip(sizes).map(|(key, &len)| (key, vec![0u8; len]));
+        c.parallelize(groups.collect(), 3)
+    }
+
+    /// `Auto` reads the exact group lengths: the budget is
+    /// `max(p95, ⌈max / (2·slots)⌉)` to the member, and a join whose largest
+    /// group fits it does not split.
     #[test]
-    fn estimate_is_exact_when_the_sample_covers_everything() {
-        let c = Cluster::new(ClusterConfig::local(2));
-        // 40 records of key 7, 5 each of keys 0..4.
-        let mut records: Vec<(u32, u8)> = (0..40).map(|_| (7u32, 0u8)).collect();
-        for key in 0..4 {
-            records.extend(std::iter::repeat_n((key, 0u8), 5));
-        }
-        let keyed = c.parallelize(records, 4);
-        let est = estimate_group_sizes(&keyed, usize::MAX, "test");
-        assert_eq!(est.sampled_records, 60);
-        assert_eq!(est.total_records, 60);
-        assert_eq!(est.groups_seen, 5);
-        assert_eq!(est.max_group_size, 40);
-        assert_eq!(est.p95_group_size, 40); // nearest rank over 5 sizes
+    fn auto_budget_is_exact_from_group_sizes() {
+        let auto = |slots: usize, sizes: &[usize]| {
+            let c = Cluster::new(ClusterConfig::local(slots));
+            SkewBudget::Auto
+                .resolve(&groups_of(&c, sizes))
+                .map(NonZeroUsize::get)
+        };
+        // 19 groups of 8 and one of 640: nearest-rank p95 over 20 sizes is
+        // the 19th, 8; ⌈640 / 8⌉ = 80 on four slots, ⌈640 / 2⌉ = 320 on one.
+        let hot: Vec<usize> = std::iter::repeat_n(8, 19).chain([640]).collect();
+        assert_eq!(auto(4, &hot), Some(80));
+        assert_eq!(auto(1, &hot), Some(320));
+        // 18 groups of 50, one of 60, one of 64: the p95 (60) beats
+        // ⌈64 / 8⌉ = 8, and the 64-member group still exceeds it.
+        let tail: Vec<usize> = std::iter::repeat_n(50, 18).chain([60, 64]).collect();
+        assert_eq!(auto(4, &tail), Some(60));
+        // One member over ⌈641 / 8⌉ = 81: a budget of 81 still splits 641.
+        let odd: Vec<usize> = std::iter::repeat_n(8, 19).chain([641]).collect();
+        assert_eq!(auto(4, &odd), Some(81));
+        // Flat sizes, and no groups at all, resolve to no split.
+        assert_eq!(auto(4, &[8; 40]), None);
+        assert_eq!(auto(4, &[]), None);
     }
 
     #[test]
-    fn estimate_scales_up_partial_samples() {
+    fn fixed_and_off_resolve_without_looking() {
         let c = Cluster::new(ClusterConfig::local(2));
-        let records: Vec<(u32, u8)> = (0..400).map(|n| (n % 4, 0u8)).collect();
-        let keyed = c.parallelize(records, 4); // contiguous chunks of 100
-        let est = estimate_group_sizes(&keyed, 10, "test");
-        assert_eq!(est.sampled_records, 40);
-        assert_eq!(est.total_records, 400);
-        // Each key shows ~10× its sampled count after scaling.
-        assert!(est.max_group_size >= 90, "max = {}", est.max_group_size);
-    }
-
-    #[test]
-    fn auto_budget_floors_at_p95_and_caps_chunk_count() {
-        let est = SkewEstimate {
-            sampled_records: 100,
-            total_records: 100,
-            groups_seen: 20,
-            p95_group_size: 8,
-            max_group_size: 640,
-        };
-        // max/(2·4) = 80 dominates the p95 floor.
-        assert_eq!(est.auto_budget(4), 80);
-        // Flat distribution: the p95 floor wins.
-        let flat = SkewEstimate {
-            p95_group_size: 8,
-            max_group_size: 10,
-            ..est
-        };
-        assert_eq!(flat.auto_budget(4), 8);
-        // Degenerate inputs stay ≥ 1.
-        let empty = SkewEstimate {
-            sampled_records: 0,
-            total_records: 0,
-            groups_seen: 0,
-            p95_group_size: 0,
-            max_group_size: 0,
-        };
-        assert_eq!(empty.auto_budget(0), 1);
-    }
-
-    #[test]
-    fn budget_resolution_policies() {
-        let c = Cluster::new(ClusterConfig::local(2));
-        // One hot key (60 records) plus a hundred singletons: the p95 sits at
-        // the singleton size, far below the hot group.
-        let mut records: Vec<(u32, u8)> = (0..60).map(|_| (9u32, 0u8)).collect();
-        records.extend((100..200).map(|k| (k, 0u8)));
-        let keyed = c.parallelize(records, 4);
-        assert_eq!(SkewBudget::Off.resolve(&keyed, "t"), None);
-        assert_eq!(SkewBudget::Fixed(7).resolve(&keyed, "t"), Some(7));
-        assert_eq!(SkewBudget::Fixed(0).resolve(&keyed, "t"), Some(1));
-        // Auto sees max ≈ 60 ≫ budget and opts in with a sensible budget.
-        let auto = SkewBudget::Auto
-            .resolve(&keyed, "t")
-            .expect("skew detected");
-        assert!(auto < 60, "budget {auto} would never split the hot group");
-        // A flat dataset opts out.
-        let flat = c.parallelize((0..100u32).map(|k| (k, 0u8)).collect::<Vec<_>>(), 4);
-        assert_eq!(SkewBudget::Auto.resolve(&flat, "t"), None);
+        let grouped = groups_of(&c, &[60, 1, 1]);
+        assert_eq!(SkewBudget::Off.resolve(&grouped), None);
+        assert_eq!(SkewBudget::Fixed(7).resolve(&grouped), Some(nz(7)));
+        assert_eq!(SkewBudget::Fixed(100).resolve(&grouped), Some(nz(100)));
+        assert_eq!(SkewBudget::Fixed(0).resolve(&grouped), Some(nz(1)));
+        assert!(c.metrics().stages.is_empty(), "resolving runs no stage");
     }
 
     /// Reference join: all unordered value pairs (by value, dedup'd), which
@@ -642,19 +499,18 @@ mod tests {
     }
 
     fn run_split(groups: Vec<(u32, Vec<u32>)>, budget: usize) -> (HashSet<(u32, u32)>, SplitStats) {
-        run_split_on(ClusterConfig::local(4), groups, budget)
+        run_split_on(&Cluster::new(ClusterConfig::local(4)), groups, budget)
     }
 
     fn run_split_on(
-        config: ClusterConfig,
+        c: &Cluster,
         groups: Vec<(u32, Vec<u32>)>,
         budget: usize,
     ) -> (HashSet<(u32, u32)>, SplitStats) {
-        let c = Cluster::new(config);
         let grouped = c.parallelize(groups, 3);
         let (hits, stats) = split_grouped_join(
             &grouped,
-            budget,
+            nz(budget),
             4,
             "t",
             |_, members: &[u32]| {
@@ -719,6 +575,41 @@ mod tests {
         assert_eq!(stats.rs_joins, 6);
     }
 
+    /// The split join's stages, in order. The chunk pairs leave the task
+    /// that holds the whole group, so the only shuffles are the two spreads
+    /// — no regrouping of chunks by key between them.
+    #[test]
+    fn split_join_runs_seven_stages_and_two_shuffles() {
+        let c = Cluster::new(ClusterConfig::local(4));
+        let groups = vec![(1u32, (0..10).collect::<Vec<u32>>()), (2, vec![100, 101])];
+        let (_, stats) = run_split_on(&c, groups, 3);
+        assert_eq!(stats.rs_joins, 6);
+        let report = c.metrics();
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "t/join-small-groups",
+                "t/split-large-groups",
+                "t/spread-chunks",
+                "t/join-chunks",
+                "t/pair-large-groups",
+                "t/spread-chunk-pairs",
+                "t/rs-join-chunks",
+            ]
+        );
+        let shuffles: Vec<&str> = report
+            .stages
+            .iter()
+            .filter(|s| s.shuffle_records > 0)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(shuffles, ["t/spread-chunks", "t/spread-chunk-pairs"]);
+        // Four chunks are shuffled once each; the six chunk pairs carry two
+        // chunks each.
+        assert_eq!(report.total_shuffle_records(), 4 + 6);
+    }
+
     /// The reversed schedule claims every task of an 8-task stage on 4 slots
     /// off its round-robin slot. A split join's chunk stages count those
     /// claims as steals; a join that splits nothing runs only the chunk
@@ -727,10 +618,10 @@ mod tests {
     fn steals_are_counted_only_when_a_group_splits() {
         let config = ClusterConfig::local(4).with_schedule(crate::sched::Schedule::Reversed);
         let groups = vec![(1u32, (0..10).collect::<Vec<u32>>()), (2, vec![100, 101])];
-        let (_, split) = run_split_on(config.clone(), groups.clone(), 3);
+        let (_, split) = run_split_on(&Cluster::new(config.clone()), groups.clone(), 3);
         assert_eq!(split.groups_split, 1);
         assert!(split.stolen_tasks > 0, "{split:?}");
-        let (_, unsplit) = run_split_on(config, groups, 10);
+        let (_, unsplit) = run_split_on(&Cluster::new(config), groups, 10);
         assert_eq!(unsplit.groups_split, 0);
         assert_eq!(unsplit.stolen_tasks, 0, "{unsplit:?}");
     }

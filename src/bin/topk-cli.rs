@@ -164,7 +164,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let mut algo_name: Option<String> = None;
     let mut distance = String::from("footrule");
     let mut theta_c = 0.03;
-    let mut delta: Option<usize> = None;
+    let mut delta = None;
     let mut slots = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
     let mut out: Option<PathBuf> = None;
 

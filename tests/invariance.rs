@@ -9,8 +9,8 @@ use minispark::{Cluster, ClusterConfig, SkewBudget};
 use topk_datagen::CorpusProfile;
 use topk_rankings::{PrefixKind, Ranking};
 use topk_simjoin::{
-    jaccard_vj_join, jaccard_vj_join_rs, varlen_join_rs_with_skew, varlen_join_with_skew, vj_join,
-    vj_join_rs, vj_nl_join, vj_nl_join_rs, Algorithm, JaccardConfig, JoinConfig,
+    jaccard_vj_join, jaccard_vj_join_rs, varlen_join, varlen_join_rs, vj_join, vj_join_rs,
+    vj_nl_join, vj_nl_join_rs, Algorithm, JaccardConfig, JoinConfig,
 };
 
 fn corpus() -> Vec<Ranking> {
@@ -216,8 +216,8 @@ fn self_join_is_the_one_relation_case_of_the_rs_join() {
         },
         Family {
             name: "varlen",
-            self_join: &|d, s| varlen_join_with_skew(&c, d, 15, 0, s).unwrap().pairs,
-            rs_join: &|l, r, s| varlen_join_rs_with_skew(&c, l, r, 15, 0, s).unwrap().pairs,
+            self_join: &|d, s| varlen_join(&c, d, 15, 0, s).unwrap().pairs,
+            rs_join: &|l, r, s| varlen_join_rs(&c, l, r, 15, 0, s).unwrap().pairs,
         },
     ];
     for family in &families {
