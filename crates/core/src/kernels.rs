@@ -193,7 +193,8 @@ pub(crate) trait MetricSpace: JoinSpace {
 }
 
 /// An unordered id pair in its normal form `(smaller, larger)` — what every
-/// self-join emits, so the final dedup is a plain `distinct`.
+/// self-join emits. Each pair leaves its owning group once, so only CL's
+/// expansion, whose clusters overlap, still ends in a `distinct`.
 #[inline]
 pub(crate) fn ordered_pair(x: u64, y: u64) -> (u64, u64) {
     if x < y {
@@ -300,14 +301,6 @@ impl GroupThresholds {
                 (true, true) => ss,
                 _ => ms,
             },
-        }
-    }
-
-    /// The largest threshold (used for sizing shared structures).
-    pub fn max(&self) -> u64 {
-        match *self {
-            GroupThresholds::Uniform(t) => t,
-            GroupThresholds::Mixed { mm, ms, ss } => mm.max(ms).max(ss),
         }
     }
 }
@@ -713,8 +706,6 @@ mod tests {
         assert_eq!(t.for_pair(true, false), 20);
         assert_eq!(t.for_pair(false, true), 20);
         assert_eq!(t.for_pair(true, true), 10);
-        assert_eq!(t.max(), 30);
-        assert_eq!(GroupThresholds::Uniform(7).max(), 7);
     }
 
     #[test]

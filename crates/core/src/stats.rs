@@ -23,8 +23,9 @@ pub struct JoinStats {
     pub candidates: AtomicU64,
     /// Candidates discarded by the position filter.
     pub position_pruned: AtomicU64,
-    /// Candidates discarded by a size bound: the overlap-signature filter,
-    /// or the variable-length join's length filter.
+    /// Candidates discarded by an overlap bound, count or rank weight: the
+    /// overlap-signature filter's two stages, or the variable-length join's
+    /// length filter.
     pub overlap_pruned: AtomicU64,
     /// Candidates for which the full (early-exit) distance was computed.
     pub verified: AtomicU64,
@@ -175,7 +176,7 @@ pub struct StatsSnapshot {
     pub candidates: u64,
     /// Candidates discarded by the position filter.
     pub position_pruned: u64,
-    /// Candidates discarded by a size bound (see
+    /// Candidates discarded by an overlap bound, count or rank weight (see
     /// [`JoinStats::overlap_pruned`]).
     pub overlap_pruned: u64,
     /// Full distance computations performed.

@@ -146,9 +146,12 @@ impl FrequencyTable {
 /// bit per item through a fixed multiplicative hash, and `lost`, the number
 /// of items whose bit another item of the same ranking already set. Two
 /// signatures bound the number of shared items from above in O(1)
-/// ([`OrderedRanking::overlap_upper_bound`]), which lets
+/// ([`OrderedRanking::overlap_upper_bound`]), and one signature names items
+/// of the other ranking that are certainly absent
+/// ([`OrderedRanking::absent_weight_exceeds`]). That lets
 /// [`crate::verify::verify_candidate`] reject most candidates through the
-/// paper's own overlap bound before the merge starts.
+/// paper's own overlap bound, and most of the rest by where the absent
+/// items rank, before the merge starts.
 ///
 /// The private `build` is the **only constructor**: the shadow and the
 /// signature are always computed from `pairs`, never accepted from outside
@@ -219,6 +222,19 @@ pub(crate) fn items_by_signature_bit(n: usize, distinct: bool) -> Vec<ItemId> {
         })
         .take(n)
         .collect()
+}
+
+/// Test fixture for this module and [`crate::verify`]: a partner for
+/// `pool[..k]` sharing exactly its first `o` items, at the same ranks, with
+/// `k − o` private items from the rest of the pool below.
+#[cfg(test)]
+pub(crate) fn sharing(pool: &[ItemId], k: usize, o: usize) -> OrderedRanking {
+    let items: Vec<ItemId> = pool[..o]
+        .iter()
+        .chain(&pool[k..2 * k - o])
+        .copied()
+        .collect();
+    OrderedRanking::by_rank(&Ranking::new_unchecked(2, items))
 }
 
 impl OrderedRanking {
@@ -352,6 +368,34 @@ impl OrderedRanking {
         let common = (self.signature[0] & other.signature[0]).count_ones()
             + (self.signature[1] & other.signature[1]).count_ones();
         common as usize + usize::from(self.lost.min(other.lost))
+    }
+
+    /// Whether the items of `self` that `other`'s signature proves absent —
+    /// those whose signature bit is clear there — weigh more than `limit`
+    /// together, an item at rank `r` weighing `k − r`.
+    ///
+    /// Walks the canonical order, rarest item first: rare items are the
+    /// least likely to be shared, so a pair that fails usually fails within
+    /// a few items. Sound as a lower bound on the weight of `self ∖ other`
+    /// because a shared item's bit is always set in `other`.
+    #[inline]
+    pub fn absent_weight_exceeds(&self, other: &OrderedRanking, limit: u64) -> bool {
+        let k = self.pairs.len() as u64;
+        let mut weight = 0u64;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "word is the high bit of a 7-bit value — 0 or 1"
+        )]
+        for &(item, rank) in self.pairs() {
+            let (word, mask) = signature_bit(item);
+            if other.signature[word] & mask == 0 {
+                weight += k - u64::from(rank);
+                if weight > limit {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Converts back into a plain [`Ranking`] (restoring the original item
@@ -573,6 +617,58 @@ mod tests {
         let b = OrderedRanking::by_rank(&r(2, free));
         assert_eq!(b.lost, 0);
         assert_eq!(a.overlap_upper_bound(&b), 0);
+    }
+
+    /// `D_a`: the smallest limit `absent_weight_exceeds` does not exceed.
+    fn absent_weight(a: &OrderedRanking, b: &OrderedRanking) -> u64 {
+        (0..)
+            .find(|&limit| !a.absent_weight_exceeds(b, limit))
+            .expect("the weight is finite")
+    }
+
+    #[test]
+    fn items_on_one_signature_bit_prove_nothing_absent() {
+        // Every item of both rankings on one bit: each of `a`'s bits is set
+        // in `b` whatever they share, so the walk never finds weight.
+        let k = 6;
+        let pool = items_by_signature_bit(2 * k, false);
+        let a = OrderedRanking::by_rank(&r(1, &pool[..k]));
+        for o in 0..=k {
+            let b = sharing(&pool, k, o);
+            assert_eq!(absent_weight(&a, &b), 0, "o = {o}");
+            assert_eq!(absent_weight(&b, &a), 0, "o = {o}");
+        }
+    }
+
+    #[test]
+    fn distinct_signature_bits_give_the_exact_absent_weight() {
+        // Pairwise-distinct bits: an item's bit is set in `b` iff the item
+        // is in `b`, so D_a = Σ_{a∖S} (k − r_a) exactly.
+        let k = 8;
+        let pool = items_by_signature_bit(3 * k, true);
+        let stride = if cfg!(miri) { 4 } else { 1 };
+        let rankings: Vec<OrderedRanking> = (0..=2 * k)
+            .step_by(stride)
+            .flat_map(|start| {
+                let window = &pool[start..start + k];
+                let reversed: Vec<u32> = window.iter().rev().copied().collect();
+                [
+                    OrderedRanking::by_rank(&r(1, window)),
+                    OrderedRanking::by_rank(&r(2, &reversed)),
+                ]
+            })
+            .collect();
+        for a in &rankings {
+            for b in &rankings {
+                let exact: u64 = a
+                    .pairs()
+                    .iter()
+                    .filter(|&&(item, _)| b.rank_of(item).is_none())
+                    .map(|&(_, rank)| (k - usize::from(rank)) as u64)
+                    .sum();
+                assert_eq!(absent_weight(a, b), exact, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

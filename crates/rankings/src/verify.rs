@@ -3,9 +3,11 @@
 //! Every join algorithm in the paper funnels candidate pairs through the same
 //! steps: the **position filter** on the shared (indexed) item, then the
 //! **overlap filter** on the two overlap signatures (*beyond the paper*: the
-//! paper's overlap bound applied per candidate, see [`verify_candidate`]),
-//! then the early-exit Footrule computation. Keeping the kernel in one place
-//! guarantees that VJ, VJ-NL, CL and CL-P verify identically.
+//! paper's overlap bound applied per candidate, then a bound on the rank
+//! weight of the items the signatures prove absent, see
+//! [`verify_candidate`]), then the early-exit Footrule computation. Keeping
+//! the kernel in one place guarantees that VJ, VJ-NL, CL and CL-P verify
+//! identically.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -21,8 +23,8 @@ pub enum Verification {
     /// computation was performed).
     PositionPruned,
     /// Pruned by the overlap filter: the two signatures prove the pair shares
-    /// too few items to be within the threshold (no distance computation was
-    /// performed).
+    /// too few items, or misses too much rank weight, to be within the
+    /// threshold (no distance computation was performed).
     OverlapPruned,
     /// The full (early-exit) distance computation exceeded the threshold.
     DistanceExceeded,
@@ -44,11 +46,13 @@ impl Verification {
 /// of the inverted-index token that brought them together.
 ///
 /// Applies the position filter first (§4: a shared item with rank difference
-/// `> θ/2` certifies the pair is not a result), then the overlap filter, and
-/// only then computes the distance with early exit.
+/// `> θ/2` certifies the pair is not a result), then the overlap filter in
+/// two stages — a count bound and a rank-weight bound — and only then
+/// computes the distance with early exit.
 ///
-/// The overlap filter is exact. With `S` the set of shared items and
-/// `u =` [`OrderedRanking::overlap_upper_bound`]:
+/// Both stages are exact. Let `S` be the set of shared items.
+///
+/// **Count bound**, with `u =` [`OrderedRanking::overlap_upper_bound`]:
 ///
 /// 1. the distinct signature bits of any subset `X` of a ranking number at
 ///    least `|X| − lost`, and every bit of `S` is set in both signatures, so
@@ -58,7 +62,28 @@ impl Verification {
 /// 3. that bound falls as the overlap grows, so `F ≥ (k − u)(k − u + 1)`,
 ///    and a pair with `(k − u)(k − u + 1) > θ` cannot qualify.
 ///
-/// The bound needs equal lengths; a mixed-length pair falls through to the
+/// The count bound assumes every absent item sits at the bottom of its
+/// list. The **rank-weight bound** ([`OrderedRanking::absent_weight_exceeds`])
+/// looks at where they sit:
+///
+/// 1. with the location parameter `ℓ = k`, give each item the weight
+///    `w(i) = k − rank(i)` in a ranking that holds it and 0 elsewhere; then
+///    `|rank_a(i) − rank_b(i)| = |w_a(i) − w_b(i)|` for every item of the
+///    union, and each ranking's weights sum to `k(k+1)/2`;
+/// 2. since `|x − y| = x + y − 2·min(x, y)`,
+///    `F = k(k+1) − 2·Σ_{i∈S} min(w_a(i), w_b(i))`, and bounding each
+///    `min` by `w_a(i)` gives `F ≥ 2·Σ_{i∈a∖S} w_a(i)`;
+/// 3. an item of `a` whose signature bit is clear in `b` is certainly in
+///    `a ∖ S`, so with `D_a` the weight of those items `F ≥ 2·D_a`, and
+///    likewise `F ≥ 2·D_b`: a pair with `2·D_a > θ` or `2·D_b > θ`
+///    cannot qualify.
+///
+/// The rank-weight bound implies the count bound (the `m` lightest weights
+/// sum to `m(m+1)/2`), but the count bound is one popcount, so it runs
+/// first and the walk only sees the pairs it lets through. Both are booked
+/// as [`Verification::OverlapPruned`].
+///
+/// Both bounds need equal lengths; a mixed-length pair falls through to the
 /// merge.
 #[inline]
 pub fn verify_candidate(
@@ -76,8 +101,14 @@ pub fn verify_candidate(
         }
     }
     let k = a.k();
-    if k == b.k() && min_distance_given_overlap(k, a.overlap_upper_bound(b).min(k)) > theta_raw {
-        return Verification::OverlapPruned;
+    if k == b.k() {
+        let half = theta_raw / 2;
+        if min_distance_given_overlap(k, a.overlap_upper_bound(b).min(k)) > theta_raw
+            || a.absent_weight_exceeds(b, half)
+            || b.absent_weight_exceeds(a, half)
+        {
+            return Verification::OverlapPruned;
+        }
     }
     match a.footrule_within(b, theta_raw) {
         Some(d) => Verification::Within(d),
@@ -89,7 +120,9 @@ pub fn verify_candidate(
 mod tests {
     use super::*;
     use crate::distance::{footrule_pairs, footrule_pairs_within, max_raw_distance};
-    use crate::ordered::{items_by_signature_bit as items_by_bit, FrequencyTable, OrderedRanking};
+    use crate::ordered::{
+        items_by_signature_bit as items_by_bit, sharing, FrequencyTable, OrderedRanking,
+    };
     use crate::ranking::Ranking;
 
     fn ordered(id: u64, items: &[u32]) -> OrderedRanking {
@@ -126,17 +159,6 @@ mod tests {
         let v = verify_candidate(&a, &b, None, 3, true);
         assert_eq!(v, Verification::DistanceExceeded);
         assert_eq!(v.distance(), None);
-    }
-
-    /// A partner for `pool[..k]` sharing exactly its first `o` items, at the
-    /// same ranks, with `k − o` private items from the rest of the pool below.
-    fn sharing(pool: &[u32], k: usize, o: usize) -> OrderedRanking {
-        let items: Vec<u32> = pool[..o]
-            .iter()
-            .chain(&pool[k..2 * k - o])
-            .copied()
-            .collect();
-        ordered(2, &items)
     }
 
     /// `verify_candidate` against the retained naive scan at every raw
@@ -275,5 +297,86 @@ mod tests {
         );
         assert_agrees_with_naive_scan(&a, &b);
         assert_agrees_with_naive_scan(&a, &c);
+    }
+
+    /// Every top-`k` list over `universe`: each ordered choice of `k`
+    /// distinct items.
+    fn all_lists(universe: &[u32], k: usize) -> Vec<Vec<u32>> {
+        if k == 0 {
+            return vec![Vec::new()];
+        }
+        let mut lists = Vec::new();
+        for shorter in all_lists(universe, k - 1) {
+            for &item in universe {
+                if !shorter.contains(&item) {
+                    let mut list = shorter.clone();
+                    list.push(item);
+                    lists.push(list);
+                }
+            }
+        }
+        lists
+    }
+
+    #[test]
+    fn rank_weight_bound_holds_for_every_small_pair_and_threshold() {
+        // Half the universe on one signature bit, half on distinct bits, so
+        // both proven-absent and collision-hidden items occur. Miri gets a
+        // smaller universe and k to stay within its time budget.
+        let (half, max_k) = if cfg!(miri) { (2, 3) } else { (3, 4) };
+        let mut universe = items_by_bit(half, false);
+        universe.extend_from_slice(&items_by_bit(half + 1, true)[1..]);
+        for k in 1..=max_k {
+            let lists: Vec<OrderedRanking> = all_lists(&universe, k)
+                .iter()
+                .map(|items| ordered(1, items))
+                .collect();
+            for a in &lists {
+                for b in &lists {
+                    let exact = footrule_pairs(a.pairs(), b.pairs());
+                    // 2·D_a ≤ F, i.e. D_a ≤ ⌊F/2⌋.
+                    assert!(!a.absent_weight_exceeds(b, exact / 2), "{a:?} vs {b:?}");
+                    for theta in 0..=max_raw_distance(k) {
+                        let outcome = verify_candidate(a, b, None, theta, true);
+                        assert_eq!(
+                            outcome.distance(),
+                            footrule_pairs_within(a.pairs(), b.pairs(), theta),
+                            "{a:?} vs {b:?} at θ = {theta}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_items_at_the_bottom_are_pruned_by_rank_weight() {
+        // k = 10, collision-free items. `b` holds `a`'s bottom eight items at
+        // its top and two private items below; `a`'s top two items (weights
+        // 10 and 9) are absent from `b`, so F ≥ 2·19 = 38. The count bound
+        // sees eight shared items and only claims F ≥ 2·3 = 6.
+        let k = 10;
+        let pool = items_by_bit(12, true);
+        let a = ordered(1, &pool[..k]);
+        let b = ordered(2, &pool[2..]);
+        assert_eq!(a.overlap_upper_bound(&b), 8);
+        assert_eq!(min_distance_given_overlap(k, 8), 6);
+        assert_eq!(a.footrule_raw(&b), 38);
+        // The count bound lets θ = 20 through to a merge that fails; the
+        // rank weight rejects the pair before it.
+        assert_eq!(
+            verify_candidate(&a, &b, None, 20, true),
+            Verification::OverlapPruned
+        );
+        assert_eq!(
+            verify_candidate(&b, &a, None, 37, true),
+            Verification::OverlapPruned
+        );
+        // Here the bound is tight: at θ = F the pair qualifies.
+        assert_eq!(
+            verify_candidate(&a, &b, None, 38, true),
+            Verification::Within(38)
+        );
+        assert_agrees_with_naive_scan(&a, &b);
     }
 }
