@@ -338,8 +338,9 @@ pub fn fig12() -> Vec<Row> {
 }
 
 /// Per-phase wall-time breakdown of one CL-P run (the Figure-2 pipeline
-/// made visible): Ordering, Clustering, Joining, Expansion and the final
-/// dedup, as fractions of the total.
+/// made visible): Ordering, Clustering, Joining and Expansion. Figure 2's
+/// final dedup has no phase here: the clusters partition the rankings, so
+/// no stage deduplicates.
 pub fn phase_breakdown(theta: f64) -> Vec<(String, f64)> {
     let workload = datasets::orku();
     let cluster = Cluster::new(harness_exec());

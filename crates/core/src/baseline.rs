@@ -14,10 +14,11 @@ use crate::{JoinError, JoinOutcome};
 
 /// The one brute-force dataflow, under every distance: broadcast the inner
 /// relation, stripe the outer one over the cluster, keep the pairs `within`
-/// accepts, `distinct`, sort. One relation is the self-join (each record
-/// scans the records after it; pairs are `(smaller id, larger id)`), two are
-/// the R-S join (every cross pair, `(left id, right id)`). The stages are
-/// `{label}/compare` and `{label}/distinct`.
+/// accepts, sort. One relation is the self-join (each record scans the
+/// records after it; pairs are `(smaller id, larger id)`), two are the R-S
+/// join (every cross pair, `(left id, right id)`). Every caller has checked
+/// that ids are unique within a relation, so each pair is compared once and
+/// nothing is deduplicated. The one stage is `{label}/compare`.
 ///
 /// It shares nothing with `pipeline.rs` on purpose: this is the oracle the
 /// pipeline is tested against.
@@ -57,12 +58,12 @@ pub(crate) fn all_pairs(
             })
             .collect::<Vec<_>>()
     });
-    // Ids are unique within a relation, so the pairs already are distinct;
-    // be defensive about duplicate inputs.
-    let mut pairs = pairs_ds
-        .distinct(&format!("{label}/distinct"), partitions)
-        .collect();
+    let mut pairs = pairs_ds.collect();
     pairs.sort_unstable();
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "{label}: a relation repeats an id"
+    );
     JoinOutcome {
         pairs,
         stats: StatsSnapshot::default(),

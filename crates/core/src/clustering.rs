@@ -1,12 +1,16 @@
 //! The *Clustering* phase of CL/CL-P (§5.1).
 //!
 //! A similarity self-join at the (tiny) clustering threshold θc finds all
-//! near-duplicate pairs; clusters are then formed by grouping the result
-//! pairs by their first (smaller-id) ranking, which becomes the centroid.
-//! Rankings that appear in no pair form singleton clusters. Because the
-//! distance is a metric, every pair of rankings inside one cluster is within
-//! `2·θc` of each other, so cluster-internal result pairs can be emitted
-//! immediately (verified only when the triangle bounds cannot certify them).
+//! near-duplicate pairs. Every ranking then gets one **home**: the smallest
+//! id among itself and its smaller-id θc neighbours. The distinct homes are
+//! the pivots, and a pivot's cluster is exactly the rankings whose home it
+//! is, so the clusters partition the rankings (DESIGN §5a, deviation 4).
+//! A pivot need not be its own home: in a chain `a < b < c` with
+//! `d(a,b), d(b,c) ≤ θc < d(a,c)`, `b` is a member of `a`'s cluster and the
+//! pivot of `c`'s. Every member lies within θc of its pivot, which is all
+//! Lemma 5.1 needs, and every pair inside one cluster is within `2·θc`, so
+//! cluster-internal result pairs are emitted here (verified only when the
+//! triangle bounds cannot certify them).
 //!
 //! The phase is written once over a `MetricSpace`; [`clustering_phase`] is
 //! its Footrule instantiation.
@@ -17,27 +21,30 @@ use std::sync::Arc;
 use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::OrderedRanking;
 
-use crate::kernels::{ordered_pair, Footrule, MetricSpace};
+use crate::kernels::{Footrule, MetricSpace};
 use crate::pipeline::{prefix_join, PrefixSource};
 use crate::stats::{JoinStats, KernelCounts};
 use crate::JoinConfig;
 
-/// `centroid id → [(member ranking, distance to centroid)]`, distances in
-/// the join's space (raw Footrule by default).
+/// `pivot id → [(member ranking, distance to pivot)]`, distances in the
+/// join's space (raw Footrule by default). A row lists the pivot itself, at
+/// distance 0, if and only if the pivot is its own home.
 pub type ClusterTable<D = u64> = Dataset<(u64, Vec<(Arc<OrderedRanking>, D)>)>;
 
 /// Output of the clustering phase.
 pub struct Clustering<D = u64> {
-    /// The cluster table for clusters with at least one member. Clusters may
-    /// overlap (a ranking can be a member of several clusters and a centroid
-    /// itself), as §5.1 accepts.
+    /// One row per non-singleton pivot: a pivot with a member other than
+    /// itself, or one that is not its own home. The rows, together with the
+    /// singleton pivots, partition the rankings: each ranking is listed
+    /// exactly once, under its home.
     pub clusters: ClusterTable<D>,
-    /// The non-singleton centroids `C_m` (one ranking per cluster).
+    /// The non-singleton pivots `C_m`, one ranking per row of `clusters`.
     pub centroids_m: Dataset<Arc<OrderedRanking>>,
-    /// The singleton centroids `C_s`: rankings with no neighbour within θc.
+    /// The singleton pivots `C_s`: rankings that are their own home and
+    /// nobody else's. Each is its own one member, at radius 0.
     pub singletons: Dataset<Arc<OrderedRanking>>,
-    /// Result pairs already certain from the clustering phase (centroid ↔
-    /// member and member ↔ member inside one cluster).
+    /// Result pairs inside one cluster, each once: pivot ↔ member at its
+    /// known distance, member ↔ member through the pivot.
     pub within_cluster_pairs: Dataset<(u64, u64)>,
 }
 
@@ -96,72 +103,95 @@ pub(crate) fn clustering_in<M: MetricSpace>(
         &format!("{}/cluster", M::CL_STAGES),
     );
 
-    // Clusters: group pairs by the smaller-id ranking (PairHit guarantees
-    // a.id < b.id), matching "from the pairs, we take the first ranking …
-    // as the cluster centroid, and the second one as their member".
-    let clusters = rc
-        .map(&stage("member-assignments"), |hit| {
-            (hit.a.id(), (Arc::clone(&hit.b), hit.distance))
+    // Homes: a ranking with a smaller-id θc neighbour (PairHit guarantees
+    // a.id < b.id) is placed with the smallest of them, at their distance.
+    // Pair ids are unique, so the minimum is too.
+    let placements = rc
+        .map(&stage("home-candidates"), |hit| {
+            (
+                hit.b.id(),
+                (Arc::clone(&hit.a), Arc::clone(&hit.b), hit.distance),
+            )
         })
-        .group_by_key(&stage("form-clusters"), partitions);
+        .reduce_by_key(&stage("homes"), partitions, |x, y| {
+            if x.0.id() <= y.0.id() {
+                x
+            } else {
+                y
+            }
+        });
 
-    // C_m: one ranking per centroid id. Keep-first is value-deterministic:
-    // every value under one centroid id is an `Arc` of the same canonical
-    // ranking, so the survivor is content-equal whichever duplicate wins.
-    let centroids_m = rc
-        .map(&stage("centroid-candidates"), |hit| {
-            (hit.a.id(), Arc::clone(&hit.a))
+    // Who is placed elsewhere and who receives someone: small metadata
+    // (bounded by the θc pairs), broadcast like the frequency order.
+    let (placed, receiving): (HashSet<u64>, HashSet<u64>) = placements
+        .map(&stage("placed-ids"), |(member, (pivot, _, _))| {
+            (*member, pivot.id())
         })
-        .reduce_by_key(&stage("dedup-centroids"), partitions, |a, _| a)
-        .values(&stage("centroid-rankings"));
-
-    // C_s: rankings that appear in no θc pair. The id set is small metadata
-    // (bounded by 2·|pairs|) and is broadcast, like the frequency order.
-    let non_singleton_ids: HashSet<u64> = rc
-        .flat_map(&stage("paired-ids"), |hit| vec![hit.a.id(), hit.b.id()])
-        .distinct(&stage("distinct-paired-ids"), partitions)
         .collect()
         .into_iter()
-        .collect();
+        .unzip();
+    let placed = cluster.broadcast(placed);
+
+    // One row per pivot that receives someone: its members, led by the pivot
+    // itself at distance 0 when it is its own home.
+    let rows = placements
+        .map(&stage("member-assignments"), |(_, (pivot, member, d))| {
+            (pivot.id(), (Arc::clone(pivot), Arc::clone(member), *d))
+        })
+        .group_by_key(&stage("form-clusters"), partitions);
+    let clusters = {
+        let placed = placed.clone();
+        rows.map(&stage("cluster-rows"), move |(pivot_id, entries)| {
+            let own_home = !placed.value().contains(pivot_id);
+            let pivot_itself = entries
+                .first()
+                .filter(|_| own_home)
+                .map(|(pivot, _, _)| (Arc::clone(pivot), M::ZERO));
+            let members: Vec<_> = pivot_itself
+                .into_iter()
+                .chain(entries.iter().map(|(_, m, d)| (Arc::clone(m), *d)))
+                .collect();
+            (*pivot_id, members)
+        })
+    };
+    let centroids_m = rows.flat_map(&stage("centroid-rankings"), |(_, entries)| {
+        entries.first().map(|(pivot, _, _)| Arc::clone(pivot))
+    });
     JoinStats::add(&stats.clusters, clusters.count() as u64);
-    let paired = cluster.broadcast(non_singleton_ids);
+
+    // C_s: rankings that are their own home and nobody else's.
+    let receiving = cluster.broadcast(receiving);
     let singletons = ordered.filter(&stage("singletons"), move |r: &Arc<OrderedRanking>| {
-        !paired.value().contains(&r.id())
+        !placed.value().contains(&r.id()) && !receiving.value().contains(&r.id())
     });
     JoinStats::add(&stats.singletons, singletons.count() as u64);
 
-    // Cluster-internal results. Centroid–member distances are known exactly;
-    // member–member pairs are certified by the triangle bounds through the
-    // centroid where possible (always, when 2·θc ≤ θ) and verified otherwise.
+    // Cluster-internal results: every pair of one member list, through the
+    // pivot. A pivot–member pair has one leg, its exact distance.
     let within_cluster_pairs = {
         let stats = Arc::clone(stats);
-        clusters.flat_map(
-            &stage("within-cluster-results"),
-            move |(centroid, members)| {
-                let mut out = Vec::new();
-                for (member, d) in members {
-                    if *d <= theta {
-                        out.push(ordered_pair(*centroid, member.id()));
-                    }
+        clusters.flat_map(&stage("within-cluster-results"), move |(pivot, members)| {
+            let mut out = Vec::new();
+            let mut counts = KernelCounts::default();
+            for (i, (x, d_x)) in members.iter().enumerate() {
+                for (y, d_y) in members.iter().skip(i + 1) {
+                    out.extend(M::decide_by_triangle(
+                        x,
+                        y,
+                        [
+                            None,
+                            (x.id() != *pivot).then_some(*d_x),
+                            (y.id() != *pivot).then_some(*d_y),
+                        ],
+                        theta,
+                        use_triangle_bounds,
+                        &mut counts,
+                    ));
                 }
-                let mut counts = KernelCounts::default();
-                for (i, (mi, di)) in members.iter().enumerate() {
-                    for (mj, dj) in members.iter().skip(i + 1) {
-                        // Legs: both members to their shared centroid.
-                        out.extend(M::decide_by_triangle(
-                            mi,
-                            mj,
-                            &[*di, *dj],
-                            theta,
-                            use_triangle_bounds,
-                            &mut counts,
-                        ));
-                    }
-                }
-                counts.flush(&stats);
-                out
-            },
-        )
+            }
+            counts.flush(&stats);
+            out
+        })
     };
 
     Clustering {
@@ -197,23 +227,49 @@ mod tests {
         ]
     }
 
-    fn run(theta: f64, theta_c: f64) -> (Clustering, Cluster) {
+    fn run_on(data: &[Ranking], theta: f64, theta_c: f64) -> (Clustering, Arc<JoinStats>) {
         let cluster = Cluster::new(ClusterConfig::local(2));
-        let data = figure3_dataset();
+        let k = data[0].k();
         let config = JoinConfig::new(theta).with_cluster_threshold(theta_c);
-        let ordered = order_rankings(&cluster, &data, PrefixKind::Overlap, 4, "test");
+        let ordered = order_rankings(&cluster, data, PrefixKind::Overlap, 4, "test");
         let stats = Arc::new(JoinStats::default());
         let clustering = clustering_phase(
             &cluster,
             &ordered,
-            5,
-            raw_threshold(5, theta),
-            raw_threshold(5, theta_c),
+            k,
+            raw_threshold(k, theta),
+            raw_threshold(k, theta_c),
             &config,
             4,
             &stats,
         );
-        (clustering, cluster)
+        (clustering, stats)
+    }
+
+    fn run(theta: f64, theta_c: f64) -> Clustering {
+        run_on(&figure3_dataset(), theta, theta_c).0
+    }
+
+    /// The cluster table as sorted `(pivot, [(member, distance)])` rows.
+    fn rows(clustering: &Clustering) -> Vec<(u64, Vec<(u64, u64)>)> {
+        let mut rows: Vec<_> = clustering
+            .clusters
+            .collect()
+            .into_iter()
+            .map(|(pivot, members)| {
+                let mut members: Vec<_> = members.iter().map(|(m, d)| (m.id(), *d)).collect();
+                members.sort_unstable();
+                (pivot, members)
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    fn ids(rankings: &Dataset<Arc<OrderedRanking>>) -> Vec<u64> {
+        let mut ids: Vec<u64> = rankings.collect().iter().map(|r| r.id()).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -221,44 +277,76 @@ mod tests {
         // θc = 0.1 → raw 3. Distances: (1,2) swap of ranks 2/3 → 2;
         // (1,5) swap of ranks 3/4 → 2; (2,5): [2,5,4,3,1] vs [2,5,3,1,4]:
         // item4: |2-4|=2, item3: |3-2|=1, item1: |4-3|=1 → 4 > 3;
-        // (3,4) swap → 2. τ6 far from all.
-        let (clustering, _) = run(0.2, 0.1);
-        let mut clusters = clustering.clusters.collect();
-        clusters.sort_by_key(|(c, _)| *c);
-        assert_eq!(clusters.len(), 2);
-        assert_eq!(clusters[0].0, 1);
-        let mut members1: Vec<u64> = clusters[0].1.iter().map(|(m, _)| m.id()).collect();
-        members1.sort();
-        assert_eq!(members1, vec![2, 5]);
-        assert_eq!(clusters[1].0, 3);
-        assert_eq!(clusters[1].1.len(), 1);
-        assert_eq!(clusters[1].1[0].0.id(), 4);
+        // (3,4) swap → 2. τ6 far from all. Each pivot is its own home, so
+        // it leads its own row at distance 0.
+        let clustering = run(0.2, 0.1);
+        assert_eq!(
+            rows(&clustering),
+            vec![(1, vec![(1, 0), (2, 2), (5, 2)]), (3, vec![(3, 0), (4, 2)]),]
+        );
+        assert_eq!(ids(&clustering.centroids_m), vec![1, 3]);
+        assert_eq!(ids(&clustering.singletons), vec![6]);
+    }
 
-        let mut centroid_ids: Vec<u64> = clustering
-            .centroids_m
-            .collect()
-            .into_iter()
-            .map(|c| c.id())
-            .collect();
-        centroid_ids.sort();
-        assert_eq!(centroid_ids, vec![1, 3]);
+    /// `a < b < c` with d(a,b) = 2, d(b,c) = 4 and d(a,c) = 6: each step
+    /// replaces one item by a fresh one, one rank higher up.
+    fn chain() -> Vec<Ranking> {
+        vec![
+            r(1, &[1, 2, 3, 4, 5]),
+            r(2, &[1, 2, 3, 4, 6]),
+            r(3, &[1, 2, 3, 7, 6]),
+            r(4, &[11, 12, 13, 14, 15]),
+        ]
+    }
 
-        let singleton_ids: Vec<u64> = clustering
-            .singletons
-            .collect()
-            .into_iter()
-            .map(|c| c.id())
-            .collect();
-        assert_eq!(singleton_ids, vec![6]);
+    #[test]
+    fn a_pivot_need_not_be_its_own_home() {
+        // θc = 4/30 → raw 4: τ2's home is τ1 (d = 2), τ3's is τ2 (d = 4,
+        // while d(τ1, τ3) = 6 > 4). τ2 is a member of τ1's cluster and the
+        // pivot of τ3's, whose row does not list τ2 itself.
+        let (clustering, stats) = run_on(&chain(), 0.2, 4.0 / 30.0);
+        assert_eq!(
+            rows(&clustering),
+            vec![(1, vec![(1, 0), (2, 2)]), (2, vec![(3, 4)])]
+        );
+        assert_eq!(ids(&clustering.centroids_m), vec![1, 2]);
+        assert_eq!(ids(&clustering.singletons), vec![4]);
+        let snap = stats.snapshot();
+        assert_eq!((snap.clusters, snap.singletons), (2, 1));
+        // Cluster {τ3} alone has no pair; (1,2) is a pivot–member pair.
+        let mut pairs = clustering.within_cluster_pairs.collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn clusters_partition_the_rankings() {
+        let orku = topk_datagen::CorpusProfile::orku_like(300, 10).generate();
+        for (data, theta_c) in [
+            (figure3_dataset(), 0.1),
+            (chain(), 4.0 / 30.0),
+            (chain(), 0.5),
+            (orku.clone(), 0.03),
+            (orku, 0.1),
+        ] {
+            let (clustering, _) = run_on(&data, 0.3, theta_c);
+            let mut placed: Vec<u64> = rows(&clustering)
+                .into_iter()
+                .flat_map(|(_, members)| members.into_iter().map(|(id, _)| id))
+                .chain(ids(&clustering.singletons))
+                .collect();
+            placed.sort_unstable();
+            let all: Vec<u64> = data.iter().map(Ranking::id).collect();
+            assert_eq!(placed, all, "θc = {theta_c}: not each ranking once");
+        }
     }
 
     #[test]
     fn within_cluster_pairs_cover_members() {
-        let (clustering, _) = run(0.2, 0.1);
+        let clustering = run(0.2, 0.1);
         let mut pairs = clustering.within_cluster_pairs.collect();
-        pairs.sort();
-        pairs.dedup();
-        // Cluster {1,2,5}: (1,2), (1,5) centroid-member; (2,5) member-member
+        pairs.sort_unstable();
+        // Cluster {1,2,5}: (1,2), (1,5) pivot–member; (2,5) member–member
         // at distance 4 ≤ θ_raw = 6. Cluster {3,4}: (3,4).
         assert_eq!(pairs, vec![(1, 2), (1, 5), (2, 5), (3, 4)]);
     }
@@ -266,31 +354,16 @@ mod tests {
     #[test]
     fn member_member_verification_respects_theta() {
         // θ = 0.1 (raw 3): the member pair (2,5) at distance 4 must be
-        // dropped even though both are within θc·Footrule of the centroid.
-        let (clustering, _) = run(0.1, 0.1);
+        // dropped even though both are within θc·Footrule of the pivot.
+        let clustering = run(0.1, 0.1);
         let mut pairs = clustering.within_cluster_pairs.collect();
-        pairs.sort();
-        pairs.dedup();
+        pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 2), (1, 5), (3, 4)]);
     }
 
     #[test]
     fn zero_theta_c_clusters_only_duplicates() {
-        let cluster = Cluster::new(ClusterConfig::local(2));
-        let data = figure3_dataset();
-        let config = JoinConfig::new(0.2).with_cluster_threshold(0.0);
-        let ordered = order_rankings(&cluster, &data, PrefixKind::Overlap, 4, "test");
-        let stats = Arc::new(JoinStats::default());
-        let clustering = clustering_phase(
-            &cluster,
-            &ordered,
-            5,
-            raw_threshold(5, 0.2),
-            0,
-            &config,
-            4,
-            &stats,
-        );
+        let (clustering, stats) = run_on(&figure3_dataset(), 0.2, 0.0);
         assert_eq!(clustering.clusters.count(), 0);
         assert_eq!(clustering.singletons.count(), 6);
         assert_eq!(stats.snapshot().singletons, 6);

@@ -1,19 +1,21 @@
 //! The *Expansion* phase (Algorithm 2, §5.3): turns centroid-level join
 //! results back into ranking-level results.
 //!
-//! * Pairs of **singleton** centroids are results as-is (both sides are the
-//!   actual rankings); more generally any centroid pair within θ is emitted
-//!   directly.
-//! * Pairs with a non-singleton side are joined with the cluster table so
-//!   that members meet the other centroid (`R_m,c`) and, when both sides
-//!   have members, each other (`R_m,m`).
-//! * The metric's triangle inequality prunes and accepts candidates before
-//!   any distance computation: for a candidate `(τi, cj)` with known
-//!   `d(τi, ci) = dᵢ` and `d(ci, cj) = d`, it holds that
-//!   `|d − dᵢ| ≤ d(τi, cj) ≤ d + dᵢ`, so the pair is discarded when
-//!   `|d − dᵢ| > θ` and accepted unverified when `d + dᵢ ≤ θ`. Member-member
-//!   candidates use the three-leg analogue
-//!   (`MetricSpace::decide_by_triangle`).
+//! The clusters partition the rankings, so every result pair across two
+//! clusters lies in members(a) × members(b) of exactly one centroid-join hit
+//! `(a, b)`, and the centroid join returns each hit once. Expansion therefore
+//! makes one decision per member pair and emits each result once:
+//!
+//! * A singleton pivot is its own one member at distance 0; a non-singleton
+//!   pivot's members come from its row of the cluster table, which the hits
+//!   join at most twice (once per side).
+//! * A member pair `(x, y)` of hit `(a, b)` is reached through the legs
+//!   `d(a,b)`, `d(x,a)` and `d(y,b)`, where a member that is its pivot has
+//!   no leg (`MetricSpace::decide_by_triangle`). A path of one leg is the
+//!   exact distance: the two pivots, or a member against the other pivot.
+//!   Otherwise the metric's triangle inequality prunes the pair when some
+//!   leg exceeds θ plus the others and accepts it unverified when the legs
+//!   sum to at most θ; what is left is verified.
 //!
 //! The phase is written once over a `MetricSpace`; [`expansion`] is its
 //! Footrule instantiation.
@@ -31,20 +33,8 @@ pub(crate) use crate::clustering::ClusterTable;
 
 type Members<D> = Vec<(Arc<OrderedRanking>, D)>;
 
-type MmJoinRow<D> = (u64, ((u64, D), Members<D>));
-
-/// Rekeys an `R_j ⋈ clusters` row by the pair's second centroid so the
-/// second join can attach that side's members (Algorithm 2's transformation
-/// "so that the second centroid is set as key of the tuples").
-fn rekey_by_second_centroid<D: Copy>(
-    (_, ((b_id, d), members_a)): &MmJoinRow<D>,
-) -> (u64, (D, Members<D>)) {
-    (*b_id, (*d, members_a.clone()))
-}
-
 /// Expands the centroid-join result `cjoin` against the cluster table,
-/// returning all ranking-level result pairs contributed by this phase
-/// (duplicates possible; the caller runs the final `distinct`).
+/// returning every ranking-level result pair across two clusters, each once.
 pub fn expansion(
     cjoin: &Dataset<PairHit>,
     clusters: &ClusterTable,
@@ -63,6 +53,38 @@ pub fn expansion(
     )
 }
 
+/// Attaches one pivot's member list to every row; `side` names the row's
+/// pivot and whether it is a singleton. A singleton pivot is its own one
+/// member and needs no lookup; a non-singleton pivot's members come from its
+/// cluster-table row through the join `name`.
+fn attach_members<M, R>(
+    rows: &Dataset<R>,
+    clusters: &ClusterTable<M::Dist>,
+    side: impl Fn(&R) -> (&Arc<OrderedRanking>, bool) + Sync,
+    name: &str,
+    partitions: usize,
+) -> Dataset<(R, Members<M::Dist>)>
+where
+    M: MetricSpace,
+    R: Clone + Send + Sync + 'static,
+{
+    let own = rows
+        .filter(&format!("{name}/singletons"), |row| side(row).1)
+        .map(&format!("{name}/own-member"), |row| {
+            (row.clone(), vec![(Arc::clone(side(row).0), M::ZERO)])
+        });
+    let tabled = rows
+        .filter(&format!("{name}/non-singletons"), |row| !side(row).1)
+        .map(&format!("{name}/key-by-pivot"), |row| {
+            (side(row).0.id(), row.clone())
+        })
+        .join(name, clusters, partitions)
+        .map(&format!("{name}/members"), |(_, (row, members))| {
+            (row.clone(), members.clone())
+        });
+    own.union(&tabled)
+}
+
 /// The expansion phase in the metric space `M`, at the join threshold
 /// `theta`.
 pub(crate) fn expansion_in<M: MetricSpace>(
@@ -74,90 +96,46 @@ pub(crate) fn expansion_in<M: MetricSpace>(
     stats: &Arc<JoinStats>,
 ) -> Dataset<(u64, u64)> {
     let stage = |name: &str| format!("{}/expand/{name}", M::CL_STAGES);
-
-    // Centroid pairs within θ are results themselves (this covers all of
-    // R_s — singleton pairs are verified against θ — plus close centroid
-    // pairs of the other types).
-    let direct = cjoin
-        .filter(&stage("direct"), move |hit| hit.distance <= theta)
-        .map(&stage("direct-ids"), PairHit::ids);
-
-    // R_m: pairs with at least one non-singleton side.
-    let rm = cjoin.filter(&stage("rm"), |hit| !(hit.a_singleton && hit.b_singleton));
-
-    // R_m,c: members of each non-singleton side against the other centroid.
-    let member_vs_centroid = {
-        let by_centroid = rm.flat_map(&stage("key-by-centroid"), |hit| {
-            let mut out = Vec::with_capacity(2);
-            if !hit.a_singleton {
-                out.push((hit.a.id(), (Arc::clone(&hit.b), hit.distance)));
-            }
-            if !hit.b_singleton {
-                out.push((hit.b.id(), (Arc::clone(&hit.a), hit.distance)));
-            }
-            out
-        });
-        let joined = by_centroid.join(&stage("join-clusters"), clusters, partitions);
-        let stats = Arc::clone(stats);
-        joined.flat_map(
-            &stage("member-centroid"),
-            move |(_, ((other, d), members))| {
-                let mut out = Vec::new();
-                let mut counts = KernelCounts::default();
-                for (member, d_i) in members {
-                    // Legs: other centroid – the member's centroid – member.
+    let with_a = attach_members::<M, _>(
+        cjoin,
+        clusters,
+        |hit: &PairHit<M::Dist>| (&hit.a, hit.a_singleton),
+        &stage("a-members"),
+        partitions,
+    );
+    let with_both = attach_members::<M, _>(
+        &with_a,
+        clusters,
+        |(hit, _): &(PairHit<M::Dist>, _)| (&hit.b, hit.b_singleton),
+        &stage("b-members"),
+        partitions,
+    );
+    let stats = Arc::clone(stats);
+    with_both.flat_map(
+        &stage("member-pairs"),
+        move |((hit, members_a), members_b)| {
+            let mut out = Vec::new();
+            let mut counts = KernelCounts::default();
+            for (x, d_x) in members_a {
+                for (y, d_y) in members_b {
                     out.extend(M::decide_by_triangle(
-                        member,
-                        other,
-                        &[*d, *d_i],
+                        x,
+                        y,
+                        [
+                            Some(hit.distance),
+                            (x.id() != hit.a.id()).then_some(*d_x),
+                            (y.id() != hit.b.id()).then_some(*d_y),
+                        ],
                         theta,
                         use_triangle_bounds,
                         &mut counts,
                     ));
                 }
-                counts.flush(&stats);
-                out
-            },
-        )
-    };
-
-    // R_m,m: member × member across two non-singleton clusters.
-    let member_vs_member = {
-        let both_m = rm
-            .filter(&stage("both-m"), |hit| !hit.a_singleton && !hit.b_singleton)
-            .map(&stage("key-mm"), |hit| {
-                (hit.a.id(), (hit.b.id(), hit.distance))
-            });
-        let with_a_members = both_m
-            .join(&stage("join-a-members"), clusters, partitions)
-            .map(&stage("rekey-by-b"), rekey_by_second_centroid);
-        let with_both = with_a_members.join(&stage("join-b-members"), clusters, partitions);
-        let stats = Arc::clone(stats);
-        with_both.flat_map(
-            &stage("member-member"),
-            move |(_, ((d, members_a), members_b))| {
-                let mut out = Vec::new();
-                let mut counts = KernelCounts::default();
-                for (ma, d_a) in members_a {
-                    for (mb, d_b) in members_b {
-                        // Legs: centroid – centroid, then each member to its own.
-                        out.extend(M::decide_by_triangle(
-                            ma,
-                            mb,
-                            &[*d, *d_a, *d_b],
-                            theta,
-                            use_triangle_bounds,
-                            &mut counts,
-                        ));
-                    }
-                }
-                counts.flush(&stats);
-                out
-            },
-        )
-    };
-
-    direct.union(&member_vs_centroid).union(&member_vs_member)
+            }
+            counts.flush(&stats);
+            out
+        },
+    )
 }
 
 #[cfg(test)]
@@ -194,7 +172,7 @@ mod tests {
         }
     }
 
-    /// Two clusters with one member each, plus a singleton.
+    /// Two clusters with one member besides their pivot, plus a singleton.
     /// c1 = τ1, member τ2 (d = 2); c3 = τ3, member τ4 (d = 2); singleton τ9.
     struct Fixture {
         cluster: Cluster,
@@ -220,8 +198,8 @@ mod tests {
         );
         let clusters = cluster.parallelize(
             vec![
-                (1u64, vec![(Arc::clone(&t2), 2u64)]),
-                (3u64, vec![(Arc::clone(&t4), 2u64)]),
+                (1u64, vec![(Arc::clone(&t1), 0), (Arc::clone(&t2), 2u64)]),
+                (3u64, vec![(Arc::clone(&t3), 0), (Arc::clone(&t4), 2u64)]),
             ],
             2,
         );
@@ -237,15 +215,13 @@ mod tests {
     fn expansion_produces_all_cross_cluster_pairs() {
         let f = fixture();
         let stats = Arc::new(JoinStats::default());
-        let mut pairs = expansion(&f.cjoin, &f.clusters, f.theta_raw, true, 4, &stats)
-            .distinct("dedup", 4)
-            .collect();
-        pairs.sort();
-        // Direct centroid pairs: (1,3) d=2, (1,9) d=2, (3,9) d=4.
-        // Member expansions (all within θ_raw = 6): (2,3), (2,9), (1,4),
-        // (4,9), and member-member (2,4). Within-cluster pairs such as
-        // (1,2) and (3,4) are the clustering phase's job and must NOT
-        // appear here.
+        let mut pairs = expansion(&f.cjoin, &f.clusters, f.theta_raw, true, 4, &stats).collect();
+        pairs.sort_unstable();
+        // Pivot pairs: (1,3) d=2, (1,9) d=2, (3,9) d=4. Member expansions
+        // (all within θ_raw = 6): (2,3), (2,9), (1,4), (4,9), and
+        // member-member (2,4). Each comes once, and within-cluster pairs
+        // such as (1,2) and (3,4) are the clustering phase's job and must
+        // NOT appear here.
         assert_eq!(
             pairs,
             vec![
@@ -286,10 +262,10 @@ mod tests {
         let cjoin = cluster.parallelize(vec![hit(&c1, &c3, false, true)], 1);
         // Fake a cluster table claiming τ2 is a member at distance 29 —
         // |2 − 29| = 27 > 6 → pruned without verification.
-        let clusters = cluster.parallelize(vec![(1u64, vec![(far, 29u64)])], 1);
+        let clusters = cluster.parallelize(vec![(1u64, vec![(c1, 0), (far, 29u64)])], 1);
         let stats = Arc::new(JoinStats::default());
         let pairs = expansion(&cjoin, &clusters, 6, true, 2, &stats).collect();
-        assert_eq!(pairs, vec![(1, 3)], "direct (1,3), nothing from members");
+        assert_eq!(pairs, vec![(1, 3)], "pivots (1,3), nothing from members");
         let snap = stats.snapshot();
         assert_eq!(snap.triangle_pruned, 1);
         assert_eq!(snap.verified, 0);
@@ -307,7 +283,7 @@ mod tests {
         let m = ranking(2, &[1, 2, 3, 5, 4]);
         assert_eq!((c1.footrule_raw(&c3), m.footrule_raw(&c3)), (2, 4));
         let cjoin = cluster.parallelize(vec![hit(&c1, &c3, false, true)], 1);
-        let clusters = cluster.parallelize(vec![(1u64, vec![(m, 2u64)])], 1);
+        let clusters = cluster.parallelize(vec![(1u64, vec![(c1, 0), (m, 2u64)])], 1);
 
         let at_path = Arc::new(JoinStats::default());
         let pairs = expansion(&cjoin, &clusters, 4, true, 2, &at_path).collect();

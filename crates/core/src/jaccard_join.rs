@@ -200,6 +200,7 @@ impl JoinSpace for Jaccard {
 /// decides when it holds by more than [`EPS`].
 impl MetricSpace for Jaccard {
     const CL_STAGES: &'static str = "jaccard-cl";
+    const ZERO: f64 = 0.0;
 
     #[inline]
     fn certainly_within(legs: &[f64], theta: f64) -> bool {
@@ -515,7 +516,8 @@ mod tests {
 
     /// `c` = {1..5}; `m4` shares four items with it (d = 1/3), `m3` three
     /// (d = 4/7), `m4` and `m3` share three (d = 4/7); `z` is disjoint from
-    /// all. At θc = 0.6 both are members of `c`'s cluster, and `m3` of `m4`'s.
+    /// all. At θc = 0.6 both are within θc of `c` (and `m3` of `m4`), and
+    /// `c`, the smallest id, is the home of both: one cluster.
     fn boundary_sets() -> Vec<Ranking> {
         [
             (1, [1, 2, 3, 4, 5]),
@@ -548,7 +550,7 @@ mod tests {
             let outcome = jaccard_cl_join(&c, &data, &cfg).unwrap();
             let expected = jaccard_brute_force(&c, &data, theta).unwrap().pairs;
             assert_eq!(outcome.pairs, expected, "θ = {theta}");
-            assert_eq!(outcome.stats.clusters, 2, "θ = {theta}");
+            assert_eq!(outcome.stats.clusters, 1, "θ = {theta}");
             // Every member pair of this corpus sits on (or inside) the
             // guard band: nothing is decided by the triangle bounds.
             assert_eq!(outcome.stats.triangle_accepted, 0, "θ = {theta}");

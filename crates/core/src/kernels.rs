@@ -145,6 +145,10 @@ pub(crate) trait MetricSpace: JoinSpace {
     /// ([`crate::StatsSnapshot::publish`]), so CL-P reports as `cl-p`.
     const CL_STAGES: &'static str;
 
+    /// The distance of a ranking to itself: a pivot's distance in its own
+    /// member list, when it is its own home.
+    const ZERO: Self::Dist;
+
     /// Whether the upper bound `Σ legs` certifies a distance ≤ `theta`.
     fn certainly_within(legs: &[Self::Dist], theta: Self::Dist) -> bool;
 
@@ -162,27 +166,42 @@ pub(crate) trait MetricSpace: JoinSpace {
         counts: &mut KernelCounts,
     ) -> Option<Self::Dist>;
 
-    /// Algorithm 2's decision for one candidate pair reached through `legs`:
-    /// pruned or accepted by the triangle bounds where they are certain (and
-    /// enabled), verified otherwise. Returns the pair's normalized ids if it
-    /// is a result at `theta`. Clusters overlap, so a record can meet itself:
-    /// that is no candidate and touches no counter.
+    /// Algorithm 2's decision for member `a` of one pivot against member `b`
+    /// of another (or of the same) pivot, through the path `a → pivot →
+    /// pivot → b`. `legs` holds its known distances: the two pivots' (`None`
+    /// inside one cluster) and each member's to its pivot (`None` where the
+    /// member is the pivot itself). A path of one leg is the pair's exact
+    /// distance — two pivots, or a pivot and a member — and decides it with
+    /// no counter. Otherwise the triangle bounds prune or accept where they
+    /// are certain (and enabled), and the pair is verified where they are
+    /// not. Returns the pair's normalized ids if it is a result at `theta`.
     #[inline]
     fn decide_by_triangle(
         a: &OrderedRanking,
         b: &OrderedRanking,
-        legs: &[Self::Dist],
+        legs: [Option<Self::Dist>; 3],
         theta: Self::Dist,
         use_triangle_bounds: bool,
         counts: &mut KernelCounts,
     ) -> Option<(u64, u64)> {
-        if a.id() == b.id() {
-            return None;
+        debug_assert_ne!(
+            a.id(),
+            b.id(),
+            "clusters partition the rankings, so no ranking meets itself"
+        );
+        let mut path = [Self::ZERO; 3];
+        let mut len = 0;
+        for (slot, leg) in path.iter_mut().zip(legs.into_iter().flatten()) {
+            *slot = leg;
+            len += 1;
         }
-        let is_result = if use_triangle_bounds && Self::certainly_beyond(legs, theta) {
+        let path = path.get(..len).unwrap_or_default();
+        let is_result = if let [exact] = path {
+            *exact <= theta
+        } else if use_triangle_bounds && Self::certainly_beyond(path, theta) {
             counts.triangle_pruned += 1;
             false
-        } else if use_triangle_bounds && Self::certainly_within(legs, theta) {
+        } else if use_triangle_bounds && Self::certainly_within(path, theta) {
             counts.triangle_accepted += 1;
             true
         } else {
@@ -193,8 +212,7 @@ pub(crate) trait MetricSpace: JoinSpace {
 }
 
 /// An unordered id pair in its normal form `(smaller, larger)` — what every
-/// self-join emits. Each pair leaves its owning group once, so only CL's
-/// expansion, whose clusters overlap, still ends in a `distinct`.
+/// self-join emits, each pair once.
 #[inline]
 pub(crate) fn ordered_pair(x: u64, y: u64) -> (u64, u64) {
     if x < y {
@@ -386,6 +404,7 @@ impl JoinSpace for Footrule {
 /// Raw Footrule distances are integers: the triangle bounds are exact.
 impl MetricSpace for Footrule {
     const CL_STAGES: &'static str = "cl";
+    const ZERO: u64 = 0;
 
     #[inline]
     fn certainly_within(legs: &[u64], theta_raw: u64) -> bool {

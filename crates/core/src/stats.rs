@@ -32,17 +32,21 @@ pub struct JoinStats {
     /// Verified candidates that qualified as results, each pair once: a
     /// token-grouped join counts a pair only in the one group that owns it
     /// (`pipeline::owns`), so for the flat drivers this equals the number of
-    /// output pairs. CL's expansion still counts every verified result of
-    /// its overlapping clusters.
+    /// output pairs. CL counts the qualifying pairs of each of its sub-joins
+    /// (the θc clustering join, the centroid join, expansion's
+    /// verifications), each once; that is not its output size, since the
+    /// triangle bounds accept pairs unverified.
     pub result_pairs: AtomicU64,
     /// Expansion candidates discarded by the triangle lower bound.
     pub triangle_pruned: AtomicU64,
     /// Expansion candidates accepted by the triangle upper bound without a
     /// distance computation.
     pub triangle_accepted: AtomicU64,
-    /// Clusters with at least two members formed by the clustering phase.
+    /// Non-singleton pivots of the clustering phase: pivots with a member
+    /// other than themselves, or that are not their own home.
     pub clusters: AtomicU64,
-    /// Singleton clusters.
+    /// Singleton pivots: rankings that are their own home and nobody
+    /// else's.
     pub singletons: AtomicU64,
     /// Posting lists split by CL-P's repartitioning.
     pub posting_lists_split: AtomicU64,
@@ -188,9 +192,9 @@ pub struct StatsSnapshot {
     pub triangle_pruned: u64,
     /// Triangle-upper-bound acceptances in the expansion phase.
     pub triangle_accepted: u64,
-    /// Non-singleton clusters formed.
+    /// Non-singleton pivots (see [`JoinStats::clusters`]).
     pub clusters: u64,
-    /// Singleton clusters.
+    /// Singleton pivots (see [`JoinStats::singletons`]).
     pub singletons: u64,
     /// Posting lists split by repartitioning.
     pub posting_lists_split: u64,

@@ -140,7 +140,7 @@ fn vj_nl_with_skew_splitting_is_schedule_independent() {
 #[test]
 fn cl_with_skew_splitting_is_schedule_independent() {
     // CL threads the budget through both the θc clustering self-join (its
-    // `cl/cluster/dedup-centroids` reducer) and the centroid join.
+    // `cl/cluster/homes` reducer) and the centroid join.
     assert_footrule_deterministic_with_skew(Algorithm::Cl, SkewBudget::Fixed(4));
 }
 

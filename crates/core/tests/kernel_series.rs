@@ -27,7 +27,6 @@ const CL: &[&str] = &[
     "phase/clustering",
     "phase/joining",
     "phase/expansion",
-    "phase/dedup",
 ];
 /// Fields every run must move.
 const JOINED: &[&str] = &["candidates", "verified", "result_pairs"];
