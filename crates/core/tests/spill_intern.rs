@@ -92,18 +92,17 @@ fn spilled_joins_match_in_memory_joins() {
             metrics.total_spilled_runs() > 0,
             "{name}: the budget must actually force spills"
         );
-        if matches!(name, "vj" | "vj-nl" | "vj-rs" | "jaccard-vj" | "varlen") {
-            // Each pair leaves the kernels once, from the one token group
-            // that owns it: the flat drivers shuffle nothing to deduplicate.
-            let dedups: Vec<&str> = metrics
-                .stages
-                .iter()
-                .filter(|s| s.shuffle_records > 0)
-                .map(|s| s.name.as_str())
-                .filter(|n| n.contains("dedup") || n.contains("distinct"))
-                .collect();
-            assert!(dedups.is_empty(), "{name}: dedup shuffles {dedups:?}");
-        }
+        // Each pair leaves the kernels once, from the one token group that
+        // owns it, and CL's clusters partition the rankings: no driver
+        // shuffles anything to deduplicate.
+        let dedups: Vec<&str> = metrics
+            .stages
+            .iter()
+            .filter(|s| s.shuffle_records > 0)
+            .map(|s| s.name.as_str())
+            .filter(|n| n.contains("dedup") || n.contains("distinct"))
+            .collect();
+        assert!(dedups.is_empty(), "{name}: dedup shuffles {dedups:?}");
     }
     assert_eq!(plain.metrics().total_spilled_runs(), 0);
 }
