@@ -385,6 +385,15 @@ pub fn ablations() -> Vec<Row> {
             rows.push(measure_paper_cluster("ablations", &workload, algo, &config));
         }
     }
+    // At k = 25 the weight planes round every weight down to an even
+    // number, so the rank-weight stage lets more pairs reach the merge.
+    let long = datasets::orku_k25();
+    rows.push(measure_paper_cluster(
+        "ablations",
+        &long,
+        Algorithm::VjNl,
+        &join_config(0.4, &long),
+    ));
     rows
 }
 

@@ -82,9 +82,10 @@ fn fig9_to_fig13_produce_rows() {
     assert_eq!(f11.len(), 4 * 4);
     assert_eq!(f12.len(), 2 * 3 * 3);
     assert_eq!(f13.len(), 5);
-    assert_eq!(abl.len(), 2 * 7);
+    // Seven rows at each of two θ, then one k = 25 row.
+    assert_eq!(abl.len(), 2 * 7 + 1);
     // Every ablation row at one θ reports the identical pair count.
-    for chunk in abl.chunks(7) {
+    for chunk in abl.chunks_exact(7) {
         assert!(chunk.iter().all(|r| r.pairs == chunk[0].pairs));
     }
 }

@@ -367,6 +367,14 @@ fn ordering_allocates_per_record_what_canonicalizing_it_does() {
             .map(|r| Arc::new(OrderedRanking::by_frequency(r, &freq)))
             .collect::<Vec<_>>()
     });
+    // The `Arc`, the key buffer, and one slice for the canonical pairs and
+    // the item-sorted shadow together; plus the one `Vec` collecting them.
+    assert!(
+        direct <= 3 * data.len() as u64 + 1,
+        "canonicalizing {} records allocated {direct} times; per record the `Arc`, the key \
+         buffer and the pairs' one slice are three",
+        data.len()
+    );
     let direct = direct as f64 / data.len() as f64;
     println!("ordering        records  allocations/record");
     let mut totals = Vec::new();
