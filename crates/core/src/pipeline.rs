@@ -6,10 +6,16 @@
 //! The dataflow mirrors §4 of the paper:
 //!
 //! ```text
-//! rankings ─ count item frequencies ─ broadcast order ─ canonicalize
+//! rankings ─ count item frequencies per chunk ─ merge on the driver
+//!          ─ broadcast order ─ canonicalize
 //!          ─ emit (prefix-token, ranking) pairs ─ group by token
 //!          ─ per-group join kernel, each pair kept by its one owning group
 //! ```
+//!
+//! The count shuffles nothing: each chunk counts into one dense
+//! [`FrequencyTable`] and the driver sums them. The group-by on prefix
+//! tokens moves the entries it owns instead of cloning them, and each join
+//! task frees its own groups.
 //!
 //! A pair whose prefixes share m tokens meets in m groups; only the group of
 //! the smallest shared item keeps it (`owns`), so the output holds every
@@ -31,7 +37,6 @@
 
 use std::sync::Arc;
 
-use minispark::shuffle::FastHashMap;
 use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation};
 
@@ -101,16 +106,18 @@ fn relation_tag(i: usize, n: usize) -> (Relation, &'static str) {
 }
 
 /// The *Ordering* phase over one relation (a self-join) or two (an R-S
-/// join): counts item frequencies over the **union** of the relations with a
-/// distributed `reduce_by_key` — one shared canonical order is what makes
-/// cross-relation prefix filtering complete — broadcasts the resulting order
-/// once, and canonicalizes each relation separately (§4 / §5 "Ordering").
-/// With [`PrefixKind::Ordered`] the frequency pass is skipped and rankings
-/// keep their rank order (Lemma 4.1's prefix).
+/// join): counts item frequencies over the **union** of the relations — one
+/// shared canonical order is what makes cross-relation prefix filtering
+/// complete — broadcasts the resulting order once, and canonicalizes each
+/// relation separately (§4 / §5 "Ordering"). With [`PrefixKind::Ordered`]
+/// the frequency pass is skipped and rankings keep their rank order (Lemma
+/// 4.1's prefix).
 ///
 /// The caller's rankings are read in place, chunked as `parallelize` would
-/// chunk them ([`Cluster::map_chunks`]), and each chunk emits one partial
-/// count per distinct item rather than one record per occurrence.
+/// chunk them ([`Cluster::map_chunks`]). Each chunk counts into one dense
+/// [`FrequencyTable`], and the driver merges the per-chunk tables into the
+/// one it broadcasts: the count needs no shuffle and no hashing of the
+/// compact item ids.
 ///
 /// The result is ready to join: a lone relation is the untagged self-join
 /// source, two are the `Left` and `Right` sources of an R-S join.
@@ -122,24 +129,14 @@ pub(crate) fn order_relations(
     label: &str,
 ) -> Vec<PrefixSource> {
     let freq = matches!(prefix_kind, PrefixKind::Overlap).then(|| {
-        let counts = cluster
-            .map_chunks(
-                &format!("{label}/freq-emit"),
-                relations,
-                partitions,
-                |_, chunk| {
-                    let mut counts: FastHashMap<ItemId, u64> = FastHashMap::default();
-                    for ranking in chunk {
-                        for &item in ranking.items() {
-                            *counts.entry(item).or_default() += 1;
-                        }
-                    }
-                    counts.into_iter().collect()
-                },
-            )
-            .reduce_by_key(&format!("{label}/freq-count"), partitions, |a, b| a + b)
-            .collect();
-        cluster.broadcast(FrequencyTable::from_counts(counts))
+        let tables = cluster.map_chunks(
+            &format!("{label}/freq-emit"),
+            relations,
+            partitions,
+            |_, chunk| vec![FrequencyTable::from_rankings(chunk)],
+        );
+        let parts = (0..tables.num_partitions()).flat_map(|p| tables.partition(p));
+        cluster.broadcast(FrequencyTable::merge(parts))
     });
     let order = if freq.is_some() {
         "by-frequency"
@@ -313,7 +310,7 @@ pub(crate) fn prefix_hits<S: JoinSpace, H: Clone + Send + Sync + 'static>(
     } else {
         JoinMode::SelfJoin
     };
-    token_grouped_join(&emitted, space, mode, partitions, skew, stats, label, hit)
+    token_grouped_join(emitted, space, mode, partitions, skew, stats, label, hit)
 }
 
 /// [`prefix_hits`] keeping every hit whole — what the clustering and
@@ -449,6 +446,10 @@ fn group_hits<S: JoinSpace, H>(
 /// pairs by token and join inside each group, keeping `hit(a, b, distance)`
 /// of every qualifying pair (see [`prefix_hits`]).
 ///
+/// It consumes `emitted`: the group-by moves the entries into their groups
+/// and, when no group splits, each join task frees its own groups. (The
+/// spilling group-by, which only a spill budget turns on, still borrows.)
+///
 /// When `skew` resolves to a budget ([`SkewBudget::resolve`], on the grouped
 /// tokens — `Fixed(δ)` is CL-P's Algorithm 3) groups longer than it are split
 /// into sub-partitions of at most that many entries: each sub-partition is
@@ -458,7 +459,7 @@ fn group_hits<S: JoinSpace, H>(
 /// [`minispark::skew::split_grouped_join`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>(
-    emitted: &Dataset<(ItemId, TokenEntry)>,
+    emitted: Dataset<(ItemId, TokenEntry)>,
     space: &S,
     mode: JoinMode,
     partitions: usize,
@@ -473,11 +474,11 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
     let grouped = if emitted.cluster().config().spill_record_budget != usize::MAX {
         emitted.group_by_key_spilling(&format!("{label}/group-by-token"), partitions)
     } else {
-        emitted.group_by_key(&format!("{label}/group-by-token"), partitions)
+        emitted.into_group_by_key(&format!("{label}/group-by-token"), partitions)
     };
 
     match skew.resolve(&grouped) {
-        None => grouped.flat_map(&format!("{label}/join-groups"), |(token, entries)| {
+        None => grouped.into_flat_map(&format!("{label}/join-groups"), |(token, entries)| {
             group_hits(*token, entries, space, mode, stats, &hit)
         }),
         Some(budget) => {

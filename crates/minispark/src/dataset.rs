@@ -214,24 +214,27 @@ impl Cluster {
                 .chain(std::iter::repeat(&[][..]))
                 .take(partitions)
         });
-        self.run_narrow_stage(name, chunks.collect(), f)
+        let input_records = data.iter().map(|records| records.len()).sum();
+        self.run_narrow_stage(name, chunks.collect(), input_records, f)
     }
 
     /// Runs one narrow stage: `f(partition_index, partition) → new partition`
     /// per input partition, bounded by the cluster's task slots. Records
-    /// metrics under `name`.
-    pub(crate) fn run_narrow_stage<T, U>(
+    /// metrics under `name`, with `input_records` records read. A task owns
+    /// its input: a partition passed by value is dropped on the task's
+    /// thread.
+    pub(crate) fn run_narrow_stage<I, U>(
         &self,
         name: &str,
-        inputs: Vec<&[T]>,
-        f: impl Fn(usize, &[T]) -> Vec<U> + Sync,
+        inputs: Vec<I>,
+        input_records: usize,
+        f: impl Fn(usize, I) -> Vec<U> + Sync,
     ) -> Dataset<U>
     where
-        T: Sync,
+        I: Send,
         U: Send + Sync + 'static,
     {
         let start = Instant::now();
-        let input_records: usize = inputs.iter().map(|p| p.len()).sum();
         let (outputs, spans) =
             run_stage_tasks(self.config(), &self.inner.engine.executor, inputs, &f);
         let out_sizes: Vec<usize> = outputs.iter().map(Vec::len).collect();
@@ -331,7 +334,9 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     {
         self.cluster
             .clone()
-            .run_narrow_stage(name, self.slices(), |_, part| part.iter().map(&f).collect())
+            .run_narrow_stage(name, self.slices(), self.count(), |_, part| {
+                part.iter().map(&f).collect()
+            })
     }
 
     /// Keeps records satisfying the predicate.
@@ -342,7 +347,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     {
         self.cluster
             .clone()
-            .run_narrow_stage(name, self.slices(), |_, part| {
+            .run_narrow_stage(name, self.slices(), self.count(), |_, part| {
                 part.iter().filter(|t| f(t)).cloned().collect()
             })
     }
@@ -356,7 +361,23 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     {
         self.cluster
             .clone()
-            .run_narrow_stage(name, self.slices(), |_, part| {
+            .run_narrow_stage(name, self.slices(), self.count(), |_, part| {
+                part.iter().flat_map(&f).collect()
+            })
+    }
+
+    /// [`Dataset::flat_map`] that consumes the dataset: each task drops its
+    /// partition once `f` has read it, so records no other handle shares are
+    /// freed on the task threads, in parallel, and not by the caller.
+    pub fn into_flat_map<U, I, F>(self, name: &str, f: F) -> Dataset<U>
+    where
+        U: Send + Sync + 'static,
+        I: IntoIterator<Item = U>,
+        F: Fn(&T) -> I + Sync,
+    {
+        let input_records = self.count();
+        self.cluster
+            .run_narrow_stage(name, self.partitions, input_records, |_, part| {
                 part.iter().flat_map(&f).collect()
             })
     }
@@ -370,7 +391,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     {
         self.cluster
             .clone()
-            .run_narrow_stage(name, self.slices(), f)
+            .run_narrow_stage(name, self.slices(), self.count(), f)
     }
 
     /// Concatenates two datasets partition-wise (no data movement).
@@ -550,6 +571,19 @@ mod tests {
         // Three stages were recorded.
         assert_eq!(c.metrics().stages.len(), 3);
         assert_eq!(c.metrics().stages[0].name, "double");
+    }
+
+    #[test]
+    fn into_flat_map_frees_the_records_it_consumes() {
+        let c = cluster();
+        let values: Vec<Arc<u32>> = (0..10).map(Arc::new).collect();
+        let weak: Vec<_> = values.iter().map(Arc::downgrade).collect();
+        let ds = c.parallelize(values, 3);
+        let expected = ds.flat_map("borrow", |n| [**n, **n + 100]).collect();
+        let consumed = ds.into_flat_map("consume", |n| [**n, **n + 100]);
+        assert_eq!(consumed.collect(), expected);
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
+        assert_eq!(c.metrics().stages_named("consume")[0].input_records, 10);
     }
 
     #[test]

@@ -20,11 +20,14 @@ use crate::spill::external_group_by;
 /// Scatters every record of `input` into `targets` buckets according to
 /// `target_of`, in parallel on the map side. Returns the target partitions.
 ///
-/// Every bucket and every target partition is allocated once at its final
-/// size — what a shuffle allocates grows with map tasks × targets, not with
-/// the records it moves.
+/// The scatter consumes `input`: a map task moves the records of a
+/// partition no other handle shares and clones only those of a shared one —
+/// a caller that keeps its dataset passes a clone of the handle and pays
+/// the clones it paid before. Every bucket and every target partition is
+/// allocated once at its final size — what a shuffle allocates grows with
+/// map tasks × targets, not with the records it moves.
 pub(crate) fn shuffle_scatter<T, F>(
-    input: &Dataset<T>,
+    input: Dataset<T>,
     targets: usize,
     target_of: F,
 ) -> (Vec<Vec<T>>, Vec<TaskSpan>)
@@ -33,9 +36,12 @@ where
     F: Fn(&T) -> usize + Sync,
 {
     let targets = targets.max(1);
-    let inputs: Vec<Arc<Vec<T>>> = input.partitions.clone();
-    let probe = &input.cluster().inner.engine.executor;
-    let (bucketed, spans) = run_stage_tasks(input.cluster().config(), probe, inputs, |_, part| {
+    let Dataset {
+        cluster,
+        partitions,
+    } = input;
+    let probe = &cluster.inner.engine.executor;
+    let (bucketed, spans) = run_stage_tasks(cluster.config(), probe, partitions, |_, part| {
         let target_of_record: Vec<usize> = part.iter().map(&target_of).collect();
         let mut sizes = vec![0usize; targets];
         for &t in &target_of_record {
@@ -43,8 +49,9 @@ where
             sizes[t] += 1;
         }
         let mut buckets: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for (record, &t) in part.iter().zip(&target_of_record) {
-            buckets[t].push(record.clone());
+        match Arc::try_unwrap(part) {
+            Ok(owned) => fill_buckets(&mut buckets, owned.into_iter(), &target_of_record),
+            Err(shared) => fill_buckets(&mut buckets, shared.iter().cloned(), &target_of_record),
         }
         buckets
     });
@@ -58,6 +65,13 @@ where
         }
     }
     (out, spans)
+}
+
+/// Pushes each record into the bucket its entry of `targets` names.
+fn fill_buckets<T>(buckets: &mut [Vec<T>], records: impl Iterator<Item = T>, targets: &[usize]) {
+    for (record, &t) in records.zip(targets) {
+        buckets[t].push(record);
+    }
 }
 
 /// Folds records into one value per key with `f`, probing the map once per
@@ -121,25 +135,33 @@ where
     V: Clone + Send + Sync + 'static,
 {
     /// Groups all values sharing a key onto one partition and into one
-    /// record, Spark's `groupByKey`.
+    /// record, Spark's `groupByKey`. The dataset stays intact: this is
+    /// [`Dataset::into_group_by_key`] over a clone of the handle.
     pub fn group_by_key(&self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)> {
+        self.clone().into_group_by_key(name, partitions)
+    }
+
+    /// [`Dataset::group_by_key`] that consumes the dataset: the scatter moves
+    /// the records of every partition no other handle shares into their
+    /// groups instead of cloning them.
+    pub fn into_group_by_key(self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)> {
         let start = Instant::now();
         let input_records = self.count();
+        let cluster = self.cluster().clone();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
         let (scattered, scatter_spans) =
             shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(self.cluster(), name, shuffled);
-        let probe = &self.cluster().inner.engine.executor;
-        let (grouped, spans) =
-            run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
-                let mut groups: FastHashMap<K, Vec<V>> = FastHashMap::default();
-                for (k, v) in part {
-                    groups.entry(k).or_default().push(v);
-                }
-                groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
-            });
+        mark_shuffle_flush(&cluster, name, shuffled);
+        let probe = &cluster.inner.engine.executor;
+        let (grouped, spans) = run_stage_tasks(cluster.config(), probe, scattered, |_, part| {
+            let mut groups: FastHashMap<K, Vec<V>> = FastHashMap::default();
+            for (k, v) in part {
+                groups.entry(k).or_default().push(v);
+            }
+            groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
+        });
         let out_sizes: Vec<usize> = grouped.iter().map(std::vec::Vec::len).collect();
         let io = StageIo {
             input_records,
@@ -148,14 +170,8 @@ where
             record_size: std::mem::size_of::<(K, V)>(),
             ..StageIo::default()
         };
-        record_wide_stage(
-            self.cluster(),
-            name,
-            start,
-            [scatter_spans, spans].concat(),
-            io,
-        );
-        Dataset::from_partitions(self.cluster().clone(), grouped)
+        record_wide_stage(&cluster, name, start, [scatter_spans, spans].concat(), io);
+        Dataset::from_partitions(cluster, grouped)
     }
 
     /// `groupByKey` with a bounded in-memory footprint: each reduce task
@@ -173,7 +189,7 @@ where
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
         let (scattered, scatter_spans) =
-            shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
+            shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let trace = self.cluster().trace().clone();
@@ -238,7 +254,7 @@ where
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
         let (scattered, scatter_spans) =
-            shuffle_scatter(&combined, n, |(k, _): &(K, V)| partitioner.partition(k));
+            shuffle_scatter(combined, n, |(k, _): &(K, V)| partitioner.partition(k));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let (reduced, reduce_spans) =
@@ -301,9 +317,9 @@ where
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
         let (left, left_spans) =
-            shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
+            shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
         let (right, right_spans) =
-            shuffle_scatter(other, n, |(k, _): &(K, W)| partitioner.partition(k));
+            shuffle_scatter(other.clone(), n, |(k, _): &(K, W)| partitioner.partition(k));
         let shuffled: usize = left.iter().map(std::vec::Vec::len).sum::<usize>()
             + right.iter().map(std::vec::Vec::len).sum::<usize>();
         let record_size = std::mem::size_of::<(K, V)>().max(std::mem::size_of::<(K, W)>());
@@ -353,7 +369,7 @@ where
         let start = Instant::now();
         let input_records = self.count();
         let (scattered, scatter_spans) =
-            shuffle_scatter(self, partitioner.num_partitions(), |(k, _)| {
+            shuffle_scatter(self.clone(), partitioner.num_partitions(), |(k, _)| {
                 partitioner.partition(k)
             });
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
@@ -402,7 +418,7 @@ where
         let input_records = self.count();
         let targets = partitions.max(1);
         let (scattered, scatter_spans) =
-            shuffle_scatter(self, targets, |t| spread(stable_hash(t), targets));
+            shuffle_scatter(self.clone(), targets, |t| spread(stable_hash(t), targets));
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
         mark_shuffle_flush(self.cluster(), name, shuffled);
         let probe = &self.cluster().inner.engine.executor;
@@ -473,6 +489,47 @@ mod tests {
         let unique: std::collections::HashSet<u32> = keys.iter().copied().collect();
         assert_eq!(keys.len(), unique.len());
         assert_eq!(unique.len(), 40);
+    }
+
+    /// Every group of `grouped` as `(key, sorted values)`, sorted by key.
+    fn groups_of(grouped: &Dataset<(u64, Vec<Arc<u64>>)>) -> Vec<(u64, Vec<u64>)> {
+        let mut groups: Vec<(u64, Vec<u64>)> = (0..grouped.num_partitions())
+            .flat_map(|p| grouped.partition(p))
+            .map(|(key, values)| {
+                let mut values: Vec<u64> = values.iter().map(|value| **value).collect();
+                values.sort_unstable();
+                (*key, values)
+            })
+            .collect();
+        groups.sort_unstable();
+        groups
+    }
+
+    #[test]
+    fn into_group_by_key_moves_what_it_owns() {
+        let c = cluster();
+        let records =
+            || -> Vec<(u64, Arc<u64>)> { (0..200).map(|n| (n % 7, Arc::new(n))).collect() };
+        // Unshared: every value is moved into its group, never cloned.
+        let moved = c.parallelize(records(), 8).into_group_by_key("move", 4);
+        for p in 0..moved.num_partitions() {
+            for (_, values) in moved.partition(p) {
+                assert!(values.iter().all(|value| Arc::strong_count(value) == 1));
+            }
+        }
+        // Borrowed: the same groups, and the source keeps every record, so
+        // each value is held by the source and by its group.
+        let kept = c.parallelize(records(), 8);
+        let borrowed = kept.group_by_key("borrow", 4);
+        assert_eq!(groups_of(&borrowed), groups_of(&moved));
+        let source: Vec<(u64, u64)> = (0..kept.num_partitions())
+            .flat_map(|p| kept.partition(p))
+            .map(|(key, value)| {
+                assert_eq!(Arc::strong_count(value), 2);
+                (*key, **value)
+            })
+            .collect();
+        assert_eq!(source, (0..200).map(|n| (n % 7, n)).collect::<Vec<_>>());
     }
 
     #[test]

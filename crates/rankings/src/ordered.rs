@@ -22,103 +22,151 @@ use crate::ranking::{ItemId, Ranking, RankingId};
 /// The canonical order is `(count, item)` ascending — ties are broken by item
 /// id, which the paper leaves arbitrary ("ties are arbitrarily broken") but a
 /// deterministic tiebreak makes runs reproducible. Items the table has never
-/// counted come first, by id.
+/// counted (count 0) come first, by id.
 ///
-/// Every counted item's place in that order is computed once, in the one
-/// constructor ([`FrequencyTable::from_counts`]), so canonicalizing a ranking
-/// sorts on one integer per item ([`FrequencyTable::order_key`]), found with
-/// one probe of a map of 8-byte entries. The places are derived, never
-/// accepted from outside. The map keeps std's keyed hasher — a serving index builds a table from rankings
-/// that arrived over HTTP.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The counts are stored **densely**: `dense[i]` is the count of item `i`
+/// for every `i` below a bound fixed when the table is built, `min(max id +
+/// 1, 4 · occurrences + 1024)`. Corpora number their items compactly, so
+/// counting or looking up an item is one array access, with no hashing, and
+/// canonicalizing a ranking reads one `u64` per item. Items at or above the
+/// bound go in a keyed map, so ids from outside still count and the dense
+/// part stays O(occurrences): a serving index counts rankings that arrived
+/// over HTTP, with arbitrary `u32` ids, which is also why the map keeps
+/// std's keyed hasher.
+///
+/// Counts saturate at `u64::MAX` rather than wrap, and
+/// [`FrequencyTable::order_key`] is wide enough for any `u64` count, so the
+/// order is exactly `(count, item)` for every table that can be built.
+#[derive(Debug, Clone, Default)]
 pub struct FrequencyTable {
-    /// Counted item → its place in the canonical order.
-    places: HashMap<ItemId, u32>,
-    /// Occurrence count at each place, so ascending.
-    counts: Vec<u64>,
+    /// The count of item `i` for every `i < dense.len()`, the bound.
+    dense: Vec<u64>,
+    /// The counts of the counted items at or above the bound.
+    keyed: HashMap<ItemId, u64>,
 }
 
-/// Sort keys of counted items start here; an uncounted item's key is its id,
-/// which is below it.
-const COUNTED_KEYS: u64 = 1 << 32;
-
 impl FrequencyTable {
-    /// Builds the table by counting item occurrences across `rankings`.
-    pub fn from_rankings<'a>(rankings: impl IntoIterator<Item = &'a Ranking>) -> Self {
-        Self::from_counts(
-            rankings
-                .into_iter()
-                .flat_map(|ranking| ranking.items().iter().map(|&item| (item, 1))),
-        )
+    /// An empty table whose dense part is sized for `occurrences`
+    /// occurrences of items up to `max_item`.
+    fn sized(max_item: Option<ItemId>, occurrences: u64) -> Self {
+        let cap = occurrences.saturating_mul(4).saturating_add(1024);
+        let bound = max_item.map_or(0, |max| (u64::from(max) + 1).min(cap));
+        Self {
+            dense: vec![0; usize::try_from(bound).unwrap_or(usize::MAX)],
+            keyed: HashMap::new(),
+        }
     }
 
-    /// Builds the table from `(item, count)` pairs, summing the counts of an
-    /// item that appears more than once — so per-partition partial counts
-    /// may be passed straight in. An item whose counts sum to 0 is not
-    /// counted. The only constructor: it places every counted item in the
-    /// canonical order.
-    pub fn from_counts(pairs: impl IntoIterator<Item = (ItemId, u64)>) -> Self {
-        let mut summed: HashMap<ItemId, u64> = HashMap::new();
-        for (item, count) in pairs {
-            *summed.entry(item).or_default() += count;
-        }
-        let mut counted: Vec<(u64, ItemId)> = summed
-            .into_iter()
-            .filter(|&(_, count)| count > 0)
-            .map(|(item, count)| (count, item))
-            .collect();
-        counted.sort_unstable();
-        let places = counted
+    /// Adds `count` occurrences of `item`.
+    #[inline]
+    fn add(&mut self, item: ItemId, count: u64) {
+        let slot = match self.dense.get_mut(item as usize) {
+            Some(slot) => slot,
+            None => self.keyed.entry(item).or_default(),
+        };
+        *slot = slot.saturating_add(count);
+    }
+
+    /// Every counted item with its count: the dense part by id, then the
+    /// keyed map in its own order.
+    fn counted(&self) -> impl Iterator<Item = (ItemId, u64)> + '_ {
+        self.dense
             .iter()
-            .zip(0u32..)
-            .map(|(&(_, item), place)| (item, place))
-            .collect();
-        let counts = counted.into_iter().map(|(count, _)| count).collect();
-        Self { places, counts }
+            .zip(0..)
+            .map(|(&count, item)| (item, count))
+            .chain(self.keyed.iter().map(|(&item, &count)| (item, count)))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// Builds the table by counting item occurrences across `rankings`: one
+    /// pass sizes the dense part, a second counts.
+    pub fn from_rankings<'a, I>(rankings: I) -> Self
+    where
+        I: IntoIterator<Item = &'a Ranking>,
+        I::IntoIter: Clone,
+    {
+        let rankings = rankings.into_iter();
+        let (max_item, occurrences) = rankings.clone().fold((None, 0u64), |(max, sum), r| {
+            (r.items().iter().copied().max().max(max), sum + r.k() as u64)
+        });
+        let mut table = Self::sized(max_item, occurrences);
+        for ranking in rankings {
+            for &item in ranking.items() {
+                table.add(item, 1);
+            }
+        }
+        table
+    }
+
+    /// Sums tables counted over parts of one dataset — the per-chunk tables
+    /// of the ordering phase — into the table of the whole: the counts, and
+    /// the dense bound, of counting the whole at once.
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a FrequencyTable>) -> Self {
+        let parts: Vec<&FrequencyTable> = parts.into_iter().collect();
+        let occurrences = parts.iter().fold(0u64, |sum, part| {
+            sum.saturating_add(part.total_occurrences())
+        });
+        let max_item = parts
+            .iter()
+            .filter_map(|part| part.counted().map(|(item, _)| item).max())
+            .max();
+        let mut table = Self::sized(max_item, occurrences);
+        for part in parts {
+            // A part's bound is the same minimum over arguments no larger
+            // than the whole's, so its dense part adds slot by slot.
+            debug_assert!(part.dense.len() <= table.dense.len());
+            for (slot, &count) in table.dense.iter_mut().zip(&part.dense) {
+                *slot = slot.saturating_add(count);
+            }
+            for (&item, &count) in &part.keyed {
+                table.add(item, count);
+            }
+        }
+        table
     }
 
     /// Occurrence count of `item` (0 if never seen).
     #[inline]
     pub fn count(&self, item: ItemId) -> u64 {
-        self.places
-            .get(&item)
-            .and_then(|&place| self.counts.get(place as usize))
-            .copied()
-            .unwrap_or(0)
+        match self.dense.get(item as usize) {
+            Some(&count) => count,
+            None => self.keyed.get(&item).copied().unwrap_or(0),
+        }
     }
 
-    /// The canonical sort key of `item`: keys ascend in the canonical order
-    /// — uncounted items by id, then counted ones by `(count, item)`.
+    /// The canonical sort key of `item`, `count << 32 | item`: keys ascend
+    /// in the canonical order — uncounted items (count 0) by id, then
+    /// counted ones by `(count, item)`. 96 bits, so every `u64` count keeps
+    /// its place.
     #[inline]
-    pub fn order_key(&self, item: ItemId) -> u64 {
-        self.places
-            .get(&item)
-            .map_or(u64::from(item), |&place| COUNTED_KEYS + u64::from(place))
+    pub fn order_key(&self, item: ItemId) -> u128 {
+        u128::from(self.count(item)) << 32 | u128::from(item)
     }
 
     /// Number of distinct items counted.
     pub fn distinct_items(&self) -> usize {
-        self.counts.len()
+        self.counted().count()
     }
 
     /// Total number of item occurrences.
     pub fn total_occurrences(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counted()
+            .fold(0, |sum, (_, count)| sum.saturating_add(count))
     }
 
     /// Relative frequencies of all items, descending — the input shape for
-    /// [`crate::bounds::expected_posting_list_len`]. The counts are stored
-    /// ascending, so this is one pass in reverse.
+    /// [`crate::bounds::expected_posting_list_len`].
     #[expect(
         clippy::cast_precision_loss,
         reason = "occurrence counts are far below 2^53 — exact in f64"
     )]
     pub fn relative_frequencies(&self) -> Vec<f64> {
         let total = self.total_occurrences() as f64;
-        self.counts
-            .iter()
-            .rev()
-            .map(|&count| count as f64 / total)
+        let mut counts: Vec<u64> = self.counted().map(|(_, count)| count).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        counts
+            .into_iter()
+            .map(|count| count as f64 / total)
             .collect()
     }
 }
@@ -297,11 +345,12 @@ impl OrderedRanking {
         )]
         let mut keyed: Vec<(u64, ItemId, u16)> = ranking
             .iter_with_ranks()
-            .map(|(item, rank)| (freq.order_key(item), item, rank as u16))
+            .map(|(item, rank)| (freq.count(item), item, rank as u16))
             .collect();
-        // One table lookup per item, not one per comparison; the keys of
+        // One table lookup per item, not one per comparison. Sorting on
+        // `(count, item)` is sorting on `order_key`, and the keys of
         // distinct items are distinct, so the unstable sort is exact.
-        keyed.sort_unstable_by_key(|&(key, ..)| key);
+        keyed.sort_unstable_by_key(|&(count, item, _)| (count, item));
         let mut pairs = Vec::with_capacity(2 * keyed.len());
         pairs.extend(keyed.into_iter().map(|(_, item, rank)| (item, rank)));
         Self::build(ranking.id(), pairs)
@@ -481,29 +530,58 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_matches_from_rankings() {
+    fn merged_parts_count_like_the_whole() {
         let ds = sample_dataset();
-        let direct = FrequencyTable::from_rankings(&ds);
-        let mut agg: HashMap<ItemId, u64> = HashMap::new();
-        for ranking in &ds {
-            for &item in ranking.items() {
-                *agg.entry(item).or_insert(0) += 1;
-            }
+        let whole = FrequencyTable::from_rankings(&ds);
+        let (head, tail) = ds.split_at(2);
+        let merged = FrequencyTable::merge(&[
+            FrequencyTable::from_rankings(head),
+            FrequencyTable::default(),
+            FrequencyTable::from_rankings(tail),
+        ]);
+        for item in 0..=10 {
+            assert_eq!(merged.count(item), whole.count(item), "item {item}");
         }
-        let rebuilt = FrequencyTable::from_counts(agg);
-        for item in 0..=9 {
-            assert_eq!(direct.count(item), rebuilt.count(item));
-        }
+        assert_eq!(merged.dense.len(), whole.dense.len());
+        assert_eq!(merged.total_occurrences(), 30);
+        assert_eq!(merged.distinct_items(), 10);
+        assert!(FrequencyTable::merge([]).dense.is_empty());
     }
 
     #[test]
-    fn from_counts_sums_duplicate_items() {
-        // Per-partition partial counts of one item must add up, not
-        // overwrite each other.
-        let freq = FrequencyTable::from_counts([(1, 2), (1, 3)]);
-        assert_eq!(freq.count(1), 5);
-        assert_eq!(freq.distinct_items(), 1);
-        assert_eq!(freq.total_occurrences(), 5);
+    fn ids_near_u32_max_keep_the_dense_part_small() {
+        // Two rankings, eight occurrences: the bound is 4 · 8 + 1024, not
+        // u32::MAX, and the high ids are counted in the keyed map.
+        let ds = [
+            r(1, &[u32::MAX, 3, u32::MAX - 1, 70_000]),
+            r(2, &[u32::MAX - 1, 3, 5, u32::MAX - 7]),
+        ];
+        let freq = FrequencyTable::from_rankings(&ds);
+        assert_eq!(freq.dense.len(), 4 * 8 + 1024);
+        assert_eq!(freq.keyed.len(), 4);
+        assert_eq!(freq.count(u32::MAX - 1), 2);
+        assert_eq!(freq.count(u32::MAX), 1);
+        assert_eq!(freq.count(3), 2);
+        assert_eq!(freq.count(u32::MAX - 2), 0);
+        // An uncounted item keys below every counted one, by id.
+        assert!(freq.order_key(u32::MAX - 2) < freq.order_key(5));
+        assert!(freq.order_key(5) < freq.order_key(u32::MAX));
+        assert!(freq.order_key(u32::MAX) < freq.order_key(3));
+        assert!(freq.order_key(3) < freq.order_key(u32::MAX - 1));
+    }
+
+    #[test]
+    fn counts_past_u32_keep_their_order() {
+        // A count of 2^32 or more still outranks a smaller one: the key is
+        // wider than `count << 32` in 64 bits.
+        let mut freq = FrequencyTable::from_rankings(&[r(1, &[1, 2])]);
+        for _ in 0..32 {
+            freq = FrequencyTable::merge([&freq, &freq]);
+        }
+        freq = FrequencyTable::merge([&freq, &FrequencyTable::from_rankings(&[r(2, &[1])])]);
+        assert_eq!(freq.count(1), (1 << 32) + 1);
+        assert_eq!(freq.count(2), 1 << 32);
+        assert!(freq.order_key(2) < freq.order_key(1));
     }
 
     #[test]

@@ -221,11 +221,24 @@ fn ordered_form_preserves_distance() {
     });
 }
 
-// ---- Canonicalization sorts on one precomputed key per item, and that
-// equals the sort by `(count, item)` it stands for: over random tables
-// (duplicate items whose counts add up, zero counts, many ties), items
-// the table never counted, and the empty default table a serving index
-// seeded by upserts starts from. ----
+// ---- Canonicalization sorts on one looked-up count per item, and that
+// equals the sort by `(count, item)` it stands for: over random datasets
+// whose ids fall on both sides of the dense bound and next to u32::MAX
+// (many ties), items the table never counted, the empty default table a
+// serving index seeded by upserts starts from, and per-chunk tables merged
+// over a random split, which must be the whole table. ----
+
+/// Pool index → item id, injectively: a third small, a third spread over
+/// [1000, 1820) for a pool of 60, across the dense bound
+/// `min(max + 1, 4 · occurrences + 1024)` of a dataset of up to 88
+/// occurrences, and a third just below u32::MAX.
+fn pooled_item(x: u32) -> u32 {
+    match x % 3 {
+        0 => x / 3,
+        1 => 1000 + 41 * (x / 3),
+        _ => u32::MAX - x / 3,
+    }
+}
 
 #[test]
 fn by_frequency_equals_a_sort_by_count_then_item() {
@@ -233,26 +246,66 @@ fn by_frequency_equals_a_sort_by_count_then_item() {
         "by_frequency_equals_a_sort_by_count_then_item",
         CASES,
         |rng| {
-            let len = rng.gen_range(0usize..40);
-            let table: Vec<(u32, u64)> = (0..len)
-                .map(|_| (rng.gen_range(0u32..40), rng.gen_range(0u64..4)))
+            const POOL: u32 = 60;
+            let n = rng.gen_range(0usize..12);
+            let data: Vec<Ranking> = (0..n)
+                .map(|id| {
+                    let k = rng.gen_range(1usize..=8);
+                    let items = rng.distinct(POOL, k).into_iter().map(pooled_item);
+                    Ranking::new_unchecked(id as u64, items.collect())
+                })
                 .collect();
-            let k = rng.gen_range(1usize..=12);
-            let items = rng.distinct(48, k);
-            let empty = rng.gen_bool(0.5);
-            let freq = if empty {
+            let whole = FrequencyTable::from_rankings(&data);
+            // Random contiguous parts, empty ones included.
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..4))
+                .map(|_| rng.gen_range(0..=n))
+                .collect();
+            cuts.push(n);
+            cuts.sort_unstable();
+            let mut start = 0;
+            let parts: Vec<FrequencyTable> = cuts
+                .into_iter()
+                .map(|end| {
+                    let part = FrequencyTable::from_rankings(&data[start..end]);
+                    start = end;
+                    part
+                })
+                .collect();
+            let merged = FrequencyTable::merge(&parts);
+            // Every pooled id, and ids no pool reaches.
+            let probes: Vec<u32> = (0..POOL)
+                .map(pooled_item)
+                .chain([999, 1001, u32::MAX - POOL])
+                .collect();
+            let naive = |item: u32| data.iter().filter(|r| r.items().contains(&item)).count();
+            for &item in &probes {
+                assert_eq!(whole.count(item), naive(item) as u64, "item {item}");
+                assert_eq!(merged.count(item), whole.count(item), "item {item}");
+            }
+            let distinct = probes.iter().filter(|&&item| naive(item) > 0).count();
+            let occurrences: usize = data.iter().map(Ranking::k).sum();
+            for freq in [&whole, &merged] {
+                assert_eq!(freq.distinct_items(), distinct);
+                assert_eq!(freq.total_occurrences(), occurrences as u64);
+                let mut by_key = probes.clone();
+                by_key.sort_by_key(|&item| freq.order_key(item));
+                let mut expected = probes.clone();
+                expected.sort_by_key(|&item| (naive(item), item));
+                assert_eq!(by_key, expected);
+            }
+            assert_eq!(merged.relative_frequencies(), whole.relative_frequencies());
+
+            let freq = if rng.gen_bool(0.25) {
                 FrequencyTable::default()
             } else {
-                FrequencyTable::from_counts(table.iter().copied())
+                merged
             };
-            for item in 0u32..48 {
-                let summed: u64 = table
-                    .iter()
-                    .filter(|&&(i, _)| i == item)
-                    .map(|&(_, c)| c)
-                    .sum();
-                assert_eq!(freq.count(item), if empty { 0 } else { summed });
-            }
+            let k = rng.gen_range(1usize..=12);
+            let items: Vec<u32> = rng
+                .distinct(POOL + 6, k)
+                .into_iter()
+                .map(pooled_item)
+                .collect();
             let ranking = Ranking::new_unchecked(7, items.clone());
             let mut expected: Vec<(u32, u16)> = items
                 .iter()

@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Alternated parent-vs-change runs of the benchmark (BENCHMARK.json).
+#
+#   scripts/ab.sh <parent-rev> <workload>[,<workload>…] [pairs] [seed]
+#
+# Copies <parent-rev> (git archive) and the working tree (its tracked and
+# untracked, not ignored, files) into one temporary directory each, so the
+# main tree's benchmark/Cargo.lock and target/ stay as they are, and builds
+# the benchmark in both. Then, per workload, runs `pairs` (default 10) pairs
+# with BENCHMARK.json's command, `seed` (default 1; another one checks a
+# claim on inputs it was not tuned on), its run_seconds and `--out`,
+# alternating which side runs first. Prints each side's median and
+# quartiles per end-to-end metric, the share of pairs the change won, and
+# `compare`'s verdicts (parent as A, change as B).
+#
+# Keep the host otherwise idle while it runs. The copies and the run files
+# live under a `mktemp -d` directory (set TMPDIR to move it), removed on
+# exit. Needs python3 (as scripts/smoke.sh does).
+set -euo pipefail
+[ $# -ge 2 ] || { sed -n '2,18p' "$0"; exit 2; }
+parent_rev=$1
+IFS=, read -r -a workloads <<<"$2"
+pairs=${3:-10}
+seed=${4:-1}
+
+repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
+spec="$repo/BENCHMARK.json"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+read_spec() { python3 -c "import json,sys; print($1)" <"$spec"; }
+mapfile -t command < <(read_spec 'chr(10).join(json.load(sys.stdin)["command"])')
+seconds=$(read_spec 'json.load(sys.stdin)["run_seconds"]')
+
+mkdir -p "$work/parent" "$work/change"
+git -C "$repo" archive "$parent_rev" | tar -x -C "$work/parent"
+(cd "$repo" && git ls-files -z --cached --others --exclude-standard |
+  tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -x -C "$work/change"
+
+for side in parent change; do
+  echo "building $side…" >&2
+  (cd "$work/$side" && cargo build --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml)
+done
+
+run() { # side workload
+  (cd "$work/$1" && "${command[@]}" --workload "$2" --seed "$seed" --seconds "$seconds" \
+    --out "$work/$2.$1.jsonl" | tail -n 1)
+}
+
+for workload in "${workloads[@]}"; do
+  for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+      echo "[$workload $((i + 1))/$pairs] $side: $(run "$side" "$workload")" >&2
+    done
+  done
+
+  python3 - "$spec" "$work/$workload.parent.jsonl" "$work/$workload.change.jsonl" <<'EOF'
+import json, statistics, sys
+spec = json.load(open(sys.argv[1]))
+parent, change = ([json.loads(l) for l in open(p)] for p in sys.argv[2:4])
+def quartiles(xs):
+    xs = sorted(xs)
+    q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+    return q[0], statistics.median(xs), q[2]
+print(f"{parent[0]['workload']}: {len(parent)} pairs")
+print(f"{'metric':<18}{'parent q1/med/q3':>30}{'change q1/med/q3':>30}{'won':>8}")
+for m in spec["end_to_end"]:
+    name, lower = m["name"], m["better"] == "lower"
+    a = [r["metrics"][name]["value"] for r in parent if name in r["metrics"]]
+    b = [r["metrics"][name]["value"] for r in change if name in r["metrics"]]
+    if not a or not b:
+        continue
+    won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+    fa = "/".join(f"{v:.4g}" for v in quartiles(a))
+    fb = "/".join(f"{v:.4g}" for v in quartiles(b))
+    print(f"{name:<18}{fa:>30}{fb:>30}{won:>5}/{min(len(a), len(b))}")
+failed = sum(r["failed"] for r in parent + change)
+print(f"failed operations, both sides: {failed}")
+EOF
+  (cd "$work/change" && "${command[@]}" compare "$work/$workload.parent.jsonl" \
+    "$work/$workload.change.jsonl" --spec "$spec") || true
+done
