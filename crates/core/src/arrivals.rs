@@ -36,8 +36,6 @@ use crate::{JoinError, JoinOutcome};
 pub struct ArrivalJoin {
     index: RankingIndex,
     theta: f64,
-    /// Every id ever indexed (corpus + arrivals) — global uniqueness guard.
-    seen: HashSet<u64>,
     stats: JoinStats,
     batches: u64,
     arrivals: u64,
@@ -52,12 +50,9 @@ impl ArrivalJoin {
     /// `MixedRankingLengths` for an invalid corpus.
     pub fn new(corpus: &[Ranking], theta: f64) -> Result<Self, JoinError> {
         let index = RankingIndex::build(corpus, theta)?;
-        // Corpus ids are unique (checked by the build above).
-        let seen = corpus.iter().map(Ranking::id).collect();
         Ok(Self {
             index,
             theta,
-            seen,
             stats: JoinStats::default(),
             batches: 0,
             arrivals: 0,
@@ -118,7 +113,9 @@ impl ArrivalJoin {
             Some(self.index.k())
         };
         for r in batch {
-            if self.seen.contains(&r.id()) || !batch_ids.insert(r.id()) {
+            // Nothing is ever removed, so the index holds every id seen
+            // before: the corpus and every earlier arrival.
+            if self.index.contains_id(r.id()) || !batch_ids.insert(r.id()) {
                 return Err(JoinError::DuplicateRankingId(r.id()));
             }
             match expected_k {
@@ -151,7 +148,6 @@ impl ArrivalJoin {
                 pairs.push((x, y));
             }
             self.index.insert_ranking(r)?;
-            self.seen.insert(r.id());
         }
         pairs.sort_unstable();
         self.batches += 1;

@@ -18,10 +18,10 @@
 //!   corrupts a distributed similarity join's recall) surfaces as a
 //!   [`CheckFailure`].
 //!
-//! The executor's `pending`/`results` lock discipline is checked separately
-//! and continuously by the [`crate::sched::lock_order`] sentinel, which
-//! lives below the executor so this module (which sits *above*
-//! [`crate::dataset`]) never appears in the executor's dependencies.
+//! A schedule drives the executor's one claim loop — the loop every pooled
+//! stage runs — on one worker, so the runs checked here exercise the
+//! production claim and hand-in path. That loop keeps all of a stage's
+//! claim state behind one lock, so it has no lock order to check.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -101,7 +101,7 @@ where
 
 /// Records a wide stage; `spans` are its task waves (map side, then reduce
 /// side) back to back.
-fn record_wide_stage(
+pub(crate) fn record_wide_stage(
     cluster: &Cluster,
     name: &str,
     start: Instant,
@@ -119,7 +119,7 @@ fn record_wide_stage(
 /// the flush-barrier rule of [`crate::check::audit_snapshot`] verifies; the
 /// yield point makes the barrier an interleaving point for the
 /// schedule-exploration harness.
-fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
+pub(crate) fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
     crate::sched::yield_point("shuffle-flush");
     let trace = &cluster.inner.trace;
     if trace.is_enabled() && shuffled > 0 {
@@ -127,6 +127,81 @@ fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
     }
     // In flight until the reduce wave consumes them (record_wide_stage).
     cluster.inner.engine.shuffle_inflight.add_usize(shuffled);
+}
+
+/// The scattered map side of a wide stage, as [`reduce_side`] takes it.
+struct MapSide<P> {
+    /// When the stage began.
+    start: Instant,
+    /// Records the stage read.
+    input_records: usize,
+    /// One reduce input per target partition.
+    targets: Vec<P>,
+    /// Records that crossed the shuffle.
+    shuffled: usize,
+    /// In-memory size of one shuffled record, in bytes.
+    record_size: usize,
+    /// The map-side task waves, back to back.
+    spans: Vec<TaskSpan>,
+}
+
+impl<T> MapSide<Vec<T>> {
+    /// A map side that scattered one dataset into `targets`.
+    fn scattered(
+        start: Instant,
+        input_records: usize,
+        (targets, spans): (Vec<Vec<T>>, Vec<TaskSpan>),
+    ) -> Self {
+        Self {
+            start,
+            input_records,
+            shuffled: targets.iter().map(Vec::len).sum(),
+            record_size: std::mem::size_of::<T>(),
+            targets,
+            spans,
+        }
+    }
+}
+
+/// The rest of a wide stage once its map side has scattered: marks the
+/// flush, runs one reduce task per target partition — `reduce` returns the
+/// output partition plus the runs and bytes it spilled — and records the
+/// stage row over both waves.
+fn reduce_side<P, U>(
+    cluster: Cluster,
+    name: &str,
+    map: MapSide<P>,
+    reduce: impl Fn(P) -> (Vec<U>, usize, usize) + Sync,
+) -> Dataset<U>
+where
+    P: Send,
+    U: Send + Sync + 'static,
+{
+    mark_shuffle_flush(&cluster, name, map.shuffled);
+    let probe = &cluster.inner.engine.executor;
+    let (reduced, reduce_spans) =
+        run_stage_tasks(cluster.config(), probe, map.targets, |_, part| reduce(part));
+    let (mut spilled_runs, mut spilled_bytes) = (0, 0);
+    let parts: Vec<Vec<U>> = reduced
+        .into_iter()
+        .map(|(part, runs, bytes)| {
+            spilled_runs += runs;
+            spilled_bytes += bytes;
+            part
+        })
+        .collect();
+    let out_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+    let io = StageIo {
+        input_records: map.input_records,
+        out_sizes: &out_sizes,
+        shuffled: map.shuffled,
+        record_size: map.record_size,
+        spilled_runs,
+        spilled_bytes,
+    };
+    let spans = [map.spans, reduce_spans].concat();
+    record_wide_stage(&cluster, name, map.start, spans, io);
+    Dataset::from_partitions(cluster, parts)
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -150,28 +225,15 @@ where
         let cluster = self.cluster().clone();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_spans) =
-            shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
-        let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(&cluster, name, shuffled);
-        let probe = &cluster.inner.engine.executor;
-        let (grouped, spans) = run_stage_tasks(cluster.config(), probe, scattered, |_, part| {
+        let scattered = shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
+        let map = MapSide::scattered(start, input_records, scattered);
+        reduce_side(cluster, name, map, |part| {
             let mut groups: FastHashMap<K, Vec<V>> = FastHashMap::default();
             for (k, v) in part {
                 groups.entry(k).or_default().push(v);
             }
-            groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
-        });
-        let out_sizes: Vec<usize> = grouped.iter().map(std::vec::Vec::len).collect();
-        let io = StageIo {
-            input_records,
-            out_sizes: &out_sizes,
-            shuffled,
-            record_size: std::mem::size_of::<(K, V)>(),
-            ..StageIo::default()
-        };
-        record_wide_stage(&cluster, name, start, [scatter_spans, spans].concat(), io);
-        Dataset::from_partitions(cluster, grouped)
+            (groups.into_iter().collect(), 0, 0)
+        })
     }
 
     /// `groupByKey` with a bounded in-memory footprint: each reduce task
@@ -184,54 +246,28 @@ where
     {
         let start = Instant::now();
         let input_records = self.count();
-        let budget = self.cluster().config().spill_record_budget;
-        let spill_dir = self.cluster().config().spill_dir.clone();
+        let cluster = self.cluster().clone();
+        let budget = cluster.config().spill_record_budget;
+        let spill_dir = cluster.config().spill_dir.clone();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_spans) =
+        let scattered =
             shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
-        let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(self.cluster(), name, shuffled);
-        let trace = self.cluster().trace().clone();
-        let probe = &self.cluster().inner.engine.executor;
-        let (results, spans) =
-            run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
-                let result = external_group_by(part.into_iter(), budget, spill_dir.as_deref())
-                    .expect("spill I/O failed");
-                if trace.is_enabled() {
-                    // One instant event per spilled run file, emitted as the
-                    // reduce task merges them back — the timeline counterpart of
-                    // the stage's `spilled_runs` metric.
-                    for _ in 0..result.spilled_runs {
-                        trace.mark(&format!("spill-run/{name}"), 1);
-                    }
+        let map = MapSide::scattered(start, input_records, scattered);
+        let trace = cluster.trace().clone();
+        reduce_side(cluster, name, map, |part| {
+            let result = external_group_by(part.into_iter(), budget, spill_dir.as_deref())
+                .expect("spill I/O failed");
+            if trace.is_enabled() {
+                // One instant event per spilled run file, emitted as the
+                // reduce task merges them back — the timeline counterpart of
+                // the stage's `spilled_runs` metric.
+                for _ in 0..result.spilled_runs {
+                    trace.mark(&format!("spill-run/{name}"), 1);
                 }
-                result
-            });
-        let mut grouped = Vec::with_capacity(results.len());
-        let (mut spilled_runs, mut spilled_bytes) = (0, 0);
-        for r in results {
-            spilled_runs += r.spilled_runs;
-            spilled_bytes += r.spilled_bytes;
-            grouped.push(r.groups);
-        }
-        let out_sizes: Vec<usize> = grouped.iter().map(std::vec::Vec::len).collect();
-        let io = StageIo {
-            input_records,
-            out_sizes: &out_sizes,
-            shuffled,
-            record_size: std::mem::size_of::<(K, V)>(),
-            spilled_runs,
-            spilled_bytes,
-        };
-        record_wide_stage(
-            self.cluster(),
-            name,
-            start,
-            [scatter_spans, spans].concat(),
-            io,
-        );
-        Dataset::from_partitions(self.cluster().clone(), grouped)
+            }
+            (result.groups, result.spilled_runs, result.spilled_bytes)
+        })
     }
 
     /// Merges all values per key with `f`, with map-side combining (Spark's
@@ -242,41 +278,24 @@ where
     {
         let start = Instant::now();
         let input_records = self.count();
+        let cluster = self.cluster().clone();
         // Map-side combine.
         let inputs: Vec<Arc<Vec<(K, V)>>> = self.partitions.clone();
-        let probe = &self.cluster().inner.engine.executor;
+        let probe = &cluster.inner.engine.executor;
         let (combined, combine_spans) =
-            run_stage_tasks(self.cluster().config(), probe, inputs, |_, part| {
+            run_stage_tasks(cluster.config(), probe, inputs, |_, part| {
                 combine_by_key(part.iter().map(|(k, v)| (k.clone(), v.clone())), &f)
             });
-        let combined = Dataset::from_partitions(self.cluster().clone(), combined);
+        let combined = Dataset::from_partitions(cluster.clone(), combined);
 
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let (scattered, scatter_spans) =
-            shuffle_scatter(combined, n, |(k, _): &(K, V)| partitioner.partition(k));
-        let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(self.cluster(), name, shuffled);
-        let (reduced, reduce_spans) =
-            run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
-                combine_by_key(part.into_iter(), &f)
-            });
-        let out_sizes: Vec<usize> = reduced.iter().map(std::vec::Vec::len).collect();
-        let io = StageIo {
-            input_records,
-            out_sizes: &out_sizes,
-            shuffled,
-            record_size: std::mem::size_of::<(K, V)>(),
-            ..StageIo::default()
-        };
-        record_wide_stage(
-            self.cluster(),
-            name,
-            start,
-            [combine_spans, scatter_spans, reduce_spans].concat(),
-            io,
-        );
-        Dataset::from_partitions(self.cluster().clone(), reduced)
+        let scattered = shuffle_scatter(combined, n, |(k, _): &(K, V)| partitioner.partition(k));
+        let mut map = MapSide::scattered(start, input_records, scattered);
+        map.spans = [combine_spans, map.spans].concat();
+        reduce_side(cluster, name, map, |part| {
+            (combine_by_key(part.into_iter(), &f), 0, 0)
+        })
     }
 
     /// Inner hash join: pairs every `(k, v)` with every `(k, w)` of `other`.
@@ -320,44 +339,28 @@ where
             shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
         let (right, right_spans) =
             shuffle_scatter(other.clone(), n, |(k, _): &(K, W)| partitioner.partition(k));
-        let shuffled: usize = left.iter().map(std::vec::Vec::len).sum::<usize>()
-            + right.iter().map(std::vec::Vec::len).sum::<usize>();
-        let record_size = std::mem::size_of::<(K, V)>().max(std::mem::size_of::<(K, W)>());
-        mark_shuffle_flush(self.cluster(), name, shuffled);
-        #[allow(clippy::type_complexity)]
-        let zipped: Vec<(Vec<(K, V)>, Vec<(K, W)>)> = left.into_iter().zip(right).collect();
-        let probe = &self.cluster().inner.engine.executor;
-        let (cogrouped, spans) = run_stage_tasks(
-            self.cluster().config(),
-            probe,
-            zipped,
-            |_, (lpart, rpart)| {
-                let mut groups: FastHashMap<K, (Vec<V>, Vec<W>)> = FastHashMap::default();
-                for (k, v) in lpart {
-                    groups.entry(k).or_default().0.push(v);
-                }
-                for (k, w) in rpart {
-                    groups.entry(k).or_default().1.push(w);
-                }
-                groups.into_iter().collect::<Vec<(K, (Vec<V>, Vec<W>))>>()
-            },
-        );
-        let out_sizes: Vec<usize> = cogrouped.iter().map(std::vec::Vec::len).collect();
-        let io = StageIo {
-            input_records,
-            out_sizes: &out_sizes,
-            shuffled,
-            record_size,
-            ..StageIo::default()
-        };
-        record_wide_stage(
-            self.cluster(),
-            name,
+        let map = MapSide {
             start,
-            [left_spans, right_spans, spans].concat(),
-            io,
-        );
-        Dataset::from_partitions(self.cluster().clone(), cogrouped)
+            input_records,
+            shuffled: left
+                .iter()
+                .zip(&right)
+                .map(|(l, r)| l.len() + r.len())
+                .sum(),
+            record_size: std::mem::size_of::<(K, V)>().max(std::mem::size_of::<(K, W)>()),
+            targets: left.into_iter().zip(right).collect::<Vec<_>>(),
+            spans: [left_spans, right_spans].concat(),
+        };
+        reduce_side(self.cluster().clone(), name, map, |(lpart, rpart)| {
+            let mut groups: FastHashMap<K, (Vec<V>, Vec<W>)> = FastHashMap::default();
+            for (k, v) in lpart {
+                groups.entry(k).or_default().0.push(v);
+            }
+            for (k, w) in rpart {
+                groups.entry(k).or_default().1.push(w);
+            }
+            (groups.into_iter().collect(), 0, 0)
+        })
     }
 
     /// Re-partitions by an arbitrary [`Partitioner`] without grouping —
@@ -417,42 +420,21 @@ where
         let start = Instant::now();
         let input_records = self.count();
         let targets = partitions.max(1);
-        let (scattered, scatter_spans) =
-            shuffle_scatter(self.clone(), targets, |t| spread(stable_hash(t), targets));
-        let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(self.cluster(), name, shuffled);
-        let probe = &self.cluster().inner.engine.executor;
-        let (deduped, spans) =
-            run_stage_tasks(self.cluster().config(), probe, scattered, |_, part| {
-                // The seen-set owns each unique record once; the output is
-                // rebuilt from it, so records are cloned exactly once.
-                let mut seen =
-                    FastHashSet::with_capacity_and_hasher(part.len(), Default::default());
-                let mut out = Vec::new();
-                for record in part {
-                    if !seen.contains(&record) {
-                        out.push(record.clone());
-                        seen.insert(record);
-                    }
+        let scattered = shuffle_scatter(self.clone(), targets, |t| spread(stable_hash(t), targets));
+        let map = MapSide::scattered(start, input_records, scattered);
+        reduce_side(self.cluster().clone(), name, map, |part| {
+            // The seen-set owns each unique record once; the output is
+            // rebuilt from it, so records are cloned exactly once.
+            let mut seen = FastHashSet::with_capacity_and_hasher(part.len(), Default::default());
+            let mut out = Vec::new();
+            for record in part {
+                if !seen.contains(&record) {
+                    out.push(record.clone());
+                    seen.insert(record);
                 }
-                out
-            });
-        let out_sizes: Vec<usize> = deduped.iter().map(std::vec::Vec::len).collect();
-        let io = StageIo {
-            input_records,
-            out_sizes: &out_sizes,
-            shuffled,
-            record_size: std::mem::size_of::<T>(),
-            ..StageIo::default()
-        };
-        record_wide_stage(
-            self.cluster(),
-            name,
-            start,
-            [scatter_spans, spans].concat(),
-            io,
-        );
-        Dataset::from_partitions(self.cluster().clone(), deduped)
+            }
+            (out, 0, 0)
+        })
     }
 }
 

@@ -10,20 +10,17 @@
 //!
 //! * a [`Schedule`] — a pure description of a task *claim order* and *slot
 //!   assignment*. Installing one on a [`crate::ClusterConfig`] (via
-//!   [`crate::ClusterConfig::with_schedule`]) makes every stage execute its
-//!   tasks deterministically in that order, one at a time, on the calling
-//!   thread. Same schedule + same input ⇒ bit-identical execution order.
-//!   The thread-pool path stays the default (`schedule == None`);
+//!   [`crate::ClusterConfig::with_schedule`]) makes every stage run the
+//!   executor's one claim loop on one worker, on the calling thread,
+//!   claiming tasks in that order. Same schedule + same input ⇒
+//!   bit-identical execution order. The thread pool stays the default
+//!   (`schedule == None`);
 //! * **yield points** ([`yield_point`]): named interleaving points the
 //!   engine announces at task claims, shuffle flushes and spill-run
 //!   boundaries. Like the trace layer, an unarmed yield point is a single
 //!   branch; a harness (or `scripts/tsan.sh` via [`arm_from_env`]) can
 //!   install a hook to observe the points or to inject `thread::yield_now`
-//!   for denser interleavings under ThreadSanitizer;
-//! * a **lock-order sentinel** ([`lock_order`]) guarding the executor's
-//!   `pending`/`results` mutex discipline in debug builds. It lives here —
-//!   below the executor — because the executor must not depend on the
-//!   checking harness ([`crate::check`]) that sits above it.
+//!   for denser interleavings under ThreadSanitizer.
 //!
 //! The schedule-exploration harness that drives all of this is
 //! [`crate::check`].
@@ -223,91 +220,6 @@ pub fn arm_from_env() {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Lock-order sentinel
-// ---------------------------------------------------------------------------
-
-/// Debug-build sentinel for the executor's locking discipline.
-///
-/// The executor's deadlock-freedom argument is that a worker never holds
-/// two of the per-task `pending`/`results` mutexes at once (each is locked,
-/// used and released within one statement). This module makes the argument
-/// checkable: the executor brackets every acquisition with a
-/// [`lock_order::acquire`] token, and the sentinel `debug_assert`s that no
-/// second executor lock is taken while one is held. Release builds compile
-/// the tracking away.
-pub mod lock_order {
-    use std::cell::RefCell;
-
-    /// The executor lock families the sentinel distinguishes.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Family {
-        /// The per-task input slots (`pending[idx]`).
-        Pending,
-        /// The per-task output slots (`results[idx]`).
-        Results,
-    }
-
-    thread_local! {
-        static HELD: RefCell<Vec<(Family, usize)>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// RAII token for one acquired executor lock; releases its sentinel
-    /// entry on drop. Hold it for exactly the guard's lifetime.
-    #[must_use = "the sentinel entry is released when the token drops"]
-    pub struct LockToken {
-        #[cfg(debug_assertions)]
-        registered: bool,
-    }
-
-    /// Registers acquiring `family[index]` and asserts the discipline:
-    /// a thread must hold **no** other executor lock at that point.
-    /// (A single-lock-at-a-time rule implies every lock order is safe.)
-    pub fn acquire(family: Family, index: usize) -> LockToken {
-        #[cfg(debug_assertions)]
-        {
-            HELD.with(|held| {
-                let mut held = held.borrow_mut();
-                debug_assert!(
-                    held.is_empty(),
-                    "executor lock discipline violated: acquiring {family:?}[{index}] while holding {held:?}"
-                );
-                held.push((family, index));
-            });
-            LockToken { registered: true }
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            let _ = (family, index);
-            LockToken {}
-        }
-    }
-
-    impl Drop for LockToken {
-        fn drop(&mut self) {
-            #[cfg(debug_assertions)]
-            if self.registered {
-                HELD.with(|held| {
-                    held.borrow_mut().pop();
-                });
-            }
-        }
-    }
-
-    /// Number of executor locks the current thread holds (debug builds;
-    /// always 0 in release). Exposed for the sentinel's own tests.
-    pub fn held_count() -> usize {
-        #[cfg(debug_assertions)]
-        {
-            HELD.with(|held| held.borrow().len())
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,25 +322,5 @@ mod tests {
         clear_yield_hook();
         yield_point("probe");
         assert_eq!(COUNT.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn lock_sentinel_tracks_nesting_depth() {
-        assert_eq!(lock_order::held_count(), 0);
-        {
-            let _t = lock_order::acquire(lock_order::Family::Pending, 3);
-            if cfg!(debug_assertions) {
-                assert_eq!(lock_order::held_count(), 1);
-            }
-        }
-        assert_eq!(lock_order::held_count(), 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "executor lock discipline violated")]
-    fn lock_sentinel_rejects_nested_acquisition() {
-        let _a = lock_order::acquire(lock_order::Family::Results, 0);
-        let _b = lock_order::acquire(lock_order::Family::Pending, 1);
     }
 }

@@ -18,7 +18,7 @@
 //!    pair — exactly the CL-P mechanics, with the join kernels injected as
 //!    closures so the engine stays algorithm-agnostic.
 //!
-//! The executor's dynamic task claiming (the atomic cursor in
+//! The executor's dynamic task claiming (the claim loop behind
 //! [`crate::executor::run_tasks`]) is what makes the split pay off: chunk
 //! tasks backfill idle slots instead of queueing behind their siblings on a
 //! static assignment. [`SplitStats::stolen_tasks`] reports how often that

@@ -1,11 +1,11 @@
 //! The `locks` pass — `cargo run -p xtask -- locks` (and `-- audit`).
 //!
 //! The engine's concurrency surface is small but load-bearing: `std`
-//! mutexes around telemetry/trace/metrics registries, per-slot mutexes in
-//! the executor, a `RwLock` around the yield hook, and mutexes in the bench
-//! capture plane. The runtime sentinel in `sched::lock_order`
-//! asserts ordering for the executor's own locks in debug builds; this pass
-//! is its static counterpart for the whole workspace. It finds every guard
+//! mutexes around telemetry/trace/metrics registries, the executor's one
+//! claim lock, a `RwLock` around the yield hook, and mutexes in the bench
+//! capture plane. The executor holds its claim lock alone, never together
+//! with another lock, and never while a task runs; this pass checks rules
+//! of that kind for the whole workspace, statically. It finds every guard
 //! acquisition (`.lock()`, `.read()`, `.write()` with empty argument lists —
 //! IO `read`/`write` calls always take a buffer), reconstructs the guard's
 //! lexical scope, and enforces three rules on non-test library code:

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Runs the minispark test suite under ThreadSanitizer.
 #
-# The engine's only lock-free code is the executor's work-stealing cursor and
-# the stats/spill counters; everything else synchronizes through mutexes and
-# thread scopes. TSan is the tool that would catch a regression there — e.g.
-# someone replacing a mutex with an insufficiently-ordered atomic.
+# The executor's workers share one claim lock per stage: a worker takes it to
+# hand in its last result and claim the next task, and runs the task outside
+# it. Besides that lock, TSan watches the engine's atomics — the stats
+# counters and the spill counters — and every other mutex and thread scope.
+# It is the tool that would catch a regression there, e.g. a task result
+# handed over outside the claim lock, or a mutex replaced with an
+# insufficiently-ordered atomic.
 #
 # Requires a nightly toolchain with the rust-src component
 # (`rustup toolchain install nightly --component rust-src`), because
