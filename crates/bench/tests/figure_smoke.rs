@@ -82,10 +82,12 @@ fn fig9_to_fig13_produce_rows() {
     assert_eq!(f11.len(), 4 * 4);
     assert_eq!(f12.len(), 2 * 3 * 3);
     assert_eq!(f13.len(), 5);
-    // Seven rows at each of two θ, then one k = 25 row.
-    assert_eq!(abl.len(), 2 * 7 + 1);
-    // Every ablation row at one θ reports the identical pair count.
-    for chunk in abl.chunks_exact(7) {
+    // Nine rows at each of two θ, then two k = 25 rows (count and weighted
+    // prefix).
+    assert_eq!(abl.len(), 2 * 9 + 2);
+    // Every ablation row at one θ (or at k = 25) reports the identical pair
+    // count.
+    for chunk in abl[..18].chunks_exact(9).chain([&abl[18..]]) {
         assert!(chunk.iter().all(|r| r.pairs == chunk[0].pairs));
     }
 }

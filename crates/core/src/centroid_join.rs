@@ -74,6 +74,7 @@ pub(crate) fn centroid_space(k: usize, config: &JoinConfig) -> Footrule {
     // sentinel routing kicks in (see pipeline::DISJOINT_SENTINEL).
     Footrule {
         k,
+        prefix_kind: config.prefix,
         prefix_lens: (p_m, p_s),
         thresholds: GroupThresholds::Mixed {
             mm: theta_o,

@@ -20,9 +20,10 @@ pub struct JoinConfig {
     /// Number of reduce-side partitions for wide operations; `0` uses the
     /// cluster's `default_partitions`.
     pub partitions: usize,
-    /// Which prefix derivation to use (§4 offers both). `Overlap` requires —
-    /// and enables — the frequency reordering; `Ordered` keeps the original
-    /// rank order.
+    /// Which prefix derivation to use: the weighted prefix (the default),
+    /// or §4's count prefix (`Overlap`) or Lemma 4.1's (`Ordered`).
+    /// `Weighted` and `Overlap` require — and enable — the frequency
+    /// reordering; `Ordered` keeps the original rank order.
     pub prefix: PrefixKind,
     /// Whether the position filter (ref. 19 of the paper, §4) is applied during candidate
     /// verification.
@@ -60,14 +61,15 @@ pub struct JoinConfig {
 
 impl JoinConfig {
     /// A configuration with the given θ and the paper's recommended defaults
-    /// (θc = 0.03, position filter on, overlap prefix).
+    /// (θc = 0.03, position filter on), with the weighted prefix in place of
+    /// the paper's count prefix: the same pairs from fewer candidates.
     pub fn new(theta: f64) -> Self {
         Self {
             theta,
             cluster_threshold: 0.03,
             partition_threshold: 2_000,
             partitions: 0,
-            prefix: PrefixKind::Overlap,
+            prefix: PrefixKind::Weighted,
             use_position_filter: true,
             use_triangle_bounds: true,
             use_lemma53: true,
@@ -185,7 +187,7 @@ mod tests {
         assert_eq!(c.theta, 0.3);
         assert_eq!(c.cluster_threshold, 0.03);
         assert!(c.use_position_filter);
-        assert_eq!(c.prefix, PrefixKind::Overlap);
+        assert_eq!(c.prefix, PrefixKind::Weighted);
         assert!(c.use_triangle_bounds);
         assert!(c.use_lemma53);
         assert!(c.validate().is_ok());

@@ -7,7 +7,7 @@
 //!
 //! | Function | Paper name | Idea |
 //! |---|---|---|
-//! | [`vj_join`] | VJ | Vernica-Join adapted to rankings: frequency ordering, overlap-prefix filtering, per-token groups, verification behind a position filter (§4; the paper's group-local inverted index would prune nothing here, see [`kernels`]) |
+//! | [`vj_join`] | VJ | Vernica-Join adapted to rankings: frequency ordering, prefix filtering (by default each record's weighted prefix, never longer than the paper's count prefix; see [`PrefixKind`](topk_rankings::PrefixKind)), per-token groups, verification behind a position filter (§4; the paper's group-local inverted index would prune nothing here, see [`kernels`]) |
 //! | [`vj_nl_join`] | VJ-NL | same partitioning, iterator nested-loop verification (§4.1) |
 //! | [`cl_join`] | CL | Ordering → Clustering (θc) → centroid Joining (θ + 2θc, Lemma 5.1/5.3) → triangle-filtered Expansion (§5) |
 //! | [`clp_join`] | CL-P | CL plus repartitioning of oversized posting lists (Algorithm 3, §6) |

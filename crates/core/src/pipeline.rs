@@ -111,7 +111,7 @@ fn relation_tag(i: usize, n: usize) -> (Relation, &'static str) {
 /// complete — broadcasts the resulting order once, and canonicalizes each
 /// relation separately (§4 / §5 "Ordering"). With [`PrefixKind::Ordered`]
 /// the frequency pass is skipped and rankings keep their rank order (Lemma
-/// 4.1's prefix).
+/// 4.1's prefix); every other kind needs the one global order.
 ///
 /// The caller's rankings are read in place, chunked as `parallelize` would
 /// chunk them ([`Cluster::map_chunks`]). Each chunk counts into one dense
@@ -128,7 +128,7 @@ pub(crate) fn order_relations(
     partitions: usize,
     label: &str,
 ) -> Vec<PrefixSource> {
-    let freq = matches!(prefix_kind, PrefixKind::Overlap).then(|| {
+    let freq = (prefix_kind != PrefixKind::Ordered).then(|| {
         let tables = cluster.map_chunks(
             &format!("{label}/freq-emit"),
             relations,
@@ -207,13 +207,16 @@ fn emit_prefixes_by(
     label: &str,
 ) -> Dataset<(ItemId, TokenEntry)> {
     ds.flat_map(label, move |r: &Arc<OrderedRanking>| {
+        let prefix = r.prefix(prefix_len_of(r));
+        let prefix_len = u16::try_from(prefix.len()).unwrap_or(u16::MAX);
         let entry = |rank| TokenEntry {
             rank,
+            prefix_len,
             singleton,
             relation,
             ranking: Arc::clone(r),
         };
-        r.prefix(prefix_len_of(r))
+        prefix
             .iter()
             .map(|&(item, rank)| (item, entry(rank)))
             .chain(sentinel.then(|| (DISJOINT_SENTINEL, entry(0))))
@@ -358,11 +361,11 @@ pub(crate) fn prefix_join<S: JoinSpace>(
 }
 
 /// Whether the group of `token` owns the qualifying pair `(a, b)`: `token`
-/// is the smallest item id in `prefix(a) ∩ prefix(b)`, each prefix the
-/// record's own ([`JoinSpace::prefix_len`], so Lemma 5.3's mixed lengths
-/// take the intersection of two different prefixes). For the
-/// [`DISJOINT_SENTINEL`], larger than every item, that means the prefixes
-/// share nothing.
+/// is the smallest item id in `prefix(a) ∩ prefix(b)`, each prefix the one
+/// its record emitted ([`TokenEntry::prefix_len`], so the weighted prefix's
+/// per-record lengths and Lemma 5.3's mixed lengths take the intersection
+/// of two different prefixes). For the [`DISJOINT_SENTINEL`], larger than
+/// every item, that means the prefixes share nothing.
 ///
 /// Exactly one group owns a pair both records reach: prefix filtering puts
 /// every qualifying pair in some shared token's group (or the sentinel's),
@@ -373,10 +376,9 @@ pub(crate) fn prefix_join<S: JoinSpace>(
 ///
 /// O(p²) over prefixes of p ≤ k items; it runs only on pairs the space
 /// accepted, so it costs per result, not per candidate.
-fn owns<S: JoinSpace>(space: &S, token: ItemId, a: &TokenEntry, b: &TokenEntry) -> bool {
-    let a_prefix = a.ranking.prefix(space.prefix_len(&a.ranking, a.singleton));
-    let b_prefix = b.ranking.prefix(space.prefix_len(&b.ranking, b.singleton));
-    !a_prefix
+fn owns(token: ItemId, a: &TokenEntry, b: &TokenEntry) -> bool {
+    let b_prefix = b.prefix();
+    !a.prefix()
         .iter()
         .any(|&(item, _)| item < token && b_prefix.iter().any(|&(other, _)| other == item))
 }
@@ -390,7 +392,7 @@ fn owned_decision<S: JoinSpace>(
 ) -> impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<S::Dist> + '_ {
     move |a, b, counts| {
         let distance = space.decide(a, b, counts)?;
-        if owns(space, token, a, b) {
+        if owns(token, a, b) {
             Some(distance)
         } else {
             counts.disown();

@@ -110,6 +110,7 @@ impl RunReport {
 
 fn prefix_name(prefix: PrefixKind) -> &'static str {
     match prefix {
+        PrefixKind::Weighted => "weighted",
         PrefixKind::Overlap => "overlap",
         PrefixKind::Ordered => "ordered",
     }

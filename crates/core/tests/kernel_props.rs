@@ -228,7 +228,7 @@ fn jaccard_near_boundary(rng: &mut Rng) -> f64 {
 // Whichever token groups a qualifying pair meets in, exactly one of them
 // keeps it: the output — before the drivers sort it — already holds every
 // pair once, equals brute force, and the flat drivers count each result
-// once. Every driver, both prefix kinds, thresholds on and beside the
+// once. Every driver, every prefix kind, thresholds on and beside the
 // overlap boundaries (and at the sentinel), every skew policy, spilling
 // shuffles and one or two slots.
 #[test]
@@ -241,7 +241,11 @@ fn every_pair_is_kept_by_one_group_and_matches_brute_force() {
         |rng| {
             let driver = DRIVERS[case % DRIVERS.len()];
             case += 1;
-            let prefix = [PrefixKind::Overlap, PrefixKind::Ordered][rng.gen_range(0usize..2)];
+            let prefix = [
+                PrefixKind::Weighted,
+                PrefixKind::Overlap,
+                PrefixKind::Ordered,
+            ][rng.gen_range(0usize..3)];
             let skew = [
                 SkewBudget::Off,
                 SkewBudget::Fixed(1),

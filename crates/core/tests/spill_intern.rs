@@ -171,3 +171,45 @@ fn replayed_partitions_share_ranking_allocations() {
         rankings.len()
     );
 }
+
+#[test]
+fn token_entries_round_trip_through_the_spill_codec() {
+    use minispark::Codec;
+    use topk_rankings::Relation;
+    let freq = FrequencyTable::default();
+    for (i, r) in dataset(12).iter().enumerate() {
+        let ranking = Arc::new(OrderedRanking::by_frequency(r, &freq));
+        let entry = TokenEntry {
+            rank: ranking.pairs()[i % K].1,
+            // Every prefix length a ranking can emit, tags of both kinds.
+            prefix_len: (i % K + 1) as u16,
+            singleton: i % 2 == 1,
+            relation: if i % 3 == 0 {
+                Relation::Right
+            } else {
+                Relation::Left
+            },
+            ranking,
+        };
+        let mut bytes = Vec::new();
+        entry.encode(&mut bytes);
+        let mut input = bytes.as_slice();
+        let back = TokenEntry::decode(&mut input).expect("an encoded entry decodes");
+        assert!(input.is_empty(), "decode must consume the whole entry");
+        assert_eq!(
+            (back.rank, back.prefix_len, back.singleton, back.relation),
+            (
+                entry.rank,
+                entry.prefix_len,
+                entry.singleton,
+                entry.relation
+            )
+        );
+        assert_eq!(back.ranking.id(), entry.ranking.id());
+        assert_eq!(back.ranking.pairs(), entry.ranking.pairs());
+        assert_eq!(back.prefix(), entry.prefix());
+        // A truncated encoding is refused, not misread.
+        let mut cut = &bytes[..bytes.len() - 1];
+        assert!(TokenEntry::decode(&mut cut).is_none());
+    }
+}

@@ -337,7 +337,7 @@ impl OrderedRanking {
     }
 
     /// Canonicalizes `ranking` by ascending item frequency (the default for
-    /// VJ-style joins with the overlap prefix).
+    /// VJ-style joins with the weighted or the count prefix).
     pub fn by_frequency(ranking: &Ranking, freq: &FrequencyTable) -> Self {
         #[expect(
             clippy::cast_possible_truncation,

@@ -1,7 +1,7 @@
 //! The differential matrix: every join driver against its own space's brute
 //! force, over seeded samples of corpus × k × θ (on and next to the raw and
-//! the `(k − o)(k − o + 1)` overlap boundaries) × θc × task slots × skew
-//! policy × spill budget × task schedule.
+//! the `(k − o)(k − o + 1)` overlap boundaries) × θc × Footrule prefix kind
+//! × task slots × skew policy × spill budget × task schedule.
 //!
 //! Each driver must return exactly the brute-force pair set, strictly
 //! increasing (so no pair twice), and the flat drivers must also book one
@@ -17,7 +17,7 @@ use minispark::{Cluster, ClusterConfig, Schedule, SkewBudget};
 use topk_datagen::rng::{check, Rng};
 use topk_datagen::CorpusProfile;
 use topk_rankings::distance::raw_threshold;
-use topk_rankings::{max_raw_distance, Ranking};
+use topk_rankings::{max_raw_distance, PrefixKind, Ranking};
 use topk_simjoin::{
     brute_force_join, brute_force_join_rs, cl_join, cl_join_rs, clp_join, jaccard_brute_force,
     jaccard_brute_force_rs, jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, jaccard_vj_join_rs,
@@ -53,6 +53,9 @@ struct Case {
     theta_raw: u64,
     /// Footrule θc, normalized.
     theta_c: f64,
+    /// The prefix every Footrule batch driver emits: the default weighted
+    /// prefix, the paper's count prefix or Lemma 4.1's.
+    prefix: PrefixKind,
     /// Jaccard θ and θc.
     jaccard_theta: f64,
     jaccard_theta_c: f64,
@@ -171,6 +174,14 @@ fn sample(rng: &mut Rng) -> Case {
     let jaccard_step = 2.0 / (k + 1) as f64;
     let jaccard_theta_c = cluster_threshold(rng, jaccard_theta, jaccard_step);
     let delta = rng.gen_range(1..=8usize);
+    let prefix = pick(
+        rng,
+        &[
+            PrefixKind::Weighted,
+            PrefixKind::Overlap,
+            PrefixKind::Ordered,
+        ],
+    );
     Case {
         corpus,
         n: rng.gen_range(30..=75),
@@ -178,6 +189,7 @@ fn sample(rng: &mut Rng) -> Case {
         theta,
         theta_raw,
         theta_c,
+        prefix,
         jaccard_theta,
         jaccard_theta_c,
         slots: rng.gen_range(1..=2),
@@ -260,7 +272,8 @@ fn footrule_drivers(case: &Case, data: &[Ranking]) {
     let config = JoinConfig::new(case.theta)
         .with_cluster_threshold(case.theta_c)
         .with_partition_threshold(case.delta)
-        .with_skew(case.skew);
+        .with_skew(case.skew)
+        .with_prefix(case.prefix);
     assert_eq!(raw_threshold(case.k, case.theta), case.theta_raw);
     let expected = brute_force_join(&c, data, case.theta).unwrap().pairs;
     agree(

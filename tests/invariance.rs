@@ -95,7 +95,11 @@ fn invariant_to_clustering_threshold() {
 fn invariant_to_prefix_kind() {
     let data = corpus();
     let expected = reference(&data, 0.2);
-    for prefix in [PrefixKind::Overlap, PrefixKind::Ordered] {
+    for prefix in [
+        PrefixKind::Weighted,
+        PrefixKind::Overlap,
+        PrefixKind::Ordered,
+    ] {
         let cluster = Cluster::new(ClusterConfig::local(4));
         let config = JoinConfig::new(0.2).with_prefix(prefix);
         for algo in [Algorithm::Vj, Algorithm::VjNl, Algorithm::Cl] {
