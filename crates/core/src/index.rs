@@ -10,21 +10,28 @@
 //! the batch algorithms answer the all-pairs question, this index answers
 //! the point question.
 //!
-//! The index is built for a maximum supported threshold `theta_max`:
-//! record prefixes are sized for it, so any query with `θ ≤ theta_max` is
-//! answered exactly (the prefix-intersection guarantee needs both sides'
-//! prefixes to cover the pair threshold; the stored side covers
-//! `theta_max ≥ θ`, the query side is probed with its exact `p(θ)`).
+//! The index is a standing copy of the batch joins' token groups. It is
+//! built for a maximum supported threshold `theta_max`: each record is
+//! posted under the tokens the batch Footrule join at `theta_max` emits for
+//! it — its weighted prefix, plus the
+//! [`DISJOINT_SENTINEL`](crate::pipeline::DISJOINT_SENTINEL) where disjoint
+//! pairs qualify. A query at `θ ≤ theta_max` probes the tokens the same
+//! join at `θ` emits for it. A stored prefix sized for `theta_max` contains
+//! the record's prefix at `θ`, so every qualifying pair shares a probed
+//! token. A record reached under several tokens is decided only under the
+//! one that `pipeline::owns` the pair, as in the batch groups.
 
 #![warn(clippy::indexing_slicing)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use topk_rankings::distance::{max_raw_distance, raw_threshold};
+use topk_rankings::distance::raw_threshold;
 use topk_rankings::verify::verify_candidate;
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, RankingId};
 
+use crate::kernels::{Footrule, JoinSpace};
+use crate::pipeline::{owns, tokens};
 use crate::stats::{JoinStats, KernelCounts};
 use crate::JoinError;
 
@@ -35,8 +42,8 @@ use crate::JoinError;
 /// existing id is *replaced*, never shadowed) and
 /// [`RankingIndex::remove_ranking`] deletes. Both tombstone the victim's
 /// slot and drop its posting entries, so a stale version can never match a
-/// query; the invariant "every live id occupies exactly one slot" is what
-/// makes the query-time slot dedup an id dedup too. Tombstoned slots keep
+/// query, and every live id occupies exactly one slot: a query that decides
+/// each reached slot once returns each id at most once. Tombstoned slots keep
 /// their storage until [`RankingIndex::compacted`] rebuilds — long-lived
 /// mutable deployments (see [`crate::serving`]) compact past a tombstone
 /// ratio.
@@ -51,10 +58,10 @@ pub struct RankingIndex {
     id_to_slot: HashMap<RankingId, u32>,
     /// Count of tombstoned (dead but not yet compacted) slots.
     tombstones: usize,
-    /// item → [(record index, original rank of item in that record)] over
-    /// the records' `p(theta_max)` prefixes. Only live slots appear:
+    /// token → [(slot, the token's original rank in it, the length of the
+    /// prefix it is posted under)] at `theta_max`. Only live slots appear:
     /// tombstoning removes the dead slot's entries.
-    postings: HashMap<ItemId, Vec<(u32, u16)>>,
+    postings: HashMap<ItemId, Vec<(u32, u16, u16)>>,
 }
 
 impl RankingIndex {
@@ -187,9 +194,13 @@ impl RankingIndex {
         let idx = u32::try_from(self.records.len())
             .expect("inverted index capacity exceeded: more than u32::MAX rankings");
         let ordered = Arc::new(OrderedRanking::by_frequency(r, &self.freq));
-        let p = self.stored_prefix_len();
-        for &(item, rank) in ordered.prefix(p) {
-            self.postings.entry(item).or_default().push((idx, rank));
+        let (prefix, sentinel) = self.prefix(self.theta_max, &ordered);
+        let prefix_len = u16::try_from(prefix.len()).unwrap_or(u16::MAX);
+        for (token, rank) in tokens(prefix, sentinel) {
+            self.postings
+                .entry(token)
+                .or_default()
+                .push((idx, rank, prefix_len));
         }
         self.records.push(ordered);
         self.live.push(true);
@@ -217,13 +228,13 @@ impl RankingIndex {
         reason = "id_to_slot only maps to slots pushed into records"
     )]
     fn tombstone_slot(&mut self, slot: u32) {
-        let p = self.stored_prefix_len();
         let record = Arc::clone(&self.records[slot as usize]);
-        for &(item, _) in record.prefix(p) {
-            if let Some(list) = self.postings.get_mut(&item) {
-                list.retain(|&(s, _)| s != slot);
+        let (prefix, sentinel) = self.prefix(self.theta_max, &record);
+        for (token, _) in tokens(prefix, sentinel) {
+            if let Some(list) = self.postings.get_mut(&token) {
+                list.retain(|&(s, _, _)| s != slot);
                 if list.is_empty() {
-                    self.postings.remove(&item);
+                    self.postings.remove(&token);
                 }
             }
         }
@@ -232,9 +243,15 @@ impl RankingIndex {
         self.tombstones += 1;
     }
 
-    fn stored_prefix_len(&self) -> usize {
-        let theta_raw = raw_threshold(self.k, self.theta_max);
-        PrefixKind::Overlap.prefix_len(self.k, theta_raw)
+    /// The prefix the batch Footrule join at `theta` emits for `record`,
+    /// and whether it also emits the record under the sentinel.
+    fn prefix<'r>(&self, theta: f64, record: &'r OrderedRanking) -> (&'r [(ItemId, u16)], bool) {
+        let theta_raw = raw_threshold(self.k, theta);
+        let space = Footrule::uniform(self.k, theta_raw, PrefixKind::Weighted, true);
+        (
+            record.prefix(space.prefix_len(record, false)),
+            space.admits_disjoint(false),
+        )
     }
 
     /// All indexed rankings within normalized Footrule distance `theta` of
@@ -251,7 +268,7 @@ impl RankingIndex {
     }
 
     /// [`RankingIndex::range_query`] with filter-effectiveness accounting:
-    /// counts `candidates` per probed (deduplicated) posting entry,
+    /// counts `candidates` per reached record, under the token that owns it,
     /// `position_pruned` / `overlap_pruned` per filter rejection, `verified`
     /// per Footrule evaluation and `result_pairs` per emitted neighbour — the
     /// same counter semantics as the batch join kernels, so index-backed and
@@ -292,71 +309,41 @@ impl RankingIndex {
         }
         let theta_raw = raw_threshold(self.k, theta);
         let ordered_query = OrderedRanking::by_frequency(query, &self.freq);
+        let (prefix, sentinel) = self.prefix(theta, &ordered_query);
 
-        // One candidate, decided by the join kernels' funnel (position filter
-        // on the shared item's ranks where one is known, overlap filter, then
-        // early-exit Footrule) and counted exactly like theirs — in the
-        // probe's own counts: no atomic is touched per candidate, and none at
-        // all by the uncounted query of the serving path.
+        // Each reached record is one candidate, decided under the token that
+        // owns the pair by the join kernels' funnel and counted like theirs,
+        // in the probe's own counts: no atomic is touched per candidate.
+        // Postings name only live slots and a live id owns one slot, so no
+        // id is decided twice.
         let mut counts = KernelCounts::default();
-        let mut decide = |record: &OrderedRanking, shared_ranks| {
-            counts.book(verify_candidate(
-                &ordered_query,
-                record,
-                shared_ranks,
-                theta_raw,
-                true,
-            ))
-        };
-
         let mut results = Vec::new();
-        if theta_raw >= max_raw_distance(self.k) {
-            // Disjoint pairs qualify: prefix probing is incomplete, scan.
-            // Tombstoned slots are skipped — only live versions may match,
-            // and since every live id owns exactly one slot, no id can
-            // appear twice in the output.
-            for (record, live) in self.records.iter().zip(&self.live) {
-                if !live || record.id() == query.id() {
+        for (token, query_rank) in tokens(prefix, sentinel) {
+            let Some(postings) = self.postings.get(&token) else {
+                continue;
+            };
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "postings only store slots < records.len(); live has records.len() entries"
+            )]
+            for &(slot, rank, prefix_len) in postings {
+                let slot = slot as usize;
+                debug_assert!(
+                    self.live[slot],
+                    "postings must never name a tombstoned slot"
+                );
+                let record = &self.records[slot];
+                if record.id() == query.id()
+                    || !owns(token, prefix, record.prefix(usize::from(prefix_len)))
+                {
                     continue;
                 }
-                if let Some(d) = decide(record, None) {
+                // Both ranks are 0 at the sentinel: the position filter passes.
+                let shared_ranks = Some((usize::from(query_rank), usize::from(rank)));
+                let verdict =
+                    verify_candidate(&ordered_query, record, shared_ranks, theta_raw, true);
+                if let Some(d) = counts.book(verdict) {
                     results.push((record.id(), d));
-                }
-            }
-        } else {
-            let p = PrefixKind::Overlap.prefix_len(self.k, theta_raw);
-            // Per-query dedup, keyed by slot. Slot dedup *is* id dedup
-            // here: tombstoning removes a dead slot's postings eagerly, so
-            // the lists only name live slots, and every live id owns
-            // exactly one slot (the upsert invariant).
-            let mut seen: Vec<bool> = vec![false; self.records.len()];
-            for &(item, query_rank) in ordered_query.prefix(p) {
-                let Some(postings) = self.postings.get(&item) else {
-                    continue;
-                };
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "postings only store slots < records.len(); seen and live have records.len() entries"
-                )]
-                for &(rec_idx, rec_rank) in postings {
-                    let rec_slot: u32 = rec_idx;
-                    let slot = rec_slot as usize;
-                    if seen[slot] {
-                        continue;
-                    }
-                    seen[slot] = true;
-                    debug_assert!(
-                        self.live[slot],
-                        "postings must never name a tombstoned slot"
-                    );
-                    let record = &self.records[slot];
-                    if record.id() == query.id() {
-                        continue;
-                    }
-                    let shared_ranks = (usize::from(query_rank), usize::from(rec_rank));
-                    if let Some(d) = decide(record, Some(shared_ranks)) {
-                        results.push((record.id(), d));
-                    }
                 }
             }
         }
@@ -455,20 +442,6 @@ mod tests {
             let expected = linear_scan(&data, query, 0.3);
             assert_eq!(got, expected, "query {}", query.id());
         }
-    }
-
-    #[test]
-    fn theta_one_scans_everything() {
-        let data = vec![
-            Ranking::new(1, vec![1, 2, 3]).expect("distinct items form a valid ranking"),
-            Ranking::new(2, vec![7, 8, 9]).expect("distinct items form a valid ranking"),
-        ];
-        let index = RankingIndex::build(&data, 1.0).expect("uniform-length corpus builds");
-        let got = index
-            .range_query(&data[0], 1.0)
-            .expect("θ = 1 equals the build maximum");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, 2);
     }
 
     #[test]
@@ -581,10 +554,27 @@ mod tests {
     }
 
     #[test]
-    fn upsert_dedup_covers_the_full_scan_branch() {
-        // θ = 1 ⇒ theta_raw = max_raw_distance ⇒ the disjoint-pairs full
-        // scan runs instead of prefix probing; a re-inserted id must still
-        // appear exactly once, with its *current* items' distance.
+    fn a_twin_is_one_candidate() {
+        // The twin holds the query's items under another id, so it is
+        // reached under every token of the query's prefix; only the owning
+        // token decides it.
+        let query = corpus().swap_remove(3);
+        let twin = Ranking::new_unchecked(999_999, query.items().to_vec());
+        let index = RankingIndex::build(&[twin], 0.3).expect("one ranking builds");
+        assert!(index.postings.len() > 1, "the twin shares several tokens");
+        let stats = JoinStats::default();
+        let got = index
+            .range_query_with_stats(&query, 0.3, &stats)
+            .expect("θ equals the build maximum");
+        assert_eq!(got, vec![(999_999, 0)]);
+        assert_eq!(stats.snapshot().candidates, 1);
+    }
+
+    #[test]
+    fn upsert_dedup_covers_the_sentinel_group() {
+        // θ = 1 ⇒ theta_raw = max_raw_distance ⇒ disjoint pairs qualify and
+        // meet under the sentinel; a re-inserted id must still appear exactly
+        // once, with its *current* items' distance.
         let data = vec![
             Ranking::new(1, vec![1, 2, 3]).expect("distinct items form a valid ranking"),
             Ranking::new(2, vec![7, 8, 9]).expect("distinct items form a valid ranking"),
@@ -599,14 +589,13 @@ mod tests {
         let got = index
             .range_query(&query, 1.0)
             .expect("θ = 1 equals the build maximum");
-        let twos: Vec<_> = got.iter().filter(|&&(id, _)| id == 2).collect();
-        assert_eq!(twos.len(), 1, "id 2 must appear exactly once: {got:?}");
-        assert_eq!(*twos[0], (2, 0), "id 2 must match via its new items");
-        // And the prefix branch agrees on the same index state.
+        // Id 3 shares no item with the query: only the sentinel reaches it.
+        assert_eq!(got, vec![(1, 0), (2, 0), (3, 12)]);
+        // A query that does not probe the sentinel sees the same versions.
         let narrow = index
             .range_query(&query, 0.1)
             .expect("θ is within the build maximum");
-        assert_eq!(narrow.iter().filter(|&&(id, _)| id == 2).count(), 1);
+        assert_eq!(narrow, vec![(1, 0), (2, 0)]);
     }
 
     #[test]

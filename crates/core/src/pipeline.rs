@@ -216,12 +216,23 @@ fn emit_prefixes_by(
             relation,
             ranking: Arc::clone(r),
         };
-        prefix
-            .iter()
-            .map(|&(item, rank)| (item, entry(rank)))
-            .chain(sentinel.then(|| (DISJOINT_SENTINEL, entry(0))))
+        tokens(prefix, sentinel)
+            .map(|(token, rank)| (token, entry(rank)))
             .collect::<Vec<_>>()
     })
+}
+
+/// The `(token, original rank)` pairs a record meets its partners under, as
+/// the batch joins emit them and the index posts and probes them: its
+/// emitted `prefix` and, with `sentinel`, the [`DISJOINT_SENTINEL`] at rank 0.
+pub(crate) fn tokens(
+    prefix: &[(ItemId, u16)],
+    sentinel: bool,
+) -> impl Iterator<Item = (ItemId, u16)> + '_ {
+    prefix
+        .iter()
+        .copied()
+        .chain(sentinel.then_some((DISJOINT_SENTINEL, 0)))
 }
 
 /// One input of a prefix join: a canonicalized dataset and the tags its
@@ -360,12 +371,12 @@ pub(crate) fn prefix_join<S: JoinSpace>(
     hits
 }
 
-/// Whether the group of `token` owns the qualifying pair `(a, b)`: `token`
-/// is the smallest item id in `prefix(a) ∩ prefix(b)`, each prefix the one
-/// its record emitted ([`TokenEntry::prefix_len`], so the weighted prefix's
-/// per-record lengths and Lemma 5.3's mixed lengths take the intersection
-/// of two different prefixes). For the [`DISJOINT_SENTINEL`], larger than
-/// every item, that means the prefixes share nothing.
+/// Whether the group of `token` owns the pair of two records whose emitted
+/// prefixes are `a` and `b`: `token` is the smallest item id in `a ∩ b`.
+/// The lengths may differ: weighted prefixes are per record, Lemma 5.3's
+/// per centroid type, and the index pairs a stored prefix with a query's.
+/// For the [`DISJOINT_SENTINEL`], larger than every item, that means the
+/// prefixes share nothing.
 ///
 /// Exactly one group owns a pair both records reach: prefix filtering puts
 /// every qualifying pair in some shared token's group (or the sentinel's),
@@ -374,13 +385,11 @@ pub(crate) fn prefix_join<S: JoinSpace>(
 /// prefix kind alike — a ranking's own canonical order would not, because
 /// rank-ordered prefixes have no global order.
 ///
-/// O(p²) over prefixes of p ≤ k items; it runs only on pairs the space
-/// accepted, so it costs per result, not per candidate.
-fn owns(token: ItemId, a: &TokenEntry, b: &TokenEntry) -> bool {
-    let b_prefix = b.prefix();
-    !a.prefix()
-        .iter()
-        .any(|&(item, _)| item < token && b_prefix.iter().any(|&(other, _)| other == item))
+/// O(p²) over prefixes of p ≤ k items: per result in the group kernels,
+/// which ask only for accepted pairs, and per reached record in the index.
+pub(crate) fn owns(token: ItemId, a: &[(ItemId, u16)], b: &[(ItemId, u16)]) -> bool {
+    !a.iter()
+        .any(|&(item, _)| item < token && b.iter().any(|&(other, _)| other == item))
 }
 
 /// The per-pair decision of `token`'s group (or of a chunk of it): the
@@ -392,7 +401,7 @@ fn owned_decision<S: JoinSpace>(
 ) -> impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<S::Dist> + '_ {
     move |a, b, counts| {
         let distance = space.decide(a, b, counts)?;
-        if owns(token, a, b) {
+        if owns(token, a.prefix(), b.prefix()) {
             Some(distance)
         } else {
             counts.disown();
