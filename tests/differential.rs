@@ -374,8 +374,6 @@ fn index_drivers(case: &Case, data: &[Ranking], rng: &mut Rng) {
     }
     // Each batch is sorted; across batches, a pair twice would show here.
     got.sort_unstable();
-    // Each batch is sorted; across batches, a pair twice would show here.
-    got.sort_unstable();
     let outcome = JoinOutcome {
         stats: arrivals.stats(),
         pairs: got,
@@ -389,23 +387,34 @@ fn index_drivers(case: &Case, data: &[Ranking], rng: &mut Rng) {
         .collect();
     agree("arrivals", case, &outcome, &involving_arrivals, true);
 
-    let index = RankingIndex::build(data, case.theta).unwrap();
-    let mut pairs = Vec::new();
-    for query in data {
-        let neighbours = index.range_query(query, case.theta).unwrap();
-        pairs.extend(neighbours.into_iter().map(|(id, _)| (query.id(), id)));
-    }
-    pairs.sort_unstable();
     let mut symmetric: Vec<(u64, u64)> = expected
         .iter()
         .flat_map(|&(a, b)| [(a, b), (b, a)])
         .collect();
     symmetric.sort_unstable();
-    let outcome = JoinOutcome {
-        pairs,
-        ..JoinOutcome::empty(std::time::Duration::ZERO)
-    };
-    agree("range-query", case, &outcome, &symmetric, false);
+    // Stored prefixes sized for θ itself, for a larger threshold, and for
+    // θ = 1, where every record is also posted under the sentinel that a
+    // query below 1 does not probe.
+    for theta_max in [case.theta, (case.theta + 0.1).min(1.0), 1.0] {
+        let index = RankingIndex::build(data, theta_max).unwrap();
+        let mut pairs = Vec::new();
+        for query in data {
+            let neighbours = index.range_query(query, case.theta).unwrap();
+            pairs.extend(neighbours.into_iter().map(|(id, _)| (query.id(), id)));
+        }
+        pairs.sort_unstable();
+        let outcome = JoinOutcome {
+            pairs,
+            ..JoinOutcome::empty(std::time::Duration::ZERO)
+        };
+        agree(
+            &format!("range-query, theta_max = {theta_max}"),
+            case,
+            &outcome,
+            &symmetric,
+            false,
+        );
+    }
 }
 
 #[test]
