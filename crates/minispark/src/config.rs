@@ -99,12 +99,6 @@ impl ClusterConfig {
         self.nodes * self.executors_per_node
     }
 
-    /// Returns a copy with a different number of nodes (Figure 7 sweeps).
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes.max(1);
-        self
-    }
-
     /// Returns a copy with a different default partition count (Figures
     /// 12/13 sweeps).
     pub fn with_default_partitions(mut self, partitions: usize) -> Self {
@@ -189,13 +183,10 @@ mod tests {
     #[test]
     fn builder_helpers() {
         let c = ClusterConfig::default()
-            .with_nodes(3)
             .with_default_partitions(99)
             .with_spill_budget(1000);
-        assert_eq!(c.nodes, 3);
         assert_eq!(c.default_partitions, 99);
         assert_eq!(c.spill_record_budget, 1000);
-        assert_eq!(ClusterConfig::default().with_nodes(0).nodes, 1);
         assert_eq!(
             ClusterConfig::default()
                 .with_default_partitions(0)

@@ -383,18 +383,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             })
     }
 
-    /// Whole-partition transformation (the engine's `mapPartitions`): `f`
-    /// receives the partition index and its records.
-    pub fn map_partitions<U, F>(&self, name: &str, f: F) -> Dataset<U>
-    where
-        U: Send + Sync + 'static,
-        F: Fn(usize, &[T]) -> Vec<U> + Sync,
-    {
-        self.cluster
-            .clone()
-            .run_narrow_stage(name, self.slices(), self.count(), f)
-    }
-
     /// Concatenates two datasets partition-wise (no data movement).
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
         let mut partitions = self.partitions.clone();
@@ -484,16 +472,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             }
         }
         out
-    }
-
-    /// Keys every record: `t → (f(t), t)`.
-    pub fn key_by<K, F>(&self, name: &str, f: F) -> Dataset<(K, T)>
-    where
-        T: Clone,
-        K: Send + Sync + 'static,
-        F: Fn(&T) -> K + Sync,
-    {
-        self.map(name, |t| (f(t), t.clone()))
     }
 }
 
@@ -586,16 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn map_partitions_sees_the_partition_index() {
-        let c = cluster();
-        let ds = c.parallelize(vec![(); 8], 4);
-        let tagged = ds.map_partitions("tag", |idx, part| vec![idx; part.len()]);
-        let mut all = tagged.collect();
-        all.sort();
-        assert_eq!(all, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-    }
-
-    #[test]
     fn union_concatenates_partitions() {
         let c = cluster();
         let a = c.parallelize(vec![1, 2], 2);
@@ -643,15 +611,6 @@ mod tests {
         assert_eq!(ds.take(3), vec![0, 1, 2]);
         assert_eq!(ds.take(0), Vec::<u32>::new());
         assert_eq!(ds.take(99).len(), 10);
-    }
-
-    #[test]
-    fn key_by_attaches_keys() {
-        let ds = cluster().parallelize(vec!["aa".to_string(), "b".to_string()], 1);
-        let keyed = ds.key_by("by-len", std::string::String::len);
-        let mut all = keyed.collect();
-        all.sort();
-        assert_eq!(all, vec![(1, "b".to_string()), (2, "aa".to_string())]);
     }
 
     #[test]

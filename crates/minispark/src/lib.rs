@@ -5,7 +5,7 @@
 //! The engine reproduces the mechanisms the paper's evaluation depends on:
 //!
 //! * **Partitioned datasets** ([`Dataset`]) with narrow transformations
-//!   (`map`, `filter`, `flat_map`, `map_partitions`, …) executed one task per
+//!   (`map`, `filter`, `flat_map`, `union`, …) executed one task per
 //!   partition,
 //! * **Wide transformations** (`group_by_key`, `reduce_by_key`, `join`,
 //!   `cogroup`, `distinct`, `partition_by`) implemented as hash **shuffles**

@@ -388,25 +388,6 @@ where
         record_wide_stage(self.cluster(), name, start, scatter_spans, io);
         Dataset::from_partitions(self.cluster().clone(), scattered)
     }
-
-    /// Drops the values.
-    pub fn keys(&self, name: &str) -> Dataset<K> {
-        self.map(name, |(k, _)| k.clone())
-    }
-
-    /// Drops the keys.
-    pub fn values(&self, name: &str) -> Dataset<V> {
-        self.map(name, |(_, v)| v.clone())
-    }
-
-    /// Transforms values, keeping keys (and partitioning) unchanged.
-    pub fn map_values<U, F>(&self, name: &str, f: F) -> Dataset<(K, U)>
-    where
-        U: Send + Sync + 'static,
-        F: Fn(&V) -> U + Sync,
-    {
-        self.map(name, |(k, v)| (k.clone(), f(v)))
-    }
 }
 
 impl<T> Dataset<T>
@@ -592,21 +573,6 @@ mod tests {
         let mut all = d.collect();
         all.sort();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn keys_values_map_values() {
-        let c = cluster();
-        let ds = c.parallelize(vec![(1u32, 2u32), (3, 4)], 1);
-        let mut ks = ds.keys("k").collect();
-        ks.sort();
-        assert_eq!(ks, vec![1, 3]);
-        let mut vs = ds.values("v").collect();
-        vs.sort();
-        assert_eq!(vs, vec![2, 4]);
-        let mut mv = ds.map_values("mv", |v| v * 10).collect();
-        mv.sort();
-        assert_eq!(mv, vec![(1, 20), (3, 40)]);
     }
 
     #[test]
