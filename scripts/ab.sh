@@ -10,14 +10,15 @@
 # with BENCHMARK.json's command, `seed` (default 1; another one checks a
 # claim on inputs it was not tuned on), its run_seconds and `--out`,
 # alternating which side runs first. Prints each side's median and
-# quartiles per end-to-end metric, the share of pairs the change won, and
-# `compare`'s verdicts (parent as A, change as B).
+# quartiles per end-to-end metric, the share of pairs the change won, each
+# side's failed ÷ attempted operations (flagging any run whose "correct" is
+# not true), and `compare`'s verdicts (parent as A, change as B).
 #
 # Keep the host otherwise idle while it runs. The copies and the run files
 # live under a `mktemp -d` directory (set TMPDIR to move it), removed on
 # exit. Needs python3 (as scripts/smoke.sh does).
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,18p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,19p' "$0"; exit 2; }
 parent_rev=$1
 IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
@@ -45,7 +46,7 @@ done
 
 run() { # side workload
   (cd "$work/$1" && "${command[@]}" --workload "$2" --seed "$seed" --seconds "$seconds" \
-    --out "$work/$2.$1.jsonl" | tail -n 1)
+    --out "$work/$2.$1.jsonl" | tail -n 1 | tee -a "$work/$2.$1.last")
 }
 
 for workload in "${workloads[@]}"; do
@@ -56,10 +57,10 @@ for workload in "${workloads[@]}"; do
     done
   done
 
-  python3 - "$spec" "$work/$workload.parent.jsonl" "$work/$workload.change.jsonl" <<'EOF'
+  python3 - "$spec" "$work/$workload".{parent,change}.{jsonl,last} <<'EOF'
 import json, statistics, sys
 spec = json.load(open(sys.argv[1]))
-parent, change = ([json.loads(l) for l in open(p)] for p in sys.argv[2:4])
+parent, parent_last, change, change_last = ([json.loads(l) for l in open(p)] for p in sys.argv[2:6])
 def quartiles(xs):
     xs = sorted(xs)
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
@@ -76,8 +77,11 @@ for m in spec["end_to_end"]:
     fa = "/".join(f"{v:.4g}" for v in quartiles(a))
     fb = "/".join(f"{v:.4g}" for v in quartiles(b))
     print(f"{name:<18}{fa:>30}{fb:>30}{won:>5}/{min(len(a), len(b))}")
-failed = sum(r["failed"] for r in parent + change)
-print(f"failed operations, both sides: {failed}")
+for side, runs in (("parent", parent_last), ("change", change_last)):
+    failed, attempted = (sum(r[key] for r in runs) for key in ("failed", "attempted"))
+    wrong = [i + 1 for i, r in enumerate(runs) if r.get("correct") is not True]
+    flag = f"; NOT CORRECT in run(s) {wrong}" if wrong else ""
+    print(f"{side}: failed/attempted {failed}/{attempted} = {failed / max(attempted, 1):.3g}{flag}")
 EOF
   (cd "$work/change" && "${command[@]}" compare "$work/$workload.parent.jsonl" \
     "$work/$workload.change.jsonl" --spec "$spec") || true
