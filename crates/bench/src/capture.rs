@@ -96,16 +96,6 @@ impl Capture {
         &self.trace
     }
 
-    /// The settings this capture was installed with.
-    pub fn settings(&self) -> &CaptureSettings {
-        &self.settings
-    }
-
-    /// The live endpoint's bound address, if one is serving.
-    pub fn live_addr(&self) -> Option<std::net::SocketAddr> {
-        self.live.as_ref().map(|(_, server)| server.addr())
-    }
-
     /// A cluster for one measured run, recording onto the shared collector.
     /// With an endpoint port set, it also runs telemetry and the heartbeat
     /// sampler (so its report carries the time series), and the live

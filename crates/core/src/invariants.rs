@@ -29,16 +29,6 @@ pub fn check_centroid_thresholds(theta_ss: u64, theta_ms: u64, theta_o: u64) {
     );
 }
 
-/// Checks that a result pair is normalized (`a < b`; in particular no
-/// self-pair), the representation every join promises (debug builds only).
-#[inline]
-pub fn check_pair_normalized(a: u64, b: u64) {
-    debug_assert!(
-        a < b,
-        "pair invariant violated: result pair ({a}, {b}) is not ordered a < b"
-    );
-}
-
 /// Checks that a result pair is normalized under the `(relation, id)` order
 /// the relation-tagged pipeline promises: strictly increasing record keys,
 /// so a self-join pair is id-ordered and an R-S pair always leads with the
@@ -63,7 +53,6 @@ mod tests {
         check_subpartition(3, 5);
         check_centroid_thresholds(6, 9, 12);
         check_centroid_thresholds(6, 6, 6);
-        check_pair_normalized(1, 2);
         check_tagged_pair_normalized((0, 1), (0, 2));
         // An R-S pair with overlapping (even equal) ids is normalized as
         // long as the left relation leads.
@@ -96,7 +85,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "pair invariant")]
     fn self_pair_trips() {
-        check_pair_normalized(4, 4);
+        check_tagged_pair_normalized((0, 4), (0, 4));
     }
 
     #[test]

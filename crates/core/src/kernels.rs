@@ -5,7 +5,8 @@
 //! find the qualifying pairs inside one group ([`join_group_nested_loop`],
 //! VJ-NL's iterator style of §4.1: every pair of the group, position filter
 //! on the group token, no materialized index) or across two sub-partitions
-//! of a group ([`join_group_rs`], CL-P's R-S joins).
+//! of a group (`cross_loop_by`, CL-P's R-S joins of a split group's chunk
+//! pairs).
 //!
 //! VJ's group-local inverted index is not among them: every entry of token
 //! t's group has t in its prefix, so probing any index over the group's
@@ -20,9 +21,10 @@
 //!
 //! The all-pairs and cross-chunk loops are generic over the per-pair
 //! decision, which is one of the three things a `JoinSpace` supplies; the
-//! public `join_group_*` functions are their Footrule instantiations. A
-//! space whose distance is a metric also implements `MetricSpace`, which is
-//! all the CL/CL-P driver ([`crate::cl`]) needs on top.
+//! public `join_group_*` functions are the all-pairs loop's Footrule
+//! instantiations. A space whose distance is a metric also implements
+//! `MetricSpace`, which is all the CL/CL-P driver ([`crate::cl`]) needs on
+//! top.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -553,31 +555,14 @@ pub(crate) fn nested_loop_by<D>(
     results
 }
 
-/// R-S kernel (§6): pairs one sub-partition of a split posting list against
-/// another. Used by CL-P's chunk-pair plans (`mode = SelfJoin`: the chunks
-/// partition one relation, duplicate ids are skipped) and by the bipartite
-/// pipelines' split hot groups (`mode = Bipartite`: only cross-relation
-/// pairs are verified). Returns `(left_idx, right_idx, distance)` triples;
-/// callers normalize pair order by `(relation, ranking id)`.
-pub fn join_group_rs(
-    left: &[TokenEntry],
-    right: &[TokenEntry],
-    thresholds: &GroupThresholds,
-    use_position_filter: bool,
-    mode: JoinMode,
-    stats: &JoinStats,
-) -> Vec<(usize, usize, u64)> {
-    cross_loop_by(
-        left,
-        right,
-        mode,
-        stats,
-        on_group_token(thresholds, use_position_filter),
-    )
-}
-
-/// The cross-chunk loop of every space: each `left` × `right` pair that
-/// `mode` does not skip goes through `decide` once.
+/// R-S kernel (§6), the cross-chunk loop of every space: pairs one
+/// sub-partition of a split posting list against another, each `left` ×
+/// `right` pair that `mode` does not skip going through `decide` once. The
+/// chunks of a self-join partition one relation (`mode = SelfJoin`,
+/// duplicate ids are skipped); those of a bipartite pipeline's split group
+/// are mixed (`mode = Bipartite`: only cross-relation pairs are verified).
+/// Returns `(left_idx, right_idx, distance)` triples; callers normalize
+/// pair order by `(relation, ranking id)`.
 pub(crate) fn cross_loop_by<D>(
     left: &[TokenEntry],
     right: &[TokenEntry],
@@ -793,17 +778,62 @@ mod tests {
         let left = vec![entry(1, &[1, 2, 3, 4, 5], 1)];
         let right = vec![entry(2, &[2, 1, 3, 4, 5], 1), entry(9, &[9, 8, 7, 6, 1], 1)];
         let stats = JoinStats::default();
-        let results = join_group_rs(
+        let results = cross_loop_by(
             &left,
             &right,
-            &GroupThresholds::Uniform(8),
-            true,
             JoinMode::SelfJoin,
             &stats,
+            on_group_token(&GroupThresholds::Uniform(8), true),
         );
         assert_eq!(results.len(), 1);
         let (i, j, d) = results[0];
         assert_eq!((left[i].ranking.id(), right[j].ranking.id(), d), (1, 2, 2));
+    }
+
+    /// The R-S kernel over any split of a random group equals the nested
+    /// loop restricted to the pairs that cross the split.
+    #[test]
+    fn rs_kernel_covers_cross_pairs() {
+        use topk_datagen::rng::check;
+        check("rs_kernel_covers_cross_pairs", 48, |rng| {
+            // Rankings of length 6 over items 0..20, all holding the group
+            // token 0.
+            let rankings: Vec<Ranking> = (0..rng.gen_range(1usize..14))
+                .map(|id| {
+                    let mut items: Vec<u32> = rng.distinct(19, 5).iter().map(|i| i + 1).collect();
+                    items.insert((id % 6).min(items.len()), 0);
+                    Ranking::new_unchecked(id as u64, items)
+                })
+                .collect();
+            let freq = FrequencyTable::from_rankings(&rankings);
+            let entries: Vec<TokenEntry> = rankings
+                .iter()
+                .map(|r| {
+                    let ordered = OrderedRanking::by_frequency(r, &freq);
+                    let rank = ordered.rank_of(0).expect("token 0 present") as u16;
+                    TokenEntry::plain(rank, Arc::new(ordered))
+                })
+                .collect();
+            let thresholds = GroupThresholds::Uniform(rng.gen_range(0u64..=42));
+            let (left, right) = entries.split_at(rng.gen_range(0usize..14).min(entries.len()));
+            let stats = JoinStats::default();
+            let decide = || on_group_token(&thresholds, false);
+            let mut rs: Vec<(u64, u64, u64)> =
+                cross_loop_by(left, right, JoinMode::SelfJoin, &stats, decide())
+                    .into_iter()
+                    .map(|(i, j, d)| {
+                        let (a, b) = (left[i].ranking.id(), right[j].ranking.id());
+                        (a.min(b), a.max(b), d)
+                    })
+                    .collect();
+            rs.sort_unstable();
+            let all = nested_loop_by(&entries, JoinMode::SelfJoin, &stats, decide());
+            let crossing: Vec<(usize, usize, u64)> = all
+                .into_iter()
+                .filter(|&(i, j, _)| (i < left.len()) != (j < left.len()))
+                .collect();
+            assert_eq!(rs, pairs_of(&crossing, &entries));
+        });
     }
 
     #[test]
@@ -818,13 +848,12 @@ mod tests {
             &stats
         )
         .is_empty());
-        assert!(join_group_rs(
+        assert!(cross_loop_by(
             &one,
             &[],
-            &GroupThresholds::Uniform(5),
-            true,
             JoinMode::SelfJoin,
-            &stats
+            &stats,
+            on_group_token(&GroupThresholds::Uniform(5), true),
         )
         .is_empty());
         let empty: Vec<TokenEntry> = vec![];
@@ -908,13 +937,12 @@ mod tests {
             tagged_entry(Relation::Right, 5, &[1, 2, 3, 4, 9], 1),
         ];
         let stats = JoinStats::default();
-        let results = join_group_rs(
+        let results = cross_loop_by(
             &left_chunk,
             &right_chunk,
-            &GroupThresholds::Uniform(8),
-            true,
             JoinMode::Bipartite,
             &stats,
+            on_group_token(&GroupThresholds::Uniform(8), true),
         );
         // Cross-relation pairs across the chunks: (L5, R5) hit at 2,
         // (R2, L9) far, and the same-relation pairs (L5, L9) / (R2, R5)

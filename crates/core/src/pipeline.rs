@@ -353,9 +353,9 @@ pub(crate) fn prefix_join<S: JoinSpace>(
         crate::invariants::check_tagged_pair_normalized(keys.0, keys.1);
         hit
     };
-    // A split join's output is the union of its small-group, chunk and
-    // chunk-pair stages, five times `partitions`; CL's later stages run a
-    // task per partition, so bring it back to `partitions`.
+    // A split join's output is the union of its small-group and join-unit
+    // stages, three times `partitions`; CL's later stages run a task per
+    // partition, so bring it back to `partitions`.
     let hits =
         prefix_hits(sources, space, partitions, skew, stats, label, whole).coalesce(partitions);
     if cfg!(debug_assertions) {
@@ -458,8 +458,7 @@ fn group_hits<S: JoinSpace, H>(
 /// of every qualifying pair (see [`prefix_hits`]).
 ///
 /// It consumes `emitted`: the group-by moves the entries into their groups
-/// and, when no group splits, each join task frees its own groups. (The
-/// spilling group-by, which only a spill budget turns on, still borrows.)
+/// and, when no group splits, each join task frees its own groups.
 ///
 /// When `skew` resolves to a budget ([`SkewBudget::resolve`], on the grouped
 /// tokens — `Fixed(δ)` is CL-P's Algorithm 3) groups longer than it are split

@@ -125,10 +125,10 @@ fn cl_p_is_schedule_independent() {
 
 #[test]
 fn vj_with_skew_splitting_is_schedule_independent() {
-    // A fixed split budget routes hot groups through the chunk spread /
-    // chunk-pair R-S stages, whose chunks must keep exactly the pairs their
-    // group owns under every schedule; the stage-metrics fingerprint must
-    // not drift.
+    // A fixed split budget routes hot groups through the join-unit spread
+    // and join stage, whose chunks and chunk pairs must keep exactly the
+    // pairs their group owns under every schedule; the stage-metrics
+    // fingerprint must not drift.
     assert_footrule_deterministic_with_skew(Algorithm::Vj, SkewBudget::Fixed(4));
 }
 

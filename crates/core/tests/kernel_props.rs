@@ -9,9 +9,7 @@ use minispark::{Cluster, ClusterConfig};
 use topk_datagen::rng::{check, Rng};
 use topk_rankings::bounds::min_distance_given_overlap;
 use topk_rankings::{FrequencyTable, OrderedRanking, PrefixKind, Ranking};
-use topk_simjoin::kernels::{
-    join_group_nested_loop, join_group_rs, GroupThresholds, JoinMode, TokenEntry,
-};
+use topk_simjoin::kernels::{join_group_nested_loop, GroupThresholds, JoinMode, TokenEntry};
 use topk_simjoin::{
     brute_force_join, brute_force_join_rs, cl_join, clp_join, jaccard_brute_force, jaccard_cl_join,
     jaccard_clp_join, jaccard_vj_join, varlen_brute_force, varlen_join, vj_join, vj_join_rs,
@@ -47,74 +45,6 @@ fn token_group(rng: &mut Rng, n: usize, k: usize, universe: u32) -> Vec<TokenEnt
             TokenEntry::plain(rank, Arc::new(ordered))
         })
         .collect()
-}
-
-fn normalize(results: Vec<(usize, usize, u64)>, entries: &[TokenEntry]) -> Vec<(u64, u64, u64)> {
-    let mut out: Vec<(u64, u64, u64)> = results
-        .into_iter()
-        .map(|(i, j, d)| {
-            let (a, b) = (entries[i].ranking.id(), entries[j].ranking.id());
-            (a.min(b), a.max(b), d)
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-// The R-S kernel over a split of the group equals the nested loop
-// restricted to cross-split pairs.
-#[test]
-fn rs_kernel_covers_cross_pairs() {
-    check("rs_kernel_covers_cross_pairs", CASES, |rng| {
-        let entries = token_group(rng, 14, 6, 20);
-        let theta_raw = rng.gen_range(0u64..=42);
-        let split_at = rng.gen_range(0usize..14);
-        let split_at = split_at.min(entries.len());
-        let (left, right) = entries.split_at(split_at);
-        let s = JoinStats::default();
-        let rs: Vec<(u64, u64, u64)> = {
-            let mut out: Vec<(u64, u64, u64)> = join_group_rs(
-                left,
-                right,
-                &GroupThresholds::Uniform(theta_raw),
-                false,
-                JoinMode::SelfJoin,
-                &s,
-            )
-            .into_iter()
-            .map(|(i, j, d)| {
-                let (a, b) = (left[i].ranking.id(), right[j].ranking.id());
-                (a.min(b), a.max(b), d)
-            })
-            .collect();
-            out.sort_unstable();
-            out
-        };
-        let s2 = JoinStats::default();
-        let all = normalize(
-            join_group_nested_loop(
-                &entries,
-                &GroupThresholds::Uniform(theta_raw),
-                false,
-                JoinMode::SelfJoin,
-                &s2,
-            ),
-            &entries,
-        );
-        let left_ids: std::collections::HashSet<u64> =
-            left.iter().map(|e| e.ranking.id()).collect();
-        let right_ids: std::collections::HashSet<u64> =
-            right.iter().map(|e| e.ranking.id()).collect();
-        let expected: Vec<(u64, u64, u64)> = all
-            .into_iter()
-            .filter(|(a, b, _)| {
-                (left_ids.contains(a) && right_ids.contains(b))
-                    || (left_ids.contains(b) && right_ids.contains(a))
-            })
-            .collect();
-        assert_eq!(rs, expected);
-    });
 }
 
 // Verification counters are consistent: results ≤ verified ≤ candidates,

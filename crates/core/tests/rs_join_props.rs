@@ -172,9 +172,9 @@ fn cl_rs_is_schedule_independent_and_matches_the_baseline() {
 
 #[test]
 fn vj_rs_with_skew_splitting_is_schedule_independent() {
-    // A fixed budget routes hot token groups through the R-S chunk-pair
-    // stages, which must keep exactly the pairs their group owns under every
-    // schedule. (`Auto` derives its budget from the probed slot count, so
+    // A fixed budget routes hot token groups through the join-unit stages,
+    // whose R-S chunk pairs must keep exactly the pairs their group owns
+    // under every schedule. (`Auto` derives its budget from the probed slot count, so
     // only `Off`/`Fixed` may enter the determinism checker.)
     assert_rs_deterministic("VJ-RS (skew)", SkewBudget::Fixed(3), vj_join_rs);
 }

@@ -239,7 +239,7 @@ where
     /// `groupByKey` with a bounded in-memory footprint: each reduce task
     /// keeps at most the cluster's `spill_record_budget` records in memory
     /// and spills encoded runs to disk beyond that (see [`crate::spill`]).
-    pub fn group_by_key_spilling(&self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)>
+    pub fn group_by_key_spilling(self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)>
     where
         K: Codec + Ord,
         V: Codec,
@@ -251,8 +251,7 @@ where
         let spill_dir = cluster.config().spill_dir.clone();
         let n = partitions.max(1);
         let partitioner = HashPartitioner::new(n);
-        let scattered =
-            shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
+        let scattered = shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
         let map = MapSide::scattered(start, input_records, scattered);
         let trace = cluster.trace().clone();
         reduce_side(cluster, name, map, |part| {

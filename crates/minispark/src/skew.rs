@@ -13,9 +13,11 @@
 //!    ([`SkewBudget::resolve`]).
 //! 2. **Split** ([`SplitPlan`], [`split_grouped_join`]): groups over the
 //!    budget are broken into balanced sub-partitions of at most `budget`
-//!    members, spread across the cluster with the composite `(key, sub)`
-//!    partitioner, self-joined chunk by chunk and R-S-joined for every chunk
-//!    pair — exactly the CL-P mechanics, with the join kernels injected as
+//!    members and cut into join units, the upper triangle of the group's
+//!    pair matrix in chunk blocks: each chunk (self-joined) and each chunk
+//!    pair (R-S-joined). One shuffle spreads the units across the cluster
+//!    with the composite `(key, i, j)` partitioner and one stage joins them
+//!    — exactly the CL-P mechanics, with the join kernels injected as
 //!    closures so the engine stays algorithm-agnostic.
 //!
 //! The executor's dynamic task claiming (the claim loop behind
@@ -28,7 +30,6 @@
 
 use std::hash::Hash;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::dataset::Dataset;
 use crate::shuffle::CompositePartitioner;
@@ -99,6 +100,11 @@ impl SkewBudget {
     }
 }
 
+/// One join unit of a split group, as [`SplitPlan::units`] lists them: the
+/// chunk block `(i, j)` and the members of its left and right chunks (the
+/// right one empty on the diagonal).
+pub type JoinUnit<'a, T> = ((u32, u32), &'a [T], &'a [T]);
+
 /// How one group of `len` members is split into chunks of at most `budget`
 /// members.
 ///
@@ -132,7 +138,7 @@ impl SplitPlan {
 
     /// The half-open index ranges `[start, end)` of the chunks, in order.
     /// They tile `0..len` exactly; every range spans ≤ `budget` indices.
-    pub fn chunk_bounds(&self) -> Vec<(usize, usize)> {
+    fn chunk_bounds(&self) -> Vec<(usize, usize)> {
         let Some(chunks) = NonZeroUsize::new(self.num_chunks()) else {
             return Vec::new();
         };
@@ -154,33 +160,33 @@ impl SplitPlan {
         out
     }
 
-    /// Splits a slice according to the plan. `items.len()` must equal the
-    /// planned `len`.
+    /// The group's join units: the upper triangle of its pair matrix in
+    /// chunk blocks, `((i, j), left, right)` for every `i ≤ j`, row by row.
+    /// A diagonal unit `(i, i)` is chunk `i` itself (`right` is empty) and
+    /// self-joins; an off-diagonal unit `(i, j)` pairs chunk `i` with chunk
+    /// `j` for an R-S join. Every member pair lies in exactly one unit.
+    /// `items.len()` must equal the planned `len`.
     #[expect(
         clippy::indexing_slicing,
         reason = "chunk bounds tile 0..len exactly; items.len() == len is asserted above"
     )]
-    pub fn chunks<'a, T>(&self, items: &'a [T]) -> Vec<&'a [T]> {
+    pub fn units<'a, T>(&self, items: &'a [T]) -> Vec<JoinUnit<'a, T>> {
         debug_assert_eq!(items.len(), self.len, "plan was made for another group");
-        self.chunk_bounds()
+        let chunks: Vec<&[T]> = self
+            .chunk_bounds()
             .into_iter()
             .map(|(start, end)| &items[start..end])
-            .collect()
-    }
-
-    /// All unordered chunk pairs `(i, j)` with `i < j` — the R-S joins that
-    /// recover the pairs a chunked self-join misses. Every cross-chunk
-    /// member pair appears in exactly one of these.
-    pub fn chunk_pairs(&self) -> Vec<(u32, u32)> {
+            .collect();
+        let mut out: Vec<JoinUnit<'a, T>> =
+            Vec::with_capacity(chunks.len() * (chunks.len() + 1) / 2);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "split plans make at most a few hundred chunks — fits u32"
         )]
-        let chunks = self.num_chunks() as u32;
-        let mut out = Vec::with_capacity((chunks as usize * chunks.saturating_sub(1) as usize) / 2);
-        for i in 0..chunks {
-            for j in (i + 1)..chunks {
-                out.push((i, j));
+        for (i, &left) in chunks.iter().enumerate() {
+            out.push(((i as u32, i as u32), left, &[]));
+            for (j, &right) in chunks.iter().enumerate().skip(i + 1) {
+                out.push(((i as u32, j as u32), left, right));
             }
         }
         out
@@ -197,34 +203,33 @@ pub struct SplitStats {
     pub chunks: u64,
     /// Chunk-pair R-S joins executed.
     pub rs_joins: u64,
-    /// Tasks of the chunk self-join and chunk-pair R-S stages that the
-    /// dynamic claim placed on a non-home slot (work stealing; see
+    /// Tasks of the join-units stage (`…/join-chunks`) that the dynamic
+    /// claim placed on a non-home slot (work stealing; see
     /// [`crate::executor::steal_count`]). 0 when no group was split;
     /// otherwise empty tasks that moved count too.
     pub stolen_tasks: u64,
 }
 
 /// Joins a key-grouped dataset with bounded per-task group sizes: groups of
-/// ≤ `budget` members run `self_join` directly; larger groups are split by a
-/// [`SplitPlan`], spread across `2 × partitions` targets with the composite
-/// `(key, sub)` partitioner, self-joined per chunk and `cross_join`ed for
-/// every chunk pair — Algorithm 3 of the paper with the kernels injected.
+/// ≤ `budget` members run `self_join` directly; larger groups are cut by a
+/// [`SplitPlan`] into their join units, spread across `2 × partitions`
+/// targets with the composite `(key, i, j)` partitioner, and joined unit by
+/// unit — Algorithm 3 of the paper with the kernels injected.
 ///
 /// `self_join(key, members)` must emit every qualifying pair within
 /// `members`; `cross_join(key, left, right)` every qualifying pair with one
-/// side in each. Together with the chunk-pair coverage of
-/// [`SplitPlan::chunk_pairs`] this makes the union of all stage outputs
-/// contain exactly the unsplit join's pairs, each pair of one key's members
-/// once (a pair found via several keys is the caller's to deduplicate or to
-/// assign to one key).
+/// side in each. A diagonal unit runs `self_join` on its chunk, an
+/// off-diagonal one `cross_join` on its chunk pair. Together with the
+/// coverage of [`SplitPlan::units`] this makes the union of all stage
+/// outputs contain exactly the unsplit join's pairs, each pair of one key's
+/// members once (a pair found via several keys is the caller's to
+/// deduplicate or to assign to one key).
 ///
-/// The task that holds a whole large group cuts its chunks
-/// (`{label}/split-large-groups`) and, in a second pass over the same
-/// groups, emits every chunk pair (`…/pair-large-groups`): the pairs need no
-/// shuffle to meet. The stages, in order: `…/join-small-groups`,
-/// `…/split-large-groups`, `…/spread-chunks`, `…/join-chunks`,
-/// `…/pair-large-groups`, `…/spread-chunk-pairs`, `…/rs-join-chunks` — two
-/// shuffles, the two spreads.
+/// The task that holds a whole large group cuts it into its units
+/// (`{label}/split-large-groups`): a unit carries its chunk, or both chunks
+/// of its pair, so nothing regroups after the one shuffle. The stages, in
+/// order: `…/join-small-groups`, `…/split-large-groups`, `…/spread-chunks`,
+/// `…/join-chunks`.
 pub fn split_grouped_join<K, M, O, SJ, CJ>(
     grouped: &Dataset<(K, Vec<M>)>,
     budget: NonZeroUsize,
@@ -242,14 +247,10 @@ where
 {
     let cluster = grouped.cluster();
     let stages_before = cluster.inner.metrics.stage_count();
-    let groups_split = AtomicU64::new(0);
-    let chunks_created = AtomicU64::new(0);
-    let rs_joins = AtomicU64::new(0);
     let plan_of = |members: &[M]| {
         let plan = SplitPlan::new(members.len(), budget);
         plan.is_split().then_some(plan)
     };
-    let spread = CompositePartitioner::new(partitions.saturating_mul(2).max(1));
 
     // Small groups join as usual.
     let small = grouped.flat_map(&format!("{label}/join-small-groups"), |(key, members)| {
@@ -259,93 +260,58 @@ where
             Vec::new()
         }
     });
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "sub < num_chunks, which fits u32 — see chunk_pairs"
-    )]
-    // Large groups are split into balanced chunks of ≤ budget members with a
-    // secondary key.
-    let chunks = grouped.flat_map(&format!("{label}/split-large-groups"), |(key, members)| {
-        let Some(plan) = plan_of(members) else {
-            return Vec::new();
-        };
-        // relaxed(counter): independent statistics counters, read only after
-        // the eager stage (and the whole splitter) completes.
-        groups_split.fetch_add(1, Ordering::Relaxed);
-        chunks_created.fetch_add(plan.num_chunks() as u64, Ordering::Relaxed);
-        plan.chunks(members)
-            .into_iter()
-            .enumerate()
-            .map(|(sub, chunk)| ((*key, sub as u32), chunk.to_vec()))
-            .collect::<Vec<_>>()
-    });
-    // Self-join each chunk after spreading chunks across the cluster by
-    // (key, sub-key) — the composite partitioner of §6.
-    let self_hits = chunks
-        .partition_by(&format!("{label}/spread-chunks"), &spread)
-        .flat_map(&format!("{label}/join-chunks"), |((key, _), chunk)| {
-            self_join(*key, chunk)
-        });
-    // Every unordered pair of chunks of one key is R-S joined, emitted by
-    // the task that holds the whole group. (The paper realizes this as a
-    // Spark self-join of the chunk RDD keyed by token, keeping pairs with
-    // sub₁ < sub₂ — the pairs below carry exactly the same chunk replicas.)
-    let chunk_pairs = grouped.flat_map(&format!("{label}/pair-large-groups"), |(key, members)| {
-        let Some(plan) = plan_of(members) else {
-            return Vec::new();
-        };
-        let chunks = plan.chunks(members);
-        plan.chunk_pairs()
-            .into_iter()
-            .filter_map(|(i, j)| {
-                let (left, right) = (chunks.get(i as usize)?, chunks.get(j as usize)?);
-                Some(((*key, i, j), (left.to_vec(), right.to_vec())))
-            })
-            .collect::<Vec<_>>()
-    });
-    let rs_results = chunk_pairs
-        .partition_by(&format!("{label}/spread-chunk-pairs"), &spread)
-        .flat_map(
-            &format!("{label}/rs-join-chunks"),
-            |((key, _, _), (left, right))| {
-                // relaxed(counter): independent statistics counter, read only
-                // after the eager stage completes.
-                rs_joins.fetch_add(1, Ordering::Relaxed);
-                cross_join(*key, left, right)
-            },
+    // Large groups are cut into their join units, which the composite
+    // partitioner of §6 spreads across the cluster by (key, i, j). (The
+    // paper builds the chunk pairs as a Spark self-join of the chunk RDD
+    // keyed by token, keeping sub₁ < sub₂; the units carry exactly the same
+    // chunk replicas.)
+    let units = grouped
+        .flat_map(&format!("{label}/split-large-groups"), |(key, members)| {
+            let Some(plan) = plan_of(members) else {
+                return Vec::new();
+            };
+            plan.units(members)
+                .into_iter()
+                .map(|((i, j), left, right)| ((*key, i, j), (left.to_vec(), right.to_vec())))
+                .collect::<Vec<_>>()
+        })
+        .partition_by(
+            &format!("{label}/spread-chunks"),
+            &CompositePartitioner::new(partitions.saturating_mul(2).max(1)),
         );
-    let hits = small.union(&self_hits).union(&rs_results);
-
-    // relaxed(read-after-join): the eager stages finished — no writers remain.
-    let groups_split = groups_split.load(Ordering::Relaxed);
-    // Steal accounting: sum the stolen-task counts of the chunk-bearing
-    // stages this call just recorded (the before/after slice keeps repeated
-    // joins on one cluster from double counting). With no group split those
-    // stages run only their `2 × partitions` empty tasks, so the count is 0.
-    // Once a group splits, every moved task counts, empty ones included.
+    let mut stats = SplitStats::default();
+    for p in 0..units.num_partitions() {
+        for &((_, i, j), _) in units.partition(p) {
+            stats.groups_split += u64::from(i == 0 && j == 0);
+            stats.chunks += u64::from(i == j);
+            stats.rs_joins += u64::from(i != j);
+        }
+    }
     let join_chunks = format!("{label}/join-chunks");
-    let rs_join_chunks = format!("{label}/rs-join-chunks");
-    let stolen_tasks: u64 = if groups_split == 0 {
-        0
-    } else {
+    let unit_hits = units.flat_map(&join_chunks, |((key, i, j), (left, right))| {
+        if i == j {
+            self_join(*key, left)
+        } else {
+            cross_join(*key, left, right)
+        }
+    });
+
+    // Steal accounting: the stolen-task count of the join stage this call
+    // just recorded (the before/after slice keeps repeated joins on one
+    // cluster from double counting). With no group split that stage runs
+    // only its `2 × partitions` empty tasks, so the count is 0. Once a group
+    // splits, every moved task counts, empty ones included.
+    if stats.groups_split > 0 {
         let report = cluster.metrics();
-        report
+        stats.stolen_tasks = report
             .stages
             .iter()
             .skip(stages_before)
-            .filter(|s| s.name == join_chunks || s.name == rs_join_chunks)
+            .filter(|s| s.name == join_chunks)
             .map(|s| s.stolen_tasks(report.slots) as u64)
-            .sum()
-    };
-
-    let stats = SplitStats {
-        groups_split,
-        // relaxed(read-after-join): as above.
-        chunks: chunks_created.load(Ordering::Relaxed),
-        rs_joins: rs_joins.load(Ordering::Relaxed),
-        stolen_tasks,
-    };
-    (hits, stats)
+            .sum();
+    }
+    (small.union(&unit_hits), stats)
 }
 
 #[cfg(test)]
@@ -359,6 +325,15 @@ mod tests {
         NonZeroUsize::new(n).expect("a non-zero budget")
     }
 
+    /// The `(i, j)` block indices of a plan's units over `len` members.
+    fn unit_blocks(plan: &SplitPlan, len: usize) -> Vec<(u32, u32)> {
+        let items: Vec<usize> = (0..len).collect();
+        plan.units(&items)
+            .into_iter()
+            .map(|(ij, _, _)| ij)
+            .collect()
+    }
+
     #[test]
     fn split_plan_balances_and_tiles() {
         let plan = SplitPlan::new(10, nz(3));
@@ -367,69 +342,98 @@ mod tests {
         // Balanced: sizes 3,3,2,2 — never the greedy 3,3,3,1.
         assert_eq!(plan.chunk_bounds(), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
         let items: Vec<u32> = (0..10).collect();
-        let chunks = plan.chunks(&items);
-        let flat: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
+        let flat: Vec<u32> = plan
+            .units(&items)
+            .into_iter()
+            .filter(|((i, j), _, _)| i == j)
+            .flat_map(|(_, chunk, _)| chunk.iter().copied())
+            .collect();
         assert_eq!(flat, items);
     }
 
     #[test]
     fn split_plan_edge_cases() {
         assert_eq!(SplitPlan::new(0, nz(5)).num_chunks(), 0);
-        assert!(SplitPlan::new(0, nz(5)).chunk_bounds().is_empty());
-        assert!(SplitPlan::new(0, nz(5)).chunk_pairs().is_empty());
+        assert!(unit_blocks(&SplitPlan::new(0, nz(5)), 0).is_empty());
         assert_eq!(SplitPlan::new(5, nz(5)).num_chunks(), 1);
         assert!(!SplitPlan::new(5, nz(5)).is_split());
-        // Budget 1: one chunk per member.
+        // A group within budget is one unit: the whole group, self-joined.
+        let members = [7u8; 5];
+        let units = SplitPlan::new(5, nz(5)).units(&members);
+        assert_eq!(units, vec![((0, 0), &members[..], &[][..])]);
+        // Budget 1: one chunk per member, and a unit per member pair.
         assert_eq!(SplitPlan::new(3, nz(1)).num_chunks(), 3);
+        assert_eq!(unit_blocks(&SplitPlan::new(3, nz(1)), 3).len(), 3 + 3);
     }
 
     #[test]
     fn chunk_pairs_enumerate_upper_triangle() {
         let plan = SplitPlan::new(10, nz(3)); // 4 chunks
         assert_eq!(
-            plan.chunk_pairs(),
-            vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+            unit_blocks(&plan, 10),
+            vec![
+                (0, 0),
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 1),
+                (1, 2),
+                (1, 3),
+                (2, 2),
+                (2, 3),
+                (3, 3)
+            ]
         );
     }
 
-    /// Property sweep (ISSUE 5, satellite 4): for every (len, budget) shape
-    /// up to 48×9, the plan tiles the member range gaplessly with every
-    /// chunk within budget, and the chunk pairs enumerate each unordered
-    /// pair of distinct chunks exactly once — so self-joining every chunk
-    /// and R-S-joining every chunk pair examines each member pair once.
+    /// Property sweep: for every (len, budget) shape up to 48×9, the
+    /// diagonal units are the chunks (they tile the member range gaplessly,
+    /// every chunk within budget), no unit repeats, and every member pair
+    /// lies in exactly one unit — so joining every unit examines each member
+    /// pair once.
     #[test]
     fn split_plan_covers_every_member_pair_exactly_once() {
         for len in 0..=48usize {
             for budget in 1..=9usize {
                 let plan = SplitPlan::new(len, nz(budget));
-                let bounds = plan.chunk_bounds();
-                // Gapless tiling, each chunk non-empty and within budget.
+                let items: Vec<usize> = (0..len).collect();
+                let units = plan.units(&items);
+                // The diagonal units are the chunks, in order: a gapless
+                // tiling, each chunk non-empty and within budget.
                 let mut cursor = 0;
-                for &(start, end) in &bounds {
-                    assert_eq!(start, cursor, "len {len} budget {budget}");
-                    assert!(end > start && end - start <= budget);
-                    cursor = end;
+                let mut chunks = 0;
+                for ((i, j), left, right) in &units {
+                    if i != j {
+                        assert!(i < j && !right.is_empty(), "len {len} budget {budget}");
+                        continue;
+                    }
+                    assert_eq!(*i, chunks, "len {len} budget {budget}");
+                    assert!(right.is_empty());
+                    assert_eq!(left.first(), Some(&cursor), "len {len} budget {budget}");
+                    assert!(left.len() <= budget);
+                    cursor += left.len();
+                    chunks += 1;
                 }
                 assert_eq!(cursor, len, "len {len} budget {budget}");
-                // Every member pair is covered exactly once: same-chunk
-                // pairs by the self-join, cross-chunk by chunk pairs.
-                let chunk_of = |m: usize| {
-                    bounds
-                        .iter()
-                        .position(|&(s, e)| m >= s && m < e)
-                        .expect("tiling covers every member")
-                };
-                let pairs: HashSet<(u32, u32)> = plan.chunk_pairs().into_iter().collect();
-                assert_eq!(pairs.len(), plan.chunk_pairs().len(), "no duplicate pairs");
+                assert_eq!(chunks as usize, plan.num_chunks());
+                let blocks: HashSet<(u32, u32)> = units.iter().map(|&(ij, _, _)| ij).collect();
+                assert_eq!(blocks.len(), units.len(), "no unit repeats");
+                // Every member pair lies in exactly one unit: both members
+                // in a diagonal unit's chunk, or one on each side of an
+                // off-diagonal unit.
+                let mut holders = vec![0u32; len * len];
+                for ((i, j), left, right) in &units {
+                    for (a, &x) in left.iter().enumerate() {
+                        let partners = if i == j { &left[a + 1..] } else { *right };
+                        for &y in partners {
+                            holders[x.min(y) * len + x.max(y)] += 1;
+                        }
+                    }
+                }
                 for x in 0..len {
                     for y in (x + 1)..len {
-                        let (cx, cy) = (chunk_of(x) as u32, chunk_of(y) as u32);
-                        let covered = cx == cy || pairs.contains(&(cx, cy));
-                        assert!(covered, "pair ({x},{y}) len {len} budget {budget}");
-                        assert!(
-                            !pairs.contains(&(cy, cx)),
-                            "reverse pair would double-join ({cx},{cy})"
-                        );
+                        let held = holders[x * len + y];
+                        assert_eq!(held, 1, "pair ({x},{y}) len {len} budget {budget}");
                     }
                 }
             }
@@ -575,11 +579,10 @@ mod tests {
         assert_eq!(stats.rs_joins, 6);
     }
 
-    /// The split join's stages, in order. The chunk pairs leave the task
-    /// that holds the whole group, so the only shuffles are the two spreads
-    /// — no regrouping of chunks by key between them.
+    /// The split join's stages, in order. The task that holds a whole group
+    /// cuts it into its join units, so the only shuffle is their spread.
     #[test]
-    fn split_join_runs_seven_stages_and_two_shuffles() {
+    fn split_join_runs_four_stages_and_one_shuffle() {
         let c = Cluster::new(ClusterConfig::local(4));
         let groups = vec![(1u32, (0..10).collect::<Vec<u32>>()), (2, vec![100, 101])];
         let (_, stats) = run_split_on(&c, groups, 3);
@@ -593,9 +596,6 @@ mod tests {
                 "t/split-large-groups",
                 "t/spread-chunks",
                 "t/join-chunks",
-                "t/pair-large-groups",
-                "t/spread-chunk-pairs",
-                "t/rs-join-chunks",
             ]
         );
         let shuffles: Vec<&str> = report
@@ -604,9 +604,9 @@ mod tests {
             .filter(|s| s.shuffle_records > 0)
             .map(|s| s.name.as_str())
             .collect();
-        assert_eq!(shuffles, ["t/spread-chunks", "t/spread-chunk-pairs"]);
-        // Four chunks are shuffled once each; the six chunk pairs carry two
-        // chunks each.
+        assert_eq!(shuffles, ["t/spread-chunks"]);
+        // The four chunk units are shuffled once each; the six chunk-pair
+        // units carry two chunks each.
         assert_eq!(report.total_shuffle_records(), 4 + 6);
     }
 

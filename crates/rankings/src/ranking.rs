@@ -170,13 +170,6 @@ impl Ranking {
         self.items.iter().position(|&i| i == item)
     }
 
-    /// The rank of `item` using the paper's convention that missing items get
-    /// the artificial rank `l = k`.
-    #[inline]
-    pub fn rank_or_l(&self, item: ItemId) -> usize {
-        self.rank_of(item).unwrap_or(self.items.len())
-    }
-
     /// Whether the ranking contains `item`.
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
@@ -249,8 +242,6 @@ mod tests {
         assert_eq!(r.rank_of(10), Some(0));
         assert_eq!(r.rank_of(30), Some(2));
         assert_eq!(r.rank_of(99), None);
-        // Missing items get the artificial rank l = k.
-        assert_eq!(r.rank_or_l(99), 3);
     }
 
     #[test]
