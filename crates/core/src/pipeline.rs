@@ -518,25 +518,49 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
 
 /// Validates that all rankings share one length `k` and have unique ids;
 /// returns the length (`None` for an empty dataset).
+///
+/// The error names the first offending ranking in input order: one whose
+/// length differs from the first ranking's, or whose id an earlier ranking
+/// holds; a ranking that is both reports its length. The ids are checked
+/// without hashing, by sorting them, which is linear when they arrive
+/// ascending (or descending); only a repeated id looks for its first
+/// repetition.
 pub fn uniform_k(data: &[Ranking]) -> Result<Option<usize>, crate::JoinError> {
-    let mut k = None;
-    let mut ids = std::collections::HashSet::with_capacity(data.len());
-    for r in data {
-        match k {
-            None => k = Some(r.k()),
-            Some(expected) if expected != r.k() => {
-                return Err(crate::JoinError::MixedRankingLengths {
-                    expected,
-                    found: r.k(),
-                })
-            }
-            _ => {}
+    let Some(first) = data.first() else {
+        return Ok(None);
+    };
+    let expected = first.k();
+    let mismatch = data
+        .iter()
+        .enumerate()
+        .find(|(_, r)| r.k() != expected)
+        .map(|(pos, r)| (pos, r.k()));
+    let mut ids: Vec<u64> = data.iter().map(Ranking::id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let duplicate = (ids.len() < data.len())
+        .then(|| first_repeated_id(data))
+        .flatten();
+    match (mismatch, duplicate) {
+        (Some((pos, found)), dup) if dup.is_none_or(|(at, _)| pos <= at) => {
+            Err(crate::JoinError::MixedRankingLengths { expected, found })
         }
-        if !ids.insert(r.id()) {
-            return Err(crate::JoinError::DuplicateRankingId(r.id()));
-        }
+        (_, Some((_, id))) => Err(crate::JoinError::DuplicateRankingId(id)),
+        (_, None) => Ok(Some(expected)),
     }
-    Ok(k)
+}
+
+/// The position and id of the first ranking whose id an earlier ranking
+/// holds: sorted by `(id, position)`, each repeated id's second position,
+/// the smallest of them.
+fn first_repeated_id(data: &[Ranking]) -> Option<(usize, u64)> {
+    let mut ids: Vec<(u64, usize)> = data.iter().map(Ranking::id).zip(0..).collect();
+    ids.sort_unstable();
+    ids.iter()
+        .zip(ids.iter().skip(1))
+        .filter(|(a, b)| a.0 == b.0)
+        .map(|(_, &(id, pos))| (pos, id))
+        .min()
 }
 
 /// Validates every relation of a join: uniform length and unique ids

@@ -13,8 +13,8 @@ use topk_simjoin::kernels::{join_group_nested_loop, GroupThresholds, JoinMode, T
 use topk_simjoin::{
     brute_force_join, brute_force_join_rs, cl_join, clp_join, jaccard_brute_force, jaccard_cl_join,
     jaccard_clp_join, jaccard_vj_join, varlen_brute_force, varlen_join, vj_join, vj_join_rs,
-    vj_nl_join, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinOutcome, JoinStats,
-    SkewBudget,
+    vj_nl_join, vj_repartitioned_join, JaccardConfig, JoinConfig, JoinError, JoinOutcome,
+    JoinStats, SkewBudget,
 };
 
 /// Cases per property.
@@ -275,4 +275,92 @@ fn every_pair_is_kept_by_one_group_and_matches_brute_force() {
         },
     );
     assert!(nonempty >= 100, "only {nonempty} of 132 cases had any pair");
+}
+
+/// `uniform_k` as it was written with a hash set of the ids seen so far:
+/// the reference for the first offending ranking in input order.
+fn uniform_k_by_hashing(data: &[Ranking]) -> Result<Option<usize>, JoinError> {
+    let mut k = None;
+    let mut ids = std::collections::HashSet::new();
+    for r in data {
+        match k {
+            None => k = Some(r.k()),
+            Some(expected) if expected != r.k() => {
+                return Err(JoinError::MixedRankingLengths {
+                    expected,
+                    found: r.k(),
+                })
+            }
+            _ => {}
+        }
+        if !ids.insert(r.id()) {
+            return Err(JoinError::DuplicateRankingId(r.id()));
+        }
+    }
+    Ok(k)
+}
+
+#[test]
+fn uniform_k_reports_the_first_offender_in_input_order() {
+    check(
+        "uniform_k_reports_the_first_offender_in_input_order",
+        256,
+        |rng| {
+            let n = rng.gen_range(0usize..40);
+            let k = rng.gen_range(2usize..6);
+            let mut ids: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+            match rng.gen_range(0u32..3) {
+                0 => {}
+                1 => ids.reverse(),
+                _ => rng.shuffle(&mut ids),
+            }
+            let mut lens = vec![k; n];
+            // Plant up to two repeated ids and up to two wrong lengths, at
+            // random positions: either comes first, or both at one record.
+            if n > 1 {
+                for _ in 0..rng.gen_range(0usize..3) {
+                    let at = rng.gen_range(1..n);
+                    ids[at] = ids[rng.gen_range(0..n)];
+                }
+                for _ in 0..rng.gen_range(0usize..3) {
+                    lens[rng.gen_range(1..n)] = k + rng.gen_range(1usize..3);
+                }
+            }
+            let data: Vec<Ranking> = ids
+                .iter()
+                .zip(&lens)
+                .map(|(&id, &len)| Ranking::new_unchecked(id, (0..len as u32).collect()))
+                .collect();
+            assert_eq!(
+                topk_simjoin::pipeline::uniform_k(&data),
+                uniform_k_by_hashing(&data),
+                "ids {ids:?}, lengths {lens:?}"
+            );
+        },
+    );
+}
+
+#[test]
+fn uniform_k_prefers_the_length_when_one_record_offends_twice() {
+    let r = |id: u64, k: u32| Ranking::new_unchecked(id, (0..k).collect());
+    let uniform_k = topk_simjoin::pipeline::uniform_k;
+    let mixed = Err(JoinError::MixedRankingLengths {
+        expected: 3,
+        found: 4,
+    });
+    // Both faults on one record: its length is reported.
+    assert_eq!(uniform_k(&[r(1, 3), r(2, 3), r(1, 4)]), mixed);
+    // The earlier fault wins, whichever it is.
+    assert_eq!(
+        uniform_k(&[r(1, 3), r(1, 3), r(2, 4)]),
+        Err(JoinError::DuplicateRankingId(1))
+    );
+    assert_eq!(uniform_k(&[r(1, 3), r(2, 4), r(1, 3)]), mixed);
+    // A third copy of an id does not hide the second.
+    assert_eq!(
+        uniform_k(&[r(5, 3), r(9, 3), r(9, 3), r(5, 3)]),
+        Err(JoinError::DuplicateRankingId(9))
+    );
+    assert_eq!(uniform_k(&[]), Ok(None));
+    assert_eq!(uniform_k(&[r(8, 3), r(2, 3)]), Ok(Some(3)));
 }

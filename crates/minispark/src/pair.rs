@@ -364,18 +364,21 @@ where
 
     /// Re-partitions by an arbitrary [`Partitioner`] without grouping —
     /// records sharing a key land on the same partition, in arrival order.
-    pub fn partition_by<P>(&self, name: &str, partitioner: &P) -> Dataset<(K, V)>
+    /// Consumes the dataset: the scatter moves the records of every
+    /// partition no other handle shares instead of cloning them.
+    pub fn partition_by<P>(self, name: &str, partitioner: &P) -> Dataset<(K, V)>
     where
         P: Partitioner<K>,
     {
         let start = Instant::now();
         let input_records = self.count();
+        let cluster = self.cluster().clone();
         let (scattered, scatter_spans) =
-            shuffle_scatter(self.clone(), partitioner.num_partitions(), |(k, _)| {
+            shuffle_scatter(self, partitioner.num_partitions(), |(k, _)| {
                 partitioner.partition(k)
             });
         let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
-        mark_shuffle_flush(self.cluster(), name, shuffled);
+        mark_shuffle_flush(&cluster, name, shuffled);
         let out_sizes: Vec<usize> = scattered.iter().map(std::vec::Vec::len).collect();
         let io = StageIo {
             input_records,
@@ -384,8 +387,8 @@ where
             record_size: std::mem::size_of::<(K, V)>(),
             ..StageIo::default()
         };
-        record_wide_stage(self.cluster(), name, start, scatter_spans, io);
-        Dataset::from_partitions(self.cluster().clone(), scattered)
+        record_wide_stage(&cluster, name, start, scatter_spans, io);
+        Dataset::from_partitions(cluster, scattered)
     }
 }
 
@@ -562,6 +565,28 @@ mod tests {
         let nonempty = sizes.iter().filter(|&&s| s > 0).count();
         assert!(nonempty >= 10, "hot key reached only {nonempty} partitions");
         assert_eq!(parted.count(), 64);
+    }
+
+    #[test]
+    fn partition_by_frees_the_records_it_consumes() {
+        use crate::shuffle::CompositePartitioner;
+        let c = cluster();
+        let records: Vec<((u32, u32), Arc<u32>)> =
+            (0..40).map(|s| ((7u32, s), Arc::new(s))).collect();
+        let weak: Vec<_> = records.iter().map(|(_, v)| Arc::downgrade(v)).collect();
+        let ds = c.parallelize(records, 4);
+        let parted = ds.partition_by("spread", &CompositePartitioner::new(8));
+        // Every record was moved, not cloned: the output holds the only
+        // strong reference to each value.
+        for p in 0..parted.num_partitions() {
+            for (_, value) in parted.partition(p) {
+                assert_eq!(Arc::strong_count(value), 1);
+            }
+        }
+        assert_eq!(parted.count(), 40);
+        drop(parted);
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
+        assert_eq!(c.metrics().stages_named("spread")[0].input_records, 40);
     }
 
     #[test]

@@ -414,8 +414,8 @@ fn ordered_form_preserves_distance() {
     });
 }
 
-// ---- Canonicalization sorts on one looked-up count per item, and that
-// equals the sort by `(count, item)` it stands for: over random datasets
+// ---- Canonicalization looks up one count per item, and its order equals
+// the sort on `order_key`, `(count, item)`, it stands for: over random datasets
 // whose ids fall on both sides of the dense bound and next to u32::MAX
 // (many ties), items the table never counted, the empty default table a
 // serving index seeded by upserts starts from, and per-chunk tables merged
@@ -493,21 +493,20 @@ fn by_frequency_equals_a_sort_by_count_then_item() {
             } else {
                 merged
             };
-            let k = rng.gen_range(1usize..=12);
+            // Both sides of the counting cut (k ≤ 32), compared as whole
+            // values: the pairs, the shadow, the signature, `lost` and the
+            // planes that `from_pairs` builds from the sorted pairs.
+            let k = rng.gen_range(1usize..=40);
             let items: Vec<u32> = rng
                 .distinct(POOL + 6, k)
                 .into_iter()
                 .map(pooled_item)
                 .collect();
             let ranking = Ranking::new_unchecked(7, items.clone());
-            let mut expected: Vec<(u32, u16)> = items
-                .iter()
-                .enumerate()
-                .map(|(rank, &item)| (item, rank as u16))
-                .collect();
-            expected.sort_by_key(|&(item, _)| (freq.count(item), item));
+            let mut expected: Vec<(u32, u16)> = items.into_iter().zip(0u16..).collect();
+            expected.sort_by_key(|&(item, _)| freq.order_key(item));
             let ordered = OrderedRanking::by_frequency(&ranking, &freq);
-            assert_eq!(ordered.pairs(), expected.as_slice());
+            assert_eq!(ordered, OrderedRanking::from_pairs(7, expected));
         },
     );
 }
