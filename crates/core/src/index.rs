@@ -20,15 +20,25 @@
 //! the record's prefix at `θ`, so every qualifying pair shares a probed
 //! token. A record reached under several tokens is decided only under the
 //! one that `pipeline::owns` the pair, as in the batch groups.
+//!
+//! The probe is memory-bound: most postings it reaches are rejected, and
+//! few records are ever merged. So slots hold their records inline, one
+//! dense array of ids, signatures and weight planes, and a reached record
+//! is judged from that array first. Ownership is settled from the record's
+//! signature whenever it cannot hold a query-prefix item smaller than the
+//! token ([`OrderedRanking::may_hold_any`]), and the O(1) bounds read the
+//! same array; a record's pairs are read only when a signature bit leaves
+//! ownership open, and by the merge.
 
 #![warn(clippy::indexing_slicing)]
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use topk_rankings::distance::raw_threshold;
 use topk_rankings::verify::verify_candidate;
-use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, RankingId};
+use topk_rankings::{
+    FrequencyTable, ItemBits, ItemId, OrderedRanking, PrefixKind, Ranking, RankingId,
+};
 
 use crate::kernels::{Footrule, JoinSpace};
 use crate::pipeline::{owns, tokens};
@@ -51,7 +61,9 @@ pub struct RankingIndex {
     k: usize,
     theta_max: f64,
     freq: FrequencyTable,
-    records: Vec<Arc<OrderedRanking>>,
+    /// `records[slot]`, inline rather than behind a pointer (see the module
+    /// docs).
+    records: Vec<OrderedRanking>,
     /// `live[slot]` — cleared when an upsert or delete tombstones the slot.
     live: Vec<bool>,
     /// id → the one live slot holding its current version.
@@ -193,8 +205,8 @@ impl RankingIndex {
         }
         let idx = u32::try_from(self.records.len())
             .expect("inverted index capacity exceeded: more than u32::MAX rankings");
-        let ordered = Arc::new(OrderedRanking::by_frequency(r, &self.freq));
-        let (prefix, sentinel) = self.prefix(self.theta_max, &ordered);
+        let ordered = OrderedRanking::by_frequency(r, &self.freq);
+        let (prefix, sentinel) = prefix_of(self.k, self.theta_max, &ordered);
         let prefix_len = u16::try_from(prefix.len()).unwrap_or(u16::MAX);
         for (token, rank) in tokens(prefix, sentinel) {
             self.postings
@@ -228,8 +240,7 @@ impl RankingIndex {
         reason = "id_to_slot only maps to slots pushed into records"
     )]
     fn tombstone_slot(&mut self, slot: u32) {
-        let record = Arc::clone(&self.records[slot as usize]);
-        let (prefix, sentinel) = self.prefix(self.theta_max, &record);
+        let (prefix, sentinel) = prefix_of(self.k, self.theta_max, &self.records[slot as usize]);
         for (token, _) in tokens(prefix, sentinel) {
             if let Some(list) = self.postings.get_mut(&token) {
                 list.retain(|&(s, _, _)| s != slot);
@@ -241,17 +252,6 @@ impl RankingIndex {
         debug_assert!(self.live[slot as usize], "slot tombstoned twice");
         self.live[slot as usize] = false;
         self.tombstones += 1;
-    }
-
-    /// The prefix the batch Footrule join at `theta` emits for `record`,
-    /// and whether it also emits the record under the sentinel.
-    fn prefix<'r>(&self, theta: f64, record: &'r OrderedRanking) -> (&'r [(ItemId, u16)], bool) {
-        let theta_raw = raw_threshold(self.k, theta);
-        let space = Footrule::uniform(self.k, theta_raw, PrefixKind::Weighted, true);
-        (
-            record.prefix(space.prefix_len(record, false)),
-            space.admits_disjoint(false),
-        )
     }
 
     /// All indexed rankings within normalized Footrule distance `theta` of
@@ -309,7 +309,7 @@ impl RankingIndex {
         }
         let theta_raw = raw_threshold(self.k, theta);
         let ordered_query = OrderedRanking::by_frequency(query, &self.freq);
-        let (prefix, sentinel) = self.prefix(theta, &ordered_query);
+        let (prefix, sentinel) = prefix_of(self.k, theta, &ordered_query);
 
         // Each reached record is one candidate, decided under the token that
         // owns the pair by the join kernels' funnel and counted like theirs,
@@ -322,6 +322,14 @@ impl RankingIndex {
             let Some(postings) = self.postings.get(&token) else {
                 continue;
             };
+            // The query-prefix items that would take the pair from `token`.
+            // A record whose signature shares none of their bits holds none
+            // of them, so `token` owns the pair without reading its pairs.
+            let smaller: ItemBits = prefix
+                .iter()
+                .map(|&(item, _)| item)
+                .filter(|&item| item < token)
+                .collect();
             #[expect(
                 clippy::indexing_slicing,
                 reason = "postings only store slots < records.len(); live has records.len() entries"
@@ -334,7 +342,8 @@ impl RankingIndex {
                 );
                 let record = &self.records[slot];
                 if record.id() == query.id()
-                    || !owns(token, prefix, record.prefix(usize::from(prefix_len)))
+                    || record.may_hold_any(&smaller)
+                        && !owns(token, prefix, record.prefix(usize::from(prefix_len)))
                 {
                     continue;
                 }
@@ -368,6 +377,17 @@ impl RankingIndex {
         all.truncate(n);
         Ok(all)
     }
+}
+
+/// The prefix the batch Footrule join at `theta` emits for a length-`k`
+/// `record`, and whether it also emits the record under the sentinel.
+fn prefix_of(k: usize, theta: f64, record: &OrderedRanking) -> (&[(ItemId, u16)], bool) {
+    let theta_raw = raw_threshold(k, theta);
+    let space = Footrule::uniform(k, theta_raw, PrefixKind::Weighted, true);
+    (
+        record.prefix(space.prefix_len(record, false)),
+        space.admits_disjoint(false),
+    )
 }
 
 #[cfg(test)]
@@ -659,6 +679,226 @@ mod tests {
                 .expect("θ is within the build maximum");
             assert_eq!(a, b, "compaction changed answers for query {}", query.id());
         }
+    }
+
+    /// The probe as it stood while `owns` read both prefixes for every
+    /// posting reached, before any signature was consulted: the reference
+    /// the signature-gated probe must match, result for result and counter
+    /// for counter.
+    fn reference_probe(
+        index: &RankingIndex,
+        query: &Ranking,
+        theta: f64,
+        stats: &JoinStats,
+    ) -> Vec<(u64, u64)> {
+        let theta_raw = raw_threshold(index.k, theta);
+        let ordered_query = OrderedRanking::by_frequency(query, &index.freq);
+        let (prefix, sentinel) = prefix_of(index.k, theta, &ordered_query);
+        let mut counts = KernelCounts::default();
+        let mut results = Vec::new();
+        for (token, query_rank) in tokens(prefix, sentinel) {
+            for &(slot, rank, prefix_len) in index.postings.get(&token).into_iter().flatten() {
+                let record = &index.records[slot as usize];
+                if record.id() == query.id()
+                    || !owns(token, prefix, record.prefix(usize::from(prefix_len)))
+                {
+                    continue;
+                }
+                let shared_ranks = Some((usize::from(query_rank), usize::from(rank)));
+                let verdict =
+                    verify_candidate(&ordered_query, record, shared_ranks, theta_raw, true);
+                if let Some(d) = counts.book(verdict) {
+                    results.push((record.id(), d));
+                }
+            }
+        }
+        counts.flush(stats);
+        results.sort_by_key(|&(id, d)| (d, id));
+        results
+    }
+
+    /// Asserts that `index` answers `query` at `theta` as the reference
+    /// probe does, with the same five counters, and returns the answer.
+    fn matches_reference(index: &RankingIndex, query: &Ranking, theta: f64) -> Vec<(u64, u64)> {
+        let (got_stats, want_stats) = (JoinStats::default(), JoinStats::default());
+        let got = index
+            .range_query_with_stats(query, theta, &got_stats)
+            .expect("θ is within the build maximum");
+        let want = reference_probe(index, query, theta, &want_stats);
+        assert_eq!(got, want, "θ = {theta}, query {query:?}");
+        assert_eq!(
+            got_stats.snapshot(),
+            want_stats.snapshot(),
+            "θ = {theta}, query {query:?}"
+        );
+        got
+    }
+
+    /// Self queries (an indexed ranking under its own id, which the probe
+    /// skips), twins (its items under a new id) and foreign rankings (its
+    /// items with the ranks reshuffled and some replaced by items the index
+    /// has never counted).
+    fn queries(data: &[Ranking], rng: &mut topk_datagen::Rng) -> Vec<Ranking> {
+        let mut out = Vec::new();
+        for (n, r) in (0u64..).zip(data.iter().step_by(17)) {
+            out.push(r.clone());
+            out.push(Ranking::new_unchecked(1_000_000 + n, r.items().to_vec()));
+            let mut items = r.items().to_vec();
+            for _ in 0..rng.gen_range(0usize..=3) {
+                let (i, j) = (rng.gen_range(0..items.len()), rng.gen_range(0..items.len()));
+                items.swap(i, j);
+            }
+            for _ in 0..rng.gen_range(0usize..=2) {
+                let i = rng.gen_range(0..items.len());
+                items[i] = 5_000_000 + rng.gen_range(0u32..1_000);
+            }
+            // Two replacements may draw the same item: skip that ranking.
+            if let Ok(foreign) = Ranking::new(2_000_000 + n, items) {
+                out.push(foreign);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn signature_gated_probe_matches_the_reference() {
+        // Random corpora, θ from 0.05 up to θ_max, queries of every kind, on
+        // a fresh index, after upserts and deletes, and compacted.
+        let cases = [
+            (CorpusProfile::orku_like(400, 10).with_seed(11), 0.3),
+            (CorpusProfile::orku_like(300, 10).with_seed(12), 0.45),
+            (CorpusProfile::dblp_like(400, 10).with_seed(13), 0.3),
+            (CorpusProfile::dblp_like(300, 8).with_seed(14), 0.2),
+        ];
+        let mut rng = topk_datagen::Rng::seed_from_u64(0x51_6A7E);
+        for (profile, theta_max) in cases {
+            let data = profile.generate();
+            let mut index = RankingIndex::build(&data, theta_max).expect("uniform corpus");
+            let probes = queries(&data, &mut rng);
+            let thetas = [0.05, 0.1, theta_max / 2.0, theta_max];
+            let mut answered = 0;
+            let mut check = |index: &RankingIndex| {
+                for query in &probes {
+                    for theta in thetas {
+                        answered += matches_reference(index, query, theta).len();
+                    }
+                }
+            };
+            check(&index);
+            for r in data.iter().take(150) {
+                if r.id() % 3 == 0 {
+                    let donor = &data[rng.gen_range(0..data.len())];
+                    let upsert = Ranking::new_unchecked(r.id(), donor.items().to_vec());
+                    index.insert_ranking(&upsert).expect("same-length upsert");
+                }
+                if r.id() % 5 == 0 {
+                    index.remove_ranking(r.id());
+                }
+            }
+            assert!(index.tombstone_count() > 0);
+            check(&index);
+            check(&index.compacted().expect("live rankings rebuild"));
+            assert!(answered > 0, "{profile:?} answered nothing");
+        }
+    }
+
+    #[test]
+    fn signature_gated_probe_matches_the_reference_under_the_sentinel() {
+        // θ_max = 1 admits disjoint pairs: every record is posted under the
+        // sentinel too, and a query at θ = 1 probes it with all of its
+        // prefix smaller than the token.
+        let data = CorpusProfile::orku_like(120, 4).with_seed(15).generate();
+        let index = RankingIndex::build(&data, 1.0).expect("uniform corpus");
+        assert!(index
+            .postings
+            .contains_key(&crate::pipeline::DISJOINT_SENTINEL));
+        let mut rng = topk_datagen::Rng::seed_from_u64(0x5E_4711);
+        for query in queries(&data, &mut rng) {
+            for theta in [0.05, 0.3, 0.6, 1.0] {
+                let got = matches_reference(&index, &query, theta);
+                if theta == 1.0 {
+                    let others = data.iter().filter(|r| r.id() != query.id()).count();
+                    assert_eq!(got.len(), others, "θ = 1 matches every other ranking");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_signature_collision_falls_back_to_the_exact_ownership_test() {
+        // The query's prefix holds x and t, x < t. Record `collides` is
+        // posted under t and holds y, which shares x's signature bit but
+        // sits outside its prefix: the signature cannot clear it, `owns`
+        // runs and gives t the pair. Record `shares` holds x in its prefix:
+        // `owns` takes the pair from t, and x's group decides it.
+        let (x, t) = (10, 20);
+        let y = (1_000..)
+            .find(|&y| ItemBits::from_iter([y]) == ItemBits::from_iter([x]))
+            .expect("the hash revisits every bit");
+        // Fillers above t, all holding y, make y the most frequent item.
+        let mut data: Vec<Ranking> = (0..30)
+            .map(|n| {
+                let mut items: Vec<ItemId> = (100 + n..109 + n).collect();
+                items.push(y);
+                Ranking::new_unchecked(u64::from(n), items)
+            })
+            .collect();
+        let fillers: Vec<ItemId> = (101..=108).collect();
+        let collides = Ranking::new_unchecked(100, [&[t][..], &fillers, &[y]].concat());
+        let shares = Ranking::new_unchecked(101, [&[x, t][..], &fillers[..7], &[y]].concat());
+        data.extend([collides.clone(), shares.clone()]);
+        let index = RankingIndex::build(&data, 0.3).expect("uniform corpus");
+        let query = Ranking::new_unchecked(999, [&[t][..], &fillers, &[x]].concat());
+
+        // The planted layout, read off the index.
+        let theta = 0.3;
+        let ordered_query = OrderedRanking::by_frequency(&query, &index.freq);
+        let (prefix, _) = prefix_of(index.k, theta, &ordered_query);
+        let smaller: Vec<ItemId> = prefix
+            .iter()
+            .map(|&(item, _)| item)
+            .filter(|&item| item < t)
+            .collect();
+        assert_eq!(
+            smaller,
+            [x],
+            "the query prefix holds x, t and nothing else below t"
+        );
+        assert!(prefix.iter().any(|&(item, _)| item == t));
+        let smaller = ItemBits::from_iter(smaller);
+        let stored = |id: u64| {
+            let record = &index.records[index.id_to_slot[&id] as usize];
+            (record, prefix_of(index.k, index.theta_max, record).0)
+        };
+        let (record, stored_prefix) = stored(collides.id());
+        assert!(stored_prefix.iter().any(|&(item, _)| item == t));
+        assert!(!stored_prefix.iter().any(|&(item, _)| item == y));
+        assert_eq!(record.rank_of(x), None);
+        assert!(record.may_hold_any(&smaller), "y's bit keeps x possible");
+        assert!(owns(t, prefix, stored_prefix), "fallback: t owns the pair");
+        let (record, stored_prefix) = stored(shares.id());
+        assert!(stored_prefix.iter().any(|&(item, _)| item == x));
+        assert!(stored_prefix.iter().any(|&(item, _)| item == t));
+        assert!(!stored_prefix.iter().any(|&(item, _)| item == y));
+        assert!(record.may_hold_any(&smaller));
+        assert!(!owns(t, prefix, stored_prefix), "fallback: x owns the pair");
+
+        let stats = JoinStats::default();
+        let got = index
+            .range_query_with_stats(&query, theta, &stats)
+            .expect("θ equals the build maximum");
+        assert_eq!(got, matches_reference(&index, &query, theta));
+        assert_eq!(got, linear_scan(&data, &query, theta));
+        assert!(got.contains(&(collides.id(), 2)), "{got:?}");
+        // Every record reached, the planted two among them, is one candidate.
+        let mut reached: Vec<u32> = tokens(prefix, false)
+            .filter_map(|(token, _)| index.postings.get(&token))
+            .flatten()
+            .map(|&(slot, _, _)| slot)
+            .collect();
+        reached.sort_unstable();
+        reached.dedup();
+        assert_eq!(stats.snapshot().candidates, reached.len() as u64);
     }
 
     #[test]

@@ -386,7 +386,9 @@ pub(crate) fn prefix_join<S: JoinSpace>(
 /// rank-ordered prefixes have no global order.
 ///
 /// O(p²) over prefixes of p ≤ k items: per result in the group kernels,
-/// which ask only for accepted pairs, and per reached record in the index.
+/// which ask only for accepted pairs, and in the index per reached record
+/// whose signature may hold a smaller query-prefix item (the others are
+/// owned without it).
 pub(crate) fn owns(token: ItemId, a: &[(ItemId, u16)], b: &[(ItemId, u16)]) -> bool {
     !a.iter()
         .any(|&(item, _)| item < token && b.iter().any(|&(other, _)| other == item))

@@ -75,6 +75,6 @@ pub use distance::{
     footrule_within, max_raw_distance, raw_threshold,
 };
 pub use jaccard::{jaccard_distance, jaccard_min_overlap, jaccard_prefix_len, jaccard_within};
-pub use ordered::{FrequencyTable, OrderedRanking};
+pub use ordered::{FrequencyTable, ItemBits, OrderedRanking};
 pub use ranking::{rank_u64, ItemId, Ranking, RankingError, RankingId, Relation};
 pub use verify::{verify_candidate, Verification};

@@ -256,6 +256,33 @@ fn signature_bit(item: ItemId) -> (usize, u64) {
     ((bit >> 6) as usize, 1 << (bit & 63))
 }
 
+/// The signature bits of a set of items, in the words of
+/// [`OrderedRanking`]'s overlap signature: what
+/// [`OrderedRanking::may_hold_any`] tests a ranking against. Collect it
+/// from the items.
+///
+/// An item sets the one bit it sets in the signature of every ranking that
+/// holds it, so a ranking whose signature shares no bit with the set holds
+/// none of its items. Distinct items may share a bit, so a shared bit proves
+/// nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ItemBits([u64; 2]);
+
+impl FromIterator<ItemId> for ItemBits {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "word is the high bit of a 7-bit value — 0 or 1"
+    )]
+    fn from_iter<I: IntoIterator<Item = ItemId>>(items: I) -> Self {
+        let mut bits = [0u64; 2];
+        for item in items {
+            let (word, mask) = signature_bit(item);
+            bits[word] |= mask;
+        }
+        Self(bits)
+    }
+}
+
 /// The right shift `s` that scales the weights `1..=k` of a length-`k`
 /// ranking into four bits: `bit_length(k) − 4`, saturating at 0.
 #[inline]
@@ -522,6 +549,15 @@ impl OrderedRanking {
         let common = (self.signature[0] & other.signature[0]).count_ones()
             + (self.signature[1] & other.signature[1]).count_ones();
         common as usize + usize::from(self.lost.min(other.lost))
+    }
+
+    /// Whether this ranking may hold one of the items in `items`, from its
+    /// overlap signature alone: `false` means it holds none of them; `true`
+    /// means only that one of its items shares a signature bit with one of
+    /// them.
+    #[inline]
+    pub fn may_hold_any(&self, items: &ItemBits) -> bool {
+        (self.signature[0] & items.0[0]) | (self.signature[1] & items.0[1]) != 0
     }
 
     /// A lower bound on the rank weight of the items of `self` that `other`
@@ -1033,6 +1069,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn may_hold_any_is_exact_on_distinct_bits() {
+        // Items on pairwise-distinct bits: a ranking "may hold" a set of
+        // them exactly when it holds one. Miri gets a smaller pool.
+        let n = if cfg!(miri) { 8 } else { 24 };
+        let pool = items_by_signature_bit(n, true);
+        let rankings = windows(&pool, 4, 3);
+        for start in 0..n {
+            for len in 0..=3.min(n - start) {
+                let probe = &pool[start..start + len];
+                let bits: ItemBits = probe.iter().copied().collect();
+                for a in &rankings {
+                    let holds = probe.iter().any(|&item| a.rank_of(item).is_some());
+                    assert_eq!(a.may_hold_any(&bits), holds, "{probe:?} vs {a:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn may_hold_any_cannot_tell_items_on_one_bit_apart() {
+        // An item on item 0's bit makes item 0 possible; a fold partner,
+        // on the same bit of the other word, does not.
+        let mate = items_by_signature_bit(2, false)[1];
+        let zero = ItemBits::from_iter([0]);
+        let a = OrderedRanking::by_rank(&r(1, &[mate, 7_000]));
+        assert_eq!(a.rank_of(0), None);
+        assert!(a.may_hold_any(&zero));
+        let b = OrderedRanking::by_rank(&r(2, &[fold_partner(0)]));
+        assert!(!b.may_hold_any(&zero));
+        assert!(!a.may_hold_any(&ItemBits::default()), "the empty set");
     }
 
     #[test]

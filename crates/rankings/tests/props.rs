@@ -17,7 +17,7 @@ use topk_rankings::distance::{
     footrule_norm, footrule_pairs, footrule_pairs_within, footrule_raw, footrule_sorted_within,
     footrule_within, kendall_tau_topk, max_raw_distance, raw_threshold,
 };
-use topk_rankings::ordered::{FrequencyTable, OrderedRanking};
+use topk_rankings::ordered::{FrequencyTable, ItemBits, OrderedRanking};
 use topk_rankings::verify::{verify_candidate, Verification};
 use topk_rankings::Ranking;
 
@@ -705,4 +705,33 @@ fn varlen_prefix_filter_is_complete() {
             "pair within θ={theta_raw} escaped varlen prefixes ({pa}, {pb})"
         );
     });
+}
+
+#[test]
+fn may_hold_any_never_clears_a_ranking_that_holds_an_item() {
+    // "Holds none" must be true whenever it is answered: a ranking holding
+    // one of the items is always "may hold". Small universes make the
+    // ranking hold some of them; large ones make bits collide by chance.
+    check(
+        "may_hold_any_never_clears_a_ranking_that_holds_an_item",
+        CASES,
+        |rng| {
+            let universe = [20, 200, 100_000][rng.gen_range(0usize..3)];
+            let k = rng.gen_range(1usize..=20).min(universe as usize);
+            let ranking = OrderedRanking::by_rank(&ranking(rng, k, universe));
+            let n = rng.gen_range(0usize..=12).min(universe as usize);
+            let items = rng.distinct(universe, n);
+            let bits: ItemBits = items.iter().copied().collect();
+            let held = items.iter().any(|&item| ranking.rank_of(item).is_some());
+            assert!(
+                !held || ranking.may_hold_any(&bits),
+                "{ranking:?} holds one of {items:?}"
+            );
+            // Each item alone, too.
+            for &item in &items {
+                let one = ItemBits::from_iter([item]);
+                assert!(ranking.rank_of(item).is_none() || ranking.may_hold_any(&one));
+            }
+        },
+    );
 }
