@@ -113,7 +113,6 @@ pub(crate) fn cl_flavour<M: MetricSpace>(
             &clustering.clusters,
             plan.theta,
             plan.use_triangle_bounds,
-            partitions,
             &stats,
         )
         .union(&clustering.within_cluster_pairs)

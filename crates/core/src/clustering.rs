@@ -122,13 +122,12 @@ pub(crate) fn clustering_in<M: MetricSpace>(
         });
 
     // Who is placed elsewhere and who receives someone: small metadata
-    // (bounded by the θc pairs), broadcast like the frequency order.
+    // (bounded by the θc pairs), read on the driver and broadcast like the
+    // frequency order.
     let (placed, receiving): (HashSet<u64>, HashSet<u64>) = placements
-        .map(&stage("placed-ids"), |(member, (pivot, _, _))| {
-            (*member, pivot.id())
-        })
         .collect()
-        .into_iter()
+        .iter()
+        .map(|(member, (pivot, _, _))| (*member, pivot.id()))
         .unzip();
     let placed = cluster.broadcast(placed);
 

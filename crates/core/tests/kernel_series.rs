@@ -8,6 +8,11 @@
 //! splits) included. Each driver also names the counters its run must move
 //! and the phase spans it must record, so an equality between two zeros
 //! never passes for a check.
+//!
+//! The CL drivers' stage shape is pinned too: expansion is one narrow stage
+//! over a broadcast cluster table, and `clp_join` records a fixed list of
+//! stage names with a fixed number of shuffles. Names and counts only: the
+//! per-stage record counts of a δ-split run vary from run to run.
 
 use minispark::telemetry::SampleValue;
 use minispark::{Cluster, ClusterConfig, SkewBudget, TraceCollector};
@@ -183,6 +188,70 @@ fn every_driver_publishes_its_stats_under_its_own_label() {
                     "{driver}/{span} span missing"
                 );
             }
+            if spans == CL {
+                // Stage names carry the space's prefix, not the driver's.
+                let space = if driver.starts_with("jaccard") {
+                    "jaccard-cl"
+                } else {
+                    "cl"
+                };
+                let expand: Vec<(String, usize)> = cluster
+                    .metrics()
+                    .stages
+                    .into_iter()
+                    .filter(|s| s.name.contains("/expand/"))
+                    .map(|s| (s.name, s.shuffle_records))
+                    .collect();
+                assert_eq!(
+                    expand,
+                    [(format!("{space}/expand/member-pairs"), 0)],
+                    "{driver}: expansion is one narrow stage"
+                );
+            }
         }
     }
+}
+
+/// `clp_join`'s stages, in order: ordering, the θc clustering join and the
+/// cluster table, the δ-split centroid join, and one expansion stage.
+const CLP_STAGES: [&str; 21] = [
+    "cl-p/freq-emit",
+    "cl-p/order-by-frequency",
+    "cl/cluster/emit-prefixes",
+    "cl/cluster/group-by-token",
+    "cl/cluster/join-groups",
+    "cl/cluster/home-candidates",
+    "cl/cluster/homes",
+    "cl/cluster/member-assignments",
+    "cl/cluster/form-clusters",
+    "cl/cluster/cluster-rows",
+    "cl/cluster/centroid-rankings",
+    "cl/cluster/singletons",
+    "cl/cluster/within-cluster-results",
+    "cl/join/emit-cm-prefixes",
+    "cl/join/emit-cs-prefixes",
+    "cl/join/group-by-token",
+    "cl/join/join-small-groups",
+    "cl/join/split-large-groups",
+    "cl/join/spread-chunks",
+    "cl/join/join-chunks",
+    "cl/expand/member-pairs",
+];
+
+/// The stages of `CLP_STAGES` that shuffle: the two token groupings, the
+/// homes and the cluster rows, and the spread of the split groups' chunks.
+const CLP_SHUFFLES: usize = 5;
+
+#[test]
+fn clp_join_records_its_pinned_stage_shape() {
+    let cluster = Cluster::new(ClusterConfig::local(2));
+    let data = CorpusProfile::orku_like(300, 10).generate();
+    let config = JoinConfig::new(0.1).with_partition_threshold(3);
+    let outcome = clp_join(&cluster, &data, &config).unwrap();
+    assert!(outcome.stats.posting_lists_split > 0, "δ = 3 must split");
+    let stages = cluster.metrics().stages;
+    let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, CLP_STAGES);
+    let shuffles = stages.iter().filter(|s| s.shuffle_records > 0).count();
+    assert_eq!(shuffles, CLP_SHUFFLES);
 }

@@ -14,7 +14,6 @@ use crate::config::ClusterConfig;
 use crate::executor::{run_stage_tasks, TaskSpan};
 use crate::json::Json;
 use crate::metrics::{MetricsRegistry, MetricsReport, StageMetrics};
-use crate::pair::{mark_shuffle_flush, record_wide_stage};
 use crate::telemetry::{EngineTelemetry, Heartbeat, TelemetryRegistry};
 use crate::trace::TraceCollector;
 
@@ -149,9 +148,9 @@ impl Cluster {
     /// row's own numbers, so the live series and the metrics report cannot
     /// disagree. `spans` are the executor's task spans, a wide stage's map
     /// and reduce waves back to back; the row keeps them as they are. A stage
-    /// that ran on the driver (gathering or rearranging data without
-    /// executor tasks) passes none: it occupied no slot, and its row holds
-    /// one slot-0 span over its wall time so the timeline stays gap-free.
+    /// that ran no executor task ([`Cluster::map_chunks`] over no input
+    /// slices) passes none: it occupied no slot, and its row holds one
+    /// slot-0 span over its wall time so the timeline stays gap-free.
     pub(crate) fn record_stage(
         &self,
         name: &str,
@@ -412,39 +411,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         Dataset::from_partitions(self.cluster.clone(), targets)
     }
 
-    /// Redistributes records round-robin into `n` partitions (a full
-    /// shuffle; used to rebalance after skewed stages).
-    pub fn repartition(&self, name: &str, n: usize) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        let n = n.max(1);
-        let moved = self.count();
-        // Every record moves in one pass on the calling thread, with no task
-        // waves to separate: the flush mark goes before the stage starts, so
-        // the row's one span does not straddle it.
-        mark_shuffle_flush(&self.cluster, name, moved);
-        let start = Instant::now();
-        let mut targets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next = 0usize;
-        for part in &self.partitions {
-            for record in part.iter() {
-                targets[next].push(record.clone());
-                next = (next + 1) % n;
-            }
-        }
-        let out_sizes: Vec<usize> = targets.iter().map(Vec::len).collect();
-        let io = StageIo {
-            input_records: moved,
-            out_sizes: &out_sizes,
-            shuffled: moved,
-            record_size: std::mem::size_of::<T>(),
-            ..StageIo::default()
-        };
-        record_wide_stage(&self.cluster, name, start, Vec::new(), io);
-        Dataset::from_partitions(self.cluster.clone(), targets)
-    }
-
     /// Materializes all records on the driver.
     pub fn collect(&self) -> Vec<T>
     where
@@ -589,20 +555,6 @@ mod tests {
         assert_eq!(c.metrics().stages.len(), stages);
         // Already at or below `n`: unchanged.
         assert_eq!(merged.coalesce(8).num_partitions(), 4);
-    }
-
-    #[test]
-    fn repartition_rebalances() {
-        let c = cluster();
-        // Everything in one partition, then spread over 5.
-        let ds = c.parallelize((0..50u32).collect(), 1);
-        let re = ds.repartition("rebalance", 5);
-        assert_eq!(re.num_partitions(), 5);
-        assert!(re.partition_sizes().iter().all(|&s| s == 10));
-        let metrics = c.metrics();
-        let stage = metrics.stages_named("rebalance")[0];
-        assert_eq!(stage.shuffle_records, 50);
-        assert!(stage.shuffle_bytes > 0);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! * **Partitioned datasets** ([`Dataset`]) with narrow transformations
 //!   (`map`, `filter`, `flat_map`, `union`, …) executed one task per
 //!   partition,
-//! * **Wide transformations** (`group_by_key`, `reduce_by_key`, `join`,
-//!   `cogroup`, `distinct`, `partition_by`) implemented as hash **shuffles**
-//!   with pluggable [`Partitioner`]s — including the composite
-//!   `(key, random sub-key)` partitioning that CL-P's repartitioning uses,
+//! * **Wide transformations** (`group_by_key`, `reduce_by_key`, `distinct`,
+//!   `partition_by`) implemented as hash **shuffles** with pluggable
+//!   [`Partitioner`]s — including the composite `(key, random sub-key)`
+//!   partitioning that CL-P's repartitioning uses; there is no shuffle
+//!   join: a small side is broadcast and looked up in a narrow stage, as
+//!   CL's expansion does with its cluster table,
 //! * a **simulated cluster** ([`ClusterConfig`]): `nodes × executors × cores`
 //!   bounded task slots scheduled over real threads, so varying the node
 //!   count scales usable parallelism exactly like adding machines does for a
 //!   CPU-bound Spark job,
 //! * **broadcast variables** ([`Broadcast`]) mirroring Spark's cached
-//!   per-node read-only values,
+//!   per-node read-only values — the engine's one join strategy,
 //! * **metrics** ([`MetricsReport`]): per-stage wall time, task counts,
 //!   shuffle records/bytes and partition skew — the quantities the paper
 //!   reasons about (posting-list skew, shuffle overhead of repartition

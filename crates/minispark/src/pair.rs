@@ -26,7 +26,7 @@ use crate::spill::external_group_by;
 /// the clones it paid before. Every bucket and every target partition is
 /// allocated once at its final size — what a shuffle allocates grows with
 /// map tasks × targets, not with the records it moves.
-pub(crate) fn shuffle_scatter<T, F>(
+fn shuffle_scatter<T, F>(
     input: Dataset<T>,
     targets: usize,
     target_of: F,
@@ -101,7 +101,7 @@ where
 
 /// Records a wide stage; `spans` are its task waves (map side, then reduce
 /// side) back to back.
-pub(crate) fn record_wide_stage(
+fn record_wide_stage(
     cluster: &Cluster,
     name: &str,
     start: Instant,
@@ -119,7 +119,7 @@ pub(crate) fn record_wide_stage(
 /// the flush-barrier rule of [`crate::check::audit_snapshot`] verifies; the
 /// yield point makes the barrier an interleaving point for the
 /// schedule-exploration harness.
-pub(crate) fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
+fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize) {
     crate::sched::yield_point("shuffle-flush");
     let trace = &cluster.inner.trace;
     if trace.is_enabled() && shuffled > 0 {
@@ -130,22 +130,20 @@ pub(crate) fn mark_shuffle_flush(cluster: &Cluster, name: &str, shuffled: usize)
 }
 
 /// The scattered map side of a wide stage, as [`reduce_side`] takes it.
-struct MapSide<P> {
+struct MapSide<T> {
     /// When the stage began.
     start: Instant,
     /// Records the stage read.
     input_records: usize,
     /// One reduce input per target partition.
-    targets: Vec<P>,
+    targets: Vec<Vec<T>>,
     /// Records that crossed the shuffle.
     shuffled: usize,
-    /// In-memory size of one shuffled record, in bytes.
-    record_size: usize,
     /// The map-side task waves, back to back.
     spans: Vec<TaskSpan>,
 }
 
-impl<T> MapSide<Vec<T>> {
+impl<T> MapSide<T> {
     /// A map side that scattered one dataset into `targets`.
     fn scattered(
         start: Instant,
@@ -156,7 +154,6 @@ impl<T> MapSide<Vec<T>> {
             start,
             input_records,
             shuffled: targets.iter().map(Vec::len).sum(),
-            record_size: std::mem::size_of::<T>(),
             targets,
             spans,
         }
@@ -167,14 +164,14 @@ impl<T> MapSide<Vec<T>> {
 /// flush, runs one reduce task per target partition — `reduce` returns the
 /// output partition plus the runs and bytes it spilled — and records the
 /// stage row over both waves.
-fn reduce_side<P, U>(
+fn reduce_side<T, U>(
     cluster: Cluster,
     name: &str,
-    map: MapSide<P>,
-    reduce: impl Fn(P) -> (Vec<U>, usize, usize) + Sync,
+    map: MapSide<T>,
+    reduce: impl Fn(Vec<T>) -> (Vec<U>, usize, usize) + Sync,
 ) -> Dataset<U>
 where
-    P: Send,
+    T: Send,
     U: Send + Sync + 'static,
 {
     mark_shuffle_flush(&cluster, name, map.shuffled);
@@ -195,7 +192,7 @@ where
         input_records: map.input_records,
         out_sizes: &out_sizes,
         shuffled: map.shuffled,
-        record_size: map.record_size,
+        record_size: std::mem::size_of::<T>(),
         spilled_runs,
         spilled_bytes,
     };
@@ -294,71 +291,6 @@ where
         map.spans = [combine_spans, map.spans].concat();
         reduce_side(cluster, name, map, |part| {
             (combine_by_key(part.into_iter(), &f), 0, 0)
-        })
-    }
-
-    /// Inner hash join: pairs every `(k, v)` with every `(k, w)` of `other`.
-    pub fn join<W>(
-        &self,
-        name: &str,
-        other: &Dataset<(K, W)>,
-        partitions: usize,
-    ) -> Dataset<(K, (V, W))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let cogrouped = self.cogroup(name, other, partitions);
-        cogrouped.flat_map(&format!("{name}/emit"), |(k, (vs, ws))| {
-            let mut out = Vec::with_capacity(vs.len() * ws.len());
-            for v in vs {
-                for w in ws {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
-            }
-            out
-        })
-    }
-
-    /// Groups both sides by key onto common partitions (Spark's `cogroup`).
-    #[allow(clippy::type_complexity)]
-    pub fn cogroup<W>(
-        &self,
-        name: &str,
-        other: &Dataset<(K, W)>,
-        partitions: usize,
-    ) -> Dataset<(K, (Vec<V>, Vec<W>))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let start = Instant::now();
-        let input_records = self.count() + other.count();
-        let n = partitions.max(1);
-        let partitioner = HashPartitioner::new(n);
-        let (left, left_spans) =
-            shuffle_scatter(self.clone(), n, |(k, _): &(K, V)| partitioner.partition(k));
-        let (right, right_spans) =
-            shuffle_scatter(other.clone(), n, |(k, _): &(K, W)| partitioner.partition(k));
-        let map = MapSide {
-            start,
-            input_records,
-            shuffled: left
-                .iter()
-                .zip(&right)
-                .map(|(l, r)| l.len() + r.len())
-                .sum(),
-            record_size: std::mem::size_of::<(K, V)>().max(std::mem::size_of::<(K, W)>()),
-            targets: left.into_iter().zip(right).collect::<Vec<_>>(),
-            spans: [left_spans, right_spans].concat(),
-        };
-        reduce_side(self.cluster().clone(), name, map, |(lpart, rpart)| {
-            let mut groups: FastHashMap<K, (Vec<V>, Vec<W>)> = FastHashMap::default();
-            for (k, v) in lpart {
-                groups.entry(k).or_default().0.push(v);
-            }
-            for (k, w) in rpart {
-                groups.entry(k).or_default().1.push(w);
-            }
-            (groups.into_iter().collect(), 0, 0)
         })
     }
 
@@ -529,28 +461,6 @@ mod tests {
         assert_eq!(group_shuffle, 10_000);
         // ≤ keys × map tasks = 3 × 8.
         assert!(reduce_shuffle <= 24, "reduce shuffled {reduce_shuffle}");
-    }
-
-    #[test]
-    fn join_produces_the_cross_product_per_key() {
-        let c = cluster();
-        let left = c.parallelize(vec![(1u32, 'a'), (1, 'b'), (2, 'c')], 2);
-        let right = c.parallelize(vec![(1u32, 10u8), (2, 20), (3, 30)], 2);
-        let joined = left.join("join", &right, 4);
-        let mut all = joined.collect();
-        all.sort();
-        assert_eq!(all, vec![(1, ('a', 10)), (1, ('b', 10)), (2, ('c', 20))]);
-    }
-
-    #[test]
-    fn cogroup_collects_both_sides() {
-        let c = cluster();
-        let left = c.parallelize(vec![(1u32, 'x')], 1);
-        let right = c.parallelize(vec![(1u32, 'y'), (2, 'z')], 1);
-        let mut all = left.cogroup("cg", &right, 2).collect();
-        all.sort_by_key(|(k, _)| *k);
-        assert_eq!(all[0], (1, (vec!['x'], vec!['y'])));
-        assert_eq!(all[1], (2, (vec![], vec!['z'])));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use minispark::telemetry::{SampleValue, HEARTBEAT_SCHEMA, SNAPSHOT_SCHEMA};
 use minispark::{
-    check_determinism, schedule_matrix, Cluster, ClusterConfig, Json, LiveServer, TelemetrySource,
+    check_determinism, schedule_matrix, Cluster, ClusterConfig, HashPartitioner, Json, LiveServer,
+    TelemetrySource,
 };
 
 /// A small shuffle-heavy workload with a verifiable answer.
@@ -123,7 +124,8 @@ fn two_runs_on_one_cluster_do_not_bleed() {
 }
 
 /// The shuffle and spill totals move only where a stage row is recorded, so
-/// after a spilling run they equal the metrics report's sums exactly.
+/// after a spilling run they equal the metrics report's sums exactly — also
+/// for `partition_by`, a shuffle with no reduce wave.
 #[test]
 fn shuffle_and_spill_totals_equal_the_stage_rows() {
     let cluster = Cluster::new(
@@ -135,7 +137,7 @@ fn shuffle_and_spill_totals_equal_the_stage_rows() {
     let grouped = cluster
         .parallelize(records, 8)
         .group_by_key_spilling("group", 4)
-        .repartition("rebalance", 3);
+        .partition_by("rebalance", &HashPartitioner::new(3));
     assert_eq!(grouped.count(), 23);
     run_workload(&cluster);
 

@@ -7,8 +7,8 @@
 use minispark::trace::chrome_trace_json;
 use minispark::{Cluster, ClusterConfig, ExecutorAnalytics, Json, TraceCollector};
 
-/// Runs a small but representative workload: a narrow map, a wide
-/// group-by-key, a repartition and a driver-side stage (`parallelize`).
+/// Runs a small but representative workload: a narrow map and a wide
+/// group-by-key.
 fn run_workload(cluster: &Cluster) {
     let ds = cluster.parallelize((0..4_000u32).collect::<Vec<_>>(), 8);
     let mapped = ds.map("square", |&n| (n % 97, u64::from(n) * u64::from(n)));
