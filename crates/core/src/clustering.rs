@@ -132,29 +132,38 @@ pub(crate) fn clustering_in<M: MetricSpace>(
     let placed = cluster.broadcast(placed);
 
     // One row per pivot that receives someone: its members, led by the pivot
-    // itself at distance 0 when it is its own home.
+    // itself at distance 0 when it is its own home. The rows are the pivots'
+    // runs, in pivot order, each in the order its assignments arrived.
     let rows = placements
         .map(&stage("member-assignments"), |(_, (pivot, member, d))| {
             (pivot.id(), (Arc::clone(pivot), Arc::clone(member), *d))
         })
-        .group_by_key(&stage("form-clusters"), partitions);
+        .into_group_runs(&stage("form-clusters"), partitions);
     let clusters = {
         let placed = placed.clone();
-        rows.map(&stage("cluster-rows"), move |(pivot_id, entries)| {
-            let own_home = !placed.value().contains(pivot_id);
-            let pivot_itself = entries
-                .first()
-                .filter(|_| own_home)
-                .map(|(pivot, _, _)| (Arc::clone(pivot), M::ZERO));
-            let members: Vec<_> = pivot_itself
-                .into_iter()
-                .chain(entries.iter().map(|(_, m, d)| (Arc::clone(m), *d)))
-                .collect();
-            (*pivot_id, members)
+        rows.map_partitions(&stage("cluster-rows"), move |groups| {
+            groups
+                .iter()
+                .map(|(pivot_id, entries)| {
+                    let own_home = !placed.value().contains(pivot_id);
+                    let pivot_itself = entries
+                        .first()
+                        .filter(|_| own_home)
+                        .map(|(pivot, _, _)| (Arc::clone(pivot), M::ZERO));
+                    let members: Vec<_> = pivot_itself
+                        .into_iter()
+                        .chain(entries.iter().map(|(_, m, d)| (Arc::clone(m), *d)))
+                        .collect();
+                    (*pivot_id, members)
+                })
+                .collect()
         })
     };
-    let centroids_m = rows.flat_map(&stage("centroid-rankings"), |(_, entries)| {
-        entries.first().map(|(pivot, _, _)| Arc::clone(pivot))
+    let centroids_m = rows.into_map_partitions(&stage("centroid-rankings"), |groups| {
+        groups
+            .iter()
+            .filter_map(|(_, entries)| entries.first().map(|(pivot, _, _)| Arc::clone(pivot)))
+            .collect()
     });
     JoinStats::add(&stats.clusters, clusters.count() as u64);
 
@@ -366,5 +375,48 @@ mod tests {
         assert_eq!(clustering.clusters.count(), 0);
         assert_eq!(clustering.singletons.count(), 6);
         assert_eq!(stats.snapshot().singletons, 6);
+    }
+
+    /// On several partitions and slots, every cluster row of a pivot that is
+    /// its own home starts with the pivot itself at distance 0, and no other
+    /// row lists its pivot; the rows come out in the same order every run.
+    #[test]
+    fn every_cluster_row_starts_with_its_own_pivot() {
+        let orku = topk_datagen::CorpusProfile::orku_like(600, 10).generate();
+        let table = |clustering: &Clustering| -> Vec<(u64, Vec<(u64, u64)>)> {
+            clustering
+                .clusters
+                .collect()
+                .into_iter()
+                .map(|(pivot, members)| {
+                    (pivot, members.iter().map(|(m, d)| (m.id(), *d)).collect())
+                })
+                .collect()
+        };
+        let (clustering, _) = run_on(&orku, 0.3, 0.1);
+        assert!(clustering.clusters.num_partitions() >= 2);
+        let rows = table(&clustering);
+        let placed: HashSet<u64> = rows
+            .iter()
+            .flat_map(|(pivot, members)| {
+                members.iter().map(|&(m, _)| m).filter(move |m| m != pivot)
+            })
+            .collect();
+        let mut led = 0;
+        for (pivot, members) in &rows {
+            let own = members.iter().position(|&(m, _)| m == *pivot);
+            if placed.contains(pivot) {
+                assert_eq!(
+                    own, None,
+                    "pivot {pivot} is placed elsewhere but lists itself"
+                );
+            } else {
+                assert_eq!(own, Some(0), "pivot {pivot} does not lead its own row");
+                assert_eq!(members[0].1, 0);
+                led += 1;
+            }
+        }
+        assert!(led > 1, "the corpus forms too few clusters to check");
+        assert_eq!(table(&run_on(&orku, 0.3, 0.1).0), rows);
     }
 }

@@ -511,7 +511,8 @@ pub fn join_group_indexed(
 
 /// VJ-NL-style kernel: iterate all ordered pairs of the group, position
 /// filter on the group token, verify with early exit — no index, no
-/// per-group allocations beyond the output.
+/// per-group allocations beyond the output. Books its counters into `stats`
+/// when it returns.
 pub fn join_group_nested_loop(
     entries: &[TokenEntry],
     thresholds: &GroupThresholds,
@@ -519,73 +520,75 @@ pub fn join_group_nested_loop(
     mode: JoinMode,
     stats: &JoinStats,
 ) -> Vec<(usize, usize, u64)> {
+    let mut counts = KernelCounts::default();
+    let mut results = Vec::new();
     nested_loop_by(
         entries,
         mode,
-        stats,
+        &mut counts,
         on_group_token(thresholds, use_position_filter),
-    )
+        |i, j, d| results.push((i, j, d)),
+    );
+    counts.flush(stats);
+    results
 }
 
 /// The all-pairs loop of every space: each unordered pair of the group that
-/// `mode` does not skip goes through `decide` once.
+/// `mode` does not skip goes through `decide` once, booking into the
+/// caller's `counts`, and each qualifying pair is emitted as `(i, j,
+/// distance)` with `entries[i]` the smaller `(relation, id)`. The caller
+/// owns `counts` across the groups of its task and flushes it once.
 pub(crate) fn nested_loop_by<D>(
     entries: &[TokenEntry],
     mode: JoinMode,
-    stats: &JoinStats,
+    counts: &mut KernelCounts,
     decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
-) -> Vec<(usize, usize, D)> {
+    mut emit: impl FnMut(usize, usize, D),
+) {
     // Group boundary: an interleaving point for schedule exploration (a
     // single relaxed-load branch when no hook is installed).
     minispark::sched::yield_point("kernel/nested-loop-group");
-    let mut results = Vec::new();
-    let mut counts = KernelCounts::default();
     for (i, a) in entries.iter().enumerate() {
         for (j, b) in entries.iter().enumerate().skip(i + 1) {
             if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = decide(a, b, &mut counts) {
+            if let Some(d) = decide(a, b, counts) {
                 let (x, y) = ordered_indices(entries, i, j);
-                results.push((x, y, d));
+                emit(x, y, d);
             }
         }
     }
-    counts.flush(stats);
-    results
 }
 
 /// R-S kernel (§6), the cross-chunk loop of every space: pairs one
 /// sub-partition of a split posting list against another, each `left` ×
-/// `right` pair that `mode` does not skip going through `decide` once. The
-/// chunks of a self-join partition one relation (`mode = SelfJoin`,
-/// duplicate ids are skipped); those of a bipartite pipeline's split group
-/// are mixed (`mode = Bipartite`: only cross-relation pairs are verified).
-/// Returns `(left_idx, right_idx, distance)` triples; callers normalize
-/// pair order by `(relation, ranking id)`.
+/// `right` pair that `mode` does not skip going through `decide` once,
+/// booking into the caller's `counts`. The chunks of a self-join partition
+/// one relation (`mode = SelfJoin`, duplicate ids are skipped); those of a
+/// bipartite pipeline's split group are mixed (`mode = Bipartite`: only
+/// cross-relation pairs are verified). Emits `(left_idx, right_idx,
+/// distance)`; callers normalize pair order by `(relation, ranking id)`.
 pub(crate) fn cross_loop_by<D>(
     left: &[TokenEntry],
     right: &[TokenEntry],
     mode: JoinMode,
-    stats: &JoinStats,
+    counts: &mut KernelCounts,
     decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
-) -> Vec<(usize, usize, D)> {
+    mut emit: impl FnMut(usize, usize, D),
+) {
     // Sub-partition boundary: interleaving point, see `nested_loop_by`.
     minispark::sched::yield_point("kernel/rs-group");
-    let mut results = Vec::new();
-    let mut counts = KernelCounts::default();
     for (i, a) in left.iter().enumerate() {
         for (j, b) in right.iter().enumerate() {
             if mode.skips(a, b) {
                 continue;
             }
-            if let Some(d) = decide(a, b, &mut counts) {
-                results.push((i, j, d));
+            if let Some(d) = decide(a, b, counts) {
+                emit(i, j, d);
             }
         }
     }
-    counts.flush(stats);
-    results
 }
 
 #[cfg(test)]
@@ -604,6 +607,23 @@ mod tests {
         let mut e = entry(id, items, token);
         e.relation = relation;
         e
+    }
+
+    /// `cross_loop_by`'s triples, its counts flushed into `stats`.
+    fn cross_loop<D>(
+        left: &[TokenEntry],
+        right: &[TokenEntry],
+        mode: JoinMode,
+        stats: &JoinStats,
+        decide: impl Fn(&TokenEntry, &TokenEntry, &mut KernelCounts) -> Option<D>,
+    ) -> Vec<(usize, usize, D)> {
+        let mut counts = KernelCounts::default();
+        let mut out = Vec::new();
+        cross_loop_by(left, right, mode, &mut counts, decide, |i, j, d| {
+            out.push((i, j, d));
+        });
+        counts.flush(stats);
+        out
     }
 
     fn group() -> Vec<TokenEntry> {
@@ -778,7 +798,7 @@ mod tests {
         let left = vec![entry(1, &[1, 2, 3, 4, 5], 1)];
         let right = vec![entry(2, &[2, 1, 3, 4, 5], 1), entry(9, &[9, 8, 7, 6, 1], 1)];
         let stats = JoinStats::default();
-        let results = cross_loop_by(
+        let results = cross_loop(
             &left,
             &right,
             JoinMode::SelfJoin,
@@ -819,7 +839,7 @@ mod tests {
             let stats = JoinStats::default();
             let decide = || on_group_token(&thresholds, false);
             let mut rs: Vec<(u64, u64, u64)> =
-                cross_loop_by(left, right, JoinMode::SelfJoin, &stats, decide())
+                cross_loop(left, right, JoinMode::SelfJoin, &stats, decide())
                     .into_iter()
                     .map(|(i, j, d)| {
                         let (a, b) = (left[i].ranking.id(), right[j].ranking.id());
@@ -827,7 +847,15 @@ mod tests {
                     })
                     .collect();
             rs.sort_unstable();
-            let all = nested_loop_by(&entries, JoinMode::SelfJoin, &stats, decide());
+            let mut all = Vec::new();
+            let mut counts = KernelCounts::default();
+            nested_loop_by(
+                &entries,
+                JoinMode::SelfJoin,
+                &mut counts,
+                decide(),
+                |i, j, d| all.push((i, j, d)),
+            );
             let crossing: Vec<(usize, usize, u64)> = all
                 .into_iter()
                 .filter(|&(i, j, _)| (i < left.len()) != (j < left.len()))
@@ -848,7 +876,7 @@ mod tests {
             &stats
         )
         .is_empty());
-        assert!(cross_loop_by(
+        assert!(cross_loop(
             &one,
             &[],
             JoinMode::SelfJoin,
@@ -937,7 +965,7 @@ mod tests {
             tagged_entry(Relation::Right, 5, &[1, 2, 3, 4, 9], 1),
         ];
         let stats = JoinStats::default();
-        let results = cross_loop_by(
+        let results = cross_loop(
             &left_chunk,
             &right_chunk,
             JoinMode::Bipartite,

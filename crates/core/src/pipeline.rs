@@ -35,8 +35,10 @@
 
 #![warn(clippy::indexing_slicing)]
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
+use minispark::skew::{join_groups, split_grouped_join, GroupJoin};
 use minispark::{Cluster, Dataset, SkewBudget};
 use topk_rankings::{FrequencyTable, ItemId, OrderedRanking, PrefixKind, Ranking, Relation};
 
@@ -198,6 +200,9 @@ pub fn emit_prefixes(
 
 /// [`emit_prefixes`] with a per-record prefix length, and with `sentinel`
 /// one more entry per ranking under [`DISJOINT_SENTINEL`].
+///
+/// A task writes its partition's entries into one `Vec`, sized up front from
+/// the records' prefix lengths, which it reads first.
 fn emit_prefixes_by(
     ds: &Dataset<Arc<OrderedRanking>>,
     prefix_len_of: impl Fn(&OrderedRanking) -> usize + Sync,
@@ -206,19 +211,27 @@ fn emit_prefixes_by(
     relation: Relation,
     label: &str,
 ) -> Dataset<(ItemId, TokenEntry)> {
-    ds.flat_map(label, move |r: &Arc<OrderedRanking>| {
-        let prefix = r.prefix(prefix_len_of(r));
-        let prefix_len = u16::try_from(prefix.len()).unwrap_or(u16::MAX);
-        let entry = |rank| TokenEntry {
-            rank,
-            prefix_len,
-            singleton,
-            relation,
-            ranking: Arc::clone(r),
-        };
-        tokens(prefix, sentinel)
-            .map(|(token, rank)| (token, entry(rank)))
-            .collect::<Vec<_>>()
+    ds.map_partitions(label, |records| {
+        let lens: Vec<usize> = records
+            .iter()
+            .map(|r| r.prefix(prefix_len_of(r)).len())
+            .collect();
+        let sentinels = if sentinel { records.len() } else { 0 };
+        let mut out = Vec::with_capacity(lens.iter().sum::<usize>() + sentinels);
+        for (r, &len) in records.iter().zip(&lens) {
+            let prefix_len = u16::try_from(len).unwrap_or(u16::MAX);
+            out.extend(tokens(r.prefix(len), sentinel).map(|(token, rank)| {
+                let entry = TokenEntry {
+                    rank,
+                    prefix_len,
+                    singleton,
+                    relation,
+                    ranking: Arc::clone(r),
+                };
+                (token, entry)
+            }));
+        }
+        out
     })
 }
 
@@ -412,62 +425,103 @@ fn owned_decision<S: JoinSpace>(
     }
 }
 
-/// Turns one kernel invocation's index triples (`i` into `left`, `j` into
-/// `right`; one slice twice for an in-group join) into hits.
-fn hits_of<D, H>(
-    triples: Vec<(usize, usize, D)>,
-    left: &[TokenEntry],
-    right: &[TokenEntry],
+/// Keeps `hit` of a qualifying pair, its entries in `(relation, id)` order:
+/// chunks of a bipartite group hold mixed relations with possibly
+/// overlapping id spaces, and id order alone could flip which relation
+/// leads. (In-group pairs arrive ordered already.)
+fn ordered_hit<D, H>(
+    x: &TokenEntry,
+    y: &TokenEntry,
+    distance: D,
     hit: &impl Fn(&TokenEntry, &TokenEntry, D) -> H,
-) -> Vec<H> {
-    triples
-        .into_iter()
-        .map(|(i, j, distance)| {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "kernel triples index their inputs — i < left.len() and j < right.len()"
-            )]
-            let (x, y) = (&left[i], &right[j]);
-            // Normalize by (relation, id), not id alone: chunks of a
-            // bipartite group hold mixed relations with possibly overlapping
-            // id spaces, and id ordering could flip which relation leads.
-            // (In-group triples arrive ordered already.)
-            if x.record_key() < y.record_key() {
-                hit(x, y, distance)
-            } else {
-                hit(y, x, distance)
-            }
-        })
-        .collect()
+) -> H {
+    if x.record_key() < y.record_key() {
+        hit(x, y, distance)
+    } else {
+        hit(y, x, distance)
+    }
 }
 
-/// Joins one token group (or one chunk of a split group), keeping the pairs
-/// the group owns.
-fn group_hits<S: JoinSpace, H>(
-    token: ItemId,
-    entries: &[TokenEntry],
-    space: &S,
+/// The token groups' join as the engine runs it: a task joins its groups
+/// (or the join units of split ones) one after the other, each keeping the
+/// pairs its token owns, books every group's counters into one
+/// [`KernelCounts`] and flushes it into `stats` once, when it is done.
+struct TokenJoin<'a, S, F> {
+    space: &'a S,
     mode: JoinMode,
-    stats: &JoinStats,
-    hit: &impl Fn(&TokenEntry, &TokenEntry, S::Dist) -> H,
-) -> Vec<H> {
-    let triples = nested_loop_by(entries, mode, stats, owned_decision(space, token));
-    hits_of(triples, entries, entries, hit)
+    stats: &'a JoinStats,
+    /// What a qualifying pair is kept as.
+    hit: F,
+    /// The chunk budget of a split join, checked on every in-group join.
+    budget: Option<usize>,
+}
+
+impl<S, H, F> GroupJoin<ItemId, TokenEntry> for TokenJoin<'_, S, F>
+where
+    S: JoinSpace,
+    H: Send + Sync + 'static,
+    F: Fn(&TokenEntry, &TokenEntry, S::Dist) -> H + Sync,
+{
+    type Out = H;
+    type Task = KernelCounts;
+
+    fn self_join(
+        &self,
+        counts: &mut KernelCounts,
+        &token: &ItemId,
+        entries: &[TokenEntry],
+        out: &mut Vec<H>,
+    ) {
+        if let Some(budget) = self.budget {
+            crate::invariants::check_subpartition(entries.len(), budget);
+        }
+        let decide = owned_decision(self.space, token);
+        nested_loop_by(entries, self.mode, counts, decide, |i, j, distance| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the kernel emits indices into its input — i, j < entries.len()"
+            )]
+            out.push(ordered_hit(&entries[i], &entries[j], distance, &self.hit));
+        });
+    }
+
+    fn cross_join(
+        &self,
+        counts: &mut KernelCounts,
+        &token: &ItemId,
+        left: &[TokenEntry],
+        right: &[TokenEntry],
+        out: &mut Vec<H>,
+    ) {
+        let decide = owned_decision(self.space, token);
+        cross_loop_by(left, right, self.mode, counts, decide, |i, j, distance| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the kernel emits indices into its inputs — i < left.len(), j < right.len()"
+            )]
+            out.push(ordered_hit(&left[i], &right[j], distance, &self.hit));
+        });
+    }
+
+    fn finish(&self, counts: KernelCounts) {
+        counts.flush(self.stats);
+    }
 }
 
 /// The reduce side of every prefix join: group emitted `(token, entry)`
 /// pairs by token and join inside each group, keeping `hit(a, b, distance)`
 /// of every qualifying pair (see [`prefix_hits`]).
 ///
-/// It consumes `emitted`: the group-by moves the entries into their groups
-/// and, when no group splits, each join task frees its own groups.
+/// It consumes `emitted`: the group-by moves the entries into its sorted
+/// runs ([`minispark::Groups`]), one block of entries per reduce partition,
+/// and, when no group splits, each join task frees its own partition.
 ///
-/// When `skew` resolves to a budget ([`SkewBudget::resolve`], on the grouped
-/// tokens — `Fixed(δ)` is CL-P's Algorithm 3) groups longer than it are split
-/// into sub-partitions of at most that many entries: each sub-partition is
-/// self-joined after being re-distributed with a composite partitioner, and
-/// every sub-partition pair is R-S-joined — spreading one hot token's work
-/// over the whole cluster. The splitting itself lives in
+/// When `skew` resolves to a budget ([`SkewBudget::resolve`], on the run
+/// lengths — `Fixed(δ)` is CL-P's Algorithm 3) groups longer than it are
+/// split into sub-partitions of at most that many entries: each
+/// sub-partition is self-joined after being re-distributed with a composite
+/// partitioner, and every sub-partition pair is R-S-joined — spreading one
+/// hot token's work over the whole cluster. The splitting itself lives in
 /// [`minispark::skew::split_grouped_join`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>(
@@ -483,39 +537,29 @@ pub(crate) fn token_grouped_join<S: JoinSpace, H: Clone + Send + Sync + 'static>
     // Spark can spill shuffle groups to disk when executor memory runs low
     // (the property §4.1 argues iterator-style processing preserves); the
     // engine reproduces that when the cluster config sets a spill budget.
+    let name = format!("{label}/group-by-token");
     let grouped = if emitted.cluster().config().spill_record_budget != usize::MAX {
-        emitted.group_by_key_spilling(&format!("{label}/group-by-token"), partitions)
+        emitted.group_runs_spilling(&name, partitions)
     } else {
-        emitted.into_group_by_key(&format!("{label}/group-by-token"), partitions)
+        emitted.into_group_runs(&name, partitions)
     };
-
-    match skew.resolve(&grouped) {
-        None => grouped.into_flat_map(&format!("{label}/join-groups"), |(token, entries)| {
-            group_hits(*token, entries, space, mode, stats, &hit)
-        }),
-        Some(budget) => {
-            let (hits, split) = minispark::skew::split_grouped_join(
-                &grouped,
-                budget,
-                partitions,
-                label,
-                |token, chunk: &[TokenEntry]| {
-                    crate::invariants::check_subpartition(chunk.len(), budget.get());
-                    group_hits(token, chunk, space, mode, stats, &hit)
-                },
-                |token, left: &[TokenEntry], right: &[TokenEntry]| {
-                    let triples =
-                        cross_loop_by(left, right, mode, stats, owned_decision(space, token));
-                    hits_of(triples, left, right, &hit)
-                },
-            );
-            JoinStats::add(&stats.posting_lists_split, split.groups_split);
-            JoinStats::add(&stats.rs_joins, split.rs_joins);
-            JoinStats::add(&stats.skew_chunks, split.chunks);
-            JoinStats::add(&stats.skew_steals, split.stolen_tasks);
-            hits
-        }
-    }
+    let budget = skew.resolve(&grouped);
+    let join = TokenJoin {
+        space,
+        mode,
+        stats,
+        hit,
+        budget: budget.map(NonZeroUsize::get),
+    };
+    let Some(budget) = budget else {
+        return join_groups(grouped, &format!("{label}/join-groups"), &join);
+    };
+    let (hits, split) = split_grouped_join(&grouped, budget, partitions, label, &join);
+    JoinStats::add(&stats.posting_lists_split, split.groups_split);
+    JoinStats::add(&stats.rs_joins, split.rs_joins);
+    JoinStats::add(&stats.skew_chunks, split.chunks);
+    JoinStats::add(&stats.skew_steals, split.stolen_tasks);
+    hits
 }
 
 /// Validates that all rankings share one length `k` and have unique ids;

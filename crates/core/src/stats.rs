@@ -6,10 +6,11 @@
 //! snapshotted at the end of a run; the driver then publishes the snapshot
 //! to the cluster's telemetry registry ([`StatsSnapshot::publish`]), so the
 //! live series are the run's own numbers. Its counters are atomics, but no task
-//! touches them per pair: a kernel invocation counts into a plain
-//! [`KernelCounts`] it owns and flushes it with one `add` per counter when it
-//! returns, so the shared cache lines move once per group, not four times per
-//! candidate.
+//! touches them per pair: a join task counts into a plain [`KernelCounts`] it
+//! owns across all its groups and flushes it with one `add` per counter when
+//! it is done, so the shared cache lines move once per task, not once per
+//! group or four times per candidate. (The index and CL's expansion flush
+//! once per probe or closure call.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,10 +100,10 @@ impl JoinStats {
     }
 }
 
-/// The per-pair counters of one kernel invocation — a group join, a
-/// chunk-pair join, an index probe, one expansion closure call: plain
-/// integers the invocation owns, [`flush`](KernelCounts::flush)ed into the
-/// shared [`JoinStats`] when it returns. The only way a per-pair counter
+/// The per-pair counters of one unit of work — a join task over its token
+/// groups or join units, an index probe, one expansion closure call: plain
+/// integers the work owns, [`flush`](KernelCounts::flush)ed into the shared
+/// [`JoinStats`] once, when it is done. The only way a per-pair counter
 /// moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounts {

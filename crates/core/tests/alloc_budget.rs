@@ -325,16 +325,29 @@ fn a_join_allocates_less_per_record_as_its_input_grows() {
         .with_cluster_threshold(0.03)
         .with_partition_threshold(50);
     type Join = fn(&Cluster, &[Ranking], &JoinConfig) -> usize;
-    let joins: [(&str, JoinConfig, Join); 2] = [
-        ("vj_join", JoinConfig::new(THETA), |c, d, cfg| {
-            vj_join(c, d, cfg).expect("uniform corpus").pairs.len()
-        }),
-        ("clp_join", clp, |c, d, cfg| {
-            clp_join(c, d, cfg).expect("uniform corpus").pairs.len()
-        }),
+    // VJ's ceiling at the largest size: ordering's 2 allocations per record
+    // (the `Arc` and the canonical pairs), plus at most 1 per record for
+    // everything paid per stage and per partition. Emission writes each
+    // partition's entries into one `Vec` and the group-by keeps a partition's
+    // groups in one run buffer, so neither adds one per record or per group.
+    // Measured: 2.9 (5.8 when emission collected a `Vec` per record and the
+    // group-by one per group).
+    let joins: [(&str, JoinConfig, Join, Option<f64>); 2] = [
+        (
+            "vj_join",
+            JoinConfig::new(THETA),
+            |c, d, cfg| vj_join(c, d, cfg).expect("uniform corpus").pairs.len(),
+            Some(3.0),
+        ),
+        (
+            "clp_join",
+            clp,
+            |c, d, cfg| clp_join(c, d, cfg).expect("uniform corpus").pairs.len(),
+            None,
+        ),
     ];
     println!("join      records    pairs  allocations/record");
-    for (name, config, join) in joins {
+    for (name, config, join, ceiling) in joins {
         // One warm-up run, so every size sees the same lazily initialised
         // state.
         let cluster = Cluster::new(ClusterConfig::local(1));
@@ -354,7 +367,50 @@ fn a_join_allocates_less_per_record_as_its_input_grows() {
             "{name}: allocations per record {per_record:.1?} over {SIZES:?} records — the \
              per-stage and per-group costs amortise, nothing is allocated per candidate"
         );
+        if let Some(ceiling) = ceiling {
+            assert!(
+                per_record[2] <= ceiling,
+                "{name}: {:.2} allocations per record on {} records, over the ceiling of \
+                 {ceiling} — emission or grouping allocates per record or per group",
+                per_record[2],
+                SIZES[2]
+            );
+        }
     }
+}
+
+/// Grouping allocates per partition, not per group: the same records under
+/// 40, 400 or 4 000 distinct keys cost the same. (`group_by_key`, which
+/// copies each group out into a `Vec` of its own, is printed for contrast.)
+#[test]
+fn grouping_allocates_per_partition_not_per_group() {
+    const RECORDS: u64 = 4_000;
+    const PARTITIONS: usize = 4;
+    println!("grouping          groups  allocations");
+    let mut runs = Vec::new();
+    for groups in [40, 400, 4_000] {
+        let cluster = Cluster::new(ClusterConfig::local(1));
+        let records: Vec<(u64, u64)> = (0..RECORDS).map(|n| (n % groups, n)).collect();
+        let input = cluster.parallelize(records.clone(), PARTITIONS);
+        let (allocs, grouped) = allocations(|| input.into_group_runs("runs", PARTITIONS));
+        assert_eq!(grouped.num_groups() as u64, groups);
+        println!("into_group_runs {groups:>8} {allocs:>12}");
+        runs.push(allocs);
+
+        let input = cluster.parallelize(records, PARTITIONS);
+        let (allocs, _) = allocations(|| input.group_by_key("copied", PARTITIONS));
+        println!("group_by_key    {groups:>8} {allocs:>12}");
+    }
+    assert!(
+        runs.iter().all(|&allocs| allocs == runs[0]),
+        "into_group_runs allocated {runs:?} times for 40, 400 and 4 000 groups — a group costs \
+         an allocation"
+    );
+    assert!(
+        runs[0] < 40 * PARTITIONS as u64,
+        "{} allocations for {PARTITIONS} partitions",
+        runs[0]
+    );
 }
 
 #[test]

@@ -17,12 +17,12 @@
 // The library-code rules of `[workspace.lints.clippy]` do not bind test code.
 #![allow(clippy::cast_possible_truncation, clippy::panic)]
 
-use minispark::{check_determinism, schedule_matrix, ClusterConfig, Schedule};
+use minispark::{check_determinism, schedule_matrix, Cluster, ClusterConfig, Schedule};
 use topk_datagen::{CorpusProfile, Rng};
 use topk_rankings::Ranking;
 use topk_simjoin::{
-    jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, varlen_join, Algorithm, JaccardConfig,
-    JoinConfig, SkewBudget,
+    clp_join, jaccard_cl_join, jaccard_clp_join, jaccard_vj_join, varlen_join, Algorithm,
+    JaccardConfig, JoinConfig, SkewBudget,
 };
 
 const SLOT_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -232,4 +232,59 @@ fn varlen_is_schedule_independent() {
     })
     .unwrap_or_else(|failure| panic!("varlen join is schedule-dependent: {failure}"));
     assert!(!outcome.reference.is_empty());
+}
+
+/// Every stage row's record counts of one run: name, records in and out,
+/// records shuffled and the largest partition.
+fn stage_counts(cluster: &Cluster) -> Vec<(String, usize, usize, usize, usize)> {
+    cluster
+        .metrics()
+        .stages
+        .iter()
+        .map(|s| {
+            let counts = (s.input_records, s.output_records, s.shuffle_records);
+            (
+                s.name.clone(),
+                counts.0,
+                counts.1,
+                counts.2,
+                s.max_partition_records,
+            )
+        })
+        .collect()
+}
+
+/// Token groups come out of the group-by in key order, so a δ-split CL-P run
+/// records the same per-stage record counts every time — on one slot, on
+/// several and under a seeded schedule — split stages included.
+#[test]
+fn cl_p_split_stage_rows_repeat_run_to_run() {
+    let data = corpus(400, 7, 40, 0xD5EED);
+    let config = JoinConfig::new(0.35)
+        .with_cluster_threshold(0.05)
+        .with_partition_threshold(6);
+    let run = |config_of: ClusterConfig| {
+        let cluster = Cluster::new(config_of);
+        let out = clp_join(&cluster, &data, &config).expect("uniform corpus");
+        assert!(
+            out.stats.posting_lists_split > 0,
+            "δ = 6 must split a group"
+        );
+        (out.pairs, stage_counts(&cluster))
+    };
+    let reference = run(base_config());
+    assert!(
+        reference
+            .1
+            .iter()
+            .any(|row| row.0.ends_with("/join-chunks")),
+        "the split path did not run"
+    );
+    for config_of in [
+        base_config(),
+        ClusterConfig::local(1).with_default_partitions(5),
+        base_config().with_schedule(Schedule::Seeded(7)),
+    ] {
+        assert_eq!(run(config_of), reference);
+    }
 }

@@ -382,6 +382,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             })
     }
 
+    /// Runs one narrow stage with a task per partition: `f` reads the whole
+    /// partition and builds one output partition (Spark's `mapPartitions`),
+    /// so a task can size its output once or keep state across its records.
+    pub fn map_partitions<U, F>(&self, name: &str, f: F) -> Dataset<U>
+    where
+        U: Send + Sync + 'static,
+        F: Fn(&[T]) -> Vec<U> + Sync,
+    {
+        self.cluster
+            .clone()
+            .run_narrow_stage(name, self.slices(), self.count(), |_, part| f(part))
+    }
+
     /// Concatenates two datasets partition-wise (no data movement).
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
         let mut partitions = self.partitions.clone();

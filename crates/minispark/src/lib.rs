@@ -7,8 +7,9 @@
 //! * **Partitioned datasets** ([`Dataset`]) with narrow transformations
 //!   (`map`, `filter`, `flat_map`, `union`, …) executed one task per
 //!   partition,
-//! * **Wide transformations** (`group_by_key`, `reduce_by_key`, `distinct`,
-//!   `partition_by`) implemented as hash **shuffles** with pluggable
+//! * **Wide transformations** (`into_group_runs`, `group_by_key`,
+//!   `reduce_by_key`, `distinct`, `partition_by`) implemented as hash
+//!   **shuffles** with pluggable
 //!   [`Partitioner`]s — including the composite `(key, random sub-key)`
 //!   partitioning that CL-P's repartitioning uses; there is no shuffle
 //!   join: a small side is broadcast and looked up in a narrow stage, as
@@ -25,6 +26,10 @@
 //!   joins) — plus every task's queued/started/finished span and slot id,
 //!   the one store of task timings, with executor-utilization analytics
 //!   ([`ExecutorAnalytics`]) read off them,
+//! * **sorted runs** ([`groups`]): every group-by sorts a reduce partition
+//!   by key into one [`Groups`] — keys, run ends and the values in key
+//!   order — which a [`GroupedDataset`]'s stages iterate as `(key, &[V])`
+//!   slices; there is no per-group allocation,
 //! * **spill-to-disk** ([`spill`]): an external group-by that encodes
 //!   overflowing groups to temporary run files and merges them, reproducing
 //!   Spark's ability to spill shuffle data that iterator-style (VJ-NL)
@@ -89,6 +94,7 @@ pub mod codec;
 pub mod config;
 pub mod dataset;
 pub mod executor;
+pub mod groups;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -105,6 +111,7 @@ pub use check::{audit_snapshot, check_determinism, schedule_matrix, AuditViolati
 pub use codec::Codec;
 pub use config::ClusterConfig;
 pub use dataset::{Cluster, Dataset};
+pub use groups::{GroupedDataset, Groups};
 pub use http::{HttpServer, LiveServer, Request, Response, Router, TelemetrySource};
 pub use json::Json;
 pub use metrics::{MetricsReport, StageMetrics};

@@ -14,23 +14,51 @@ use std::time::Instant;
 use crate::codec::Codec;
 use crate::dataset::{Cluster, Dataset, StageIo};
 use crate::executor::{run_stage_tasks, TaskSpan};
+use crate::groups::{GroupedDataset, Groups};
 use crate::shuffle::{spread, stable_hash, FastHashMap, FastHashSet, HashPartitioner, Partitioner};
 use crate::spill::external_group_by;
 
+/// The records one target partition receives: the bucket each map task
+/// filled for it, in map-task order. A reduce task reads them where they
+/// are, so nothing concatenates them on the driver.
+struct Inbound<T>(Vec<Vec<T>>);
+
+impl<T> Inbound<T> {
+    /// Number of records.
+    fn len(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
+
+    /// The records in arrival order: map task by map task.
+    fn into_records(self) -> impl Iterator<Item = T> {
+        self.0.into_iter().flatten()
+    }
+
+    /// The records in arrival order, in one `Vec`.
+    fn concat(self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        for bucket in self.0 {
+            out.extend(bucket);
+        }
+        out
+    }
+}
+
 /// Scatters every record of `input` into `targets` buckets according to
-/// `target_of`, in parallel on the map side. Returns the target partitions.
+/// `target_of`, in parallel on the map side. Returns what each target
+/// partition receives.
 ///
 /// The scatter consumes `input`: a map task moves the records of a
 /// partition no other handle shares and clones only those of a shared one —
 /// a caller that keeps its dataset passes a clone of the handle and pays
-/// the clones it paid before. Every bucket and every target partition is
-/// allocated once at its final size — what a shuffle allocates grows with
-/// map tasks × targets, not with the records it moves.
+/// the clones it paid before. Every bucket is allocated once at its final
+/// size — what a shuffle allocates grows with map tasks × targets, not with
+/// the records it moves.
 fn shuffle_scatter<T, F>(
     input: Dataset<T>,
     targets: usize,
     target_of: F,
-) -> (Vec<Vec<T>>, Vec<TaskSpan>)
+) -> (Vec<Inbound<T>>, Vec<TaskSpan>)
 where
     T: Clone + Send + Sync + 'static,
     F: Fn(&T) -> usize + Sync,
@@ -55,16 +83,16 @@ where
         }
         buckets
     });
-    // Reduce-side gather: concatenate the map-side buckets per target.
-    let mut out: Vec<Vec<T>> = (0..targets)
-        .map(|t| Vec::with_capacity(bucketed.iter().map(|buckets| buckets[t].len()).sum()))
+    // Hand each target its buckets: only the `Vec` handles move.
+    let mut inbound: Vec<Inbound<T>> = (0..targets)
+        .map(|_| Inbound(Vec::with_capacity(bucketed.len())))
         .collect();
     for task_buckets in bucketed {
-        for (target, bucket) in out.iter_mut().zip(task_buckets) {
-            target.extend(bucket);
+        for (target, bucket) in inbound.iter_mut().zip(task_buckets) {
+            target.0.push(bucket);
         }
     }
-    (out, spans)
+    (inbound, spans)
 }
 
 /// Pushes each record into the bucket its entry of `targets` names.
@@ -136,7 +164,7 @@ struct MapSide<T> {
     /// Records the stage read.
     input_records: usize,
     /// One reduce input per target partition.
-    targets: Vec<Vec<T>>,
+    targets: Vec<Inbound<T>>,
     /// Records that crossed the shuffle.
     shuffled: usize,
     /// The map-side task waves, back to back.
@@ -148,38 +176,60 @@ impl<T> MapSide<T> {
     fn scattered(
         start: Instant,
         input_records: usize,
-        (targets, spans): (Vec<Vec<T>>, Vec<TaskSpan>),
+        (targets, spans): (Vec<Inbound<T>>, Vec<TaskSpan>),
     ) -> Self {
         Self {
             start,
             input_records,
-            shuffled: targets.iter().map(Vec::len).sum(),
+            shuffled: targets.iter().map(Inbound::len).sum(),
             targets,
             spans,
         }
     }
 }
 
+/// What one reduce task returns: its output partition plus the runs and
+/// bytes it spilled.
+type Reduced<P> = (P, usize, usize);
+
+/// An output partition of a reduce task, as its stage row counts it.
+trait OutputPartition: Send {
+    /// Output records: a flat partition's records, a grouped one's groups.
+    fn records(&self) -> usize;
+}
+
+impl<U: Send> OutputPartition for Vec<U> {
+    fn records(&self) -> usize {
+        self.len()
+    }
+}
+
+impl<K: Send, V: Send> OutputPartition for Groups<K, V> {
+    fn records(&self) -> usize {
+        self.len()
+    }
+}
+
 /// The rest of a wide stage once its map side has scattered: marks the
 /// flush, runs one reduce task per target partition — `reduce` returns the
 /// output partition plus the runs and bytes it spilled — and records the
-/// stage row over both waves.
-fn reduce_side<T, U>(
-    cluster: Cluster,
+/// stage row over both waves. Returns the output partitions.
+fn reduce_side<T, P>(
+    cluster: &Cluster,
     name: &str,
     map: MapSide<T>,
-    reduce: impl Fn(Vec<T>) -> (Vec<U>, usize, usize) + Sync,
-) -> Dataset<U>
+    reduce: impl Fn(Inbound<T>) -> Reduced<P> + Sync,
+) -> Vec<P>
 where
     T: Send,
-    U: Send + Sync + 'static,
+    P: OutputPartition,
 {
-    mark_shuffle_flush(&cluster, name, map.shuffled);
+    mark_shuffle_flush(cluster, name, map.shuffled);
     let probe = &cluster.inner.engine.executor;
     let (reduced, reduce_spans) =
         run_stage_tasks(cluster.config(), probe, map.targets, |_, part| reduce(part));
     let (mut spilled_runs, mut spilled_bytes) = (0, 0);
-    let parts: Vec<Vec<U>> = reduced
+    let parts: Vec<P> = reduced
         .into_iter()
         .map(|(part, runs, bytes)| {
             spilled_runs += runs;
@@ -187,7 +237,7 @@ where
             part
         })
         .collect();
-    let out_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+    let out_sizes: Vec<usize> = parts.iter().map(OutputPartition::records).collect();
     let io = StageIo {
         input_records: map.input_records,
         out_sizes: &out_sizes,
@@ -197,8 +247,23 @@ where
         spilled_bytes,
     };
     let spans = [map.spans, reduce_spans].concat();
-    record_wide_stage(&cluster, name, map.start, spans, io);
-    Dataset::from_partitions(cluster, parts)
+    record_wide_stage(cluster, name, map.start, spans, io);
+    parts
+}
+
+/// The map side of a group-by: every record scattered to the partition its
+/// key hashes to.
+fn scatter_by_key<K, V>(input: Dataset<(K, V)>, partitions: usize) -> MapSide<(K, V)>
+where
+    K: Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    let start = Instant::now();
+    let input_records = input.count();
+    let n = partitions.max(1);
+    let partitioner = HashPartitioner::new(n);
+    let scattered = shuffle_scatter(input, n, |(k, _): &(K, V)| partitioner.partition(k));
+    MapSide::scattered(start, input_records, scattered)
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -207,52 +272,95 @@ where
     V: Clone + Send + Sync + 'static,
 {
     /// Groups all values sharing a key onto one partition and into one
-    /// record, Spark's `groupByKey`. The dataset stays intact: this is
-    /// [`Dataset::into_group_by_key`] over a clone of the handle.
-    pub fn group_by_key(&self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)> {
-        self.clone().into_group_by_key(name, partitions)
-    }
-
-    /// [`Dataset::group_by_key`] that consumes the dataset: the scatter moves
-    /// the records of every partition no other handle shares into their
-    /// groups instead of cloning them.
-    pub fn into_group_by_key(self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)> {
-        let start = Instant::now();
-        let input_records = self.count();
+    /// record, Spark's `groupByKey`. The dataset stays intact. The records
+    /// are the groups of [`Dataset::into_group_runs`] over a clone of the
+    /// handle, each copied out of its run into a `Vec` by its reduce task.
+    pub fn group_by_key(&self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)>
+    where
+        K: Ord,
+    {
         let cluster = self.cluster().clone();
-        let n = partitions.max(1);
-        let partitioner = HashPartitioner::new(n);
-        let scattered = shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
-        let map = MapSide::scattered(start, input_records, scattered);
-        reduce_side(cluster, name, map, |part| {
-            let mut groups: FastHashMap<K, Vec<V>> = FastHashMap::default();
-            for (k, v) in part {
-                groups.entry(k).or_default().push(v);
-            }
-            (groups.into_iter().collect(), 0, 0)
-        })
+        let map = scatter_by_key(self.clone(), partitions);
+        let parts = reduce_side(&cluster, name, map, |part| {
+            (
+                Groups::sorted(part.len(), part.into_records()).into_pairs(),
+                0,
+                0,
+            )
+        });
+        Dataset::from_partitions(cluster, parts)
     }
 
-    /// `groupByKey` with a bounded in-memory footprint: each reduce task
-    /// keeps at most the cluster's `spill_record_budget` records in memory
-    /// and spills encoded runs to disk beyond that (see [`crate::spill`]).
+    /// Groups all values sharing a key onto one partition, consuming the
+    /// dataset: each reduce task sorts its partition by key into one
+    /// [`Groups`] — the keys, the run ends and the values in key order,
+    /// arrival order within a key. The scatter moves the records of every
+    /// partition no other handle shares instead of cloning them. The stage
+    /// row's output records are the groups.
+    pub fn into_group_runs(self, name: &str, partitions: usize) -> GroupedDataset<K, V>
+    where
+        K: Ord,
+    {
+        let cluster = self.cluster().clone();
+        let map = scatter_by_key(self, partitions);
+        let partitions = reduce_side(&cluster, name, map, |part| {
+            (Groups::sorted(part.len(), part.into_records()), 0, 0)
+        });
+        GroupedDataset {
+            cluster,
+            partitions,
+        }
+    }
+
+    /// [`Dataset::into_group_runs`] with a bounded in-memory footprint: each
+    /// reduce task keeps at most the cluster's `spill_record_budget` records
+    /// in memory, spills sorted runs to disk beyond that and merges them
+    /// into the same [`Groups`] (see [`crate::spill`]).
+    pub fn group_runs_spilling(self, name: &str, partitions: usize) -> GroupedDataset<K, V>
+    where
+        K: Codec + Ord,
+        V: Codec,
+    {
+        let cluster = self.cluster().clone();
+        let partitions = self.spill_groups(name, partitions, |groups| groups);
+        GroupedDataset {
+            cluster,
+            partitions,
+        }
+    }
+
+    /// [`Dataset::group_runs_spilling`] with each group copied out of its
+    /// run into one `(key, values)` record by its reduce task, as
+    /// [`Dataset::group_by_key`] returns them.
     pub fn group_by_key_spilling(self, name: &str, partitions: usize) -> Dataset<(K, Vec<V>)>
     where
         K: Codec + Ord,
         V: Codec,
     {
-        let start = Instant::now();
-        let input_records = self.count();
+        let cluster = self.cluster().clone();
+        let parts = self.spill_groups(name, partitions, Groups::into_pairs);
+        Dataset::from_partitions(cluster, parts)
+    }
+
+    /// The spilling group-by's stage: every reduce task groups its partition
+    /// through [`external_group_by`] and hands the groups to `finish`.
+    fn spill_groups<P: OutputPartition>(
+        self,
+        name: &str,
+        partitions: usize,
+        finish: impl Fn(Groups<K, V>) -> P + Sync,
+    ) -> Vec<P>
+    where
+        K: Codec + Ord,
+        V: Codec,
+    {
         let cluster = self.cluster().clone();
         let budget = cluster.config().spill_record_budget;
         let spill_dir = cluster.config().spill_dir.clone();
-        let n = partitions.max(1);
-        let partitioner = HashPartitioner::new(n);
-        let scattered = shuffle_scatter(self, n, |(k, _): &(K, V)| partitioner.partition(k));
-        let map = MapSide::scattered(start, input_records, scattered);
+        let map = scatter_by_key(self, partitions);
         let trace = cluster.trace().clone();
-        reduce_side(cluster, name, map, |part| {
-            let result = external_group_by(part.into_iter(), budget, spill_dir.as_deref())
+        reduce_side(&cluster, name, map, |part| {
+            let result = external_group_by(part.concat(), budget, spill_dir.as_deref())
                 .expect("spill I/O failed");
             if trace.is_enabled() {
                 // One instant event per spilled run file, emitted as the
@@ -262,7 +370,11 @@ where
                     trace.mark(&format!("spill-run/{name}"), 1);
                 }
             }
-            (result.groups, result.spilled_runs, result.spilled_bytes)
+            (
+                finish(result.groups),
+                result.spilled_runs,
+                result.spilled_bytes,
+            )
         })
     }
 
@@ -289,9 +401,10 @@ where
         let scattered = shuffle_scatter(combined, n, |(k, _): &(K, V)| partitioner.partition(k));
         let mut map = MapSide::scattered(start, input_records, scattered);
         map.spans = [combine_spans, map.spans].concat();
-        reduce_side(cluster, name, map, |part| {
-            (combine_by_key(part.into_iter(), &f), 0, 0)
-        })
+        let parts = reduce_side(&cluster, name, map, |part| {
+            (combine_by_key(part.into_records(), &f), 0, 0)
+        });
+        Dataset::from_partitions(cluster, parts)
     }
 
     /// Re-partitions by an arbitrary [`Partitioner`] without grouping —
@@ -309,9 +422,10 @@ where
             shuffle_scatter(self, partitioner.num_partitions(), |(k, _)| {
                 partitioner.partition(k)
             });
-        let shuffled: usize = scattered.iter().map(std::vec::Vec::len).sum();
+        let scattered: Vec<Vec<(K, V)>> = scattered.into_iter().map(Inbound::concat).collect();
+        let shuffled: usize = scattered.iter().map(Vec::len).sum();
         mark_shuffle_flush(&cluster, name, shuffled);
-        let out_sizes: Vec<usize> = scattered.iter().map(std::vec::Vec::len).collect();
+        let out_sizes: Vec<usize> = scattered.iter().map(Vec::len).collect();
         let io = StageIo {
             input_records,
             out_sizes: &out_sizes,
@@ -337,19 +451,20 @@ where
         let targets = partitions.max(1);
         let scattered = shuffle_scatter(self.clone(), targets, |t| spread(stable_hash(t), targets));
         let map = MapSide::scattered(start, input_records, scattered);
-        reduce_side(self.cluster().clone(), name, map, |part| {
+        let parts = reduce_side(self.cluster(), name, map, |part| {
             // The seen-set owns each unique record once; the output is
             // rebuilt from it, so records are cloned exactly once.
             let mut seen = FastHashSet::with_capacity_and_hasher(part.len(), Default::default());
             let mut out = Vec::new();
-            for record in part {
+            for record in part.into_records() {
                 if !seen.contains(&record) {
                     out.push(record.clone());
                     seen.insert(record);
                 }
             }
             (out, 0, 0)
-        })
+        });
+        Dataset::from_partitions(self.cluster().clone(), parts)
     }
 }
 
@@ -388,45 +503,42 @@ mod tests {
         assert_eq!(unique.len(), 40);
     }
 
-    /// Every group of `grouped` as `(key, sorted values)`, sorted by key.
-    fn groups_of(grouped: &Dataset<(u64, Vec<Arc<u64>>)>) -> Vec<(u64, Vec<u64>)> {
-        let mut groups: Vec<(u64, Vec<u64>)> = (0..grouped.num_partitions())
-            .flat_map(|p| grouped.partition(p))
-            .map(|(key, values)| {
-                let mut values: Vec<u64> = values.iter().map(|value| **value).collect();
-                values.sort_unstable();
-                (*key, values)
-            })
-            .collect();
-        groups.sort_unstable();
-        groups
-    }
-
     #[test]
-    fn into_group_by_key_moves_what_it_owns() {
+    fn into_group_runs_moves_what_it_owns() {
         let c = cluster();
         let records =
             || -> Vec<(u64, Arc<u64>)> { (0..200).map(|n| (n % 7, Arc::new(n))).collect() };
-        // Unshared: every value is moved into its group, never cloned.
-        let moved = c.parallelize(records(), 8).into_group_by_key("move", 4);
+        // Unshared: every value is moved into its run, never cloned.
+        let moved = c.parallelize(records(), 8).into_group_runs("move", 4);
+        let mut runs = Vec::new();
         for p in 0..moved.num_partitions() {
-            for (_, values) in moved.partition(p) {
+            for (key, values) in moved.partition(p).iter() {
                 assert!(values.iter().all(|value| Arc::strong_count(value) == 1));
+                runs.push((*key, values.iter().map(|v| **v).collect::<Vec<u64>>()));
             }
         }
-        // Borrowed: the same groups, and the source keeps every record, so
-        // each value is held by the source and by its group.
+        runs.sort_unstable();
+        // Borrowed: the same groups, values in the same (arrival) order, and
+        // the source keeps every record, so each value is held twice.
         let kept = c.parallelize(records(), 8);
-        let borrowed = kept.group_by_key("borrow", 4);
-        assert_eq!(groups_of(&borrowed), groups_of(&moved));
-        let source: Vec<(u64, u64)> = (0..kept.num_partitions())
-            .flat_map(|p| kept.partition(p))
-            .map(|(key, value)| {
-                assert_eq!(Arc::strong_count(value), 2);
-                (*key, **value)
-            })
+        let mut borrowed: Vec<(u64, Vec<u64>)> = kept
+            .group_by_key("borrow", 4)
+            .collect()
+            .into_iter()
+            .map(|(key, values)| (key, values.iter().map(|v| **v).collect()))
             .collect();
-        assert_eq!(source, (0..200).map(|n| (n % 7, n)).collect::<Vec<_>>());
+        borrowed.sort_unstable();
+        assert_eq!(borrowed, runs);
+        for p in 0..kept.num_partitions() {
+            assert!(kept
+                .partition(p)
+                .iter()
+                .all(|(_, v)| Arc::strong_count(v) == 1));
+        }
+        assert_eq!(runs.len(), 7);
+        assert!(runs
+            .iter()
+            .all(|(key, values)| values.is_sorted() && values.iter().all(|v| v % 7 == *key)));
     }
 
     #[test]

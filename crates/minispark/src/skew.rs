@@ -32,6 +32,7 @@ use std::hash::Hash;
 use std::num::NonZeroUsize;
 
 use crate::dataset::Dataset;
+use crate::groups::GroupedDataset;
 use crate::shuffle::CompositePartitioner;
 
 /// The skew-handling policy of a join: whether (and at what budget) oversized
@@ -69,7 +70,7 @@ impl SkewBudget {
     /// slot without exploding the quadratic number of chunk-pair R-S tasks.
     /// When the largest group fits that budget, `Auto` resolves to `None`:
     /// a no-skew join keeps its exact unsplit stage structure.
-    pub fn resolve<K, V>(&self, grouped: &Dataset<(K, Vec<V>)>) -> Option<NonZeroUsize>
+    pub fn resolve<K, V>(&self, grouped: &GroupedDataset<K, V>) -> Option<NonZeroUsize>
     where
         K: Send + Sync + 'static,
         V: Send + Sync + 'static,
@@ -80,14 +81,7 @@ impl SkewBudget {
                 Some(NonZeroUsize::new(budget).unwrap_or(NonZeroUsize::MIN))
             }
             SkewBudget::Auto => {
-                let mut sizes: Vec<usize> = (0..grouped.num_partitions())
-                    .flat_map(|p| {
-                        grouped
-                            .partition(p)
-                            .iter()
-                            .map(|(_, members)| members.len())
-                    })
-                    .collect();
+                let mut sizes: Vec<usize> = grouped.group_lens().collect();
                 sizes.sort_unstable();
                 let max = sizes.last().copied()?;
                 let rank = (95 * sizes.len()).div_ceil(100);
@@ -210,40 +204,93 @@ pub struct SplitStats {
     pub stolen_tasks: u64,
 }
 
+/// The join a grouped dataset runs: within a group, or within one join unit
+/// of a split group. A task joins many groups or units in a row; it owns one
+/// [`GroupJoin::Task`] for all of them — counters to book into, for
+/// instance — which [`GroupJoin::finish`] receives once, when the task is
+/// done.
+pub trait GroupJoin<K, M>: Sync {
+    /// What the join emits per qualifying pair.
+    type Out: Send + Sync + 'static;
+    /// The state one task carries across its groups and units.
+    type Task: Default;
+
+    /// Emits into `out` every qualifying pair within `members`.
+    fn self_join(&self, task: &mut Self::Task, key: &K, members: &[M], out: &mut Vec<Self::Out>);
+
+    /// Emits into `out` every qualifying pair with one side in `left` and
+    /// the other in `right`.
+    fn cross_join(
+        &self,
+        task: &mut Self::Task,
+        key: &K,
+        left: &[M],
+        right: &[M],
+        out: &mut Vec<Self::Out>,
+    );
+
+    /// Ends a task: receives the state it carried.
+    fn finish(&self, task: Self::Task);
+
+    /// Runs one task's `body` with fresh state and an empty output, then
+    /// [`finish`](GroupJoin::finish)es the state. Returns the output.
+    fn task(&self, body: impl FnOnce(&mut Self::Task, &mut Vec<Self::Out>)) -> Vec<Self::Out> {
+        let mut task = Self::Task::default();
+        let mut out = Vec::new();
+        body(&mut task, &mut out);
+        self.finish(task);
+        out
+    }
+}
+
+/// Joins every group of `grouped` in place, in one stage `name` with a task
+/// per partition. It consumes the groups: each task frees its partition.
+pub fn join_groups<K, M, J>(grouped: GroupedDataset<K, M>, name: &str, join: &J) -> Dataset<J::Out>
+where
+    K: Send + Sync + 'static,
+    M: Send + Sync + 'static,
+    J: GroupJoin<K, M>,
+{
+    grouped.into_map_partitions(name, |groups| {
+        join.task(|task, out| {
+            for (key, members) in groups.iter() {
+                join.self_join(task, key, members, out);
+            }
+        })
+    })
+}
+
 /// Joins a key-grouped dataset with bounded per-task group sizes: groups of
-/// ≤ `budget` members run `self_join` directly; larger groups are cut by a
-/// [`SplitPlan`] into their join units, spread across `2 × partitions`
-/// targets with the composite `(key, i, j)` partitioner, and joined unit by
-/// unit — Algorithm 3 of the paper with the kernels injected.
+/// ≤ `budget` members run [`GroupJoin::self_join`] directly; larger groups
+/// are cut by a [`SplitPlan`] into their join units, spread across `2 ×
+/// partitions` targets with the composite `(key, i, j)` partitioner, and
+/// joined unit by unit — Algorithm 3 of the paper with the kernels injected.
 ///
-/// `self_join(key, members)` must emit every qualifying pair within
-/// `members`; `cross_join(key, left, right)` every qualifying pair with one
-/// side in each. A diagonal unit runs `self_join` on its chunk, an
-/// off-diagonal one `cross_join` on its chunk pair. Together with the
-/// coverage of [`SplitPlan::units`] this makes the union of all stage
-/// outputs contain exactly the unsplit join's pairs, each pair of one key's
-/// members once (a pair found via several keys is the caller's to
-/// deduplicate or to assign to one key).
+/// `self_join` must emit every qualifying pair within `members`;
+/// `cross_join` every qualifying pair with one side in each. A diagonal unit
+/// runs `self_join` on its chunk, an off-diagonal one `cross_join` on its
+/// chunk pair. Together with the coverage of [`SplitPlan::units`] this makes
+/// the union of all stage outputs contain exactly the unsplit join's pairs,
+/// each pair of one key's members once (a pair found via several keys is the
+/// caller's to deduplicate or to assign to one key).
 ///
 /// The task that holds a whole large group cuts it into its units
 /// (`{label}/split-large-groups`): a unit carries its chunk, or both chunks
 /// of its pair, so nothing regroups after the one shuffle. The stages, in
 /// order: `…/join-small-groups`, `…/split-large-groups`, `…/spread-chunks`,
-/// `…/join-chunks`.
-pub fn split_grouped_join<K, M, O, SJ, CJ>(
-    grouped: &Dataset<(K, Vec<M>)>,
+/// `…/join-chunks`. Groups come in key order, so every stage row is the same
+/// from run to run.
+pub fn split_grouped_join<K, M, J>(
+    grouped: &GroupedDataset<K, M>,
     budget: NonZeroUsize,
     partitions: usize,
     label: &str,
-    self_join: SJ,
-    cross_join: CJ,
-) -> (Dataset<O>, SplitStats)
+    join: &J,
+) -> (Dataset<J::Out>, SplitStats)
 where
     K: Hash + Eq + Copy + Send + Sync + 'static,
     M: Clone + Send + Sync + 'static,
-    O: Clone + Send + Sync + 'static,
-    SJ: Fn(K, &[M]) -> Vec<O> + Sync,
-    CJ: Fn(K, &[M], &[M]) -> Vec<O> + Sync,
+    J: GroupJoin<K, M>,
 {
     let cluster = grouped.cluster();
     let stages_before = cluster.inner.metrics.stage_count();
@@ -253,12 +300,14 @@ where
     };
 
     // Small groups join as usual.
-    let small = grouped.flat_map(&format!("{label}/join-small-groups"), |(key, members)| {
-        if plan_of(members).is_none() {
-            self_join(*key, members)
-        } else {
-            Vec::new()
-        }
+    let small = grouped.map_partitions(&format!("{label}/join-small-groups"), |groups| {
+        join.task(|task, out| {
+            for (key, members) in groups.iter() {
+                if plan_of(members).is_none() {
+                    join.self_join(task, key, members, out);
+                }
+            }
+        })
     });
     // Large groups are cut into their join units, which the composite
     // partitioner of §6 spreads across the cluster by (key, i, j). (The
@@ -266,14 +315,21 @@ where
     // keyed by token, keeping sub₁ < sub₂; the units carry exactly the same
     // chunk replicas.)
     let units = grouped
-        .flat_map(&format!("{label}/split-large-groups"), |(key, members)| {
-            let Some(plan) = plan_of(members) else {
-                return Vec::new();
-            };
-            plan.units(members)
-                .into_iter()
-                .map(|((i, j), left, right)| ((*key, i, j), (left.to_vec(), right.to_vec())))
-                .collect::<Vec<_>>()
+        .map_partitions(&format!("{label}/split-large-groups"), |groups| {
+            let mut units = Vec::new();
+            for (&key, members) in groups.iter() {
+                let Some(plan) = plan_of(members) else {
+                    continue;
+                };
+                units.extend(
+                    plan.units(members)
+                        .into_iter()
+                        .map(|((i, j), left, right)| {
+                            ((key, i, j), (left.to_vec(), right.to_vec()))
+                        }),
+                );
+            }
+            units
         })
         .partition_by(
             &format!("{label}/spread-chunks"),
@@ -288,12 +344,16 @@ where
         }
     }
     let join_chunks = format!("{label}/join-chunks");
-    let unit_hits = units.flat_map(&join_chunks, |((key, i, j), (left, right))| {
-        if i == j {
-            self_join(*key, left)
-        } else {
-            cross_join(*key, left, right)
-        }
+    let unit_hits = units.map_partitions(&join_chunks, |units| {
+        join.task(|task, out| {
+            for ((key, i, j), (left, right)) in units {
+                if i == j {
+                    join.self_join(task, key, left, out);
+                } else {
+                    join.cross_join(task, key, left, right, out);
+                }
+            }
+        })
     });
 
     // Steal accounting: the stolen-task count of the join stage this call
@@ -319,7 +379,9 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::dataset::Cluster;
+    use crate::groups::Groups;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).expect("a non-zero budget")
@@ -440,10 +502,23 @@ mod tests {
         }
     }
 
+    /// A grouped dataset over three partitions, without a stage: group `g`
+    /// of `groups` in partition `g mod 3`.
+    fn grouped<M>(c: &Cluster, groups: Vec<(u32, Vec<M>)>) -> GroupedDataset<u32, M> {
+        let mut partitions: Vec<Groups<u32, M>> = (0..3).map(|_| Groups::default()).collect();
+        for (g, (key, members)) in groups.into_iter().enumerate() {
+            partitions[g % 3].extend(key, members);
+        }
+        GroupedDataset {
+            cluster: c.clone(),
+            partitions,
+        }
+    }
+
     /// A grouped dataset with one group per entry of `sizes`.
-    fn groups_of(c: &Cluster, sizes: &[usize]) -> Dataset<(u32, Vec<u8>)> {
+    fn groups_of(c: &Cluster, sizes: &[usize]) -> GroupedDataset<u32, u8> {
         let groups = (0u32..).zip(sizes).map(|(key, &len)| (key, vec![0u8; len]));
-        c.parallelize(groups.collect(), 3)
+        grouped(c, groups.collect())
     }
 
     /// `Auto` reads the exact group lengths: the budget is
@@ -506,42 +581,61 @@ mod tests {
         run_split_on(&Cluster::new(ClusterConfig::local(4)), groups, budget)
     }
 
+    /// Every distinct-value pair of a group or of a chunk pair. A task
+    /// counts the groups and units it joins, and `finish` adds its count and
+    /// one finished task to the totals.
+    #[derive(Default)]
+    struct AllPairs {
+        joined: AtomicU64,
+        tasks: AtomicU64,
+    }
+
+    impl GroupJoin<u32, u32> for AllPairs {
+        type Out = (u32, u32);
+        type Task = u64;
+
+        fn self_join(&self, joined: &mut u64, _: &u32, members: &[u32], out: &mut Vec<(u32, u32)>) {
+            *joined += 1;
+            for (i, &x) in members.iter().enumerate() {
+                for &y in &members[i + 1..] {
+                    if x != y {
+                        out.push((x.min(y), x.max(y)));
+                    }
+                }
+            }
+        }
+
+        fn cross_join(
+            &self,
+            joined: &mut u64,
+            _: &u32,
+            left: &[u32],
+            right: &[u32],
+            out: &mut Vec<(u32, u32)>,
+        ) {
+            *joined += 1;
+            for &x in left {
+                for &y in right {
+                    if x != y {
+                        out.push((x.min(y), x.max(y)));
+                    }
+                }
+            }
+        }
+
+        fn finish(&self, joined: u64) {
+            self.joined.fetch_add(joined, Ordering::Relaxed);
+            self.tasks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     fn run_split_on(
         c: &Cluster,
         groups: Vec<(u32, Vec<u32>)>,
         budget: usize,
     ) -> (HashSet<(u32, u32)>, SplitStats) {
-        let grouped = c.parallelize(groups, 3);
-        let (hits, stats) = split_grouped_join(
-            &grouped,
-            nz(budget),
-            4,
-            "t",
-            |_, members: &[u32]| {
-                let mut out = Vec::new();
-                for i in 0..members.len() {
-                    for j in (i + 1)..members.len() {
-                        let (a, b) = (members[i].min(members[j]), members[i].max(members[j]));
-                        if a != b {
-                            out.push((a, b));
-                        }
-                    }
-                }
-                out
-            },
-            |_, left: &[u32], right: &[u32]| {
-                let mut out = Vec::new();
-                for &l in left {
-                    for &r in right {
-                        let (a, b) = (l.min(r), l.max(r));
-                        if a != b {
-                            out.push((a, b));
-                        }
-                    }
-                }
-                out
-            },
-        );
+        let join = AllPairs::default();
+        let (hits, stats) = split_grouped_join(&grouped(c, groups), nz(budget), 4, "t", &join);
         (hits.collect().into_iter().collect(), stats)
     }
 
@@ -624,5 +718,35 @@ mod tests {
         let (_, unsplit) = run_split_on(&Cluster::new(config), groups, 10);
         assert_eq!(unsplit.groups_split, 0);
         assert_eq!(unsplit.stolen_tasks, 0, "{unsplit:?}");
+    }
+
+    /// Each join task finishes its state once, however many groups or
+    /// units it joined: in place, and across a split join's two join stages.
+    #[test]
+    fn a_join_task_finishes_once() {
+        let c = Cluster::new(ClusterConfig::local(2));
+        let groups = vec![
+            (1u32, (0..10).collect::<Vec<u32>>()),
+            (2, vec![100, 101]),
+            (3, vec![7, 8, 9]),
+            (4, vec![5]),
+        ];
+        let join = AllPairs::default();
+        let hits = join_groups(grouped(&c, groups.clone()), "in-place", &join);
+        assert_eq!(hits.collect().len(), 45 + 1 + 3);
+        assert_eq!(join.joined.load(Ordering::Relaxed), 4);
+        assert_eq!(join.tasks.load(Ordering::Relaxed), 3);
+
+        let join = AllPairs::default();
+        let (_, stats) = split_grouped_join(&grouped(&c, groups), nz(3), 4, "t", &join);
+        let report = c.metrics();
+        let tasks: usize = ["t/join-small-groups", "t/join-chunks"]
+            .iter()
+            .map(|name| report.stages_named(name)[0].num_tasks)
+            .sum();
+        assert_eq!(join.tasks.load(Ordering::Relaxed), tasks as u64);
+        // Three small groups, and the ten units of the split one.
+        assert_eq!(stats.chunks + stats.rs_joins, 10);
+        assert_eq!(join.joined.load(Ordering::Relaxed), 3 + 10);
     }
 }

@@ -6,33 +6,38 @@
 //! and cause GC pressure and OOM crashes. The engine reproduces the mechanism
 //! with a classic external grouping operator:
 //!
-//! 1. groups accumulate in a sorted in-memory map,
-//! 2. whenever the record budget is exceeded, the map is encoded
-//!    ([`crate::codec::Codec`]) into a sorted **run file**,
-//! 3. the final result streams a k-way merge over all runs plus the in-memory
-//!    remainder, concatenating value lists of equal keys.
+//! 1. records are taken a budget's worth at a time and sorted into runs
+//!    ([`Groups::sorted`]), the in-memory group-by's own algorithm,
+//! 2. every full budget's runs are encoded ([`crate::codec::Codec`]) into a
+//!    sorted **run file**,
+//! 3. the final result is a k-way merge over all run files plus the
+//!    in-memory remainder into one [`Groups`], concatenating the values of
+//!    equal keys in the order they arrived.
 //!
 //! Run files are length-prefixed entry streams read through `BufReader`, so
-//! the merge holds only one entry per run in memory.
+//! the merge holds only one entry per run in memory. With no run file the
+//! result is the in-memory group-by's, bit for bit.
 
 #![warn(clippy::indexing_slicing)]
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fs::File;
+use std::hash::Hash;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::Codec;
+use crate::groups::Groups;
 
 /// Result of an external group-by: the grouped records plus how many run
 /// files, of how many bytes, had to be spilled (0 = everything fit in
 /// memory).
 #[derive(Debug)]
 pub struct ExternalGroupByResult<K, V> {
-    /// The grouped output, sorted by key.
-    pub groups: Vec<(K, Vec<V>)>,
+    /// The grouped output: keys ascending, values in arrival order.
+    pub groups: Groups<K, V>,
     /// Number of run files written to disk.
     pub spilled_runs: usize,
     /// Bytes written into those run files.
@@ -72,10 +77,14 @@ impl RunWriter {
 
     /// Writes one entry; returns the bytes it occupies on disk (payload plus
     /// length prefix).
-    fn write_entry<K: Codec, V: Codec>(&mut self, key: &K, values: &Vec<V>) -> io::Result<usize> {
+    fn write_entry<K: Codec, V: Codec>(&mut self, key: &K, values: &[V]) -> io::Result<usize> {
         let mut buf = Vec::new();
         key.encode(&mut buf);
-        values.encode(&mut buf);
+        // A `Vec<V>`'s encoding: its length, then its items.
+        values.len().encode(&mut buf);
+        for value in values {
+            value.encode(&mut buf);
+        }
         let len = u32::try_from(buf.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "entry exceeds 4 GiB"))?;
         self.writer.write_all(&len.to_le_bytes())?;
@@ -134,118 +143,78 @@ impl Drop for RunReader {
 /// and spilling sorted runs to `spill_dir` (or the system temp directory)
 /// beyond that.
 ///
-/// The returned groups are sorted by key. With `record_budget = usize::MAX`
-/// this degenerates to an in-memory sorted group-by and never touches disk.
-pub fn external_group_by<K, V, I>(
-    records: I,
+/// The returned groups are sorted by key, each key's values in the order
+/// they arrived. A partition smaller than `record_budget` never touches disk.
+pub fn external_group_by<K, V>(
+    records: Vec<(K, V)>,
     record_budget: usize,
     spill_dir: Option<&Path>,
 ) -> io::Result<ExternalGroupByResult<K, V>>
 where
-    K: Codec + Ord + Clone,
+    K: Codec + Hash + Eq + Clone + Ord,
     V: Codec,
-    I: Iterator<Item = (K, V)>,
 {
     let record_budget = record_budget.max(1);
-    let mut in_memory: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    let mut buffered = 0usize;
-    let mut runs: Vec<RunReader> = Vec::new();
-    let mut spilled_bytes = 0usize;
-
-    for (k, v) in records {
-        in_memory.entry(k).or_default().push(v);
-        buffered += 1;
-        if buffered >= record_budget {
-            let mut writer = RunWriter::create(spill_dir)?;
-            for (key, values) in std::mem::take(&mut in_memory) {
-                spilled_bytes += writer.write_entry(&key, &values)?;
-            }
-            runs.push(writer.finish()?);
-            // A finished run is a durability boundary other tasks could
-            // observe — announce it to the schedule-exploration harness.
-            crate::sched::yield_point("spill-run");
-            buffered = 0;
-        }
-    }
-
-    let spilled_runs = runs.len();
-    if runs.is_empty() {
+    if records.len() < record_budget {
         return Ok(ExternalGroupByResult {
-            groups: in_memory.into_iter().collect(),
-            spilled_runs,
-            spilled_bytes,
+            groups: Groups::sorted(records.len(), records),
+            spilled_runs: 0,
+            spilled_bytes: 0,
         });
     }
+    let mut runs: Vec<RunReader> = Vec::new();
+    let mut spilled_bytes = 0usize;
+    let mut records = records.into_iter();
+    let remainder = loop {
+        let chunk: Vec<(K, V)> = records.by_ref().take(record_budget).collect();
+        if chunk.len() < record_budget {
+            break chunk;
+        }
+        let mut writer = RunWriter::create(spill_dir)?;
+        for (key, values) in Groups::sorted(chunk.len(), chunk).iter() {
+            spilled_bytes += writer.write_entry(key, values)?;
+        }
+        runs.push(writer.finish()?);
+        // A finished run is a durability boundary other tasks could
+        // observe — announce it to the schedule-exploration harness.
+        crate::sched::yield_point("spill-run");
+    };
+    let spilled_runs = runs.len();
 
-    // K-way merge: the heap holds the head entry of each source; equal keys
-    // from different sources are concatenated. The in-memory remainder acts
-    // as one more (already sorted) source.
-    let mut memory_iter = in_memory.into_iter();
-
-    enum Source {
-        Run(usize),
-        Memory,
-    }
-
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
-    // Pending values per source, aligned with heap entries by source index.
-    // Source index: 0..runs.len() are runs, runs.len() is the memory iterator.
+    // K-way merge: the heap holds the head entry of each source, and equal
+    // keys pop in source order — the runs in the order they were written,
+    // then the in-memory remainder — so values keep their arrival order.
+    let mut memory = Groups::sorted(remainder.len(), remainder)
+        .into_pairs()
+        .into_iter();
     let memory_index = runs.len();
-    let mut pending: Vec<Option<Vec<V>>> = (0..=memory_index).map(|_| None).collect();
-
-    let advance = |source: &Source,
-                   runs: &mut Vec<RunReader>,
-                   memory_iter: &mut std::collections::btree_map::IntoIter<K, Vec<V>>|
-     -> io::Result<Option<(K, Vec<V>)>> {
-        match source {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "Source::Run is only built with idx < memory_index ≤ runs.len()"
-            )]
-            Source::Run(idx) => runs[*idx].next_entry::<K, V>(),
-            Source::Memory => Ok(memory_iter.next()),
+    let mut next_of = |idx: usize| -> io::Result<Option<(K, Vec<V>)>> {
+        match runs.get_mut(idx) {
+            Some(run) => run.next_entry::<K, V>(),
+            None => Ok(memory.next()),
         }
     };
-
-    #[allow(clippy::needless_range_loop)] // idx doubles as the source id pushed into the heap
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "idx ≤ memory_index < pending.len()"
-    )]
+    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
+    // The values of each source's head entry, by source index.
+    let mut pending: Vec<Option<Vec<V>>> = Vec::with_capacity(memory_index + 1);
     for idx in 0..=memory_index {
-        let source = if idx == memory_index {
-            Source::Memory
-        } else {
-            Source::Run(idx)
-        };
-        if let Some((k, vs)) = advance(&source, &mut runs, &mut memory_iter)? {
-            pending[idx] = Some(vs);
-            heap.push(Reverse((k, idx)));
-        }
+        let head = next_of(idx)?.map(|(key, values)| {
+            heap.push(Reverse((key, idx)));
+            values
+        });
+        pending.push(head);
     }
-
-    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the heap only holds source ids ≤ memory_index < pending.len()"
-    )]
+    let mut groups = Groups::default();
     while let Some(Reverse((key, idx))) = heap.pop() {
-        let mut values = pending[idx].take().expect("heap entry without values");
-        let source = if idx == memory_index {
-            Source::Memory
-        } else {
-            Source::Run(idx)
-        };
-        if let Some((k, vs)) = advance(&source, &mut runs, &mut memory_iter)? {
-            pending[idx] = Some(vs);
-            heap.push(Reverse((k, idx)));
+        let slot = pending
+            .get_mut(idx)
+            .expect("the heap holds source ids only");
+        let values = slot.take().expect("heap entry without values");
+        if let Some((next, vs)) = next_of(idx)? {
+            *slot = Some(vs);
+            heap.push(Reverse((next, idx)));
         }
-        match groups.last_mut() {
-            Some((last_key, last_values)) if *last_key == key => {
-                last_values.append(&mut values);
-            }
-            _ => groups.push((key, values)),
-        }
+        groups.extend(key, values);
     }
 
     Ok(ExternalGroupByResult {
@@ -265,15 +234,13 @@ mod tests {
         for (k, v) in &records {
             expected.entry(*k).or_default().push(*v);
         }
-        let result = external_group_by(records.into_iter(), budget, None).unwrap();
-        // Sorted by key.
-        assert!(result.groups.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(result.groups.len(), expected.len());
-        for (k, mut vs) in result.groups.clone() {
-            let mut want = expected.remove(&k).unwrap();
-            vs.sort();
-            want.sort();
-            assert_eq!(vs, want, "values for key {k}");
+        let result = external_group_by(records, budget, None).unwrap();
+        let groups = result.groups.into_pairs();
+        // Sorted by key, each key's values in arrival order.
+        assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(groups.len(), expected.len());
+        for (k, vs) in groups {
+            assert_eq!(vs, expected.remove(&k).unwrap(), "values for key {k}");
         }
         result.spilled_runs
     }
@@ -308,7 +275,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let result = external_group_by(Vec::<(u32, u64)>::new().into_iter(), 10, None).unwrap();
+        let result = external_group_by(Vec::<(u32, u64)>::new(), 10, None).unwrap();
         assert!(result.groups.is_empty());
         assert_eq!(result.spilled_runs, 0);
     }
@@ -321,9 +288,9 @@ mod tests {
             records.push((7u32, n));
             records.push(((n % 90) as u32 + 100, n));
         }
-        let result = external_group_by(records.into_iter(), 50, None).unwrap();
-        let seven = result.groups.iter().find(|(k, _)| *k == 7).unwrap();
-        assert_eq!(seven.1.len(), 300);
+        let result = external_group_by(records, 50, None).unwrap();
+        let seven = result.groups.iter().find(|(k, _)| **k == 7).unwrap();
+        assert_eq!(seven.1, (0..300).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -331,7 +298,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("minispark-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let records: Vec<(u32, u64)> = (0..500).map(|n| (n % 13, u64::from(n))).collect();
-        let result = external_group_by(records.into_iter(), 50, Some(&dir)).unwrap();
+        let result = external_group_by(records, 50, Some(&dir)).unwrap();
         assert!(result.spilled_runs > 0);
         let leftovers = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(leftovers, 0, "spill files were not cleaned up");
@@ -341,12 +308,12 @@ mod tests {
     #[test]
     fn reports_the_bytes_its_runs_hold() {
         let records: Vec<(u32, u64)> = (0..200).map(|n| (n % 11, u64::from(n))).collect();
-        let spilled = external_group_by(records.clone().into_iter(), 50, None).unwrap();
+        let spilled = external_group_by(records.clone(), 50, None).unwrap();
         assert_eq!(spilled.spilled_runs, 4);
         // Every run holds its entries' length prefixes and encodings, so
         // four runs hold more than four prefixes' worth.
         assert!(spilled.spilled_bytes > 4 * 4, "{}", spilled.spilled_bytes);
-        let in_memory = external_group_by(records.into_iter(), usize::MAX, None).unwrap();
+        let in_memory = external_group_by(records, usize::MAX, None).unwrap();
         assert_eq!((in_memory.spilled_runs, in_memory.spilled_bytes), (0, 0));
     }
 
@@ -357,9 +324,12 @@ mod tests {
             ("a".to_string(), 2),
             ("b".to_string(), 3),
         ];
-        let result = external_group_by(records.into_iter(), 1, None).unwrap();
-        assert_eq!(result.groups[0].0, "a");
-        assert_eq!(result.groups[1].0, "b");
-        assert_eq!(result.groups[1].1, vec![1, 3]);
+        let groups = external_group_by(records, 1, None)
+            .unwrap()
+            .groups
+            .into_pairs();
+        assert_eq!(groups[0].0, "a");
+        assert_eq!(groups[1].0, "b");
+        assert_eq!(groups[1].1, vec![1, 3]);
     }
 }

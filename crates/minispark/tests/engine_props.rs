@@ -5,11 +5,12 @@
 // The library-code rules of `[workspace.lints.clippy]` do not bind test code.
 #![allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use minispark::executor::TaskSpan;
-use minispark::{Cluster, ClusterConfig, StageMetrics};
+use minispark::{Cluster, ClusterConfig, GroupedDataset, SkewBudget, StageMetrics};
 use topk_datagen::rng::{check, Rng};
 
 /// Cases per property.
@@ -112,6 +113,114 @@ fn group_by_key_spilling_matches_group_by_key() {
             rows
         };
         assert_eq!(normalize(plain.collect()), normalize(spilled.collect()));
+    });
+}
+
+/// Records with skewed keys: a few hot keys take most records (squaring a
+/// uniform draw piles the mass on small keys), and the values count up, so
+/// arrival order is visible in every group.
+fn skewed(rng: &mut Rng, max_len: usize, keys: u32) -> Vec<(u32, u32)> {
+    let len = rng.gen_range(0..max_len);
+    (0..len as u32)
+        .map(|v| {
+            let u = rng.gen_range(0..keys);
+            (u * u / keys, v)
+        })
+        .collect()
+}
+
+/// The reference grouping: each key's values in input order.
+fn btree_groups(data: &[(u32, u32)]) -> BTreeMap<u32, Vec<u32>> {
+    let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(k, v) in data {
+        groups.entry(k).or_default().push(v);
+    }
+    groups
+}
+
+/// Every run of `grouped`, checked to come in key order within its
+/// partition, merged into one map (each key in one partition only).
+fn runs_of(grouped: &GroupedDataset<u32, u32>) -> BTreeMap<u32, Vec<u32>> {
+    let mut runs = BTreeMap::new();
+    for p in 0..grouped.num_partitions() {
+        let groups = grouped.partition(p);
+        let keys: Vec<u32> = groups.iter().map(|(k, _)| *k).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "runs out of key order"
+        );
+        assert_eq!(groups.lens().sum::<usize>(), groups.num_values());
+        for (k, vs) in groups.iter() {
+            assert!(
+                runs.insert(*k, vs.to_vec()).is_none(),
+                "key {k} in two partitions"
+            );
+        }
+    }
+    runs
+}
+
+/// Sorted runs equal a `BTreeMap<K, Vec<V>>` built in input order: the same
+/// groups, each in arrival order — in memory and through a spilling group-by
+/// at a tiny budget, for any partitioning and slot count.
+#[test]
+fn group_runs_match_btreemap_in_arrival_order() {
+    check("group_runs_match_btreemap_in_arrival_order", CASES, |rng| {
+        let data = skewed(rng, 400, 24);
+        let expected = btree_groups(&data);
+        let partitions = rng.gen_range(1usize..10);
+        let targets = rng.gen_range(1usize..8);
+        let slots = rng.gen_range(1usize..5);
+        let grouped = cluster(slots)
+            .parallelize(data.clone(), partitions)
+            .into_group_runs("g", targets);
+        assert_eq!(grouped.num_groups(), expected.len());
+        assert_eq!(runs_of(&grouped), expected);
+
+        let budget = rng.gen_range(1usize..8);
+        let spill = Cluster::new(ClusterConfig::local(slots).with_spill_budget(budget));
+        let spilled = spill
+            .parallelize(data.clone(), partitions)
+            .group_runs_spilling("gs", targets);
+        assert_eq!(runs_of(&spilled), expected);
+        let metrics = spill.metrics();
+        let row = metrics.stages_named("gs")[0];
+        assert_eq!(
+            row.output_records,
+            expected.len(),
+            "a group-by row counts its groups"
+        );
+        if data.len() >= budget * targets {
+            assert!(
+                metrics.total_spilled_runs() > 0,
+                "budget {budget} never spilled"
+            );
+        }
+    });
+}
+
+/// `SkewBudget::Auto` reads the run ends and resolves to what a scan of the
+/// groups' lengths gives: `max(p95, ⌈max / (2·slots)⌉)`, or no split when
+/// the largest group fits it.
+#[test]
+fn auto_budget_matches_a_length_scan() {
+    check("auto_budget_matches_a_length_scan", CASES, |rng| {
+        let data = skewed(rng, 600, 40);
+        let slots = rng.gen_range(1usize..5);
+        let c = cluster(slots);
+        let grouped = c
+            .parallelize(data.clone(), rng.gen_range(1usize..6))
+            .into_group_runs("g", rng.gen_range(1usize..6));
+        let mut lens: Vec<usize> = btree_groups(&data).values().map(Vec::len).collect();
+        lens.sort_unstable();
+        let expected = lens.last().and_then(|&max| {
+            let rank = (95 * lens.len()).div_ceil(100);
+            let p95 = lens.get(rank.saturating_sub(1)).copied().unwrap_or(max);
+            let budget = p95.max(max.div_ceil(2 * slots));
+            (max > budget).then_some(budget)
+        });
+        let resolved = SkewBudget::Auto.resolve(&grouped).map(NonZeroUsize::get);
+        assert_eq!(resolved, expected);
     });
 }
 
