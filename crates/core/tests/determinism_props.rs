@@ -254,9 +254,9 @@ fn stage_counts(cluster: &Cluster) -> Vec<(String, usize, usize, usize, usize)> 
         .collect()
 }
 
-/// Token groups come out of the group-by in key order, so a δ-split CL-P run
-/// records the same per-stage record counts every time — on one slot, on
-/// several and under a seeded schedule — split stages included.
+/// A δ-split CL-P run records the same per-stage record counts every time —
+/// on one slot, on several and under a seeded schedule — split stages
+/// included.
 #[test]
 fn cl_p_split_stage_rows_repeat_run_to_run() {
     let data = corpus(400, 7, 40, 0xD5EED);

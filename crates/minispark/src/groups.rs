@@ -164,12 +164,16 @@ impl<K, V> Groups<K, V> {
     }
 
     /// The groups in key order, each as its key and the slice of its values.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ends` ascends and its last entry is `values.len()`, so every run is in bounds"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         self.keys
             .iter()
             .zip(starts.zip(self.ends.iter().copied()))
-            .map(|(key, (start, end))| (key, self.values.get(start..end).unwrap_or_default()))
+            .map(|(key, (start, end))| (key, &self.values[start..end]))
     }
 
     /// The group lengths in key order, read off the run ends.

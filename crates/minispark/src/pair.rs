@@ -18,47 +18,20 @@ use crate::groups::{GroupedDataset, Groups};
 use crate::shuffle::{spread, stable_hash, FastHashMap, FastHashSet, HashPartitioner, Partitioner};
 use crate::spill::external_group_by;
 
-/// The records one target partition receives: the bucket each map task
-/// filled for it, in map-task order. A reduce task reads them where they
-/// are, so nothing concatenates them on the driver.
-struct Inbound<T>(Vec<Vec<T>>);
-
-impl<T> Inbound<T> {
-    /// Number of records.
-    fn len(&self) -> usize {
-        self.0.iter().map(Vec::len).sum()
-    }
-
-    /// The records in arrival order: map task by map task.
-    fn into_records(self) -> impl Iterator<Item = T> {
-        self.0.into_iter().flatten()
-    }
-
-    /// The records in arrival order, in one `Vec`.
-    fn concat(self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for bucket in self.0 {
-            out.extend(bucket);
-        }
-        out
-    }
-}
-
 /// Scatters every record of `input` into `targets` buckets according to
-/// `target_of`, in parallel on the map side. Returns what each target
-/// partition receives.
+/// `target_of`, in parallel on the map side. Returns the target partitions.
 ///
 /// The scatter consumes `input`: a map task moves the records of a
 /// partition no other handle shares and clones only those of a shared one —
 /// a caller that keeps its dataset passes a clone of the handle and pays
-/// the clones it paid before. Every bucket is allocated once at its final
-/// size — what a shuffle allocates grows with map tasks × targets, not with
-/// the records it moves.
+/// the clones it paid before. Every bucket and every target partition is
+/// allocated once at its final size — what a shuffle allocates grows with
+/// map tasks × targets, not with the records it moves.
 fn shuffle_scatter<T, F>(
     input: Dataset<T>,
     targets: usize,
     target_of: F,
-) -> (Vec<Inbound<T>>, Vec<TaskSpan>)
+) -> (Vec<Vec<T>>, Vec<TaskSpan>)
 where
     T: Clone + Send + Sync + 'static,
     F: Fn(&T) -> usize + Sync,
@@ -83,16 +56,16 @@ where
         }
         buckets
     });
-    // Hand each target its buckets: only the `Vec` handles move.
-    let mut inbound: Vec<Inbound<T>> = (0..targets)
-        .map(|_| Inbound(Vec::with_capacity(bucketed.len())))
+    // Reduce-side gather: concatenate the map-side buckets per target.
+    let mut out: Vec<Vec<T>> = (0..targets)
+        .map(|t| Vec::with_capacity(bucketed.iter().map(|buckets| buckets[t].len()).sum()))
         .collect();
     for task_buckets in bucketed {
-        for (target, bucket) in inbound.iter_mut().zip(task_buckets) {
-            target.0.push(bucket);
+        for (target, bucket) in out.iter_mut().zip(task_buckets) {
+            target.extend(bucket);
         }
     }
-    (inbound, spans)
+    (out, spans)
 }
 
 /// Pushes each record into the bucket its entry of `targets` names.
@@ -164,7 +137,7 @@ struct MapSide<T> {
     /// Records the stage read.
     input_records: usize,
     /// One reduce input per target partition.
-    targets: Vec<Inbound<T>>,
+    targets: Vec<Vec<T>>,
     /// Records that crossed the shuffle.
     shuffled: usize,
     /// The map-side task waves, back to back.
@@ -176,12 +149,12 @@ impl<T> MapSide<T> {
     fn scattered(
         start: Instant,
         input_records: usize,
-        (targets, spans): (Vec<Inbound<T>>, Vec<TaskSpan>),
+        (targets, spans): (Vec<Vec<T>>, Vec<TaskSpan>),
     ) -> Self {
         Self {
             start,
             input_records,
-            shuffled: targets.iter().map(Inbound::len).sum(),
+            shuffled: targets.iter().map(Vec::len).sum(),
             targets,
             spans,
         }
@@ -218,7 +191,7 @@ fn reduce_side<T, P>(
     cluster: &Cluster,
     name: &str,
     map: MapSide<T>,
-    reduce: impl Fn(Inbound<T>) -> Reduced<P> + Sync,
+    reduce: impl Fn(Vec<T>) -> Reduced<P> + Sync,
 ) -> Vec<P>
 where
     T: Send,
@@ -282,11 +255,7 @@ where
         let cluster = self.cluster().clone();
         let map = scatter_by_key(self.clone(), partitions);
         let parts = reduce_side(&cluster, name, map, |part| {
-            (
-                Groups::sorted(part.len(), part.into_records()).into_pairs(),
-                0,
-                0,
-            )
+            (Groups::sorted(part.len(), part).into_pairs(), 0, 0)
         });
         Dataset::from_partitions(cluster, parts)
     }
@@ -304,7 +273,7 @@ where
         let cluster = self.cluster().clone();
         let map = scatter_by_key(self, partitions);
         let partitions = reduce_side(&cluster, name, map, |part| {
-            (Groups::sorted(part.len(), part.into_records()), 0, 0)
+            (Groups::sorted(part.len(), part), 0, 0)
         });
         GroupedDataset {
             cluster,
@@ -360,8 +329,8 @@ where
         let map = scatter_by_key(self, partitions);
         let trace = cluster.trace().clone();
         reduce_side(&cluster, name, map, |part| {
-            let result = external_group_by(part.concat(), budget, spill_dir.as_deref())
-                .expect("spill I/O failed");
+            let result =
+                external_group_by(part, budget, spill_dir.as_deref()).expect("spill I/O failed");
             if trace.is_enabled() {
                 // One instant event per spilled run file, emitted as the
                 // reduce task merges them back — the timeline counterpart of
@@ -402,7 +371,7 @@ where
         let mut map = MapSide::scattered(start, input_records, scattered);
         map.spans = [combine_spans, map.spans].concat();
         let parts = reduce_side(&cluster, name, map, |part| {
-            (combine_by_key(part.into_records(), &f), 0, 0)
+            (combine_by_key(part.into_iter(), &f), 0, 0)
         });
         Dataset::from_partitions(cluster, parts)
     }
@@ -422,7 +391,6 @@ where
             shuffle_scatter(self, partitioner.num_partitions(), |(k, _)| {
                 partitioner.partition(k)
             });
-        let scattered: Vec<Vec<(K, V)>> = scattered.into_iter().map(Inbound::concat).collect();
         let shuffled: usize = scattered.iter().map(Vec::len).sum();
         mark_shuffle_flush(&cluster, name, shuffled);
         let out_sizes: Vec<usize> = scattered.iter().map(Vec::len).collect();
@@ -456,7 +424,7 @@ where
             // rebuilt from it, so records are cloned exactly once.
             let mut seen = FastHashSet::with_capacity_and_hasher(part.len(), Default::default());
             let mut out = Vec::new();
-            for record in part.into_records() {
+            for record in part.into_iter() {
                 if !seen.contains(&record) {
                     out.push(record.clone());
                     seen.insert(record);
@@ -518,27 +486,30 @@ mod tests {
             }
         }
         runs.sort_unstable();
-        // Borrowed: the same groups, values in the same (arrival) order, and
-        // the source keeps every record, so each value is held twice.
-        let kept = c.parallelize(records(), 8);
-        let mut borrowed: Vec<(u64, Vec<u64>)> = kept
-            .group_by_key("borrow", 4)
-            .collect()
-            .into_iter()
-            .map(|(key, values)| (key, values.iter().map(|v| **v).collect()))
-            .collect();
-        borrowed.sort_unstable();
-        assert_eq!(borrowed, runs);
-        for p in 0..kept.num_partitions() {
-            assert!(kept
-                .partition(p)
-                .iter()
-                .all(|(_, v)| Arc::strong_count(v) == 1));
-        }
         assert_eq!(runs.len(), 7);
         assert!(runs
             .iter()
             .all(|(key, values)| values.is_sorted() && values.iter().all(|v| v % 7 == *key)));
+        // Borrowed: the same groups, values in the same (arrival) order, and
+        // the source keeps every record in order, so while the groups live
+        // each value is held twice: by the source and by its group.
+        let kept = c.parallelize(records(), 8);
+        let borrowed = kept.group_by_key("borrow", 4);
+        let mut groups: Vec<(u64, Vec<u64>)> = (0..borrowed.num_partitions())
+            .flat_map(|p| borrowed.partition(p))
+            .map(|(key, values)| (*key, values.iter().map(|v| **v).collect()))
+            .collect();
+        groups.sort_unstable();
+        assert_eq!(groups, runs);
+        let source: Vec<(u64, u64)> = (0..kept.num_partitions())
+            .flat_map(|p| kept.partition(p))
+            .map(|(key, value)| {
+                assert_eq!(Arc::strong_count(value), 2);
+                (*key, **value)
+            })
+            .collect();
+        assert_eq!(source, (0..200).map(|n| (n % 7, n)).collect::<Vec<_>>());
+        drop(borrowed);
     }
 
     #[test]
